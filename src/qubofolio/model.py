@@ -50,8 +50,10 @@ class ModelError(ValueError):
 class FrictionParams:
     """Market friction and scalarization parameters.
 
-    ``P=None`` means the penalty weight is derived at build time from the
-    instance coefficients (see qubo.resolve_penalty).
+    ``P=None`` means the penalty weight is derived from the instance
+    coefficients by qubo.resolve_penalty, the single derivation that
+    build_qubo and the evaluation path (step_components and everything
+    built on it) share; it reads prices and covariances, never a block.
     """
 
     q: float

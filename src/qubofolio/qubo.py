@@ -125,35 +125,43 @@ def _check_bits(num_vars: int, bits) -> np.ndarray:
     return x
 
 
-def _nonpenalty_step(spec: ProblemSpec, lay: VariableLayout, t: int):
-    """Non-penalty D block and linear vector for step t (1-based)."""
+def _risk_block(spec: ProblemSpec, lay: VariableLayout, t: int) -> np.ndarray:
+    """Risk part of the step-t diagonal block (1-based), a dense (w, w) matrix."""
     w = lay.step_width
     kn2 = 2 * lay.kn
-    asset = lay.asset_of[:kn2]
-    tau = lay.tau_of[:kn2].astype(float)
-    p = spec.prices.p
-    prm = spec.params
-    pt = p[asset, t - 1]
-    pt1 = p[asset, t]
-
     D = np.zeros((w, w))
-    if prm.q > 0:
-        wvec = tau if spec.signed_risk else np.ones(kn2)
-        wp = wvec * pt
-        sig = spec.covariances.sigma[t - 1][np.ix_(asset, asset)]
-        D[:kn2, :kn2] = prm.q * np.outer(wp, wp) * sig
+    if spec.params.q > 0:
+        asset = lay.asset_of[:kn2]
+        wvec = lay.tau_of[:kn2].astype(float) if spec.signed_risk else np.ones(kn2)
+        wp = wvec * spec.prices.p[asset, t - 1]
+        risk = D[:kn2, :kn2]
+        np.outer(wp, wp, out=risk)
+        risk *= spec.params.q
+        risk *= spec.covariances.sigma[t - 1][np.ix_(asset, asset)]
+    return D
 
-    lin = np.zeros(w)
-    lin[:kn2] -= tau * (pt1 - pt)  # profit enters with a minus sign
-    lin[:kn2] += prm.delta * pt  # own-step leg of the turnover cost
-    if t < lay.T:
-        lin[:kn2] += prm.delta * pt1  # previous-step leg of the t+1 turnover cost
-    else:
-        lin[:kn2] += prm.delta * p[asset, lay.T - 1]  # terminal liquidation
-    lin[:kn2] += prm.rho_s * pt * (tau < 0)
-    y_slice = slice(kn2 + lay.nb, w)
-    lin[y_slice] -= prm.rho_c * prm.u * lay.slack_weight[y_slice]
-    return D, lin
+
+def _linear_terms(spec: ProblemSpec, lay: VariableLayout) -> np.ndarray:
+    """Non-penalty linear coefficients, one length-w row per step."""
+    T = lay.T
+    kn2 = 2 * lay.kn
+    tau = lay.tau_of[:kn2].astype(float)
+    prm = spec.params
+    p_slot = spec.prices.p[lay.asset_of[:kn2]]
+    pt = p_slot[:, :T].T  # (T, kn2): price of each slot at its step
+    pt1 = p_slot[:, 1:].T
+    p_leg = pt1.copy()  # leg of the t+1 turnover cost; at t = T the terminal liquidation
+    p_leg[-1] = pt[-1]
+
+    lin = np.zeros((T, lay.step_width))
+    trade = lin[:, :kn2]
+    trade -= tau * (pt1 - pt)  # profit enters with a minus sign
+    trade += prm.delta * pt  # own-step leg of the turnover cost
+    trade += prm.delta * p_leg
+    trade += prm.rho_s * pt * (tau < 0)
+    y_slice = slice(kn2 + lay.nb, lay.step_width)
+    lin[:, y_slice] -= prm.rho_c * prm.u * lay.slack_weight[y_slice]
+    return lin
 
 
 def _penalty_rows(lay: VariableLayout) -> tuple[np.ndarray, np.ndarray]:
@@ -169,66 +177,69 @@ def _penalty_rows(lay: VariableLayout) -> tuple[np.ndarray, np.ndarray]:
     return w_asset, w_cash
 
 
-def resolve_penalty(spec: ProblemSpec) -> float:
-    """Penalty weight: explicit P if given, else 10 * max |coefficient| * (B + C)."""
-    if spec.params.P is not None:
-        return spec.params.P
-    lay = spec.layout
-    maxcoef = 0.0
-    for t in range(1, lay.T + 1):
-        D, lin = _nonpenalty_step(spec, lay, t)
-        maxcoef = max(maxcoef, np.abs(D).max(initial=0.0), np.abs(lin).max(initial=0.0))
-        if t < lay.T:
-            kn2 = 2 * lay.kn
-            asset = lay.asset_of[:kn2]
-            maxcoef = max(maxcoef, 2.0 * spec.params.delta * spec.prices.p[asset, t].max())
+def _penalty_weight(spec: ProblemSpec, lay: VariableLayout, linear: np.ndarray) -> float:
+    """Explicit P if given, else 10 * max |non-penalty coefficient| * (B + C).
+
+    The maximum is taken without assembling a (w, w) block.  A risk entry is
+    q * (w_i p_a)(w_j p_b) * Sigma_ab for the assets a, b of slots i, j with
+    weights w = +-1, so its magnitude is that of q * p_a p_b * Sigma_ab, and
+    every asset owns a slot: the (n, n) product holds exactly the block's
+    magnitudes.  The turnover band is 2 * delta * p at steps 2..T.
+    """
+    prm = spec.params
+    if prm.P is not None:
+        return prm.P
+    p = spec.prices.p
+    maxcoef = np.abs(linear).max()
+    if prm.q > 0:
+        for t in range(lay.T):
+            risk = prm.q * np.outer(p[:, t], p[:, t]) * spec.covariances.sigma[t]
+            maxcoef = max(maxcoef, np.abs(risk).max())
+    if lay.T > 1:
+        maxcoef = max(maxcoef, np.abs(2.0 * prm.delta * p[:, 1 : lay.T]).max())
     if maxcoef == 0.0:
         return 1.0
-    return 10.0 * maxcoef * (spec.B + spec.C)
+    return float(10.0 * maxcoef * (spec.B + spec.C))
+
+
+def resolve_penalty(spec: ProblemSpec) -> float:
+    """Penalty weight of build_qubo: explicit P if given, else 10 * max |coefficient| * (B + C).
+
+    Read from prices and covariances alone; no block is assembled.
+    """
+    lay = spec.layout
+    return _penalty_weight(spec, lay, _linear_terms(spec, lay))
 
 
 def build_qubo(spec: ProblemSpec, include_penalty: bool = True) -> BlockQubo:
     """Assemble the full minimization objective in block-banded form."""
     lay = spec.layout
-    w = lay.step_width
     kn2 = 2 * lay.kn
-    asset = lay.asset_of[:kn2]
-    prm = spec.params
 
-    diag_blocks: list[np.ndarray] = []
-    linear = np.zeros(lay.total)
-    cross = np.zeros((max(lay.T - 1, 0), w))
-    maxcoef = 0.0
-    for t in range(1, lay.T + 1):
-        D, lin = _nonpenalty_step(spec, lay, t)
-        diag_blocks.append(D)
-        linear[lay.step_slice(t)] = lin
-        maxcoef = max(maxcoef, np.abs(D).max(initial=0.0), np.abs(lin).max(initial=0.0))
-        if t >= 2:
-            cross[t - 2, :kn2] = -2.0 * prm.delta * spec.prices.p[asset, t - 1]
-    if cross.size:
-        maxcoef = max(maxcoef, np.abs(cross).max())
+    diag_blocks = [_risk_block(spec, lay, t) for t in range(1, lay.T + 1)]
+    linear = _linear_terms(spec, lay)
+    cross = np.zeros((max(lay.T - 1, 0), lay.step_width))
+    p_band = spec.prices.p[lay.asset_of[:kn2], 1 : lay.T]  # slot prices at steps 2..T
+    cross[:, :kn2] = (-2.0 * spec.params.delta * p_band).T
 
     offset = 0.0
     penalty = 0.0
     if include_penalty:
-        if prm.P is not None:
-            penalty = prm.P
-        else:
-            penalty = 10.0 * maxcoef * (spec.B + spec.C) if maxcoef > 0 else 1.0
+        penalty = _penalty_weight(spec, lay, linear)
         w_asset, w_cash = _penalty_rows(lay)
-        pen_quad = penalty * (np.outer(w_asset, w_asset) + np.outer(w_cash, w_cash))
-        pen_lin = -2.0 * penalty * (spec.B * w_asset + spec.C * w_cash)
-        for t in range(1, lay.T + 1):
-            diag_blocks[t - 1] += pen_quad
-            linear[lay.step_slice(t)] += pen_lin
+        pen_quad = np.outer(w_asset, w_asset)
+        pen_quad += np.outer(w_cash, w_cash)
+        pen_quad *= penalty
+        for D in diag_blocks:
+            D += pen_quad
+        linear += -2.0 * penalty * (spec.B * w_asset + spec.C * w_cash)
         offset = penalty * lay.T * (spec.B**2 + spec.C**2)
 
     return BlockQubo(
         layout=lay,
         diag_blocks=diag_blocks,
         cross=cross,
-        linear=linear,
+        linear=linear.ravel(),
         offset=offset,
         penalty_weight=penalty,
     )
@@ -356,7 +367,10 @@ _DENSE_LIMIT = 8192
 
 
 def to_dense(qubo) -> tuple[np.ndarray, float]:
-    """Symmetric dense matrix A with linear terms on the diagonal: E = x'Ax + offset."""
+    """Symmetric dense matrix A with linear terms on the diagonal: E = x'Ax + offset.
+
+    Repeated (i, j) terms sum, as in to_ising.
+    """
     if isinstance(qubo, BlockQubo):
         qubo = to_sparse(qubo)
     if not isinstance(qubo, SparseQubo):
@@ -365,10 +379,11 @@ def to_dense(qubo) -> tuple[np.ndarray, float]:
         raise QuboError(f"{qubo.num_vars} variables exceeds dense limit {_DENSE_LIMIT}")
     A = np.zeros((qubo.num_vars, qubo.num_vars))
     diag = qubo.rows == qubo.cols
-    A[qubo.rows[diag], qubo.cols[diag]] = qubo.vals[diag]
+    np.add.at(A, (qubo.rows[diag], qubo.cols[diag]), qubo.vals[diag])
     off = ~diag
-    A[qubo.rows[off], qubo.cols[off]] = qubo.vals[off] / 2.0
-    A[qubo.cols[off], qubo.rows[off]] = qubo.vals[off] / 2.0
+    half = qubo.vals[off] / 2.0
+    np.add.at(A, (qubo.rows[off], qubo.cols[off]), half)
+    np.add.at(A, (qubo.cols[off], qubo.rows[off]), half)
     return A, qubo.offset
 
 

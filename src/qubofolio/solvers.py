@@ -206,17 +206,13 @@ def _as_state(qubo):
     raise QuboError(f"unsupported problem type {type(qubo).__name__}")
 
 
-def _num_vars(qubo) -> int:
-    return qubo.num_vars
-
-
 # --- exact enumeration -------------------------------------------------------
 
 
 def solve_exact(qubo, budget: SolveBudget | None = None) -> SolveReport:
     """Global minimum by chunked enumeration of all 2^n assignments."""
     budget = budget or SolveBudget()
-    n = _num_vars(qubo)
+    n = qubo.num_vars
     if n > EXACT_CAP:
         raise QuboError(f"solve_exact supports at most {EXACT_CAP} variables, got {n}")
     A, offset = to_dense(qubo)
@@ -315,7 +311,7 @@ def solve_bnb(qubo, budget: SolveBudget | None = None) -> SolveReport:
 
     best_x = np.zeros(n, dtype=np.int8)
     best_e = float(dense_energies(A, offset, best_x[None, :])[0])
-    state = _as_state(qubo if isinstance(qubo, (BlockQubo, SparseQubo)) else qubo)
+    state = _as_state(qubo)
     desc, desc_e, _ = _descend(state, best_x.copy())
     if desc_e < best_e:
         best_x, best_e = desc, desc_e

@@ -1,6 +1,7 @@
 """QUBO assembly against a naive slot-by-slot objective oracle, plus the
 delta machinery, format conversions, and text round-trips.
 """
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qubofolio import qubo as qubo_module
+from qubofolio.evaluation import economic_metrics
 from qubofolio.model import ProblemSpec
 from qubofolio.qubo import (
     IsingModel,
@@ -31,7 +34,8 @@ from qubofolio.qubo import (
     write_ising_text,
     write_qubo_text,
 )
-from qubofolio.toy import cash_only_bits, random_sparse_qubo, toy_spec
+from qubofolio.solvers import solve_exact
+from qubofolio.toy import cash_only_bits, random_sparse_qubo, synthetic_spec, toy_spec
 
 
 def naive_objective(spec: ProblemSpec, bits) -> float:
@@ -209,6 +213,86 @@ def test_resolve_penalty_dominates_objective_coefficients():
     assert P >= 10.0 * np.abs(A).max()
 
 
+def block_penalty(spec: ProblemSpec) -> float:
+    """10 * max |coefficient| * (B + C), read off the assembled penalty-free blocks."""
+    free = build_qubo(spec, include_penalty=False)
+    maxcoef = max([np.abs(free.linear).max(), np.abs(free.cross).max(initial=0.0)]
+                  + [np.abs(D).max() for D in free.diag_blocks])
+    return 10.0 * maxcoef * (spec.B + spec.C) if maxcoef > 0 else 1.0
+
+
+def step_linear_reference(spec: ProblemSpec, t: int) -> np.ndarray:
+    """Non-penalty linear vector of step t (1-based), one step at a time."""
+    lay = spec.layout
+    kn2 = 2 * lay.kn
+    asset = lay.asset_of[:kn2]
+    tau = lay.tau_of[:kn2].astype(float)
+    p = spec.prices.p
+    prm = spec.params
+    pt, pt1 = p[asset, t - 1], p[asset, t]
+    lin = np.zeros(lay.step_width)
+    lin[:kn2] -= tau * (pt1 - pt)
+    lin[:kn2] += prm.delta * pt
+    lin[:kn2] += prm.delta * (pt1 if t < lay.T else p[asset, lay.T - 1])
+    lin[:kn2] += prm.rho_s * pt * (tau < 0)
+    y_slice = slice(kn2 + lay.nb, lay.step_width)
+    lin[y_slice] -= prm.rho_c * prm.u * lay.slack_weight[y_slice]
+    return lin
+
+
+@pytest.mark.parametrize("spec", [toy_spec(n=1, T=1, seed=0), toy_spec(n=3, T=2, seed=2),
+                                  synthetic_spec(n=4, T=5, k=2, B=6, C=3, seed=3)])
+def test_linear_terms_equal_per_step_reference(spec):
+    linear = build_qubo(spec, include_penalty=False).linear
+    expected = np.concatenate([step_linear_reference(spec, t) for t in range(1, spec.T + 1)])
+    assert np.array_equal(linear, expected)
+
+
+@pytest.mark.parametrize("signed_risk", [True, False])
+@pytest.mark.parametrize("q", [0.0, 1e-5, 1e-3])
+@pytest.mark.parametrize("seed", range(20))
+def test_resolve_penalty_equals_build_qubo_exactly(seed, q, signed_risk):
+    spec = toy_spec(n=3, T=2, q=q, seed=seed, signed_risk=signed_risk)
+    P = resolve_penalty(spec)
+    assert P == build_qubo(spec).penalty_weight
+    assert P == block_penalty(spec)
+
+
+def test_resolve_penalty_keeps_explicit_weight():
+    spec = toy_spec(n=2, T=2, q=1e-4, seed=4)
+    spec = dataclasses.replace(spec, params=dataclasses.replace(spec.params, P=1234.5))
+    assert resolve_penalty(spec) == build_qubo(spec).penalty_weight == 1234.5
+
+
+def test_resolve_penalty_equals_build_qubo_at_exp1_size():
+    spec = synthetic_spec(n=200, T=10, k=3, B=60, C=10, q=0.01)
+    P = resolve_penalty(spec)
+    assert P == build_qubo(spec).penalty_weight
+    assert P == block_penalty(spec)
+
+
+def test_evaluation_path_builds_no_block(monkeypatch):
+    spec = toy_spec(n=3, T=2, q=1e-3, seed=23)
+    rng = np.random.default_rng(24)
+    x = rng.integers(0, 2, spec.layout.total).astype(np.int8)
+    before = (resolve_penalty(spec), objective_breakdown(spec, x),
+              step_components(spec, x), economic_metrics(spec, x))
+
+    def no_block(*args, **kwargs):
+        raise AssertionError("evaluation assembled a (w, w) block")
+
+    monkeypatch.setattr(qubo_module, "_risk_block", no_block)
+    assert resolve_penalty(spec) == before[0]
+    assert objective_breakdown(spec, x) == before[1]
+    after = step_components(spec, x)
+    assert after.keys() == before[2].keys()
+    for key, values in after.items():
+        assert np.array_equal(values, before[2][key])
+    assert economic_metrics(spec, x) == before[3]
+    with pytest.raises(AssertionError):
+        build_qubo(spec)
+
+
 def test_penalty_zero_on_feasible_assignments():
     spec = toy_spec(n=2, T=2, q=1e-4, seed=8)
     assert objective_breakdown(spec, cash_only_bits(spec))["penalty"] == 0.0
@@ -234,6 +318,31 @@ def test_step_components_cash_only():
     # rho_c * u * C per step
     expected = spec.params.rho_c * spec.params.u * spec.C
     assert np.allclose(comp["cash_interest"], expected)
+
+
+def test_repeated_terms_sum_on_every_path(tmp_path):
+    path = tmp_path / "dup.qubo"
+    path.write_text("p qubo 2 3 0.0\n0 1 2.0\n0 1 3.0\n1 1 2.0\n")
+    sq = read_qubo_text(path)
+    A, off = to_dense(sq)
+    assert float(dense_energies(A, off, np.ones((1, 2)))[0]) == 7.0
+    assert ising_value(to_ising(sq), [1, 1]) == 7.0
+    # 7.0 is this file's maximum; the negated file has it as its minimum
+    negated = SparseQubo(num_vars=2, rows=sq.rows, cols=sq.cols, vals=-sq.vals, offset=0.0)
+    report = solve_exact(negated)
+    assert report.best_energy == -7.0
+    assert report.best.tolist() == [1, 1]
+
+
+def test_to_dense_of_deduplicated_terms_places_each_once():
+    sq = to_sparse(build_qubo(toy_spec(n=3, T=2, q=1e-3, seed=25)))
+    A, off = to_dense(sq)
+    expected = np.zeros_like(A)
+    entry = np.where(sq.rows == sq.cols, sq.vals, sq.vals / 2.0)
+    expected[sq.rows, sq.cols] = entry
+    expected[sq.cols, sq.rows] = entry
+    assert np.array_equal(A, expected)
+    assert off == sq.offset
 
 
 def test_qubo_text_roundtrip_is_byte_identical(tmp_path):
