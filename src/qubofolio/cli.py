@@ -18,10 +18,8 @@ from .qubo import (
     IsingModel,
     QuboError,
     QuboParseError,
-    SparseQubo,
     build_bqp,
     build_qubo,
-    energy,
     objective_breakdown,
     read_qubo_text,
     to_ising,
@@ -144,7 +142,7 @@ def cmd_solve(args) -> int:
         raise CliError(EXIT_CAP, f"exact solver caps at {EXACT_CAP} variables, "
                                  f"instance has {problem.num_vars}")
     budget = SolveBudget(time_limit=args.time_limit, seed=args.seed,
-                         workers=args.workers, max_iterations=args.max_iterations)
+                         max_iterations=args.max_iterations)
     try:
         report = SOLVERS[args.solver](problem, budget)
     except QuboError as exc:
@@ -196,7 +194,7 @@ def cmd_sweep(args) -> int:
             raise CliError(EXIT_PARSE, f"bad --q list: {exc}")
     else:
         q_list = list(DEFAULT_Q_GRID)
-    budget = SolveBudget(time_limit=args.time_limit, seed=args.seed, workers=args.workers)
+    budget = SolveBudget(time_limit=args.time_limit, seed=args.seed)
     table = sweep_q(spec, q_list, args.solver, budget)
     table.write_csv(args.out)
     failed = [row for row in table.rows if row.failed]
@@ -266,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--time-limit", type=float, default=60.0)
     p_solve.add_argument("--max-iterations", type=int, default=None)
     p_solve.add_argument("--seed", type=int, default=0)
-    p_solve.add_argument("--workers", type=int, default=1)
     p_solve.add_argument("--out", required=True, help="SolveReport JSON path")
     _add_toy_flags(p_solve)
     p_solve.set_defaults(func=cmd_solve)
@@ -290,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--solver", choices=sorted(SOLVERS), default="exact")
     p_sweep.add_argument("--time-limit", type=float, default=60.0)
     p_sweep.add_argument("--seed", type=int, default=0)
-    p_sweep.add_argument("--workers", type=int, default=1)
     p_sweep.add_argument("--out", required=True, help="Pareto CSV path")
     _add_toy_flags(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)

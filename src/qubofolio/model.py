@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any
 
 import numpy as np
@@ -227,7 +228,7 @@ class ProblemSpec:
                 f"expected ({self.T}, {self.n}, {self.n})"
             )
 
-    @property
+    @cached_property
     def layout(self) -> VariableLayout:
         return layout(self.n, self.T, self.k, self.B, self.C)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
@@ -201,14 +201,30 @@ def _sample(state: np.ndarray, shots: int, rng: np.random.Generator) -> dict[str
     probs = probs / probs.sum()
     counts = rng.multinomial(shots, probs)
     m = state.shape[0].bit_length() - 1
-    hist = {}
-    for z in np.flatnonzero(counts):
-        hist[format(int(z), f"0{m}b")[::-1]] = int(counts[z])  # qubit 0 first
-    return hist
+    return {_bits_of(int(z), m): int(counts[z]) for z in np.flatnonzero(counts)}
 
 
 def _bits_of(z: int, m: int) -> str:
+    """Basis index z as an m-character bitstring, qubit 0 first."""
     return format(z, f"0{m}b")[::-1]
+
+
+def _nelder_mead_restarts(objective, draw, restarts: int, seed: int, options: dict):
+    """Nelder-Mead from `restarts` starting points draw(rng) of one seeded stream.
+
+    Returns (best value, best point, the final value of every restart).
+    """
+    rng = np.random.default_rng(seed)
+    best_val = math.inf
+    best_theta = None
+    trace = []
+    for _ in range(restarts):
+        res = minimize(objective, draw(rng), method="Nelder-Mead", options=options)
+        trace.append(float(res.fun))
+        if res.fun < best_val:
+            best_val = float(res.fun)
+            best_theta = res.x
+    return best_val, best_theta, trace
 
 
 def _run_doc(algo: str, cost: DiagonalCost, state: np.ndarray, shots: int,
@@ -273,21 +289,14 @@ def qaoa_optimize(ising: IsingModel, layers: int, restarts: int = 8,
         state = _qaoa_state(cost, params)
         return float((np.abs(state) ** 2) @ cost.energies)
 
-    rng = np.random.default_rng(seed)
-    best_val = math.inf
-    best_theta = None
-    trace = []
-    for _ in range(restarts):
-        theta0 = np.concatenate([
+    def draw(rng):
+        return np.concatenate([
             rng.uniform(0.0, math.pi, size=layers),      # gammas
             rng.uniform(0.0, math.pi / 2.0, size=layers),  # betas
         ])
-        res = minimize(objective, theta0, method="Nelder-Mead",
-                       options={"maxiter": maxiter, "xatol": 1e-4, "fatol": 1e-7})
-        trace.append(float(res.fun))
-        if res.fun < best_val:
-            best_val = float(res.fun)
-            best_theta = res.x
+
+    best_val, best_theta, trace = _nelder_mead_restarts(
+        objective, draw, restarts, seed, {"maxiter": maxiter, "xatol": 1e-4, "fatol": 1e-7})
     params = QaoaParams(tuple(best_theta[:layers]), tuple(best_theta[layers:]))
     report = {"expectation": best_val, "restart_trace": trace,
               "ground_energy": cost.ground_energy}
@@ -328,18 +337,9 @@ def vqe_run(ising: IsingModel, layers: int = 2, restarts: int = 8,
         state = _vqe_state(m, layers, theta)
         return float((np.abs(state) ** 2) @ cost.energies)
 
-    rng = np.random.default_rng(seed)
-    best_val = math.inf
-    best_theta = None
-    trace = []
-    for _ in range(restarts):
-        theta0 = rng.uniform(-math.pi, math.pi, size=layers * m)
-        res = minimize(objective, theta0, method="Nelder-Mead",
-                       options={"maxiter": maxiter, "xatol": 1e-5, "fatol": 1e-9})
-        trace.append(float(res.fun))
-        if res.fun < best_val:
-            best_val = float(res.fun)
-            best_theta = res.x
+    best_val, best_theta, trace = _nelder_mead_restarts(
+        objective, lambda rng: rng.uniform(-math.pi, math.pi, size=layers * m),
+        restarts, seed, {"maxiter": maxiter, "xatol": 1e-5, "fatol": 1e-9})
     state = _vqe_state(m, layers, best_theta)
     doc = _run_doc("vqe", cost, state, 0, np.random.default_rng(seed),
                    {"layers": layers, "theta": [float(v) for v in best_theta]})

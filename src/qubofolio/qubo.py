@@ -12,18 +12,17 @@ so the total pair coefficient between two distinct same-step variables is
 couplings exist only between the same trading slot at adjacent steps (the
 transaction-cost band); slack bits never couple across steps.
 
-BlockQubo is immutable after build and may be shared read-only across
-solver workers.  Assignment arrays and delta caches are single-owner
-mutable state.
+BlockQubo is immutable after build and may be shared read-only.
+Assignment arrays and delta caches are single-owner mutable state.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelError, ProblemSpec, VariableLayout, constraint_residuals
+from .model import ProblemSpec, VariableLayout, constraint_residuals
 
 __all__ = [
     "QuboError",
@@ -60,9 +59,8 @@ class QuboParseError(QuboError):
 
 @dataclass(frozen=True)
 class BlockQubo:
-    """Block-banded quadratic objective over the per-step variable layout."""
+    """Block-banded quadratic objective over T steps of w variables each."""
 
-    layout: VariableLayout
     diag_blocks: list[np.ndarray]  # T symmetric (w, w) matrices
     cross: np.ndarray  # (T-1, w); nonzero only at trading-slot positions
     linear: np.ndarray  # (total,)
@@ -71,12 +69,15 @@ class BlockQubo:
 
     @property
     def num_vars(self) -> int:
-        return self.layout.total
+        return len(self.linear)
 
 
 @dataclass(frozen=True)
 class SparseQubo:
-    """Upper-triangular triplet export form; no duplicates, no explicit zeros."""
+    """Upper-triangular triplet export form, sorted by (i, j), no repeated terms.
+
+    to_sparse also drops zero terms; read_qubo_text keeps those a file lists.
+    """
 
     num_vars: int
     rows: np.ndarray
@@ -236,7 +237,6 @@ def build_qubo(spec: ProblemSpec, include_penalty: bool = True) -> BlockQubo:
         offset = penalty * lay.T * (spec.B**2 + spec.C**2)
 
     return BlockQubo(
-        layout=lay,
         diag_blocks=diag_blocks,
         cross=cross,
         linear=linear.ravel(),
@@ -262,37 +262,41 @@ def build_bqp(spec: ProblemSpec) -> BqpView:
     return BqpView(objective=objective, asset_rows=asset_rows, cash_rows=cash_rows)
 
 
+def _steps(qubo: BlockQubo) -> tuple[int, int]:
+    """(T, w): the number of diagonal blocks and their width."""
+    return len(qubo.diag_blocks), qubo.diag_blocks[0].shape[0]
+
+
 def energy(qubo: BlockQubo, bits) -> float:
     """Exact quadratic-form value including offset.
 
     Per-block contributions are computed separately and combined with an
     exactly-rounded sum so large instances evaluate reproducibly across
-    orderings.
+    orderings.  Each block is evaluated as dense_energies evaluates a
+    matrix, so a one-block QUBO matches dense_energies bit for bit.
     """
-    lay = qubo.layout
-    x = _check_bits(lay.total, bits).astype(float).reshape(lay.T, lay.step_width)
+    T, w = _steps(qubo)
+    x = _check_bits(qubo.num_vars, bits).astype(float).reshape(T, w)
     parts = [qubo.offset, float(qubo.linear @ x.ravel())]
-    for t in range(lay.T):
-        xt = x[t]
-        parts.append(float(xt @ (qubo.diag_blocks[t] @ xt)))
-    for t in range(lay.T - 1):
+    for t in range(T):
+        parts.append(float(dense_energies(qubo.diag_blocks[t], 0.0, x[t][None])[0]))
+    for t in range(T - 1):
         parts.append(float((qubo.cross[t] * x[t] * x[t + 1]).sum()))
     return math.fsum(parts)
 
 
 def delta_energies(qubo: BlockQubo, bits) -> np.ndarray:
     """Vector of exact energy changes for flipping each bit."""
-    lay = qubo.layout
-    x = _check_bits(lay.total, bits).astype(float).reshape(lay.T, lay.step_width)
-    w = lay.step_width
-    deltas = np.empty((lay.T, w))
-    for t in range(lay.T):
+    T, w = _steps(qubo)
+    x = _check_bits(qubo.num_vars, bits).astype(float).reshape(T, w)
+    deltas = np.empty((T, w))
+    for t in range(T):
         D = qubo.diag_blocks[t]
         dg = np.diagonal(D)
         inner = qubo.linear[t * w : (t + 1) * w] + dg + 2.0 * (D @ x[t]) - 2.0 * dg * x[t]
         if t > 0:
             inner += qubo.cross[t - 1] * x[t - 1]
-        if t < lay.T - 1:
+        if t < T - 1:
             inner += qubo.cross[t] * x[t + 1]
         deltas[t] = (1.0 - 2.0 * x[t]) * inner
     return deltas.ravel()
@@ -302,12 +306,12 @@ def apply_flip(qubo: BlockQubo, bits: np.ndarray, i: int, deltas: np.ndarray) ->
     """Flip bit i in place; update deltas of its neighbors; return the energy change.
 
     Cost is proportional to the step width plus the two adjacent-step
-    couplings, never the total variable count.
+    couplings, never the total variable count.  cross is zero off the
+    trading slots, so the adjacent-step updates need no slot test.
     """
-    lay = qubo.layout
-    w = lay.step_width
-    if not 0 <= i < lay.total:
-        raise QuboError(f"flip index {i} out of range 0..{lay.total - 1}")
+    T, w = _steps(qubo)
+    if not 0 <= i < qubo.num_vars:
+        raise QuboError(f"flip index {i} out of range 0..{qubo.num_vars - 1}")
     t, j = divmod(i, w)
     d = 1.0 - 2.0 * bits[i]  # new value minus old value
     change = deltas[i]
@@ -315,14 +319,12 @@ def apply_flip(qubo: BlockQubo, bits: np.ndarray, i: int, deltas: np.ndarray) ->
     col = 2.0 * qubo.diag_blocks[t][:, j] * d
     col[j] = 0.0
     deltas[sl] += (1.0 - 2.0 * bits[sl]) * col
-    kn2 = 2 * lay.kn
-    if j < kn2:
-        if t > 0:
-            m = i - w
-            deltas[m] += (1.0 - 2.0 * bits[m]) * qubo.cross[t - 1, j] * d
-        if t < lay.T - 1:
-            m = i + w
-            deltas[m] += (1.0 - 2.0 * bits[m]) * qubo.cross[t, j] * d
+    if t > 0:
+        m = i - w
+        deltas[m] += (1.0 - 2.0 * bits[m]) * qubo.cross[t - 1, j] * d
+    if t < T - 1:
+        m = i + w
+        deltas[m] += (1.0 - 2.0 * bits[m]) * qubo.cross[t, j] * d
     bits[i] ^= 1
     deltas[i] = -change
     return float(change)
@@ -330,13 +332,12 @@ def apply_flip(qubo: BlockQubo, bits: np.ndarray, i: int, deltas: np.ndarray) ->
 
 def to_sparse(qubo: BlockQubo) -> SparseQubo:
     """Collapse the block form into deduplicated upper-triangular triplets."""
-    lay = qubo.layout
-    w = lay.step_width
+    T, w = _steps(qubo)
     rows: list[np.ndarray] = []
     cols: list[np.ndarray] = []
     vals: list[np.ndarray] = []
     iu, ju = np.triu_indices(w, k=1)
-    for t in range(lay.T):
+    for t in range(T):
         base = t * w
         D = qubo.diag_blocks[t]
         diag_vals = qubo.linear[base : base + w] + np.diagonal(D)
@@ -348,7 +349,7 @@ def to_sparse(qubo: BlockQubo) -> SparseQubo:
         rows.append(base + iu)
         cols.append(base + ju)
         vals.append(pair)
-        if t < lay.T - 1:
+        if t < T - 1:
             slots = np.flatnonzero(qubo.cross[t])
             rows.append(base + slots)
             cols.append(base + w + slots)
@@ -359,7 +360,7 @@ def to_sparse(qubo: BlockQubo) -> SparseQubo:
     keep = v != 0.0
     r, c, v = r[keep], c[keep], v[keep]
     order = np.lexsort((c, r))
-    return SparseQubo(num_vars=lay.total, rows=r[order], cols=c[order], vals=v[order],
+    return SparseQubo(num_vars=qubo.num_vars, rows=r[order], cols=c[order], vals=v[order],
                       offset=qubo.offset)
 
 
@@ -534,7 +535,19 @@ def read_qubo_text(path):
     if header[1] == "ising":
         diag = rows == cols
         h = np.zeros(num_vars)
-        h[rows[diag]] = vals[diag]
+        np.add.at(h, rows[diag], vals[diag])
         return IsingModel(h=h, j_rows=rows[~diag], j_cols=cols[~diag],
                           j_vals=vals[~diag], offset=offset)
+    rows, cols, vals = _sum_repeated(rows, cols, vals)
     return SparseQubo(num_vars=num_vars, rows=rows, cols=cols, vals=vals, offset=offset)
+
+
+def _sum_repeated(rows, cols, vals):
+    """Sort (i, j) terms and sum repeats; strictly increasing input passes as is."""
+    increasing = (rows[1:] > rows[:-1]) | ((rows[1:] == rows[:-1]) & (cols[1:] > cols[:-1]))
+    if increasing.all():
+        return rows, cols, vals
+    order = np.lexsort((cols, rows))
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    first = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])])
+    return rows[first], cols[first], np.add.reduceat(vals, first)

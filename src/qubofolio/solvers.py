@@ -2,13 +2,13 @@
 simulated annealing, and adaptive pooled search.
 
 All solvers consume either a BlockQubo or a SparseQubo and return a
-SolveReport.  Randomized solvers are reproducible: per-worker RNG streams
-are derived as ``seed XOR worker_id`` and pool merging uses a commutative
-best-k ordered by (energy, bit-hash), so the reported best energy does not
-depend on worker interleaving.  Operator adaptation and annealing
-schedules are driven by deterministic work counts (bit flips) rather than
-wall-clock time, so a run with a fixed ``max_iterations`` is bit-for-bit
-repeatable; purely time-limited runs are only as repeatable as the clock.
+SolveReport; a SparseQubo is searched as a one-block BlockQubo, so every
+solver runs on the energy, delta_energies and apply_flip kernel of
+qubo.py.  Randomized solvers draw from one ``default_rng(seed)`` stream.
+Operator adaptation and annealing schedules are driven by deterministic
+work counts (bit flips) rather than wall-clock time, so a run with a
+fixed ``max_iterations`` is bit-for-bit repeatable; purely time-limited
+runs are only as repeatable as the clock.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ import heapq
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,13 +54,10 @@ class SolveBudget:
     max_iterations: int | None = None
     seed: int = 0
     target_energy: float | None = None
-    workers: int = 1
 
     def __post_init__(self):
         if self.time_limit <= 0:
             raise ValueError("time_limit must be positive")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
 
 @dataclass
@@ -152,57 +149,19 @@ def bit_hash(bits) -> int:
     return int.from_bytes(digest, "little")
 
 
-# --- incremental-energy state adapters --------------------------------------
+def _one_block(A: np.ndarray, offset: float) -> BlockQubo:
+    """The dense form E = x'Ax + offset as a BlockQubo with a single block."""
+    n = A.shape[0]
+    return BlockQubo(diag_blocks=[A], cross=np.zeros((0, n)), linear=np.zeros(n),
+                     offset=offset, penalty_weight=0.0)
 
 
-class _DenseState:
-    """Single-owner assignment + delta cache over a dense symmetric matrix."""
-
-    def __init__(self, A: np.ndarray, offset: float):
-        self.A = A
-        self.offset = offset
-        self.num_vars = A.shape[0]
-
-    def energy(self, x) -> float:
-        return float(dense_energies(self.A, self.offset, np.asarray(x, float)[None, :])[0])
-
-    def deltas(self, x) -> np.ndarray:
-        xf = np.asarray(x, dtype=float)
-        diag = np.diagonal(self.A)
-        inner = diag + 2.0 * (self.A @ xf) - 2.0 * diag * xf
-        return (1.0 - 2.0 * xf) * inner
-
-    def flip(self, x: np.ndarray, deltas: np.ndarray, i: int) -> float:
-        d = 1.0 - 2.0 * x[i]
-        change = deltas[i]
-        col = 2.0 * self.A[:, i] * d
-        col[i] = 0.0
-        deltas += (1.0 - 2.0 * x) * col
-        x[i] ^= 1
-        deltas[i] = -change
-        return float(change)
-
-
-class _BlockState:
-    def __init__(self, qubo: BlockQubo):
-        self.qubo = qubo
-        self.num_vars = qubo.num_vars
-
-    def energy(self, x) -> float:
-        return energy(self.qubo, x)
-
-    def deltas(self, x) -> np.ndarray:
-        return delta_energies(self.qubo, x)
-
-    def flip(self, x, deltas, i) -> float:
-        return apply_flip(self.qubo, x, i, deltas)
-
-
-def _as_state(qubo):
+def _as_block(qubo) -> BlockQubo:
+    """A BlockQubo as is; a SparseQubo densified into one block."""
     if isinstance(qubo, BlockQubo):
-        return _BlockState(qubo)
+        return qubo
     if isinstance(qubo, SparseQubo):
-        return _DenseState(*to_dense(qubo))
+        return _one_block(*to_dense(qubo))
     raise QuboError(f"unsupported problem type {type(qubo).__name__}")
 
 
@@ -297,6 +256,7 @@ def solve_bnb(qubo, budget: SolveBudget | None = None) -> SolveReport:
     """
     budget = budget or SolveBudget()
     A, offset = to_dense(qubo)
+    block = qubo if isinstance(qubo, BlockQubo) else _one_block(A, offset)
     n = A.shape[0]
     start = time.perf_counter()
     trace: list[tuple[float, float]] = []
@@ -311,8 +271,7 @@ def solve_bnb(qubo, budget: SolveBudget | None = None) -> SolveReport:
 
     best_x = np.zeros(n, dtype=np.int8)
     best_e = float(dense_energies(A, offset, best_x[None, :])[0])
-    state = _as_state(qubo)
-    desc, desc_e, _ = _descend(state, best_x.copy())
+    desc, desc_e, _ = _descend(block, best_x.copy())
     if desc_e < best_e:
         best_x, best_e = desc, desc_e
     trace.append((time.perf_counter() - start, best_e))
@@ -374,30 +333,29 @@ def solve_bnb(qubo, budget: SolveBudget | None = None) -> SolveReport:
 # --- local descent ------------------------------------------------------------
 
 
-def _descend(state, x: np.ndarray, deltas: np.ndarray | None = None):
+def _descend(qubo: BlockQubo, x: np.ndarray):
     """Steepest single-flip descent to a 1-flip local minimum.
 
     Returns (assignment, exact energy, flips performed); mutates x in place.
     """
-    if deltas is None:
-        deltas = state.deltas(x)
+    deltas = delta_energies(qubo, x)
     flips = 0
     while True:
         i = int(np.argmin(deltas))
         if deltas[i] >= 0.0:
             break
-        state.flip(x, deltas, i)
+        apply_flip(qubo, x, i, deltas)
         flips += 1
-    return x, state.energy(x), flips
+    return x, energy(qubo, x), flips
 
 
 def local_descent(qubo, bits) -> np.ndarray:
     """Steepest-descent refinement; the result has no improving single flip."""
-    state = _as_state(qubo)
+    qubo = _as_block(qubo)
     x = np.asarray(bits, dtype=np.int8).copy()
-    if x.shape[0] != state.num_vars:
-        raise QuboError(f"assignment length {x.shape[0]} != num_vars {state.num_vars}")
-    out, _, _ = _descend(state, x)
+    if x.shape[0] != qubo.num_vars:
+        raise QuboError(f"assignment length {x.shape[0]} != num_vars {qubo.num_vars}")
+    out, _, _ = _descend(qubo, x)
     return out
 
 
@@ -412,59 +370,44 @@ def solve_sa(qubo, budget: SolveBudget | None = None, schedule: dict | None = No
     """
     budget = budget or SolveBudget()
     schedule = schedule or {}
-    state = _as_state(qubo)
-    n = state.num_vars
+    qubo = _as_block(qubo)
+    n = qubo.num_vars
     start = time.perf_counter()
-    best_e = math.inf
-    best_x = None
-    trace: list[tuple[float, float]] = []
-    total_iters = 0
-    default_iters = schedule.get("iterations", 200 * n)
-
-    for wid in range(budget.workers):
-        rng = np.random.default_rng(budget.seed ^ wid)
-        x = rng.integers(0, 2, size=n).astype(np.int8)
-        deltas = state.deltas(x)
-        e = state.energy(x)
-        t0 = schedule.get("t0") or max(float(np.percentile(np.abs(deltas), 90)), 1e-12)
-        tf = t0 * schedule.get("t_final_ratio", 1e-3)
-        max_it = budget.max_iterations or default_iters
-        if e < best_e:
-            best_e, best_x = e, x.copy()
-            trace.append((time.perf_counter() - start, e))
-        stop = False
-        for it in range(max_it):
-            total_iters += 1
-            if it % 512 == 0 and time.perf_counter() - start > budget.time_limit:
-                stop = True
-                break
-            temp = t0 * (tf / t0) ** (it / max(max_it - 1, 1))
-            i = int(rng.integers(n))
-            dE = deltas[i]
-            if dE <= 0.0 or rng.random() < math.exp(-dE / temp):
-                e += state.flip(x, deltas, i)
-                if e < best_e:
-                    best_e = e
-                    best_x = x.copy()
-                    trace.append((time.perf_counter() - start, e))
-                    if budget.target_energy is not None and e <= budget.target_energy:
-                        stop = True
-                        break
-        if stop and budget.target_energy is not None and best_e <= budget.target_energy:
+    rng = np.random.default_rng(budget.seed)
+    x = rng.integers(0, 2, size=n).astype(np.int8)
+    deltas = delta_energies(qubo, x)
+    e = energy(qubo, x)
+    t0 = schedule.get("t0") or max(float(np.percentile(np.abs(deltas), 90)), 1e-12)
+    tf = t0 * schedule.get("t_final_ratio", 1e-3)
+    max_it = budget.max_iterations or schedule.get("iterations", 200 * n)
+    best_e, best_x = e, x.copy()
+    trace = [(time.perf_counter() - start, e)]
+    iterations = 0
+    for it in range(max_it):
+        iterations += 1
+        if it % 512 == 0 and time.perf_counter() - start > budget.time_limit:
             break
-        if time.perf_counter() - start > budget.time_limit:
-            break
+        temp = t0 * (tf / t0) ** (it / max(max_it - 1, 1))
+        i = int(rng.integers(n))
+        dE = deltas[i]
+        if dE <= 0.0 or rng.random() < math.exp(-dE / temp):
+            e += apply_flip(qubo, x, i, deltas)
+            if e < best_e:
+                best_e = e
+                best_x = x.copy()
+                trace.append((time.perf_counter() - start, e))
+                if budget.target_energy is not None and e <= budget.target_energy:
+                    break
 
-    exact_best = state.energy(best_x)
-    if trace:
-        trace[-1] = (trace[-1][0], exact_best)
+    exact_best = energy(qubo, best_x)
+    trace[-1] = (trace[-1][0], exact_best)
     return SolveReport(
         best=best_x,
         best_energy=exact_best,
         lower_bound=None,
         trace=trace,
-        tts=trace[-1][0] if trace else 0.0,
-        iterations=total_iters,
+        tts=trace[-1][0],
+        iterations=iterations,
         solver_name="sa",
         seed=budget.seed,
     )
@@ -501,11 +444,11 @@ class _OperatorScores:
         self.scores[op] = decay * self.scores[op] + (1.0 - decay) * rate
 
 
-def _tabu_walk(state, x, deltas, rng, tenure, steps):
+def _tabu_walk(qubo: BlockQubo, x, tenure, steps):
     """Tabu-limited flips: always take the best non-tabu move, even uphill."""
-    n = state.num_vars
-    tabu_until = np.zeros(n, dtype=np.int64)
-    e = state.energy(x)
+    deltas = delta_energies(qubo, x)
+    tabu_until = np.zeros(qubo.num_vars, dtype=np.int64)
+    e = energy(qubo, x)
     best_x, best_e = x.copy(), e
     flips = 0
     for step in range(steps):
@@ -513,7 +456,7 @@ def _tabu_walk(state, x, deltas, rng, tenure, steps):
         i = int(np.argmin(masked))
         if not np.isfinite(masked[i]):
             break
-        e += state.flip(x, deltas, i)
+        e += apply_flip(qubo, x, i, deltas)
         tabu_until[i] = step + tenure
         flips += 1
         if e < best_e:
@@ -527,8 +470,8 @@ def solve_abs(qubo, budget: SolveBudget | None = None,
     rate, candidates refined by steepest descent, elite pool with dedupe."""
     budget = budget or SolveBudget()
     cfg = pool or PoolConfig()
-    state = _as_state(qubo)
-    n = state.num_vars
+    qubo = _as_block(qubo)
+    n = qubo.num_vars
     start = time.perf_counter()
     tenure = cfg.tabu_tenure or math.ceil(math.sqrt(n))
 
@@ -551,52 +494,42 @@ def solve_abs(qubo, budget: SolveBudget | None = None,
     trace: list[tuple[float, float]] = []
     best_e = math.inf
     best_x = None
-    scores = [_OperatorScores(cfg.operators, cfg.adaptation_halflife)
-              for _ in range(budget.workers)]
-    rngs = [np.random.default_rng(budget.seed ^ wid) for wid in range(budget.workers)]
+    scores = _OperatorScores(cfg.operators, cfg.adaptation_halflife)
+    rng = np.random.default_rng(budget.seed)
 
     iterations = 0
-    done = False
-    while not done:
-        for wid in range(budget.workers):
-            if time.perf_counter() - start > budget.time_limit:
-                done = True
+    while time.perf_counter() - start <= budget.time_limit and (
+        budget.max_iterations is None or iterations < budget.max_iterations
+    ):
+        op = scores.pick(rng)
+        work = 0.0
+        if op == "uniform-crossover" and len(elite) >= 2:
+            pa, pb = rng.choice(len(elite), size=2, replace=False)
+            mask = rng.integers(0, 2, size=n).astype(bool)
+            x = np.where(mask, elite[pa][2], elite[pb][2]).astype(np.int8)
+        elif op == "k-bit-mutation" and elite:
+            x = elite[int(rng.integers(len(elite)))][2].copy()
+            kbits = int(rng.geometric(1.0 / cfg.mutation_mean_bits))
+            flip_idx = rng.choice(n, size=min(kbits, n), replace=False)
+            x[flip_idx] ^= 1
+        elif op == "tabu-flip" and elite:
+            x = elite[int(rng.integers(len(elite)))][2].copy()
+            x, tflips = _tabu_walk(qubo, x, tenure, 2 * tenure)
+            work += tflips
+        else:  # descent-restart, or fallback when the pool is still empty
+            x = rng.integers(0, 2, size=n).astype(np.int8)
+        x, e, flips = _descend(qubo, x)
+        work += flips
+        iterations += 1
+        improvement = (best_e - e) if math.isfinite(best_e) else 0.0
+        scores.update(op, improvement, work)
+        offer(e, x)
+        if e < best_e:
+            best_e = e
+            best_x = x.copy()
+            trace.append((time.perf_counter() - start, e))
+            if budget.target_energy is not None and e <= budget.target_energy:
                 break
-            if budget.max_iterations is not None and iterations >= budget.max_iterations:
-                done = True
-                break
-            rng = rngs[wid]
-            op = scores[wid].pick(rng)
-            work = 0.0
-            if op == "uniform-crossover" and len(elite) >= 2:
-                pa, pb = rng.choice(len(elite), size=2, replace=False)
-                mask = rng.integers(0, 2, size=n).astype(bool)
-                x = np.where(mask, elite[pa][2], elite[pb][2]).astype(np.int8)
-            elif op == "k-bit-mutation" and elite:
-                x = elite[int(rng.integers(len(elite)))][2].copy()
-                kbits = int(rng.geometric(1.0 / cfg.mutation_mean_bits))
-                flip_idx = rng.choice(n, size=min(kbits, n), replace=False)
-                x[flip_idx] ^= 1
-            elif op == "tabu-flip" and elite:
-                x = elite[int(rng.integers(len(elite)))][2].copy()
-                deltas = state.deltas(x)
-                x, tflips = _tabu_walk(state, x, deltas, rng, tenure, 2 * tenure)
-                work += tflips
-            else:  # descent-restart, or fallback when the pool is still empty
-                x = rng.integers(0, 2, size=n).astype(np.int8)
-            x, e, flips = _descend(state, x)
-            work += flips
-            iterations += 1
-            improvement = (best_e - e) if math.isfinite(best_e) else 0.0
-            scores[wid].update(op, improvement, work)
-            offer(e, x)
-            if e < best_e:
-                best_e = e
-                best_x = x.copy()
-                trace.append((time.perf_counter() - start, e))
-                if budget.target_energy is not None and e <= budget.target_energy:
-                    done = True
-                    break
     return SolveReport(
         best=best_x,
         best_energy=best_e,

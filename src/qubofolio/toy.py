@@ -10,7 +10,7 @@ import numpy as np
 
 from .market_data import BlockPrices, CovarianceSeries, psd_repair
 from .model import ASSET_SLACK, CASH_SLACK, FrictionParams, ProblemSpec, encode_slack
-from .qubo import BlockQubo, SparseQubo
+from .qubo import SparseQubo
 
 __all__ = [
     "toy_spec",

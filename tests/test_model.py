@@ -173,3 +173,13 @@ def test_assignment_length_checked():
     spec = toy_spec(seed=0)
     with pytest.raises(ModelError):
         constraint_residuals(spec, np.zeros(3, dtype=np.int8))
+
+
+def test_layout_is_built_once_and_replace_rebuilds_an_equal_one():
+    spec = toy_spec(n=3, T=2, B=2, seed=4)
+    assert spec.layout is spec.layout
+    copy = dataclasses.replace(spec, params=dataclasses.replace(spec.params, q=1.0))
+    a, b = spec.layout, copy.layout
+    assert repr(a) == repr(b)
+    for name in ("asset_of", "tau_of", "slack_weight"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))

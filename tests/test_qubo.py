@@ -406,3 +406,42 @@ def test_to_dense_rejects_oversized():
                     vals=np.array([1.0]), offset=0.0)
     with pytest.raises(QuboError):
         to_dense(sq)
+
+
+def test_read_qubo_text_sums_repeated_terms(tmp_path):
+    path = tmp_path / "dup.qubo"
+    path.write_text("p qubo 2 3 0.0\n0 1 2.0\n0 1 3.0\n1 1 2.0\n")
+    sq = read_qubo_text(path)
+    assert sq.num_terms == 2
+    assert sq.rows.tolist() == [0, 1] and sq.cols.tolist() == [1, 1]
+    assert sq.vals.tolist() == [5.0, 2.0]
+    A, off = to_dense(sq)
+    assert float(dense_energies(A, off, np.ones((1, 2)))[0]) == 7.0
+    assert ising_value(to_ising(sq), [1, 1]) == 7.0
+
+
+def test_read_qubo_text_sorts_unordered_terms(tmp_path):
+    path = tmp_path / "unsorted.qubo"
+    path.write_text("p qubo 3 3 1.5\n1 2 4.0\n0 0 -1.0\n0 2 0.5\n")
+    sq = read_qubo_text(path)
+    assert list(zip(sq.rows.tolist(), sq.cols.tolist(), sq.vals.tolist())) == [
+        (0, 0, -1.0), (0, 2, 0.5), (1, 2, 4.0)]
+    assert sq.offset == 1.5
+
+
+def test_read_qubo_text_keeps_written_arrays(tmp_path):
+    sq = to_sparse(build_qubo(toy_spec(n=3, T=2, q=1e-3, seed=26)))
+    path = tmp_path / "toy.qubo"
+    write_qubo_text(sq, path)
+    parsed = read_qubo_text(path)
+    for name in ("rows", "cols", "vals"):
+        assert np.array_equal(getattr(parsed, name), getattr(sq, name))
+
+
+def test_read_ising_text_sums_repeated_fields(tmp_path):
+    path = tmp_path / "dup.ising"
+    path.write_text("p ising 2 3 0.0\n0 0 1.0\n0 0 2.0\n0 1 0.5\n")
+    ising = read_qubo_text(path)
+    assert isinstance(ising, IsingModel)
+    assert ising.h.tolist() == [3.0, 0.0]
+    assert ising.j_vals.tolist() == [0.5]

@@ -8,9 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qubofolio.qubo import QuboError, build_qubo, delta_energies, dense_energies, energy, to_dense
+from qubofolio.qubo import (
+    QuboError,
+    apply_flip,
+    build_qubo,
+    delta_energies,
+    dense_energies,
+    energy,
+    to_dense,
+)
 from qubofolio.solvers import (
     EXACT_CAP,
+    _as_block,
     PoolConfig,
     SolveBudget,
     SolveReport,
@@ -121,8 +130,8 @@ def test_abs_respects_iteration_budget():
 ])
 def test_seeded_runs_are_identical(solver, kwargs):
     sq = random_sparse_qubo(13, seed=16)
-    a = solver(sq, SolveBudget(seed=42, workers=2, **kwargs))
-    b = solver(sq, SolveBudget(seed=42, workers=2, **kwargs))
+    a = solver(sq, SolveBudget(seed=42, **kwargs))
+    b = solver(sq, SolveBudget(seed=42, **kwargs))
     assert a.best_energy == b.best_energy
     assert np.array_equal(a.best, b.best)
     assert a.iterations == b.iterations
@@ -176,8 +185,6 @@ def test_budget_validation():
     with pytest.raises(ValueError):
         SolveBudget(time_limit=0.0)
     with pytest.raises(ValueError):
-        SolveBudget(workers=0)
-    with pytest.raises(ValueError):
         PoolConfig(pool_size=1)
 
 
@@ -186,3 +193,32 @@ def test_pool_without_crossover_allows_tiny_pool():
     sq = random_sparse_qubo(8, seed=24)
     report = solve_abs(sq, SolveBudget(seed=0, max_iterations=20), pool=cfg)
     assert report.best is not None
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_sparse_input_runs_the_block_flip_kernel(seed):
+    sq = random_sparse_qubo(12, seed=seed)
+    block = _as_block(sq)
+    A, off = to_dense(sq)
+    rng = np.random.default_rng(100 + seed)
+    x = rng.integers(0, 2, 12).astype(np.int8)
+    deltas = delta_energies(block, x)
+    for i in rng.integers(0, 12, size=500):
+        apply_flip(block, x, int(i), deltas)
+    fresh = delta_energies(block, x)
+    assert np.abs(deltas - fresh).max() <= 1e-12 * np.abs(fresh).max()
+    flipped = np.repeat(x[None, :], 12, axis=0)
+    flipped[np.arange(12), np.arange(12)] ^= 1
+    by_enumeration = dense_energies(A, off, flipped) - dense_energies(A, off, x[None, :])[0]
+    assert np.allclose(deltas, by_enumeration, rtol=0.0, atol=1e-9)
+
+
+def test_one_block_energy_equals_dense_energies_exactly():
+    sq = random_sparse_qubo(12, seed=0)
+    block = _as_block(sq)
+    A, off = to_dense(sq)
+    X = ((np.arange(1 << 12)[:, None] >> np.arange(12)) & 1).astype(np.int8)
+    for x in X:
+        assert energy(block, x) == dense_energies(A, off, x[None, :])[0]
+    qubo = build_qubo(toy_spec(n=2, T=2, seed=0))
+    assert _as_block(qubo) is qubo
