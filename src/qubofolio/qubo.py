@@ -228,8 +228,8 @@ def build_qubo(spec: ProblemSpec, include_penalty: bool = True) -> BlockQubo:
     if include_penalty:
         penalty = _penalty_weight(spec, lay, linear)
         w_asset, w_cash = _penalty_rows(lay)
-        pen_quad = np.outer(w_asset, w_asset)
-        pen_quad += np.outer(w_cash, w_cash)
+        rows = np.stack([w_asset, w_cash])
+        pen_quad = rows.T @ rows  # entries are small integers, so exact
         pen_quad *= penalty
         for D in diag_blocks:
             D += pen_quad

@@ -209,3 +209,93 @@ def test_normalize_ising_preserves_minimizers():
     cost_scaled = diagonalize_cost(scaled)
     assert np.allclose(cost_scaled.energies * scale, cost_big.energies, rtol=1e-12)
     assert np.array_equal(cost_scaled.ground_states(), cost_big.ground_states())
+
+
+# --- grouped gate kernel, spin-row diagonalisation, norm check -------------------
+
+
+def _apply_single_reference(state, qubit, gate):
+    """Per-qubit 2x2 gate application, the kernel _apply_gates replaced."""
+    m = state.shape[0].bit_length() - 1
+    shaped = state.reshape(1 << (m - qubit - 1), 2, 1 << qubit)
+    a = gate[0, 0] * shaped[:, 0, :] + gate[0, 1] * shaped[:, 1, :]
+    b = gate[1, 0] * shaped[:, 0, :] + gate[1, 1] * shaped[:, 1, :]
+    shaped[:, 0, :] = a
+    shaped[:, 1, :] = b
+
+
+def _random_unitary(rng):
+    z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    q, r = np.linalg.qr(z)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 5, 6, 9, 10, 11, 13])
+def test_apply_gates_matches_per_qubit_reference(m):
+    from qubofolio.quantum import _apply_gates, _rx, _ry
+
+    rng = np.random.default_rng(m)
+    state = rng.normal(size=1 << m) + 1j * rng.normal(size=1 << m)
+    state /= np.linalg.norm(state)
+    gates = []
+    for q in range(m):
+        kind = q % 3
+        if kind == 0:
+            gates.append(_rx(rng.uniform(-math.pi, math.pi)))
+        elif kind == 1:
+            gates.append(_ry(rng.uniform(-math.pi, math.pi)))
+        else:
+            gates.append(_random_unitary(rng))
+    expected = state.copy()
+    for q, gate in enumerate(gates):
+        _apply_single_reference(expected, q, gate)
+    got = _apply_gates(state.copy(), gates)
+    assert got.shape == expected.shape
+    assert np.max(np.abs(got - expected)) <= 1e-12
+
+
+def test_cz_ring_sign_matches_sequential_flips():
+    from qubofolio.quantum import _cz_ring_sign
+
+    for m in range(1, 7):
+        idx = np.arange(1 << m)
+        expected = np.ones(1 << m)
+        if m >= 2:
+            for q in range(m if m > 2 else 1):  # m = 2 has one distinct pair
+                both = ((idx >> q) & 1) & ((idx >> ((q + 1) % m)) & 1)
+                expected[both.astype(bool)] *= -1.0
+        assert np.array_equal(_cz_ring_sign(m), expected)
+
+
+def _repeated_pair_ising():
+    # read_qubo_text keeps repeated J pairs on Ising files; (0, 2) appears twice
+    return IsingModel(h=np.array([0.5, -1.0, 0.25, 0.0, 2.0]),
+                      j_rows=np.array([0, 1, 0, 3, 0]),
+                      j_cols=np.array([2, 4, 2, 4, 1]),
+                      j_vals=np.array([1.5, -0.75, -3.0, 0.5, 1.0]),
+                      offset=-0.125)
+
+
+@pytest.mark.parametrize("ising", [_random_ising(m, seed=m) for m in (1, 2, 4, 7, 10)]
+                         + [_repeated_pair_ising()])
+def test_diagonalize_cost_equals_ising_value_on_every_state(ising):
+    m = ising.num_spins
+    energies = diagonalize_cost(ising).energies
+    for z in range(1 << m):
+        spins = [1 if (z >> i) & 1 else -1 for i in range(m)]
+        value = ising_value(ising, spins)
+        assert abs(energies[z] - value) <= 1e-12 * max(1.0, abs(value))
+
+
+def test_anneal_norm_check_fires_on_a_non_unitary_mixer(monkeypatch):
+    from qubofolio import quantum
+
+    rx = quantum._rx
+    monkeypatch.setattr(quantum, "_rx", lambda theta: 1.001 * rx(theta))
+    with pytest.raises(QuantumSimError, match="norm"):
+        anneal_run(_random_ising(3, seed=2), AnnealSchedule(total_time=5, dt=0.05), shots=0)
+
+
+def test_anneal_reports_norm_drift():
+    doc = anneal_run(_random_ising(6, seed=4), AnnealSchedule(total_time=5, dt=0.05), shots=0)
+    assert 0.0 <= doc["norm_drift"] <= 1e-9
