@@ -6,11 +6,16 @@ Energy convention for the block form:
          + sum_t  x_t' D_t x_t                       (D_t symmetric, diagonal kept)
          + sum_t  sum_a cross[t, a] x[t, a] x[t+1, a]
 
+    D_t = scale * diag(wp_t) core_t[slot, slot] diag(wp_t) + P * R'R
+
 The quadratic form x' D x counts every unordered off-diagonal pair twice,
 so the total pair coefficient between two distinct same-step variables is
 2 * D[i, j].  Cross-step
 couplings exist only between the same trading slot at adjacent steps (the
 transaction-cost band); slack bits never couple across steps.
+
+D_t is never stored, and `linear` and `offset` hold no penalty: the penalty
+is read as P * ||b - R x_t||^2, and only to_sparse writes its P-scale terms.
 
 BlockQubo is immutable after build and may be shared read-only.
 Assignment arrays and delta caches are single-owner mutable state.
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ProblemSpec, VariableLayout, constraint_residuals
+from .model import ProblemSpec, VariableLayout, _check_assignment
 
 __all__ = [
     "QuboError",
@@ -59,12 +64,20 @@ class QuboParseError(QuboError):
 
 @dataclass(frozen=True)
 class BlockQubo:
-    """Block-banded quadratic objective over T steps of w variables each."""
+    """Block-banded objective over T steps of w variables, kept as the factors of D_t.
 
-    diag_blocks: list[np.ndarray]  # T symmetric (w, w) matrices
+    A QUBO file is one step: identity slots, unit weights, scale 1, no budget rows.
+    """
+
+    core: np.ndarray  # (T, n, n): Sigma_t for a spec, the dense matrix of a file
+    slot: np.ndarray  # (w,): core row of each position; slack bits map to row 0
+    wp: np.ndarray  # (T, w): position weights, (tau *) price on trading slots, 0 on slack
+    scale: float  # risk scale: q for a spec, 1.0 for a file
+    budget_rows: np.ndarray  # (m, w): R, the asset-count and cash rows of every step
+    budget_rhs: np.ndarray  # (m,): their right-hand sides (B, C)
     cross: np.ndarray  # (T-1, w); nonzero only at trading-slot positions
-    linear: np.ndarray  # (total,)
-    offset: float
+    linear: np.ndarray  # (total,), penalty-free
+    offset: float  # penalty-free
     penalty_weight: float  # resolved P (0.0 when penalties omitted)
 
     @property
@@ -126,22 +139,6 @@ def _check_bits(num_vars: int, bits) -> np.ndarray:
     return x
 
 
-def _risk_block(spec: ProblemSpec, lay: VariableLayout, t: int) -> np.ndarray:
-    """Risk part of the step-t diagonal block (1-based), a dense (w, w) matrix."""
-    w = lay.step_width
-    kn2 = 2 * lay.kn
-    D = np.zeros((w, w))
-    if spec.params.q > 0:
-        asset = lay.asset_of[:kn2]
-        wvec = lay.tau_of[:kn2].astype(float) if spec.signed_risk else np.ones(kn2)
-        wp = wvec * spec.prices.p[asset, t - 1]
-        risk = D[:kn2, :kn2]
-        np.outer(wp, wp, out=risk)
-        risk *= spec.params.q
-        risk *= spec.covariances.sigma[t - 1][np.ix_(asset, asset)]
-    return D
-
-
 def _linear_terms(spec: ProblemSpec, lay: VariableLayout) -> np.ndarray:
     """Non-penalty linear coefficients, one length-w row per step."""
     T = lay.T
@@ -178,20 +175,20 @@ def _penalty_rows(lay: VariableLayout) -> tuple[np.ndarray, np.ndarray]:
     return w_asset, w_cash
 
 
-def _penalty_weight(spec: ProblemSpec, lay: VariableLayout, linear: np.ndarray) -> float:
-    """Explicit P if given, else 10 * max |non-penalty coefficient| * (B + C).
+def resolve_penalty(spec: ProblemSpec) -> float:
+    """Penalty weight of build_qubo: explicit P if given, else 10 * max |coefficient| * (B + C).
 
-    The maximum is taken without assembling a (w, w) block.  A risk entry is
-    q * (w_i p_a)(w_j p_b) * Sigma_ab for the assets a, b of slots i, j with
-    weights w = +-1, so its magnitude is that of q * p_a p_b * Sigma_ab, and
-    every asset owns a slot: the (n, n) product holds exactly the block's
-    magnitudes.  The turnover band is 2 * delta * p at steps 2..T.
+    A risk entry is q * (w_i p_a)(w_j p_b) * Sigma_ab for the assets a, b of
+    slots i, j with weights w = +-1, and every asset owns a slot, so the
+    (n, n) products q * p_a p_b * Sigma_ab hold exactly the risk magnitudes.
+    The turnover band is 2 * delta * p at steps 2..T.
     """
     prm = spec.params
     if prm.P is not None:
         return prm.P
+    lay = spec.layout
     p = spec.prices.p
-    maxcoef = np.abs(linear).max()
+    maxcoef = np.abs(_linear_terms(spec, lay)).max()
     if prm.q > 0:
         for t in range(lay.T):
             risk = prm.q * np.outer(p[:, t], p[:, t]) * spec.covariances.sigma[t]
@@ -203,102 +200,125 @@ def _penalty_weight(spec: ProblemSpec, lay: VariableLayout, linear: np.ndarray) 
     return float(10.0 * maxcoef * (spec.B + spec.C))
 
 
-def resolve_penalty(spec: ProblemSpec) -> float:
-    """Penalty weight of build_qubo: explicit P if given, else 10 * max |coefficient| * (B + C).
-
-    Read from prices and covariances alone; no block is assembled.
-    """
-    lay = spec.layout
-    return _penalty_weight(spec, lay, _linear_terms(spec, lay))
-
-
 def build_qubo(spec: ProblemSpec, include_penalty: bool = True) -> BlockQubo:
-    """Assemble the full minimization objective in block-banded form."""
+    """Assemble the full minimization objective in block-banded form; without penalty P = 0."""
     lay = spec.layout
     kn2 = 2 * lay.kn
-
-    diag_blocks = [_risk_block(spec, lay, t) for t in range(1, lay.T + 1)]
     linear = _linear_terms(spec, lay)
     cross = np.zeros((max(lay.T - 1, 0), lay.step_width))
     p_band = spec.prices.p[lay.asset_of[:kn2], 1 : lay.T]  # slot prices at steps 2..T
     cross[:, :kn2] = (-2.0 * spec.params.delta * p_band).T
-
-    offset = 0.0
-    penalty = 0.0
-    if include_penalty:
-        penalty = _penalty_weight(spec, lay, linear)
-        w_asset, w_cash = _penalty_rows(lay)
-        rows = np.stack([w_asset, w_cash])
-        pen_quad = rows.T @ rows  # entries are small integers, so exact
-        pen_quad *= penalty
-        for D in diag_blocks:
-            D += pen_quad
-        linear += -2.0 * penalty * (spec.B * w_asset + spec.C * w_cash)
-        offset = penalty * lay.T * (spec.B**2 + spec.C**2)
-
+    wvec = lay.tau_of[:kn2].astype(float) if spec.signed_risk else np.ones(kn2)
+    wp = np.zeros((lay.T, lay.step_width))
+    wp[:, :kn2] = wvec * spec.prices.p[lay.asset_of[:kn2], : lay.T].T
     return BlockQubo(
-        diag_blocks=diag_blocks,
+        core=spec.covariances.sigma,
+        slot=np.maximum(lay.asset_of, 0),
+        wp=wp,
+        scale=spec.params.q,
+        budget_rows=np.stack(_penalty_rows(lay)),
+        budget_rhs=np.array([spec.B, spec.C], dtype=float),
         cross=cross,
         linear=linear.ravel(),
-        offset=offset,
-        penalty_weight=penalty,
+        offset=0.0,
+        penalty_weight=resolve_penalty(spec) if include_penalty else 0.0,
     )
 
 
 def build_bqp(spec: ProblemSpec) -> BqpView:
     """Objective identical to build_qubo minus penalties, plus equality rows."""
-    objective = to_sparse(build_qubo(spec, include_penalty=False))
-    lay = spec.layout
-    kn2 = 2 * lay.kn
-    w_asset, w_cash = _penalty_rows(lay)
-    asset_rows = []
-    cash_rows = []
-    for t in range(1, lay.T + 1):
-        base = (t - 1) * lay.step_width
-        a_idx = np.flatnonzero(w_asset)
-        c_idx = np.flatnonzero(w_cash)
-        asset_rows.append((base + a_idx, w_asset[a_idx].copy(), spec.B))
-        cash_rows.append((base + c_idx, w_cash[c_idx].copy(), spec.C))
-    return BqpView(objective=objective, asset_rows=asset_rows, cash_rows=cash_rows)
+    free = build_qubo(spec, include_penalty=False)
+    T, w = free.wp.shape
+    per_row = []
+    for coef, rhs in zip(free.budget_rows, free.budget_rhs):
+        idx = np.flatnonzero(coef)
+        per_row.append([(t * w + idx, coef[idx].copy(), int(rhs)) for t in range(T)])
+    asset_rows, cash_rows = per_row
+    return BqpView(objective=to_sparse(free), asset_rows=asset_rows, cash_rows=cash_rows)
 
 
-def _steps(qubo: BlockQubo) -> tuple[int, int]:
-    """(T, w): the number of diagonal blocks and their width."""
-    return len(qubo.diag_blocks), qubo.diag_blocks[0].shape[0]
+def _one_block(A: np.ndarray, offset: float) -> BlockQubo:
+    """The dense form E = x'Ax + offset as one step of a BlockQubo."""
+    n = A.shape[0]
+    return BlockQubo(core=A[None], slot=np.arange(n), wp=np.ones((1, n)), scale=1.0,
+                     budget_rows=np.zeros((0, n)), budget_rhs=np.zeros(0),
+                     cross=np.zeros((0, n)), linear=np.zeros(n), offset=offset,
+                     penalty_weight=0.0)
+
+
+def _as_block(qubo) -> BlockQubo:
+    """A BlockQubo as is; a SparseQubo densified into one block."""
+    if isinstance(qubo, BlockQubo):
+        return qubo
+    if isinstance(qubo, SparseQubo):
+        return _one_block(*to_dense(qubo))
+    raise QuboError(f"unsupported problem type {type(qubo).__name__}")
+
+
+def _block_columns(qubo: BlockQubo, t: int, cols) -> np.ndarray:
+    """Column `cols` (an index or a slice) of step t's block D_t, t 0-based.
+
+    Every reader of a block entry forms it here, in one operation order.
+    """
+    wp, slot, R = qubo.wp[t], qubo.slot, qubo.budget_rows
+    D = np.multiply.outer(wp, wp[cols])
+    D *= qubo.scale
+    D *= qubo.core[t][:, slot[cols]][slot]
+    D += qubo.penalty_weight * (R[:, cols].T @ R)
+    return D
+
+
+def _positions(qubo: BlockQubo, x: np.ndarray) -> np.ndarray:
+    """g_t = sum of wp_t * x_t over the positions on each core row, a (T, n) array."""
+    T, n = qubo.core.shape[:2]
+    rows = qubo.slot + n * np.arange(T)[:, None]
+    return np.bincount(rows.ravel(), weights=(qubo.wp * x).ravel(),
+                       minlength=T * n).reshape(T, n)
+
+
+def _step_terms(qubo: BlockQubo, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-step risk scale * g_t' core_t g_t and penalty P * ||b - R x_t||^2 of x (T, w).
+
+    Risk is evaluated as dense_energies evaluates a matrix; the residuals are integers.
+    """
+    g = _positions(qubo, x)
+    risk = [qubo.scale * float(dense_energies(core, 0.0, gt[None])[0])
+            for core, gt in zip(qubo.core, g)]
+    res = qubo.budget_rhs - x @ qubo.budget_rows.T
+    return np.array(risk), qubo.penalty_weight * (res * res).sum(axis=1)
 
 
 def energy(qubo: BlockQubo, bits) -> float:
     """Exact quadratic-form value including offset.
 
-    Per-block contributions are computed separately and combined with an
+    Per-step contributions are computed separately and combined with an
     exactly-rounded sum so large instances evaluate reproducibly across
-    orderings.  Each block is evaluated as dense_energies evaluates a
-    matrix, so a one-block QUBO matches dense_energies bit for bit.
+    orderings.  A one-block QUBO matches dense_energies bit for bit, and a
+    feasible assignment carries no P-scale rounding.
     """
-    T, w = _steps(qubo)
+    T, w = qubo.wp.shape
     x = _check_bits(qubo.num_vars, bits).astype(float).reshape(T, w)
-    parts = [qubo.offset, float(qubo.linear @ x.ravel())]
-    for t in range(T):
-        parts.append(float(dense_energies(qubo.diag_blocks[t], 0.0, x[t][None])[0]))
-    for t in range(T - 1):
-        parts.append(float((qubo.cross[t] * x[t] * x[t + 1]).sum()))
-    return math.fsum(parts)
+    risk, penalty = _step_terms(qubo, x)
+    cross = (qubo.cross * x[:-1] * x[1:]).sum(axis=1)
+    return math.fsum([qubo.offset, float(qubo.linear @ x.ravel()), *risk, *penalty, *cross])
 
 
 def delta_energies(qubo: BlockQubo, bits) -> np.ndarray:
-    """Vector of exact energy changes for flipping each bit."""
-    T, w = _steps(qubo)
+    """Vector of exact energy changes for flipping each bit; O(n^2 + w) per step."""
+    T, w = qubo.wp.shape
     x = _check_bits(qubo.num_vars, bits).astype(float).reshape(T, w)
-    deltas = np.empty((T, w))
-    for t in range(T):
-        D = qubo.diag_blocks[t]
-        dg = np.diagonal(D)
-        inner = qubo.linear[t * w : (t + 1) * w] + dg + 2.0 * (D @ x[t]) - 2.0 * dg * x[t]
-        if t > 0:
-            inner += qubo.cross[t - 1] * x[t - 1]
-        if t < T - 1:
-            inner += qubo.cross[t] * x[t + 1]
-        deltas[t] = (1.0 - 2.0 * x[t]) * inner
+    g = _positions(qubo, x)
+    core_g = np.stack([core @ gt for core, gt in zip(qubo.core, g)])
+    core_diag = np.diagonal(qubo.core, axis1=1, axis2=2)
+    dg = qubo.wp * qubo.wp * qubo.scale * core_diag[:, qubo.slot]
+    dx = qubo.wp * qubo.scale * core_g[:, qubo.slot]
+    inner = qubo.linear.reshape(T, w) + dg + 2.0 * dx - 2.0 * dg * x
+    inner[1:] += qubo.cross * x[:-1]
+    inner[:-1] += qubo.cross * x[1:]
+    d = 1.0 - 2.0 * x
+    R = qubo.budget_rows
+    res = qubo.budget_rhs - x @ R.T
+    deltas = d * inner + qubo.penalty_weight * ((R * R).sum(axis=0) - 2.0 * d * (res @ R))
     return deltas.ravel()
 
 
@@ -309,14 +329,14 @@ def apply_flip(qubo: BlockQubo, bits: np.ndarray, i: int, deltas: np.ndarray) ->
     couplings, never the total variable count.  cross is zero off the
     trading slots, so the adjacent-step updates need no slot test.
     """
-    T, w = _steps(qubo)
+    T, w = qubo.wp.shape
     if not 0 <= i < qubo.num_vars:
         raise QuboError(f"flip index {i} out of range 0..{qubo.num_vars - 1}")
     t, j = divmod(i, w)
     d = 1.0 - 2.0 * bits[i]  # new value minus old value
     change = deltas[i]
     sl = slice(t * w, (t + 1) * w)
-    col = 2.0 * qubo.diag_blocks[t][:, j] * d
+    col = 2.0 * _block_columns(qubo, t, j) * d
     col[j] = 0.0
     deltas[sl] += (1.0 - 2.0 * bits[sl]) * col
     if t > 0:
@@ -331,16 +351,18 @@ def apply_flip(qubo: BlockQubo, bits: np.ndarray, i: int, deltas: np.ndarray) ->
 
 
 def to_sparse(qubo: BlockQubo) -> SparseQubo:
-    """Collapse the block form into deduplicated upper-triangular triplets."""
-    T, w = _steps(qubo)
+    """Collapse the block form, one step at a time, into sorted upper-triangular triplets."""
+    T, w = qubo.wp.shape
+    P = qubo.penalty_weight
+    linear = qubo.linear.reshape(T, w) + (-2.0 * P) * (qubo.budget_rhs @ qubo.budget_rows)
     rows: list[np.ndarray] = []
     cols: list[np.ndarray] = []
     vals: list[np.ndarray] = []
     iu, ju = np.triu_indices(w, k=1)
     for t in range(T):
         base = t * w
-        D = qubo.diag_blocks[t]
-        diag_vals = qubo.linear[base : base + w] + np.diagonal(D)
+        D = _block_columns(qubo, t, slice(None))
+        diag_vals = linear[t] + np.diagonal(D)
         idx = np.arange(base, base + w)
         rows.append(idx)
         cols.append(idx)
@@ -360,8 +382,9 @@ def to_sparse(qubo: BlockQubo) -> SparseQubo:
     keep = v != 0.0
     r, c, v = r[keep], c[keep], v[keep]
     order = np.lexsort((c, r))
+    offset = qubo.offset + P * T * float(qubo.budget_rhs @ qubo.budget_rhs)
     return SparseQubo(num_vars=qubo.num_vars, rows=r[order], cols=c[order], vals=v[order],
-                      offset=qubo.offset)
+                      offset=offset)
 
 
 _DENSE_LIMIT = 8192
@@ -372,12 +395,12 @@ def to_dense(qubo) -> tuple[np.ndarray, float]:
 
     Repeated (i, j) terms sum, as in to_ising.
     """
-    if isinstance(qubo, BlockQubo):
-        qubo = to_sparse(qubo)
-    if not isinstance(qubo, SparseQubo):
+    if not isinstance(qubo, (BlockQubo, SparseQubo)):
         raise QuboError(f"cannot densify {type(qubo).__name__}")
     if qubo.num_vars > _DENSE_LIMIT:
         raise QuboError(f"{qubo.num_vars} variables exceeds dense limit {_DENSE_LIMIT}")
+    if isinstance(qubo, BlockQubo):
+        qubo = to_sparse(qubo)
     A = np.zeros((qubo.num_vars, qubo.num_vars))
     diag = qubo.rows == qubo.cols
     np.add.at(A, (qubo.rows[diag], qubo.cols[diag]), qubo.vals[diag])
@@ -427,13 +450,13 @@ def step_components(spec: ProblemSpec, bits) -> dict[str, np.ndarray]:
     income (positive good), the cost entries are outlays (positive bad).
     """
     lay = spec.layout
-    x = _check_bits(lay.total, bits).astype(float).reshape(lay.T, lay.step_width)
+    x = _check_assignment(lay, bits).astype(float).reshape(lay.T, lay.step_width)
     kn2 = 2 * lay.kn
     asset = lay.asset_of[:kn2]
     tau = lay.tau_of[:kn2].astype(float)
     p = spec.prices.p
     prm = spec.params
-    T, n = lay.T, lay.n
+    T = lay.T
 
     trade = x[:, :kn2]
     y_bits = x[:, kn2 + lay.nb :]
@@ -448,16 +471,7 @@ def step_components(spec: ProblemSpec, bits) -> dict[str, np.ndarray]:
     short_cost = prm.rho_s * (p_step * trade * (tau < 0)).sum(axis=1)
     cash_interest = prm.rho_c * prm.u * (y_bits @ lay.slack_weight[kn2 + lay.nb :])
 
-    risk = np.zeros(T)
-    if prm.q > 0:
-        wvec = tau if spec.signed_risk else np.ones(kn2)
-        for t in range(T):
-            g = np.bincount(asset, weights=wvec * p_step[t] * trade[t], minlength=n)
-            risk[t] = prm.q * g @ spec.covariances.sigma[t] @ g
-
-    res = constraint_residuals(spec, bits).astype(float)
-    P = resolve_penalty(spec)
-    penalty = P * (res**2).sum(axis=1)
+    risk, penalty = _step_terms(build_qubo(spec), x)
     return {
         "risk": risk,
         "gross_profit": gross_profit,

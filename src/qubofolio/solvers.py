@@ -24,7 +24,8 @@ import numpy as np
 from .qubo import (
     BlockQubo,
     QuboError,
-    SparseQubo,
+    _as_block,
+    _one_block,
     apply_flip,
     delta_energies,
     dense_energies,
@@ -147,22 +148,6 @@ def bit_hash(bits) -> int:
     digest = hashlib.blake2b(np.ascontiguousarray(bits, dtype=np.int8).tobytes(),
                              digest_size=8).digest()
     return int.from_bytes(digest, "little")
-
-
-def _one_block(A: np.ndarray, offset: float) -> BlockQubo:
-    """The dense form E = x'Ax + offset as a BlockQubo with a single block."""
-    n = A.shape[0]
-    return BlockQubo(diag_blocks=[A], cross=np.zeros((0, n)), linear=np.zeros(n),
-                     offset=offset, penalty_weight=0.0)
-
-
-def _as_block(qubo) -> BlockQubo:
-    """A BlockQubo as is; a SparseQubo densified into one block."""
-    if isinstance(qubo, BlockQubo):
-        return qubo
-    if isinstance(qubo, SparseQubo):
-        return _one_block(*to_dense(qubo))
-    raise QuboError(f"unsupported problem type {type(qubo).__name__}")
 
 
 # --- exact enumeration -------------------------------------------------------

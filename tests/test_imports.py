@@ -1,4 +1,5 @@
-"""Every name a library module imports is used in that module."""
+"""Every name a library module imports is used in that module, and every
+private top-level name is used somewhere in the package."""
 import ast
 from pathlib import Path
 
@@ -31,3 +32,48 @@ def test_module_has_no_unused_imports(path):
 def test_unused_import_is_reported():
     source = "import os\nfrom math import pi, tau\nprint(pi)\n"
     assert _unused_imports(source) == ["os (line 1)", "tau (line 2)"]
+
+
+def _private_definitions(tree: ast.Module):
+    """Private top-level functions, classes and constants (dunder names excluded)."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        yield from (name for name in names if name.startswith("_") and not name.startswith("__"))
+
+
+def _references(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def _orphaned_private_names(sources: dict[str, str]) -> list[str]:
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    used = {ref for tree in trees.values() for ref in _references(tree)}
+    return sorted(f"{module}:{name}" for module, tree in trees.items()
+                  for name in _private_definitions(tree) if name not in used)
+
+
+def test_every_private_name_is_referenced():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    assert _orphaned_private_names(sources) == []
+
+
+def test_orphaned_private_name_is_reported():
+    sources = {
+        "a.py": "def _used():\n    pass\n\n\ndef _orphan():\n    pass\n\n\n_LIMIT = 3\n"
+                "__all__ = []\n",
+        "b.py": "from a import _used\n\n\nclass _Spare:\n    pass\n\n\n_used()\n",
+    }
+    assert _orphaned_private_names(sources) == ["a.py:_LIMIT", "a.py:_orphan", "b.py:_Spare"]

@@ -3,6 +3,7 @@ delta machinery, format conversions, and text round-trips.
 """
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -216,8 +217,9 @@ def test_resolve_penalty_dominates_objective_coefficients():
 def block_penalty(spec: ProblemSpec) -> float:
     """10 * max |coefficient| * (B + C), read off the assembled penalty-free blocks."""
     free = build_qubo(spec, include_penalty=False)
+    blocks = [qubo_module._block_columns(free, t, slice(None)) for t in range(spec.T)]
     maxcoef = max([np.abs(free.linear).max(), np.abs(free.cross).max(initial=0.0)]
-                  + [np.abs(D).max() for D in free.diag_blocks])
+                  + [np.abs(D).max() for D in blocks])
     return 10.0 * maxcoef * (spec.B + spec.C) if maxcoef > 0 else 1.0
 
 
@@ -281,7 +283,7 @@ def test_evaluation_path_builds_no_block(monkeypatch):
     def no_block(*args, **kwargs):
         raise AssertionError("evaluation assembled a (w, w) block")
 
-    monkeypatch.setattr(qubo_module, "_risk_block", no_block)
+    monkeypatch.setattr(qubo_module, "_block_columns", no_block)
     assert resolve_penalty(spec) == before[0]
     assert objective_breakdown(spec, x) == before[1]
     after = step_components(spec, x)
@@ -289,8 +291,140 @@ def test_evaluation_path_builds_no_block(monkeypatch):
     for key, values in after.items():
         assert np.array_equal(values, before[2][key])
     assert economic_metrics(spec, x) == before[3]
-    with pytest.raises(AssertionError):
-        build_qubo(spec)
+    build_qubo(spec)
+
+
+EXP1 = dict(n=200, T=10, k=3, B=60, C=10, q=0.01)
+EXP2 = dict(n=499, T=15, k=3, B=60, C=10, q=0.01)
+
+
+def block_reference(spec: ProblemSpec, t: int, P: float) -> np.ndarray:
+    """Step t's (0-based) dense block, assembled directly: risk on the trading slots
+    (outer product, times q, times the gathered covariance), then P * R'R."""
+    lay = spec.layout
+    w, kn2, nb = lay.step_width, 2 * lay.kn, lay.nb
+    D = np.zeros((w, w))
+    if spec.params.q > 0:
+        asset = lay.asset_of[:kn2]
+        wvec = lay.tau_of[:kn2].astype(float) if spec.signed_risk else np.ones(kn2)
+        wp = wvec * spec.prices.p[asset, t]
+        risk = D[:kn2, :kn2]
+        np.outer(wp, wp, out=risk)
+        risk *= spec.params.q
+        risk *= spec.covariances.sigma[t][np.ix_(asset, asset)]
+    R = np.zeros((2, w))
+    R[0, :kn2] = 1.0
+    R[0, kn2 : kn2 + nb] = 2.0 ** np.arange(nb)
+    R[1, :kn2] = lay.tau_of[:kn2]
+    R[1, kn2 + nb :] = 2.0 ** np.arange(lay.nc)
+    return D + (R.T @ R) * P
+
+
+def assert_block_readers_agree(spec: ProblemSpec, qubo, steps) -> None:
+    """The materialised block, and apply_flip's column of every position, equal the
+    reference block with ==."""
+    w = spec.layout.step_width
+    for t in steps:
+        D = block_reference(spec, t, qubo.penalty_weight)
+        assert np.array_equal(qubo_module._block_columns(qubo, t, slice(None)), D)
+        for j in range(w):
+            bits = np.zeros(qubo.num_vars, dtype=np.int8)
+            deltas = np.zeros(qubo.num_vars)
+            apply_flip(qubo, bits, t * w + j, deltas)
+            column = deltas[t * w : (t + 1) * w]
+            assert np.array_equal(np.delete(column, j), np.delete(2.0 * D[:, j], j))
+
+
+@pytest.mark.parametrize("include_penalty", [True, False])
+@pytest.mark.parametrize("signed_risk", [True, False])
+@pytest.mark.parametrize("q", [0.0, 1e-5, 1e-3])
+@pytest.mark.parametrize("seed", range(20))
+def test_block_readers_agree_on_toys(seed, q, signed_risk, include_penalty):
+    spec = toy_spec(n=3, T=2, q=q, seed=seed, signed_risk=signed_risk)
+    qubo = build_qubo(spec, include_penalty=include_penalty)
+    assert_block_readers_agree(spec, qubo, range(spec.T))
+    # to_sparse writes each pair term as 2 * D[i, j]; to_dense halves it back
+    A, off = to_dense(to_sparse(qubo))
+    w = spec.layout.step_width
+    off_diagonal = ~np.eye(w, dtype=bool)
+    for t in range(spec.T):
+        D = block_reference(spec, t, qubo.penalty_weight)
+        block = A[t * w : (t + 1) * w, t * w : (t + 1) * w]
+        assert np.array_equal(block[off_diagonal], D[off_diagonal])
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, 2, size=(8, qubo.num_vars)).astype(np.int8)
+    for x, dense in zip(X, dense_energies(A, off, X)):
+        base = energy(qubo, x)
+        assert base == pytest.approx(dense, rel=1e-12, abs=1e-6)
+        flipped = np.repeat(x[None, :], qubo.num_vars, axis=0)
+        flipped[np.arange(qubo.num_vars), np.arange(qubo.num_vars)] ^= 1
+        by_energy = np.array([energy(qubo, f) for f in flipped]) - base
+        assert np.allclose(delta_energies(qubo, x), by_energy, rtol=1e-9, atol=1e-6)
+
+
+def test_block_readers_agree_at_exp1_size(monkeypatch):
+    spec = synthetic_spec(seed=1, **EXP1)
+    qubo = build_qubo(spec)
+    assert_block_readers_agree(spec, qubo, [0, spec.T - 1])
+
+    materialise = qubo_module._block_columns
+
+    def one_column(qubo, t, cols):
+        if not isinstance(cols, (int, np.integer)):
+            raise AssertionError("a search kernel materialised a (w, w) block")
+        return materialise(qubo, t, cols)
+
+    monkeypatch.setattr(qubo_module, "_block_columns", one_column)
+    rng = np.random.default_rng(2)
+    x = cash_only_bits(spec)
+    deltas = delta_energies(qubo, x)
+    e = energy(qubo, x)
+    for i in rng.integers(0, qubo.num_vars, size=200):
+        e += apply_flip(qubo, x, int(i), deltas)
+    fresh = delta_energies(qubo, x)
+    assert np.abs(deltas - fresh).max() <= 1e-9 * np.abs(fresh).max()
+    assert e == pytest.approx(energy(qubo, x), rel=1e-9)
+    for i in rng.integers(0, qubo.num_vars, size=5):
+        flipped = x.copy()
+        flipped[i] ^= 1
+        assert fresh[i] == pytest.approx(energy(qubo, flipped) - energy(qubo, x), rel=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("size", [EXP1, EXP2], ids=["exp1", "exp2"])
+def test_cash_only_energy_is_exact_at_paper_size(size, seed):
+    spec = synthetic_spec(seed=seed, **size)
+    prm = spec.params
+    expected = -prm.rho_c * prm.u * spec.C * spec.T
+    assert energy(build_qubo(spec), cash_only_bits(spec)) == pytest.approx(expected, rel=1e-12,
+                                                                           abs=0.0)
+
+
+def test_exp2_qubo_stores_only_its_factors():
+    spec = synthetic_spec(seed=1, **EXP2)
+    tracemalloc.start()
+    try:
+        qubo = build_qubo(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    limit = max(spec.T * spec.n**2, spec.T * spec.layout.step_width)
+    for field in dataclasses.fields(qubo):
+        value = getattr(qubo, field.name)
+        if isinstance(value, np.ndarray):
+            assert value.size <= limit, field.name
+    assert peak < 32 * 2**20
+
+
+def test_to_dense_refuses_before_exporting(monkeypatch):
+    qubo = build_qubo(synthetic_spec(seed=1, **EXP1))
+
+    def no_export(*args, **kwargs):
+        raise AssertionError("to_dense exported a problem over the dense limit")
+
+    monkeypatch.setattr(qubo_module, "to_sparse", no_export)
+    with pytest.raises(QuboError):
+        to_dense(qubo)
 
 
 def test_penalty_zero_on_feasible_assignments():

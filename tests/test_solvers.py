@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from qubofolio.qubo import (
     QuboError,
+    _as_block,
     apply_flip,
     build_qubo,
     delta_energies,
@@ -19,7 +20,6 @@ from qubofolio.qubo import (
 )
 from qubofolio.solvers import (
     EXACT_CAP,
-    _as_block,
     PoolConfig,
     SolveBudget,
     SolveReport,
