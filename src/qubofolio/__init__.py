@@ -10,7 +10,6 @@ from .evaluation import (
     economic_metrics,
     gap,
     sweep_q,
-    tts,
 )
 from .market_data import (
     BlockPrices,

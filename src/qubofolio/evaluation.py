@@ -1,6 +1,5 @@
-"""Computational and economic metrics: optimality gap, time-to-solution,
-per-period P&L, Sharpe ratio, and Pareto sweeps over the risk-aversion
-weight q.
+"""Computational and economic metrics: optimality gap, per-period P&L,
+Sharpe ratio, and Pareto sweeps over the risk-aversion weight q.
 """
 from __future__ import annotations
 
@@ -11,9 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ProblemSpec, is_feasible
-from .qubo import build_qubo, energy, step_components
-from .solvers import SolveBudget, SolveReport, solve_abs, solve_bnb, solve_exact, solve_sa
+from .model import ProblemSpec, _check_assignment, is_feasible
+from .qubo import _step_terms, build_qubo, step_components
+from .solvers import SolveBudget, solve_abs, solve_bnb, solve_exact, solve_sa
 
 __all__ = [
     "EvaluationError",
@@ -21,7 +20,6 @@ __all__ = [
     "ParetoRow",
     "ParetoTable",
     "gap",
-    "tts",
     "economic_metrics",
     "risk_quadratic",
     "sweep_q",
@@ -39,7 +37,7 @@ SOLVERS = {
 
 
 class EvaluationError(ValueError):
-    """Raised on undefined metrics (zero objective gap, empty trace)."""
+    """Raised on undefined metrics (zero objective gap) and bad sweep arguments."""
 
 
 def gap(objective: float, lower_bound: float) -> float:
@@ -47,13 +45,6 @@ def gap(objective: float, lower_bound: float) -> float:
     if objective == 0:
         raise EvaluationError("gap undefined for zero objective")
     return 100.0 * abs(objective - lower_bound) / abs(objective)
-
-
-def tts(report: SolveReport) -> float:
-    """Seconds until the best energy was first reached (last trace improvement)."""
-    if not report.trace:
-        raise EvaluationError("time-to-solution undefined for an empty trace")
-    return report.trace[-1][0]
 
 
 @dataclass(frozen=True)
@@ -120,12 +111,11 @@ def economic_metrics(spec: ProblemSpec, bits) -> Metrics:
 
 def risk_quadratic(spec: ProblemSpec, bits) -> float:
     """The quadratic risk term R(x) with unit weight (independent of q)."""
-    if spec.params.q > 0:
-        comp = step_components(spec, bits)
-        return float(comp["risk"].sum()) / spec.params.q
-    unit = dataclasses.replace(spec, params=dataclasses.replace(spec.params, q=1.0))
-    comp = step_components(unit, bits)
-    return float(comp["risk"].sum())
+    lay = spec.layout
+    x = _check_assignment(lay, bits).astype(float).reshape(lay.T, lay.step_width)
+    unit = dataclasses.replace(build_qubo(spec, include_penalty=False), scale=1.0)
+    risk, _ = _step_terms(unit, x)
+    return float(risk.sum())
 
 
 @dataclass(frozen=True)
@@ -194,13 +184,13 @@ def sweep_q(spec: ProblemSpec, q_list, solver: str,
         try:
             qubo = build_qubo(q_spec)
             report = solve(qubo, budget)
-            obj = energy(qubo, report.best)
+            obj = report.best_energy
             lb = report.lower_bound
             row_gap = gap(obj, lb) if (lb is not None and obj != 0) else None
             risk = risk_quadratic(q_spec, report.best)
             rows.append(ParetoRow(
                 q=q, solver=solver, objective=obj, lower_bound=lb,
-                gap_pct=row_gap, tts_s=tts(report),
+                gap_pct=row_gap, tts_s=report.tts,
                 profit=q * risk - obj, risk_term=risk,
             ))
         except Exception as exc:  # keep sweeping; the row records the failure

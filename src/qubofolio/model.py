@@ -93,6 +93,8 @@ class VariableLayout:
     asset_of: np.ndarray = field(init=False, repr=False)
     tau_of: np.ndarray = field(init=False, repr=False)
     slack_weight: np.ndarray = field(init=False, repr=False)
+    # (2, step_width): the asset-count and cash budget rows of one step, R x_t = (B, C)
+    budget_rows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         for name in ("n", "T", "k", "B", "C"):
@@ -114,6 +116,11 @@ class VariableLayout:
         tau_of[kn : 2 * kn] = -1
         slack_weight[2 * kn : 2 * kn + nb] = 2 ** np.arange(nb)
         slack_weight[2 * kn + nb :] = 2 ** np.arange(nc)
+        budget_rows = np.zeros((2, width), dtype=np.int64)
+        budget_rows[0, : 2 * kn] = 1
+        budget_rows[0, 2 * kn : 2 * kn + nb] = slack_weight[2 * kn : 2 * kn + nb]
+        budget_rows[1, : 2 * kn] = tau_of[: 2 * kn]
+        budget_rows[1, 2 * kn + nb :] = slack_weight[2 * kn + nb :]
         for name, value in (
             ("nb", nb),
             ("nc", nc),
@@ -122,6 +129,7 @@ class VariableLayout:
             ("asset_of", asset_of),
             ("tau_of", tau_of),
             ("slack_weight", slack_weight),
+            ("budget_rows", budget_rows),
         ):
             object.__setattr__(self, name, value)
 
@@ -273,17 +281,10 @@ def decode_assignment(spec: ProblemSpec, bits) -> Trajectory:
 
 
 def constraint_residuals(spec: ProblemSpec, bits) -> np.ndarray:
-    """Per-step (asset_residual, cash_residual); both zero iff feasible."""
+    """Per-step (asset_residual, cash_residual) = (B, C) - R x_t; both zero iff feasible."""
     lay = spec.layout
     x = _check_assignment(lay, bits).reshape(lay.T, lay.step_width).astype(np.int64)
-    kn = lay.kn
-    trade = x[:, : 2 * kn]
-    # asset row uses only the s-slack bits; cash row only the y-slack bits
-    s_value = x[:, 2 * kn : 2 * kn + lay.nb] @ lay.slack_weight[2 * kn : 2 * kn + lay.nb]
-    y_value = x[:, 2 * kn + lay.nb :] @ lay.slack_weight[2 * kn + lay.nb :]
-    asset_res = spec.B - trade.sum(axis=1) - s_value
-    cash_res = spec.C - trade @ lay.tau_of[: 2 * kn] - y_value
-    return np.stack([asset_res, cash_res], axis=1)
+    return np.array([lay.B, lay.C]) - x @ lay.budget_rows.T
 
 
 def is_feasible(spec: ProblemSpec, bits) -> bool:

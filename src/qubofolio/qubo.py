@@ -23,6 +23,7 @@ Assignment arrays and delta caches are single-owner mutable state.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,7 +90,8 @@ class BlockQubo:
 class SparseQubo:
     """Upper-triangular triplet export form, sorted by (i, j), no repeated terms.
 
-    to_sparse also drops zero terms; read_qubo_text keeps those a file lists.
+    Repeated (i, j) terms are summed on construction.  to_sparse also drops
+    zero terms; read_qubo_text keeps those a file lists.
     """
 
     num_vars: int
@@ -101,6 +103,9 @@ class SparseQubo:
     def __post_init__(self):
         if np.any(self.rows > self.cols):
             raise QuboError("triplets must satisfy i <= j")
+        for name, value in zip(("rows", "cols", "vals"),
+                               _sum_repeated(self.rows, self.cols, self.vals)):
+            object.__setattr__(self, name, value)
 
     @property
     def num_terms(self) -> int:
@@ -139,8 +144,13 @@ def _check_bits(num_vars: int, bits) -> np.ndarray:
     return x
 
 
-def _linear_terms(spec: ProblemSpec, lay: VariableLayout) -> np.ndarray:
-    """Non-penalty linear coefficients, one length-w row per step."""
+def _linear_terms(spec: ProblemSpec, lay: VariableLayout) -> dict[str, np.ndarray]:
+    """Non-penalty linear coefficients of each objective term, one length-w row per step.
+
+    The exit row at step t prices the turnover leg paid when a position
+    opened at t is closed at t + 1; at t = T it is the terminal liquidation.
+    Their sum, in this order, is build_qubo's `linear`.
+    """
     T = lay.T
     kn2 = 2 * lay.kn
     tau = lay.tau_of[:kn2].astype(float)
@@ -148,31 +158,24 @@ def _linear_terms(spec: ProblemSpec, lay: VariableLayout) -> np.ndarray:
     p_slot = spec.prices.p[lay.asset_of[:kn2]]
     pt = p_slot[:, :T].T  # (T, kn2): price of each slot at its step
     pt1 = p_slot[:, 1:].T
-    p_leg = pt1.copy()  # leg of the t+1 turnover cost; at t = T the terminal liquidation
+    p_leg = pt1.copy()
     p_leg[-1] = pt[-1]
 
-    lin = np.zeros((T, lay.step_width))
-    trade = lin[:, :kn2]
-    trade -= tau * (pt1 - pt)  # profit enters with a minus sign
-    trade += prm.delta * pt  # own-step leg of the turnover cost
-    trade += prm.delta * p_leg
-    trade += prm.rho_s * pt * (tau < 0)
+    def trade_row(values):
+        row = np.zeros((T, lay.step_width))
+        row[:, :kn2] = values
+        return row
+
+    cash = np.zeros((T, lay.step_width))
     y_slice = slice(kn2 + lay.nb, lay.step_width)
-    lin[:, y_slice] -= prm.rho_c * prm.u * lay.slack_weight[y_slice]
-    return lin
-
-
-def _penalty_rows(lay: VariableLayout) -> tuple[np.ndarray, np.ndarray]:
-    """Constraint coefficient vectors over one step: asset-count row, cash row."""
-    w = lay.step_width
-    kn2 = 2 * lay.kn
-    w_asset = np.zeros(w)
-    w_asset[:kn2] = 1.0
-    w_asset[kn2 : kn2 + lay.nb] = lay.slack_weight[kn2 : kn2 + lay.nb]
-    w_cash = np.zeros(w)
-    w_cash[:kn2] = lay.tau_of[:kn2]
-    w_cash[kn2 + lay.nb :] = lay.slack_weight[kn2 + lay.nb :]
-    return w_asset, w_cash
+    cash[:, y_slice] = -(prm.rho_c * prm.u * lay.slack_weight[y_slice])
+    return {
+        "profit": trade_row(-(tau * (pt1 - pt))),  # profit enters with a minus sign
+        "entry": trade_row(prm.delta * pt),
+        "exit": trade_row(prm.delta * p_leg),
+        "short": trade_row(prm.rho_s * pt * (tau < 0)),
+        "cash": cash,
+    }
 
 
 def resolve_penalty(spec: ProblemSpec) -> float:
@@ -188,7 +191,7 @@ def resolve_penalty(spec: ProblemSpec) -> float:
         return prm.P
     lay = spec.layout
     p = spec.prices.p
-    maxcoef = np.abs(_linear_terms(spec, lay)).max()
+    maxcoef = np.abs(sum(_linear_terms(spec, lay).values())).max()
     if prm.q > 0:
         for t in range(lay.T):
             risk = prm.q * np.outer(p[:, t], p[:, t]) * spec.covariances.sigma[t]
@@ -204,7 +207,7 @@ def build_qubo(spec: ProblemSpec, include_penalty: bool = True) -> BlockQubo:
     """Assemble the full minimization objective in block-banded form; without penalty P = 0."""
     lay = spec.layout
     kn2 = 2 * lay.kn
-    linear = _linear_terms(spec, lay)
+    linear = sum(_linear_terms(spec, lay).values())
     cross = np.zeros((max(lay.T - 1, 0), lay.step_width))
     p_band = spec.prices.p[lay.asset_of[:kn2], 1 : lay.T]  # slot prices at steps 2..T
     cross[:, :kn2] = (-2.0 * spec.params.delta * p_band).T
@@ -216,7 +219,7 @@ def build_qubo(spec: ProblemSpec, include_penalty: bool = True) -> BlockQubo:
         slot=np.maximum(lay.asset_of, 0),
         wp=wp,
         scale=spec.params.q,
-        budget_rows=np.stack(_penalty_rows(lay)),
+        budget_rows=lay.budget_rows.astype(float),
         budget_rhs=np.array([spec.B, spec.C], dtype=float),
         cross=cross,
         linear=linear.ravel(),
@@ -382,19 +385,16 @@ def to_sparse(qubo: BlockQubo) -> SparseQubo:
     keep = v != 0.0
     r, c, v = r[keep], c[keep], v[keep]
     order = np.lexsort((c, r))
+    r, c, v = r[order], c[order], v[order]  # the unsorted copies go before the canonical check
     offset = qubo.offset + P * T * float(qubo.budget_rhs @ qubo.budget_rhs)
-    return SparseQubo(num_vars=qubo.num_vars, rows=r[order], cols=c[order], vals=v[order],
-                      offset=offset)
+    return SparseQubo(num_vars=qubo.num_vars, rows=r, cols=c, vals=v, offset=offset)
 
 
 _DENSE_LIMIT = 8192
 
 
 def to_dense(qubo) -> tuple[np.ndarray, float]:
-    """Symmetric dense matrix A with linear terms on the diagonal: E = x'Ax + offset.
-
-    Repeated (i, j) terms sum, as in to_ising.
-    """
+    """Symmetric dense matrix A with linear terms on the diagonal: E = x'Ax + offset."""
     if not isinstance(qubo, (BlockQubo, SparseQubo)):
         raise QuboError(f"cannot densify {type(qubo).__name__}")
     if qubo.num_vars > _DENSE_LIMIT:
@@ -403,11 +403,11 @@ def to_dense(qubo) -> tuple[np.ndarray, float]:
         qubo = to_sparse(qubo)
     A = np.zeros((qubo.num_vars, qubo.num_vars))
     diag = qubo.rows == qubo.cols
-    np.add.at(A, (qubo.rows[diag], qubo.cols[diag]), qubo.vals[diag])
+    A[qubo.rows[diag], qubo.cols[diag]] = qubo.vals[diag]
     off = ~diag
     half = qubo.vals[off] / 2.0
-    np.add.at(A, (qubo.rows[off], qubo.cols[off]), half)
-    np.add.at(A, (qubo.cols[off], qubo.rows[off]), half)
+    A[qubo.rows[off], qubo.cols[off]] = half
+    A[qubo.cols[off], qubo.rows[off]] = half
     return A, qubo.offset
 
 
@@ -446,39 +446,26 @@ def ising_value(ising: IsingModel, spins) -> float:
 def step_components(spec: ProblemSpec, bits) -> dict[str, np.ndarray]:
     """Per-step objective ingredients, all as length-T arrays in currency.
 
+    Each is a term row of _linear_terms, or a term of energy, read at x.
     Sign conventions are "natural": gross_profit and cash_interest are
     income (positive good), the cost entries are outlays (positive bad).
     """
     lay = spec.layout
     x = _check_assignment(lay, bits).astype(float).reshape(lay.T, lay.step_width)
-    kn2 = 2 * lay.kn
-    asset = lay.asset_of[:kn2]
-    tau = lay.tau_of[:kn2].astype(float)
-    p = spec.prices.p
-    prm = spec.params
-    T = lay.T
-
-    trade = x[:, :kn2]
-    y_bits = x[:, kn2 + lay.nb :]
-    p_step = p[asset, :].T[:T]  # (T, kn2): price of each trading slot at its step
-    p_next = p[asset, :].T[1 : T + 1]
-
-    gross_profit = (trade * tau * (p_next - p_step)).sum(axis=1)
-    prev = np.vstack([np.zeros(kn2), trade[:-1]])
-    transaction = prm.delta * (p_step * (prev + trade - 2.0 * prev * trade)).sum(axis=1)
-    liquidation = np.zeros(T)
-    liquidation[-1] = prm.delta * (p_step[-1] * trade[-1]).sum()
-    short_cost = prm.rho_s * (p_step * trade * (tau < 0)).sum(axis=1)
-    cash_interest = prm.rho_c * prm.u * (y_bits @ lay.slack_weight[kn2 + lay.nb :])
-
-    risk, penalty = _step_terms(build_qubo(spec), x)
+    qubo = build_qubo(spec)
+    term = {name: (row * x).sum(axis=1) for name, row in _linear_terms(spec, lay).items()}
+    transaction = term["entry"]
+    transaction[1:] += term["exit"][:-1] + (qubo.cross * x[:-1] * x[1:]).sum(axis=1)
+    liquidation = np.zeros(lay.T)
+    liquidation[-1] = term["exit"][-1]
+    risk, penalty = _step_terms(qubo, x)
     return {
         "risk": risk,
-        "gross_profit": gross_profit,
+        "gross_profit": -term["profit"],
         "transaction": transaction,
         "liquidation": liquidation,
-        "short_cost": short_cost,
-        "cash_interest": cash_interest,
+        "short_cost": term["short"],
+        "cash_interest": -term["cash"],
         "penalty": penalty,
     }
 
@@ -498,6 +485,8 @@ def objective_breakdown(spec: ProblemSpec, bits) -> dict[str, float]:
 
 
 # --- text export ------------------------------------------------------------
+
+_MIN_TERM_BYTES = 6  # the shortest term line, "0 0 0\n"
 
 
 def write_qubo_text(sparse: SparseQubo, path) -> None:
@@ -532,6 +521,10 @@ def read_qubo_text(path):
             offset = float(header[4])
         except ValueError as exc:
             raise QuboParseError(f"{path}: bad header values: {exc}") from exc
+        if num_vars < 0 or num_terms < 0 or not math.isfinite(offset):
+            raise QuboParseError(f"{path}: bad header values {' '.join(header[2:])!r}")
+        if num_terms * _MIN_TERM_BYTES > os.fstat(fh.fileno()).st_size:
+            raise QuboParseError(f"{path}: {num_terms} terms cannot fit in the file")
         rows = np.empty(num_terms, dtype=np.int64)
         cols = np.empty(num_terms, dtype=np.int64)
         vals = np.empty(num_terms)
@@ -544,15 +537,18 @@ def read_qubo_text(path):
                 rows[idx], cols[idx], vals[idx] = int(parts[0]), int(parts[1]), float(parts[2])
             except (IndexError, ValueError) as exc:
                 raise QuboParseError(f"{path}:{idx + 2}: bad term line {line!r}") from exc
+        if any(line.strip() for line in fh):
+            raise QuboParseError(f"{path}: more lines than the {num_terms} terms declared")
     if np.any(rows > cols) or np.any(cols >= num_vars) or np.any(rows < 0):
         raise QuboParseError(f"{path}: term indices out of range or not upper-triangular")
+    if not np.isfinite(vals).all():
+        raise QuboParseError(f"{path}: non-finite term value")
     if header[1] == "ising":
         diag = rows == cols
         h = np.zeros(num_vars)
         np.add.at(h, rows[diag], vals[diag])
         return IsingModel(h=h, j_rows=rows[~diag], j_cols=cols[~diag],
                           j_vals=vals[~diag], offset=offset)
-    rows, cols, vals = _sum_repeated(rows, cols, vals)
     return SparseQubo(num_vars=num_vars, rows=rows, cols=cols, vals=vals, offset=offset)
 
 

@@ -47,6 +47,10 @@ __all__ = [
 ]
 
 EXACT_CAP = 26
+_SA_FINAL_RATIO = 1e-3  # final temperature as a fraction of T0
+_HALFLIFE_FLIPS = 20_000.0  # operator-score half-life, in bit flips
+_MUTATION_MEAN_BITS = 3.0  # mean of the geometric k-bit mutation size
+_PG_ITERS = 100  # projected-gradient steps per branch-and-bound node
 
 
 @dataclass(frozen=True)
@@ -112,10 +116,6 @@ class PoolConfig:
         "uniform-crossover",
         "k-bit-mutation",
     )
-    adaptation_halflife: float = 10.0
-    dedupe: bool = True
-    tabu_tenure: int | None = None  # default ceil(sqrt(num_vars))
-    mutation_mean_bits: float = 3.0
 
     def __post_init__(self):
         if "uniform-crossover" in self.operators and self.pool_size < 2:
@@ -153,13 +153,22 @@ def bit_hash(bits) -> int:
 # --- exact enumeration -------------------------------------------------------
 
 
+def _dense(qubo) -> tuple[np.ndarray, float, BlockQubo]:
+    """E = x'Ax + offset, and the BlockQubo whose `energy` the report reads.
+
+    A file becomes the one block of the matrix it was densified into.
+    """
+    A, offset = to_dense(qubo)
+    return A, offset, qubo if isinstance(qubo, BlockQubo) else _one_block(A, offset)
+
+
 def solve_exact(qubo, budget: SolveBudget | None = None) -> SolveReport:
     """Global minimum by chunked enumeration of all 2^n assignments."""
     budget = budget or SolveBudget()
     n = qubo.num_vars
     if n > EXACT_CAP:
         raise QuboError(f"solve_exact supports at most {EXACT_CAP} variables, got {n}")
-    A, offset = to_dense(qubo)
+    A, offset, block = _dense(qubo)
     start = time.perf_counter()
     best_e = math.inf
     best_x = np.zeros(n, dtype=np.int8)
@@ -176,9 +185,7 @@ def solve_exact(qubo, budget: SolveBudget | None = None) -> SolveReport:
             best_e = float(E[j])
             best_x = X[j].copy()
             trace.append((time.perf_counter() - start, best_e))
-    # canonical single-row evaluation: batched BLAS results vary at the
-    # 1e-15 level with batch size, and reports must agree across solvers
-    best_e = float(dense_energies(A, offset, best_x[None, :])[0])
+    best_e = energy(block, best_x)
     if trace:
         trace[-1] = (trace[-1][0], best_e)
     return SolveReport(
@@ -198,7 +205,7 @@ def solve_exact(qubo, budget: SolveBudget | None = None) -> SolveReport:
 _LEAF_SIZE = 12  # subtrees at most this wide are enumerated outright
 
 
-def _node_bound(A, offset, fixed, pg_iters=100):
+def _node_bound(A, offset, fixed):
     """Valid lower bound for the subproblem with partially fixed variables.
 
     The binary identity x^2 = x lets a uniform diagonal shift convexify the
@@ -223,7 +230,7 @@ def _node_bound(A, offset, fixed, pg_iters=100):
     L = 2.0 * (float(eigs[-1]) + shift) + 1e-12
     lin_c = lin - shift
     y = np.full(len(free), 0.5)
-    for _ in range(pg_iters):
+    for _ in range(_PG_ITERS):
         grad = 2.0 * (M @ y + shift * y) + lin_c
         y = np.clip(y - grad / L, 0.0, 1.0)
     val = float(y @ (M @ y) + shift * (y @ y) + lin_c @ y) + const
@@ -240,8 +247,7 @@ def solve_bnb(qubo, budget: SolveBudget | None = None) -> SolveReport:
     exhausted the incumbent is proven optimal and lower_bound equals it.
     """
     budget = budget or SolveBudget()
-    A, offset = to_dense(qubo)
-    block = qubo if isinstance(qubo, BlockQubo) else _one_block(A, offset)
+    A, offset, block = _dense(qubo)
     n = A.shape[0]
     start = time.perf_counter()
     trace: list[tuple[float, float]] = []
@@ -255,7 +261,7 @@ def solve_bnb(qubo, budget: SolveBudget | None = None) -> SolveReport:
         return X, dense_energies(A, offset, X)
 
     best_x = np.zeros(n, dtype=np.int8)
-    best_e = float(dense_energies(A, offset, best_x[None, :])[0])
+    best_e = energy(block, best_x)
     desc, desc_e, _ = _descend(block, best_x.copy())
     if desc_e < best_e:
         best_x, best_e = desc, desc_e
@@ -295,8 +301,7 @@ def solve_bnb(qubo, budget: SolveBudget | None = None) -> SolveReport:
             if child_bound < best_e:
                 counter += 1
                 heapq.heappush(heap, (child_bound, counter, child, child_y))
-    # canonical single-row evaluation so exhausted runs agree with solve_exact
-    best_e = float(dense_energies(A, offset, best_x[None, :].astype(float))[0])
+    best_e = energy(block, best_x)
     if exhausted:
         lower = best_e
     else:
@@ -347,14 +352,13 @@ def local_descent(qubo, bits) -> np.ndarray:
 # --- simulated annealing --------------------------------------------------------
 
 
-def solve_sa(qubo, budget: SolveBudget | None = None, schedule: dict | None = None) -> SolveReport:
+def solve_sa(qubo, budget: SolveBudget | None = None) -> SolveReport:
     """Metropolis single-flip annealing with a geometric temperature schedule.
 
-    T0 is auto-set to the 90th percentile of |delta| over a random sample
-    unless overridden via ``schedule={"t0": ..., "t_final_ratio": ...}``.
+    T0 is the 90th percentile of |delta| at a random start; the schedule
+    cools to T0 * 1e-3 over max_iterations flips (default 200 per variable).
     """
     budget = budget or SolveBudget()
-    schedule = schedule or {}
     qubo = _as_block(qubo)
     n = qubo.num_vars
     start = time.perf_counter()
@@ -362,9 +366,9 @@ def solve_sa(qubo, budget: SolveBudget | None = None, schedule: dict | None = No
     x = rng.integers(0, 2, size=n).astype(np.int8)
     deltas = delta_energies(qubo, x)
     e = energy(qubo, x)
-    t0 = schedule.get("t0") or max(float(np.percentile(np.abs(deltas), 90)), 1e-12)
-    tf = t0 * schedule.get("t_final_ratio", 1e-3)
-    max_it = budget.max_iterations or schedule.get("iterations", 200 * n)
+    t0 = max(float(np.percentile(np.abs(deltas), 90)), 1e-12)
+    tf = t0 * _SA_FINAL_RATIO
+    max_it = budget.max_iterations or 200 * n
     best_e, best_x = e, x.copy()
     trace = [(time.perf_counter() - start, e)]
     iterations = 0
@@ -404,15 +408,11 @@ def solve_sa(qubo, budget: SolveBudget | None = None, schedule: dict | None = No
 class _OperatorScores:
     """Exponentially decayed improvement-per-work scores driving softmax selection.
 
-    Work is counted in bit flips; the half-life is converted from seconds
-    using a nominal flip rate so that adaptation stays deterministic.
+    Work is counted in bit flips, so that adaptation stays deterministic.
     """
 
-    NOMINAL_FLIPS_PER_SECOND = 2000.0
-
-    def __init__(self, operators: tuple[str, ...], halflife_seconds: float):
+    def __init__(self, operators: tuple[str, ...]):
         self.operators = operators
-        self.halflife_work = max(halflife_seconds * self.NOMINAL_FLIPS_PER_SECOND, 1.0)
         self.scores = {op: 0.0 for op in operators}
 
     def pick(self, rng: np.random.Generator) -> str:
@@ -424,7 +424,7 @@ class _OperatorScores:
 
     def update(self, op: str, improvement: float, work: float) -> None:
         work = max(work, 1.0)
-        decay = 0.5 ** (work / self.halflife_work)
+        decay = 0.5 ** (work / _HALFLIFE_FLIPS)
         rate = max(improvement, 0.0) / work
         self.scores[op] = decay * self.scores[op] + (1.0 - decay) * rate
 
@@ -458,7 +458,7 @@ def solve_abs(qubo, budget: SolveBudget | None = None,
     qubo = _as_block(qubo)
     n = qubo.num_vars
     start = time.perf_counter()
-    tenure = cfg.tabu_tenure or math.ceil(math.sqrt(n))
+    tenure = math.ceil(math.sqrt(n))
 
     # pool entries: (energy, bit_hash, bits); kept sorted, unique by hash
     elite: list[tuple[float, int, np.ndarray]] = []
@@ -466,7 +466,7 @@ def solve_abs(qubo, budget: SolveBudget | None = None,
 
     def offer(e: float, x: np.ndarray) -> None:
         hx = bit_hash(x)
-        if cfg.dedupe and hx in hashes:
+        if hx in hashes:
             return
         heapq_entry = (e, hx, x.copy())
         elite.append(heapq_entry)
@@ -479,7 +479,7 @@ def solve_abs(qubo, budget: SolveBudget | None = None,
     trace: list[tuple[float, float]] = []
     best_e = math.inf
     best_x = None
-    scores = _OperatorScores(cfg.operators, cfg.adaptation_halflife)
+    scores = _OperatorScores(cfg.operators)
     rng = np.random.default_rng(budget.seed)
 
     iterations = 0
@@ -494,7 +494,7 @@ def solve_abs(qubo, budget: SolveBudget | None = None,
             x = np.where(mask, elite[pa][2], elite[pb][2]).astype(np.int8)
         elif op == "k-bit-mutation" and elite:
             x = elite[int(rng.integers(len(elite)))][2].copy()
-            kbits = int(rng.geometric(1.0 / cfg.mutation_mean_bits))
+            kbits = int(rng.geometric(1.0 / _MUTATION_MEAN_BITS))
             flip_idx = rng.choice(n, size=min(kbits, n), replace=False)
             x[flip_idx] ^= 1
         elif op == "tabu-flip" and elite:

@@ -205,3 +205,25 @@ def test_report_layout_mismatch_exits_6(tmp_path, toy_qubo):
     run("solve", "--qubo", str(toy_qubo), "--solver", "exact", "--out", str(solution))
     # toy with n=3 has a 16-variable layout, not 12
     assert run("report", "--solution", str(solution), "--toy", "--toy-n", "3") == 6
+
+
+@pytest.mark.parametrize("command", [["solve", "--solver", "exact"], ["quantum", "--algo", "anneal"]])
+def test_missing_qubo_file_exits_4(tmp_path, command):
+    assert run(*command, "--qubo", str(tmp_path / "missing.qubo"),
+               "--out", str(tmp_path / "r.json")) == 4
+
+
+@pytest.mark.parametrize("content", [
+    b"p qubo 2 -1 0.0\n",
+    b"p qubo 2 100000000000000 0.0\n",
+    b"p qubo 2 1 0.0\n0 0 1.0\n1 1 -5.0\n",
+    b"p qubo 2 1 0.0\n0 0 nan\n",
+    b"p qubo 2 1 inf\n0 0 1.0\n",
+    b"\xff\xfe\n",
+], ids=["negative-count", "count-beyond-file", "extra-term", "nan-value", "inf-offset",
+        "not-utf8"])
+def test_malformed_qubo_file_exits_4(tmp_path, content):
+    path = tmp_path / "bad.qubo"
+    path.write_bytes(content)
+    assert run("solve", "--qubo", str(path), "--solver", "exact",
+               "--out", str(tmp_path / "r.json")) == 4

@@ -6,6 +6,7 @@ from qubofolio.market_data import BlockPrices, CovarianceSeries
 from qubofolio.model import FrictionParams, ProblemSpec, encode
 from qubofolio.evaluation import (
     DEFAULT_Q_GRID,
+    SOLVERS,
     EvaluationError,
     ParetoRow,
     ParetoTable,
@@ -13,11 +14,10 @@ from qubofolio.evaluation import (
     gap,
     risk_quadratic,
     sweep_q,
-    tts,
 )
 from qubofolio.qubo import objective_breakdown
-from qubofolio.solvers import SolveBudget, SolveReport
-from qubofolio.toy import cash_only_bits, toy_spec
+from qubofolio.solvers import SolveBudget
+from qubofolio.toy import cash_only_bits, random_sparse_qubo, toy_spec
 
 
 def _flat_spec(T=2, delta=0.001, u=100_000.0):
@@ -50,21 +50,10 @@ def test_gap_zero_objective_rejected():
 
 
 def test_tts_is_last_improvement_timestamp():
-    def report(trace):
-        return SolveReport(best=np.zeros(1, dtype=np.int8), best_energy=trace[-1][1],
-                           lower_bound=None, trace=trace, tts=0.0, iterations=0,
-                           solver_name="sa", seed=0)
-
-    assert tts(report([(0.5, -1.0)])) == 0.5
-    assert tts(report([(1.0, -1.0), (2.0, -2.0), (7.0, -3.0)])) == 7.0
-
-
-def test_tts_empty_trace_rejected():
-    empty = SolveReport(best=np.zeros(1, dtype=np.int8), best_energy=0.0,
-                        lower_bound=None, trace=[], tts=0.0, iterations=0,
-                        solver_name="sa", seed=0)
-    with pytest.raises(EvaluationError):
-        tts(empty)
+    sq = random_sparse_qubo(10, seed=2)
+    for name, solve in SOLVERS.items():
+        report = solve(sq, SolveBudget(seed=0, max_iterations=200))
+        assert report.tts == report.trace[-1][0], name
 
 
 def test_cash_only_metrics():
@@ -211,3 +200,8 @@ def test_risk_quadratic_independent_of_q():
     values = [risk_quadratic(toy_spec(q=q, seed=5), bits) for q in (0.0, 1e-4, 1e-2)]
     assert values[0] == pytest.approx(values[1], rel=1e-12)
     assert values[1] == pytest.approx(values[2], rel=1e-12)
+
+
+def test_exact_sweep_rows_have_zero_gap():
+    table = sweep_q(toy_spec(n=3, T=2, B=2, seed=0), DEFAULT_Q_GRID, "exact")
+    assert [row.gap_pct for row in table.rows] == [0.0] * len(DEFAULT_Q_GRID)

@@ -1,6 +1,8 @@
-"""Every name a library module imports is used in that module, and every
-private top-level name is used somewhere in the package."""
+"""Every name a library module imports is used in that module, every
+private top-level name is used somewhere in the package, and every name
+a module exports exists."""
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -77,3 +79,9 @@ def test_orphaned_private_name_is_reported():
         "b.py": "from a import _used\n\n\nclass _Spare:\n    pass\n\n\n_used()\n",
     }
     assert _orphaned_private_names(sources) == ["a.py:_LIMIT", "a.py:_orphan", "b.py:_Spare"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_exported_name_resolves(path):
+    module = importlib.import_module(f"qubofolio.{path.stem}")
+    assert [name for name in getattr(module, "__all__", []) if not hasattr(module, name)] == []

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from qubofolio import qubo as qubo_module
 from qubofolio.evaluation import economic_metrics
-from qubofolio.model import ProblemSpec
+from qubofolio.model import ProblemSpec, constraint_residuals
 from qubofolio.qubo import (
     IsingModel,
     QuboError,
@@ -35,7 +35,7 @@ from qubofolio.qubo import (
     write_ising_text,
     write_qubo_text,
 )
-from qubofolio.solvers import solve_exact
+from qubofolio.solvers import local_descent, solve_exact
 from qubofolio.toy import cash_only_bits, random_sparse_qubo, synthetic_spec, toy_spec
 
 
@@ -579,3 +579,107 @@ def test_read_ising_text_sums_repeated_fields(tmp_path):
     assert isinstance(ising, IsingModel)
     assert ising.h.tolist() == [3.0, 0.0]
     assert ising.j_vals.tolist() == [0.5]
+
+
+def step_components_reference(spec: ProblemSpec, bits) -> dict[str, np.ndarray]:
+    """The economic components written from prices and tau, independently of the
+    term rows: a slot pays the turnover cost at its own price whenever its state
+    changes, and the final step's holdings pay the liquidation leg."""
+    lay = spec.layout
+    x = np.asarray(bits, dtype=float).reshape(lay.T, lay.step_width)
+    kn2 = 2 * lay.kn
+    asset = lay.asset_of[:kn2]
+    tau = lay.tau_of[:kn2].astype(float)
+    p = spec.prices.p
+    prm = spec.params
+    T = lay.T
+    trade = x[:, :kn2]
+    y_bits = x[:, kn2 + lay.nb :]
+    p_step = p[asset, :].T[:T]
+    p_next = p[asset, :].T[1 : T + 1]
+    prev = np.vstack([np.zeros(kn2), trade[:-1]])
+    liquidation = np.zeros(T)
+    liquidation[-1] = prm.delta * (p_step[-1] * trade[-1]).sum()
+    return {
+        "gross_profit": (trade * tau * (p_next - p_step)).sum(axis=1),
+        "transaction": prm.delta * (p_step * (prev + trade - 2.0 * prev * trade)).sum(axis=1),
+        "liquidation": liquidation,
+        "short_cost": prm.rho_s * (p_step * trade * (tau < 0)).sum(axis=1),
+        "cash_interest": prm.rho_c * prm.u * (y_bits @ lay.slack_weight[kn2 + lay.nb :]),
+    }
+
+
+def residuals_reference(spec: ProblemSpec, bits) -> np.ndarray:
+    """The budget rows written slot by slot: B - trades - s-slack, C - signed trades - y-slack."""
+    lay = spec.layout
+    x = np.asarray(bits, dtype=np.int64).reshape(lay.T, lay.step_width)
+    kn = lay.kn
+    trade = x[:, : 2 * kn]
+    s_value = x[:, 2 * kn : 2 * kn + lay.nb] @ lay.slack_weight[2 * kn : 2 * kn + lay.nb]
+    y_value = x[:, 2 * kn + lay.nb :] @ lay.slack_weight[2 * kn + lay.nb :]
+    asset_res = spec.B - trade.sum(axis=1) - s_value
+    cash_res = spec.C - trade @ lay.tau_of[: 2 * kn] - y_value
+    return np.stack([asset_res, cash_res], axis=1)
+
+
+def assert_evaluation_matches_references(spec: ProblemSpec, x) -> None:
+    comp = step_components(spec, x)
+    for key, expected in step_components_reference(spec, x).items():
+        assert np.all(np.abs(comp[key] - expected) <= 1e-12 * np.abs(expected)), key
+    res = constraint_residuals(spec, x)
+    assert res.dtype == np.int64
+    assert np.array_equal(res, residuals_reference(spec, x))
+
+
+@pytest.mark.parametrize("signed_risk", [True, False])
+@pytest.mark.parametrize("q", [0.0, 1e-5, 1e-3])
+@pytest.mark.parametrize("seed", range(20))
+def test_evaluation_matches_references_on_toys(seed, q, signed_risk):
+    spec = toy_spec(n=3, T=2, B=2, q=q, seed=seed, signed_risk=signed_risk)
+    rng = np.random.default_rng(seed)
+    for x in [cash_only_bits(spec), *rng.integers(0, 2, size=(4, spec.layout.total))]:
+        assert_evaluation_matches_references(spec, x)
+
+
+def test_evaluation_matches_references_at_exp1_size():
+    spec = synthetic_spec(seed=1, **EXP1)
+    random_point = np.random.default_rng(1).integers(0, 2, spec.layout.total)
+    # descent from all-cash stays put at q = 0.01; from a random start it moves
+    descent_point = local_descent(build_qubo(spec), random_point)
+    for x in (cash_only_bits(spec), random_point, descent_point):
+        assert_evaluation_matches_references(spec, x)
+
+
+def test_step_components_build_one_block_qubo(monkeypatch):
+    spec = toy_spec(n=3, T=2, B=2, q=1e-3, seed=27)
+    x = np.random.default_rng(27).integers(0, 2, spec.layout.total)
+    calls = []
+
+    def counting_build(*args, **kwargs):
+        calls.append(args)
+        return build_qubo(*args, **kwargs)
+
+    monkeypatch.setattr(qubo_module, "build_qubo", counting_build)
+    step_components(spec, x)
+    assert len(calls) == 1
+
+
+def test_code_built_sparse_qubo_sums_repeated_terms(tmp_path):
+    repeated = SparseQubo(num_vars=3, rows=np.array([0, 0, 1, 0]), cols=np.array([1, 2, 2, 1]),
+                          vals=np.array([2.0, -1.0, 4.0, -6.0]), offset=0.5)
+    summed = SparseQubo(num_vars=3, rows=np.array([0, 0, 1]), cols=np.array([1, 2, 2]),
+                        vals=np.array([-4.0, -1.0, 4.0]), offset=0.5)
+    assert repeated.num_terms == summed.num_terms == 3
+    for a, b in zip(to_dense(repeated), to_dense(summed)):
+        assert np.array_equal(a, b)
+    ising_a, ising_b = to_ising(repeated), to_ising(summed)
+    assert np.array_equal(ising_a.h, ising_b.h) and ising_a.offset == ising_b.offset
+    assert np.array_equal(ising_a.j_vals, ising_b.j_vals)
+    exact_a, exact_b = solve_exact(repeated), solve_exact(summed)
+    assert exact_a.best_energy == exact_b.best_energy == -3.5
+    assert np.array_equal(exact_a.best, exact_b.best)
+    path = tmp_path / "repeated.qubo"
+    write_qubo_text(repeated, path)
+    parsed = read_qubo_text(path)
+    for name in ("rows", "cols", "vals"):
+        assert np.array_equal(getattr(parsed, name), getattr(summed, name))

@@ -222,3 +222,13 @@ def test_one_block_energy_equals_dense_energies_exactly():
         assert energy(block, x) == dense_energies(A, off, x[None, :])[0]
     qubo = build_qubo(toy_spec(n=2, T=2, seed=0))
     assert _as_block(qubo) is qubo
+
+
+@pytest.mark.parametrize("signed_risk", [True, False])
+@pytest.mark.parametrize("q", [0.0, 1e-5, 1e-3])
+@pytest.mark.parametrize("seed", range(20))
+def test_exact_and_bnb_report_the_energy_of_their_best(seed, q, signed_risk):
+    qubo = build_qubo(toy_spec(n=3, T=2, q=q, seed=seed, signed_risk=signed_risk))
+    for report in (solve_exact(qubo), solve_bnb(qubo)):
+        assert report.best_energy == energy(qubo, report.best)
+        assert report.trace[-1][1] == report.best_energy
