@@ -32,6 +32,7 @@ from .quantum import (
     QaoaParams,
     normalize_ising,
     QuantumSimError,
+    _check_cap,
     anneal_run,
     qaoa_optimize,
     qaoa_run,
@@ -65,6 +66,17 @@ def _load_spec(args) -> ProblemSpec:
         raise CliError(EXIT_PARSE, str(exc))
     except json.JSONDecodeError as exc:
         raise CliError(EXIT_PARSE, f"{args.config}: invalid JSON: {exc}")
+
+
+def _positive(kind):
+    """argparse type: a `kind` value above zero; anything else exits 2."""
+    def parse(text):
+        value = kind(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+        return value
+    parse.__name__ = kind.__name__
+    return parse
 
 
 def _add_toy_flags(parser):
@@ -147,6 +159,8 @@ def cmd_solve(args) -> int:
 
 def cmd_quantum(args) -> int:
     problem = _load_problem(args)
+    # before any model-sized array: a file header can declare ~1e12 variables
+    _check_cap(problem.num_spins if isinstance(problem, IsingModel) else problem.num_vars)
     if isinstance(problem, IsingModel):
         ising = problem
     else:
@@ -250,8 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--qubo", help="QUBO text file")
     p_solve.add_argument("--config", help="ProblemSpec JSON (built on the fly)")
     p_solve.add_argument("--solver", choices=sorted(SOLVERS), default="abs")
-    p_solve.add_argument("--time-limit", type=float, default=60.0)
-    p_solve.add_argument("--max-iterations", type=int, default=None)
+    p_solve.add_argument("--time-limit", type=_positive(float), default=60.0)
+    p_solve.add_argument("--max-iterations", type=_positive(int), default=None)
     p_solve.add_argument("--seed", type=int, default=0)
     p_solve.add_argument("--out", required=True, help="SolveReport JSON path")
     _add_toy_flags(p_solve)
@@ -274,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--config", help="ProblemSpec JSON path")
     p_sweep.add_argument("--q", help="comma-separated q values (default: the standard grid)")
     p_sweep.add_argument("--solver", choices=sorted(SOLVERS), default="exact")
-    p_sweep.add_argument("--time-limit", type=float, default=60.0)
+    p_sweep.add_argument("--time-limit", type=_positive(float), default=60.0)
     p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--out", required=True, help="Pareto CSV path")
     _add_toy_flags(p_sweep)

@@ -545,7 +545,10 @@ def read_qubo_text(path):
         raise QuboParseError(f"{path}: non-finite term value")
     if header[1] == "ising":
         diag = rows == cols
-        h = np.zeros(num_vars)
+        try:
+            h = np.zeros(num_vars)
+        except (MemoryError, ValueError) as exc:
+            raise QuboError(f"{path}: {num_vars} spins cannot be held in memory") from exc
         np.add.at(h, rows[diag], vals[diag])
         return IsingModel(h=h, j_rows=rows[~diag], j_cols=cols[~diag],
                           j_vals=vals[~diag], offset=offset)

@@ -63,6 +63,8 @@ class SolveBudget:
     def __post_init__(self):
         if self.time_limit <= 0:
             raise ValueError("time_limit must be positive")
+        if self.max_iterations is not None and self.max_iterations < 1:
+            raise ValueError("max_iterations must be at least 1")
 
 
 @dataclass
@@ -71,10 +73,14 @@ class SolveReport:
     best_energy: float
     lower_bound: float | None
     trace: list[tuple[float, float]]  # (elapsed seconds, energy) improvement events
-    tts: float
     iterations: int
     solver_name: str
     seed: int
+
+    @property
+    def tts(self) -> float:
+        """Seconds from the start of the solve to its last improvement."""
+        return self.trace[-1][0] if self.trace else 0.0
 
     def to_json(self) -> dict:
         return {
@@ -95,7 +101,6 @@ class SolveReport:
             best_energy=doc["best_energy"],
             lower_bound=doc.get("lower_bound"),
             trace=[tuple(ev) for ev in doc["trace"]],
-            tts=doc["tts_seconds"],
             iterations=doc["iterations"],
             solver_name=doc["solver"],
             seed=doc["seed"],
@@ -150,6 +155,51 @@ def bit_hash(bits) -> int:
     return int.from_bytes(digest, "little")
 
 
+# --- the run record ------------------------------------------------------------
+
+
+class _Run:
+    """One solve's clock, budget, incumbent and improvement trace."""
+
+    def __init__(self, name: str, block: BlockQubo, budget: SolveBudget | None):
+        self.name = name
+        self.block = block
+        self.budget = budget or SolveBudget()
+        self.start = time.perf_counter()
+        self.best_e = math.inf
+        self.best_x: np.ndarray | None = None
+        self.trace: list[tuple[float, float]] = []
+
+    def spent(self, iterations: int) -> bool:
+        """True once the iteration cap is reached or the time limit has passed."""
+        cap = self.budget.max_iterations
+        return ((cap is not None and iterations >= cap)
+                or time.perf_counter() - self.start > self.budget.time_limit)
+
+    def offer(self, e: float, x: np.ndarray) -> bool:
+        """Keep x if e improves on the best; True once target_energy is reached."""
+        if e < self.best_e:
+            self.best_e = e
+            self.best_x = x.copy()
+            self.trace.append((time.perf_counter() - self.start, e))
+        target = self.budget.target_energy
+        return target is not None and self.best_e <= target
+
+    def report(self, iterations: int, bound: float | None = None) -> SolveReport:
+        """The incumbent at its `energy`; lower_bound is min(bound, best) when bound is given."""
+        best_e = energy(self.block, self.best_x)
+        self.trace[-1] = (self.trace[-1][0], best_e)
+        return SolveReport(
+            best=self.best_x,
+            best_energy=best_e,
+            lower_bound=None if bound is None else min(bound, best_e),
+            trace=self.trace,
+            iterations=iterations,
+            solver_name=self.name,
+            seed=self.budget.seed,
+        )
+
+
 # --- exact enumeration -------------------------------------------------------
 
 
@@ -162,42 +212,38 @@ def _dense(qubo) -> tuple[np.ndarray, float, BlockQubo]:
     return A, offset, qubo if isinstance(qubo, BlockQubo) else _one_block(A, offset)
 
 
+def _assignments(fixed: np.ndarray, chunk: int = 1 << 18):
+    """Every completion of `fixed` (-1 marks a free bit), as int8 rows in chunks.
+
+    Free bit k of a row is bit k of the row's index, so with every bit free
+    the rows count up in binary.
+    """
+    free = (fixed < 0).astype(np.uint64)
+    keep = (fixed > 0).astype(np.uint64)
+    shift = np.cumsum(free) - free
+    total = 1 << int(free.sum())
+    for lo in range(0, total, chunk):
+        idx = np.arange(lo, min(lo + chunk, total), dtype=np.uint64)
+        yield (((idx[:, None] >> shift) & free) | keep).astype(np.int8)
+
+
+def _enumerate(run: _Run, A: np.ndarray, offset: float, fixed: np.ndarray) -> None:
+    """Offer the best completion of `fixed`, chunk by chunk, to the run."""
+    for X in _assignments(fixed):
+        E = dense_energies(A, offset, X)
+        j = int(np.argmin(E))
+        run.offer(float(E[j]), X[j])
+
+
 def solve_exact(qubo, budget: SolveBudget | None = None) -> SolveReport:
     """Global minimum by chunked enumeration of all 2^n assignments."""
-    budget = budget or SolveBudget()
     n = qubo.num_vars
     if n > EXACT_CAP:
         raise QuboError(f"solve_exact supports at most {EXACT_CAP} variables, got {n}")
     A, offset, block = _dense(qubo)
-    start = time.perf_counter()
-    best_e = math.inf
-    best_x = np.zeros(n, dtype=np.int8)
-    trace: list[tuple[float, float]] = []
-    chunk = 1 << 18
-    total = 1 << n
-    powers = np.arange(n, dtype=np.uint64)
-    for lo in range(0, total, chunk):
-        idx = np.arange(lo, min(lo + chunk, total), dtype=np.uint64)
-        X = ((idx[:, None] >> powers) & 1).astype(np.int8)
-        E = dense_energies(A, offset, X)
-        j = int(np.argmin(E))
-        if E[j] < best_e:
-            best_e = float(E[j])
-            best_x = X[j].copy()
-            trace.append((time.perf_counter() - start, best_e))
-    best_e = energy(block, best_x)
-    if trace:
-        trace[-1] = (trace[-1][0], best_e)
-    return SolveReport(
-        best=best_x,
-        best_energy=best_e,
-        lower_bound=best_e,
-        trace=trace,
-        tts=trace[-1][0] if trace else 0.0,
-        iterations=total,
-        solver_name="exact",
-        seed=budget.seed,
-    )
+    run = _Run("exact", block, budget)
+    _enumerate(run, A, offset, np.full(n, -1, dtype=np.int8))
+    return run.report(1 << n, bound=math.inf)
 
 
 # --- branch and bound --------------------------------------------------------
@@ -246,51 +292,30 @@ def solve_bnb(qubo, budget: SolveBudget | None = None) -> SolveReport:
     Anytime: returns the incumbent at budget expiry; when the tree is
     exhausted the incumbent is proven optimal and lower_bound equals it.
     """
-    budget = budget or SolveBudget()
     A, offset, block = _dense(qubo)
     n = A.shape[0]
-    start = time.perf_counter()
-    trace: list[tuple[float, float]] = []
+    run = _Run("bnb", block, budget)
 
-    def leaf_energies(fixed):
-        free = np.flatnonzero(fixed < 0)
-        X = np.repeat(np.clip(fixed, 0, 1)[None, :], 1 << len(free), axis=0).astype(np.int8)
-        if len(free):
-            idx = np.arange(1 << len(free), dtype=np.uint64)
-            X[:, free] = ((idx[:, None] >> np.arange(len(free), dtype=np.uint64)) & 1)
-        return X, dense_energies(A, offset, X)
-
-    best_x = np.zeros(n, dtype=np.int8)
-    best_e = energy(block, best_x)
-    desc, desc_e, _ = _descend(block, best_x.copy())
-    if desc_e < best_e:
-        best_x, best_e = desc, desc_e
-    trace.append((time.perf_counter() - start, best_e))
+    x = np.zeros(n, dtype=np.int8)
+    e = energy(block, x)
+    desc, desc_e, _ = _descend(block, x.copy())
+    if desc_e < e:
+        x, e = desc, desc_e
+    run.offer(e, x)
 
     root_fixed = np.full(n, -1, dtype=np.int8)
     root_bound, root_y = _node_bound(A, offset, root_fixed)
     counter = 0
     heap = [(root_bound, counter, root_fixed, root_y)]
     nodes = 0
-    exhausted = True
-    while heap:
-        if time.perf_counter() - start > budget.time_limit or (
-            budget.max_iterations is not None and nodes >= budget.max_iterations
-        ):
-            exhausted = False
-            break
+    while heap and not run.spent(nodes):
         bound, _, fixed, y = heapq.heappop(heap)
         nodes += 1
-        if bound >= best_e:
+        if bound >= run.best_e:
             continue
         free = np.flatnonzero(fixed < 0)
         if len(free) <= _LEAF_SIZE:
-            X, E = leaf_energies(fixed)
-            j = int(np.argmin(E))
-            if E[j] < best_e:
-                best_e = float(E[j])
-                best_x = X[j].copy()
-                trace.append((time.perf_counter() - start, best_e))
+            _enumerate(run, A, offset, fixed)
             continue
         frac = np.abs(y - 0.5)
         branch_var = int(free[np.argmin(frac)])
@@ -298,26 +323,10 @@ def solve_bnb(qubo, budget: SolveBudget | None = None) -> SolveReport:
             child = fixed.copy()
             child[branch_var] = value
             child_bound, child_y = _node_bound(A, offset, child)
-            if child_bound < best_e:
+            if child_bound < run.best_e:
                 counter += 1
                 heapq.heappush(heap, (child_bound, counter, child, child_y))
-    best_e = energy(block, best_x)
-    if exhausted:
-        lower = best_e
-    else:
-        lower = min([item[0] for item in heap] + [best_e])
-    if trace:
-        trace[-1] = (trace[-1][0], best_e)
-    return SolveReport(
-        best=best_x,
-        best_energy=best_e,
-        lower_bound=lower,
-        trace=trace,
-        tts=trace[-1][0],
-        iterations=nodes,
-        solver_name="bnb",
-        seed=budget.seed,
-    )
+    return run.report(nodes, bound=min((item[0] for item in heap), default=math.inf))
 
 
 # --- local descent ------------------------------------------------------------
@@ -341,11 +350,8 @@ def _descend(qubo: BlockQubo, x: np.ndarray):
 
 def local_descent(qubo, bits) -> np.ndarray:
     """Steepest-descent refinement; the result has no improving single flip."""
-    qubo = _as_block(qubo)
     x = np.asarray(bits, dtype=np.int8).copy()
-    if x.shape[0] != qubo.num_vars:
-        raise QuboError(f"assignment length {x.shape[0]} != num_vars {qubo.num_vars}")
-    out, _, _ = _descend(qubo, x)
+    out, _, _ = _descend(_as_block(qubo), x)
     return out
 
 
@@ -358,48 +364,30 @@ def solve_sa(qubo, budget: SolveBudget | None = None) -> SolveReport:
     T0 is the 90th percentile of |delta| at a random start; the schedule
     cools to T0 * 1e-3 over max_iterations flips (default 200 per variable).
     """
-    budget = budget or SolveBudget()
     qubo = _as_block(qubo)
     n = qubo.num_vars
-    start = time.perf_counter()
-    rng = np.random.default_rng(budget.seed)
+    run = _Run("sa", qubo, budget)
+    rng = np.random.default_rng(run.budget.seed)
     x = rng.integers(0, 2, size=n).astype(np.int8)
     deltas = delta_energies(qubo, x)
     e = energy(qubo, x)
     t0 = max(float(np.percentile(np.abs(deltas), 90)), 1e-12)
     tf = t0 * _SA_FINAL_RATIO
-    max_it = budget.max_iterations or 200 * n
-    best_e, best_x = e, x.copy()
-    trace = [(time.perf_counter() - start, e)]
+    max_it = run.budget.max_iterations or 200 * n
+    run.offer(e, x)
     iterations = 0
     for it in range(max_it):
-        iterations += 1
-        if it % 512 == 0 and time.perf_counter() - start > budget.time_limit:
+        if it % 512 == 0 and run.spent(it):
             break
+        iterations += 1
         temp = t0 * (tf / t0) ** (it / max(max_it - 1, 1))
         i = int(rng.integers(n))
         dE = deltas[i]
         if dE <= 0.0 or rng.random() < math.exp(-dE / temp):
             e += apply_flip(qubo, x, i, deltas)
-            if e < best_e:
-                best_e = e
-                best_x = x.copy()
-                trace.append((time.perf_counter() - start, e))
-                if budget.target_energy is not None and e <= budget.target_energy:
-                    break
-
-    exact_best = energy(qubo, best_x)
-    trace[-1] = (trace[-1][0], exact_best)
-    return SolveReport(
-        best=best_x,
-        best_energy=exact_best,
-        lower_bound=None,
-        trace=trace,
-        tts=trace[-1][0],
-        iterations=iterations,
-        solver_name="sa",
-        seed=budget.seed,
-    )
+            if e < run.best_e and run.offer(e, x):
+                break
+    return run.report(iterations)
 
 
 # --- adaptive pooled search ------------------------------------------------------
@@ -453,18 +441,17 @@ def solve_abs(qubo, budget: SolveBudget | None = None,
               pool: PoolConfig | None = None) -> SolveReport:
     """Adaptive pooled search: operator selection by decayed improvement
     rate, candidates refined by steepest descent, elite pool with dedupe."""
-    budget = budget or SolveBudget()
     cfg = pool or PoolConfig()
     qubo = _as_block(qubo)
     n = qubo.num_vars
-    start = time.perf_counter()
+    run = _Run("abs", qubo, budget)
     tenure = math.ceil(math.sqrt(n))
 
     # pool entries: (energy, bit_hash, bits); kept sorted, unique by hash
     elite: list[tuple[float, int, np.ndarray]] = []
     hashes: set[int] = set()
 
-    def offer(e: float, x: np.ndarray) -> None:
+    def admit(e: float, x: np.ndarray) -> None:
         hx = bit_hash(x)
         if hx in hashes:
             return
@@ -476,16 +463,11 @@ def solve_abs(qubo, budget: SolveBudget | None = None,
             _, old_hash, _ = elite.pop()
             hashes.discard(old_hash)
 
-    trace: list[tuple[float, float]] = []
-    best_e = math.inf
-    best_x = None
     scores = _OperatorScores(cfg.operators)
-    rng = np.random.default_rng(budget.seed)
+    rng = np.random.default_rng(run.budget.seed)
 
     iterations = 0
-    while time.perf_counter() - start <= budget.time_limit and (
-        budget.max_iterations is None or iterations < budget.max_iterations
-    ):
+    while True:
         op = scores.pick(rng)
         work = 0.0
         if op == "uniform-crossover" and len(elite) >= 2:
@@ -506,22 +488,9 @@ def solve_abs(qubo, budget: SolveBudget | None = None,
         x, e, flips = _descend(qubo, x)
         work += flips
         iterations += 1
-        improvement = (best_e - e) if math.isfinite(best_e) else 0.0
+        improvement = (run.best_e - e) if math.isfinite(run.best_e) else 0.0
         scores.update(op, improvement, work)
-        offer(e, x)
-        if e < best_e:
-            best_e = e
-            best_x = x.copy()
-            trace.append((time.perf_counter() - start, e))
-            if budget.target_energy is not None and e <= budget.target_energy:
-                break
-    return SolveReport(
-        best=best_x,
-        best_energy=best_e,
-        lower_bound=None,
-        trace=trace,
-        tts=trace[-1][0] if trace else 0.0,
-        iterations=iterations,
-        solver_name="abs",
-        seed=budget.seed,
-    )
+        admit(e, x)
+        if run.offer(e, x) or run.spent(iterations):
+            break
+    return run.report(iterations)

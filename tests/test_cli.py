@@ -165,6 +165,32 @@ def test_quantum_cap_exceeded_exits_3(tmp_path, monkeypatch):
                "--out", str(tmp_path / "r.json")) == 3
 
 
+@pytest.mark.parametrize("kind", ["qubo", "ising"])
+def test_quantum_huge_header_exits_3(tmp_path, capsys, kind):
+    path = tmp_path / f"huge.{kind}"
+    path.write_text(f"p {kind} 1000000000000 0 0.0\n")
+    assert run("quantum", "--qubo", str(path), "--algo", "anneal",
+               "--out", str(tmp_path / "r.json")) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--solver", "sa", "--max-iterations", "0"],
+    ["solve", "--solver", "bnb", "--max-iterations", "0"],
+    ["solve", "--solver", "abs", "--max-iterations", "0"],
+    ["solve", "--solver", "abs", "--max-iterations", "-5"],
+    ["solve", "--time-limit", "0"],
+    ["sweep", "--time-limit", "0"],
+], ids=["sa-zero-iterations", "bnb-zero-iterations", "abs-zero-iterations",
+        "negative-iterations", "solve-zero-time", "sweep-zero-time"])
+def test_non_positive_budget_exits_2(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(*argv, "--toy", "--out", str(tmp_path / "r.out"))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].endswith(f"must be positive, got {argv[-1]!r}")
+
+
 def test_sweep_toy_default_grid(tmp_path):
     out = tmp_path / "pareto.csv"
     assert run("sweep", "--toy", "--solver", "exact", "--out", str(out)) == 0

@@ -2,12 +2,14 @@
 report serialization.
 """
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qubofolio.evaluation import SOLVERS
 from qubofolio.qubo import (
     QuboError,
     _as_block,
@@ -23,6 +25,7 @@ from qubofolio.solvers import (
     PoolConfig,
     SolveBudget,
     SolveReport,
+    _assignments,
     local_descent,
     rle_decode,
     rle_encode,
@@ -155,6 +158,8 @@ def test_local_descent_terminates_at_one_flip_minimum():
     out = local_descent(qubo, x)
     assert energy(qubo, out) <= start_e
     assert np.all(delta_energies(qubo, out) >= 0.0)
+    with pytest.raises(QuboError, match="assignment length"):
+        local_descent(qubo, x[:-1])
 
 
 def test_solvers_accept_block_qubo_directly():
@@ -184,8 +189,37 @@ def test_report_json_roundtrip(tmp_path):
 def test_budget_validation():
     with pytest.raises(ValueError):
         SolveBudget(time_limit=0.0)
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="max_iterations"):
+            SolveBudget(max_iterations=k)
     with pytest.raises(ValueError):
         PoolConfig(pool_size=1)
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 40])
+def test_iteration_budget_is_counted_the_same_way_by_every_search(k):
+    sq = random_sparse_qubo(16, seed=25)
+    budget = SolveBudget(seed=1, max_iterations=k)
+    assert solve_sa(sq, budget).iterations == k
+    assert solve_abs(sq, budget).iterations == k
+    assert solve_bnb(sq, budget).iterations <= k
+
+
+def test_sa_past_its_time_limit_counts_no_flip():
+    sq = random_sparse_qubo(12, seed=26)
+    report = solve_sa(sq, SolveBudget(time_limit=1e-9))
+    assert report.iterations == 0
+    assert report.best_energy == energy(_as_block(sq), report.best)
+
+
+def test_abs_past_its_time_limit_still_returns_an_incumbent():
+    sq = random_sparse_qubo(12, seed=26)
+    report = solve_abs(sq, SolveBudget(time_limit=1e-9))
+    assert report.best.shape == (12,)
+    assert set(np.unique(report.best)) <= {0, 1}
+    assert report.iterations == 1
+    doc = json.loads(json.dumps(report.to_json()))
+    assert SolveReport.from_json(doc).to_json() == report.to_json()
 
 
 def test_pool_without_crossover_allows_tiny_pool():
@@ -228,7 +262,101 @@ def test_one_block_energy_equals_dense_energies_exactly():
 @pytest.mark.parametrize("q", [0.0, 1e-5, 1e-3])
 @pytest.mark.parametrize("seed", range(20))
 def test_exact_and_bnb_report_the_energy_of_their_best(seed, q, signed_risk):
+    """Every solver in SOLVERS, not only exact and bnb, reports energy(best)."""
     qubo = build_qubo(toy_spec(n=3, T=2, q=q, seed=seed, signed_risk=signed_risk))
-    for report in (solve_exact(qubo), solve_bnb(qubo)):
-        assert report.best_energy == energy(qubo, report.best)
-        assert report.trace[-1][1] == report.best_energy
+    budgets = {"sa": SolveBudget(seed=seed, max_iterations=1_000),
+               "abs": SolveBudget(seed=seed, max_iterations=10)}
+    for name, solve in SOLVERS.items():
+        report = solve(qubo, budgets.get(name))
+        assert report.best_energy == energy(qubo, report.best), name
+        assert report.trace[-1][1] == report.best_energy, name
+
+
+def exact_enumeration_reference(n, chunk):
+    """The bit matrix solve_exact built before it shared _assignments."""
+    total = 1 << n
+    powers = np.arange(n, dtype=np.uint64)
+    for lo in range(0, total, chunk):
+        idx = np.arange(lo, min(lo + chunk, total), dtype=np.uint64)
+        yield ((idx[:, None] >> powers) & 1).astype(np.int8)
+
+
+def leaf_enumeration_reference(fixed):
+    """The bit matrix of branch and bound's leaves before they shared _assignments."""
+    free = np.flatnonzero(fixed < 0)
+    X = np.repeat(np.clip(fixed, 0, 1)[None, :], 1 << len(free), axis=0).astype(np.int8)
+    if len(free):
+        idx = np.arange(1 << len(free), dtype=np.uint64)
+        X[:, free] = ((idx[:, None] >> np.arange(len(free), dtype=np.uint64)) & 1)
+    return X
+
+
+def _same_rows(chunks, reference):
+    chunks, reference = list(chunks), list(reference)
+    assert len(chunks) == len(reference)
+    for got, want in zip(chunks, reference):
+        assert got.dtype == want.dtype == np.int8
+        assert got.shape == want.shape
+        assert (got == want).all()
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 13])
+@pytest.mark.parametrize("chunk", [7, 1 << 18])
+def test_assignments_match_the_exact_enumeration(n, chunk):
+    fixed = np.full(n, -1, dtype=np.int8)
+    _same_rows(_assignments(fixed, chunk), exact_enumeration_reference(n, chunk))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_assignments_match_the_leaf_enumeration(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 16))
+    fixed = rng.integers(-1, 2, size=n).astype(np.int8)
+    reference = leaf_enumeration_reference(fixed)
+    _same_rows(_assignments(fixed), [reference])
+    chunk = int(rng.integers(1, 9))
+    got = np.concatenate(list(_assignments(fixed, chunk)))
+    assert got.dtype == np.int8 and (got == reference).all()
+    assert len(list(_assignments(fixed, chunk))) == -(-len(reference) // chunk)
+
+
+PINNED = Path(__file__).parent / "data" / "solver_results.json"
+
+
+def pinned_runs():
+    """The solves pinned in data/solver_results.json, as (name, report) pairs."""
+    for i in range(20):
+        sq = random_sparse_qubo(8 + i % 11, 5000 + i)
+        yield f"{i}-exact", solve_exact(sq)
+        yield f"{i}-bnb", solve_bnb(sq, SolveBudget(max_iterations=8))
+        yield f"{i}-sa", solve_sa(sq, SolveBudget(seed=i, max_iterations=2_000))
+        yield f"{i}-abs", solve_abs(sq, SolveBudget(seed=i, max_iterations=20))
+
+
+def pinned_record(report):
+    return {"bits": rle_encode(report.best), "iterations": report.iterations,
+            "lower_bound": report.lower_bound, "best_energy": repr(report.best_energy)}
+
+
+def test_solver_results_match_the_pinned_file():
+    """Solver results on file inputs do not drift between commits.
+
+    data/solver_results.json was written before the solvers shared one run
+    record, by running this module's pinned_runs and pinned_record at that
+    commit and dumping {name: pinned_record(report)} with json.dump(indent=1).
+    Rewrite it the same way only for a change meant to alter solver results.
+    """
+    pinned = json.loads(PINNED.read_text())
+    runs = dict(pinned_runs())
+    assert sorted(runs) == sorted(pinned)
+    for name, report in runs.items():
+        want, got = pinned[name], pinned_record(report)
+        assert got["bits"] == want["bits"], name
+        assert got["iterations"] == want["iterations"], name
+        assert float(got["best_energy"]) == pytest.approx(float(want["best_energy"]),
+                                                          rel=1e-12, abs=0.0), name
+        if want["lower_bound"] is None:
+            assert got["lower_bound"] is None, name
+        else:
+            assert got["lower_bound"] == pytest.approx(want["lower_bound"],
+                                                       rel=1e-12, abs=0.0), name
