@@ -197,7 +197,8 @@ def cmd_sweep(args) -> int:
             raise CliError(EXIT_PARSE, f"bad --q list: {exc}")
     else:
         q_list = list(DEFAULT_Q_GRID)
-    budget = SolveBudget(time_limit=args.time_limit, seed=args.seed)
+    budget = SolveBudget(time_limit=args.time_limit, seed=args.seed,
+                         max_iterations=args.max_iterations)
     table = sweep_q(spec, q_list, args.solver, budget)
     table.write_csv(args.out)
     failed = [row for row in table.rows if row.failed]
@@ -289,6 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--q", help="comma-separated q values (default: the standard grid)")
     p_sweep.add_argument("--solver", choices=sorted(SOLVERS), default="exact")
     p_sweep.add_argument("--time-limit", type=_positive(float), default=60.0)
+    p_sweep.add_argument("--max-iterations", type=_positive(int), default=None)
     p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--out", required=True, help="Pareto CSV path")
     _add_toy_flags(p_sweep)

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ProblemSpec, _check_assignment, is_feasible
-from .qubo import _step_terms, build_qubo, step_components
+from .model import ProblemSpec, is_feasible
+from .qubo import _bits_by_step, _cash_flows, _step_terms, build_qubo
 from .solvers import SolveBudget, solve_abs, solve_bnb, solve_exact, solve_sa
 
 __all__ = [
@@ -77,7 +77,8 @@ def economic_metrics(spec: ProblemSpec, bits) -> Metrics:
     mean(r_t - rho_c) / std(r_t, unbiased) * sqrt(252).  Requires T >= 2
     for the Sharpe ratio (the standard deviation needs two samples).
     """
-    comp = step_components(spec, bits)
+    comp = _cash_flows(spec, _bits_by_step(spec, bits),
+                       build_qubo(spec, include_penalty=False).cross)
     pnl = (comp["gross_profit"] - comp["transaction"] - comp["short_cost"]
            + comp["cash_interest"] - comp["liquidation"])
     capital = spec.C * spec.params.u
@@ -111,10 +112,8 @@ def economic_metrics(spec: ProblemSpec, bits) -> Metrics:
 
 def risk_quadratic(spec: ProblemSpec, bits) -> float:
     """The quadratic risk term R(x) with unit weight (independent of q)."""
-    lay = spec.layout
-    x = _check_assignment(lay, bits).astype(float).reshape(lay.T, lay.step_width)
     unit = dataclasses.replace(build_qubo(spec, include_penalty=False), scale=1.0)
-    risk, _ = _step_terms(unit, x)
+    risk, _ = _step_terms(unit, _bits_by_step(spec, bits))
     return float(risk.sum())
 
 

@@ -22,6 +22,7 @@ Assignment arrays and delta caches are single-owner mutable state.
 """
 from __future__ import annotations
 
+import io
 import math
 import os
 from dataclasses import dataclass
@@ -443,6 +444,32 @@ def ising_value(ising: IsingModel, spins) -> float:
                  + ising.offset)
 
 
+def _bits_by_step(spec: ProblemSpec, bits) -> np.ndarray:
+    """The checked assignment as a (T, w) float array, one row per step."""
+    lay = spec.layout
+    return _check_assignment(lay, bits).astype(float).reshape(lay.T, lay.step_width)
+
+
+def _cash_flows(spec: ProblemSpec, x: np.ndarray, cross: np.ndarray) -> dict[str, np.ndarray]:
+    """Every step_components entry but risk and penalty, at x (T, w).
+
+    cross is build_qubo's turnover band; it needs no penalty weight.
+    """
+    lay = spec.layout
+    term = {name: (row * x).sum(axis=1) for name, row in _linear_terms(spec, lay).items()}
+    transaction = term["entry"]
+    transaction[1:] += term["exit"][:-1] + (cross * x[:-1] * x[1:]).sum(axis=1)
+    liquidation = np.zeros(lay.T)
+    liquidation[-1] = term["exit"][-1]
+    return {
+        "gross_profit": -term["profit"],
+        "transaction": transaction,
+        "liquidation": liquidation,
+        "short_cost": term["short"],
+        "cash_interest": -term["cash"],
+    }
+
+
 def step_components(spec: ProblemSpec, bits) -> dict[str, np.ndarray]:
     """Per-step objective ingredients, all as length-T arrays in currency.
 
@@ -450,24 +477,10 @@ def step_components(spec: ProblemSpec, bits) -> dict[str, np.ndarray]:
     Sign conventions are "natural": gross_profit and cash_interest are
     income (positive good), the cost entries are outlays (positive bad).
     """
-    lay = spec.layout
-    x = _check_assignment(lay, bits).astype(float).reshape(lay.T, lay.step_width)
+    x = _bits_by_step(spec, bits)
     qubo = build_qubo(spec)
-    term = {name: (row * x).sum(axis=1) for name, row in _linear_terms(spec, lay).items()}
-    transaction = term["entry"]
-    transaction[1:] += term["exit"][:-1] + (qubo.cross * x[:-1] * x[1:]).sum(axis=1)
-    liquidation = np.zeros(lay.T)
-    liquidation[-1] = term["exit"][-1]
     risk, penalty = _step_terms(qubo, x)
-    return {
-        "risk": risk,
-        "gross_profit": -term["profit"],
-        "transaction": transaction,
-        "liquidation": liquidation,
-        "short_cost": term["short"],
-        "cash_interest": -term["cash"],
-        "penalty": penalty,
-    }
+    return {"risk": risk, **_cash_flows(spec, x, qubo.cross), "penalty": penalty}
 
 
 def objective_breakdown(spec: ProblemSpec, bits) -> dict[str, float]:
@@ -485,28 +498,180 @@ def objective_breakdown(spec: ProblemSpec, bits) -> dict[str, float]:
 
 
 # --- text export ------------------------------------------------------------
+#
+# A term line is `i j value\n` with value = repr(float).  Both directions work
+# in chunks of lines with numpy; the bytes written and the arrays read are the
+# ones a per-line `f"{int(i)} {int(j)} {float(v)!r}\n"` loop and a per-line
+# `int, int, float` parse give.
 
 _MIN_TERM_BYTES = 6  # the shortest term line, "0 0 0\n"
+_CHUNK_LINES = 1 << 16  # term lines per chunk of the writer
+_CHUNK_CHARS = 1 << 21  # characters per chunk of the reader, cut back to a line end
+_MAX_INDEX_DIGITS = 18  # every 18-digit index fits in int64
+_PAD_BYTES = 32  # zero bytes around a parsed chunk; longer value tokens take the per-line parse
+_PAD = bytes(_PAD_BYTES)
+
+
+def _text_rows(keys: np.ndarray, texts) -> np.ndarray:
+    """The strings texts(distinct keys) as NUL-padded uint8 rows, one row per key."""
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    text = np.array(list(texts(distinct)), dtype="S")
+    return text.view(np.uint8).reshape(len(distinct), text.itemsize)[inverse]
+
+
+def _decimal(k: np.ndarray):
+    return map(str, k.tolist())
+
+
+def _float_repr(bits: np.ndarray):
+    return map(repr, bits.view(np.float64).tolist())
+
+
+def _write_terms(fh, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> None:
+    """Write `i j value` lines to the binary file fh, one chunk of records at a time.
+
+    Each line is a zero-padded uint8 record; one mask drops the padding.
+    Values are told apart by bit pattern, so -0.0 keeps its own repr, and
+    repr runs once per distinct pattern in a chunk.  Index text comes from
+    one table over the index range, or per chunk when that range is wider
+    than the term count.
+    """
+    if len(vals) == 0:
+        return
+    lo = int(min(rows.min(), cols.min()))
+    hi = int(max(rows.max(), cols.max()))
+    table = _text_rows(np.arange(lo, hi + 1), _decimal) if hi - lo < len(vals) else None
+
+    def index_text(k):
+        return _text_rows(k, _decimal) if table is None else table[k - lo]
+
+    for a in range(0, len(vals), _CHUNK_LINES):
+        sl = slice(a, a + _CHUNK_LINES)
+        value = _text_rows(np.asarray(vals[sl], dtype=np.float64).view(np.uint64), _float_repr)
+        space = np.full((len(value), 1), ord(" "), dtype=np.uint8)
+        rec = np.hstack([index_text(rows[sl]), space, index_text(cols[sl]), space, value,
+                         np.full_like(space, ord("\n"))])
+        fh.write(rec[rec != 0])
 
 
 def write_qubo_text(sparse: SparseQubo, path) -> None:
     """`p qubo <num_vars> <num_terms> <offset>` then `i j value` lines, i <= j."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"p qubo {sparse.num_vars} {sparse.num_terms} {float(sparse.offset)!r}\n")
-        for i, j, v in zip(sparse.rows, sparse.cols, sparse.vals):
-            fh.write(f"{int(i)} {int(j)} {float(v)!r}\n")
+    with open(path, "wb") as fh:
+        fh.write(f"p qubo {sparse.num_vars} {sparse.num_terms} {float(sparse.offset)!r}\n"
+                 .encode())
+        _write_terms(fh, sparse.rows, sparse.cols, sparse.vals)
 
 
 def write_ising_text(ising: IsingModel, path) -> None:
     """Same line format as the QUBO export; h terms appear as `i i value`."""
     h_idx = np.flatnonzero(ising.h)
     num_terms = len(h_idx) + len(ising.j_vals)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"p ising {ising.num_spins} {num_terms} {float(ising.offset)!r}\n")
-        for i in h_idx:
-            fh.write(f"{int(i)} {int(i)} {float(ising.h[i])!r}\n")
-        for i, j, v in zip(ising.j_rows, ising.j_cols, ising.j_vals):
-            fh.write(f"{int(i)} {int(j)} {float(v)!r}\n")
+    with open(path, "wb") as fh:
+        fh.write(f"p ising {ising.num_spins} {num_terms} {float(ising.offset)!r}\n".encode())
+        _write_terms(fh, h_idx, h_idx, ising.h[h_idx])
+        _write_terms(fh, ising.j_rows, ising.j_cols, ising.j_vals)
+
+
+def _digit_values(windows: np.ndarray, stop: np.ndarray, length: np.ndarray):
+    """Integers of the fields b[stop - length:stop], or None unless each is all digits."""
+    width = int(length.max())
+    digits = windows[stop - width, :width] - np.uint8(ord("0"))  # right-aligned
+    digits *= np.arange(width) >= (width - length)[:, None]  # leading zeros
+    if not (digits <= 9).all():
+        return None
+    value = np.zeros(len(digits), dtype=np.int64)
+    for col in digits.T:
+        value *= 10
+        value += col
+    return value
+
+
+def _canonical_terms(b: np.ndarray, ends: np.ndarray):
+    """(rows, cols, vals) of lines `digits SP digits SP token LF`, or None if any line is not.
+
+    b holds whole lines from b[_PAD_BYTES], ends their LF positions, and
+    _PAD_BYTES zero bytes on either side.  Each distinct value token runs
+    through float once, so vals are float(token) bit for bit; a token float
+    rejects sends the chunk to the per-line parse.
+    """
+    spaces = np.flatnonzero(b == ord(" "))
+    if len(spaces) != 2 * len(ends):
+        return None
+    starts = np.r_[_PAD_BYTES, ends[:-1] + 1]
+    s1, s2 = spaces[0::2], spaces[1::2]
+    len_i, len_j, len_v = s1 - starts, s2 - s1 - 1, ends - s2 - 1
+    if not ((len_i > 0) & (len_j > 0) & (len_v > 0)).all() or max(
+            len_i.max(), len_j.max()) > _MAX_INDEX_DIGITS or len_v.max() > _PAD_BYTES:
+        return None
+    windows = np.lib.stride_tricks.sliding_window_view(b, _PAD_BYTES)
+    rows = _digit_values(windows, s1, len_i)
+    cols = None if rows is None else _digit_values(windows, s2, len_j)
+    if cols is None:
+        return None
+    width = -(-int(len_v.max()) // 8) * 8
+    tokens = windows[s2 + 1, :width]  # NUL-padded on the right
+    tokens *= np.arange(width) < len_v[:, None]
+    words = tokens.view(np.uint64)
+    new = np.r_[True, (words[1:] != words[:-1]).any(axis=1)]
+    firsts = tokens[new].view(f"S{width}").ravel().tolist()  # one per run of equal tokens
+    distinct = dict.fromkeys(firsts)
+    try:
+        value = dict(zip(distinct, map(float, distinct)))
+    except ValueError:
+        return None
+    vals = np.fromiter(map(value.__getitem__, firsts), dtype=np.float64, count=len(firsts))
+    return rows, cols, vals[np.cumsum(new) - 1]
+
+
+def _parse_lines(text: str, first: int, rows, cols, vals, path) -> None:
+    """Per-line parse of term lines into rows/cols/vals from index `first`; owns the errors."""
+    for idx, line in enumerate(io.StringIO(text, newline="\n"), start=first):
+        try:
+            i, j, v = line.split()
+            rows[idx], cols[idx], vals[idx] = int(i), int(j), float(v)
+        except (ValueError, OverflowError) as exc:
+            raise QuboParseError(f"{path}:{idx + 2}: bad term line {line!r}") from exc
+
+
+def _read_terms(fh, path, num_terms: int):
+    """rows, cols, vals of the next num_terms lines of text file fh, and the bytes read past them.
+
+    Text is read a chunk at a time and cut at its last line end.  A chunk of
+    canonical lines is parsed with numpy, any other chunk line by line.
+    """
+    rows = np.empty(num_terms, dtype=np.int64)
+    cols = np.empty(num_terms, dtype=np.int64)
+    vals = np.empty(num_terms)
+    done = 0
+    rest = b""
+    while done < num_terms:
+        text = fh.read(_CHUNK_CHARS)
+        if not text:
+            if rest:  # a last line without its newline
+                _parse_lines(rest.decode("utf-8"), done, rows, cols, vals, path)
+                done += 1
+                rest = b""
+            if done < num_terms:
+                raise QuboParseError(f"{path}: expected {num_terms} terms, got {done}")
+            break
+        buf = rest + text.encode("utf-8")
+        b = np.frombuffer(buf, dtype=np.uint8)
+        ends = np.flatnonzero(b == ord("\n"))[: num_terms - done]
+        if len(ends) == 0:
+            rest = buf
+            continue
+        cut = int(ends[-1]) + 1
+        stop = done + len(ends)
+        chunk = buf[:cut]
+        terms = None if b"\0" in chunk else _canonical_terms(
+            np.frombuffer(_PAD + chunk + _PAD, dtype=np.uint8), ends + _PAD_BYTES)
+        if terms is None:
+            _parse_lines(chunk.decode("utf-8"), done, rows, cols, vals, path)
+        else:
+            rows[done:stop], cols[done:stop], vals[done:stop] = terms
+        done = stop
+        rest = buf[cut:]
+    return rows, cols, vals, rest
 
 
 def read_qubo_text(path):
@@ -525,19 +690,9 @@ def read_qubo_text(path):
             raise QuboParseError(f"{path}: bad header values {' '.join(header[2:])!r}")
         if num_terms * _MIN_TERM_BYTES > os.fstat(fh.fileno()).st_size:
             raise QuboParseError(f"{path}: {num_terms} terms cannot fit in the file")
-        rows = np.empty(num_terms, dtype=np.int64)
-        cols = np.empty(num_terms, dtype=np.int64)
-        vals = np.empty(num_terms)
-        for idx in range(num_terms):
-            line = fh.readline()
-            if not line:
-                raise QuboParseError(f"{path}: expected {num_terms} terms, got {idx}")
-            parts = line.split()
-            try:
-                rows[idx], cols[idx], vals[idx] = int(parts[0]), int(parts[1]), float(parts[2])
-            except (IndexError, ValueError) as exc:
-                raise QuboParseError(f"{path}:{idx + 2}: bad term line {line!r}") from exc
-        if any(line.strip() for line in fh):
+        rows, cols, vals, rest = _read_terms(fh, path, num_terms)
+        if rest.decode("utf-8").strip() or any(
+                text.strip() for text in iter(lambda: fh.read(_CHUNK_CHARS), "")):
             raise QuboParseError(f"{path}: more lines than the {num_terms} terms declared")
     if np.any(rows > cols) or np.any(cols >= num_vars) or np.any(rows < 0):
         raise QuboParseError(f"{path}: term indices out of range or not upper-triangular")

@@ -227,23 +227,36 @@ def _assignments(fixed: np.ndarray, chunk: int = 1 << 18):
         yield (((idx[:, None] >> shift) & free) | keep).astype(np.int8)
 
 
-def _enumerate(run: _Run, A: np.ndarray, offset: float, fixed: np.ndarray) -> None:
-    """Offer the best completion of `fixed`, chunk by chunk, to the run."""
+def _enumerate(run: _Run, A: np.ndarray, offset: float, fixed: np.ndarray) -> int:
+    """Offer the best completion of `fixed`, chunk by chunk, to the run.
+
+    Returns the number of completions enumerated: all of them, unless the
+    run's budget, counted in completions, is spent between two chunks.
+    """
+    done = 0
     for X in _assignments(fixed):
+        if done and run.spent(done):
+            break
         E = dense_energies(A, offset, X)
         j = int(np.argmin(E))
         run.offer(float(E[j]), X[j])
+        done += len(X)
+    return done
 
 
 def solve_exact(qubo, budget: SolveBudget | None = None) -> SolveReport:
-    """Global minimum by chunked enumeration of all 2^n assignments."""
+    """Global minimum by chunked enumeration of all 2^n assignments.
+
+    The budget is tested between chunks, an iteration being one assignment;
+    a stopped enumeration certifies nothing and reports no lower bound.
+    """
     n = qubo.num_vars
     if n > EXACT_CAP:
         raise QuboError(f"solve_exact supports at most {EXACT_CAP} variables, got {n}")
     A, offset, block = _dense(qubo)
     run = _Run("exact", block, budget)
-    _enumerate(run, A, offset, np.full(n, -1, dtype=np.int8))
-    return run.report(1 << n, bound=math.inf)
+    done = _enumerate(run, A, offset, np.full(n, -1, dtype=np.int8))
+    return run.report(done, bound=math.inf if done == 1 << n else None)
 
 
 # --- branch and bound --------------------------------------------------------

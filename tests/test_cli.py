@@ -181,8 +181,9 @@ def test_quantum_huge_header_exits_3(tmp_path, capsys, kind):
     ["solve", "--solver", "abs", "--max-iterations", "-5"],
     ["solve", "--time-limit", "0"],
     ["sweep", "--time-limit", "0"],
+    ["sweep", "--max-iterations", "0"],
 ], ids=["sa-zero-iterations", "bnb-zero-iterations", "abs-zero-iterations",
-        "negative-iterations", "solve-zero-time", "sweep-zero-time"])
+        "negative-iterations", "solve-zero-time", "sweep-zero-time", "sweep-zero-iterations"])
 def test_non_positive_budget_exits_2(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as exc:
         run(*argv, "--toy", "--out", str(tmp_path / "r.out"))
@@ -197,6 +198,25 @@ def test_sweep_toy_default_grid(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "q,solver,objective,lower_bound,gap_pct,tts_s,profit,risk_term"
     assert len(lines) == 9  # header + the eight standard q values
+
+
+def test_sweep_passes_its_budget_to_sweep_q(tmp_path, monkeypatch):
+    from qubofolio import cli
+    from qubofolio.evaluation import sweep_q
+
+    budgets = []
+
+    def recording_sweep(spec, q_list, solver, budget):
+        budgets.append(budget)
+        return sweep_q(spec, q_list, solver, budget)
+
+    monkeypatch.setattr(cli, "sweep_q", recording_sweep)
+    out = tmp_path / "pareto.csv"
+    assert run("sweep", "--toy", "--solver", "abs", "--q", "0,1e-3", "--max-iterations", "3",
+               "--time-limit", "30", "--seed", "4", "--out", str(out)) == 0
+    [budget] = budgets
+    assert (budget.max_iterations, budget.time_limit, budget.seed) == (3, 30.0, 4)
+    assert len(out.read_text().splitlines()) == 3
 
 
 def test_sweep_all_failed_exits_5(tmp_path):
@@ -246,8 +266,9 @@ def test_missing_qubo_file_exits_4(tmp_path, command):
     b"p qubo 2 1 0.0\n0 0 nan\n",
     b"p qubo 2 1 inf\n0 0 1.0\n",
     b"\xff\xfe\n",
+    b"p qubo 2 1 0.0\n0 1 2.0 junk\n",
 ], ids=["negative-count", "count-beyond-file", "extra-term", "nan-value", "inf-offset",
-        "not-utf8"])
+        "not-utf8", "extra-field"])
 def test_malformed_qubo_file_exits_4(tmp_path, content):
     path = tmp_path / "bad.qubo"
     path.write_bytes(content)

@@ -15,6 +15,7 @@ from qubofolio.evaluation import (
     risk_quadratic,
     sweep_q,
 )
+from qubofolio import qubo as qubo_module
 from qubofolio.qubo import objective_breakdown
 from qubofolio.solvers import SolveBudget
 from qubofolio.toy import cash_only_bits, random_sparse_qubo, toy_spec
@@ -205,3 +206,22 @@ def test_risk_quadratic_independent_of_q():
 def test_exact_sweep_rows_have_zero_gap():
     table = sweep_q(toy_spec(n=3, T=2, B=2, seed=0), DEFAULT_Q_GRID, "exact")
     assert [row.gap_pct for row in table.rows] == [0.0] * len(DEFAULT_Q_GRID)
+
+
+def test_economic_metrics_resolves_no_penalty(monkeypatch):
+    spec = toy_spec(n=3, T=2, q=1e-3, seed=7)
+    bits = np.random.default_rng(7).integers(0, 2, spec.layout.total)
+    breakdown = objective_breakdown(spec, bits)
+    metrics = economic_metrics(spec, bits)
+    calls = []
+    resolve = qubo_module.resolve_penalty
+
+    def counting_resolve(*args):
+        calls.append(args)
+        return resolve(*args)
+
+    monkeypatch.setattr(qubo_module, "resolve_penalty", counting_resolve)
+    assert economic_metrics(spec, bits) == metrics
+    assert calls == []
+    assert objective_breakdown(spec, bits) == breakdown
+    assert len(calls) == 1

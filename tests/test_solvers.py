@@ -73,6 +73,23 @@ def test_solve_exact_matches_brute_force(seed):
     assert float(dense_energies(A, off, report.best[None, :])[0]) == report.best_energy
 
 
+def test_solve_exact_stops_on_its_time_limit():
+    sq = random_sparse_qubo(22, 1)
+    report = solve_exact(sq, SolveBudget(time_limit=1e-3))
+    assert 0 < report.iterations < 1 << 22
+    assert report.lower_bound is None
+    assert report.best_energy == energy(_as_block(sq), report.best)
+
+
+def test_solve_exact_counts_states_against_max_iterations():
+    sq = random_sparse_qubo(20, 2)
+    stopped = solve_exact(sq, SolveBudget(max_iterations=1))
+    assert stopped.iterations == 1 << 18  # one chunk, then the budget is spent
+    assert stopped.lower_bound is None
+    full = solve_exact(sq, SolveBudget(max_iterations=1 << 20))
+    assert full.iterations == 1 << 20 and full.lower_bound == full.best_energy
+
+
 def test_solve_exact_enforces_cap():
     sq = random_sparse_qubo(EXACT_CAP + 1, seed=0)
     with pytest.raises(QuboError, match="at most"):

@@ -1,0 +1,216 @@
+"""The chunked QUBO/Ising text writer and reader against per-line reference code.
+
+Chunk sizes are patched down to a few lines or characters, so every file
+here spans many chunks and every line layout meets a chunk boundary.
+"""
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qubofolio import qubo as qubo_module
+from qubofolio.qubo import (
+    IsingModel,
+    QuboParseError,
+    SparseQubo,
+    read_qubo_text,
+    to_ising,
+    write_ising_text,
+    write_qubo_text,
+)
+from qubofolio.toy import random_sparse_qubo
+
+SPECIAL = [-0.0, 0.0, 5e-324, 0.1, 2.0, 1e16, 1e22, -1.7976931348623157e308]
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    monkeypatch.setattr(qubo_module, "_CHUNK_LINES", 7)
+    monkeypatch.setattr(qubo_module, "_CHUNK_CHARS", 7)
+
+
+def reference_lines(rows, cols, vals) -> str:
+    return "".join(f"{int(i)} {int(j)} {float(v)!r}\n" for i, j, v in zip(rows, cols, vals))
+
+
+def reference_terms(text: str):
+    """The header's count of term lines, parsed one at a time with int, int, float."""
+    header, *lines = text.splitlines()
+    lines = lines[: int(header.split()[3])]
+    rows = np.array([int(line.split()[0]) for line in lines], dtype=np.int64)
+    cols = np.array([int(line.split()[1]) for line in lines], dtype=np.int64)
+    vals = np.array([float(line.split()[2]) for line in lines])
+    return rows, cols, vals
+
+
+def assert_bits_equal(got, want):
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def sample_terms(num_vars: int, seed: int):
+    """Distinct upper-triangular pairs carrying SPECIAL, repeated and random values."""
+    rng = np.random.default_rng(seed)
+    iu, ju = np.triu_indices(num_vars)
+    vals = rng.normal(scale=10.0 ** rng.integers(-300, 300, len(iu)))
+    vals[rng.integers(0, 4, len(iu)) == 0] = 0.25  # runs of one repeated value
+    vals[: len(SPECIAL)] = SPECIAL
+    return iu, ju, vals
+
+
+def test_writer_bytes_match_reference_formatter(tmp_path, small_chunks):
+    rows, cols, vals = sample_terms(12, seed=1)
+    sq = SparseQubo(num_vars=12, rows=rows, cols=cols, vals=vals, offset=-0.0)
+    path = tmp_path / "a.qubo"
+    write_qubo_text(sq, path)
+    header = f"p qubo 12 {len(vals)} -0.0\n"
+    assert path.read_bytes() == (header + reference_lines(rows, cols, vals)).encode()
+    assert "\n0 0 -0.0\n0 1 0.0\n0 2 5e-324\n" in path.read_text()
+
+
+def test_ising_writer_bytes_match_reference_formatter(tmp_path, small_chunks):
+    _, _, vals = sample_terms(12, seed=2)
+    h = np.zeros(15)
+    h[[0, 3, 4, 9, 14]] = SPECIAL[1:6]  # the zero field is left out
+    ising = IsingModel(h=h, j_rows=np.arange(9), j_cols=np.arange(1, 10), j_vals=vals[:9],
+                       offset=1e22)
+    path = tmp_path / "a.ising"
+    write_ising_text(ising, path)
+    h_idx = np.array([3, 4, 9, 14])
+    expected = ("p ising 15 13 1e+22\n" + reference_lines(h_idx, h_idx, h[h_idx])
+                + reference_lines(ising.j_rows, ising.j_cols, ising.j_vals))
+    assert path.read_bytes() == expected.encode()
+
+
+def test_writer_handles_an_empty_model_and_wide_indices(tmp_path, small_chunks):
+    path = tmp_path / "empty.qubo"
+    write_qubo_text(SparseQubo(num_vars=3, rows=np.zeros(0, dtype=np.int64),
+                               cols=np.zeros(0, dtype=np.int64), vals=np.zeros(0),
+                               offset=0.5), path)
+    assert path.read_bytes() == b"p qubo 3 0 0.5\n"
+    rows = np.array([7, 9, 123456789])
+    sq = SparseQubo(num_vars=10**9, rows=rows, cols=rows, vals=np.array([1.5, -2.0, 3.0]),
+                    offset=0.0)
+    write_qubo_text(sq, path)
+    assert path.read_text() == ("p qubo 1000000000 3 0.0\n7 7 1.5\n9 9 -2.0\n"
+                                "123456789 123456789 3.0\n")
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_reader_arrays_match_reference_parse(tmp_path, small_chunks, seed):
+    rows, cols, vals = sample_terms(15, seed=seed)
+    sq = SparseQubo(num_vars=15, rows=rows, cols=cols, vals=vals, offset=2.5)
+    path = tmp_path / "a.qubo"
+    write_qubo_text(sq, path)
+    want = reference_terms(path.read_text())
+    parsed = read_qubo_text(path)
+    assert_bits_equal((parsed.rows, parsed.cols, parsed.vals), want)
+    assert parsed.offset == 2.5
+
+
+@pytest.mark.parametrize("chunk", [7, 40, 1 << 21])
+def test_canonical_file_takes_no_per_line_parse(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(qubo_module, "_CHUNK_CHARS", chunk)
+    sq = random_sparse_qubo(30, seed=4)
+    path = tmp_path / "a.qubo"
+    write_qubo_text(sq, path)
+
+    def per_line(*args):
+        raise AssertionError("a canonical chunk was parsed line by line")
+
+    monkeypatch.setattr(qubo_module, "_parse_lines", per_line)
+    parsed = read_qubo_text(path)
+    assert_bits_equal((parsed.rows, parsed.cols, parsed.vals), (sq.rows, sq.cols, sq.vals))
+
+
+@pytest.mark.parametrize("layout", ["crlf", "cr", "tabs", "spaces", "signs", "no-final-newline",
+                                    "trailing-blank-lines"])
+def test_reader_matches_reference_on_other_layouts(tmp_path, small_chunks, layout):
+    rows, cols, vals = sample_terms(9, seed=5)
+    lines = [f"{i} {j} {v!r}" for i, j, v in zip(rows, cols, vals.tolist())]
+    sep, tail = "\n", "\n"
+    if layout == "crlf":
+        sep = tail = "\r\n"
+    elif layout == "cr":
+        sep = tail = "\r"
+    elif layout == "tabs":
+        lines = [line.replace(" ", "\t") for line in lines]
+    elif layout == "spaces":
+        lines = ["  " + line.replace(" ", "   ") + " " for line in lines]
+    elif layout == "signs":
+        lines = [f"+{i} 0{j} {v!r}" if repr(v)[0] == "-" else f"+{i} 0{j} +{v!r}"
+                 for i, j, v in zip(rows, cols, vals.tolist())]
+    elif layout == "no-final-newline":
+        tail = ""
+    elif layout == "trailing-blank-lines":
+        tail = "\n\n  \n\t\n"
+    path = tmp_path / "a.qubo"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(f"p qubo 9 {len(lines)} 0.0{sep}" + sep.join(lines) + tail)
+    parsed = read_qubo_text(path)
+    want = reference_terms(path.read_text())
+    assert_bits_equal((parsed.rows, parsed.cols, parsed.vals), want)
+
+
+def test_malformed_line_in_third_chunk_reports_its_line(tmp_path, monkeypatch):
+    monkeypatch.setattr(qubo_module, "_CHUNK_CHARS", 25)
+    lines = ["0 1 0.125"] * 12  # 10 characters with the newline: chunks hold 2-3 lines
+    lines[6] = "0 1 0.1x5"  # file line 8, read in the third chunk
+    path = tmp_path / "bad.qubo"
+    path.write_text("p qubo 2 12 0.0\n" + "\n".join(lines) + "\n")
+    with pytest.raises(QuboParseError, match=r"bad\.qubo:8: bad term line '0 1 0\.1x5\\n'"):
+        read_qubo_text(path)
+
+
+@pytest.mark.parametrize("line", ["0 1 2.0 junk", "0 1", "", "0 1 2.0 3.0", "0 1 1e5x",
+                                  "0 1 2.0\0", "1" * 20 + " 1 2.0", "0 1.0 2.0"])
+def test_reader_rejects_bad_term_lines(tmp_path, small_chunks, line):
+    path = tmp_path / "bad.qubo"
+    path.write_text("p qubo 2 3 0.0\n0 0 1.0\n" + line + "\n1 1 1.0\n")
+    with pytest.raises(QuboParseError, match=r"bad\.qubo:3: bad term line"):
+        read_qubo_text(path)
+
+
+def test_reader_keeps_its_file_checks(tmp_path, small_chunks):
+    path = tmp_path / "a.qubo"
+    path.write_text("p qubo 2 3 0.0\n0 0 1.0\n0 1 2.0\n")
+    with pytest.raises(QuboParseError, match="expected 3 terms, got 2"):
+        read_qubo_text(path)
+    path.write_text("p qubo 2 1 0.0\n0 0 1.0\n\n0 1 2.0\n")
+    with pytest.raises(QuboParseError, match="more lines than the 1 terms declared"):
+        read_qubo_text(path)
+    path.write_text("p qubo 2 2 0.0\n0 0 1.0\n0 1 1e999\n")
+    with pytest.raises(QuboParseError, match="non-finite term value"):
+        read_qubo_text(path)
+    path.write_text("p qubo 2 2 0.0\n0 0 1.0\n1 0 2.0\n")
+    with pytest.raises(QuboParseError, match="out of range or not upper-triangular"):
+        read_qubo_text(path)
+
+
+def test_ising_round_trip_across_chunks(tmp_path, small_chunks):
+    ising = to_ising(random_sparse_qubo(11, seed=6))
+    first, second = tmp_path / "a.ising", tmp_path / "b.ising"
+    write_ising_text(ising, first)
+    parsed = read_qubo_text(first)
+    write_ising_text(parsed, second)
+    assert first.read_bytes() == second.read_bytes()
+    assert np.array_equal(parsed.h.view(np.int64), ising.h.view(np.int64))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40),
+                          st.floats(-1e300, 1e300, allow_nan=False),
+                          st.sampled_from([" ", "\t", "  "])), min_size=1, max_size=30),
+       st.integers(1, 64))
+def test_reader_matches_reference_on_random_files(tmp_path_factory, terms, chunk):
+    lines = [f"{min(i, j)}{sp}{max(i, j)}{sp}{v!r}" for i, j, v, sp in terms]
+    path = tmp_path_factory.mktemp("random") / "r.qubo"
+    path.write_text(f"p qubo 41 {len(lines)} 0.0\n" + "\n".join(lines) + "\n")
+    want = reference_terms(path.read_text())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qubo_module, "_CHUNK_CHARS", chunk)
+        parsed = read_qubo_text(path)
+    # SparseQubo sums repeated pairs, so compare against the same summation
+    expected = SparseQubo(num_vars=41, rows=want[0], cols=want[1], vals=want[2], offset=0.0)
+    assert_bits_equal((parsed.rows, parsed.cols, parsed.vals),
+                      (expected.rows, expected.cols, expected.vals))
