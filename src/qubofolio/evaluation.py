@@ -53,7 +53,8 @@ class Metrics:
 
     Component identity: net_profit = gross_profit - total_transaction_cost
     - total_short_cost + total_cash_interest - liquidation_cost.
-    sharpe_annualized is None for zero-variance (e.g. all-cash) strategies.
+    Equal per-step returns (e.g. all-cash) have zero variance: realized_variance
+    is 0.0 and sharpe_annualized is None.
     """
 
     gross_profit: float
@@ -77,26 +78,19 @@ def economic_metrics(spec: ProblemSpec, bits) -> Metrics:
     mean(r_t - rho_c) / std(r_t, unbiased) * sqrt(252).  Requires T >= 2
     for the Sharpe ratio (the standard deviation needs two samples).
     """
-    comp = _cash_flows(spec, _bits_by_step(spec, bits),
-                       build_qubo(spec, include_penalty=False).cross)
+    comp = _cash_flows(spec, _bits_by_step(spec, bits))
     pnl = (comp["gross_profit"] - comp["transaction"] - comp["short_cost"]
            + comp["cash_interest"] - comp["liquidation"])
     capital = spec.C * spec.params.u
     returns = pnl / capital
-    T = spec.T
 
-    sharpe: float | None
-    if T < 2:
-        sharpe = None
-    else:
+    # np.mean can round equal returns to a different value and so give them a tiny std.
+    sharpe: float | None = None
+    variance = 0.0
+    if spec.T >= 2 and np.ptp(returns) != 0.0:
+        variance = float(np.var(returns, ddof=1))
         std = float(np.std(returns, ddof=1))
-        if std == 0.0:
-            sharpe = None  # no-risk marker: zero-variance strategy
-        else:
-            excess = returns - spec.params.rho_c
-            sharpe = float(np.mean(excess) / std * math.sqrt(252.0))
-
-    variance = float(np.var(returns, ddof=1)) if T >= 2 else 0.0
+        sharpe = float(np.mean(returns - spec.params.rho_c) / std * math.sqrt(252.0))
     return Metrics(
         gross_profit=float(comp["gross_profit"].sum()),
         net_profit=float(pnl.sum()),

@@ -75,10 +75,6 @@ class BlockPrices:
         if p.ndim != 2 or p.shape[1] < 2:
             raise MarketDataError("block prices need at least 2 time columns")
 
-    @property
-    def horizon(self) -> int:
-        return self.p.shape[1] - 1
-
 
 @dataclass(frozen=True)
 class CovarianceSeries:

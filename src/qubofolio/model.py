@@ -137,13 +137,6 @@ class VariableLayout:
     def kn(self) -> int:
         return self.k * self.n
 
-    def step_slice(self, t: int) -> slice:
-        """Flat index range of step t (1-based)."""
-        if not 1 <= t <= self.T:
-            raise ModelError(f"step {t} out of range 1..{self.T}")
-        start = (t - 1) * self.step_width
-        return slice(start, start + self.step_width)
-
 
 def layout(n: int, T: int, k: int, B: int, C: int) -> VariableLayout:
     return VariableLayout(n=n, T=T, k=k, B=B, C=C)

@@ -179,26 +179,31 @@ def _linear_terms(spec: ProblemSpec, lay: VariableLayout) -> dict[str, np.ndarra
     }
 
 
+def _turnover_band(terms: dict[str, np.ndarray]) -> np.ndarray:
+    """cross, the (T-1, w) band -2 * exit leg at steps 1..T-1, +0.0 off the trading slots."""
+    return 0.0 - 2.0 * terms["exit"][:-1]
+
+
 def resolve_penalty(spec: ProblemSpec) -> float:
     """Penalty weight of build_qubo: explicit P if given, else 10 * max |coefficient| * (B + C).
 
     A risk entry is q * (w_i p_a)(w_j p_b) * Sigma_ab for the assets a, b of
     slots i, j with weights w = +-1, and every asset owns a slot, so the
     (n, n) products q * p_a p_b * Sigma_ab hold exactly the risk magnitudes.
-    The turnover band is 2 * delta * p at steps 2..T.
+    The turnover band is build_qubo's cross.
     """
     prm = spec.params
     if prm.P is not None:
         return prm.P
     lay = spec.layout
     p = spec.prices.p
-    maxcoef = np.abs(sum(_linear_terms(spec, lay).values())).max()
+    terms = _linear_terms(spec, lay)
+    band = np.abs(_turnover_band(terms)).max(initial=0.0)
+    maxcoef = max(np.abs(sum(terms.values())).max(), band)
     if prm.q > 0:
         for t in range(lay.T):
             risk = prm.q * np.outer(p[:, t], p[:, t]) * spec.covariances.sigma[t]
             maxcoef = max(maxcoef, np.abs(risk).max())
-    if lay.T > 1:
-        maxcoef = max(maxcoef, np.abs(2.0 * prm.delta * p[:, 1 : lay.T]).max())
     if maxcoef == 0.0:
         return 1.0
     return float(10.0 * maxcoef * (spec.B + spec.C))
@@ -208,10 +213,7 @@ def build_qubo(spec: ProblemSpec, include_penalty: bool = True) -> BlockQubo:
     """Assemble the full minimization objective in block-banded form; without penalty P = 0."""
     lay = spec.layout
     kn2 = 2 * lay.kn
-    linear = sum(_linear_terms(spec, lay).values())
-    cross = np.zeros((max(lay.T - 1, 0), lay.step_width))
-    p_band = spec.prices.p[lay.asset_of[:kn2], 1 : lay.T]  # slot prices at steps 2..T
-    cross[:, :kn2] = (-2.0 * spec.params.delta * p_band).T
+    terms = _linear_terms(spec, lay)
     wvec = lay.tau_of[:kn2].astype(float) if spec.signed_risk else np.ones(kn2)
     wp = np.zeros((lay.T, lay.step_width))
     wp[:, :kn2] = wvec * spec.prices.p[lay.asset_of[:kn2], : lay.T].T
@@ -222,8 +224,8 @@ def build_qubo(spec: ProblemSpec, include_penalty: bool = True) -> BlockQubo:
         scale=spec.params.q,
         budget_rows=lay.budget_rows.astype(float),
         budget_rhs=np.array([spec.B, spec.C], dtype=float),
-        cross=cross,
-        linear=linear.ravel(),
+        cross=_turnover_band(terms),
+        linear=sum(terms.values()).ravel(),
         offset=0.0,
         penalty_weight=resolve_penalty(spec) if include_penalty else 0.0,
     )
@@ -355,40 +357,33 @@ def apply_flip(qubo: BlockQubo, bits: np.ndarray, i: int, deltas: np.ndarray) ->
 
 
 def to_sparse(qubo: BlockQubo) -> SparseQubo:
-    """Collapse the block form, one step at a time, into sorted upper-triangular triplets."""
+    """Collapse the block form, one step at a time, into sorted upper-triangular triplets.
+
+    Step t is one (w, w + 1) table: row i holds the diagonal term at column i,
+    the pair terms 2 * D_ij at columns j > i, and the band term to (t + 1, i)
+    at column w.  Its nonzero entries, row-major, are already in (i, j) order.
+    """
     T, w = qubo.wp.shape
     P = qubo.penalty_weight
     linear = qubo.linear.reshape(T, w) + (-2.0 * P) * (qubo.budget_rhs @ qubo.budget_rows)
     rows: list[np.ndarray] = []
     cols: list[np.ndarray] = []
     vals: list[np.ndarray] = []
-    iu, ju = np.triu_indices(w, k=1)
+    idx = np.arange(w)
     for t in range(T):
-        base = t * w
         D = _block_columns(qubo, t, slice(None))
-        diag_vals = linear[t] + np.diagonal(D)
-        idx = np.arange(base, base + w)
-        rows.append(idx)
-        cols.append(idx)
-        vals.append(diag_vals)
-        pair = 2.0 * D[iu, ju]
-        rows.append(base + iu)
-        cols.append(base + ju)
-        vals.append(pair)
+        table = np.zeros((w, w + 1))
+        table[:, :w] = np.triu(2.0 * D, 1)
+        table[idx, idx] = linear[t] + np.diagonal(D)
         if t < T - 1:
-            slots = np.flatnonzero(qubo.cross[t])
-            rows.append(base + slots)
-            cols.append(base + w + slots)
-            vals.append(qubo.cross[t, slots])
-    r = np.concatenate(rows)
-    c = np.concatenate(cols)
-    v = np.concatenate(vals)
-    keep = v != 0.0
-    r, c, v = r[keep], c[keep], v[keep]
-    order = np.lexsort((c, r))
-    r, c, v = r[order], c[order], v[order]  # the unsorted copies go before the canonical check
+            table[:, w] = qubo.cross[t]
+        r, c = np.nonzero(table)
+        vals.append(table[r, c])
+        rows.append(t * w + r)
+        cols.append(t * w + np.where(c == w, w + r, c))
     offset = qubo.offset + P * T * float(qubo.budget_rhs @ qubo.budget_rhs)
-    return SparseQubo(num_vars=qubo.num_vars, rows=r, cols=c, vals=v, offset=offset)
+    return SparseQubo(num_vars=qubo.num_vars, rows=np.concatenate(rows),
+                      cols=np.concatenate(cols), vals=np.concatenate(vals), offset=offset)
 
 
 _DENSE_LIMIT = 8192
@@ -450,15 +445,13 @@ def _bits_by_step(spec: ProblemSpec, bits) -> np.ndarray:
     return _check_assignment(lay, bits).astype(float).reshape(lay.T, lay.step_width)
 
 
-def _cash_flows(spec: ProblemSpec, x: np.ndarray, cross: np.ndarray) -> dict[str, np.ndarray]:
-    """Every step_components entry but risk and penalty, at x (T, w).
-
-    cross is build_qubo's turnover band; it needs no penalty weight.
-    """
+def _cash_flows(spec: ProblemSpec, x: np.ndarray) -> dict[str, np.ndarray]:
+    """Every step_components entry but risk and penalty, at x (T, w); no penalty is resolved."""
     lay = spec.layout
-    term = {name: (row * x).sum(axis=1) for name, row in _linear_terms(spec, lay).items()}
+    terms = _linear_terms(spec, lay)
+    term = {name: (row * x).sum(axis=1) for name, row in terms.items()}
     transaction = term["entry"]
-    transaction[1:] += term["exit"][:-1] + (cross * x[:-1] * x[1:]).sum(axis=1)
+    transaction[1:] += term["exit"][:-1] + (_turnover_band(terms) * x[:-1] * x[1:]).sum(axis=1)
     liquidation = np.zeros(lay.T)
     liquidation[-1] = term["exit"][-1]
     return {
@@ -480,7 +473,7 @@ def step_components(spec: ProblemSpec, bits) -> dict[str, np.ndarray]:
     x = _bits_by_step(spec, bits)
     qubo = build_qubo(spec)
     risk, penalty = _step_terms(qubo, x)
-    return {"risk": risk, **_cash_flows(spec, x, qubo.cross), "penalty": penalty}
+    return {"risk": risk, **_cash_flows(spec, x), "penalty": penalty}
 
 
 def objective_breakdown(spec: ProblemSpec, bits) -> dict[str, float]:

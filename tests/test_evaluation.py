@@ -15,10 +15,11 @@ from qubofolio.evaluation import (
     risk_quadratic,
     sweep_q,
 )
+from qubofolio import evaluation as evaluation_module
 from qubofolio import qubo as qubo_module
 from qubofolio.qubo import objective_breakdown
 from qubofolio.solvers import SolveBudget
-from qubofolio.toy import cash_only_bits, random_sparse_qubo, toy_spec
+from qubofolio.toy import cash_only_bits, random_sparse_qubo, synthetic_spec, toy_spec
 
 
 def _flat_spec(T=2, delta=0.001, u=100_000.0):
@@ -214,14 +215,30 @@ def test_economic_metrics_resolves_no_penalty(monkeypatch):
     breakdown = objective_breakdown(spec, bits)
     metrics = economic_metrics(spec, bits)
     calls = []
+    builds = []
     resolve = qubo_module.resolve_penalty
+    build = qubo_module.build_qubo
 
     def counting_resolve(*args):
         calls.append(args)
         return resolve(*args)
 
+    def counting_build(*args, **kwargs):
+        builds.append(args)
+        return build(*args, **kwargs)
+
     monkeypatch.setattr(qubo_module, "resolve_penalty", counting_resolve)
+    monkeypatch.setattr(qubo_module, "build_qubo", counting_build)
+    monkeypatch.setattr(evaluation_module, "build_qubo", counting_build)
     assert economic_metrics(spec, bits) == metrics
-    assert calls == []
+    assert calls == [] and builds == []
     assert objective_breakdown(spec, bits) == breakdown
-    assert len(calls) == 1
+    assert len(calls) == 1 and len(builds) == 1
+
+
+def test_equal_returns_have_zero_variance():
+    # every all-cash return is 1e-4, yet np.mean rounds them to 1.0000000000000002e-4
+    spec = synthetic_spec(n=2, T=7, seed=1)
+    metrics = economic_metrics(spec, cash_only_bits(spec))
+    assert metrics.realized_variance == 0.0
+    assert metrics.sharpe_annualized is None

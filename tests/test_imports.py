@@ -1,13 +1,15 @@
 """Every name a library module imports is used in that module, every
-private top-level name is used somewhere in the package, and every name
-a module exports exists."""
+private top-level name is used somewhere in the package, every public
+method of a package class is referenced as an attribute in the package,
+its tests or its demos, and every name a module exports exists."""
 import ast
 import importlib
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "qubofolio"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "qubofolio"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -79,6 +81,42 @@ def test_orphaned_private_name_is_reported():
         "b.py": "from a import _used\n\n\nclass _Spare:\n    pass\n\n\n_used()\n",
     }
     assert _orphaned_private_names(sources) == ["a.py:_LIMIT", "a.py:_orphan", "b.py:_Spare"]
+
+
+def _public_methods(tree: ast.Module):
+    """(class, name) of every public method or property of a top-level class."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            yield from ((node.name, item.name) for item in node.body
+                        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"))
+
+
+def _orphaned_public_methods(sources: dict[str, str], readers: list[str]) -> list[str]:
+    """Public methods of the classes in sources that no `.name` in sources or readers reaches."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    used = {node.attr for tree in [*trees.values(), *map(ast.parse, readers)]
+            for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    return sorted(f"{module}:{cls}.{name}" for module, tree in trees.items()
+                  for cls, name in _public_methods(tree) if name not in used)
+
+
+def test_every_public_method_is_referenced():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    readers = [p.read_text(encoding="utf-8") for folder in ("tests", "demos")
+               for p in (ROOT / folder).glob("*.py")]
+    assert _orphaned_public_methods(sources, readers) == []
+
+
+def test_orphaned_public_method_is_reported():
+    sources = {
+        "a.py": "class Box:\n    def used(self):\n        pass\n\n    @property\n"
+                "    def size(self):\n        return 1\n\n    def grow(self):\n        pass\n\n"
+                "    def _hidden(self):\n        pass\n\n\ndef spare():\n    pass\n",
+        "b.py": "from a import Box\n\n\nclass _Run:\n    def offer(self):\n        pass\n\n\n"
+                "Box().used()\n",
+    }
+    readers = ["from a import Box\n\n\ndef offer():\n    pass\n\n\noffer()\nprint(Box().size)\n"]
+    assert _orphaned_public_methods(sources, readers) == ["a.py:Box.grow", "b.py:_Run.offer"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -2,6 +2,7 @@
 delta machinery, format conversions, and text round-trips.
 """
 import dataclasses
+import itertools
 import math
 import tracemalloc
 
@@ -162,6 +163,65 @@ def test_sparse_is_upper_triangular_and_sorted():
     order = np.lexsort((sparse.cols, sparse.rows))
     assert np.array_equal(order, np.arange(len(sparse.rows)))
     assert not np.any(sparse.vals == 0.0)
+
+
+def reference_to_sparse(qubo):
+    """The concatenate-mask-lexsort export: every step's diagonal, pair and band
+    pieces, zeros masked out, then one global sort by (i, j)."""
+    T, w = qubo.wp.shape
+    P = qubo.penalty_weight
+    linear = qubo.linear.reshape(T, w) + (-2.0 * P) * (qubo.budget_rhs @ qubo.budget_rows)
+    rows, cols, vals = [], [], []
+    iu, ju = np.triu_indices(w, k=1)
+    for t in range(T):
+        base = t * w
+        D = qubo_module._block_columns(qubo, t, slice(None))
+        idx = np.arange(base, base + w)
+        rows += [idx, base + iu]
+        cols += [idx, base + ju]
+        vals += [linear[t] + np.diagonal(D), 2.0 * D[iu, ju]]
+        if t < T - 1:
+            slots = np.flatnonzero(qubo.cross[t])
+            rows.append(base + slots)
+            cols.append(base + w + slots)
+            vals.append(qubo.cross[t, slots])
+    r, c, v = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    keep = v != 0.0
+    r, c, v = r[keep], c[keep], v[keep]
+    order = np.lexsort((c, r))
+    offset = qubo.offset + P * T * float(qubo.budget_rhs @ qubo.budget_rhs)
+    return r[order], c[order], v[order], offset
+
+
+def _random_one_block(seed):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((9, 9))
+    A[rng.random((9, 9)) < 0.3] = 0.0
+    A += A.T
+    A[0, 1] = A[1, 0] = -0.0
+    return qubo_module._one_block(A, offset=0.25)
+
+
+def _export_cases():
+    for seed, T, signed, pen in itertools.product(range(3), (1, 2), (True, False), (True, False)):
+        spec = toy_spec(n=3, T=T, q=1e-3, seed=seed, signed_risk=signed)
+        yield pytest.param(build_qubo(spec, include_penalty=pen),
+                           id=f"toy-{seed}-T{T}-{'signed' if signed else 'unsigned'}-"
+                              f"{'penalty' if pen else 'free'}")
+    for seed in range(3):
+        yield pytest.param(_random_one_block(seed), id=f"one-block-{seed}")
+    spec = synthetic_spec(n=20, T=6, seed=5)
+    spec = dataclasses.replace(spec, params=dataclasses.replace(spec.params, P=1234.5))
+    yield pytest.param(build_qubo(spec), id="synthetic-20x6-explicit-P")
+
+
+@pytest.mark.parametrize("qubo", _export_cases())
+def test_to_sparse_equals_reference_bit_for_bit(qubo):
+    sparse = to_sparse(qubo)
+    rows, cols, vals, offset = reference_to_sparse(qubo)
+    assert np.array_equal(sparse.rows, rows) and np.array_equal(sparse.cols, cols)
+    assert np.array_equal(sparse.vals.view(np.int64), vals.view(np.int64))
+    assert np.float64(sparse.offset).view(np.int64) == np.float64(offset).view(np.int64)
 
 
 def test_ising_equivalence_exhaustive():
