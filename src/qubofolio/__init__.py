@@ -1,6 +1,9 @@
 """qubofolio: multi-period friction-aware portfolio optimization compiled
 to QUBO/BQP/Ising, with classical solvers, a statevector quantum
 simulator, and an evaluation harness.
+
+The simulator's names are loaded from `quantum`, and with it scipy, on
+first access.
 """
 
 from .evaluation import (
@@ -52,20 +55,9 @@ from .qubo import (
     to_dense,
     to_ising,
     to_sparse,
+    write_bqp_json,
     write_ising_text,
     write_qubo_text,
-)
-from .quantum import (
-    AnnealSchedule,
-    DiagonalCost,
-    QaoaParams,
-    QuantumSimError,
-    anneal_run,
-    diagonalize_cost,
-    normalize_ising,
-    qaoa_optimize,
-    qaoa_run,
-    vqe_run,
 )
 from .solvers import (
     PoolConfig,
@@ -80,3 +72,23 @@ from .solvers import (
 from .toy import cash_only_bits, random_sparse_qubo, synthetic_spec, toy_spec
 
 __version__ = "0.1.0"
+
+_QUANTUM_NAMES = frozenset({
+    "AnnealSchedule",
+    "DiagonalCost",
+    "QaoaParams",
+    "QuantumSimError",
+    "anneal_run",
+    "diagonalize_cost",
+    "normalize_ising",
+    "qaoa_optimize",
+    "qaoa_run",
+    "vqe_run",
+})
+
+
+def __getattr__(name):
+    if name in _QUANTUM_NAMES:
+        from . import quantum
+        return getattr(quantum, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

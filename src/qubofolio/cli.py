@@ -18,25 +18,13 @@ from .qubo import (
     IsingModel,
     QuboError,
     QuboParseError,
-    build_bqp,
     build_qubo,
     objective_breakdown,
     read_qubo_text,
     to_ising,
-    to_sparse,
+    write_bqp_json,
     write_ising_text,
     write_qubo_text,
-)
-from .quantum import (
-    AnnealSchedule,
-    QaoaParams,
-    normalize_ising,
-    QuantumSimError,
-    _check_cap,
-    anneal_run,
-    qaoa_optimize,
-    qaoa_run,
-    vqe_run,
 )
 from .solvers import SolveBudget, SolveReport
 from .toy import toy_spec
@@ -87,48 +75,18 @@ def _add_toy_flags(parser):
     parser.add_argument("--toy-q", type=float, default=1e-5, help="toy risk-aversion weight")
 
 
-def _bqp_json(spec: ProblemSpec) -> dict:
-    bqp = build_bqp(spec)
-    obj = bqp.objective
-
-    def row_doc(kind, step, row):
-        idx, coef, rhs = row
-        return {"kind": kind, "step": step,
-                "indices": [int(i) for i in idx],
-                "coeffs": [float(c) for c in coef],
-                "rhs": int(rhs)}
-
-    constraints = []
-    for t, row in enumerate(bqp.asset_rows, start=1):
-        constraints.append(row_doc("asset", t, row))
-    for t, row in enumerate(bqp.cash_rows, start=1):
-        constraints.append(row_doc("cash", t, row))
-    return {
-        "objective": {
-            "num_vars": obj.num_vars,
-            "offset": obj.offset,
-            "terms": [[int(i), int(j), float(v)]
-                      for i, j, v in zip(obj.rows, obj.cols, obj.vals)],
-        },
-        "constraints": constraints,
-    }
-
-
 def cmd_build(args) -> int:
     spec = _load_spec(args)
     qubo = build_qubo(spec)
-    sparse = to_sparse(qubo)
-    write_qubo_text(sparse, args.out)
-    print(f"wrote {args.out}: {sparse.num_vars} variables, {sparse.num_terms} terms")
+    num_terms = write_qubo_text(qubo, args.out)
+    print(f"wrote {args.out}: {qubo.num_vars} variables, {num_terms} terms")
     if args.ising:
         path = args.out + ".ising"
-        write_ising_text(to_ising(sparse), path)
+        write_ising_text(to_ising(qubo), path)
         print(f"wrote {path}")
     if args.bqp:
         path = args.out + ".bqp.json"
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(_bqp_json(spec), fh)
-            fh.write("\n")
+        write_bqp_json(spec, path)
         print(f"wrote {path}")
     return EXIT_OK
 
@@ -158,26 +116,33 @@ def cmd_solve(args) -> int:
 
 
 def cmd_quantum(args) -> int:
+    # imported here so that no other command loads scipy
+    from .quantum import (AnnealSchedule, QaoaParams, QuantumSimError, _check_cap, anneal_run,
+                          normalize_ising, qaoa_optimize, qaoa_run, vqe_run)
+
     problem = _load_problem(args)
-    # before any model-sized array: a file header can declare ~1e12 variables
-    _check_cap(problem.num_spins if isinstance(problem, IsingModel) else problem.num_vars)
-    if isinstance(problem, IsingModel):
-        ising = problem
-    else:
-        ising = to_ising(problem)
-    # currency-scale coefficients would swamp the unit-strength driver
-    ising, scale = normalize_ising(ising)
-    if args.algo == "qaoa":
-        if args.layers == 0:
-            doc = qaoa_run(ising, QaoaParams((), ()), shots=args.shots, seed=args.seed)
+    try:
+        # before any model-sized array: a file header can declare ~1e12 variables
+        _check_cap(problem.num_spins if isinstance(problem, IsingModel) else problem.num_vars)
+        if isinstance(problem, IsingModel):
+            ising = problem
         else:
-            params, _ = qaoa_optimize(ising, layers=args.layers, seed=args.seed)
-            doc = qaoa_run(ising, params, shots=args.shots, seed=args.seed)
-    elif args.algo == "vqe":
-        doc = vqe_run(ising, layers=max(args.layers, 1), seed=args.seed)
-    else:
-        schedule = AnnealSchedule(total_time=args.tau, dt=args.dt)
-        doc = anneal_run(ising, schedule, shots=args.shots, seed=args.seed)
+            ising = to_ising(problem)
+        # currency-scale coefficients would swamp the unit-strength driver
+        ising, scale = normalize_ising(ising)
+        if args.algo == "qaoa":
+            if args.layers == 0:
+                doc = qaoa_run(ising, QaoaParams((), ()), shots=args.shots, seed=args.seed)
+            else:
+                params, _ = qaoa_optimize(ising, layers=args.layers, seed=args.seed)
+                doc = qaoa_run(ising, params, shots=args.shots, seed=args.seed)
+        elif args.algo == "vqe":
+            doc = vqe_run(ising, layers=max(args.layers, 1), seed=args.seed)
+        else:
+            schedule = AnnealSchedule(total_time=args.tau, dt=args.dt)
+            doc = anneal_run(ising, schedule, shots=args.shots, seed=args.seed)
+    except QuantumSimError as exc:
+        raise CliError(EXIT_CAP, str(exc))
     doc["ground_energy"] *= scale
     doc["expectation"] *= scale
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -321,7 +286,7 @@ def main(argv=None) -> int:
     except QuboParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (QuboError, QuantumSimError) as exc:
+    except QuboError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
 

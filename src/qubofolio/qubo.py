@@ -15,7 +15,7 @@ couplings exist only between the same trading slot at adjacent steps (the
 transaction-cost band); slack bits never couple across steps.
 
 D_t is never stored, and `linear` and `offset` hold no penalty: the penalty
-is read as P * ||b - R x_t||^2, and only to_sparse writes its P-scale terms.
+is read as P * ||b - R x_t||^2, and only the export writes its P-scale terms.
 
 BlockQubo is immutable after build and may be shared read-only.
 Assignment arrays and delta caches are single-owner mutable state.
@@ -23,6 +23,7 @@ Assignment arrays and delta caches are single-owner mutable state.
 from __future__ import annotations
 
 import io
+import json
 import math
 import os
 from dataclasses import dataclass
@@ -53,6 +54,7 @@ __all__ = [
     "write_qubo_text",
     "read_qubo_text",
     "write_ising_text",
+    "write_bqp_json",
 ]
 
 
@@ -231,15 +233,20 @@ def build_qubo(spec: ProblemSpec, include_penalty: bool = True) -> BlockQubo:
     )
 
 
-def build_bqp(spec: ProblemSpec) -> BqpView:
-    """Objective identical to build_qubo minus penalties, plus equality rows."""
-    free = build_qubo(spec, include_penalty=False)
+def _bqp_rows(free: BlockQubo) -> list[list[tuple[np.ndarray, np.ndarray, int]]]:
+    """Per budget row (asset count, then cash): its (indices, coefficients, rhs) at each step."""
     T, w = free.wp.shape
     per_row = []
     for coef, rhs in zip(free.budget_rows, free.budget_rhs):
         idx = np.flatnonzero(coef)
         per_row.append([(t * w + idx, coef[idx].copy(), int(rhs)) for t in range(T)])
-    asset_rows, cash_rows = per_row
+    return per_row
+
+
+def build_bqp(spec: ProblemSpec) -> BqpView:
+    """Objective identical to build_qubo minus penalties, plus equality rows."""
+    free = build_qubo(spec, include_penalty=False)
+    asset_rows, cash_rows = _bqp_rows(free)
     return BqpView(objective=to_sparse(free), asset_rows=asset_rows, cash_rows=cash_rows)
 
 
@@ -356,34 +363,47 @@ def apply_flip(qubo: BlockQubo, bits: np.ndarray, i: int, deltas: np.ndarray) ->
     return float(change)
 
 
-def to_sparse(qubo: BlockQubo) -> SparseQubo:
-    """Collapse the block form, one step at a time, into sorted upper-triangular triplets.
+def _export_offset(qubo: BlockQubo) -> float:
+    """The exported constant: offset plus the penalty's P * ||b||^2 at every step."""
+    T = qubo.wp.shape[0]
+    return qubo.offset + qubo.penalty_weight * T * float(qubo.budget_rhs @ qubo.budget_rhs)
+
+
+def _step_tables(qubo: BlockQubo):
+    """Yield (t * w, table) for each step t, the export's one derivation of its terms.
 
     Step t is one (w, w + 1) table: row i holds the diagonal term at column i,
     the pair terms 2 * D_ij at columns j > i, and the band term to (t + 1, i)
-    at column w.  Its nonzero entries, row-major, are already in (i, j) order.
+    at column w.  Its nonzero entries, row-major, are already in (i, j) order,
+    and every step's indices lie above the previous step's.
     """
     T, w = qubo.wp.shape
     P = qubo.penalty_weight
     linear = qubo.linear.reshape(T, w) + (-2.0 * P) * (qubo.budget_rhs @ qubo.budget_rows)
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
     idx = np.arange(w)
+    pair = np.triu(np.full((w, w), 2.0), 1)  # below the diagonal D * 0.0 is +-0.0, never written
     for t in range(T):
         D = _block_columns(qubo, t, slice(None))
-        table = np.zeros((w, w + 1))
-        table[:, :w] = np.triu(2.0 * D, 1)
+        table = np.empty((w, w + 1))
+        np.multiply(D, pair, out=table[:, :w])
         table[idx, idx] = linear[t] + np.diagonal(D)
-        if t < T - 1:
-            table[:, w] = qubo.cross[t]
-        r, c = np.nonzero(table)
-        vals.append(table[r, c])
-        rows.append(t * w + r)
-        cols.append(t * w + np.where(c == w, w + r, c))
-    offset = qubo.offset + P * T * float(qubo.budget_rhs @ qubo.budget_rhs)
-    return SparseQubo(num_vars=qubo.num_vars, rows=np.concatenate(rows),
-                      cols=np.concatenate(cols), vals=np.concatenate(vals), offset=offset)
+        table[:, w] = qubo.cross[t] if t < T - 1 else 0.0
+        yield t * w, table
+
+
+def _table_terms(base: int, table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (rows, cols, vals) of one step's nonzero table entries, in (i, j) order."""
+    w = table.shape[0]
+    r, c = np.nonzero(table)
+    return base + r, base + np.where(c == w, w + r, c), table[r, c]
+
+
+def to_sparse(qubo: BlockQubo) -> SparseQubo:
+    """Collapse the block form into sorted upper-triangular triplets, the steps in order."""
+    steps = (_table_terms(*step) for step in _step_tables(qubo))
+    rows, cols, vals = (np.concatenate(part) for part in zip(*steps))
+    return SparseQubo(num_vars=qubo.num_vars, rows=rows, cols=cols, vals=vals,
+                      offset=_export_offset(qubo))
 
 
 _DENSE_LIMIT = 8192
@@ -520,10 +540,9 @@ def _float_repr(bits: np.ndarray):
     return map(repr, bits.view(np.float64).tolist())
 
 
-def _write_terms(fh, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> None:
-    """Write `i j value` lines to the binary file fh, one chunk of records at a time.
+def _term_chunks(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray):
+    """Yield the i, j and value texts of each chunk of terms as NUL-padded uint8 rows.
 
-    Each line is a zero-padded uint8 record; one mask drops the padding.
     Values are told apart by bit pattern, so -0.0 keeps its own repr, and
     repr runs once per distinct pattern in a chunk.  Index text comes from
     one table over the index range, or per chunk when that range is wider
@@ -541,18 +560,68 @@ def _write_terms(fh, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> No
     for a in range(0, len(vals), _CHUNK_LINES):
         sl = slice(a, a + _CHUNK_LINES)
         value = _text_rows(np.asarray(vals[sl], dtype=np.float64).view(np.uint64), _float_repr)
-        space = np.full((len(value), 1), ord(" "), dtype=np.uint8)
-        rec = np.hstack([index_text(rows[sl]), space, index_text(cols[sl]), space, value,
-                         np.full_like(space, ord("\n"))])
-        fh.write(rec[rec != 0])
+        yield index_text(rows[sl]), index_text(cols[sl]), value
 
 
-def write_qubo_text(sparse: SparseQubo, path) -> None:
-    """`p qubo <num_vars> <num_terms> <offset>` then `i j value` lines, i <= j."""
+def _records(*fields) -> np.ndarray:
+    """The bytes of one record per row: each field a uint8 row array or a bytes constant.
+
+    Records are laid side by side as zero-padded rows; one mask drops the padding.
+    """
+    count = len(next(f for f in fields if isinstance(f, np.ndarray)))
+    rec = np.hstack([f if isinstance(f, np.ndarray)
+                     else np.tile(np.frombuffer(f, dtype=np.uint8), (count, 1)) for f in fields])
+    return rec[rec != 0]
+
+
+def _write_terms(fh, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> None:
+    """Write `i j value` lines to the binary file fh, one chunk of records at a time."""
+    for i, j, value in _term_chunks(rows, cols, vals):
+        fh.write(_records(i, b" ", j, b" ", value, b"\n"))
+
+
+def write_qubo_text(qubo, path) -> int:
+    """`p qubo <num_vars> <num_terms> <offset>` then `i j value` lines, i <= j; returns num_terms.
+
+    A BlockQubo is written as to_sparse would give it, one step at a time:
+    a first pass counts the terms for the header, so no step is kept.
+    """
+    if isinstance(qubo, BlockQubo):
+        num_terms = sum(np.count_nonzero(table) for _, table in _step_tables(qubo))
+        offset = _export_offset(qubo)
+        steps = (_table_terms(*step) for step in _step_tables(qubo))
+    else:
+        num_terms, offset = qubo.num_terms, qubo.offset
+        steps = [(qubo.rows, qubo.cols, qubo.vals)]
     with open(path, "wb") as fh:
-        fh.write(f"p qubo {sparse.num_vars} {sparse.num_terms} {float(sparse.offset)!r}\n"
-                 .encode())
-        _write_terms(fh, sparse.rows, sparse.cols, sparse.vals)
+        fh.write(f"p qubo {qubo.num_vars} {num_terms} {float(offset)!r}\n".encode())
+        for rows, cols, vals in steps:
+            _write_terms(fh, rows, cols, vals)
+    return num_terms
+
+
+def write_bqp_json(spec: ProblemSpec, path) -> None:
+    """build_bqp(spec) as the JSON document json.dump writes, and a newline.
+
+    The objective's terms are [i, j, value] lists, streamed from the
+    penalty-free BlockQubo one step at a time; json.dump writes the rest.
+    """
+    free = build_qubo(spec, include_penalty=False)
+    constraints = [{"kind": kind, "step": t, "indices": idx.tolist(), "coeffs": coef.tolist(),
+                    "rhs": rhs}
+                   for kind, per_step in zip(("asset", "cash"), _bqp_rows(free))
+                   for t, (idx, coef, rhs) in enumerate(per_step, start=1)]
+    doc = {"objective": {"num_vars": free.num_vars, "offset": _export_offset(free), "terms": []},
+           "constraints": constraints}
+    head, mark, tail = json.dumps(doc).partition('"terms": [')
+    with open(path, "wb") as fh:
+        fh.write((head + mark).encode())
+        lead = len(b", ")  # the first term has no separator before it
+        for step in _step_tables(free):
+            for i, j, value in _term_chunks(*_table_terms(*step)):
+                fh.write(_records(b", [", i, b", ", j, b", ", value, b"]")[lead:])
+                lead = 0
+        fh.write(tail.encode() + b"\n")
 
 
 def write_ising_text(ising: IsingModel, path) -> None:
