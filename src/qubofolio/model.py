@@ -234,13 +234,18 @@ class ProblemSpec:
         return layout(self.n, self.T, self.k, self.B, self.C)
 
 
-def _check_assignment(lay: VariableLayout, bits) -> np.ndarray:
-    x = np.asarray(bits, dtype=np.int8).ravel()
-    if x.shape[0] != lay.total:
-        raise ModelError(f"assignment length {x.shape[0]} != layout total {lay.total}")
-    if x.size and (x.min() < 0 or x.max() > 1):
-        raise ModelError("assignment entries must be 0/1")
+def _zero_one(bits, size: int, error: type[ValueError] = ModelError) -> np.ndarray:
+    """bits as a flat array of `size` entries, each checked to be 0 or 1 before any cast."""
+    x = np.asarray(bits).ravel()
+    if x.shape[0] != size:
+        raise error(f"assignment length {x.shape[0]} != {size} variables")
+    if not ((x == 0) | (x == 1)).all():
+        raise error("assignment entries must be 0 or 1")
     return x
+
+
+def _check_assignment(lay: VariableLayout, bits) -> np.ndarray:
+    return _zero_one(bits, lay.total).astype(np.int8)
 
 
 @dataclass(frozen=True)

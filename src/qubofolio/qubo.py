@@ -27,10 +27,12 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from .model import ProblemSpec, VariableLayout, _check_assignment
+from .model import ProblemSpec, VariableLayout, _check_assignment, _zero_one
 
 __all__ = [
     "QuboError",
@@ -88,6 +90,27 @@ class BlockQubo:
     def num_vars(self) -> int:
         return len(self.linear)
 
+    @cached_property
+    def _kernel(self) -> _Kernel:
+        """The flip kernel's lookups, formed on first use: build_qubo does none of this work."""
+        R = self.budget_rows
+        pattern, firsts, row = [], [], {}
+        for j, column in enumerate(map(tuple, R.T.view(np.int64).tolist())):  # by bit pattern
+            if column not in row:
+                row[column] = len(firsts)
+                firsts.append(j)
+            pattern.append(row[column])
+        penalty = np.array([self.penalty_weight * (R[:, j].T @ R) for j in firsts])
+        return _Kernel(penalty=penalty, pattern=np.array(pattern), cross=self.cross.tolist())
+
+
+class _Kernel(NamedTuple):
+    """Per-problem lookups of apply_flip and _block_columns."""
+
+    penalty: np.ndarray  # (k, w): P * R[:, j]'R for each of the k distinct columns j of R
+    pattern: np.ndarray  # (w,): the row of `penalty` that column j of R selects
+    cross: list[list[float]]  # BlockQubo.cross, for scalar reads
+
 
 @dataclass(frozen=True)
 class SparseQubo:
@@ -138,13 +161,6 @@ class IsingModel:
     @property
     def num_spins(self) -> int:
         return len(self.h)
-
-
-def _check_bits(num_vars: int, bits) -> np.ndarray:
-    x = np.asarray(bits).ravel()
-    if x.shape[0] != num_vars:
-        raise QuboError(f"assignment length {x.shape[0]} != num_vars {num_vars}")
-    return x
 
 
 def _linear_terms(spec: ProblemSpec, lay: VariableLayout) -> dict[str, np.ndarray]:
@@ -272,12 +288,15 @@ def _block_columns(qubo: BlockQubo, t: int, cols) -> np.ndarray:
     """Column `cols` (an index or a slice) of step t's block D_t, t 0-based.
 
     Every reader of a block entry forms it here, in one operation order.
+    The penalty part P * R[:, cols]'R is read from the kernel's table: R is
+    integer-valued, so each of its entries is one exact integer times P.
     """
-    wp, slot, R = qubo.wp[t], qubo.slot, qubo.budget_rows
+    kern = qubo._kernel
+    wp = qubo.wp[t]
     D = np.multiply.outer(wp, wp[cols])
     D *= qubo.scale
-    D *= qubo.core[t][:, slot[cols]][slot]
-    D += qubo.penalty_weight * (R[:, cols].T @ R)
+    D *= qubo.core[t][:, qubo.slot[cols]][qubo.slot]
+    D += kern.penalty[kern.pattern[cols]].T
     return D
 
 
@@ -310,7 +329,7 @@ def energy(qubo: BlockQubo, bits) -> float:
     feasible assignment carries no P-scale rounding.
     """
     T, w = qubo.wp.shape
-    x = _check_bits(qubo.num_vars, bits).astype(float).reshape(T, w)
+    x = _zero_one(bits, qubo.num_vars, QuboError).astype(float).reshape(T, w)
     risk, penalty = _step_terms(qubo, x)
     cross = (qubo.cross * x[:-1] * x[1:]).sum(axis=1)
     return math.fsum([qubo.offset, float(qubo.linear @ x.ravel()), *risk, *penalty, *cross])
@@ -319,7 +338,7 @@ def energy(qubo: BlockQubo, bits) -> float:
 def delta_energies(qubo: BlockQubo, bits) -> np.ndarray:
     """Vector of exact energy changes for flipping each bit; O(n^2 + w) per step."""
     T, w = qubo.wp.shape
-    x = _check_bits(qubo.num_vars, bits).astype(float).reshape(T, w)
+    x = _zero_one(bits, qubo.num_vars, QuboError).astype(float).reshape(T, w)
     g = _positions(qubo, x)
     core_g = np.stack([core @ gt for core, gt in zip(qubo.core, g)])
     core_diag = np.diagonal(qubo.core, axis1=1, axis2=2)
@@ -335,30 +354,40 @@ def delta_energies(qubo: BlockQubo, bits) -> np.ndarray:
     return deltas.ravel()
 
 
+# _SIGN[x_i][x_k] = d_i * d_k, where d = 1 - 2x is the change a flip makes to x
+_SIGN = ((1.0, -1.0), (-1.0, 1.0))
+_SIGN2 = 2.0 * np.array(_SIGN)
+
+
 def apply_flip(qubo: BlockQubo, bits: np.ndarray, i: int, deltas: np.ndarray) -> float:
     """Flip bit i in place; update deltas of its neighbors; return the energy change.
 
     Cost is proportional to the step width plus the two adjacent-step
     couplings, never the total variable count.  cross is zero off the
-    trading slots, so the adjacent-step updates need no slot test.
+    trading slots, so the adjacent-step updates need no slot test.  Each
+    update is a block or band entry times +-2 or +-1, which rounds nothing,
+    so the deltas do not depend on the order of those products.  bits must
+    hold only 0 and 1.
     """
     T, w = qubo.wp.shape
-    if not 0 <= i < qubo.num_vars:
-        raise QuboError(f"flip index {i} out of range 0..{qubo.num_vars - 1}")
+    if not 0 <= i < T * w:
+        raise QuboError(f"flip index {i} out of range 0..{T * w - 1}")
     t, j = divmod(i, w)
-    d = 1.0 - 2.0 * bits[i]  # new value minus old value
+    xi = int(bits[i])
     change = deltas[i]
     sl = slice(t * w, (t + 1) * w)
-    col = 2.0 * _block_columns(qubo, t, j) * d
-    col[j] = 0.0
-    deltas[sl] += (1.0 - 2.0 * bits[sl]) * col
+    update = _SIGN2[xi].take(bits[sl])
+    update *= _block_columns(qubo, t, j)
+    step = deltas[sl]
+    step += update  # deltas[i] gains 2 * D_jj here and is overwritten below
+    cross, sign = qubo._kernel.cross, _SIGN[xi]
     if t > 0:
         m = i - w
-        deltas[m] += (1.0 - 2.0 * bits[m]) * qubo.cross[t - 1, j] * d
+        deltas[m] += sign[int(bits[m])] * cross[t - 1][j]
     if t < T - 1:
         m = i + w
-        deltas[m] += (1.0 - 2.0 * bits[m]) * qubo.cross[t, j] * d
-    bits[i] ^= 1
+        deltas[m] += sign[int(bits[m])] * cross[t][j]
+    bits[i] = 1 - xi
     deltas[i] = -change
     return float(change)
 

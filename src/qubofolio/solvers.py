@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import _zero_one
 from .qubo import (
     BlockQubo,
     QuboError,
@@ -363,8 +364,8 @@ def _descend(qubo: BlockQubo, x: np.ndarray):
 
 def local_descent(qubo, bits) -> np.ndarray:
     """Steepest-descent refinement; the result has no improving single flip."""
-    x = np.asarray(bits, dtype=np.int8).copy()
-    out, _, _ = _descend(_as_block(qubo), x)
+    block = _as_block(qubo)
+    out, _, _ = _descend(block, _zero_one(bits, block.num_vars, QuboError).astype(np.int8))
     return out
 
 
@@ -387,13 +388,14 @@ def solve_sa(qubo, budget: SolveBudget | None = None) -> SolveReport:
     t0 = max(float(np.percentile(np.abs(deltas), 90)), 1e-12)
     tf = t0 * _SA_FINAL_RATIO
     max_it = run.budget.max_iterations or 200 * n
+    cooling, span = tf / t0, max(max_it - 1, 1)
     run.offer(e, x)
     iterations = 0
     for it in range(max_it):
         if it % 512 == 0 and run.spent(it):
             break
         iterations += 1
-        temp = t0 * (tf / t0) ** (it / max(max_it - 1, 1))
+        temp = t0 * cooling ** (it / span)
         i = int(rng.integers(n))
         dE = deltas[i]
         if dE <= 0.0 or rng.random() < math.exp(-dE / temp):

@@ -92,6 +92,17 @@ def test_encode_range_checks():
         decode(lay, lay.total)
 
 
+@pytest.mark.parametrize("value", [2, 0.5, 256, -1])
+def test_assignment_readers_reject_entries_other_than_zero_and_one(value):
+    spec = toy_spec(n=2, T=2, seed=1)
+    bits = cash_only_bits(spec).astype(float)
+    bits[0] = value
+    for reader in (constraint_residuals, decode_assignment, is_feasible):
+        with pytest.raises(ModelError, match="0 or 1"):
+            reader(spec, bits)
+    assert constraint_residuals(spec, cash_only_bits(spec).astype(bool)).tolist() == [[0, 0]] * 2
+
+
 def test_friction_params_validation():
     with pytest.raises(ModelError):
         FrictionParams(q=-1.0, delta=0.0, rho_c=0.0, rho_s=0.0, u=1.0)

@@ -145,6 +145,17 @@ def test_apply_flip_maintains_deltas_and_energy():
     assert np.allclose(deltas, delta_energies(qubo, x), rtol=1e-9, atol=1e-6)
 
 
+@pytest.mark.parametrize("value", [2, 0.5, 256, -1])
+def test_energy_and_deltas_reject_entries_other_than_zero_and_one(value):
+    qubo = build_qubo(toy_spec(n=2, T=2, seed=1))
+    x = np.zeros(qubo.num_vars)
+    x[0] = value
+    for reader in (energy, delta_energies):
+        with pytest.raises(QuboError, match="0 or 1"):
+            reader(qubo, x)
+    assert energy(qubo, np.zeros(qubo.num_vars, bool)) == energy(qubo, np.zeros(qubo.num_vars))
+
+
 def test_to_sparse_dense_agree_with_block_energy():
     spec = toy_spec(n=2, T=2, q=1e-5, seed=12)
     qubo = build_qubo(spec)
@@ -448,6 +459,75 @@ def test_block_readers_agree_at_exp1_size(monkeypatch):
         flipped = x.copy()
         flipped[i] ^= 1
         assert fresh[i] == pytest.approx(energy(qubo, flipped) - energy(qubo, x), rel=1e-9)
+
+
+def _block_columns_reference(qubo, t, cols):
+    """Column `cols` of step t's block D_t, formed with the penalty as P * R[:, cols]'R."""
+    wp, slot, R = qubo.wp[t], qubo.slot, qubo.budget_rows
+    D = np.multiply.outer(wp, wp[cols])
+    D *= qubo.scale
+    D *= qubo.core[t][:, slot[cols]][slot]
+    D += qubo.penalty_weight * (R[:, cols].T @ R)
+    return D
+
+
+def _apply_flip_reference(qubo, bits, i, deltas):
+    """The flip kernel apply_flip replaced: the column times 2 * d, then times 1 - 2x."""
+    T, w = qubo.wp.shape
+    t, j = divmod(i, w)
+    d = 1.0 - 2.0 * bits[i]
+    change = deltas[i]
+    sl = slice(t * w, (t + 1) * w)
+    col = 2.0 * _block_columns_reference(qubo, t, j) * d
+    col[j] = 0.0
+    deltas[sl] += (1.0 - 2.0 * bits[sl]) * col
+    if t > 0:
+        m = i - w
+        deltas[m] += (1.0 - 2.0 * bits[m]) * qubo.cross[t - 1, j] * d
+    if t < T - 1:
+        m = i + w
+        deltas[m] += (1.0 - 2.0 * bits[m]) * qubo.cross[t, j] * d
+    bits[i] ^= 1
+    deltas[i] = -change
+    return float(change)
+
+
+def _kernel_cases():
+    for seed, signed, pen in itertools.product(range(2), (True, False), (True, False)):
+        spec = toy_spec(n=3, T=2, q=1e-3, seed=seed, signed_risk=signed)
+        yield pytest.param(build_qubo(spec, include_penalty=pen), None,
+                           id=f"toy-{seed}-{'signed' if signed else 'unsigned'}-"
+                              f"{'penalty' if pen else 'free'}")
+    spec = synthetic_spec(n=20, T=6, seed=5)
+    spec = dataclasses.replace(spec, params=dataclasses.replace(spec.params, P=1234.5))
+    yield pytest.param(build_qubo(spec), None, id="synthetic-20x6-explicit-P")
+    for seed in range(3):
+        yield pytest.param(_random_one_block(seed), None, id=f"one-block-{seed}")
+    spec = synthetic_spec(seed=1, **EXP1)
+    yield pytest.param(build_qubo(spec), (0, spec.T - 1), id="exp1-first-last-step")
+
+
+def _same_bits(a, b) -> bool:
+    return np.array_equal(np.asarray(a, dtype=np.float64).view(np.int64),
+                          np.asarray(b, dtype=np.float64).view(np.int64))
+
+
+@pytest.mark.parametrize("qubo,steps", _kernel_cases())
+def test_apply_flip_equals_reference_bit_for_bit(qubo, steps):
+    """2,000 seeded flips leave the same deltas, bits and changes as the reference, raw bits."""
+    T, w = qubo.wp.shape
+    rng = np.random.default_rng(T * w)
+    x = rng.integers(0, 2, qubo.num_vars).astype(np.int8)
+    deltas = delta_energies(qubo, x)
+    ref_x, ref_deltas = x.copy(), deltas.copy()
+    steps = range(T) if steps is None else steps
+    picks = rng.choice(steps, size=2000) * w + rng.integers(0, w, size=2000)
+    for i in picks.tolist():
+        change = apply_flip(qubo, x, i, deltas)
+        ref_change = _apply_flip_reference(qubo, ref_x, i, ref_deltas)
+        assert _same_bits(change, ref_change)
+        assert np.array_equal(x, ref_x)
+        assert _same_bits(deltas, ref_deltas)
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -34,7 +34,7 @@ from qubofolio.solvers import (
     solve_exact,
     solve_sa,
 )
-from qubofolio.toy import random_sparse_qubo, toy_spec
+from qubofolio.toy import cash_only_bits, random_sparse_qubo, synthetic_spec, toy_spec
 
 
 def brute_force_minimum(sq):
@@ -177,6 +177,15 @@ def test_local_descent_terminates_at_one_flip_minimum():
     assert np.all(delta_energies(qubo, out) >= 0.0)
     with pytest.raises(QuboError, match="assignment length"):
         local_descent(qubo, x[:-1])
+
+
+def test_local_descent_rejects_entries_other_than_zero_and_one():
+    qubo = build_qubo(toy_spec(n=2, T=2, seed=1))
+    one_two = np.zeros(qubo.num_vars, dtype=np.int8)
+    one_two[0] = 2
+    for x in (one_two, [0.5] * qubo.num_vars):
+        with pytest.raises(QuboError, match="0 or 1"):
+            local_descent(qubo, x)
 
 
 def test_solvers_accept_block_qubo_directly():
@@ -377,3 +386,48 @@ def test_solver_results_match_the_pinned_file():
         else:
             assert got["lower_bound"] == pytest.approx(want["lower_bound"],
                                                        rel=1e-12, abs=0.0), name
+
+
+BLOCK_PINNED = Path(__file__).parent / "data" / "block_solver_results.json"
+
+
+def _descent_report(qubo, start, seed):
+    """local_descent from start as a report; iterations counts the bits it changed."""
+    best = local_descent(qubo, start)
+    return SolveReport(best=best, best_energy=energy(qubo, best), lower_bound=None, trace=[],
+                       iterations=int(np.count_nonzero(best != start)), solver_name="descent",
+                       seed=seed)
+
+
+def block_pinned_runs():
+    """The solves pinned in data/block_solver_results.json, as (name, report) pairs.
+
+    Spec-built problems carry budget rows and a derived penalty, which the
+    file inputs of pinned_runs do not.
+    """
+    for q in (1e-4, 1e-2):
+        for seed in range(5):
+            spec = synthetic_spec(n=12, T=4, k=2, B=6, C=3, q=q, seed=seed)
+            qubo = build_qubo(spec)
+            rng = np.random.default_rng(seed)
+            name = f"q{q:g}-{seed}"
+            yield f"{name}-sa", solve_sa(qubo, SolveBudget(seed=seed, max_iterations=5_000))
+            yield f"{name}-abs", solve_abs(qubo, SolveBudget(seed=seed, max_iterations=10))
+            yield f"{name}-descent-cash", _descent_report(qubo, cash_only_bits(spec), seed)
+            start = rng.integers(0, 2, qubo.num_vars).astype(np.int8)
+            yield f"{name}-descent-random", _descent_report(qubo, start, seed)
+
+
+def test_block_solver_results_match_the_pinned_file():
+    """Solver results on spec-built problems do not drift between commits.
+
+    data/block_solver_results.json was written before the flip kernel read
+    its penalty columns from a table, by dumping {name: pinned_record(report)}
+    for block_pinned_runs with json.dump(indent=1).  Every field must match
+    exactly, the energy as its repr.
+    """
+    pinned = json.loads(BLOCK_PINNED.read_text())
+    runs = {name: pinned_record(report) for name, report in block_pinned_runs()}
+    assert sorted(runs) == sorted(pinned)
+    for name, got in runs.items():
+        assert got == pinned[name], name
