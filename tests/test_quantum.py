@@ -2,12 +2,14 @@
 single-qubit cases, variational bounds, annealing, and sampling.
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qubofolio.qubo import IsingModel, ising_value, to_ising
 from qubofolio.quantum import (
+    DEFAULT_QUBIT_CAP,
     AnnealSchedule,
     QaoaParams,
     QuantumSimError,
@@ -211,7 +213,7 @@ def test_normalize_ising_preserves_minimizers():
     assert np.array_equal(cost_scaled.ground_states(), cost_big.ground_states())
 
 
-# --- grouped gate kernel, spin-row diagonalisation, norm check -------------------
+# --- grouped gate kernel, diagonalisation by doubling, norm check ----------------
 
 
 def _apply_single_reference(state, qubit, gate):
@@ -276,8 +278,24 @@ def _repeated_pair_ising():
                       offset=-0.125)
 
 
+def _unordered_and_self_pair_ising():
+    # (3, 1) is the pair (1, 3) given lower-triangle first; (2, 2) multiplies s_2 by itself
+    return IsingModel(h=np.array([0.5, -1.0, 0.25, 1.5]),
+                      j_rows=np.array([3, 0, 2, 1]),
+                      j_cols=np.array([1, 2, 2, 3]),
+                      j_vals=np.array([1.25, -0.5, 0.75, -2.0]),
+                      offset=0.375)
+
+
+def _no_spin_ising():
+    empty = np.array([], dtype=int)
+    return IsingModel(h=np.zeros(0), j_rows=empty, j_cols=empty, j_vals=np.array([]),
+                      offset=-1.5)
+
+
 @pytest.mark.parametrize("ising", [_random_ising(m, seed=m) for m in (1, 2, 4, 7, 10)]
-                         + [_repeated_pair_ising()])
+                         + [_repeated_pair_ising(), _unordered_and_self_pair_ising(),
+                            _no_spin_ising(), _single_field(-0.75)])
 def test_diagonalize_cost_equals_ising_value_on_every_state(ising):
     m = ising.num_spins
     energies = diagonalize_cost(ising).energies
@@ -299,3 +317,67 @@ def test_anneal_norm_check_fires_on_a_non_unitary_mixer(monkeypatch):
 def test_anneal_reports_norm_drift():
     doc = anneal_run(_random_ising(6, seed=4), AnnealSchedule(total_time=5, dt=0.05), shots=0)
     assert 0.0 <= doc["norm_drift"] <= 1e-9
+
+
+def test_diagonalize_cost_at_the_qubit_cap_stays_small(monkeypatch):
+    # a spin matrix and a bit matrix at 2^20 states took ~170 MB each
+    monkeypatch.delenv("QUBOFOLIO_QUBIT_CAP", raising=False)
+    ising = _random_ising(DEFAULT_QUBIT_CAP, seed=20)
+    tracemalloc.start()
+    try:
+        cost = diagonalize_cost(ising)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cost.energies.shape == (1 << DEFAULT_QUBIT_CAP,)
+    assert peak < 64 * 2**20
+
+
+# --- cost phases: direct exponential and running product ------------------------
+
+
+def _anneal_reference(cost, schedule):
+    """Trotter loop with an np.exp phase per step and a complex divide, the one
+    _anneal_state replaced.  Returns (state, largest |norm^2 - 1|)."""
+    from qubofolio.quantum import _apply_gates, _check_norm, _rx, _uniform_state
+
+    m = cost.num_qubits
+    state = _uniform_state(m)
+    steps = schedule.steps
+    dt = schedule.total_time / steps
+    drift = 0.0
+    for step in range(steps):
+        a, b = schedule.ab((step + 0.5) * dt / schedule.total_time)
+        state = _apply_gates(state, [_rx(-2.0 * a * dt)] * m)
+        state *= np.exp(-1j * b * dt * cost.energies)
+        norm2 = _check_norm(state)
+        drift = max(drift, abs(norm2 - 1.0))
+        state /= math.sqrt(norm2)
+    return state, drift
+
+
+@pytest.mark.parametrize("envelope", ["linear", "cosine"])
+@pytest.mark.parametrize("total_time, dt", [(5.0, 0.05), (50.0, 0.01)])
+@pytest.mark.parametrize("m", [3, 6, 10])
+def test_anneal_state_matches_exponential_reference(m, total_time, dt, envelope):
+    from qubofolio.quantum import _anneal_state
+
+    cost = diagonalize_cost(normalize_ising(_random_ising(m, seed=30 + m))[0])
+    schedule = AnnealSchedule(total_time=total_time, dt=dt, envelope=envelope)
+    state, drift = _anneal_state(cost, schedule)
+    expected, expected_drift = _anneal_reference(cost, schedule)
+    assert np.max(np.abs(np.abs(state) ** 2 - np.abs(expected) ** 2)) <= 1e-9
+    assert np.max(np.abs(state - expected)) <= 1e-9
+    assert drift <= 1e-9 and expected_drift <= 1e-9
+
+
+def test_qaoa_state_matches_exponential_reference():
+    from qubofolio.quantum import _apply_gates, _qaoa_state, _rx, _uniform_state
+
+    cost = diagonalize_cost(_random_ising(7, seed=11))
+    params = QaoaParams((0.4, 1.3, 2.9), (0.7, 0.2, 1.1))
+    expected = _uniform_state(cost.num_qubits)
+    for gamma, beta in zip(params.gammas, params.betas):
+        expected *= np.exp(-1j * gamma * cost.energies)
+        expected = _apply_gates(expected, [_rx(2.0 * beta)] * cost.num_qubits)
+    assert np.max(np.abs(_qaoa_state(cost, params) - expected)) <= 1e-12
