@@ -56,15 +56,23 @@ def _load_spec(args) -> ProblemSpec:
         raise CliError(EXIT_PARSE, f"{args.config}: invalid JSON: {exc}")
 
 
-def _positive(kind):
-    """argparse type: a `kind` value above zero; anything else exits 2."""
+def _checked(kind, ok, what):
+    """argparse type: a `kind` value for which ok(value) holds; anything else exits 2."""
     def parse(text):
         value = kind(text)
-        if not value > 0:
-            raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
         return value
     parse.__name__ = kind.__name__
     return parse
+
+
+def _positive(kind):
+    return _checked(kind, lambda v: v > 0, "positive")
+
+
+def _non_negative(kind):
+    return _checked(kind, lambda v: v >= 0, "non-negative")
 
 
 def _add_toy_flags(parser):
@@ -241,10 +249,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_quantum.add_argument("--qubo", help="QUBO or Ising text file")
     p_quantum.add_argument("--config", help="ProblemSpec JSON (built on the fly)")
     p_quantum.add_argument("--algo", choices=["qaoa", "vqe", "anneal"], required=True)
-    p_quantum.add_argument("--layers", type=int, default=2, help="qaoa/vqe circuit depth")
-    p_quantum.add_argument("--tau", type=float, default=50.0, help="anneal total time")
-    p_quantum.add_argument("--dt", type=float, default=0.01, help="anneal Trotter step")
-    p_quantum.add_argument("--shots", type=int, default=1024)
+    p_quantum.add_argument("--layers", type=_non_negative(int), default=2,
+                           help="qaoa/vqe circuit depth (qaoa 0: the uniform state; vqe 0: one)")
+    p_quantum.add_argument("--tau", type=_positive(float), default=50.0,
+                           help="anneal total time")
+    p_quantum.add_argument("--dt", type=_positive(float), default=0.01,
+                           help="anneal Trotter step")
+    p_quantum.add_argument("--shots", type=_non_negative(int), default=1024)
     p_quantum.add_argument("--seed", type=int, default=0)
     p_quantum.add_argument("--out", required=True, help="run output JSON path")
     _add_toy_flags(p_quantum)

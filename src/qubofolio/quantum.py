@@ -6,9 +6,16 @@ Conventions, fixed here because results are sensitive to them:
 - qubit i is bit i (least significant bit) of the basis-state index;
 - bit 1 corresponds to spin +1, bit 0 to spin -1;
 - the driver Hamiltonian is -sum(sigma_x), whose ground state is the
-  uniform superposition used as the initial state for annealing.
+  uniform superposition used as the initial state for annealing;
+- QAOA and annealing evolve the state in a rotating frame,
+  phi = D^-1 psi with D = diag(i^popcount(z)).  There
+  RX(theta)^(x)m = D R(theta)^(x)m D^-1 with R real (`_rotation`), D
+  commutes with the diagonal cost phase, and |phi|^2 = |psi|^2, so
+  every probability, expectation and sample is that of psi; a
+  returned state is phi.  VQE's gates and start are real, so its state
+  is a real array.
 
-Statevectors are dense complex arrays of length 2^m, so m is capped
+Statevectors are dense arrays of length 2^m, so m is capped
 (default 20, overridable via the QUBOFOLIO_QUBIT_CAP environment
 variable).  Each run owns its statevector; independent runs share
 nothing mutable.
@@ -175,45 +182,66 @@ def diagonalize_cost(ising: IsingModel) -> DiagonalCost:
 
 # --- single-qubit gate layers -------------------------------------------------
 
-# Qubits per block product.  Groups of 3 to 5 measured within noise of
-# each other at 16 and 18 qubits and 6 was slower; larger groups mean fewer
-# passes over the state but 4x the block work per added qubit.
-_GROUP = 5
+# Qubits per block product.  Measured on a complex 18-qubit state (2-core
+# Xeon VM, one BLAS thread): groups of 3 or 4 took 5.0 ms per layer, 5, 6
+# and 7 took 6.1, 9.2 and 13.8 ms (at 16 qubits 1.1-1.2 ms against 1.5,
+# 2.1 and 3.3).  Larger groups mean fewer passes over the state but 4x
+# the block work per added qubit.
+_GROUP = 4
 
 
-def _apply_gates(state: np.ndarray, gates: list[np.ndarray]) -> np.ndarray:
-    """Apply gates[q] (2x2) to every qubit q of a dense statevector.
+def _apply_gates(state: np.ndarray, spare: np.ndarray,
+                 gates: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Apply the real 2x2 gates[q] to every qubit q of a dense statevector.
 
-    Qubits are taken _GROUP at a time; each group's gates are combined
-    into one Kronecker block (highest qubit outermost), applied as one
-    matrix product over the reshaped state.  Returns the new state.
+    `state` is float64 or complex128; a complex state is multiplied as
+    its float64 view, where the real and imaginary part of each
+    amplitude sit side by side.  Qubits are taken _GROUP at a time; each
+    group's gates are combined into one Kronecker block (highest qubit
+    outermost), applied as one matrix product over the reshaped state.
+    The lowest group multiplies rows by kron(block, I_r), r = 2 for a
+    complex state and 1 for a real one.  Each product is written into
+    `spare` (same shape and dtype as `state`) and the two then swap, so
+    no state-sized array is allocated.  Returns (new state, new spare),
+    which are the two input arrays in some order.
     """
+    r = state.itemsize // 8
     for lo in range(0, len(gates), _GROUP):
-        group = gates[lo : lo + _GROUP]
-        block = group[0]
-        for g in group[1:]:
+        # the lowest group's block also spans the r floats of one amplitude
+        block = np.eye(r if lo == 0 else 1)
+        for g in gates[lo : lo + _GROUP]:
             n = block.shape[0]
             block = (g[:, None, :, None] * block[None, :, None, :]).reshape(2 * n, 2 * n)
         size = block.shape[0]
+        x, y = state.view(np.float64), spare.view(np.float64)
         if lo == 0:
-            state = state.reshape(-1, size) @ block.T
+            np.matmul(x.reshape(-1, size), block.T, out=y.reshape(-1, size))
         else:
-            state = np.matmul(block, state.reshape(-1, size, 1 << lo))
-    return state.reshape(-1)
+            shape = (-1, size, r << lo)
+            np.matmul(block, x.reshape(shape), out=y.reshape(shape))
+        state, spare = spare, state
+    return state, spare
 
 
-def _rx(theta: float) -> np.ndarray:
+def _rotation(theta: float) -> np.ndarray:
+    """[[c, s], [-s, c]], c = cos(theta/2) and s = sin(theta/2).
+
+    RX(theta) = diag(1, i) . _rotation(theta) . diag(1, i)^-1, the mixer
+    in the rotating frame; RY(theta) = _rotation(-theta).
+    """
     c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    return np.array([[c, -1j * s], [-1j * s, c]])
+    return np.array([[c, s], [-s, c]])
 
 
-def _ry(theta: float) -> np.ndarray:
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    return np.array([[c, -s], [s, c]], dtype=complex)
+def _frame_start(m: int) -> np.ndarray:
+    """The uniform superposition in the rotating frame: (-i)^popcount(z) / sqrt(2^m).
 
-
-def _uniform_state(m: int) -> np.ndarray:
-    state = np.full(1 << m, 1.0 / math.sqrt(1 << m), dtype=complex)
+    Built by doubling: the states with qubit k set are the ones without
+    it times -i, which is exact in floating point.
+    """
+    state = np.array([1.0 / math.sqrt(1 << m)], dtype=complex)
+    for _ in range(m):
+        state = np.concatenate((state, -1j * state))
     return state
 
 
@@ -296,23 +324,35 @@ def _run_doc(algo: str, cost: DiagonalCost, state: np.ndarray, shots: int,
 # --- QAOA ---------------------------------------------------------------------
 
 
-def _qaoa_state(cost: DiagonalCost, params: QaoaParams) -> np.ndarray:
-    state = _uniform_state(cost.num_qubits)
+def _qaoa_state(cost: DiagonalCost, params: QaoaParams,
+                start: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+    """The circuit's final frame state and the largest |norm^2 - 1| after a layer.
+
+    `start` is _frame_start(m), for callers that evolve many circuits;
+    it is copied, not changed.
+    """
+    m = cost.num_qubits
+    state = _frame_start(m) if start is None else start.copy()
+    spare = np.empty_like(state)
+    phase = np.empty_like(state)
+    drift = 0.0
     for gamma, beta in zip(params.gammas, params.betas):
-        state *= _phase(cost.energies, gamma)
-        state = _apply_gates(state, [_rx(2.0 * beta)] * cost.num_qubits)
-        _check_norm(state)
-    return state
+        state *= _phase(cost.energies, gamma, out=phase)
+        state, spare = _apply_gates(state, spare, [_rotation(2.0 * beta)] * m)
+        drift = max(drift, abs(_check_norm(state) - 1.0))
+    return state, drift
 
 
 def qaoa_run(ising: IsingModel, params: QaoaParams, shots: int = 1024,
              seed: int = 0) -> dict:
     """Alternating phase/mixer circuit from the uniform superposition."""
     cost = diagonalize_cost(ising)
-    state = _qaoa_state(cost, params)
+    state, drift = _qaoa_state(cost, params)
     rng = np.random.default_rng(seed)
-    return _run_doc("qaoa", cost, state, shots, rng,
-                    {"gammas": list(params.gammas), "betas": list(params.betas)})
+    doc = _run_doc("qaoa", cost, state, shots, rng,
+                   {"gammas": list(params.gammas), "betas": list(params.betas)})
+    doc["norm_drift"] = drift
+    return doc
 
 
 def qaoa_optimize(ising: IsingModel, layers: int, restarts: int = 8,
@@ -325,10 +365,11 @@ def qaoa_optimize(ising: IsingModel, layers: int, restarts: int = 8,
     if layers < 1:
         raise QuantumSimError("layers must be >= 1")
     cost = diagonalize_cost(ising)
+    start = _frame_start(cost.num_qubits)
 
     def objective(theta):
         params = QaoaParams(tuple(theta[:layers]), tuple(theta[layers:]))
-        state = _qaoa_state(cost, params)
+        state, _ = _qaoa_state(cost, params, start)
         return float((np.abs(state) ** 2) @ cost.energies)
 
     def draw(rng):
@@ -359,18 +400,23 @@ def _cz_ring_sign(m: int) -> np.ndarray:
     return 1.0 - 2.0 * (both & 1)
 
 
-def _vqe_state(m: int, layers: int, theta: np.ndarray, sign: np.ndarray) -> np.ndarray:
+def _vqe_state(m: int, layers: int, theta: np.ndarray,
+               sign: np.ndarray) -> tuple[np.ndarray, float]:
     """L repetitions of [RY on every qubit; ring of CZ entanglers] on |0...0>.
 
-    `sign` is the entangler ring's diagonal, _cz_ring_sign(m).
+    `sign` is the entangler ring's diagonal, _cz_ring_sign(m).  The
+    gates, the signs and the start are all real, so the state is a
+    float64 array.  Returns it and its |norm^2 - 1|.
     """
-    state = np.zeros(1 << m, dtype=complex)
+    state = np.zeros(1 << m)
     state[0] = 1.0
+    spare = np.empty_like(state)
     for layer in range(layers):
-        state = _apply_gates(state, [_ry(t) for t in theta[layer * m : (layer + 1) * m]])
+        # RY(t) = _rotation(-t)
+        state, spare = _apply_gates(
+            state, spare, [_rotation(-t) for t in theta[layer * m : (layer + 1) * m]])
         state *= sign
-    _check_norm(state)
-    return state
+    return state, abs(_check_norm(state) - 1.0)
 
 
 def vqe_run(ising: IsingModel, layers: int = 2, restarts: int = 8,
@@ -383,17 +429,18 @@ def vqe_run(ising: IsingModel, layers: int = 2, restarts: int = 8,
     sign = _cz_ring_sign(m)
 
     def objective(theta):
-        state = _vqe_state(m, layers, theta, sign)
+        state, _ = _vqe_state(m, layers, theta, sign)
         return float((np.abs(state) ** 2) @ cost.energies)
 
     best_val, best_theta, trace = _nelder_mead_restarts(
         objective, lambda rng: rng.uniform(-math.pi, math.pi, size=layers * m),
         restarts, seed, {"maxiter": maxiter, "xatol": 1e-5, "fatol": 1e-9})
-    state = _vqe_state(m, layers, best_theta, sign)
+    state, drift = _vqe_state(m, layers, best_theta, sign)
     doc = _run_doc("vqe", cost, state, 0, np.random.default_rng(seed),
                    {"layers": layers, "theta": [float(v) for v in best_theta]})
     doc["expectation"] = best_val
     doc["restart_trace"] = trace
+    doc["norm_drift"] = drift
     return doc
 
 
@@ -401,9 +448,10 @@ def vqe_run(ising: IsingModel, layers: int = 2, restarts: int = 8,
 
 
 def _anneal_state(cost: DiagonalCost, schedule: AnnealSchedule) -> tuple[np.ndarray, float]:
-    """anneal_run's Trotter evolution: the final state and the largest |norm^2 - 1|."""
+    """anneal_run's Trotter evolution: the final frame state and the largest |norm^2 - 1|."""
     m = cost.num_qubits
-    state = _uniform_state(m)
+    state = _frame_start(m)
+    spare = np.empty_like(state)
     steps = schedule.steps
     dt = schedule.total_time / steps
     linear = schedule.envelope == "linear"
@@ -418,7 +466,7 @@ def _anneal_state(cost: DiagonalCost, schedule: AnnealSchedule) -> tuple[np.ndar
         s = (step + 0.5) * dt / schedule.total_time
         a, b = schedule.ab(s)
         # exp(-i * A * (-sum sigma_x) * dt) factors into per-qubit RX(-2*A*dt)
-        state = _apply_gates(state, [_rx(-2.0 * a * dt)] * m)
+        state, spare = _apply_gates(state, spare, [_rotation(-2.0 * a * dt)] * m)
         if not linear:
             _phase(cost.energies, b * dt, out=phase)
         elif step:

@@ -189,7 +189,8 @@ def test_criterion_09_quantum_simulator():
         # every probability mass must still sum to one
         from qubofolio.quantum import _qaoa_state
 
-        probs = np.abs(_qaoa_state(cost8, params)) ** 2
+        state, _ = _qaoa_state(cost8, params)
+        probs = np.abs(state) ** 2
         norm_ok = norm_ok and abs(float(probs.sum()) - 1.0) <= 1e-9
     ok = gp2 >= 0.99 and gp8 >= 0.5 and hits >= 20 and norm_ok
     _verdict(9, f"anneal gp2={gp2:.3f}>=0.99, gp8={gp8:.3f}>=0.5, "

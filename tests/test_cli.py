@@ -192,6 +192,23 @@ def test_non_positive_budget_exits_2(tmp_path, capsys, argv):
     assert err[-1].endswith(f"must be positive, got {argv[-1]!r}")
 
 
+@pytest.mark.parametrize("argv, what", [
+    (["--algo", "anneal", "--shots", "-5"], "non-negative"),
+    (["--algo", "qaoa", "--layers", "-1"], "non-negative"),
+    (["--algo", "vqe", "--layers", "-3"], "non-negative"),
+    (["--algo", "anneal", "--tau", "-1"], "positive"),
+    (["--algo", "anneal", "--dt", "0"], "positive"),
+], ids=["negative-shots", "qaoa-negative-layers", "vqe-negative-layers",
+        "negative-tau", "zero-dt"])
+def test_quantum_invalid_flag_exits_2(tmp_path, capsys, argv, what):
+    with pytest.raises(SystemExit) as exc:
+        run("quantum", *argv, "--toy", "--out", str(tmp_path / "r.json"))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].endswith(f"must be {what}, got {argv[-1]!r}")
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_sweep_toy_default_grid(tmp_path):
     out = tmp_path / "pareto.csv"
     assert run("sweep", "--toy", "--solver", "exact", "--out", str(out)) == 0

@@ -181,7 +181,8 @@ def test_sampling_matches_amplitudes_within_multinomial_bounds():
     from qubofolio.quantum import _qaoa_state
 
     cost = diagonalize_cost(ising)
-    state_probs = np.abs(_qaoa_state(cost, params)) ** 2
+    state, _ = _qaoa_state(cost, params)
+    state_probs = np.abs(state) ** 2
     for z in range(16):
         bits = format(z, "04b")[::-1]
         count = doc["samples_hist"].get(bits, 0)
@@ -194,12 +195,18 @@ def test_run_doc_shape():
     ising = _random_ising(3, seed=2)
     doc = anneal_run(ising, AnnealSchedule(total_time=5, dt=0.05), shots=64, seed=1)
     for key in ("algo", "qubits", "ground_energy", "ground_probability",
-                "expectation", "best_bits", "params", "samples_hist"):
+                "expectation", "best_bits", "params", "samples_hist", "norm_drift"):
         assert key in doc
     assert doc["algo"] == "anneal"
     assert doc["qubits"] == 3
     assert sum(doc["samples_hist"].values()) == 64
     assert len(doc["best_bits"]) == 3
+    qaoa = qaoa_run(ising, QaoaParams((0.4, 1.3), (0.7, 0.2)), shots=64, seed=1)
+    vqe = vqe_run(ising, layers=1, restarts=1, seed=1, maxiter=20)
+    for other, algo in ((qaoa, "qaoa"), (vqe, "vqe")):
+        assert other["algo"] == algo
+        assert set(doc) - {"params"} <= set(other)
+        assert 0.0 <= other["norm_drift"] <= 1e-9
 
 
 def test_normalize_ising_preserves_minimizers():
@@ -217,7 +224,7 @@ def test_normalize_ising_preserves_minimizers():
 
 
 def _apply_single_reference(state, qubit, gate):
-    """Per-qubit 2x2 gate application, the kernel _apply_gates replaced."""
+    """Per-qubit 2x2 gate application, in place; any gate on any statevector."""
     m = state.shape[0].bit_length() - 1
     shaped = state.reshape(1 << (m - qubit - 1), 2, 1 << qubit)
     a = gate[0, 0] * shaped[:, 0, :] + gate[0, 1] * shaped[:, 1, :]
@@ -226,34 +233,104 @@ def _apply_single_reference(state, qubit, gate):
     shaped[:, 1, :] = b
 
 
-def _random_unitary(rng):
-    z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    q, r = np.linalg.qr(z)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+def _layer_reference(state, gates):
+    """gates[q] on every qubit q, one qubit at a time, on a copy of `state`."""
+    out = state.astype(np.result_type(state, *gates))
+    for q, gate in enumerate(gates):
+        _apply_single_reference(out, q, gate)
+    return out
 
 
-@pytest.mark.parametrize("m", [1, 2, 4, 5, 6, 9, 10, 11, 13])
+def _rx_reference(theta):
+    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    return np.array([[c, -1j * s], [-1j * s, c]])
+
+
+def _ry_reference(theta):
+    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    return np.array([[c, -s], [s, c]], dtype=complex)
+
+
+def _frame(m):
+    """The diagonal of D = diag(i^popcount(z)), which maps a frame state to psi."""
+    idx = np.arange(1 << m)
+    popcount = sum((idx >> q) & 1 for q in range(m))
+    return np.array([1, 1j, -1, -1j])[popcount % 4]
+
+
+def _random_orthogonal(rng, reflection):
+    """A random real 2x2 orthogonal gate, with determinant -1 when `reflection`."""
+    q, _ = np.linalg.qr(rng.normal(size=(2, 2)))
+    if (np.linalg.det(q) < 0) != reflection:
+        q[:, 0] *= -1.0
+    return q
+
+
+def _random_state(rng, m, dtype):
+    state = rng.normal(size=1 << m).astype(dtype)
+    if dtype is complex:
+        state += 1j * rng.normal(size=1 << m)
+    return state / np.linalg.norm(state)
+
+
+# every remainder of the group size 4, and states of one to four groups
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 8, 9, 10, 11, 13])
 def test_apply_gates_matches_per_qubit_reference(m):
-    from qubofolio.quantum import _apply_gates, _rx, _ry
+    from qubofolio.quantum import _apply_gates, _rotation
 
     rng = np.random.default_rng(m)
-    state = rng.normal(size=1 << m) + 1j * rng.normal(size=1 << m)
-    state /= np.linalg.norm(state)
-    gates = []
-    for q in range(m):
-        kind = q % 3
-        if kind == 0:
-            gates.append(_rx(rng.uniform(-math.pi, math.pi)))
-        elif kind == 1:
-            gates.append(_ry(rng.uniform(-math.pi, math.pi)))
-        else:
-            gates.append(_random_unitary(rng))
-    expected = state.copy()
-    for q, gate in enumerate(gates):
-        _apply_single_reference(expected, q, gate)
-    got = _apply_gates(state.copy(), gates)
-    assert got.shape == expected.shape
-    assert np.max(np.abs(got - expected)) <= 1e-12
+    gates = [_random_orthogonal(rng, reflection=q % 3 == 0) if q % 3 != 1
+             else _rotation(rng.uniform(-math.pi, math.pi)) for q in range(m)]
+    for dtype in (float, complex):
+        state = _random_state(rng, m, dtype)
+        expected = _layer_reference(state, gates)
+        given, spare = state.copy(), np.empty_like(state)
+        got, other = _apply_gates(given, spare, gates)
+        assert got.dtype == state.dtype and got.shape == expected.shape
+        assert np.max(np.abs(got - expected)) <= 1e-12
+        # the result is one of the two arrays passed in, and the other is the spare
+        assert {id(got), id(other)} == {id(given), id(spare)}
+        assert np.shares_memory(got, given) or np.shares_memory(got, spare)
+
+
+@pytest.mark.parametrize("m", [1, 3, 4, 7, 10])
+def test_frame_rotation_layer_equals_rx_layer(m):
+    from qubofolio.quantum import _apply_gates, _rotation
+
+    rng = np.random.default_rng(40 + m)
+    thetas = rng.uniform(-math.pi, math.pi, size=m)
+    psi = _random_state(rng, m, complex)
+    expected = _layer_reference(psi, [_rx_reference(t) for t in thetas])
+    d = _frame(m)
+    phi, _ = _apply_gates(psi / d, np.empty_like(psi), [_rotation(t) for t in thetas])
+    assert np.max(np.abs(d * phi - expected)) <= 1e-12
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 5, 9])
+def test_frame_start_is_the_uniform_state_mapped_back_exactly(m):
+    from qubofolio.quantum import _frame_start
+
+    uniform = np.full(1 << m, 1.0 / math.sqrt(1 << m), dtype=complex)
+    assert np.array_equal(_frame_start(m), uniform * np.conj(_frame(m)))
+
+
+@pytest.mark.parametrize("m, layers", [(1, 1), (3, 2), (6, 3), (9, 2)])
+def test_vqe_state_matches_complex_reference(m, layers):
+    from qubofolio.quantum import _cz_ring_sign, _vqe_state
+
+    rng = np.random.default_rng(m)
+    theta = rng.uniform(-math.pi, math.pi, size=layers * m)
+    sign = _cz_ring_sign(m)
+    expected = np.zeros(1 << m, dtype=complex)
+    expected[0] = 1.0
+    for layer in range(layers):
+        expected = _layer_reference(
+            expected, [_ry_reference(t) for t in theta[layer * m : (layer + 1) * m]])
+        expected *= sign
+    state, drift = _vqe_state(m, layers, theta, sign)
+    assert state.dtype == np.float64
+    assert np.max(np.abs(state - expected)) <= 1e-12
+    assert drift <= 1e-9
 
 
 def test_cz_ring_sign_matches_sequential_flips():
@@ -308,10 +385,37 @@ def test_diagonalize_cost_equals_ising_value_on_every_state(ising):
 def test_anneal_norm_check_fires_on_a_non_unitary_mixer(monkeypatch):
     from qubofolio import quantum
 
-    rx = quantum._rx
-    monkeypatch.setattr(quantum, "_rx", lambda theta: 1.001 * rx(theta))
+    rotation = quantum._rotation
+    monkeypatch.setattr(quantum, "_rotation", lambda theta: 1.001 * rotation(theta))
     with pytest.raises(QuantumSimError, match="norm"):
         anneal_run(_random_ising(3, seed=2), AnnealSchedule(total_time=5, dt=0.05), shots=0)
+
+
+def test_qaoa_norm_check_fires_on_a_non_unitary_mixer(monkeypatch):
+    from qubofolio import quantum
+
+    rotation = quantum._rotation
+    monkeypatch.setattr(quantum, "_rotation", lambda theta: 1.001 * rotation(theta))
+    with pytest.raises(QuantumSimError, match="norm"):
+        qaoa_run(_random_ising(3, seed=2), QaoaParams((0.4,), (0.7,)), shots=0)
+
+
+def test_norm_drift_is_the_largest_deviation_the_check_saw(monkeypatch):
+    from qubofolio import quantum
+
+    # each gate scales the norm^2 by f^2, too little for the check to raise
+    f = 1.0 + 1e-12
+    rotation = quantum._rotation
+    monkeypatch.setattr(quantum, "_rotation", lambda theta: f * rotation(theta))
+    ising = _random_ising(3, seed=2)
+    qaoa = qaoa_run(ising, QaoaParams((0.4, 1.3), (0.7, 0.2)), shots=0)
+    anneal = anneal_run(ising, AnnealSchedule(total_time=5, dt=0.05), shots=0)
+    vqe = vqe_run(ising, layers=2, restarts=1, seed=0, maxiter=10)
+    # QAOA and VQE never renormalise, so the last layer drifts most; the
+    # anneal renormalises after each step
+    assert qaoa["norm_drift"] == pytest.approx(f ** 12 - 1.0, rel=1e-3)
+    assert vqe["norm_drift"] == pytest.approx(f ** 12 - 1.0, rel=1e-3)
+    assert anneal["norm_drift"] == pytest.approx(f ** 6 - 1.0, rel=1e-3)
 
 
 def test_anneal_reports_norm_drift():
@@ -337,18 +441,19 @@ def test_diagonalize_cost_at_the_qubit_cap_stays_small(monkeypatch):
 
 
 def _anneal_reference(cost, schedule):
-    """Trotter loop with an np.exp phase per step and a complex divide, the one
-    _anneal_state replaced.  Returns (state, largest |norm^2 - 1|)."""
-    from qubofolio.quantum import _apply_gates, _check_norm, _rx, _uniform_state
+    """Trotter loop on psi with complex RX gates, an np.exp phase per step and
+    a complex divide, the one _anneal_state replaced.  Returns (state,
+    largest |norm^2 - 1|)."""
+    from qubofolio.quantum import _check_norm
 
     m = cost.num_qubits
-    state = _uniform_state(m)
+    state = np.full(1 << m, 1.0 / math.sqrt(1 << m), dtype=complex)
     steps = schedule.steps
     dt = schedule.total_time / steps
     drift = 0.0
     for step in range(steps):
         a, b = schedule.ab((step + 0.5) * dt / schedule.total_time)
-        state = _apply_gates(state, [_rx(-2.0 * a * dt)] * m)
+        state = _layer_reference(state, [_rx_reference(-2.0 * a * dt)] * m)
         state *= np.exp(-1j * b * dt * cost.energies)
         norm2 = _check_norm(state)
         drift = max(drift, abs(norm2 - 1.0))
@@ -367,17 +472,20 @@ def test_anneal_state_matches_exponential_reference(m, total_time, dt, envelope)
     state, drift = _anneal_state(cost, schedule)
     expected, expected_drift = _anneal_reference(cost, schedule)
     assert np.max(np.abs(np.abs(state) ** 2 - np.abs(expected) ** 2)) <= 1e-9
-    assert np.max(np.abs(state - expected)) <= 1e-9
+    assert np.max(np.abs(_frame(m) * state - expected)) <= 1e-9
     assert drift <= 1e-9 and expected_drift <= 1e-9
 
 
 def test_qaoa_state_matches_exponential_reference():
-    from qubofolio.quantum import _apply_gates, _qaoa_state, _rx, _uniform_state
+    from qubofolio.quantum import _qaoa_state
 
     cost = diagonalize_cost(_random_ising(7, seed=11))
+    m = cost.num_qubits
     params = QaoaParams((0.4, 1.3, 2.9), (0.7, 0.2, 1.1))
-    expected = _uniform_state(cost.num_qubits)
+    expected = np.full(1 << m, 1.0 / math.sqrt(1 << m), dtype=complex)
     for gamma, beta in zip(params.gammas, params.betas):
         expected *= np.exp(-1j * gamma * cost.energies)
-        expected = _apply_gates(expected, [_rx(2.0 * beta)] * cost.num_qubits)
-    assert np.max(np.abs(_qaoa_state(cost, params) - expected)) <= 1e-12
+        expected = _layer_reference(expected, [_rx_reference(2.0 * beta)] * m)
+    state, drift = _qaoa_state(cost, params)
+    assert np.max(np.abs(_frame(m) * state - expected)) <= 1e-12
+    assert drift <= 1e-9
