@@ -128,6 +128,8 @@ def cmd_quantum(args) -> int:
     from .quantum import (AnnealSchedule, QaoaParams, QuantumSimError, _check_cap, anneal_run,
                           normalize_ising, qaoa_optimize, qaoa_run, vqe_run)
 
+    if args.algo == "anneal" and args.dt >= args.tau:
+        raise CliError(EXIT_SPEC, f"--dt {args.dt!r} must be smaller than --tau {args.tau!r}")
     problem = _load_problem(args)
     try:
         # before any model-sized array: a file header can declare ~1e12 variables

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .qubo import IsingModel
+from .qubo import IsingModel, all_energies
 
 __all__ = [
     "QuantumSimError",
@@ -152,16 +152,11 @@ def normalize_ising(ising: IsingModel) -> tuple[IsingModel, float]:
 
 
 def diagonalize_cost(ising: IsingModel) -> DiagonalCost:
-    """Evaluate the Ising objective on every basis state, one qubit at a time.
+    """Evaluate the Ising objective on every basis state by `qubo.all_energies`.
 
-    After qubits 0..k-1, `energies` holds the terms among them over all
-    2^k prefix states and `fields` has one row per qubit q >= k, its
-    field h_q + sum_{j<k} J_jq s_j over the same states.  Adding qubit k
-    doubles both: states with bit k = 0 (spin -1) come first, so
-    energies become (e - f_k, e + f_k) and each later field
-    (f_q - J_kq, f_q + J_kq).  The work is O(2^m) and no spin matrix is
-    formed.  A J entry (i, j) with i > j counts as (j, i); one with
-    i == j is constant and joins the offset.
+    Bit k = 0 of a state is spin -1, so states with s_k = -1 come first.
+    A J entry (i, j) with i > j counts as (j, i); one with i == j is
+    constant and joins the offset.
     """
     m = ising.num_spins
     _check_cap(m)
@@ -170,13 +165,7 @@ def diagonalize_cost(ising: IsingModel) -> DiagonalCost:
     coupling = np.zeros((m, m))
     np.add.at(coupling, (np.minimum(rows, cols)[~same], np.maximum(rows, cols)[~same]),
               vals[~same])
-    energies = np.array([ising.offset + vals[same].sum()])
-    fields = ising.h.reshape(m, 1)
-    for k in range(m):
-        f, later = fields[0], fields[1:]
-        energies = np.concatenate((energies - f, energies + f))
-        j_k = coupling[k, k + 1 :, None]
-        fields = np.concatenate((later - j_k, later + j_k), axis=1)
+    energies = all_energies(ising.offset + vals[same].sum(), ising.h, coupling, -1.0)
     return DiagonalCost(num_qubits=m, energies=energies)
 
 

@@ -462,6 +462,25 @@ def dense_energies(A: np.ndarray, offset: float, X: np.ndarray) -> np.ndarray:
     return ((X @ A) * X).sum(axis=1) + offset
 
 
+def all_energies(offset: float, fields, coupling: np.ndarray, low: float) -> np.ndarray:
+    """offset + f.v + sum_{k<q} coupling[k, q] v_k v_q for every v, in O(2^m) by doubling.
+
+    v_k is `low` (-1 for spins, 0 for bits) or 1 as bit k of the index is
+    0 or 1.  After variables 0..k-1, `energies` holds the terms among them
+    over the 2^k prefixes and row q of `fields` the field of each q >= k.
+    Adding k maps e to (e + low*f_k, e + f_k) and each later field likewise
+    with coupling[k, q].  No state matrix is formed.
+    """
+    energies = np.array([offset])
+    fields = np.reshape(fields, (-1, 1))
+    for k in range(len(fields)):
+        f, later = fields[0], fields[1:]
+        energies = np.concatenate((energies + low * f, energies + f))
+        c_k = coupling[k, k + 1 :, None]
+        fields = np.concatenate((later + low * c_k, later + c_k), axis=1)
+    return energies
+
+
 def to_ising(qubo) -> IsingModel:
     """Map x = (s + 1)/2 so that F(s) + offset' equals the QUBO energy exactly."""
     if isinstance(qubo, BlockQubo):

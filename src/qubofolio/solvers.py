@@ -27,9 +27,9 @@ from .qubo import (
     QuboError,
     _as_block,
     _one_block,
+    all_energies,
     apply_flip,
     delta_energies,
-    dense_energies,
     energy,
     to_dense,
 )
@@ -113,17 +113,19 @@ class SolveReport:
             fh.write("\n")
 
 
+_OPERATORS = ("descent-restart", "tabu-flip", "uniform-crossover", "k-bit-mutation")
+
+
 @dataclass(frozen=True)
 class PoolConfig:
     pool_size: int = 16
-    operators: tuple[str, ...] = (
-        "descent-restart",
-        "tabu-flip",
-        "uniform-crossover",
-        "k-bit-mutation",
-    )
+    operators: tuple[str, ...] = _OPERATORS
 
     def __post_init__(self):
+        if not self.operators or not set(self.operators) <= set(_OPERATORS):
+            raise ValueError(f"operators must be a non-empty subset of {_OPERATORS}")
+        if self.pool_size < 1:
+            raise ValueError("pool_size must be at least 1")
         if "uniform-crossover" in self.operators and self.pool_size < 2:
             raise ValueError("pool_size must be >= 2 when crossover is enabled")
 
@@ -213,35 +215,39 @@ def _dense(qubo) -> tuple[np.ndarray, float, BlockQubo]:
     return A, offset, qubo if isinstance(qubo, BlockQubo) else _one_block(A, offset)
 
 
-def _assignments(fixed: np.ndarray, chunk: int = 1 << 18):
-    """Every completion of `fixed` (-1 marks a free bit), as int8 rows in chunks.
+_CHUNK_BITS = 18  # free bits evaluated together: chunks of 2^18 completions
 
-    Free bit k of a row is bit k of the row's index, so with every bit free
-    the rows count up in binary.
-    """
-    free = (fixed < 0).astype(np.uint64)
-    keep = (fixed > 0).astype(np.uint64)
-    shift = np.cumsum(free) - free
-    total = 1 << int(free.sum())
-    for lo in range(0, total, chunk):
-        idx = np.arange(lo, min(lo + chunk, total), dtype=np.uint64)
-        yield (((idx[:, None] >> shift) & free) | keep).astype(np.int8)
+
+def _restrict(A: np.ndarray, offset: float, fixed: np.ndarray):
+    """(const, lin, M), E = const + lin.y + y'My with M's diagonal 0, over fixed's -1 bits y."""
+    free = np.flatnonzero(fixed < 0)
+    fx = np.flatnonzero(fixed > 0)
+    const = offset + float(A[np.ix_(fx, fx)].sum())
+    Aff = A[np.ix_(free, free)]
+    lin = np.diagonal(Aff) + 2.0 * A[np.ix_(free, fx)].sum(axis=1)
+    return const, lin, Aff - np.diag(np.diagonal(Aff))
 
 
 def _enumerate(run: _Run, A: np.ndarray, offset: float, fixed: np.ndarray) -> int:
-    """Offer the best completion of `fixed`, chunk by chunk, to the run.
+    """Offer the `energy` of the best completion of each chunk of `fixed`'s -1 bits.
 
-    Returns the number of completions enumerated: all of them, unless the
-    run's budget, counted in completions, is spent between two chunks.
+    Chunk c sets the free bits past the lowest _CHUNK_BITS to the bits of
+    c, so completions count up in binary.  Returns the number enumerated:
+    all, unless the budget, counted in completions, is spent between chunks.
     """
+    free = np.flatnonzero(fixed < 0)
+    low, high = free[:_CHUNK_BITS], free[_CHUNK_BITS:]
     done = 0
-    for X in _assignments(fixed):
+    for c in range(1 << len(high)):
         if done and run.spent(done):
             break
-        E = dense_energies(A, offset, X)
-        j = int(np.argmin(E))
-        run.offer(float(E[j]), X[j])
-        done += len(X)
+        x = fixed.copy()
+        x[high] = (c >> np.arange(len(high))) & 1
+        const, lin, M = _restrict(A, offset, x)
+        E = all_energies(const, lin, 2.0 * np.triu(M, 1), 0.0)
+        x[low] = (int(np.argmin(E)) >> np.arange(len(low))) & 1
+        run.offer(energy(run.block, x), x)
+        done += len(E)
     return done
 
 
@@ -273,23 +279,14 @@ def _node_bound(A, offset, fixed):
     supporting hyperplane at the final iterate gives a certified bound over
     the box.  Returns (bound, relaxation point over free variables).
     """
-    free = np.flatnonzero(fixed < 0)
-    fx = np.flatnonzero(fixed > 0)
-    const = offset
-    if len(fx):
-        const += float(A[np.ix_(fx, fx)].sum())
-    Aff = A[np.ix_(free, free)]
-    lin = np.diagonal(Aff).copy()
-    if len(fx):
-        lin += 2.0 * A[np.ix_(free, fx)].sum(axis=1)
-    M = Aff - np.diag(np.diagonal(Aff))
-    if len(free) == 0:
-        return const, np.zeros(0)
+    const, lin, M = _restrict(A, offset, fixed)
+    if len(lin) == 0:
+        return const, lin
     eigs = np.linalg.eigvalsh(M)
     shift = max(0.0, -float(eigs[0])) * 1.1 + 1e-12
     L = 2.0 * (float(eigs[-1]) + shift) + 1e-12
     lin_c = lin - shift
-    y = np.full(len(free), 0.5)
+    y = np.full(len(lin), 0.5)
     for _ in range(_PG_ITERS):
         grad = 2.0 * (M @ y + shift * y) + lin_c
         y = np.clip(y - grad / L, 0.0, 1.0)

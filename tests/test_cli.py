@@ -209,6 +209,14 @@ def test_quantum_invalid_flag_exits_2(tmp_path, capsys, argv, what):
     assert not (tmp_path / "r.json").exists()
 
 
+def test_quantum_anneal_step_not_below_tau_exits_2(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert run("quantum", "--toy", "--algo", "anneal", "--tau", "0.01", "--dt", "0.02",
+               "--out", str(out)) == 2
+    assert "--dt 0.02 must be smaller than --tau 0.01" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_toy_default_grid(tmp_path):
     out = tmp_path / "pareto.csv"
     assert run("sweep", "--toy", "--solver", "exact", "--out", str(out)) == 0

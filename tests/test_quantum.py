@@ -370,6 +370,24 @@ def _no_spin_ising():
                       offset=-1.5)
 
 
+def _diagonalize_reference(ising):
+    """The doubling loop diagonalize_cost ran before it shared qubo.all_energies."""
+    m = ising.num_spins
+    rows, cols, vals = ising.j_rows, ising.j_cols, ising.j_vals
+    same = rows == cols
+    coupling = np.zeros((m, m))
+    np.add.at(coupling, (np.minimum(rows, cols)[~same], np.maximum(rows, cols)[~same]),
+              vals[~same])
+    energies = np.array([ising.offset + vals[same].sum()])
+    fields = ising.h.reshape(m, 1)
+    for k in range(m):
+        f, later = fields[0], fields[1:]
+        energies = np.concatenate((energies - f, energies + f))
+        j_k = coupling[k, k + 1 :, None]
+        fields = np.concatenate((later - j_k, later + j_k), axis=1)
+    return energies
+
+
 @pytest.mark.parametrize("ising", [_random_ising(m, seed=m) for m in (1, 2, 4, 7, 10)]
                          + [_repeated_pair_ising(), _unordered_and_self_pair_ising(),
                             _no_spin_ising(), _single_field(-0.75)])
@@ -380,6 +398,7 @@ def test_diagonalize_cost_equals_ising_value_on_every_state(ising):
         spins = [1 if (z >> i) & 1 else -1 for i in range(m)]
         value = ising_value(ising, spins)
         assert abs(energies[z] - value) <= 1e-12 * max(1.0, abs(value))
+    assert np.array_equal(energies, _diagonalize_reference(ising))
 
 
 def test_anneal_norm_check_fires_on_a_non_unitary_mixer(monkeypatch):

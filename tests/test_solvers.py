@@ -9,15 +9,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qubofolio import solvers as solvers_module
 from qubofolio.evaluation import SOLVERS
 from qubofolio.qubo import (
+    IsingModel,
     QuboError,
+    SparseQubo,
     _as_block,
+    _one_block,
+    all_energies,
     apply_flip,
     build_qubo,
     delta_energies,
     dense_energies,
     energy,
+    ising_value,
     to_dense,
 )
 from qubofolio.solvers import (
@@ -25,7 +31,8 @@ from qubofolio.solvers import (
     PoolConfig,
     SolveBudget,
     SolveReport,
-    _assignments,
+    _enumerate,
+    _Run,
     local_descent,
     rle_decode,
     rle_encode,
@@ -114,8 +121,13 @@ def test_bnb_lower_bound_is_valid_under_budget():
     assert bnb.best_energy >= exact_e
 
 
-def test_bnb_trace_is_strictly_improving():
-    sq = random_sparse_qubo(16, seed=11)
+# (16, 11) and twelve files on which a leaf re-offered the incumbent's bits
+# at a value one ulp below their `energy`, repeating the last trace entry
+@pytest.mark.parametrize("n, seed", [(16, 11), (10, 16), (10, 31), (10, 39), (14, 17),
+                                     (14, 38), (14, 47), (16, 4), (16, 7), (16, 19),
+                                     (16, 53), (18, 28), (18, 45)])
+def test_bnb_trace_is_strictly_improving(n, seed):
+    sq = random_sparse_qubo(n, seed=seed)
     report = solve_bnb(sq)
     energies = [e for _, e in report.trace]
     assert all(a > b for a, b in zip(energies, energies[1:])) or len(energies) == 1
@@ -248,6 +260,22 @@ def test_abs_past_its_time_limit_still_returns_an_incumbent():
     assert SolveReport.from_json(doc).to_json() == report.to_json()
 
 
+@pytest.mark.parametrize("operators", [("descent-restart", "tabu-walk"), ("descent",)])
+def test_pool_rejects_unknown_operators(operators):
+    with pytest.raises(ValueError, match="operators"):
+        PoolConfig(pool_size=4, operators=operators)
+
+
+def test_pool_rejects_no_operators():
+    with pytest.raises(ValueError, match="operators"):
+        PoolConfig(operators=())
+
+
+def test_pool_rejects_an_empty_pool():
+    with pytest.raises(ValueError, match="pool_size"):
+        PoolConfig(pool_size=0, operators=("descent-restart",))
+
+
 def test_pool_without_crossover_allows_tiny_pool():
     cfg = PoolConfig(pool_size=1, operators=("descent-restart",))
     sq = random_sparse_qubo(8, seed=24)
@@ -299,7 +327,7 @@ def test_exact_and_bnb_report_the_energy_of_their_best(seed, q, signed_risk):
 
 
 def exact_enumeration_reference(n, chunk):
-    """The bit matrix solve_exact built before it shared _assignments."""
+    """The bit matrix solve_exact built before it evaluated chunks by doubling."""
     total = 1 << n
     powers = np.arange(n, dtype=np.uint64)
     for lo in range(0, total, chunk):
@@ -308,7 +336,7 @@ def exact_enumeration_reference(n, chunk):
 
 
 def leaf_enumeration_reference(fixed):
-    """The bit matrix of branch and bound's leaves before they shared _assignments."""
+    """The bit matrix of branch and bound's leaves before they evaluated by doubling."""
     free = np.flatnonzero(fixed < 0)
     X = np.repeat(np.clip(fixed, 0, 1)[None, :], 1 << len(free), axis=0).astype(np.int8)
     if len(free):
@@ -317,33 +345,69 @@ def leaf_enumeration_reference(fixed):
     return X
 
 
-def _same_rows(chunks, reference):
-    chunks, reference = list(chunks), list(reference)
-    assert len(chunks) == len(reference)
-    for got, want in zip(chunks, reference):
-        assert got.dtype == want.dtype == np.int8
-        assert got.shape == want.shape
-        assert (got == want).all()
-
-
-@pytest.mark.parametrize("n", [0, 1, 5, 13])
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 7, 13])
 @pytest.mark.parametrize("chunk", [7, 1 << 18])
 def test_assignments_match_the_exact_enumeration(n, chunk):
-    fixed = np.full(n, -1, dtype=np.int8)
-    _same_rows(_assignments(fixed, chunk), exact_enumeration_reference(n, chunk))
+    """Energy z of all_energies over bits is that of row z of the binary-order reference."""
+    rng = np.random.default_rng(n)
+    A, off = rng.normal(size=(n, n)), float(rng.normal())
+    A = (A + A.T) / 2.0
+    got = all_energies(off, np.diagonal(A), 2.0 * np.triu(A, 1), 0.0)
+    want = np.concatenate([dense_energies(A, off, X)
+                           for X in exact_enumeration_reference(n, chunk)])
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * (1.0 + np.abs(A).sum()))
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 7, 13])
+def test_all_energies_of_spins_equal_ising_value_on_every_state(m):
+    rng = np.random.default_rng(100 + m)
+    rows, cols = np.triu_indices(m, 1)
+    ising = IsingModel(h=rng.normal(size=m), j_rows=rows, j_cols=cols,
+                       j_vals=rng.normal(size=len(rows)), offset=float(rng.normal()))
+    coupling = np.zeros((m, m))
+    coupling[rows, cols] = ising.j_vals
+    got = all_energies(ising.offset, ising.h, coupling, -1.0)
+    (X,) = exact_enumeration_reference(m, 1 << 18)
+    want = [ising_value(ising, 2 * x - 1) for x in X]
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * (1.0 + m * m))
 
 
 @pytest.mark.parametrize("seed", range(12))
-def test_assignments_match_the_leaf_enumeration(seed):
+def test_assignments_match_the_leaf_enumeration(seed, monkeypatch):
+    """_enumerate offers the best of the reference's completions of a partly fixed vector,
+    in one chunk and in chunks of 2^3."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 16))
     fixed = rng.integers(-1, 2, size=n).astype(np.int8)
-    reference = leaf_enumeration_reference(fixed)
-    _same_rows(_assignments(fixed), [reference])
-    chunk = int(rng.integers(1, 9))
-    got = np.concatenate(list(_assignments(fixed, chunk)))
-    assert got.dtype == np.int8 and (got == reference).all()
-    assert len(list(_assignments(fixed, chunk))) == -(-len(reference) // chunk)
+    A, off = to_dense(random_sparse_qubo(n, seed=seed))
+    X = leaf_enumeration_reference(fixed)
+    for chunk_bits in (3, 18):
+        monkeypatch.setattr(solvers_module, "_CHUNK_BITS", chunk_bits)
+        run = _Run("test", _one_block(A, off), None)
+        assert _enumerate(run, A, off, fixed) == len(X)
+        assert run.best_e == pytest.approx(dense_energies(A, off, X).min(), rel=1e-12,
+                                           abs=1e-12)
+        assert run.best_e == energy(run.block, run.best_x)
+        assert (run.best_x[fixed >= 0] == fixed[fixed >= 0]).all()
+
+
+def test_chunked_exact_solve_matches_the_one_chunk_solve(monkeypatch):
+    sq = random_sparse_qubo(7, seed=3)
+    whole = solve_exact(sq)
+    monkeypatch.setattr(solvers_module, "_CHUNK_BITS", 3)
+    chunked = solve_exact(sq)
+    assert np.array_equal(chunked.best, whole.best)
+    assert chunked.best_energy == whole.best_energy
+    assert chunked.iterations == whole.iterations == 1 << 7
+    assert chunked.lower_bound == whole.lower_bound
+    # E(z) = -z, so a solve that stops after states 0..b-1 returns state b - 1
+    k = np.arange(7)
+    ramp = SparseQubo(num_vars=7, rows=k, cols=k, vals=-(2.0 ** k), offset=0.0)
+    for budget in (8, 16):
+        first = solve_exact(ramp, SolveBudget(max_iterations=budget))
+        assert first.iterations == budget and first.lower_bound is None
+        assert first.best_energy == -(budget - 1)
+        assert (first.best == (budget - 1) >> k & 1).all()
 
 
 PINNED = Path(__file__).parent / "data" / "solver_results.json"
