@@ -5,10 +5,10 @@ All solvers consume either a BlockQubo or a SparseQubo and return a
 SolveReport; a SparseQubo is searched as a one-block BlockQubo, so every
 solver runs on the energy, delta_energies and apply_flip kernel of
 qubo.py.  Randomized solvers draw from one ``default_rng(seed)`` stream.
-Operator adaptation and annealing schedules are driven by deterministic
-work counts (bit flips) rather than wall-clock time, so a run with a
-fixed ``max_iterations`` is bit-for-bit repeatable; purely time-limited
-runs are only as repeatable as the clock.
+Operator adaptation follows bit flips and the annealing schedule follows
+proposals: deterministic work counts rather than wall-clock time, so a
+run with a fixed ``max_iterations`` is bit-for-bit repeatable; purely
+time-limited runs are only as repeatable as the clock.
 """
 from __future__ import annotations
 
@@ -49,6 +49,7 @@ __all__ = [
 
 EXACT_CAP = 26
 _SA_FINAL_RATIO = 1e-3  # final temperature as a fraction of T0
+_SA_BLOCK = 512  # SA proposals drawn at once; the time limit is tested per block
 _HALFLIFE_FLIPS = 20_000.0  # operator-score half-life, in bit flips
 _MUTATION_MEAN_BITS = 3.0  # mean of the geometric k-bit mutation size
 _PG_ITERS = 100  # projected-gradient steps per branch-and-bound node
@@ -180,11 +181,16 @@ class _Run:
                 or time.perf_counter() - self.start > self.budget.time_limit)
 
     def offer(self, e: float, x: np.ndarray) -> bool:
-        """Keep x if e improves on the best; True once target_energy is reached."""
+        """Keep x if e improves on the best; True once target_energy is reached.
+
+        The incumbent's own bits offered at a lower e (a running energy
+        drifts by ulps) lower best_e but are no new improvement.
+        """
         if e < self.best_e:
+            if self.best_x is None or not np.array_equal(x, self.best_x):
+                self.best_x = x.copy()
+                self.trace.append((time.perf_counter() - self.start, e))
             self.best_e = e
-            self.best_x = x.copy()
-            self.trace.append((time.perf_counter() - self.start, e))
         target = self.budget.target_energy
         return target is not None and self.best_e <= target
 
@@ -373,7 +379,13 @@ def solve_sa(qubo, budget: SolveBudget | None = None) -> SolveReport:
     """Metropolis single-flip annealing with a geometric temperature schedule.
 
     T0 is the 90th percentile of |delta| at a random start; the schedule
-    cools to T0 * 1e-3 over max_iterations flips (default 200 per variable).
+    cools to T0 * 1e-3 over max_iterations proposals (default 200 per
+    variable).  Proposals are drawn in blocks of _SA_BLOCK: one array of
+    uniforms u and one of indices, each u turned into the threshold
+    -T * log(1 - u) at its proposal's temperature.  A flip is accepted iff
+    its delta is at most its threshold, which is the Metropolis rule
+    u < exp(-delta / T) in distribution.  The time limit is tested before
+    each block.
     """
     qubo = _as_block(qubo)
     n = qubo.num_vars
@@ -388,17 +400,18 @@ def solve_sa(qubo, budget: SolveBudget | None = None) -> SolveReport:
     cooling, span = tf / t0, max(max_it - 1, 1)
     run.offer(e, x)
     iterations = 0
-    for it in range(max_it):
-        if it % 512 == 0 and run.spent(it):
-            break
-        iterations += 1
-        temp = t0 * cooling ** (it / span)
-        i = int(rng.integers(n))
-        dE = deltas[i]
-        if dE <= 0.0 or rng.random() < math.exp(-dE / temp):
-            e += apply_flip(qubo, x, i, deltas)
-            if e < run.best_e and run.offer(e, x):
-                break
+    while iterations < max_it and not run.spent(iterations):
+        m = min(_SA_BLOCK, max_it - iterations)
+        u = rng.random(m)
+        picks = rng.integers(n, size=m).tolist()
+        temps = t0 * cooling ** (np.arange(iterations, iterations + m) / span)
+        thresholds = (-temps * np.log1p(-u)).tolist()
+        for k, (i, thr) in enumerate(zip(picks, thresholds)):
+            if deltas[i] <= thr:
+                e += apply_flip(qubo, x, i, deltas)
+                if e < run.best_e and run.offer(e, x):
+                    return run.report(iterations + k + 1)
+        iterations += m
     return run.report(iterations)
 
 
