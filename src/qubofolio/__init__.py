@@ -60,7 +60,6 @@ from .qubo import (
     write_qubo_text,
 )
 from .solvers import (
-    PoolConfig,
     SolveBudget,
     SolveReport,
     local_descent,

@@ -96,17 +96,11 @@ def _parse_date(text: str) -> dt.date:
     return dt.date.fromisoformat(text)
 
 
-def load_prices(
-    path,
-    tickers: list[str] | None = None,
-    start: dt.date | None = None,
-    end: dt.date | None = None,
-) -> PriceTable:
-    """Read a ``date,ticker,close`` CSV into an aligned PriceTable.
+def load_prices(path) -> PriceTable:
+    """Read every row of a ``date,ticker,close`` CSV into an aligned PriceTable.
 
-    Tickers that do not cover every date in the range are dropped with a
-    warning rather than imputed.  An explicitly requested ticker missing
-    more than 10% of the dates is an error.
+    Tickers that do not cover every date in the file are dropped with a
+    warning rather than imputed.
     """
     by_ticker: dict[str, dict[dt.date, float]] = {}
     try:
@@ -129,41 +123,23 @@ def load_prices(
                 raise MarketDataError(f"{path}:{lineno}: unparseable row {row!r}: {exc}") from exc
             if close <= 0:
                 raise MarketDataError(f"{path}:{lineno}: non-positive close {close}")
-            if start is not None and date < start:
-                continue
-            if end is not None and date > end:
-                continue
-            if tickers is not None and ticker not in tickers:
-                continue
             by_ticker.setdefault(ticker, {})[date] = close
-
-    if tickers is not None:
-        missing = [t for t in tickers if t not in by_ticker]
-        if missing:
-            raise MarketDataError(f"requested tickers absent from file: {missing}")
 
     all_dates = sorted({d for series in by_ticker.values() for d in series})
     if not all_dates:
-        raise MarketDataError(f"{path}: no rows in requested range")
+        raise MarketDataError(f"{path}: no price rows")
 
     kept: list[str] = []
     dropped: list[str] = []
     for ticker in sorted(by_ticker):
-        series = by_ticker[ticker]
-        frac_missing = 1.0 - len(series) / len(all_dates)
-        if frac_missing > 0.10 and tickers is not None and ticker in tickers:
-            raise MarketDataError(
-                f"ticker {ticker} missing {frac_missing:.0%} of dates in range; "
-                "rejected rather than imputed"
-            )
-        if len(series) == len(all_dates):
+        if len(by_ticker[ticker]) == len(all_dates):
             kept.append(ticker)
         else:
             dropped.append(ticker)
     if dropped:
         warnings.warn(f"dropped tickers with missing dates: {dropped}", stacklevel=2)
     if not kept:
-        raise MarketDataError("no ticker covers all dates in range")
+        raise MarketDataError("no ticker covers all dates")
 
     close = np.array([[by_ticker[t][d] for d in all_dates] for t in kept])
     return PriceTable(tickers=kept, dates=all_dates, close=close)

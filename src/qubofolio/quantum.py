@@ -103,29 +103,20 @@ class QaoaParams:
 
 @dataclass(frozen=True)
 class AnnealSchedule:
-    """Interpolation H(s) = A(s) * H_driver + B(s) * H_cost on s in [0, 1]."""
+    """Linear interpolation H(s) = (1 - s) * H_driver + s * H_cost on s in [0, 1]."""
 
     total_time: float
     dt: float = 0.01
-    envelope: str = "linear"  # or "cosine"
 
     def __post_init__(self):
         if self.dt <= 0:
             raise QuantumSimError("dt must be positive")
         if self.dt >= self.total_time:
             raise QuantumSimError("dt must be smaller than total_time")
-        if self.envelope not in ("linear", "cosine"):
-            raise QuantumSimError(f"unknown envelope {self.envelope!r}")
 
     @property
     def steps(self) -> int:
         return max(int(round(self.total_time / self.dt)), 1)
-
-    def ab(self, s: float) -> tuple[float, float]:
-        if self.envelope == "linear":
-            return 1.0 - s, s
-        half = 0.5 * (1.0 + math.cos(math.pi * s))
-        return half, 1.0 - half
 
 
 def normalize_ising(ising: IsingModel) -> tuple[IsingModel, float]:
@@ -443,22 +434,15 @@ def _anneal_state(cost: DiagonalCost, schedule: AnnealSchedule) -> tuple[np.ndar
     spare = np.empty_like(state)
     steps = schedule.steps
     dt = schedule.total_time / steps
-    linear = schedule.envelope == "linear"
-    if linear:
-        # B(s_k) * dt = (k + 1/2) * dt^2 / T, so each phase is the last one times rho
-        rho = _phase(cost.energies, dt * dt / schedule.total_time)
-        phase = _phase(cost.energies, 0.5 * dt * dt / schedule.total_time)
-    else:
-        phase = np.empty_like(state)
+    # B(s_k) * dt = (k + 1/2) * dt^2 / T, so each phase is the last one times rho
+    rho = _phase(cost.energies, dt * dt / schedule.total_time)
+    phase = _phase(cost.energies, 0.5 * dt * dt / schedule.total_time)
     drift = 0.0
     for step in range(steps):
-        s = (step + 0.5) * dt / schedule.total_time
-        a, b = schedule.ab(s)
+        a = 1.0 - (step + 0.5) * dt / schedule.total_time
         # exp(-i * A * (-sum sigma_x) * dt) factors into per-qubit RX(-2*A*dt)
         state, spare = _apply_gates(state, spare, [_rotation(-2.0 * a * dt)] * m)
-        if not linear:
-            _phase(cost.energies, b * dt, out=phase)
-        elif step:
+        if step:
             phase *= rho
         state *= phase
         norm2 = _check_norm(state)
@@ -469,29 +453,27 @@ def _anneal_state(cost: DiagonalCost, schedule: AnnealSchedule) -> tuple[np.ndar
 
 def anneal_run(ising: IsingModel, schedule: AnnealSchedule, shots: int = 1024,
                seed: int = 0) -> dict:
-    """First-order Trotter evolution under H(s) = A(s)*(-sum sigma_x) + B(s)*H_cost.
+    """First-order Trotter evolution under H(s) = (1 - s)*(-sum sigma_x) + s*H_cost.
 
     Starts in the uniform superposition (the driver's ground state) and
     alternates per-qubit X rotations with diagonal cost phases, using the
-    midpoint of each step for the envelopes.  Each step checks the norm
+    midpoint s of each step for both weights.  Each step checks the norm
     (QuantumSimError beyond 1e-9) and then renormalizes, so floating-point
     drift cannot accumulate; the largest per-step |norm^2 - 1| is reported
     as "norm_drift".
 
-    The linear envelope's cost phase at step k is exp(-i (k + 1/2) dt^2/T E),
-    kept as a running product: the previous step's phase times the
-    constant exp(-i dt^2/T E), with no transcendental in the loop.  Each
-    complex product rounds by under 5e-16 relative, so step k's phase is
-    within k * 5e-16 of a direct exponential (3e-13 measured after the
-    CLI default 5,000 steps, mostly in its modulus), far below the 1e-9
-    norm tolerance.  The cosine envelope evaluates each step's phase
-    directly.
+    The cost phase at step k is exp(-i (k + 1/2) dt^2/T E), kept as a
+    running product: the previous step's phase times the constant
+    exp(-i dt^2/T E), with no transcendental in the loop.  Each complex
+    product rounds by under 5e-16 relative, so step k's phase is within
+    k * 5e-16 of a direct exponential (3e-13 measured after the CLI
+    default 5,000 steps, mostly in its modulus), far below the 1e-9 norm
+    tolerance.
     """
     cost = diagonalize_cost(ising)
     state, drift = _anneal_state(cost, schedule)
     rng = np.random.default_rng(seed)
     doc = _run_doc("anneal", cost, state, shots, rng,
-                   {"total_time": schedule.total_time, "dt": schedule.dt,
-                    "envelope": schedule.envelope})
+                   {"total_time": schedule.total_time, "dt": schedule.dt})
     doc["norm_drift"] = drift
     return doc

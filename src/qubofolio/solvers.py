@@ -37,7 +37,6 @@ from .qubo import (
 __all__ = [
     "SolveBudget",
     "SolveReport",
-    "PoolConfig",
     "solve_exact",
     "solve_bnb",
     "solve_sa",
@@ -52,6 +51,7 @@ _SA_FINAL_RATIO = 1e-3  # final temperature as a fraction of T0
 _SA_BLOCK = 512  # SA proposals drawn at once; the time limit is tested per block
 _HALFLIFE_FLIPS = 20_000.0  # operator-score half-life, in bit flips
 _MUTATION_MEAN_BITS = 3.0  # mean of the geometric k-bit mutation size
+_POOL_SIZE = 16  # elite assignments ABS keeps
 _PG_ITERS = 100  # projected-gradient steps per branch-and-bound node
 
 
@@ -114,23 +114,6 @@ class SolveReport:
             fh.write("\n")
 
 
-_OPERATORS = ("descent-restart", "tabu-flip", "uniform-crossover", "k-bit-mutation")
-
-
-@dataclass(frozen=True)
-class PoolConfig:
-    pool_size: int = 16
-    operators: tuple[str, ...] = _OPERATORS
-
-    def __post_init__(self):
-        if not self.operators or not set(self.operators) <= set(_OPERATORS):
-            raise ValueError(f"operators must be a non-empty subset of {_OPERATORS}")
-        if self.pool_size < 1:
-            raise ValueError("pool_size must be at least 1")
-        if "uniform-crossover" in self.operators and self.pool_size < 2:
-            raise ValueError("pool_size must be >= 2 when crossover is enabled")
-
-
 def rle_encode(bits) -> str:
     """Run-length encode a 0/1 vector as e.g. ``0x5 1x3 0x2``."""
     x = np.asarray(bits, dtype=np.int8).ravel()
@@ -184,7 +167,9 @@ class _Run:
         """Keep x if e improves on the best; True once target_energy is reached.
 
         The incumbent's own bits offered at a lower e (a running energy
-        drifts by ulps) lower best_e but are no new improvement.
+        drifts by ulps) lower best_e but are no new improvement.  For the
+        same reason a best_e within 1e-9 * max(1, |target|) of the target
+        is decided by the incumbent's `energy`.
         """
         if e < self.best_e:
             if self.best_x is None or not np.array_equal(x, self.best_x):
@@ -192,6 +177,8 @@ class _Run:
                 self.trace.append((time.perf_counter() - self.start, e))
             self.best_e = e
         target = self.budget.target_energy
+        if target is not None and abs(self.best_e - target) <= 1e-9 * max(1.0, abs(target)):
+            return energy(self.block, self.best_x) <= target
         return target is not None and self.best_e <= target
 
     def report(self, iterations: int, bound: float | None = None) -> SolveReport:
@@ -418,22 +405,25 @@ def solve_sa(qubo, budget: SolveBudget | None = None) -> SolveReport:
 # --- adaptive pooled search ------------------------------------------------------
 
 
+_OPERATORS = ("descent-restart", "tabu-flip", "uniform-crossover", "k-bit-mutation")
+
+
 class _OperatorScores:
-    """Exponentially decayed improvement-per-work scores driving softmax selection.
+    """Exponentially decayed improvement-per-work scores of the _OPERATORS,
+    driving softmax selection.
 
     Work is counted in bit flips, so that adaptation stays deterministic.
     """
 
-    def __init__(self, operators: tuple[str, ...]):
-        self.operators = operators
-        self.scores = {op: 0.0 for op in operators}
+    def __init__(self):
+        self.scores = {op: 0.0 for op in _OPERATORS}
 
     def pick(self, rng: np.random.Generator) -> str:
-        vals = np.array([self.scores[op] for op in self.operators])
+        vals = np.array([self.scores[op] for op in _OPERATORS])
         vals = vals - vals.max()
         probs = np.exp(vals)
         probs /= probs.sum()
-        return self.operators[int(rng.choice(len(self.operators), p=probs))]
+        return _OPERATORS[int(rng.choice(len(_OPERATORS), p=probs))]
 
     def update(self, op: str, improvement: float, work: float) -> None:
         work = max(work, 1.0)
@@ -462,11 +452,10 @@ def _tabu_walk(qubo: BlockQubo, x, tenure, steps):
     return best_x, flips
 
 
-def solve_abs(qubo, budget: SolveBudget | None = None,
-              pool: PoolConfig | None = None) -> SolveReport:
+def solve_abs(qubo, budget: SolveBudget | None = None) -> SolveReport:
     """Adaptive pooled search: operator selection by decayed improvement
-    rate, candidates refined by steepest descent, elite pool with dedupe."""
-    cfg = pool or PoolConfig()
+    rate among the four _OPERATORS, candidates refined by steepest descent,
+    and an elite pool of the _POOL_SIZE best distinct assignments."""
     qubo = _as_block(qubo)
     n = qubo.num_vars
     run = _Run("abs", qubo, budget)
@@ -484,11 +473,11 @@ def solve_abs(qubo, budget: SolveBudget | None = None,
         elite.append(heapq_entry)
         hashes.add(hx)
         elite.sort(key=lambda item: (item[0], item[1]))
-        while len(elite) > cfg.pool_size:
+        while len(elite) > _POOL_SIZE:
             _, old_hash, _ = elite.pop()
             hashes.discard(old_hash)
 
-    scores = _OperatorScores(cfg.operators)
+    scores = _OperatorScores()
     rng = np.random.default_rng(run.budget.seed)
 
     iterations = 0

@@ -20,6 +20,8 @@ __all__ = [
     "write_price_csv",
 ]
 
+_U = 100_000.0  # capital unit u of every generated spec, in currency
+
 
 def cash_only_bits(spec: ProblemSpec) -> np.ndarray:
     """The all-cash assignment: no trades, slack bits absorb both budgets."""
@@ -38,27 +40,24 @@ def cash_only_bits(spec: ProblemSpec) -> np.ndarray:
 def toy_spec(
     n: int = 2,
     T: int = 2,
-    k: int = 1,
     B: int = 1,
-    C: int = 1,
     q: float = 1e-5,
     seed: int = 0,
-    u: float = 100_000.0,
     signed_risk: bool = True,
 ) -> ProblemSpec:
-    """A quantum-simulator-sized instance (n <= 3, T <= 2, k = 1).
+    """A quantum-simulator-sized instance: n <= 3, T <= 2, k = 1, C = 1, u = 100,000.
 
     Price drift is kept near +/-0.5% per period and daily variance near
     1e-4, so q at the 1e-2 scale makes all-cash optimal while small q
     rewards trading.
     """
-    if not (1 <= n <= 3 and 1 <= T <= 2 and k == 1):
-        raise ValueError("toy instances require n <= 3, T <= 2, k = 1")
+    if not (1 <= n <= 3 and 1 <= T <= 2):
+        raise ValueError("toy instances require n <= 3, T <= 2")
     rng = np.random.default_rng(seed)
     # per-period simple returns in [-0.5%, +0.5%]
     rets = rng.uniform(-0.005, 0.005, size=(n, T))
-    p = u * np.cumprod(np.hstack([np.ones((n, 1)), 1.0 + rets]), axis=1)
-    prices = BlockPrices(p=p, u=u)
+    p = _U * np.cumprod(np.hstack([np.ones((n, 1)), 1.0 + rets]), axis=1)
+    prices = BlockPrices(p=p, u=_U)
 
     sigma = []
     for _ in range(T):
@@ -69,8 +68,8 @@ def toy_spec(
         sigma.append(psd_repair(cov))
     covs = CovarianceSeries(sigma=np.array(sigma))
 
-    params = FrictionParams(q=q, delta=0.001, rho_c=0.0001, rho_s=0.000025, u=u)
-    return ProblemSpec(n=n, T=T, k=k, B=B, C=C, params=params,
+    params = FrictionParams(q=q, delta=0.001, rho_c=0.0001, rho_s=0.000025, u=_U)
+    return ProblemSpec(n=n, T=T, k=1, B=B, C=1, params=params,
                        prices=prices, covariances=covs, signed_risk=signed_risk)
 
 
@@ -82,9 +81,8 @@ def synthetic_spec(
     C: int = 10,
     q: float = 1e-4,
     seed: int = 0,
-    u: float = 100_000.0,
 ) -> ProblemSpec:
-    """Full-scale instance on synthetic geometric-random-walk prices.
+    """Full-scale instance on synthetic geometric-random-walk prices, u = 100,000.
 
     The correlation is a normalised Wishart matrix from n Gaussian samples
     of n assets, so it is PSD but nearly singular (smallest eigenvalue about
@@ -94,8 +92,8 @@ def synthetic_spec(
     """
     rng = np.random.default_rng(seed)
     rets = rng.normal(loc=0.0002, scale=0.01, size=(n, T))
-    p = u * np.cumprod(np.hstack([np.ones((n, 1)), 1.0 + rets]), axis=1)
-    prices = BlockPrices(p=p, u=u)
+    p = _U * np.cumprod(np.hstack([np.ones((n, 1)), 1.0 + rets]), axis=1)
+    prices = BlockPrices(p=p, u=_U)
 
     sigma = np.empty((T, n, n))
     base = rng.normal(scale=1.0, size=(n, n))
@@ -109,26 +107,29 @@ def synthetic_spec(
         sigma[t] = cov0 * max(jitter, 0.5)
     covs = CovarianceSeries(sigma=sigma)
 
-    params = FrictionParams(q=q, delta=0.001, rho_c=0.0001, rho_s=0.000025, u=u)
+    params = FrictionParams(q=q, delta=0.001, rho_c=0.0001, rho_s=0.000025, u=_U)
     return ProblemSpec(n=n, T=T, k=k, B=B, C=C, params=params,
                        prices=prices, covariances=covs)
 
 
-def random_sparse_qubo(num_vars: int, seed: int = 0, density: float = 0.5,
-                       scale: float = 1.0) -> SparseQubo:
-    """Random upper-triangular QUBO for solver and conversion tests."""
+def random_sparse_qubo(num_vars: int, seed: int = 0) -> SparseQubo:
+    """Random upper-triangular QUBO for solver and conversion tests.
+
+    Every diagonal entry and each off-diagonal one with probability 1/2
+    is a standard normal draw, and so is the offset.
+    """
     rng = np.random.default_rng(seed)
     rows, cols, vals = [], [], []
     for i in range(num_vars):
         for j in range(i, num_vars):
-            if i == j or rng.random() < density:
+            if i == j or rng.random() < 0.5:
                 rows.append(i)
                 cols.append(j)
-                vals.append(float(rng.normal(scale=scale)))
+                vals.append(float(rng.normal()))
     return SparseQubo(
         num_vars=num_vars,
         rows=np.array(rows), cols=np.array(cols), vals=np.array(vals),
-        offset=float(rng.normal(scale=scale)),
+        offset=float(rng.normal()),
     )
 
 

@@ -1,9 +1,12 @@
 """Every name a library module imports is used in that module, every
 private top-level name is used somewhere in the package, every public
 method of a package class is referenced as an attribute in the package,
-its tests or its demos, and every name a module exports exists."""
+its tests or its demos, every option of an exported function or
+dataclass is passed by some call, and every name a module exports
+exists."""
 import ast
 import importlib
+import math
 from pathlib import Path
 
 import pytest
@@ -117,6 +120,138 @@ def test_orphaned_public_method_is_reported():
     }
     readers = ["from a import Box\n\n\ndef offer():\n    pass\n\n\noffer()\nprint(Box().size)\n"]
     assert _orphaned_public_methods(sources, readers) == ["a.py:Box.grow", "b.py:_Run.offer"]
+
+
+def _name(node: ast.AST) -> str | None:
+    """The id of a Name or the attr of an Attribute."""
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(_name(deco.func if isinstance(deco, ast.Call) else deco) == "dataclass"
+               for deco in node.decorator_list)
+
+
+def _init_field(item: ast.stmt) -> bool:
+    """An annotated class-body name that is not field(init=False)."""
+    if not (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)):
+        return False
+    value = item.value
+    return not (isinstance(value, ast.Call) and _name(value.func) == "field"
+                and any(kw.arg == "init" and getattr(kw.value, "value", True) is False
+                        for kw in value.keywords))
+
+
+def _options(tree: ast.Module):
+    """(callable, option, position) of every defaulted parameter of an exported
+    function and every defaulted __init__ field of an exported dataclass;
+    position is None for a keyword-only parameter."""
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(_name(t) == "__all__" for t in node.targets):
+            exported = set(ast.literal_eval(node.value))
+    for node in tree.body:
+        if getattr(node, "name", None) not in exported:
+            continue
+        if isinstance(node, ast.FunctionDef):
+            positional = node.args.posonlyargs + node.args.args
+            first = len(positional) - len(node.args.defaults)
+            for i, arg in enumerate(positional[first:], start=first):
+                yield node.name, arg.arg, i
+            for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+                if default is not None:
+                    yield node.name, arg.arg, None
+        elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            fields = [item for item in node.body if _init_field(item)]
+            for i, item in enumerate(fields):
+                if item.value is not None:
+                    yield node.name, item.target.id, i
+
+
+def _literal_keys(value: ast.expr) -> set[str] | None:
+    """The keys of a dict(...) call or a dict literal with plain string keys, else None."""
+    if isinstance(value, ast.Dict) and all(isinstance(k, ast.Constant) and isinstance(k.value, str)
+                                           for k in value.keys):
+        return {k.value for k in value.keys}
+    if (isinstance(value, ast.Call) and _name(value.func) == "dict"
+            and not value.args and all(kw.arg for kw in value.keywords)):
+        return {kw.arg for kw in value.keywords}
+    return None
+
+
+def _dict_names(tree: ast.Module) -> dict[str, set[str]]:
+    """Keys of every name whose assignments in the file are all dicts with known keys."""
+    keys: dict[str, set[str]] = {}
+    other = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets = [node.target]
+        else:
+            continue
+        found = _literal_keys(node.value)
+        for target in targets:
+            if found is None:
+                other.add(_name(target))
+            else:
+                keys.setdefault(_name(target), set()).update(found)
+    return {name: found for name, found in keys.items() if name not in other}
+
+
+def _passed(callers: list[str]):
+    """Per callee name: the most positional arguments of a call (inf after a *
+    expansion) and the keywords passed (None once a ** expansion may pass any)."""
+    most: dict[str, float] = {}
+    words: dict[str, set[str] | None] = {}
+    for tree in map(ast.parse, callers):
+        dicts = _dict_names(tree)
+        for call in ast.walk(tree):
+            name = _name(call.func) if isinstance(call, ast.Call) else None
+            if name is None:
+                continue
+            star = any(isinstance(a, ast.Starred) for a in call.args)
+            most[name] = max(most.get(name, 0), math.inf if star else len(call.args))
+            for kw in call.keywords:
+                keys = {kw.arg} if kw.arg is not None else dicts.get(_name(kw.value))
+                known = words.get(name, set())
+                words[name] = None if keys is None or known is None else known | keys
+    return most, words
+
+
+def _unpassed_options(sources: dict[str, str], callers: list[str]) -> list[str]:
+    """Options of the exported callables in sources that no call in callers passes."""
+    most, words = _passed(callers)
+    unpassed = []
+    for module, source in sources.items():
+        for name, option, position in _options(ast.parse(source)):
+            by_position = position is not None and most.get(name, 0) > position
+            by_keyword = words.get(name, set()) is None or option in words.get(name, set())
+            if not (by_position or by_keyword):
+                unpassed.append(f"{module}:{name}({option})")
+    return sorted(unpassed)
+
+
+def test_every_public_option_is_passed_somewhere():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    callers = [p.read_text(encoding="utf-8") for folder in ("src", "bench", "demos", "tests")
+               for p in (ROOT / folder).rglob("*.py")]
+    assert _unpassed_options(sources, callers) == []
+
+
+def test_unpassed_option_is_reported():
+    sources = {
+        "a.py": "from dataclasses import dataclass, field\n\n__all__ = ['grow', 'Box', 'open_']\n\n\n"
+                "def grow(n, by=1, cap=9, *, twice=False, loud=True):\n    pass\n\n\n"
+                "def _hidden(n, by=1):\n    pass\n\n\n"
+                "@dataclass\nclass Box:\n    size: int\n    area: int = field(init=False)\n"
+                "    depth: int = 1\n    tag: str = ''\n\n\n"
+                "def open_(path, mode='r'):\n    pass\n",
+    }
+    callers = ["OPTS = dict(twice=True)\n\n\ngrow(1, 2, **OPTS)\nBox(1, 2)\n",
+               "from a import open_\n\n\ndef f(kw):\n    open_('x', **kw)\n"]
+    assert _unpassed_options(sources, callers) == [
+        "a.py:Box(tag)", "a.py:grow(cap)", "a.py:grow(loud)"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

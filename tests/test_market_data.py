@@ -41,13 +41,6 @@ def test_load_prices_happy_path(price_csv):
     assert np.allclose(table.close, close)
 
 
-def test_load_prices_date_filter(price_csv):
-    path, dates, close = price_csv
-    table = load_prices(path, start=dates[2], end=dates[5])
-    assert table.dates == dates[2:6]
-    assert np.allclose(table.close, close[:, 2:6])
-
-
 def test_load_prices_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("time,symbol,price\n2020-01-01,A,1.0\n")
@@ -80,24 +73,6 @@ def test_load_prices_drops_incomplete_ticker_with_warning(tmp_path):
     with pytest.warns(UserWarning, match="GAPPY"):
         table = load_prices(path)
     assert table.tickers == ["FULL"]
-
-
-def test_load_prices_requested_ticker_too_sparse_is_error(tmp_path):
-    path = tmp_path / "sparse.csv"
-    rows = ["date,ticker,close"]
-    for i, date in enumerate(_dates(10)):
-        rows.append(f"{date},FULL,{100 + i}")
-        if i < 5:
-            rows.append(f"{date},HALF,{50 + i}")
-    path.write_text("\n".join(rows) + "\n")
-    with pytest.raises(MarketDataError, match="HALF"):
-        load_prices(path, tickers=["FULL", "HALF"])
-
-
-def test_load_prices_missing_requested_ticker(price_csv):
-    path, _, _ = price_csv
-    with pytest.raises(MarketDataError, match="absent"):
-        load_prices(path, tickers=["AAA", "ZZZ"])
 
 
 def test_price_table_validates_dates_and_shape():

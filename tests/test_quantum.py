@@ -156,20 +156,11 @@ def test_anneal_ground_probability_monotone_in_time():
     assert probs[0] <= probs[1] <= probs[2]
 
 
-def test_anneal_cosine_envelope_also_converges():
-    ising = _random_ising(2, seed=3)
-    doc = anneal_run(ising, AnnealSchedule(total_time=50, dt=0.01,
-                                           envelope="cosine"), shots=0)
-    assert doc["ground_probability"] >= 0.9
-
-
 def test_anneal_schedule_validation():
     with pytest.raises(QuantumSimError):
         AnnealSchedule(total_time=1.0, dt=0.0)
     with pytest.raises(QuantumSimError):
         AnnealSchedule(total_time=1.0, dt=2.0)
-    with pytest.raises(QuantumSimError):
-        AnnealSchedule(total_time=1.0, dt=0.1, envelope="steps")
 
 
 def test_sampling_matches_amplitudes_within_multinomial_bounds():
@@ -471,7 +462,8 @@ def _anneal_reference(cost, schedule):
     dt = schedule.total_time / steps
     drift = 0.0
     for step in range(steps):
-        a, b = schedule.ab((step + 0.5) * dt / schedule.total_time)
+        s = (step + 0.5) * dt / schedule.total_time
+        a, b = 1.0 - s, s
         state = _layer_reference(state, [_rx_reference(-2.0 * a * dt)] * m)
         state *= np.exp(-1j * b * dt * cost.energies)
         norm2 = _check_norm(state)
@@ -480,14 +472,13 @@ def _anneal_reference(cost, schedule):
     return state, drift
 
 
-@pytest.mark.parametrize("envelope", ["linear", "cosine"])
 @pytest.mark.parametrize("total_time, dt", [(5.0, 0.05), (50.0, 0.01)])
 @pytest.mark.parametrize("m", [3, 6, 10])
-def test_anneal_state_matches_exponential_reference(m, total_time, dt, envelope):
+def test_anneal_state_matches_exponential_reference(m, total_time, dt):
     from qubofolio.quantum import _anneal_state
 
     cost = diagonalize_cost(normalize_ising(_random_ising(m, seed=30 + m))[0])
-    schedule = AnnealSchedule(total_time=total_time, dt=dt, envelope=envelope)
+    schedule = AnnealSchedule(total_time=total_time, dt=dt)
     state, drift = _anneal_state(cost, schedule)
     expected, expected_drift = _anneal_reference(cost, schedule)
     assert np.max(np.abs(np.abs(state) ** 2 - np.abs(expected) ** 2)) <= 1e-9

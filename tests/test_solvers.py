@@ -28,7 +28,6 @@ from qubofolio.qubo import (
 )
 from qubofolio.solvers import (
     EXACT_CAP,
-    PoolConfig,
     SolveBudget,
     SolveReport,
     _enumerate,
@@ -153,10 +152,24 @@ def test_sa_reaches_optimum_with_target_stop():
     report = solve_sa(sq, SolveBudget(seed=5, max_iterations=50_000,
                                       target_energy=exact_e))
     assert report.best_energy == exact_e
-    # proposals are drawn in blocks of 512; a stop inside the eighth block
-    # counts the proposals made, not the block's end
-    assert report.iterations == 3_959
+    # the run stops at the first proposal that holds the optimum's bits, in
+    # the third block of 512; a stop inside a block counts the proposals
+    # made, not the block's end
+    assert report.iterations == 1_422
     assert report.iterations % solvers_module._SA_BLOCK != 0
+
+
+@pytest.mark.parametrize("n", [10, 12, 14])
+def test_sa_stops_once_it_holds_the_target_bits(n):
+    # SA's running energy drifts from `energy` by ulps; a run holding the
+    # optimum's bits at a running energy just above it must still stop
+    for seed in range(30):
+        sq = random_sparse_qubo(n, seed)
+        target = solve_exact(sq).best_energy
+        report = solve_sa(sq, SolveBudget(seed=seed, max_iterations=20_000,
+                                          target_energy=target))
+        assert report.best_energy == target, seed
+        assert report.iterations < 20_000, seed
 
 
 def test_abs_reaches_optimum():
@@ -247,8 +260,6 @@ def test_budget_validation():
     for k in (0, -1):
         with pytest.raises(ValueError, match="max_iterations"):
             SolveBudget(max_iterations=k)
-    with pytest.raises(ValueError):
-        PoolConfig(pool_size=1)
 
 
 @pytest.mark.parametrize("k", [1, 2, 7, 40, 511, 512, 513, 1025])
@@ -275,29 +286,6 @@ def test_abs_past_its_time_limit_still_returns_an_incumbent():
     assert report.iterations == 1
     doc = json.loads(json.dumps(report.to_json()))
     assert SolveReport.from_json(doc).to_json() == report.to_json()
-
-
-@pytest.mark.parametrize("operators", [("descent-restart", "tabu-walk"), ("descent",)])
-def test_pool_rejects_unknown_operators(operators):
-    with pytest.raises(ValueError, match="operators"):
-        PoolConfig(pool_size=4, operators=operators)
-
-
-def test_pool_rejects_no_operators():
-    with pytest.raises(ValueError, match="operators"):
-        PoolConfig(operators=())
-
-
-def test_pool_rejects_an_empty_pool():
-    with pytest.raises(ValueError, match="pool_size"):
-        PoolConfig(pool_size=0, operators=("descent-restart",))
-
-
-def test_pool_without_crossover_allows_tiny_pool():
-    cfg = PoolConfig(pool_size=1, operators=("descent-restart",))
-    sq = random_sparse_qubo(8, seed=24)
-    report = solve_abs(sq, SolveBudget(seed=0, max_iterations=20), pool=cfg)
-    assert report.best is not None
 
 
 @pytest.mark.parametrize("seed", range(10))
