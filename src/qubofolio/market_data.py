@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -44,8 +45,8 @@ class PriceTable:
                 f"close matrix shape {close.shape} does not match "
                 f"{len(self.tickers)} tickers x {len(self.dates)} dates"
             )
-        if close.size and not np.all(close > 0):
-            raise MarketDataError("all close prices must be strictly positive")
+        if close.size and not np.all(np.isfinite(close) & (close > 0)):
+            raise MarketDataError("all close prices must be finite and strictly positive")
         if any(a >= b for a, b in zip(self.dates, self.dates[1:])):
             raise MarketDataError("dates must be strictly increasing")
 
@@ -70,10 +71,12 @@ class BlockPrices:
     def __post_init__(self):
         p = np.asarray(self.p, dtype=float)
         object.__setattr__(self, "p", p)
-        if self.u <= 0:
-            raise MarketDataError("capital unit u must be positive")
+        if not 0 < self.u < math.inf:
+            raise MarketDataError("capital unit u must be positive and finite")
         if p.ndim != 2 or p.shape[1] < 2:
             raise MarketDataError("block prices need at least 2 time columns")
+        if not np.isfinite(p).all():
+            raise MarketDataError("block prices hold non-finite entries")
 
 
 @dataclass(frozen=True)
@@ -87,9 +90,26 @@ class CovarianceSeries:
         object.__setattr__(self, "sigma", sigma)
         if sigma.ndim != 3 or sigma.shape[1] != sigma.shape[2]:
             raise MarketDataError("sigma must be a stack of square matrices")
-        asym = np.abs(sigma - sigma.transpose(0, 2, 1)).max(initial=0.0)
+        asym = _max_asymmetry(sigma)
+        if not np.isfinite(asym):  # a non-finite entry makes its Sigma - Sigma' entry NaN or inf
+            raise MarketDataError("covariance matrices hold non-finite entries")
         if asym > 1e-12:
             raise MarketDataError(f"covariance matrices not symmetric (max dev {asym:.2e})")
+
+
+def _max_asymmetry(sigma: np.ndarray) -> float:
+    """max |Sigma_t - Sigma_t'| over the stack, one step at a time in one (n, n) buffer.
+
+    np.max keeps a NaN deviation, which Python's max would drop.
+    """
+    buf = np.empty(sigma.shape[1:])
+    dev = np.zeros(len(sigma))
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which the caller reports
+        for t, s in enumerate(sigma):
+            np.subtract(s, s.T, out=buf)
+            np.abs(buf, out=buf)
+            dev[t] = buf.max(initial=0.0)
+    return float(dev.max(initial=0.0))
 
 
 def _parse_date(text: str) -> dt.date:
@@ -121,8 +141,8 @@ def load_prices(path) -> PriceTable:
                 close = float(row[2])
             except (IndexError, ValueError) as exc:
                 raise MarketDataError(f"{path}:{lineno}: unparseable row {row!r}: {exc}") from exc
-            if close <= 0:
-                raise MarketDataError(f"{path}:{lineno}: non-positive close {close}")
+            if not 0 < close < math.inf:
+                raise MarketDataError(f"{path}:{lineno}: non-positive or non-finite close {close}")
             by_ticker.setdefault(ticker, {})[date] = close
 
     all_dates = sorted({d for series in by_ticker.values() for d in series})

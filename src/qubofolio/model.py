@@ -55,6 +55,8 @@ class FrictionParams:
     coefficients by qubo.resolve_penalty, the single derivation that
     build_qubo and the evaluation path (step_components and everything
     built on it) share; it reads prices and covariances, never a block.
+    The derived P is resolved once per ProblemSpec instance and kept on it;
+    a spec made by dataclasses.replace resolves its own.
     """
 
     q: float
@@ -65,6 +67,10 @@ class FrictionParams:
     P: float | None = None
 
     def __post_init__(self):
+        for name in ("q", "delta", "rho_c", "rho_s", "u", "P"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ModelError(f"{name} must be finite, got {value}")
         if self.q < 0:
             raise ModelError("risk-aversion weight q must be >= 0")
         for name in ("delta", "rho_c", "rho_s"):

@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import ProblemSpec, VariableLayout, _check_assignment, _zero_one
+from .model import ProblemSpec, _check_assignment, _zero_one
 
 __all__ = [
     "QuboError",
@@ -163,13 +163,36 @@ class IsingModel:
         return len(self.h)
 
 
-def _linear_terms(spec: ProblemSpec, lay: VariableLayout) -> dict[str, np.ndarray]:
+def _per_spec(spec: ProblemSpec, derive):
+    """derive(spec), formed on the first call for this spec instance and kept on it.
+
+    The value sits in the instance's __dict__ under derive's name, where
+    cached_property keeps spec.layout.  dataclasses.replace makes a new
+    instance, which forms its own.
+    """
+    memo = vars(spec)
+    name = derive.__name__
+    if name not in memo:
+        memo[name] = derive(spec)
+    return memo[name]
+
+
+def _linear_terms(spec: ProblemSpec) -> dict[str, np.ndarray]:
+    """The spec's term rows, formed once per spec instance and read-only.
+
+    build_qubo, resolve_penalty and _cash_flows share them.
+    """
+    return _per_spec(spec, _term_rows)
+
+
+def _term_rows(spec: ProblemSpec) -> dict[str, np.ndarray]:
     """Non-penalty linear coefficients of each objective term, one length-w row per step.
 
     The exit row at step t prices the turnover leg paid when a position
     opened at t is closed at t + 1; at t = T it is the terminal liquidation.
     Their sum, in this order, is build_qubo's `linear`.
     """
+    lay = spec.layout
     T = lay.T
     kn2 = 2 * lay.kn
     tau = lay.tau_of[:kn2].astype(float)
@@ -188,13 +211,16 @@ def _linear_terms(spec: ProblemSpec, lay: VariableLayout) -> dict[str, np.ndarra
     cash = np.zeros((T, lay.step_width))
     y_slice = slice(kn2 + lay.nb, lay.step_width)
     cash[:, y_slice] = -(prm.rho_c * prm.u * lay.slack_weight[y_slice])
-    return {
+    rows = {
         "profit": trade_row(-(tau * (pt1 - pt))),  # profit enters with a minus sign
         "entry": trade_row(prm.delta * pt),
         "exit": trade_row(prm.delta * p_leg),
         "short": trade_row(prm.rho_s * pt * (tau < 0)),
         "cash": cash,
     }
+    for row in rows.values():
+        row.setflags(write=False)
+    return rows
 
 
 def _turnover_band(terms: dict[str, np.ndarray]) -> np.ndarray:
@@ -205,23 +231,36 @@ def _turnover_band(terms: dict[str, np.ndarray]) -> np.ndarray:
 def resolve_penalty(spec: ProblemSpec) -> float:
     """Penalty weight of build_qubo: explicit P if given, else 10 * max |coefficient| * (B + C).
 
+    The derived weight is scanned once per spec instance and kept on it;
+    a spec made by dataclasses.replace (a new q, say) scans its own.
+    """
+    if spec.params.P is not None:
+        return spec.params.P
+    return _per_spec(spec, _penalty_scan)
+
+
+def _penalty_scan(spec: ProblemSpec) -> float:
+    """10 * max |coefficient| * (B + C) over the term rows, the band and the risk entries.
+
     A risk entry is q * (w_i p_a)(w_j p_b) * Sigma_ab for the assets a, b of
     slots i, j with weights w = +-1, and every asset owns a slot, so the
     (n, n) products q * p_a p_b * Sigma_ab hold exactly the risk magnitudes.
-    The turnover band is build_qubo's cross.
+    They are formed one step at a time in one (n, n) buffer.  The turnover
+    band is build_qubo's cross.
     """
     prm = spec.params
-    if prm.P is not None:
-        return prm.P
-    lay = spec.layout
     p = spec.prices.p
-    terms = _linear_terms(spec, lay)
+    terms = _linear_terms(spec)
     band = np.abs(_turnover_band(terms)).max(initial=0.0)
     maxcoef = max(np.abs(sum(terms.values())).max(), band)
     if prm.q > 0:
-        for t in range(lay.T):
-            risk = prm.q * np.outer(p[:, t], p[:, t]) * spec.covariances.sigma[t]
-            maxcoef = max(maxcoef, np.abs(risk).max())
+        buf = np.empty((spec.n, spec.n))
+        for t, sigma_t in enumerate(spec.covariances.sigma):
+            np.multiply.outer(p[:, t], p[:, t], out=buf)
+            buf *= prm.q
+            buf *= sigma_t
+            np.abs(buf, out=buf)
+            maxcoef = max(maxcoef, buf.max())
     if maxcoef == 0.0:
         return 1.0
     return float(10.0 * maxcoef * (spec.B + spec.C))
@@ -231,7 +270,7 @@ def build_qubo(spec: ProblemSpec, include_penalty: bool = True) -> BlockQubo:
     """Assemble the full minimization objective in block-banded form; without penalty P = 0."""
     lay = spec.layout
     kn2 = 2 * lay.kn
-    terms = _linear_terms(spec, lay)
+    terms = _linear_terms(spec)
     wvec = lay.tau_of[:kn2].astype(float) if spec.signed_risk else np.ones(kn2)
     wp = np.zeros((lay.T, lay.step_width))
     wp[:, :kn2] = wvec * spec.prices.p[lay.asset_of[:kn2], : lay.T].T
@@ -515,12 +554,11 @@ def _bits_by_step(spec: ProblemSpec, bits) -> np.ndarray:
 
 def _cash_flows(spec: ProblemSpec, x: np.ndarray) -> dict[str, np.ndarray]:
     """Every step_components entry but risk and penalty, at x (T, w); no penalty is resolved."""
-    lay = spec.layout
-    terms = _linear_terms(spec, lay)
+    terms = _linear_terms(spec)
     term = {name: (row * x).sum(axis=1) for name, row in terms.items()}
     transaction = term["entry"]
     transaction[1:] += term["exit"][:-1] + (_turnover_band(terms) * x[:-1] * x[1:]).sum(axis=1)
-    liquidation = np.zeros(lay.T)
+    liquidation = np.zeros(spec.T)
     liquidation[-1] = term["exit"][-1]
     return {
         "gross_profit": -term["profit"],

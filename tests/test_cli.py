@@ -1,4 +1,5 @@
 """End-to-end CLI: subcommands, file formats, determinism, exit codes."""
+import datetime as dt
 import json
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from qubofolio.cli import main
 from qubofolio.model import spec_to_json
 from qubofolio.qubo import read_qubo_text, to_sparse, write_qubo_text
-from qubofolio.toy import random_sparse_qubo, toy_spec
+from qubofolio.toy import random_sparse_qubo, toy_spec, write_price_csv
 
 
 def run(*argv):
@@ -58,6 +59,40 @@ def test_build_invalid_spec_exits_2(tmp_path):
     doc["C"] = doc["B"] + 1  # violates C <= B
     config.write_text(json.dumps(doc))
     assert run("build", "--config", str(config), "--out", str(tmp_path / "x.qubo")) == 2
+
+
+@pytest.mark.parametrize("path, value", [
+    (("covariances", 0, 0, 1), float("nan")),
+    (("prices", 0, 1), float("inf")),
+    (("delta",), float("nan")),
+], ids=["nan-covariance", "inf-price", "nan-delta"])
+def test_build_non_finite_spec_exits_2(tmp_path, capsys, path, value):
+    doc = spec_to_json(toy_spec(n=2, T=2, seed=0))
+    *outer, last = path
+    entry = doc
+    for key in outer:
+        entry = entry[key]
+    entry[last] = value
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(doc))  # NaN and Infinity, which json.load reads back
+    out = tmp_path / "x.qubo"
+    assert run("build", "--config", str(config), "--out", str(out)) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_build_non_finite_close_exits_2(tmp_path, capsys):
+    n, T, window = 3, 2, 5
+    dates = [dt.date(2024, 1, 1) + dt.timedelta(days=i) for i in range(window + T + 1)]
+    close = 100.0 + np.arange(n * len(dates), dtype=float).reshape(n, len(dates))
+    close[1, 1] = np.inf  # a covariance-window date, before the block-price window
+    write_price_csv(tmp_path / "prices.csv", ["A", "B", "C"], dates, close)
+    config = tmp_path / "spec.json"
+    config.write_text(json.dumps(dict(n=n, T=T, k=1, B=3, C=2, q=0.01, delta=0.001, rho_c=0.0,
+                                      rho_s=0.0, u=1000.0, cov_window=window,
+                                      price_csv=str(tmp_path / "prices.csv"))))
+    assert run("build", "--config", str(config), "--out", str(tmp_path / "x.qubo")) == 2
+    assert "non-finite close" in capsys.readouterr().err
 
 
 def test_build_bad_json_exits_4(tmp_path):

@@ -1,9 +1,11 @@
 """CSV ingestion, block normalization, and rolling covariance estimation."""
 import datetime as dt
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from qubofolio import market_data
 from qubofolio.market_data import (
     BlockPrices,
     CovarianceSeries,
@@ -62,6 +64,14 @@ def test_load_prices_rejects_nonpositive_close(tmp_path):
         load_prices(path)
 
 
+@pytest.mark.parametrize("close", ["inf", "nan"])
+def test_load_prices_rejects_non_finite_close(tmp_path, close):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"date,ticker,close\n2020-01-01,A,1.0\n2020-01-02,A,{close}\n")
+    with pytest.raises(MarketDataError, match=":3: non-positive or non-finite"):
+        load_prices(path)
+
+
 def test_load_prices_drops_incomplete_ticker_with_warning(tmp_path):
     path = tmp_path / "gappy.csv"
     rows = ["date,ticker,close"]
@@ -81,6 +91,9 @@ def test_price_table_validates_dates_and_shape():
     dates = _dates(2)
     with pytest.raises(MarketDataError):
         PriceTable(tickers=["A"], dates=[dates[1], dates[0]], close=np.ones((1, 2)))
+    for bad in (0.0, np.inf, np.nan):
+        with pytest.raises(MarketDataError, match="finite and strictly positive"):
+            PriceTable(tickers=["A"], dates=dates, close=np.array([[1.0, bad]]))
 
 
 def test_normalize_blocks_scales_first_column_to_u(price_csv):
@@ -171,3 +184,59 @@ def test_block_prices_validation():
         BlockPrices(p=np.ones((2, 1)), u=1.0)
     with pytest.raises(MarketDataError):
         BlockPrices(p=np.ones((2, 3)), u=0.0)
+    for u in (np.nan, np.inf):
+        with pytest.raises(MarketDataError, match="finite"):
+            BlockPrices(p=np.ones((2, 3)), u=u)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", [(1, 0, 0), (1, 0, 1)], ids=["diagonal", "pair"])
+def test_covariance_series_rejects_non_finite(entry, value):
+    sigma = np.tile(np.eye(2), (2, 1, 1))
+    t, i, j = entry
+    sigma[t, i, j] = sigma[t, j, i] = value  # symmetric, so only finiteness can reject it
+    with pytest.raises(MarketDataError, match="non-finite"):
+        CovarianceSeries(sigma=sigma)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_block_prices_rejects_non_finite(value):
+    p = np.ones((2, 3))
+    p[1, 2] = value
+    with pytest.raises(MarketDataError, match="non-finite"):
+        BlockPrices(p=p, u=1.0)
+
+
+EXP2_N, EXP2_T = 499, 15
+
+
+def _exp2_sigma(seed: int) -> np.ndarray:
+    """An exactly symmetric (T, n, n) stack at the paper's exp2 size."""
+    a = np.random.default_rng(seed).standard_normal((EXP2_T, EXP2_N, EXP2_N))
+    return a + a.transpose(0, 2, 1)
+
+
+@pytest.mark.parametrize("scale", [1e-13, 1e-9], ids=["accepted", "rejected"])
+def test_covariance_asymmetry_equals_whole_stack_reference(scale):
+    sigma = _exp2_sigma(0)
+    noise = np.random.default_rng(1).standard_normal((EXP2_N, EXP2_N))
+    sigma[-1] += scale * noise  # only the last step is asymmetric
+    reference = np.abs(sigma - sigma.transpose(0, 2, 1)).max()
+    assert reference > 0.0
+    assert market_data._max_asymmetry(sigma) == reference
+    if reference > 1e-12:
+        with pytest.raises(MarketDataError, match=f"max dev {reference:.2e}"):
+            CovarianceSeries(sigma=sigma)
+    else:
+        assert CovarianceSeries(sigma=sigma).sigma is sigma
+
+
+def test_covariance_check_allocates_two_matrices_at_most():
+    sigma = _exp2_sigma(2)
+    tracemalloc.start()
+    try:
+        CovarianceSeries(sigma=sigma)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * EXP2_N**2 * 8

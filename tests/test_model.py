@@ -112,6 +112,15 @@ def test_friction_params_validation():
         FrictionParams(q=0.0, delta=0.0, rho_c=0.0, rho_s=0.0, u=1.0, P=0.0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("name", ["q", "delta", "rho_c", "rho_s", "u", "P"])
+def test_friction_params_reject_non_finite(name, value):
+    fields = dict(q=0.0, delta=0.0, rho_c=0.0, rho_s=0.0, u=1.0, P=None)
+    fields[name] = value
+    with pytest.raises(ModelError, match=f"{name} must be finite"):
+        FrictionParams(**fields)
+
+
 def test_spec_shape_validation():
     params = FrictionParams(q=0.0, delta=0.0, rho_c=0.0, rho_s=0.0, u=1.0)
     prices = BlockPrices(p=np.ones((2, 3)), u=1.0)

@@ -2,6 +2,7 @@
 delta machinery, format conversions, and text round-trips.
 """
 import dataclasses
+import functools
 import itertools
 import math
 import tracemalloc
@@ -367,6 +368,95 @@ def test_evaluation_path_builds_no_block(monkeypatch):
 
 EXP1 = dict(n=200, T=10, k=3, B=60, C=10, q=0.01)
 EXP2 = dict(n=499, T=15, k=3, B=60, C=10, q=0.01)
+
+
+def count_scans(monkeypatch) -> list:
+    """Record each penalty scan of the covariances, whoever asks for it."""
+    scans = []
+    scan = qubo_module._penalty_scan
+
+    @functools.wraps(scan)
+    def counting_scan(spec):
+        scans.append(spec)
+        return scan(spec)
+
+    monkeypatch.setattr(qubo_module, "_penalty_scan", counting_scan)
+    return scans
+
+
+def test_penalty_is_scanned_once_per_spec(monkeypatch):
+    spec = toy_spec(n=3, T=2, q=1e-3, seed=5)
+    x = np.random.default_rng(5).integers(0, 2, spec.layout.total)
+    scans = count_scans(monkeypatch)
+    P = resolve_penalty(spec)
+    assert build_qubo(spec).penalty_weight == P
+    objective_breakdown(spec, x)
+    step_components(spec, x)
+    assert resolve_penalty(spec) == P
+    assert len(scans) == 1 and scans[0] is spec
+    copy = dataclasses.replace(spec)  # equal fields, a new instance: it scans its own
+    assert resolve_penalty(copy) == resolve_penalty(copy) == P
+    assert len(scans) == 2 and scans[1] is copy
+
+
+def test_replaced_q_scans_its_own_penalty():
+    spec = synthetic_spec(n=6, T=4, q=1e-2, seed=3)  # risk sets P here, and not at q = 0
+    P = resolve_penalty(spec)
+    for q2 in (1.0, 0.0):
+        replaced = dataclasses.replace(spec, params=dataclasses.replace(spec.params, q=q2))
+        fresh = synthetic_spec(n=6, T=4, q=q2, seed=3)
+        assert resolve_penalty(replaced) == resolve_penalty(fresh) != P
+        assert build_qubo(replaced).penalty_weight == resolve_penalty(fresh)
+    assert resolve_penalty(spec) == P
+
+
+def test_term_rows_are_formed_once_and_read_only():
+    spec = toy_spec(n=3, T=2, seed=6)
+    terms = qubo_module._linear_terms(spec)
+    assert qubo_module._linear_terms(spec) is terms
+    assert list(terms) == ["profit", "entry", "exit", "short", "cash"]
+    for row in terms.values():
+        assert row.shape == (spec.T, spec.layout.step_width)
+        with pytest.raises(ValueError):
+            row[0, 0] = 1.0
+    assert qubo_module._linear_terms(dataclasses.replace(spec)) is not terms
+
+
+def whole_matrix_penalty(spec: ProblemSpec) -> float:
+    """resolve_penalty as whole-matrix expressions: the risk products of each step are
+    np.outer, times q, times Sigma_t, each a new array."""
+    prm = spec.params
+    p = spec.prices.p
+    terms = qubo_module._linear_terms(spec)
+    band = np.abs(qubo_module._turnover_band(terms)).max(initial=0.0)
+    maxcoef = max(np.abs(sum(terms.values())).max(), band)
+    if prm.q > 0:
+        for t in range(spec.T):
+            risk = prm.q * np.outer(p[:, t], p[:, t]) * spec.covariances.sigma[t]
+            maxcoef = max(maxcoef, np.abs(risk).max())
+    if maxcoef == 0.0:
+        return 1.0
+    return float(10.0 * maxcoef * (spec.B + spec.C))
+
+
+@pytest.mark.parametrize("signed_risk", [True, False])
+@pytest.mark.parametrize("q", [0.0, 0.01])
+def test_resolve_penalty_equals_whole_matrix_reference_at_exp2_size(q, signed_risk):
+    spec = synthetic_spec(seed=1, **{**EXP2, "q": q})
+    spec = dataclasses.replace(spec, signed_risk=signed_risk)
+    assert resolve_penalty(spec) == whole_matrix_penalty(spec)
+
+
+def test_exp2_penalty_scan_allocates_one_matrix():
+    spec = synthetic_spec(seed=1, **EXP2)
+    terms = qubo_module._linear_terms(spec)  # the layout and the term rows exist from here
+    tracemalloc.start()
+    try:
+        resolve_penalty(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * spec.n**2 * 8 + sum(row.nbytes for row in terms.values())
 
 
 def block_reference(spec: ProblemSpec, t: int, P: float) -> np.ndarray:
