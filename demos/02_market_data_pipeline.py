@@ -26,9 +26,9 @@ print(f"wrote {csv_path} ({m} dates x {len(tickers)} tickers)")
 table = load_prices(csv_path)
 print(f"loaded tickers: {table.tickers}")
 
+# the price and covariance windows both end at the table's last date
 T, u = 5, 100_000.0
-start = table.dates[m - (T + 1)]
-blocks = normalize_blocks(table, u=u, start=start, horizon=T)
+blocks = normalize_blocks(table, u=u, horizon=T)
 print(f"block values at period 1 (all equal u={u:,.0f}): {blocks.p[:, 0]}")
 
 covs = estimate_covariance(table, window=40, horizon=T)

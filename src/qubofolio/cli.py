@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .evaluation import DEFAULT_Q_GRID, SOLVERS, economic_metrics, sweep_q
+from .evaluation import DEFAULT_Q_GRID, SOLVERS, EvaluationError, economic_metrics, sweep_q
 from .market_data import MarketDataError
 from .model import ModelError, ProblemSpec, spec_from_json
 from .qubo import (
@@ -26,7 +26,7 @@ from .qubo import (
     write_ising_text,
     write_qubo_text,
 )
-from .solvers import SolveBudget, SolveReport
+from .solvers import SolveBudget, SolveReport, _rle_runs
 from .toy import toy_spec
 
 EXIT_OK = 0
@@ -155,6 +155,8 @@ def cmd_quantum(args) -> int:
         raise CliError(EXIT_CAP, str(exc))
     doc["ground_energy"] *= scale
     doc["expectation"] *= scale
+    if "restart_trace" in doc:
+        doc["restart_trace"] = [value * scale for value in doc["restart_trace"]]
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
@@ -174,7 +176,10 @@ def cmd_sweep(args) -> int:
         q_list = list(DEFAULT_Q_GRID)
     budget = SolveBudget(time_limit=args.time_limit, seed=args.seed,
                          max_iterations=args.max_iterations)
-    table = sweep_q(spec, q_list, args.solver, budget)
+    try:
+        table = sweep_q(spec, q_list, args.solver, budget)
+    except EvaluationError as exc:  # raised on its arguments, before any solve
+        raise CliError(EXIT_PARSE, f"bad --q list: {exc}")
     table.write_csv(args.out)
     failed = [row for row in table.rows if row.failed]
     for row in failed:
@@ -189,16 +194,17 @@ def cmd_report(args) -> int:
     spec = _load_spec(args)
     try:
         with open(args.solution, encoding="utf-8") as fh:
-            report = SolveReport.from_json(json.load(fh))
+            doc = json.load(fh)
+        # before decoding: the run lengths may add up to far more than memory holds
+        size = sum(_rle_runs(doc["bits"])[1])
+        if size != spec.layout.total:
+            raise CliError(EXIT_MISMATCH, f"solution has {size} bits but the config layout "
+                                          f"expects {spec.layout.total}")
+        bits = SolveReport.from_json(doc).best
     except FileNotFoundError as exc:
         raise CliError(EXIT_PARSE, str(exc))
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise CliError(EXIT_PARSE, f"{args.solution}: {exc}")
-    bits = report.best
-    if bits.shape[0] != spec.layout.total:
-        raise CliError(EXIT_MISMATCH,
-                       f"solution has {bits.shape[0]} bits but the config layout "
-                       f"expects {spec.layout.total}")
     breakdown = objective_breakdown(spec, bits)
     metrics = economic_metrics(spec, bits)
     width = max(len(k) for k in breakdown)

@@ -121,8 +121,11 @@ class ParetoRow:
     tts_s: float | None
     profit: float | None
     risk_term: float | None
-    failed: bool = False
     error: str | None = None
+
+    @property
+    def failed(self) -> bool:
+        return self.error is not None
 
 
 @dataclass(frozen=True)
@@ -167,6 +170,8 @@ def sweep_q(spec: ProblemSpec, q_list, solver: str,
     """
     if not q_list:
         raise EvaluationError("q_list must be non-empty")
+    if len(set(q_list)) != len(q_list):
+        raise EvaluationError(f"q_list repeats a value: {sorted(q_list)}")
     if solver not in SOLVERS:
         raise EvaluationError(f"unknown solver {solver!r}; choose from {sorted(SOLVERS)}")
     budget = budget or SolveBudget()
@@ -189,6 +194,5 @@ def sweep_q(spec: ProblemSpec, q_list, solver: str,
         except Exception as exc:  # keep sweeping; the row records the failure
             rows.append(ParetoRow(q=q, solver=solver, objective=None,
                                   lower_bound=None, gap_pct=None, tts_s=None,
-                                  profit=None, risk_term=None,
-                                  failed=True, error=str(exc)))
+                                  profit=None, risk_term=None, error=str(exc)))
     return ParetoTable(rows=tuple(rows))

@@ -54,25 +54,16 @@ class PriceTable:
     def n_assets(self) -> int:
         return len(self.tickers)
 
-    def date_index(self, date: dt.date) -> int:
-        try:
-            return self.dates.index(date)
-        except ValueError:
-            raise MarketDataError(f"date {date} not in table") from None
-
 
 @dataclass(frozen=True)
 class BlockPrices:
-    """Per-asset block values in currency, T+1 time columns, p[:, 0] == u."""
+    """Per-asset block values in currency, T+1 time columns."""
 
     p: np.ndarray  # shape (n_assets, T + 1)
-    u: float
 
     def __post_init__(self):
         p = np.asarray(self.p, dtype=float)
         object.__setattr__(self, "p", p)
-        if not 0 < self.u < math.inf:
-            raise MarketDataError("capital unit u must be positive and finite")
         if p.ndim != 2 or p.shape[1] < 2:
             raise MarketDataError("block prices need at least 2 time columns")
         if not np.isfinite(p).all():
@@ -112,10 +103,6 @@ def _max_asymmetry(sigma: np.ndarray) -> float:
     return float(dev.max(initial=0.0))
 
 
-def _parse_date(text: str) -> dt.date:
-    return dt.date.fromisoformat(text)
-
-
 def load_prices(path) -> PriceTable:
     """Read every row of a ``date,ticker,close`` CSV into an aligned PriceTable.
 
@@ -136,7 +123,7 @@ def load_prices(path) -> PriceTable:
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             try:
-                date = _parse_date(row[0].strip())
+                date = dt.date.fromisoformat(row[0].strip())
                 ticker = row[1].strip()
                 close = float(row[2])
             except (IndexError, ValueError) as exc:
@@ -166,28 +153,25 @@ def load_prices(path) -> PriceTable:
 
 
 def normalize_blocks(
-    table: PriceTable, u: float, start: dt.date, horizon: int, raw_prices: bool = False
+    table: PriceTable, u: float, horizon: int, raw_prices: bool = False
 ) -> BlockPrices:
-    """Convert raw closes into block values worth ``u`` currency at period 1.
+    """Convert the table's last ``horizon + 1`` closes into block values worth ``u`` at period 1.
 
-    Period t maps to trading date ``start + (t-1)``; T+1 columns are taken
-    so the profit term at step T has its forward price.  With
-    ``raw_prices`` the normalization is bypassed and closes pass through.
+    Period t maps to date index ``len(dates) - (horizon + 1) + (t - 1)``,
+    the anchor estimate_covariance uses, so the final date is the forward
+    price of step T.  With ``raw_prices`` the normalization is bypassed
+    and closes pass through.
     """
     if u <= 0:
         raise MarketDataError("capital unit u must be positive")
     if horizon < 1:
         raise MarketDataError("horizon must be at least 1")
-    idx = table.date_index(start)
-    if idx + horizon >= len(table.dates):
-        raise MarketDataError(
-            f"need {horizon + 1} trading dates from {start}, have {len(table.dates) - idx}"
-        )
-    window = table.close[:, idx : idx + horizon + 1]
+    if horizon >= len(table.dates):
+        raise MarketDataError(f"need {horizon + 1} trading dates, have {len(table.dates)}")
+    window = table.close[:, len(table.dates) - (horizon + 1) :]
     if raw_prices:
-        return BlockPrices(p=window.copy(), u=u)
-    p = u * window / window[:, :1]
-    return BlockPrices(p=p, u=u)
+        return BlockPrices(p=window.copy())
+    return BlockPrices(p=u * window / window[:, :1])
 
 
 def psd_repair(mat: np.ndarray) -> np.ndarray:
@@ -223,6 +207,5 @@ def estimate_covariance(table: PriceTable, window: int, horizon: int) -> Covaria
         # returns ending at date_idx occupy return columns [date_idx - window, date_idx)
         chunk = returns[:, date_idx - window : date_idx]
         cov = np.cov(chunk, ddof=1) if table.n_assets > 1 else np.atleast_2d(np.var(chunk, ddof=1))
-        cov = np.atleast_2d(cov)
         sigma.append(psd_repair(cov))
     return CovarianceSeries(sigma=np.array(sigma))

@@ -210,10 +210,8 @@ def decode(lay: VariableLayout, index: int) -> Role:
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """One multi-period portfolio optimization instance."""
+    """One multi-period portfolio optimization instance; n and T are the prices' shape."""
 
-    n: int
-    T: int
     k: int
     B: int
     C: int
@@ -223,17 +221,20 @@ class ProblemSpec:
     signed_risk: bool = True
 
     def __post_init__(self):
-        if self.C > self.B:
-            raise ModelError(f"C={self.C} exceeds B={self.B}")
-        if self.prices.p.shape != (self.n, self.T + 1):
-            raise ModelError(
-                f"prices shape {self.prices.p.shape}, expected ({self.n}, {self.T + 1})"
-            )
+        self.layout  # formed now, so the layout checks every size rule at construction
         if self.covariances.sigma.shape != (self.T, self.n, self.n):
             raise ModelError(
                 f"covariances shape {self.covariances.sigma.shape}, "
                 f"expected ({self.T}, {self.n}, {self.n})"
             )
+
+    @property
+    def n(self) -> int:
+        return self.prices.p.shape[0]
+
+    @property
+    def T(self) -> int:
+        return self.prices.p.shape[1] - 1
 
     @cached_property
     def layout(self) -> VariableLayout:
@@ -301,11 +302,20 @@ _SPEC_SCALARS = ("n", "T", "k", "B", "C")
 _PARAM_FIELDS = ("q", "delta", "rho_c", "rho_s", "u")
 
 
+def _whole(name: str, value) -> int:
+    """A JSON size as an int; a fraction, a string, a bool or null is a ModelError."""
+    whole = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not whole:
+        raise ModelError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def spec_from_json(source: str | dict[str, Any]) -> ProblemSpec:
     """Build a ProblemSpec from a JSON file path or an already-parsed dict.
 
     Either inline ``prices``/``covariances`` arrays or ``price_csv`` plus
-    ``cov_window`` (delegating to market_data) must be present.
+    ``cov_window`` (delegating to market_data) must be present; n and T
+    must match inline prices, and T sets the CSV path's two windows.
     """
     if isinstance(source, dict):
         doc = source
@@ -315,44 +325,28 @@ def spec_from_json(source: str | dict[str, Any]) -> ProblemSpec:
     missing = [f for f in _SPEC_SCALARS + _PARAM_FIELDS if f not in doc]
     if missing:
         raise ModelError(f"spec JSON missing fields: {missing}")
-    params = FrictionParams(
-        q=float(doc["q"]),
-        delta=float(doc["delta"]),
-        rho_c=float(doc["rho_c"]),
-        rho_s=float(doc["rho_s"]),
-        u=float(doc["u"]),
-        P=float(doc["P"]) if doc.get("P") is not None else None,
-    )
-    n, T = int(doc["n"]), int(doc["T"])
+    params = FrictionParams(**{name: float(doc[name]) for name in _PARAM_FIELDS},
+                            P=float(doc["P"]) if doc.get("P") is not None else None)
+    n, T, k, B, C = (_whole(name, doc[name]) for name in _SPEC_SCALARS)
     if "price_csv" in doc:
         from . import market_data
 
         table = market_data.load_prices(doc["price_csv"])
         if table.n_assets != n:
             raise ModelError(f"price_csv holds {table.n_assets} complete tickers, spec n={n}")
-        start = table.dates[len(table.dates) - (T + 1)]
-        prices = market_data.normalize_blocks(
-            table, params.u, start, T, raw_prices=bool(doc.get("raw_prices", False))
-        )
-        covariances = market_data.estimate_covariance(
-            table, int(doc.get("cov_window", 60)), T
-        )
+        raw = bool(doc.get("raw_prices", False))
+        prices = market_data.normalize_blocks(table, params.u, T, raw_prices=raw)
+        window = _whole("cov_window", doc.get("cov_window", 60))
+        covariances = market_data.estimate_covariance(table, window, T)
     elif "prices" in doc and "covariances" in doc:
-        prices = BlockPrices(p=np.asarray(doc["prices"], dtype=float), u=params.u)
+        prices = BlockPrices(p=np.asarray(doc["prices"], dtype=float))
+        if prices.p.shape != (n, T + 1):
+            raise ModelError(f"prices shape {prices.p.shape}, expected ({n}, {T + 1})")
         covariances = CovarianceSeries(sigma=np.asarray(doc["covariances"], dtype=float))
     else:
         raise ModelError("spec JSON needs either inline prices/covariances or price_csv")
-    return ProblemSpec(
-        n=n,
-        T=T,
-        k=int(doc["k"]),
-        B=int(doc["B"]),
-        C=int(doc["C"]),
-        params=params,
-        prices=prices,
-        covariances=covariances,
-        signed_risk=bool(doc.get("signed_risk", True)),
-    )
+    return ProblemSpec(k=k, B=B, C=C, params=params, prices=prices, covariances=covariances,
+                       signed_risk=bool(doc.get("signed_risk", True)))
 
 
 def spec_to_json(spec: ProblemSpec) -> dict[str, Any]:

@@ -74,8 +74,11 @@ def _check_cap(m: int) -> None:
 class DiagonalCost:
     """Ising energies of every computational basis state."""
 
-    num_qubits: int
     energies: np.ndarray  # shape (2^m,), energies[z] = F(spins of z) + offset
+
+    @property
+    def num_qubits(self) -> int:
+        return len(self.energies).bit_length() - 1
 
     @property
     def ground_energy(self) -> float:
@@ -157,7 +160,7 @@ def diagonalize_cost(ising: IsingModel) -> DiagonalCost:
     np.add.at(coupling, (np.minimum(rows, cols)[~same], np.maximum(rows, cols)[~same]),
               vals[~same])
     energies = all_energies(ising.offset + vals[same].sum(), ising.h, coupling, -1.0)
-    return DiagonalCost(num_qubits=m, energies=energies)
+    return DiagonalCost(energies=energies)
 
 
 # --- single-qubit gate layers -------------------------------------------------

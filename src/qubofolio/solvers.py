@@ -125,14 +125,23 @@ def rle_encode(bits) -> str:
     return " ".join(f"{x[s]}x{e - s}" for s, e in zip(starts, ends))
 
 
-def rle_decode(text: str) -> np.ndarray:
-    if not text:
-        return np.zeros(0, dtype=np.int8)
-    runs = []
+def _rle_runs(text: str) -> tuple[list[int], list[int]]:
+    """(bits, counts) of the tokens ``0xN`` and ``1xN``, N >= 1; anything else is a ValueError."""
+    if not isinstance(text, str):
+        raise ValueError(f"run-length bits must be text, got {text!r}")
+    bits, counts = [], []
     for token in text.split():
-        bit, count = token.split("x")
-        runs.append(np.full(int(count), int(bit), dtype=np.int8))
-    return np.concatenate(runs)
+        bit, _, count = token.partition("x")
+        if bit not in ("0", "1") or not count.isdecimal() or int(count) < 1:
+            raise ValueError(f"bad run-length token {token!r}")
+        bits.append(int(bit))
+        counts.append(int(count))
+    return bits, counts
+
+
+def rle_decode(text: str) -> np.ndarray:
+    bits, counts = _rle_runs(text)
+    return np.repeat(np.array(bits, dtype=np.int8), counts)
 
 
 def bit_hash(bits) -> int:

@@ -9,7 +9,7 @@ import datetime as dt
 import numpy as np
 
 from .market_data import BlockPrices, CovarianceSeries, psd_repair
-from .model import ASSET_SLACK, CASH_SLACK, FrictionParams, ProblemSpec, encode_slack
+from .model import ASSET_SLACK, CASH_SLACK, FrictionParams, ModelError, ProblemSpec, encode_slack
 from .qubo import SparseQubo
 
 __all__ = [
@@ -52,12 +52,12 @@ def toy_spec(
     rewards trading.
     """
     if not (1 <= n <= 3 and 1 <= T <= 2):
-        raise ValueError("toy instances require n <= 3, T <= 2")
+        raise ModelError(f"toy instances require 1 <= n <= 3 and 1 <= T <= 2, got n={n}, T={T}")
     rng = np.random.default_rng(seed)
     # per-period simple returns in [-0.5%, +0.5%]
     rets = rng.uniform(-0.005, 0.005, size=(n, T))
     p = _U * np.cumprod(np.hstack([np.ones((n, 1)), 1.0 + rets]), axis=1)
-    prices = BlockPrices(p=p, u=_U)
+    prices = BlockPrices(p=p)
 
     sigma = []
     for _ in range(T):
@@ -69,7 +69,7 @@ def toy_spec(
     covs = CovarianceSeries(sigma=np.array(sigma))
 
     params = FrictionParams(q=q, delta=0.001, rho_c=0.0001, rho_s=0.000025, u=_U)
-    return ProblemSpec(n=n, T=T, k=1, B=B, C=1, params=params,
+    return ProblemSpec(k=1, B=B, C=1, params=params,
                        prices=prices, covariances=covs, signed_risk=signed_risk)
 
 
@@ -93,7 +93,7 @@ def synthetic_spec(
     rng = np.random.default_rng(seed)
     rets = rng.normal(loc=0.0002, scale=0.01, size=(n, T))
     p = _U * np.cumprod(np.hstack([np.ones((n, 1)), 1.0 + rets]), axis=1)
-    prices = BlockPrices(p=p, u=_U)
+    prices = BlockPrices(p=p)
 
     sigma = np.empty((T, n, n))
     base = rng.normal(scale=1.0, size=(n, n))
@@ -108,8 +108,7 @@ def synthetic_spec(
     covs = CovarianceSeries(sigma=sigma)
 
     params = FrictionParams(q=q, delta=0.001, rho_c=0.0001, rho_s=0.000025, u=_U)
-    return ProblemSpec(n=n, T=T, k=k, B=B, C=C, params=params,
-                       prices=prices, covariances=covs)
+    return ProblemSpec(k=k, B=B, C=C, params=params, prices=prices, covariances=covs)
 
 
 def random_sparse_qubo(num_vars: int, seed: int = 0) -> SparseQubo:

@@ -8,6 +8,7 @@ import pytest
 from qubofolio.cli import main
 from qubofolio.model import spec_to_json
 from qubofolio.qubo import read_qubo_text, to_sparse, write_qubo_text
+from qubofolio.solvers import SolveReport
 from qubofolio.toy import random_sparse_qubo, toy_spec, write_price_csv
 
 
@@ -252,6 +253,14 @@ def test_quantum_anneal_step_not_below_tau_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_quantum_vqe_writes_its_restart_trace_in_model_units(tmp_path):
+    out = tmp_path / "vqe.json"
+    assert run("quantum", "--toy", "--algo", "vqe", "--layers", "1", "--out", str(out)) == 0
+    doc = json.loads(out.read_text())
+    assert min(doc["restart_trace"]) == doc["expectation"]
+    assert abs(doc["expectation"]) > 1.0  # the normalized model is O(1); the toy's is currency
+
+
 def test_sweep_toy_default_grid(tmp_path):
     out = tmp_path / "pareto.csv"
     assert run("sweep", "--toy", "--solver", "exact", "--out", str(out)) == 0
@@ -334,3 +343,50 @@ def test_malformed_qubo_file_exits_4(tmp_path, content):
     path.write_bytes(content)
     assert run("solve", "--qubo", str(path), "--solver", "exact",
                "--out", str(tmp_path / "r.json")) == 4
+
+
+def _solution_file(tmp_path, doc):
+    """`report` on the toy with `doc` as its solution file."""
+    path = tmp_path / "solution.json"
+    path.write_text(json.dumps(doc))
+    return ["report", "--toy", "--solution", str(path)]
+
+
+def _solution_with_bits(tmp_path, bits):
+    """`report` on the toy with a solution file whose run-length bits are `bits`."""
+    doc = SolveReport(best=np.zeros(12, dtype=np.int8), best_energy=0.0, lower_bound=None,
+                      trace=[], iterations=0, solver_name="exact", seed=0).to_json()
+    return _solution_file(tmp_path, {**doc, "bits": bits})
+
+
+def _config_with(tmp_path, **fields):
+    """`build` from the toy's spec JSON with `fields` overridden."""
+    doc = {**spec_to_json(toy_spec(seed=0)), **fields}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    return ["build", "--config", str(path), "--out", str(tmp_path / "out.qubo")]
+
+
+@pytest.mark.parametrize("code, argv", [
+    (4, lambda tmp: ["sweep", "--toy", "--q", "1e-3,1e-3", "--out", str(tmp / "p.csv")]),
+    (4, lambda tmp: ["sweep", "--toy", "--q", ",", "--out", str(tmp / "p.csv")]),
+    (2, lambda tmp: ["build", "--toy", "--toy-n", "4", "--out", str(tmp / "out.qubo")]),
+    (2, lambda tmp: ["build", "--toy", "--toy-t", "0", "--out", str(tmp / "out.qubo")]),
+    # 10^14 bits: decoding them would need 91 TiB
+    (6, lambda tmp: _solution_with_bits(tmp, "0x100000000000000")),
+    (4, lambda tmp: _solution_with_bits(tmp, "0x6 2x6")),
+    (4, lambda tmp: _solution_with_bits(tmp, "0x12 1x0")),
+    (4, lambda tmp: _solution_with_bits(tmp, "0x-1 1x13")),
+    (4, lambda tmp: _solution_with_bits(tmp, 12)),
+    (4, lambda tmp: _solution_file(tmp, [])),
+    (2, lambda tmp: _config_with(tmp, k=1.7, B=1.9)),
+    (2, lambda tmp: _config_with(tmp, T=2.5)),
+], ids=["sweep-repeated-q", "sweep-empty-q", "toy-n-too-large", "toy-t-zero",
+        "solution-bits-beyond-memory", "solution-bit-two", "solution-empty-run",
+        "solution-negative-run", "solution-bits-not-text", "solution-not-a-report",
+        "fractional-k-and-B", "fractional-T"])
+def test_bad_input_exits_with_its_documented_code(tmp_path, capsys, code, argv):
+    assert run(*argv(tmp_path)) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not any(tmp_path.glob("out.qubo")) and not any(tmp_path.glob("p.csv"))

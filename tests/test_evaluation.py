@@ -25,10 +25,9 @@ from qubofolio.toy import cash_only_bits, random_sparse_qubo, synthetic_spec, to
 def _flat_spec(T=2, delta=0.001, u=100_000.0):
     """n=1 instance with perfectly flat prices and zero covariance."""
     params = FrictionParams(q=0.0, delta=delta, rho_c=0.0, rho_s=0.0, u=u)
-    prices = BlockPrices(p=np.full((1, T + 1), u), u=u)
+    prices = BlockPrices(p=np.full((1, T + 1), u))
     covs = CovarianceSeries(sigma=np.zeros((T, 1, 1)))
-    return ProblemSpec(n=1, T=T, k=1, B=1, C=1, params=params,
-                       prices=prices, covariances=covs)
+    return ProblemSpec(k=1, B=1, C=1, params=params, prices=prices, covariances=covs)
 
 
 def test_gap_published_values():
@@ -184,6 +183,15 @@ def test_sweep_rejects_empty_or_unknown():
         sweep_q(spec, [], "exact")
     with pytest.raises(EvaluationError):
         sweep_q(spec, [0.0], "gurobi")
+
+
+def test_sweep_rejects_a_repeated_q_before_any_solve(monkeypatch):
+    calls = []
+    monkeypatch.setitem(evaluation_module.SOLVERS, "exact",
+                        lambda qubo, budget: calls.append(qubo))
+    with pytest.raises(EvaluationError, match="repeats a value"):
+        sweep_q(toy_spec(seed=0), [1e-3, 0.0, 1e-3], "exact")
+    assert calls == []
 
 
 def test_pareto_csv_format(tmp_path):

@@ -99,25 +99,48 @@ def test_price_table_validates_dates_and_shape():
 def test_normalize_blocks_scales_first_column_to_u(price_csv):
     path, dates, close = price_csv
     table = load_prices(path)
-    blocks = normalize_blocks(table, u=100_000.0, start=dates[1], horizon=3)
+    blocks = normalize_blocks(table, u=100_000.0, horizon=3)
     assert blocks.p.shape == (2, 4)
     assert np.allclose(blocks.p[:, 0], 100_000.0)
-    # relative moves preserved: p[a, t] / p[a, 0] == close ratio
-    assert np.allclose(blocks.p / blocks.p[:, :1], close[:, 1:5] / close[:, 1:2])
+    # the window is the table's last 4 dates; relative moves are preserved
+    assert np.allclose(blocks.p / blocks.p[:, :1], close[:, 4:] / close[:, 4:5])
 
 
 def test_normalize_blocks_raw_passthrough(price_csv):
     path, dates, close = price_csv
     table = load_prices(path)
-    blocks = normalize_blocks(table, u=1.0, start=dates[0], horizon=2, raw_prices=True)
-    assert np.allclose(blocks.p, close[:, :3])
+    blocks = normalize_blocks(table, u=1.0, horizon=2, raw_prices=True)
+    assert np.array_equal(blocks.p, close[:, 5:])
 
 
 def test_normalize_blocks_requires_enough_dates(price_csv):
     path, dates, _ = price_csv
     table = load_prices(path)
-    with pytest.raises(MarketDataError, match="trading dates"):
-        normalize_blocks(table, u=1.0, start=dates[6], horizon=3)
+    assert normalize_blocks(table, u=1.0, horizon=7).p.shape == (2, 8)
+    with pytest.raises(MarketDataError, match="need 9 trading dates, have 8"):
+        normalize_blocks(table, u=1.0, horizon=8)
+
+
+@pytest.mark.parametrize("u", [0.0, -1.0])
+def test_normalize_blocks_rejects_a_non_positive_u(price_csv, u):
+    table = load_prices(price_csv[0])
+    with pytest.raises(MarketDataError, match="capital unit u must be positive"):
+        normalize_blocks(table, u=u, horizon=3)
+
+
+def test_price_and_covariance_windows_end_at_the_last_date(price_csv):
+    path, dates, close = price_csv
+    table = load_prices(path)
+    horizon, window = 3, 2
+    blocks = normalize_blocks(table, u=1.0, horizon=horizon, raw_prices=True)
+    sigma = estimate_covariance(table, window=window, horizon=horizon).sigma
+    returns = close[:, 1:] / close[:, :-1] - 1.0
+    first = len(dates) - (horizon + 1)  # date index of period 1
+    assert np.array_equal(blocks.p, close[:, first:])
+    # period t's covariance uses the `window` returns ending at period t's date
+    for t in range(horizon):
+        chunk = returns[:, first + t - window : first + t]
+        assert np.allclose(sigma[t], np.cov(chunk, ddof=1))
 
 
 def test_psd_repair_clips_negative_eigenvalues():
@@ -180,13 +203,10 @@ def test_covariance_series_rejects_asymmetry():
 
 
 def test_block_prices_validation():
-    with pytest.raises(MarketDataError):
-        BlockPrices(p=np.ones((2, 1)), u=1.0)
-    with pytest.raises(MarketDataError):
-        BlockPrices(p=np.ones((2, 3)), u=0.0)
-    for u in (np.nan, np.inf):
-        with pytest.raises(MarketDataError, match="finite"):
-            BlockPrices(p=np.ones((2, 3)), u=u)
+    with pytest.raises(MarketDataError, match="at least 2 time columns"):
+        BlockPrices(p=np.ones((2, 1)))
+    with pytest.raises(MarketDataError, match="at least 2 time columns"):
+        BlockPrices(p=np.ones(3))
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -204,7 +224,7 @@ def test_block_prices_rejects_non_finite(value):
     p = np.ones((2, 3))
     p[1, 2] = value
     with pytest.raises(MarketDataError, match="non-finite"):
-        BlockPrices(p=p, u=1.0)
+        BlockPrices(p=p)
 
 
 EXP2_N, EXP2_T = 499, 15

@@ -123,12 +123,50 @@ def test_friction_params_reject_non_finite(name, value):
 
 def test_spec_shape_validation():
     params = FrictionParams(q=0.0, delta=0.0, rho_c=0.0, rho_s=0.0, u=1.0)
-    prices = BlockPrices(p=np.ones((2, 3)), u=1.0)
-    covs = CovarianceSeries(sigma=np.zeros((2, 2, 2)))
-    ProblemSpec(n=2, T=2, k=1, B=1, C=1, params=params, prices=prices, covariances=covs)
-    with pytest.raises(ModelError):
-        ProblemSpec(n=2, T=3, k=1, B=1, C=1, params=params, prices=prices,
-                    covariances=covs)
+    prices = BlockPrices(p=np.ones((2, 3)))
+    spec = ProblemSpec(k=1, B=1, C=1, params=params, prices=prices,
+                       covariances=CovarianceSeries(sigma=np.zeros((2, 2, 2))))
+    assert (spec.n, spec.T) == (2, 2)
+    with pytest.raises(ModelError, match=r"covariances shape \(3, 2, 2\), expected \(2, 2, 2\)"):
+        ProblemSpec(k=1, B=1, C=1, params=params, prices=prices,
+                    covariances=CovarianceSeries(sigma=np.zeros((3, 2, 2))))
+
+
+@pytest.mark.parametrize("sizes, message", [
+    (dict(k=0, B=1, C=1), "k must be >= 1"),
+    (dict(k=1, B=0, C=1), "B must be >= 1"),
+    (dict(k=1, B=1, C=0), "C must be >= 1"),
+    (dict(k=1, B=2, C=3), "C=3 exceeds B=2"),
+], ids=["zero-k", "zero-B", "zero-C", "C-above-B"])
+def test_spec_checks_every_size_rule_at_construction(sizes, message):
+    params = FrictionParams(q=0.0, delta=0.0, rho_c=0.0, rho_s=0.0, u=1.0)
+    with pytest.raises(ModelError, match=message):
+        ProblemSpec(**sizes, params=params, prices=BlockPrices(p=np.ones((2, 3))),
+                    covariances=CovarianceSeries(sigma=np.zeros((2, 2, 2))))
+
+
+@pytest.mark.parametrize("field, value", [("n", 3), ("T", 1)])
+def test_spec_from_json_checks_n_and_T_against_inline_prices(field, value):
+    doc = spec_to_json(toy_spec(n=2, T=2, seed=0))
+    doc[field] = value
+    with pytest.raises(ModelError, match=r"prices shape \(2, 3\), expected"):
+        spec_from_json(doc)
+
+
+@pytest.mark.parametrize("field", ["n", "T", "k", "B", "C"])
+@pytest.mark.parametrize("value", [1.7, "2", True, None], ids=["fraction", "string", "bool", "null"])
+def test_spec_from_json_rejects_sizes_that_are_not_whole_numbers(field, value):
+    doc = spec_to_json(toy_spec(n=2, T=2, seed=0))
+    doc[field] = value
+    with pytest.raises(ModelError, match=f"{field} must be a whole number"):
+        spec_from_json(doc)
+
+
+def test_spec_from_json_accepts_a_whole_float_size():
+    doc = spec_to_json(toy_spec(n=2, T=2, B=2, seed=0))
+    doc["B"] = 2.0
+    spec = spec_from_json(doc)
+    assert spec.B == 2 and isinstance(spec.B, int)
 
 
 def test_cash_only_is_feasible_with_zero_residuals():
