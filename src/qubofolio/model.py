@@ -310,6 +310,14 @@ def _whole(name: str, value) -> int:
     return int(value)
 
 
+def _flag(doc: dict[str, Any], name: str, default: bool) -> bool:
+    """A JSON true or false, or default when the key is absent; anything else is a ModelError."""
+    value = doc.get(name, default)
+    if not isinstance(value, bool):
+        raise ModelError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
 def spec_from_json(source: str | dict[str, Any]) -> ProblemSpec:
     """Build a ProblemSpec from a JSON file path or an already-parsed dict.
 
@@ -334,8 +342,8 @@ def spec_from_json(source: str | dict[str, Any]) -> ProblemSpec:
         table = market_data.load_prices(doc["price_csv"])
         if table.n_assets != n:
             raise ModelError(f"price_csv holds {table.n_assets} complete tickers, spec n={n}")
-        raw = bool(doc.get("raw_prices", False))
-        prices = market_data.normalize_blocks(table, params.u, T, raw_prices=raw)
+        prices = market_data.normalize_blocks(table, params.u, T,
+                                              raw_prices=_flag(doc, "raw_prices", False))
         window = _whole("cov_window", doc.get("cov_window", 60))
         covariances = market_data.estimate_covariance(table, window, T)
     elif "prices" in doc and "covariances" in doc:
@@ -346,7 +354,7 @@ def spec_from_json(source: str | dict[str, Any]) -> ProblemSpec:
     else:
         raise ModelError("spec JSON needs either inline prices/covariances or price_csv")
     return ProblemSpec(k=k, B=B, C=C, params=params, prices=prices, covariances=covariances,
-                       signed_risk=bool(doc.get("signed_risk", True)))
+                       signed_risk=_flag(doc, "signed_risk", True))
 
 
 def spec_to_json(spec: ProblemSpec) -> dict[str, Any]:

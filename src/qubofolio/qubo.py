@@ -112,12 +112,18 @@ class _Kernel(NamedTuple):
     cross: list[list[float]]  # BlockQubo.cross, for scalar reads
 
 
+def _index_dtype(num_vars: int) -> type:
+    """The dtype of term indices below num_vars: int32 while they fit, else int64."""
+    return np.int32 if num_vars < 2**31 else np.int64
+
+
 @dataclass(frozen=True)
 class SparseQubo:
     """Upper-triangular triplet export form, sorted by (i, j), no repeated terms.
 
     Repeated (i, j) terms are summed on construction.  to_sparse also drops
-    zero terms; read_qubo_text keeps those a file lists.
+    zero terms; read_qubo_text keeps those a file lists.  rows and cols are
+    range-checked, then held in _index_dtype(num_vars).
     """
 
     num_vars: int
@@ -127,10 +133,17 @@ class SparseQubo:
     offset: float
 
     def __post_init__(self):
-        if np.any(self.rows > self.cols):
-            raise QuboError("triplets must satisfy i <= j")
-        for name, value in zip(("rows", "cols", "vals"),
-                               _sum_repeated(self.rows, self.cols, self.vals)):
+        rows, cols = np.asarray(self.rows), np.asarray(self.cols)
+        if len(rows):
+            if rows.dtype.kind not in "iu" or cols.dtype.kind not in "iu":
+                raise QuboError("triplet indices must be integers")
+            if (rows > cols).any():
+                raise QuboError("triplets must satisfy i <= j")
+            if rows.min() < 0 or cols.max() >= self.num_vars:
+                raise QuboError(f"triplet indices must lie in 0..{self.num_vars - 1}")
+        dtype = _index_dtype(self.num_vars)
+        rows, cols = rows.astype(dtype, copy=False), cols.astype(dtype, copy=False)
+        for name, value in zip(("rows", "cols", "vals"), _sum_repeated(rows, cols, self.vals)):
             object.__setattr__(self, name, value)
 
     @property
@@ -459,17 +472,32 @@ def _step_tables(qubo: BlockQubo):
         yield t * w, table
 
 
-def _table_terms(base: int, table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (rows, cols, vals) of one step's nonzero table entries, in (i, j) order."""
+def _table_terms(base: int, table: np.ndarray, dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (rows, cols, vals) of one step's nonzero table entries, in (i, j) order.
+
+    The indices are formed in dtype, so no index array of the whole export is int64.
+    """
     w = table.shape[0]
     r, c = np.nonzero(table)
-    return base + r, base + np.where(c == w, w + r, c), table[r, c]
+    vals = table[r, c]
+    band = c == w
+    c[band] = r[band] + w
+    rows, cols = r.astype(dtype), c.astype(dtype)
+    rows += base
+    cols += base
+    return rows, cols, vals
+
+
+def _sparse_steps(qubo: BlockQubo):
+    """Yield each step's (rows, cols, vals) as to_sparse lists them, indices in the index dtype."""
+    dtype = _index_dtype(qubo.num_vars)
+    for base, table in _step_tables(qubo):
+        yield _table_terms(base, table, dtype)
 
 
 def to_sparse(qubo: BlockQubo) -> SparseQubo:
     """Collapse the block form into sorted upper-triangular triplets, the steps in order."""
-    steps = (_table_terms(*step) for step in _step_tables(qubo))
-    rows, cols, vals = (np.concatenate(part) for part in zip(*steps))
+    rows, cols, vals = (np.concatenate(part) for part in zip(*_sparse_steps(qubo)))
     return SparseQubo(num_vars=qubo.num_vars, rows=rows, cols=cols, vals=vals,
                       offset=_export_offset(qubo))
 
@@ -605,7 +633,7 @@ def objective_breakdown(spec: ProblemSpec, bits) -> dict[str, float]:
 
 _MIN_TERM_BYTES = 6  # the shortest term line, "0 0 0\n"
 _CHUNK_LINES = 1 << 16  # term lines per chunk of the writer
-_CHUNK_CHARS = 1 << 21  # characters per chunk of the reader, cut back to a line end
+_CHUNK_CHARS = 1 << 20  # characters per chunk of the reader, cut back to a line end
 _MAX_INDEX_DIGITS = 18  # every 18-digit index fits in int64
 _PAD_BYTES = 32  # zero bytes around a parsed chunk; longer value tokens take the per-line parse
 _PAD = bytes(_PAD_BYTES)
@@ -675,7 +703,7 @@ def write_qubo_text(qubo, path) -> int:
     if isinstance(qubo, BlockQubo):
         num_terms = sum(np.count_nonzero(table) for _, table in _step_tables(qubo))
         offset = _export_offset(qubo)
-        steps = (_table_terms(*step) for step in _step_tables(qubo))
+        steps = _sparse_steps(qubo)
     else:
         num_terms, offset = qubo.num_terms, qubo.offset
         steps = [(qubo.rows, qubo.cols, qubo.vals)]
@@ -703,8 +731,8 @@ def write_bqp_json(spec: ProblemSpec, path) -> None:
     with open(path, "wb") as fh:
         fh.write((head + mark).encode())
         lead = len(b", ")  # the first term has no separator before it
-        for step in _step_tables(free):
-            for i, j, value in _term_chunks(*_table_terms(*step)):
+        for step in _sparse_steps(free):
+            for i, j, value in _term_chunks(*step):
                 fh.write(_records(b", [", i, b", ", j, b", ", value, b"]")[lead:])
                 lead = 0
         fh.write(tail.encode() + b"\n")
@@ -771,54 +799,63 @@ def _canonical_terms(b: np.ndarray, ends: np.ndarray):
     return rows, cols, vals[np.cumsum(new) - 1]
 
 
-def _parse_lines(text: str, first: int, rows, cols, vals, path) -> None:
-    """Per-line parse of term lines into rows/cols/vals from index `first`; owns the errors."""
-    for idx, line in enumerate(io.StringIO(text, newline="\n"), start=first):
+def _parse_lines(text: str, first: int, count: int, path):
+    """Per-line parse of the `count` term lines of text, term `first` the first; owns the errors.
+
+    Returns their (rows, cols, vals), the indices as int64.
+    """
+    rows = np.empty(count, dtype=np.int64)
+    cols = np.empty(count, dtype=np.int64)
+    vals = np.empty(count)
+    for k, line in enumerate(io.StringIO(text, newline="\n")):
         try:
             i, j, v = line.split()
-            rows[idx], cols[idx], vals[idx] = int(i), int(j), float(v)
+            rows[k], cols[k], vals[k] = int(i), int(j), float(v)
         except (ValueError, OverflowError) as exc:
-            raise QuboParseError(f"{path}:{idx + 2}: bad term line {line!r}") from exc
+            raise QuboParseError(f"{path}:{first + k + 2}: bad term line {line!r}") from exc
+    return rows, cols, vals
 
 
-def _read_terms(fh, path, num_terms: int):
+def _read_terms(fh, path, num_vars: int, num_terms: int):
     """rows, cols, vals of the next num_terms lines of text file fh, and the bytes read past them.
 
     Text is read a chunk at a time and cut at its last line end.  A chunk of
-    canonical lines is parsed with numpy, any other chunk line by line.
+    canonical lines is parsed with numpy, any other chunk line by line.  Each
+    chunk's int64 indices are checked against num_vars before they are stored
+    in _index_dtype(num_vars), so none wraps.
     """
-    rows = np.empty(num_terms, dtype=np.int64)
-    cols = np.empty(num_terms, dtype=np.int64)
+    dtype = _index_dtype(num_vars)
+    rows = np.empty(num_terms, dtype=dtype)
+    cols = np.empty(num_terms, dtype=dtype)
     vals = np.empty(num_terms)
     done = 0
     rest = b""
     while done < num_terms:
         text = fh.read(_CHUNK_CHARS)
         if not text:
-            if rest:  # a last line without its newline
-                _parse_lines(rest.decode("utf-8"), done, rows, cols, vals, path)
-                done += 1
-                rest = b""
-            if done < num_terms:
+            if not rest:
                 raise QuboParseError(f"{path}: expected {num_terms} terms, got {done}")
-            break
-        buf = rest + text.encode("utf-8")
-        b = np.frombuffer(buf, dtype=np.uint8)
-        ends = np.flatnonzero(b == ord("\n"))[: num_terms - done]
-        if len(ends) == 0:
-            rest = buf
-            continue
-        cut = int(ends[-1]) + 1
-        stop = done + len(ends)
-        chunk = buf[:cut]
-        terms = None if b"\0" in chunk else _canonical_terms(
-            np.frombuffer(_PAD + chunk + _PAD, dtype=np.uint8), ends + _PAD_BYTES)
-        if terms is None:
-            _parse_lines(chunk.decode("utf-8"), done, rows, cols, vals, path)
+            terms = _parse_lines(rest.decode("utf-8"), done, 1, path)  # a last line, no newline
+            rest = b""
         else:
-            rows[done:stop], cols[done:stop], vals[done:stop] = terms
+            buf = rest + text.encode("utf-8")
+            b = np.frombuffer(buf, dtype=np.uint8)
+            ends = np.flatnonzero(b == ord("\n"))[: num_terms - done]
+            if len(ends) == 0:
+                rest = buf
+                continue
+            cut = int(ends[-1]) + 1
+            chunk, rest = buf[:cut], buf[cut:]
+            terms = None if b"\0" in chunk else _canonical_terms(
+                np.frombuffer(_PAD + chunk + _PAD, dtype=np.uint8), ends + _PAD_BYTES)
+            if terms is None:
+                terms = _parse_lines(chunk.decode("utf-8"), done, len(ends), path)
+        r, c, v = terms
+        if (r > c).any() or c.max() >= num_vars or r.min() < 0:
+            raise QuboParseError(f"{path}: term indices out of range or not upper-triangular")
+        stop = done + len(v)
+        rows[done:stop], cols[done:stop], vals[done:stop] = terms
         done = stop
-        rest = buf[cut:]
     return rows, cols, vals, rest
 
 
@@ -838,12 +875,10 @@ def read_qubo_text(path):
             raise QuboParseError(f"{path}: bad header values {' '.join(header[2:])!r}")
         if num_terms * _MIN_TERM_BYTES > os.fstat(fh.fileno()).st_size:
             raise QuboParseError(f"{path}: {num_terms} terms cannot fit in the file")
-        rows, cols, vals, rest = _read_terms(fh, path, num_terms)
+        rows, cols, vals, rest = _read_terms(fh, path, num_vars, num_terms)
         if rest.decode("utf-8").strip() or any(
                 text.strip() for text in iter(lambda: fh.read(_CHUNK_CHARS), "")):
             raise QuboParseError(f"{path}: more lines than the {num_terms} terms declared")
-    if np.any(rows > cols) or np.any(cols >= num_vars) or np.any(rows < 0):
-        raise QuboParseError(f"{path}: term indices out of range or not upper-triangular")
     if not np.isfinite(vals).all():
         raise QuboParseError(f"{path}: non-finite term value")
     if header[1] == "ising":
@@ -858,10 +893,24 @@ def read_qubo_text(path):
     return SparseQubo(num_vars=num_vars, rows=rows, cols=cols, vals=vals, offset=offset)
 
 
+_ORDER_BLOCK = 1 << 20  # terms per block of the order check
+
+
+def _increasing(rows, cols) -> bool:
+    """Whether the (i, j) pairs strictly increase, checked a block at a time.
+
+    The block's masks are all the memory the check takes.
+    """
+    for a in range(0, len(rows), _ORDER_BLOCK):
+        r, c = rows[a:a + _ORDER_BLOCK + 1], cols[a:a + _ORDER_BLOCK + 1]
+        if not ((r[1:] > r[:-1]) | ((r[1:] == r[:-1]) & (c[1:] > c[:-1]))).all():
+            return False
+    return True
+
+
 def _sum_repeated(rows, cols, vals):
     """Sort (i, j) terms and sum repeats; strictly increasing input passes as is."""
-    increasing = (rows[1:] > rows[:-1]) | ((rows[1:] == rows[:-1]) & (cols[1:] > cols[:-1]))
-    if increasing.all():
+    if _increasing(rows, cols):
         return rows, cols, vals
     order = np.lexsort((cols, rows))
     rows, cols, vals = rows[order], cols[order], vals[order]

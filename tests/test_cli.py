@@ -367,6 +367,25 @@ def _config_with(tmp_path, **fields):
     return ["build", "--config", str(path), "--out", str(tmp_path / "out.qubo")]
 
 
+def _csv_config_with(tmp_path, **fields):
+    """`build` from a three-asset price CSV config with `fields` added."""
+    n, T, window = 3, 2, 5
+    dates = [dt.date(2024, 1, 1) + dt.timedelta(days=i) for i in range(window + T + 1)]
+    close = 100.0 + np.arange(n * len(dates), dtype=float).reshape(n, len(dates)) ** 1.5
+    write_price_csv(tmp_path / "prices.csv", ["A", "B", "C"], dates, close)
+    doc = dict(n=n, T=T, k=1, B=3, C=2, q=0.01, delta=0.001, rho_c=0.0, rho_s=0.0, u=1000.0,
+               cov_window=window, price_csv=str(tmp_path / "prices.csv"), **fields)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    return ["build", "--config", str(path), "--out", str(tmp_path / "out.qubo")]
+
+
+@pytest.mark.parametrize("flags", [{}, {"raw_prices": False}, {"raw_prices": True},
+                                   {"signed_risk": False}, {"signed_risk": True}])
+def test_json_flags_accept_true_false_and_absent(tmp_path, flags):
+    assert run(*_csv_config_with(tmp_path, **flags)) == 0
+
+
 @pytest.mark.parametrize("code, argv", [
     (4, lambda tmp: ["sweep", "--toy", "--q", "1e-3,1e-3", "--out", str(tmp / "p.csv")]),
     (4, lambda tmp: ["sweep", "--toy", "--q", ",", "--out", str(tmp / "p.csv")]),
@@ -381,10 +400,15 @@ def _config_with(tmp_path, **fields):
     (4, lambda tmp: _solution_file(tmp, [])),
     (2, lambda tmp: _config_with(tmp, k=1.7, B=1.9)),
     (2, lambda tmp: _config_with(tmp, T=2.5)),
+    (2, lambda tmp: _config_with(tmp, signed_risk="false")),
+    (2, lambda tmp: _config_with(tmp, signed_risk=0)),
+    (2, lambda tmp: _csv_config_with(tmp, raw_prices="false")),
+    (2, lambda tmp: _csv_config_with(tmp, raw_prices=0)),
 ], ids=["sweep-repeated-q", "sweep-empty-q", "toy-n-too-large", "toy-t-zero",
         "solution-bits-beyond-memory", "solution-bit-two", "solution-empty-run",
         "solution-negative-run", "solution-bits-not-text", "solution-not-a-report",
-        "fractional-k-and-B", "fractional-T"])
+        "fractional-k-and-B", "fractional-T", "signed-risk-string", "signed-risk-zero",
+        "raw-prices-string", "raw-prices-zero"])
 def test_bad_input_exits_with_its_documented_code(tmp_path, capsys, code, argv):
     assert run(*argv(tmp_path)) == code
     err = capsys.readouterr().err

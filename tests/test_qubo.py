@@ -913,3 +913,58 @@ def test_code_built_sparse_qubo_sums_repeated_terms(tmp_path):
     parsed = read_qubo_text(path)
     for name in ("rows", "cols", "vals"):
         assert np.array_equal(getattr(parsed, name), getattr(summed, name))
+
+
+@pytest.mark.parametrize("rows, cols, match", [
+    ([-1], [0], "must lie in 0..2"),
+    ([0, 1], [1, 3], "must lie in 0..2"),
+    ([2], [1], "i <= j"),
+    ([0.0], [1.0], "integers"),
+], ids=["negative", "beyond-num-vars", "lower-triangle", "float-indices"])
+def test_code_built_sparse_qubo_rejects_bad_indices(rows, cols, match):
+    with pytest.raises(QuboError, match=match):
+        SparseQubo(num_vars=3, rows=np.array(rows), cols=np.array(cols),
+                   vals=np.ones(len(rows)), offset=0.0)
+
+
+def test_index_dtype_is_int32_below_two_to_the_31():
+    assert qubo_module._index_dtype(0) is np.int32
+    assert qubo_module._index_dtype(2**31 - 1) is np.int32
+    assert qubo_module._index_dtype(2**31) is np.int64
+
+
+def test_producers_give_int32_indices(tmp_path):
+    spec = toy_spec(n=3, T=2, q=1e-3, seed=2)
+    sparse = to_sparse(build_qubo(spec))
+    ising = to_ising(build_qubo(spec))
+    assert sparse.rows.dtype == sparse.cols.dtype == np.int32
+    assert ising.j_rows.dtype == ising.j_cols.dtype == np.int32
+    path = tmp_path / "toy.qubo"
+    write_qubo_text(sparse, path)
+    parsed = read_qubo_text(path)
+    assert parsed.rows.dtype == parsed.cols.dtype == np.int32
+    write_ising_text(ising, tmp_path / "toy.ising")
+    parsed_ising = read_qubo_text(tmp_path / "toy.ising")
+    assert parsed_ising.j_rows.dtype == parsed_ising.j_cols.dtype == np.int32
+
+
+@pytest.mark.parametrize("index", [np.int64, np.int32, np.uint64, list])
+def test_sparse_qubo_from_any_integer_indices_is_the_same_problem(tmp_path, index):
+    """An int64, int32, uint64 or Python-int build gives the int32 build's matrix, energy and bytes."""
+    ref = random_sparse_qubo(9, seed=3)
+
+    def indices(a):
+        return a.tolist() if index is list else a.astype(index)
+
+    sq = SparseQubo(num_vars=9, rows=indices(ref.rows), cols=indices(ref.cols), vals=ref.vals,
+                    offset=ref.offset)
+    assert sq.rows.dtype == sq.cols.dtype == np.int32
+    A, off = to_dense(sq)
+    A_ref, off_ref = to_dense(ref)
+    assert np.array_equal(A, A_ref) and off == off_ref
+    x = np.random.default_rng(0).integers(0, 2, 9).astype(np.int8)
+    assert (energy(qubo_module._as_block(sq), x)
+            == energy(qubo_module._as_block(ref), x))
+    write_qubo_text(sq, tmp_path / "a.qubo")
+    write_qubo_text(ref, tmp_path / "b.qubo")
+    assert (tmp_path / "a.qubo").read_bytes() == (tmp_path / "b.qubo").read_bytes()

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qubofolio import qubo as qubo_module
+from qubofolio.cli import main
 from qubofolio.qubo import (
     IsingModel,
     QuboParseError,
@@ -34,18 +35,24 @@ def reference_lines(rows, cols, vals) -> str:
 
 
 def reference_terms(text: str):
-    """The header's count of term lines, parsed one at a time with int, int, float."""
+    """The header's count of term lines, parsed one at a time with int, int, float.
+
+    The indices are in the index dtype the header's num_vars documents.
+    """
     header, *lines = text.splitlines()
-    lines = lines[: int(header.split()[3])]
-    rows = np.array([int(line.split()[0]) for line in lines], dtype=np.int64)
-    cols = np.array([int(line.split()[1]) for line in lines], dtype=np.int64)
+    num_vars, num_terms = (int(field) for field in header.split()[2:4])
+    lines = lines[:num_terms]
+    index = qubo_module._index_dtype(num_vars)
+    rows = np.array([int(line.split()[0]) for line in lines], dtype=index)
+    cols = np.array([int(line.split()[1]) for line in lines], dtype=index)
     vals = np.array([float(line.split()[2]) for line in lines])
     return rows, cols, vals
 
 
 def assert_bits_equal(got, want):
+    """Equal dtypes and equal bytes, so -0.0 and 0.0 differ and int32 and int64 do too."""
     for a, b in zip(got, want):
-        assert a.dtype == b.dtype and np.array_equal(a.view(np.int64), b.view(np.int64))
+        assert a.dtype == b.dtype and np.array_equal(a.view(np.uint8), b.view(np.uint8))
 
 
 def sample_terms(num_vars: int, seed: int):
@@ -214,3 +221,33 @@ def test_reader_matches_reference_on_random_files(tmp_path_factory, terms, chunk
     expected = SparseQubo(num_vars=41, rows=want[0], cols=want[1], vals=want[2], offset=0.0)
     assert_bits_equal((parsed.rows, parsed.cols, parsed.vals),
                       (expected.rows, expected.cols, expected.vals))
+
+
+@pytest.mark.parametrize("sep", [" ", "\t"], ids=["numpy-chunk", "per-line"])
+def test_reader_rejects_an_index_that_would_wrap_in_int32(tmp_path, monkeypatch, sep):
+    """2^32 + 5 is 5 in int32: the chunk's int64 indices are checked before they are narrowed."""
+    path = tmp_path / "wrap.qubo"
+    path.write_text(f"p qubo 10 2 0.0\n0 0 1.0\n4294967301{sep}4294967301{sep}1.0\n")
+    if sep == " ":
+        def per_line(*args):
+            raise AssertionError("a canonical chunk was parsed line by line")
+
+        monkeypatch.setattr(qubo_module, "_parse_lines", per_line)
+    with pytest.raises(QuboParseError, match="out of range or not upper-triangular"):
+        read_qubo_text(path)
+    out = tmp_path / "r.json"
+    assert main(["solve", "--qubo", str(path), "--solver", "exact", "--out", str(out)]) == 4
+    assert not out.exists()
+
+
+def test_reader_keeps_int64_indices_past_two_to_the_31(tmp_path):
+    """num_vars = 2^31 needs int64 indices; the reader allocates nothing of size num_vars."""
+    path = tmp_path / "wide.qubo"
+    path.write_text("p qubo 2147483648 1 0.0\n5 2147483647 1.0\n")
+    parsed = read_qubo_text(path)
+    assert parsed.rows.dtype == parsed.cols.dtype == np.int64
+    assert parsed.rows.tolist() == [5] and parsed.cols.tolist() == [2**31 - 1]
+    path.write_text("p qubo 2147483647 1 0.0\n5 2147483646 1.0\n")
+    parsed = read_qubo_text(path)
+    assert parsed.rows.dtype == parsed.cols.dtype == np.int32
+    assert parsed.cols.tolist() == [2**31 - 2]
