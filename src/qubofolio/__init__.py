@@ -32,6 +32,7 @@ from .model import (
     VariableLayout,
     constraint_residuals,
     decode_assignment,
+    encode_assignment,
     is_feasible,
     layout,
     spec_from_json,
@@ -39,12 +40,10 @@ from .model import (
 )
 from .qubo import (
     BlockQubo,
-    BqpView,
     IsingModel,
     QuboError,
     QuboParseError,
     SparseQubo,
-    build_bqp,
     build_qubo,
     delta_energies,
     energy,

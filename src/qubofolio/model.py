@@ -1,4 +1,4 @@
-"""Problem instance definition, binary variable layout, and bitstring decoding.
+"""Problem instance definition, binary variable layout, and the count view.
 
 Variable ordering is per-time-step contiguous:
 
@@ -7,6 +7,11 @@ Variable ordering is per-time-step contiguous:
 Within the long/short halves, slot ``asset * k + block``.  A long slot
 carries trade sign +1, a short slot -1; slack bits carry binary weights
 2^b / 2^c.  All objects here are immutable after construction.
+
+The one boundary between bits and the portfolio is the count view, a
+Trajectory of (T, n) held long and short block counts and two slack values
+per step: decode_assignment reads it from any bits, and encode_assignment
+writes its canonical bits (blocks 0..L-1 set, slacks in binary).
 """
 from __future__ import annotations
 
@@ -25,23 +30,15 @@ __all__ = [
     "FrictionParams",
     "ProblemSpec",
     "VariableLayout",
-    "Role",
     "Trajectory",
     "layout",
-    "encode",
-    "decode",
     "decode_assignment",
+    "encode_assignment",
     "constraint_residuals",
     "is_feasible",
     "spec_from_json",
     "spec_to_json",
 ]
-
-LONG = "long"
-SHORT = "short"
-ASSET_SLACK = "asset_slack"
-CASH_SLACK = "cash_slack"
-
 
 class ModelError(ValueError):
     """Raised on invalid instance parameters or malformed assignments."""
@@ -149,66 +146,6 @@ def layout(n: int, T: int, k: int, B: int, C: int) -> VariableLayout:
 
 
 @dataclass(frozen=True)
-class Role:
-    """Decoded meaning of one flat variable index."""
-
-    kind: str  # LONG, SHORT, ASSET_SLACK, CASH_SLACK
-    t: int
-    asset: int | None = None
-    block: int | None = None
-    bit: int | None = None
-
-
-def encode(lay: VariableLayout, t: int, asset: int, block: int, direction: str) -> int:
-    """Flat index of the trading variable (t, asset, block, direction)."""
-    if not 1 <= t <= lay.T:
-        raise ModelError(f"step {t} out of range 1..{lay.T}")
-    if not 0 <= asset < lay.n:
-        raise ModelError(f"asset {asset} out of range 0..{lay.n - 1}")
-    if not 0 <= block < lay.k:
-        raise ModelError(f"block {block} out of range 0..{lay.k - 1}")
-    if direction not in (LONG, SHORT):
-        raise ModelError(f"direction must be '{LONG}' or '{SHORT}', got {direction!r}")
-    offset = asset * lay.k + block
-    if direction == SHORT:
-        offset += lay.kn
-    return (t - 1) * lay.step_width + offset
-
-
-def encode_slack(lay: VariableLayout, t: int, kind: str, bit: int) -> int:
-    """Flat index of a slack bit (asset-count or cash) at step t."""
-    if not 1 <= t <= lay.T:
-        raise ModelError(f"step {t} out of range 1..{lay.T}")
-    if kind == ASSET_SLACK:
-        if not 0 <= bit < lay.nb:
-            raise ModelError(f"asset-slack bit {bit} out of range 0..{lay.nb - 1}")
-        return (t - 1) * lay.step_width + 2 * lay.kn + bit
-    if kind == CASH_SLACK:
-        if not 0 <= bit < lay.nc:
-            raise ModelError(f"cash-slack bit {bit} out of range 0..{lay.nc - 1}")
-        return (t - 1) * lay.step_width + 2 * lay.kn + lay.nb + bit
-    raise ModelError(f"unknown slack kind {kind!r}")
-
-
-def decode(lay: VariableLayout, index: int) -> Role:
-    """Inverse of encode/encode_slack over the full flat index range."""
-    if not 0 <= index < lay.total:
-        raise ModelError(f"index {index} out of range 0..{lay.total - 1}")
-    t = index // lay.step_width + 1
-    off = index % lay.step_width
-    kn = lay.kn
-    if off < kn:
-        return Role(kind=LONG, t=t, asset=off // lay.k, block=off % lay.k)
-    if off < 2 * kn:
-        off -= kn
-        return Role(kind=SHORT, t=t, asset=off // lay.k, block=off % lay.k)
-    off -= 2 * kn
-    if off < lay.nb:
-        return Role(kind=ASSET_SLACK, t=t, bit=off)
-    return Role(kind=CASH_SLACK, t=t, bit=off - lay.nb)
-
-
-@dataclass(frozen=True)
 class ProblemSpec:
     """One multi-period portfolio optimization instance; n and T are the prices' shape."""
 
@@ -257,32 +194,51 @@ def _check_assignment(lay: VariableLayout, bits) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Decoded trading trajectory; t=0 positions are implicitly zero."""
+    """A portfolio in the count view; t=0 positions are implicitly zero."""
 
-    long_blocks: np.ndarray  # (T, n, k) 0/1
-    short_blocks: np.ndarray  # (T, n, k) 0/1
-    net_position: np.ndarray  # (T, n) signed block counts
-    cash_units: np.ndarray  # (T,) decoded cash slack value
-    asset_slack: np.ndarray  # (T,) decoded asset-count slack value
-    blocks_selected: np.ndarray  # (T,) total active trading bits
+    long: np.ndarray  # (T, n) held long blocks, 0..k
+    short: np.ndarray  # (T, n) held short blocks, 0..k
+    asset_slack: np.ndarray  # (T,) asset-count slack value, 0..2^nb - 1
+    cash_units: np.ndarray  # (T,) cash slack value, 0..2^nc - 1
+
+    @property
+    def net_position(self) -> np.ndarray:
+        """(T, n) signed block counts."""
+        return self.long - self.short
 
 
 def decode_assignment(spec: ProblemSpec, bits) -> Trajectory:
+    """The counts of bits: set blocks per (step, asset, direction) and each slack's value."""
     lay = spec.layout
     x = _check_assignment(lay, bits).reshape(lay.T, lay.step_width)
-    kn = lay.kn
-    longs = x[:, :kn].reshape(lay.T, lay.n, lay.k)
-    shorts = x[:, kn : 2 * kn].reshape(lay.T, lay.n, lay.k)
-    s_bits = x[:, 2 * kn : 2 * kn + lay.nb]
-    y_bits = x[:, 2 * kn + lay.nb :]
-    return Trajectory(
-        long_blocks=longs,
-        short_blocks=shorts,
-        net_position=(longs.sum(axis=2) - shorts.sum(axis=2)).astype(np.int64),
-        cash_units=y_bits @ (2 ** np.arange(lay.nc)),
-        asset_slack=s_bits @ (2 ** np.arange(lay.nb)),
-        blocks_selected=x[:, : 2 * kn].sum(axis=1).astype(np.int64),
-    )
+    kn2 = 2 * lay.kn
+    held = x[:, :kn2].reshape(lay.T, 2, lay.n, lay.k).sum(axis=3)
+    slack = x[:, kn2:] * lay.slack_weight[kn2:]
+    return Trajectory(long=held[:, 0], short=held[:, 1],
+                      asset_slack=slack[:, : lay.nb].sum(axis=1),
+                      cash_units=slack[:, lay.nb :].sum(axis=1))
+
+
+def encode_assignment(spec: ProblemSpec, traj: Trajectory) -> np.ndarray:
+    """The canonical bits of traj; decode_assignment inverts them.
+
+    Blocks 0..L-1 of each (step, asset, direction) are set and each slack is
+    written in binary.  Infeasible counts are encoded too; a count outside
+    0..k, a slack beyond its bits or a wrong shape is a ModelError.
+    """
+    lay = spec.layout
+    for name, shape, top in (("long", (lay.T, lay.n), lay.k), ("short", (lay.T, lay.n), lay.k),
+                             ("asset_slack", (lay.T,), 2**lay.nb - 1),
+                             ("cash_units", (lay.T,), 2**lay.nc - 1)):
+        v = np.asarray(getattr(traj, name))
+        if v.shape != shape or v.dtype.kind not in "iu" or not ((v >= 0) & (v <= top)).all():
+            raise ModelError(f"{name} must be integers in 0..{top} of shape {shape}, "
+                             f"got {v.dtype} of shape {v.shape}")
+    held = np.stack([traj.long, traj.short], axis=1)[..., None]  # (T, 2, n, 1)
+    slack = np.repeat(np.stack([traj.asset_slack, traj.cash_units], axis=1), [lay.nb, lay.nc],
+                      axis=1)
+    return np.hstack([(np.arange(lay.k) < held).reshape(lay.T, 2 * lay.kn),
+                      slack // lay.slack_weight[2 * lay.kn :] % 2]).astype(np.int8).ravel()
 
 
 def constraint_residuals(spec: ProblemSpec, bits) -> np.ndarray:
@@ -310,6 +266,13 @@ def _whole(name: str, value) -> int:
     return int(value)
 
 
+def _number(name: str, value) -> float:
+    """A JSON number as a float; a string, a bool or null is a ModelError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ModelError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _flag(doc: dict[str, Any], name: str, default: bool) -> bool:
     """A JSON true or false, or default when the key is absent; anything else is a ModelError."""
     value = doc.get(name, default)
@@ -333,8 +296,8 @@ def spec_from_json(source: str | dict[str, Any]) -> ProblemSpec:
     missing = [f for f in _SPEC_SCALARS + _PARAM_FIELDS if f not in doc]
     if missing:
         raise ModelError(f"spec JSON missing fields: {missing}")
-    params = FrictionParams(**{name: float(doc[name]) for name in _PARAM_FIELDS},
-                            P=float(doc["P"]) if doc.get("P") is not None else None)
+    params = FrictionParams(**{name: _number(name, doc[name]) for name in _PARAM_FIELDS},
+                            P=_number("P", doc["P"]) if doc.get("P") is not None else None)
     n, T, k, B, C = (_whole(name, doc[name]) for name in _SPEC_SCALARS)
     if "price_csv" in doc:
         from . import market_data

@@ -39,10 +39,8 @@ __all__ = [
     "QuboParseError",
     "BlockQubo",
     "SparseQubo",
-    "BqpView",
     "IsingModel",
     "build_qubo",
-    "build_bqp",
     "resolve_penalty",
     "energy",
     "delta_energies",
@@ -117,6 +115,15 @@ def _index_dtype(num_vars: int) -> type:
     return np.int32 if num_vars < 2**31 else np.int64
 
 
+def _check_indices(what: str, size: int, *arrays: np.ndarray) -> None:
+    """Each non-empty index array holds integers in 0..size-1, else a QuboError."""
+    arrays = [a for a in arrays if len(a)]
+    if any(a.dtype.kind not in "iu" for a in arrays):
+        raise QuboError(f"{what} indices must be integers")
+    if any(a.min() < 0 or a.max() >= size for a in arrays):
+        raise QuboError(f"{what} indices must lie in 0..{size - 1}")
+
+
 @dataclass(frozen=True)
 class SparseQubo:
     """Upper-triangular triplet export form, sorted by (i, j), no repeated terms.
@@ -134,13 +141,9 @@ class SparseQubo:
 
     def __post_init__(self):
         rows, cols = np.asarray(self.rows), np.asarray(self.cols)
-        if len(rows):
-            if rows.dtype.kind not in "iu" or cols.dtype.kind not in "iu":
-                raise QuboError("triplet indices must be integers")
-            if (rows > cols).any():
-                raise QuboError("triplets must satisfy i <= j")
-            if rows.min() < 0 or cols.max() >= self.num_vars:
-                raise QuboError(f"triplet indices must lie in 0..{self.num_vars - 1}")
+        _check_indices("triplet", self.num_vars, rows, cols)
+        if (rows > cols).any():
+            raise QuboError("triplets must satisfy i <= j")
         dtype = _index_dtype(self.num_vars)
         rows, cols = rows.astype(dtype, copy=False), cols.astype(dtype, copy=False)
         for name, value in zip(("rows", "cols", "vals"), _sum_repeated(rows, cols, self.vals)):
@@ -152,16 +155,6 @@ class SparseQubo:
 
 
 @dataclass(frozen=True)
-class BqpView:
-    """Penalty-free objective plus explicit per-step equality constraints."""
-
-    objective: SparseQubo
-    # per step: (indices, coefficients, rhs) for the asset-count and cash rows
-    asset_rows: list[tuple[np.ndarray, np.ndarray, int]]
-    cash_rows: list[tuple[np.ndarray, np.ndarray, int]]
-
-
-@dataclass(frozen=True)
 class IsingModel:
     """Spin model F(s) = sum h_i s_i + sum_{i<j} J_ij s_i s_j + offset, s in {-1,+1}."""
 
@@ -170,6 +163,9 @@ class IsingModel:
     j_cols: np.ndarray
     j_vals: np.ndarray
     offset: float
+
+    def __post_init__(self):
+        _check_indices("coupling", self.num_spins, np.asarray(self.j_rows), np.asarray(self.j_cols))
 
     @property
     def num_spins(self) -> int:
@@ -309,13 +305,6 @@ def _bqp_rows(free: BlockQubo) -> list[list[tuple[np.ndarray, np.ndarray, int]]]
         idx = np.flatnonzero(coef)
         per_row.append([(t * w + idx, coef[idx].copy(), int(rhs)) for t in range(T)])
     return per_row
-
-
-def build_bqp(spec: ProblemSpec) -> BqpView:
-    """Objective identical to build_qubo minus penalties, plus equality rows."""
-    free = build_qubo(spec, include_penalty=False)
-    asset_rows, cash_rows = _bqp_rows(free)
-    return BqpView(objective=to_sparse(free), asset_rows=asset_rows, cash_rows=cash_rows)
 
 
 def _one_block(A: np.ndarray, offset: float) -> BlockQubo:
@@ -715,10 +704,10 @@ def write_qubo_text(qubo, path) -> int:
 
 
 def write_bqp_json(spec: ProblemSpec, path) -> None:
-    """build_bqp(spec) as the JSON document json.dump writes, and a newline.
+    """The BQP document, the penalty-free objective and per-step budget rows, and a newline.
 
-    The objective's terms are [i, j, value] lists, streamed from the
-    penalty-free BlockQubo one step at a time; json.dump writes the rest.
+    The objective's to_sparse terms are [i, j, value] lists, streamed from
+    the penalty-free BlockQubo one step at a time; json.dump writes the rest.
     """
     free = build_qubo(spec, include_penalty=False)
     constraints = [{"kind": kind, "step": t, "indices": idx.tolist(), "coeffs": coef.tolist(),

@@ -9,7 +9,7 @@ import datetime as dt
 import numpy as np
 
 from .market_data import BlockPrices, CovarianceSeries, psd_repair
-from .model import ASSET_SLACK, CASH_SLACK, FrictionParams, ModelError, ProblemSpec, encode_slack
+from .model import FrictionParams, ModelError, ProblemSpec, Trajectory, encode_assignment
 from .qubo import SparseQubo
 
 __all__ = [
@@ -25,16 +25,10 @@ _U = 100_000.0  # capital unit u of every generated spec, in currency
 
 def cash_only_bits(spec: ProblemSpec) -> np.ndarray:
     """The all-cash assignment: no trades, slack bits absorb both budgets."""
-    lay = spec.layout
-    bits = np.zeros(lay.total, dtype=np.int8)
-    for t in range(1, lay.T + 1):
-        for b in range(lay.nb):
-            if (spec.B >> b) & 1:
-                bits[encode_slack(lay, t, ASSET_SLACK, b)] = 1
-        for c in range(lay.nc):
-            if (spec.C >> c) & 1:
-                bits[encode_slack(lay, t, CASH_SLACK, c)] = 1
-    return bits
+    zero = np.zeros((spec.T, spec.n), dtype=np.int64)
+    return encode_assignment(spec, Trajectory(long=zero, short=zero,
+                                              asset_slack=np.full(spec.T, spec.B),
+                                              cash_units=np.full(spec.T, spec.C)))
 
 
 def toy_spec(

@@ -404,11 +404,18 @@ def test_json_flags_accept_true_false_and_absent(tmp_path, flags):
     (2, lambda tmp: _config_with(tmp, signed_risk=0)),
     (2, lambda tmp: _csv_config_with(tmp, raw_prices="false")),
     (2, lambda tmp: _csv_config_with(tmp, raw_prices=0)),
+    (2, lambda tmp: _config_with(tmp, q=True)),
+    (2, lambda tmp: _config_with(tmp, delta="0.001")),
+    (2, lambda tmp: _config_with(tmp, rho_c=False)),
+    (2, lambda tmp: _config_with(tmp, rho_s="0")),
+    (2, lambda tmp: _config_with(tmp, u=None)),
+    (2, lambda tmp: _config_with(tmp, P="1e6")),
 ], ids=["sweep-repeated-q", "sweep-empty-q", "toy-n-too-large", "toy-t-zero",
         "solution-bits-beyond-memory", "solution-bit-two", "solution-empty-run",
         "solution-negative-run", "solution-bits-not-text", "solution-not-a-report",
         "fractional-k-and-B", "fractional-T", "signed-risk-string", "signed-risk-zero",
-        "raw-prices-string", "raw-prices-zero"])
+        "raw-prices-string", "raw-prices-zero", "q-bool", "delta-string", "rho-c-bool",
+        "rho-s-string", "u-null", "P-string"])
 def test_bad_input_exits_with_its_documented_code(tmp_path, capsys, code, argv):
     assert run(*argv(tmp_path)) == code
     err = capsys.readouterr().err

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from qubofolio.market_data import BlockPrices, CovarianceSeries
-from qubofolio.model import FrictionParams, ProblemSpec, encode
+from qubofolio.model import FrictionParams, ProblemSpec, Trajectory, encode_assignment
 from qubofolio.evaluation import (
     DEFAULT_Q_GRID,
     SOLVERS,
@@ -72,10 +72,10 @@ def test_cash_only_metrics():
 
 def test_single_block_flat_prices_costs_two_delta_charges():
     spec = _flat_spec()
-    lay = spec.layout
-    bits = np.zeros(lay.total, dtype=np.int8)
-    bits[encode(lay, 1, 0, 0, "long")] = 1
-    bits[encode(lay, 2, 0, 0, "long")] = 1
+    # one long block held at both steps; the slacks are left at zero
+    bits = encode_assignment(spec, Trajectory(long=np.array([[1], [1]]), short=np.array([[0], [0]]),
+                                              asset_slack=np.array([0, 0]),
+                                              cash_units=np.array([0, 0])))
     metrics = economic_metrics(spec, bits)
     # one delta*u charge on entry plus one on liquidation; holding is free
     assert metrics.total_transaction_cost + metrics.liquidation_cost == \

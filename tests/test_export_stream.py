@@ -20,8 +20,9 @@ import qubofolio
 from qubofolio import qubo as qubo_module
 from qubofolio.cli import main
 from qubofolio.model import spec_to_json
-from qubofolio.qubo import _one_block, build_bqp, build_qubo, to_sparse, write_qubo_text
+from qubofolio.qubo import _one_block, build_qubo, to_sparse, write_qubo_text
 from qubofolio.toy import synthetic_spec, toy_spec
+from test_qubo import build_bqp
 
 
 def _with_p(spec, P):

@@ -1,5 +1,6 @@
-"""Variable layout, encoding bijection, and spec (de)serialization."""
+"""Variable layout, the count view at the bit boundary, and spec (de)serialization."""
 import dataclasses
+import functools
 import json
 
 import numpy as np
@@ -7,24 +8,19 @@ import pytest
 
 from qubofolio.market_data import BlockPrices, CovarianceSeries
 from qubofolio.model import (
-    ASSET_SLACK,
-    CASH_SLACK,
-    LONG,
-    SHORT,
     FrictionParams,
     ModelError,
     ProblemSpec,
+    Trajectory,
     constraint_residuals,
-    decode,
     decode_assignment,
-    encode,
-    encode_slack,
+    encode_assignment,
     is_feasible,
     layout,
     spec_from_json,
     spec_to_json,
 )
-from qubofolio.toy import cash_only_bits, toy_spec
+from qubofolio.toy import cash_only_bits, synthetic_spec, toy_spec
 
 
 def test_layout_counts_experiment_sizes():
@@ -53,43 +49,6 @@ def test_layout_rejects_bad_parameters():
         layout(0, 1, 1, 1, 1)
     with pytest.raises(ModelError):
         layout(1, 1, 1, 2, 3)  # C > B
-
-
-def test_encode_decode_bijection():
-    lay = layout(3, 2, 2, 5, 3)
-    seen = set()
-    for t in range(1, lay.T + 1):
-        for asset in range(lay.n):
-            for block in range(lay.k):
-                for direction in (LONG, SHORT):
-                    idx = encode(lay, t, asset, block, direction)
-                    role = decode(lay, idx)
-                    assert (role.kind, role.t, role.asset, role.block) == (
-                        direction, t, asset, block)
-                    seen.add(idx)
-        for bit in range(lay.nb):
-            idx = encode_slack(lay, t, ASSET_SLACK, bit)
-            role = decode(lay, idx)
-            assert (role.kind, role.t, role.bit) == (ASSET_SLACK, t, bit)
-            seen.add(idx)
-        for bit in range(lay.nc):
-            idx = encode_slack(lay, t, CASH_SLACK, bit)
-            role = decode(lay, idx)
-            assert (role.kind, role.t, role.bit) == (CASH_SLACK, t, bit)
-            seen.add(idx)
-    assert seen == set(range(lay.total))
-
-
-def test_encode_range_checks():
-    lay = layout(2, 2, 1, 1, 1)
-    with pytest.raises(ModelError):
-        encode(lay, 3, 0, 0, LONG)
-    with pytest.raises(ModelError):
-        encode(lay, 1, 2, 0, LONG)
-    with pytest.raises(ModelError):
-        encode_slack(lay, 1, ASSET_SLACK, lay.nb)
-    with pytest.raises(ModelError):
-        decode(lay, lay.total)
 
 
 @pytest.mark.parametrize("value", [2, 0.5, 256, -1])
@@ -162,6 +121,22 @@ def test_spec_from_json_rejects_sizes_that_are_not_whole_numbers(field, value):
         spec_from_json(doc)
 
 
+@pytest.mark.parametrize("field", ["q", "delta", "rho_c", "rho_s", "u", "P"])
+@pytest.mark.parametrize("value", ["0.001", True, False], ids=["string", "true", "false"])
+def test_spec_from_json_reads_parameters_as_json_numbers_only(field, value):
+    doc = spec_to_json(toy_spec(n=2, T=2, seed=0))
+    doc[field] = value
+    with pytest.raises(ModelError, match=f"{field} must be a number"):
+        spec_from_json(doc)
+
+
+def test_spec_from_json_accepts_integer_parameters():
+    doc = {**spec_to_json(toy_spec(n=2, T=2, seed=0)), "u": 100_000, "P": 5, "q": 0}
+    params = spec_from_json(doc).params
+    assert (params.u, params.P, params.q) == (100_000.0, 5.0, 0.0)
+    assert all(isinstance(v, float) for v in (params.u, params.P, params.q))
+
+
 def test_spec_from_json_accepts_a_whole_float_size():
     doc = spec_to_json(toy_spec(n=2, T=2, B=2, seed=0))
     doc["B"] = 2.0
@@ -188,17 +163,112 @@ def test_all_zero_assignment_is_infeasible():
 
 
 def test_decode_assignment_shapes_and_content():
-    spec = toy_spec(n=2, T=2, seed=1)
+    spec = synthetic_spec(n=2, T=2, k=3, B=6, C=3, seed=1)
+    lay = spec.layout
+    x = np.zeros((lay.T, lay.step_width), dtype=np.int8)
+    x[0, [0, 2]] = 1  # step 1: blocks 0 and 2 of asset 0 long
+    x[1, lay.kn + lay.k + 1] = 1  # step 2: block 1 of asset 1 short
+    x[0, 2 * lay.kn + np.array([0, 2])] = 1  # asset slack 1 + 4
+    x[1, 2 * lay.kn + lay.nb + 1] = 1  # cash slack 2
+    traj = decode_assignment(spec, x.ravel())
+    assert traj.long.tolist() == [[2, 0], [0, 0]]
+    assert traj.short.tolist() == [[0, 0], [0, 1]]
+    assert traj.net_position.tolist() == [[2, 0], [0, -1]]
+    assert traj.asset_slack.tolist() == [5, 0]
+    assert traj.cash_units.tolist() == [0, 2]
+
+
+def _random_counts(spec, rng) -> Trajectory:
+    """Counts in 0..k, about half of them 0; each slack takes its residual when that is in
+    range, so the draws mix feasible and infeasible points."""
+    lay = spec.layout
+    held = rng.integers(0, lay.k + 1, size=(2, lay.T, lay.n))
+    long, short = held * rng.integers(0, 2, size=held.shape)
+    slacks = []
+    for residual, top in ((spec.B - (long + short).sum(axis=1), 2**lay.nb - 1),
+                          (spec.C - (long - short).sum(axis=1), 2**lay.nc - 1)):
+        in_range = (residual >= 0) & (residual <= top)
+        slacks.append(np.where(in_range, residual, rng.integers(0, top + 1, size=lay.T)))
+    return Trajectory(long=long, short=short, asset_slack=slacks[0], cash_units=slacks[1])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: toy_spec(n=3, T=2, B=2, seed=3),
+    lambda: synthetic_spec(n=3, T=2, k=3, B=12, C=5, seed=2),
+    lambda: synthetic_spec(n=2, T=3, k=2, B=7, C=4, seed=5),
+], ids=["toy", "synthetic-k3", "synthetic-k2"])
+def test_decode_inverts_encode_on_random_counts(make):
+    spec = make()
+    rng = np.random.default_rng(11)
+    feasible = []
+    for _ in range(200):
+        traj = _random_counts(spec, rng)
+        bits = encode_assignment(spec, traj)
+        assert bits.dtype == np.int8 and bits.shape == (spec.layout.total,)
+        again = decode_assignment(spec, bits)
+        for name in ("long", "short", "asset_slack", "cash_units"):
+            assert np.array_equal(getattr(again, name), getattr(traj, name)), name
+        assert np.array_equal(encode_assignment(spec, again), bits)
+        feasible.append(is_feasible(spec, bits))
+    assert any(feasible) and not all(feasible)
+
+
+def test_encode_assignment_sets_the_first_blocks_and_binary_slacks():
+    spec = synthetic_spec(n=2, T=1, k=3, B=6, C=3, seed=1)
+    assert (spec.layout.nb, spec.layout.nc) == (3, 2)
+    traj = Trajectory(long=np.array([[2, 0]]), short=np.array([[0, 3]]),
+                      asset_slack=np.array([1]), cash_units=np.array([2]))
+    long, short, asset_slack, cash = [1, 1, 0, 0, 0, 0], [0, 0, 0, 1, 1, 1], [1, 0, 0], [0, 1]
+    assert encode_assignment(spec, traj).tolist() == long + short + asset_slack + cash
+
+
+@pytest.mark.parametrize("name, value, match", [
+    ("long", [[4, 0], [0, 0]], r"long must be integers in 0..3 of shape \(2, 2\)"),
+    ("long", [[-1, 0], [0, 0]], r"long must be integers in 0..3 of shape \(2, 2\)"),
+    ("short", [[0, 0], [0, 4]], r"short must be integers in 0..3 of shape \(2, 2\)"),
+    ("short", [[0, 0], [0, 1.0]], r"short must be integers in 0..3 .* got float64"),
+    ("asset_slack", [8, 0], r"asset_slack must be integers in 0..7 of shape \(2,\)"),
+    ("asset_slack", [0, -1], r"asset_slack must be integers in 0..7 of shape \(2,\)"),
+    ("cash_units", [0, 4], r"cash_units must be integers in 0..3 of shape \(2,\)"),
+    ("cash_units", [-1, 0], r"cash_units must be integers in 0..3 of shape \(2,\)"),
+    ("long", [[0, 0]], r"long must be .* of shape \(2, 2\), got int64 of shape \(1, 2\)"),
+    ("cash_units", [0, 0, 0], r"cash_units must be .* got int64 of shape \(3,\)"),
+])
+def test_encode_assignment_range_and_shape_checks(name, value, match):
+    spec = synthetic_spec(n=2, T=2, k=3, B=6, C=3, seed=1)  # slacks 0..7 and 0..3
+    none = np.zeros((2, 2), dtype=np.int64)
+    fields = dict(long=none, short=none, asset_slack=np.array([6, 6]), cash_units=np.array([3, 3]))
+    assert is_feasible(spec, encode_assignment(spec, Trajectory(**fields)))
+    fields[name] = np.array(value)
+    with pytest.raises(ModelError, match=match):
+        encode_assignment(spec, Trajectory(**fields))
+
+
+def _cash_only_reference(spec) -> np.ndarray:
+    """The all-cash bits set one slack bit at a time from the flat layout."""
     lay = spec.layout
     bits = np.zeros(lay.total, dtype=np.int8)
-    bits[encode(lay, 1, 0, 0, LONG)] = 1
-    bits[encode(lay, 2, 1, 0, SHORT)] = 1
+    for t in range(lay.T):
+        first = t * lay.step_width + 2 * lay.kn
+        for b in range(lay.nb):
+            bits[first + b] = (spec.B >> b) & 1
+        for c in range(lay.nc):
+            bits[first + lay.nb + c] = (spec.C >> c) & 1
+    return bits
+
+
+@pytest.mark.parametrize("make", [*(functools.partial(toy_spec, n=3, T=2, B=1 + seed % 3, seed=seed)
+                                    for seed in range(20)),
+                                  lambda: synthetic_spec(200, 10, seed=1),
+                                  lambda: synthetic_spec(499, 15, seed=1)],
+                         ids=[*(f"toy-{seed}" for seed in range(20)), "exp1", "exp2"])
+def test_cash_only_bits_equal_the_per_bit_reference(make):
+    spec = make()
+    bits = cash_only_bits(spec)
+    assert bits.dtype == np.int8 and bits.tobytes() == _cash_only_reference(spec).tobytes()
     traj = decode_assignment(spec, bits)
-    assert traj.long_blocks.shape == (2, 2, 1)
-    assert traj.long_blocks[0, 0, 0] == 1
-    assert traj.short_blocks[1, 1, 0] == 1
-    assert traj.net_position[0, 0] == 1
-    assert traj.net_position[1, 1] == -1
+    assert not traj.long.any() and not traj.short.any()
+    assert (traj.asset_slack == spec.B).all() and (traj.cash_units == spec.C).all()
 
 
 def test_spec_json_roundtrip():

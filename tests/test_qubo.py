@@ -14,14 +14,20 @@ from hypothesis import strategies as st
 
 from qubofolio import qubo as qubo_module
 from qubofolio.evaluation import economic_metrics
-from qubofolio.model import ProblemSpec, constraint_residuals
+from qubofolio.model import (
+    ProblemSpec,
+    Trajectory,
+    constraint_residuals,
+    decode_assignment,
+    encode_assignment,
+    is_feasible,
+)
 from qubofolio.qubo import (
     IsingModel,
     QuboError,
     QuboParseError,
     SparseQubo,
     apply_flip,
-    build_bqp,
     build_qubo,
     delta_energies,
     dense_energies,
@@ -116,6 +122,100 @@ def test_energy_matches_oracle_unsigned_risk():
         x = rng.integers(0, 2, qubo.num_vars).astype(np.int8)
         assert energy(qubo, x) == pytest.approx(naive_objective(spec, x),
                                                 rel=1e-9, abs=1e-6)
+
+
+def count_energy(spec: ProblemSpec, traj: Trajectory) -> float:
+    """E(L, S): the energy of feasible counts' canonical bits, read from the counts alone.
+
+    The k blocks of one (step, asset, direction) share their linear
+    coefficient, so block 0's stands for each.  Risk sees only
+    g_t = p_t (L_t - S_t), or p_t (L_t + S_t) unsigned.  Canonical blocks
+    overlap min(L_t, L_t+1) times across a step, and the band credits each
+    overlap.  Feasible counts carry no penalty.
+    """
+    lay = spec.layout
+    k, kn, nb = lay.k, lay.kn, lay.nb
+    terms = qubo_module._linear_terms(spec)
+    row = sum(terms.values())
+    band = qubo_module._turnover_band(terms)
+    L, S = traj.long, traj.short
+    linear = ((row[:, :kn:k] * L).sum() + (row[:, kn:2 * kn:k] * S).sum()
+              + row[:, 2 * kn] @ traj.asset_slack + row[:, 2 * kn + nb] @ traj.cash_units)
+    g = spec.prices.p[:, :-1].T * (L - S if spec.signed_risk else L + S)
+    risk = spec.params.q * np.einsum("ti,tij,tj->", g, spec.covariances.sigma, g)
+    turnover = ((band[:, :kn:k] * np.minimum(L[:-1], L[1:])).sum()
+                + (band[:, kn:2 * kn:k] * np.minimum(S[:-1], S[1:])).sum())
+    return float(linear + risk + turnover)
+
+
+def random_feasible_counts(spec: ProblemSpec, rng) -> Trajectory:
+    """A feasible count state: random +1 block moves kept while both budgets hold."""
+    lay = spec.layout
+    held = np.zeros((2, lay.T, lay.n), dtype=np.int64)  # long, short
+    for t in range(lay.T):
+        for _ in range(int(rng.integers(0, 2 * spec.B))):
+            side, a = int(rng.integers(2)), int(rng.integers(lay.n))
+            if held[side, t, a] == lay.k:
+                continue
+            held[side, t, a] += 1
+            count, net = held[:, t].sum(), (held[0, t] - held[1, t]).sum()
+            if count > spec.B or not 0 <= spec.C - net < 2**lay.nc:
+                held[side, t, a] -= 1
+    L, S = held
+    return Trajectory(long=L, short=S, asset_slack=spec.B - (L + S).sum(axis=1),
+                      cash_units=spec.C - (L - S).sum(axis=1))
+
+
+def _scrambled(spec: ProblemSpec, bits, rng) -> np.ndarray:
+    """bits with the set blocks of each (step, asset, direction) moved to random positions."""
+    lay = spec.layout
+    x = bits.reshape(lay.T, lay.step_width).copy()
+    kn2 = 2 * lay.kn
+    blocks = x[:, :kn2].reshape(lay.T, 2 * lay.n, lay.k)
+    x[:, :kn2] = rng.permuted(blocks, axis=2).reshape(lay.T, kn2)
+    return x.ravel()
+
+
+COUNT_VIEW_SPECS = {
+    "toy": lambda q: toy_spec(n=3, T=2, B=2, q=q, seed=4),
+    "toy-unsigned": lambda q: toy_spec(n=3, T=2, B=3, q=q, seed=6, signed_risk=False),
+    "synthetic": lambda q: synthetic_spec(n=6, T=4, k=3, B=12, C=5, q=q, seed=2),
+    "exp1": lambda q: synthetic_spec(n=200, T=10, q=q, seed=1),
+}
+
+
+@pytest.mark.parametrize("q", [1e-4, 1e-3, 1e-2])
+@pytest.mark.parametrize("name", COUNT_VIEW_SPECS)
+def test_count_energy_equals_energy_of_canonical_bits(name, q):
+    spec = COUNT_VIEW_SPECS[name](q)
+    qubo = build_qubo(spec)
+    rng = np.random.default_rng(31)
+    for _ in range(6):
+        traj = random_feasible_counts(spec, rng)
+        bits = encode_assignment(spec, traj)
+        assert is_feasible(spec, bits)
+        again = decode_assignment(spec, bits)
+        assert np.array_equal(again.long, traj.long) and np.array_equal(again.short, traj.short)
+        assert count_energy(spec, traj) == pytest.approx(energy(qubo, bits), rel=1e-12)
+
+
+@pytest.mark.parametrize("name", COUNT_VIEW_SPECS)
+def test_canonical_blocks_never_raise_energy(name):
+    spec = COUNT_VIEW_SPECS[name](1e-3)
+    qubo = build_qubo(spec)
+    rng = np.random.default_rng(33)
+    lower = 0
+    for _ in range(6):
+        canonical = encode_assignment(spec, random_feasible_counts(spec, rng))
+        scrambled = _scrambled(spec, canonical, rng)
+        assert is_feasible(spec, scrambled)
+        assert np.array_equal(encode_assignment(spec, decode_assignment(spec, scrambled)),
+                              canonical)
+        e_canonical, e_scrambled = energy(qubo, canonical), energy(qubo, scrambled)
+        assert e_canonical <= e_scrambled + 1e-12 * abs(e_scrambled)
+        lower += e_canonical < e_scrambled
+    if spec.k > 1:
+        assert lower > 0
 
 
 def test_delta_energies_match_flip_differences():
@@ -253,6 +353,26 @@ def test_ising_value_single_spin():
                        offset=0.0)
     assert ising_value(ising, [-1]) == -1.0
     assert ising_value(ising, [+1]) == +1.0
+
+
+@dataclasses.dataclass(frozen=True)
+class BqpView:
+    """Penalty-free objective plus explicit per-step equality constraints."""
+
+    objective: SparseQubo
+    # per step: (indices, coefficients, rhs) for the asset-count and cash rows
+    asset_rows: list[tuple[np.ndarray, np.ndarray, int]]
+    cash_rows: list[tuple[np.ndarray, np.ndarray, int]]
+
+
+def build_bqp(spec: ProblemSpec) -> BqpView:
+    """The BQP view whole: the objective of build_qubo minus penalties, plus equality rows.
+
+    It is the reference that write_bqp_json's streamed document is compared against.
+    """
+    free = build_qubo(spec, include_penalty=False)
+    asset_rows, cash_rows = qubo_module._bqp_rows(free)
+    return BqpView(objective=to_sparse(free), asset_rows=asset_rows, cash_rows=cash_rows)
 
 
 def test_bqp_objective_is_penalty_free():
@@ -925,6 +1045,18 @@ def test_code_built_sparse_qubo_rejects_bad_indices(rows, cols, match):
     with pytest.raises(QuboError, match=match):
         SparseQubo(num_vars=3, rows=np.array(rows), cols=np.array(cols),
                    vals=np.ones(len(rows)), offset=0.0)
+
+
+@pytest.mark.parametrize("rows, cols, match", [
+    ([-1], [0], "must lie in 0..2"),
+    ([0, 1], [1, 3], "must lie in 0..2"),
+    ([3], [0], "must lie in 0..2"),
+    ([0.0], [1.0], "integers"),
+], ids=["negative", "beyond-num-spins", "row-beyond-num-spins", "float-indices"])
+def test_code_built_ising_model_rejects_bad_indices(rows, cols, match):
+    with pytest.raises(QuboError, match=match):
+        IsingModel(h=np.zeros(3), j_rows=np.array(rows), j_cols=np.array(cols),
+                   j_vals=np.ones(len(rows)), offset=0.0)
 
 
 def test_index_dtype_is_int32_below_two_to_the_31():
