@@ -34,7 +34,6 @@ from .model import (
     decode_assignment,
     encode_assignment,
     is_feasible,
-    layout,
     spec_from_json,
     spec_to_json,
 )

@@ -45,7 +45,7 @@ class CliError(Exception):
 
 def _load_spec(args) -> ProblemSpec:
     if getattr(args, "toy", False):
-        return toy_spec(n=args.toy_n, T=args.toy_t, q=args.toy_q, seed=args.seed)
+        return toy_spec(n=args.toy_n, T=args.toy_t, seed=args.seed)
     if not args.config:
         raise CliError(EXIT_SPEC, "either --config or --toy is required")
     try:
@@ -80,7 +80,16 @@ def _add_toy_flags(parser):
                         help="generate a small built-in portfolio instead of reading --config")
     parser.add_argument("--toy-n", type=int, default=2, help="toy asset count (<= 3)")
     parser.add_argument("--toy-t", type=int, default=2, help="toy horizon (<= 2)")
-    parser.add_argument("--toy-q", type=float, default=1e-5, help="toy risk-aversion weight")
+
+
+def _add_budget_flags(parser):
+    parser.add_argument("--time-limit", type=_positive(float), default=60.0)
+    parser.add_argument("--max-iterations", type=_positive(int), default=None)
+
+
+def _budget(args) -> SolveBudget:
+    return SolveBudget(time_limit=args.time_limit, seed=args.seed,
+                       max_iterations=args.max_iterations)
 
 
 def cmd_build(args) -> int:
@@ -114,9 +123,7 @@ def cmd_solve(args) -> int:
     problem = _load_problem(args)
     if isinstance(problem, IsingModel):
         raise CliError(EXIT_PARSE, "solve expects a QUBO file, got an Ising export")
-    budget = SolveBudget(time_limit=args.time_limit, seed=args.seed,
-                         max_iterations=args.max_iterations)
-    report = SOLVERS[args.solver](problem, budget)
+    report = SOLVERS[args.solver](problem, _budget(args))
     report.save(args.out)
     print(f"{args.solver}: best energy {report.best_energy!r} "
           f"(lower bound {report.lower_bound!r}), wrote {args.out}")
@@ -133,11 +140,9 @@ def cmd_quantum(args) -> int:
     problem = _load_problem(args)
     try:
         # before any model-sized array: a file header can declare ~1e12 variables
-        _check_cap(problem.num_spins if isinstance(problem, IsingModel) else problem.num_vars)
-        if isinstance(problem, IsingModel):
-            ising = problem
-        else:
-            ising = to_ising(problem)
+        is_ising = isinstance(problem, IsingModel)
+        _check_cap(problem.num_spins if is_ising else problem.num_vars)
+        ising = problem if is_ising else to_ising(problem)
         # currency-scale coefficients would swamp the unit-strength driver
         ising, scale = normalize_ising(ising)
         if args.algo == "qaoa":
@@ -174,10 +179,8 @@ def cmd_sweep(args) -> int:
             raise CliError(EXIT_PARSE, f"bad --q list: {exc}")
     else:
         q_list = list(DEFAULT_Q_GRID)
-    budget = SolveBudget(time_limit=args.time_limit, seed=args.seed,
-                         max_iterations=args.max_iterations)
     try:
-        table = sweep_q(spec, q_list, args.solver, budget)
+        table = sweep_q(spec, q_list, args.solver, _budget(args))
     except EvaluationError as exc:  # raised on its arguments, before any solve
         raise CliError(EXIT_PARSE, f"bad --q list: {exc}")
     table.write_csv(args.out)
@@ -246,8 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--qubo", help="QUBO text file")
     p_solve.add_argument("--config", help="ProblemSpec JSON (built on the fly)")
     p_solve.add_argument("--solver", choices=sorted(SOLVERS), default="abs")
-    p_solve.add_argument("--time-limit", type=_positive(float), default=60.0)
-    p_solve.add_argument("--max-iterations", type=_positive(int), default=None)
+    _add_budget_flags(p_solve)
     p_solve.add_argument("--seed", type=int, default=0)
     p_solve.add_argument("--out", required=True, help="SolveReport JSON path")
     _add_toy_flags(p_solve)
@@ -273,8 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--config", help="ProblemSpec JSON path")
     p_sweep.add_argument("--q", help="comma-separated q values (default: the standard grid)")
     p_sweep.add_argument("--solver", choices=sorted(SOLVERS), default="exact")
-    p_sweep.add_argument("--time-limit", type=_positive(float), default=60.0)
-    p_sweep.add_argument("--max-iterations", type=_positive(int), default=None)
+    _add_budget_flags(p_sweep)
     p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--out", required=True, help="Pareto CSV path")
     _add_toy_flags(p_sweep)

@@ -107,9 +107,9 @@ def load_prices(path) -> PriceTable:
     """Read every row of a ``date,ticker,close`` CSV into an aligned PriceTable.
 
     Tickers that do not cover every date in the file are dropped with a
-    warning rather than imputed.
+    warning rather than imputed.  A repeated (date, ticker) row is an error.
     """
-    by_ticker: dict[str, dict[dt.date, float]] = {}
+    by_ticker: dict[str, dict[dt.date, tuple[float, int]]] = {}  # (close, line number)
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
@@ -130,7 +130,10 @@ def load_prices(path) -> PriceTable:
                 raise MarketDataError(f"{path}:{lineno}: unparseable row {row!r}: {exc}") from exc
             if not 0 < close < math.inf:
                 raise MarketDataError(f"{path}:{lineno}: non-positive or non-finite close {close}")
-            by_ticker.setdefault(ticker, {})[date] = close
+            first = by_ticker.setdefault(ticker, {}).setdefault(date, (close, lineno))[1]
+            if first != lineno:
+                raise MarketDataError(f"{path}:{lineno}: repeats {ticker} on {date}, "
+                                      f"first given on line {first}")
 
     all_dates = sorted({d for series in by_ticker.values() for d in series})
     if not all_dates:
@@ -148,7 +151,7 @@ def load_prices(path) -> PriceTable:
     if not kept:
         raise MarketDataError("no ticker covers all dates")
 
-    close = np.array([[by_ticker[t][d] for d in all_dates] for t in kept])
+    close = np.array([[by_ticker[t][d][0] for d in all_dates] for t in kept])
     return PriceTable(tickers=kept, dates=all_dates, close=close)
 
 

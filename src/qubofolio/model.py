@@ -31,7 +31,6 @@ __all__ = [
     "ProblemSpec",
     "VariableLayout",
     "Trajectory",
-    "layout",
     "decode_assignment",
     "encode_assignment",
     "constraint_residuals",
@@ -141,10 +140,6 @@ class VariableLayout:
         return self.k * self.n
 
 
-def layout(n: int, T: int, k: int, B: int, C: int) -> VariableLayout:
-    return VariableLayout(n=n, T=T, k=k, B=B, C=C)
-
-
 @dataclass(frozen=True)
 class ProblemSpec:
     """One multi-period portfolio optimization instance; n and T are the prices' shape."""
@@ -175,7 +170,7 @@ class ProblemSpec:
 
     @cached_property
     def layout(self) -> VariableLayout:
-        return layout(self.n, self.T, self.k, self.B, self.C)
+        return VariableLayout(n=self.n, T=self.T, k=self.k, B=self.B, C=self.C)
 
 
 def _zero_one(bits, size: int, error: type[ValueError] = ModelError) -> np.ndarray:
@@ -284,9 +279,9 @@ def _flag(doc: dict[str, Any], name: str, default: bool) -> bool:
 def spec_from_json(source: str | dict[str, Any]) -> ProblemSpec:
     """Build a ProblemSpec from a JSON file path or an already-parsed dict.
 
-    Either inline ``prices``/``covariances`` arrays or ``price_csv`` plus
-    ``cov_window`` (delegating to market_data) must be present; n and T
-    must match inline prices, and T sets the CSV path's two windows.
+    Exactly one price source must be present: inline ``prices``/``covariances``
+    arrays, or ``price_csv`` plus ``cov_window`` (delegating to market_data);
+    n and T must match inline prices, and T sets the CSV path's two windows.
     """
     if isinstance(source, dict):
         doc = source
@@ -300,6 +295,10 @@ def spec_from_json(source: str | dict[str, Any]) -> ProblemSpec:
                             P=_number("P", doc["P"]) if doc.get("P") is not None else None)
     n, T, k, B, C = (_whole(name, doc[name]) for name in _SPEC_SCALARS)
     if "price_csv" in doc:
+        inline = [name for name in ("prices", "covariances") if name in doc]
+        if inline:
+            raise ModelError(f"spec JSON gives both price_csv and inline {inline}; "
+                             "choose one price source")
         from . import market_data
 
         table = market_data.load_prices(doc["price_csv"])

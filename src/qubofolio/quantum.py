@@ -15,15 +15,13 @@ Conventions, fixed here because results are sensitive to them:
   returned state is phi.  VQE's gates and start are real, so its state
   is a real array.
 
-Statevectors are dense arrays of length 2^m, so m is capped
-(default 20, overridable via the QUBOFOLIO_QUBIT_CAP environment
-variable).  Each run owns its statevector; independent runs share
+Statevectors are dense arrays of length 2^m, so m is capped at
+QUBIT_CAP = 20.  Each run owns its statevector; independent runs share
 nothing mutable.
 """
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +34,6 @@ __all__ = [
     "DiagonalCost",
     "QaoaParams",
     "AnnealSchedule",
-    "qubit_cap",
     "diagonalize_cost",
     "qaoa_run",
     "qaoa_optimize",
@@ -44,30 +41,16 @@ __all__ = [
     "anneal_run",
 ]
 
-DEFAULT_QUBIT_CAP = 20
+QUBIT_CAP = 20
 
 
 class QuantumSimError(ValueError):
     """Raised on qubit-cap violations or invalid schedules."""
 
 
-def qubit_cap() -> int:
-    raw = os.environ.get("QUBOFOLIO_QUBIT_CAP")
-    if raw is None:
-        return DEFAULT_QUBIT_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise QuantumSimError(f"QUBOFOLIO_QUBIT_CAP must be an integer, got {raw!r}")
-    if cap < 1:
-        raise QuantumSimError("QUBOFOLIO_QUBIT_CAP must be >= 1")
-    return cap
-
-
 def _check_cap(m: int) -> None:
-    cap = qubit_cap()
-    if m > cap:
-        raise QuantumSimError(f"{m} qubits exceeds the simulator cap of {cap}")
+    if m > QUBIT_CAP:
+        raise QuantumSimError(f"{m} qubits exceeds the simulator cap of {QUBIT_CAP}")
 
 
 @dataclass(frozen=True)
@@ -282,8 +265,9 @@ def _nelder_mead_restarts(objective, draw, restarts: int, seed: int, options: di
     return best_val, best_theta, trace
 
 
-def _run_doc(algo: str, cost: DiagonalCost, state: np.ndarray, shots: int,
-             rng: np.random.Generator, params) -> dict:
+def _run_doc(algo: str, cost: DiagonalCost, state: np.ndarray, drift: float, shots: int,
+             rng: np.random.Generator, params, **extra) -> dict:
+    """The run report of a final state; `extra` entries go before "norm_drift"."""
     probs = np.abs(state) ** 2
     expectation = float(probs @ cost.energies)
     ground = cost.ground_states()
@@ -301,6 +285,8 @@ def _run_doc(algo: str, cost: DiagonalCost, state: np.ndarray, shots: int,
         "best_bits": best_bits,
         "params": params,
         "samples_hist": hist,
+        **extra,
+        "norm_drift": drift,
     }
 
 
@@ -332,10 +318,8 @@ def qaoa_run(ising: IsingModel, params: QaoaParams, shots: int = 1024,
     cost = diagonalize_cost(ising)
     state, drift = _qaoa_state(cost, params)
     rng = np.random.default_rng(seed)
-    doc = _run_doc("qaoa", cost, state, shots, rng,
-                   {"gammas": list(params.gammas), "betas": list(params.betas)})
-    doc["norm_drift"] = drift
-    return doc
+    return _run_doc("qaoa", cost, state, drift, shots, rng,
+                    {"gammas": list(params.gammas), "betas": list(params.betas)})
 
 
 def qaoa_optimize(ising: IsingModel, layers: int, restarts: int = 8,
@@ -419,11 +403,10 @@ def vqe_run(ising: IsingModel, layers: int = 2, restarts: int = 8,
         objective, lambda rng: rng.uniform(-math.pi, math.pi, size=layers * m),
         restarts, seed, {"maxiter": maxiter, "xatol": 1e-5, "fatol": 1e-9})
     state, drift = _vqe_state(m, layers, best_theta, sign)
-    doc = _run_doc("vqe", cost, state, 0, np.random.default_rng(seed),
-                   {"layers": layers, "theta": [float(v) for v in best_theta]})
+    doc = _run_doc("vqe", cost, state, drift, 0, np.random.default_rng(seed),
+                   {"layers": layers, "theta": [float(v) for v in best_theta]},
+                   restart_trace=trace)
     doc["expectation"] = best_val
-    doc["restart_trace"] = trace
-    doc["norm_drift"] = drift
     return doc
 
 
@@ -476,7 +459,5 @@ def anneal_run(ising: IsingModel, schedule: AnnealSchedule, shots: int = 1024,
     cost = diagonalize_cost(ising)
     state, drift = _anneal_state(cost, schedule)
     rng = np.random.default_rng(seed)
-    doc = _run_doc("anneal", cost, state, shots, rng,
-                   {"total_time": schedule.total_time, "dt": schedule.dt})
-    doc["norm_drift"] = drift
-    return doc
+    return _run_doc("anneal", cost, state, drift, shots, rng,
+                    {"total_time": schedule.total_time, "dt": schedule.dt})

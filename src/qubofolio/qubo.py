@@ -92,14 +92,9 @@ class BlockQubo:
     def _kernel(self) -> _Kernel:
         """The flip kernel's lookups, formed on first use: build_qubo does none of this work."""
         R = self.budget_rows
-        pattern, firsts, row = [], [], {}
-        for j, column in enumerate(map(tuple, R.T.view(np.int64).tolist())):  # by bit pattern
-            if column not in row:
-                row[column] = len(firsts)
-                firsts.append(j)
-            pattern.append(row[column])
-        penalty = np.array([self.penalty_weight * (R[:, j].T @ R) for j in firsts])
-        return _Kernel(penalty=penalty, pattern=np.array(pattern), cross=self.cross.tolist())
+        cols, pattern = np.unique(R, axis=1, return_inverse=True)
+        penalty = self.penalty_weight * (cols.T @ R)
+        return _Kernel(penalty=penalty, pattern=pattern, cross=self.cross.tolist())
 
 
 class _Kernel(NamedTuple):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from qubofolio.evaluation import DEFAULT_Q_GRID, gap, sweep_q
-from qubofolio.model import layout
+from qubofolio.model import VariableLayout
 from qubofolio.qubo import (
     apply_flip,
     build_qubo,
@@ -44,8 +44,8 @@ def exp2_spec():
 
 
 def test_criterion_01_variable_counts_and_build_budget(exp2_spec):
-    counts_ok = (layout(200, 10, 3, 60, 10).total == 12_100
-                 and layout(499, 15, 3, 60, 10).total == 45_060)
+    counts_ok = (VariableLayout(n=200, T=10, k=3, B=60, C=10).total == 12_100
+                 and VariableLayout(n=499, T=15, k=3, B=60, C=10).total == 45_060)
     start = time.monotonic()
     qubo = build_qubo(exp2_spec)
     elapsed = time.monotonic() - start

@@ -193,10 +193,9 @@ def test_quantum_toy_anneal_agrees_with_exact(tmp_path, toy_qubo):
     assert anneal_e == pytest.approx(exact_e, rel=1e-9)
 
 
-def test_quantum_cap_exceeded_exits_3(tmp_path, monkeypatch):
-    monkeypatch.setenv("QUBOFOLIO_QUBIT_CAP", "4")
-    qubo = tmp_path / "six.qubo"
-    write_qubo_text(random_sparse_qubo(6, seed=0), qubo)
+def test_quantum_cap_exceeded_exits_3(tmp_path):
+    qubo = tmp_path / "twenty-one.qubo"
+    write_qubo_text(random_sparse_qubo(21, seed=0), qubo)
     assert run("quantum", "--qubo", str(qubo), "--algo", "anneal",
                "--out", str(tmp_path / "r.json")) == 3
 
@@ -380,6 +379,22 @@ def _csv_config_with(tmp_path, **fields):
     return ["build", "--config", str(path), "--out", str(tmp_path / "out.qubo")]
 
 
+def _csv_config_with_repeated_row(tmp_path):
+    """`build` from the three-asset price CSV config with its first row given again."""
+    argv = _csv_config_with(tmp_path)
+    csv_path = tmp_path / "prices.csv"
+    first_row = csv_path.read_text().splitlines()[1]
+    with open(csv_path, "a", encoding="utf-8") as fh:
+        fh.write(first_row + "\n")
+    return argv
+
+
+def _csv_config_with_inline_arrays(tmp_path):
+    """`build` from the price CSV config that also carries inline arrays of the same shape."""
+    doc = spec_to_json(toy_spec(n=3, T=2, seed=0))
+    return _csv_config_with(tmp_path, prices=doc["prices"], covariances=doc["covariances"])
+
+
 @pytest.mark.parametrize("flags", [{}, {"raw_prices": False}, {"raw_prices": True},
                                    {"signed_risk": False}, {"signed_risk": True}])
 def test_json_flags_accept_true_false_and_absent(tmp_path, flags):
@@ -410,12 +425,15 @@ def test_json_flags_accept_true_false_and_absent(tmp_path, flags):
     (2, lambda tmp: _config_with(tmp, rho_s="0")),
     (2, lambda tmp: _config_with(tmp, u=None)),
     (2, lambda tmp: _config_with(tmp, P="1e6")),
+    (2, _csv_config_with_repeated_row),
+    (2, _csv_config_with_inline_arrays),
 ], ids=["sweep-repeated-q", "sweep-empty-q", "toy-n-too-large", "toy-t-zero",
         "solution-bits-beyond-memory", "solution-bit-two", "solution-empty-run",
         "solution-negative-run", "solution-bits-not-text", "solution-not-a-report",
         "fractional-k-and-B", "fractional-T", "signed-risk-string", "signed-risk-zero",
         "raw-prices-string", "raw-prices-zero", "q-bool", "delta-string", "rho-c-bool",
-        "rho-s-string", "u-null", "P-string"])
+        "rho-s-string", "u-null", "P-string", "csv-repeated-row",
+        "csv-and-inline-prices"])
 def test_bad_input_exits_with_its_documented_code(tmp_path, capsys, code, argv):
     assert run(*argv(tmp_path)) == code
     err = capsys.readouterr().err

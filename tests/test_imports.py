@@ -2,14 +2,19 @@
 private top-level name is used somewhere in the package, every public
 method of a package class is referenced as an attribute in the package,
 its tests or its demos, every option of an exported function or
-dataclass is passed by some call, and every name a module exports
-exists."""
+dataclass is passed by some call, every CLI option appears in a test,
+demo, bench file or the README, no module reads an environment
+variable, and every name a module exports exists."""
+import argparse
 import ast
 import importlib
 import math
+import re
 from pathlib import Path
 
 import pytest
+
+from qubofolio import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "qubofolio"
@@ -252,6 +257,62 @@ def test_unpassed_option_is_reported():
                "from a import open_\n\n\ndef f(kw):\n    open_('x', **kw)\n"]
     assert _unpassed_options(sources, callers) == [
         "a.py:Box(tag)", "a.py:grow(cap)", "a.py:grow(loud)"]
+
+
+def _cli_options(parser: argparse.ArgumentParser) -> set[str]:
+    """Every option string of the parser's subcommands, argparse's own help excepted."""
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {option for sub in commands.choices.values() for action in sub._actions
+            if not isinstance(action, argparse._HelpAction) for option in action.option_strings}
+
+
+def _unpassed_cli_options(options: set[str], readers: list[str]) -> list[str]:
+    """The options that no reader holds as a whole word: `--q` inside `--qubo` does not count."""
+    return sorted(option for option in options
+                  if not any(re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", text)
+                             for text in readers))
+
+
+def test_every_cli_option_is_passed_somewhere():
+    readers = [p.read_text(encoding="utf-8") for folder in ("tests", "demos", "bench")
+               for p in (ROOT / folder).rglob("*.py")]
+    readers.append((ROOT / "README.md").read_text(encoding="utf-8"))
+    assert _unpassed_cli_options(_cli_options(cli.build_parser()), readers) == []
+
+
+def test_unpassed_cli_option_is_reported():
+    parser = argparse.ArgumentParser()
+    command = parser.add_subparsers().add_parser("grow")
+    for option in ("--sp", "--spare", "--spare-n", "--spare-t"):
+        command.add_argument(option)
+    readers = ['run("grow", "--spare", "1", "--spare-n", "2")\n', "`grow --spare-t 3`"]
+    assert _unpassed_cli_options(_cli_options(parser), readers) == ["--sp"]
+
+
+def _environment_reads(source: str) -> list[str]:
+    """Each use of os.environ or os.getenv in source, by attribute or by import from os."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and _name(node.value) == "os":
+            names = [node.attr]
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names if name in ("environ", "getenv")]
+    return [f"os.{name} (line {line})" for line, name in sorted(found)]
+
+
+def test_no_module_reads_the_environment():
+    reads = [f"{p.name}: {read}" for p in sorted(SRC.glob("*.py"))
+             for read in _environment_reads(p.read_text(encoding="utf-8"))]
+    assert reads == []
+
+
+def test_environment_read_is_reported():
+    source = ("import os\nfrom os import getenv, sep\n\n\n"
+              "def cap():\n    return os.environ.get('CAP', getenv('CAP', sep))\n")
+    assert _environment_reads(source) == ["os.getenv (line 2)", "os.environ (line 6)"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

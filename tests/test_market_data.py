@@ -72,6 +72,14 @@ def test_load_prices_rejects_non_finite_close(tmp_path, close):
         load_prices(path)
 
 
+def test_load_prices_rejects_a_repeated_row(tmp_path):
+    path = tmp_path / "repeated.csv"
+    path.write_text("date,ticker,close\n2024-01-02,A,101\n2024-01-03,A,102\n"
+                    "2024-01-02,A,999\n")
+    with pytest.raises(MarketDataError, match=":4: repeats A on 2024-01-02, first given on line 2"):
+        load_prices(path)
+
+
 def test_load_prices_drops_incomplete_ticker_with_warning(tmp_path):
     path = tmp_path / "gappy.csv"
     rows = ["date,ticker,close"]

@@ -15,8 +15,8 @@ from qubofolio.model import (
     constraint_residuals,
     decode_assignment,
     encode_assignment,
+    VariableLayout,
     is_feasible,
-    layout,
     spec_from_json,
     spec_to_json,
 )
@@ -25,19 +25,19 @@ from qubofolio.toy import cash_only_bits, synthetic_spec, toy_spec
 
 def test_layout_counts_experiment_sizes():
     # T * (2kn + floor(log2 B) + 1 + floor(log2 C) + 1)
-    assert layout(200, 10, 3, 60, 10).total == 12_100
-    assert layout(499, 15, 3, 60, 10).total == 45_060
+    assert VariableLayout(n=200, T=10, k=3, B=60, C=10).total == 12_100
+    assert VariableLayout(n=499, T=15, k=3, B=60, C=10).total == 45_060
 
 
 def test_layout_counts_minimal():
-    lay = layout(1, 1, 1, 1, 1)
+    lay = VariableLayout(n=1, T=1, k=1, B=1, C=1)
     # 2 trading bits + 1 asset slack + 1 cash slack
     assert lay.total == 4
     assert lay.nb == 1 and lay.nc == 1
 
 
 def test_layout_slack_widths():
-    lay = layout(2, 3, 2, 60, 10)
+    lay = VariableLayout(n=2, T=3, k=2, B=60, C=10)
     assert lay.nb == 6  # floor(log2 60) + 1
     assert lay.nc == 4  # floor(log2 10) + 1
     assert lay.step_width == 2 * 4 + 6 + 4
@@ -46,9 +46,9 @@ def test_layout_slack_widths():
 
 def test_layout_rejects_bad_parameters():
     with pytest.raises(ModelError):
-        layout(0, 1, 1, 1, 1)
+        VariableLayout(n=0, T=1, k=1, B=1, C=1)
     with pytest.raises(ModelError):
-        layout(1, 1, 1, 2, 3)  # C > B
+        VariableLayout(n=1, T=1, k=1, B=2, C=3)  # C > B
 
 
 @pytest.mark.parametrize("value", [2, 0.5, 256, -1])

@@ -9,7 +9,7 @@ import pytest
 
 from qubofolio.qubo import IsingModel, ising_value, to_ising
 from qubofolio.quantum import (
-    DEFAULT_QUBIT_CAP,
+    QUBIT_CAP,
     AnnealSchedule,
     QaoaParams,
     QuantumSimError,
@@ -64,16 +64,10 @@ def test_ground_states_collects_all_degenerate_minima():
     assert set(ground.tolist()) == {0b00, 0b11}
 
 
-def test_qubit_cap_enforced(monkeypatch):
-    monkeypatch.setenv("QUBOFOLIO_QUBIT_CAP", "4")
-    with pytest.raises(QuantumSimError, match="cap"):
-        diagonalize_cost(_random_ising(5, seed=1))
-
-
-def test_qubit_cap_env_validation(monkeypatch):
-    monkeypatch.setenv("QUBOFOLIO_QUBIT_CAP", "lots")
-    with pytest.raises(QuantumSimError):
-        diagonalize_cost(_single_field())
+def test_qubit_cap_enforced():
+    # the cap is checked before any 2^m array is formed
+    with pytest.raises(QuantumSimError, match="21 qubits exceeds the simulator cap of 20"):
+        diagonalize_cost(_random_ising(QUBIT_CAP + 1, seed=1))
 
 
 def test_qaoa_zero_layers_gives_uniform_expectation():
@@ -433,17 +427,16 @@ def test_anneal_reports_norm_drift():
     assert 0.0 <= doc["norm_drift"] <= 1e-9
 
 
-def test_diagonalize_cost_at_the_qubit_cap_stays_small(monkeypatch):
+def test_diagonalize_cost_at_the_qubit_cap_stays_small():
     # a spin matrix and a bit matrix at 2^20 states took ~170 MB each
-    monkeypatch.delenv("QUBOFOLIO_QUBIT_CAP", raising=False)
-    ising = _random_ising(DEFAULT_QUBIT_CAP, seed=20)
+    ising = _random_ising(QUBIT_CAP, seed=20)
     tracemalloc.start()
     try:
         cost = diagonalize_cost(ising)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert cost.energies.shape == (1 << DEFAULT_QUBIT_CAP,)
+    assert cost.energies.shape == (1 << QUBIT_CAP,)
     assert peak < 64 * 2**20
 
 

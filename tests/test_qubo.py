@@ -43,7 +43,7 @@ from qubofolio.qubo import (
     write_ising_text,
     write_qubo_text,
 )
-from qubofolio.solvers import local_descent, solve_exact
+from qubofolio.solvers import SolveBudget, local_descent, solve_abs, solve_exact, solve_sa
 from qubofolio.toy import cash_only_bits, random_sparse_qubo, synthetic_spec, toy_spec
 
 
@@ -124,28 +124,72 @@ def test_energy_matches_oracle_unsigned_risk():
                                                 rel=1e-9, abs=1e-6)
 
 
-def count_energy(spec: ProblemSpec, traj: Trajectory) -> float:
-    """E(L, S): the energy of feasible counts' canonical bits, read from the counts alone.
+def count_step_energy(spec: ProblemSpec, t: int, L, S) -> np.ndarray:
+    """Step t's own terms of E(L, S) for counts L, S of shape (..., n), slacks at their residuals.
 
     The k blocks of one (step, asset, direction) share their linear
-    coefficient, so block 0's stands for each.  Risk sees only
-    g_t = p_t (L_t - S_t), or p_t (L_t + S_t) unsigned.  Canonical blocks
-    overlap min(L_t, L_t+1) times across a step, and the band credits each
-    overlap.  Feasible counts carry no penalty.
+    coefficient, so block 0's stands for each, and each slack's bits
+    weigh 2^b times bit 0's.  Risk sees only g_t = p_t (L_t - S_t), or
+    p_t (L_t + S_t) unsigned.
     """
     lay = spec.layout
     k, kn, nb = lay.k, lay.kn, lay.nb
-    terms = qubo_module._linear_terms(spec)
-    row = sum(terms.values())
-    band = qubo_module._turnover_band(terms)
+    row = sum(qubo_module._linear_terms(spec).values())[t]
+    asset_slack, cash_units = spec.B - (L + S).sum(axis=-1), spec.C - (L - S).sum(axis=-1)
+    g = spec.prices.p[:, t] * (L - S if spec.signed_risk else L + S)
+    risk = spec.params.q * np.einsum("...i,ij,...j->...", g, spec.covariances.sigma[t], g)
+    return (L @ row[:kn:k] + S @ row[kn:2 * kn:k] + row[2 * kn] * asset_slack
+            + row[2 * kn + nb] * cash_units + risk)
+
+
+def count_band_credit(spec: ProblemSpec, t: int, L0, S0, L1, S1) -> np.ndarray:
+    """The band's credit from step t to t + 1: canonical blocks overlap min(L_t, L_t+1) times."""
+    k, kn = spec.k, spec.layout.kn
+    band = qubo_module._turnover_band(qubo_module._linear_terms(spec))[t]
+    return np.minimum(L0, L1) @ band[:kn:k] + np.minimum(S0, S1) @ band[kn:2 * kn:k]
+
+
+def count_energy(spec: ProblemSpec, traj: Trajectory) -> float:
+    """E(L, S): the energy of feasible counts' canonical bits, read from the counts alone.
+
+    It is the sum of each step's terms and the band credits between
+    adjacent steps.  Feasible counts carry no penalty.
+    """
     L, S = traj.long, traj.short
-    linear = ((row[:, :kn:k] * L).sum() + (row[:, kn:2 * kn:k] * S).sum()
-              + row[:, 2 * kn] @ traj.asset_slack + row[:, 2 * kn + nb] @ traj.cash_units)
-    g = spec.prices.p[:, :-1].T * (L - S if spec.signed_risk else L + S)
-    risk = spec.params.q * np.einsum("ti,tij,tj->", g, spec.covariances.sigma, g)
-    turnover = ((band[:, :kn:k] * np.minimum(L[:-1], L[1:])).sum()
-                + (band[:, kn:2 * kn:k] * np.minimum(S[:-1], S[1:])).sum())
-    return float(linear + risk + turnover)
+    steps = sum(count_step_energy(spec, t, L[t], S[t]) for t in range(spec.T))
+    band = sum(count_band_credit(spec, t, L[t], S[t], L[t + 1], S[t + 1])
+               for t in range(spec.T - 1))
+    return float(steps + band)
+
+
+def count_view_optimum(spec: ProblemSpec) -> tuple[float, Trajectory]:
+    """The least E(L, S) over feasible counts and a trajectory attaining it (Viterbi).
+
+    A state is the joint (L, S) of all assets at one step, (k + 1)^(2n) of
+    them, kept where count <= B and 0 <= C - net <= 2^nc - 1.  E is a sum
+    of terms on one step (count_step_energy) and on two adjacent steps
+    (count_band_credit), so the recursion over steps is exact.  Canonical
+    blocks never raise the energy, so this is also the least energy of any
+    feasible assignment.
+    """
+    grid = np.array(list(itertools.product(range(spec.k + 1), repeat=2 * spec.n)))
+    L, S = grid[:, :spec.n], grid[:, spec.n:]
+    cash_units = spec.C - (L - S).sum(axis=1)
+    ok = ((L + S).sum(axis=1) <= spec.B) & (cash_units >= 0) & (cash_units < 2**spec.layout.nc)
+    L, S = L[ok], S[ok]
+    value = count_step_energy(spec, 0, L, S)
+    back = []
+    for t in range(1, spec.T):
+        total = value[:, None] + count_band_credit(spec, t - 1, L[:, None], S[:, None], L, S)
+        back.append(total.argmin(axis=0))
+        value = total.min(axis=0) + count_step_energy(spec, t, L, S)
+    path = [int(value.argmin())]
+    for prev in reversed(back):
+        path.append(int(prev[path[-1]]))
+    Lp, Sp = L[path[::-1]], S[path[::-1]]
+    return float(value.min()), Trajectory(long=Lp, short=Sp,
+                                          asset_slack=spec.B - (Lp + Sp).sum(axis=1),
+                                          cash_units=spec.C - (Lp - Sp).sum(axis=1))
 
 
 def random_feasible_counts(spec: ProblemSpec, rng) -> Trajectory:
@@ -216,6 +260,53 @@ def test_canonical_blocks_never_raise_energy(name):
         lower += e_canonical < e_scrambled
     if spec.k > 1:
         assert lower > 0
+
+
+ENUMERABLE_SPECS = {
+    "toy": lambda q: toy_spec(n=2, T=2, q=q, seed=3),
+    "toy-three-assets": lambda q: toy_spec(n=3, T=2, B=2, q=q, seed=4),
+    "toy-unsigned": lambda q: toy_spec(n=3, T=2, B=3, q=q, seed=6, signed_risk=False),
+    "synthetic-one-asset": lambda q: synthetic_spec(n=1, T=4, k=1, B=1, C=1, q=q, seed=1),
+    "synthetic-two-blocks": lambda q: synthetic_spec(n=1, T=3, k=2, B=2, C=1, q=q, seed=2),
+    "synthetic-two-assets": lambda q: synthetic_spec(n=2, T=2, k=1, B=2, C=1, q=q, seed=3),
+}
+
+
+@pytest.mark.parametrize("q", [1e-4, 1e-3, 1e-2])
+@pytest.mark.parametrize("name", ENUMERABLE_SPECS)
+def test_count_view_optimum_equals_enumeration(name, q):
+    spec = ENUMERABLE_SPECS[name](q)
+    qubo = build_qubo(spec)
+    value, traj = count_view_optimum(spec)
+    exact = solve_exact(qubo)
+    assert is_feasible(spec, exact.best)
+    assert value == pytest.approx(exact.best_energy, rel=1e-12)
+    assert energy(qubo, encode_assignment(spec, traj)) == pytest.approx(value, rel=1e-12)
+
+
+HEURISTICS = {
+    "descent": lambda qubo, spec: local_descent(qubo, cash_only_bits(spec)),
+    "sa": lambda qubo, spec: solve_sa(qubo, SolveBudget(max_iterations=20_000)).best,
+    "abs": lambda qubo, spec: solve_abs(qubo, SolveBudget(max_iterations=40)).best,
+}
+
+
+@pytest.mark.parametrize("q", [1e-4, 1e-3, 1e-2])
+@pytest.mark.parametrize("T", [5, 10, 15])
+def test_count_view_optimum_at_the_paper_horizon(T, q, record_property):
+    spec = synthetic_spec(n=2, T=T, k=3, B=4, C=2, q=q)
+    qubo = build_qubo(spec)
+    value, traj = count_view_optimum(spec)
+    assert energy(qubo, encode_assignment(spec, traj)) == pytest.approx(value, rel=1e-12)
+    assert value <= energy(qubo, cash_only_bits(spec))
+    for name, search in HEURISTICS.items():
+        bits = search(qubo, spec)
+        if not is_feasible(spec, bits):
+            record_property(f"{name}_gap", "infeasible")
+            continue
+        e = energy(qubo, bits)
+        assert e >= value - 1e-12 * abs(value)
+        record_property(f"{name}_gap", (e - value) / abs(value))
 
 
 def test_delta_energies_match_flip_differences():
