@@ -106,7 +106,14 @@ class _Kernel(NamedTuple):
 
 
 def _index_dtype(num_vars: int) -> type:
-    """The dtype of term indices below num_vars: int32 while they fit, else int64."""
+    """The narrowest dtype of term indices below num_vars: int16, int32 or int64.
+
+    Indices run to num_vars - 1, so int16 serves num_vars < 2**15 (exp1's
+    12,100 variables: 12 bytes a term with a float64 value), int32
+    num_vars < 2**31, and int64 any larger problem.
+    """
+    if num_vars < 2**15:
+        return np.int16
     return np.int32 if num_vars < 2**31 else np.int64
 
 
@@ -125,7 +132,8 @@ class SparseQubo:
 
     Repeated (i, j) terms are summed on construction.  to_sparse also drops
     zero terms; read_qubo_text keeps those a file lists.  rows and cols are
-    range-checked, then held in _index_dtype(num_vars).
+    range-checked, then held in _index_dtype(num_vars): int16 below 2**15
+    variables, int32 below 2**31, else int64.
     """
 
     num_vars: int
@@ -323,9 +331,10 @@ def _as_block(qubo) -> BlockQubo:
 def _block_columns(qubo: BlockQubo, t: int, cols) -> np.ndarray:
     """Column `cols` (an index or a slice) of step t's block D_t, t 0-based.
 
-    Every reader of a block entry forms it here, in one operation order.
-    The penalty part P * R[:, cols]'R is read from the kernel's table: R is
-    integer-valued, so each of its entries is one exact integer times P.
+    Every reader of a block entry forms it here or in _block_band, in one
+    operation order and orientation.  The penalty part P * R[:, cols]'R is
+    read from the kernel's table: R is integer-valued, so each of its
+    entries is one exact integer times P.
     """
     kern = qubo._kernel
     wp = qubo.wp[t]
@@ -333,6 +342,25 @@ def _block_columns(qubo: BlockQubo, t: int, cols) -> np.ndarray:
     D *= qubo.scale
     D *= qubo.core[t][:, qubo.slot[cols]][qubo.slot]
     D += kern.penalty[kern.pattern[cols]].T
+    return D
+
+
+def _block_band(qubo: BlockQubo, t: int, start: int, stop: int) -> np.ndarray:
+    """Rows start..stop-1 of step t's block D_t, from column start on.
+
+    Entry [i, j] is D_t[start + i, start + j] with _block_columns' factors,
+    operation order and orientation, so it equals that entry bit for bit:
+    the covariance is read as core_t[slot_i, slot_j] with i the row, never
+    transposed.  The penalty rows P * R[:, rows]'R equal the columns of
+    _block_columns because each entry is one exact integer times P.
+    """
+    kern = qubo._kernel
+    wp = qubo.wp[t]
+    rows, cols = slice(start, stop), slice(start, None)
+    D = np.multiply.outer(wp[rows], wp[cols])
+    D *= qubo.scale
+    D *= qubo.core[t][qubo.slot[rows]][:, qubo.slot[cols]]
+    D += kern.penalty[kern.pattern[rows], cols]
     return D
 
 
@@ -347,13 +375,16 @@ def _positions(qubo: BlockQubo, x: np.ndarray) -> np.ndarray:
 def _step_terms(qubo: BlockQubo, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-step risk scale * g_t' core_t g_t and penalty P * ||b - R x_t||^2 of x (T, w).
 
-    Risk is evaluated as dense_energies evaluates a matrix; the residuals are integers.
+    Risk is evaluated as dense_energies evaluates a matrix, only at the steps
+    that hold a position: an empty step's product is 0.0, so it is not formed.
+    The residuals are integers.
     """
     g = _positions(qubo, x)
-    risk = [qubo.scale * float(dense_energies(core, 0.0, gt[None])[0])
-            for core, gt in zip(qubo.core, g)]
+    risk = np.zeros(len(g))
+    for t in np.flatnonzero(g.any(axis=1)):
+        risk[t] = qubo.scale * float(dense_energies(qubo.core[t], 0.0, g[t][None])[0])
     res = qubo.budget_rhs - x @ qubo.budget_rows.T
-    return np.array(risk), qubo.penalty_weight * (res * res).sum(axis=1)
+    return risk, qubo.penalty_weight * (res * res).sum(axis=1)
 
 
 def energy(qubo: BlockQubo, bits) -> float:
@@ -372,11 +403,17 @@ def energy(qubo: BlockQubo, bits) -> float:
 
 
 def delta_energies(qubo: BlockQubo, bits) -> np.ndarray:
-    """Vector of exact energy changes for flipping each bit; O(n^2 + w) per step."""
+    """Vector of exact energy changes for flipping each bit; O(n^2 + w) per held step.
+
+    core_t @ g_t is formed only at the steps that hold a position; an empty
+    step's product is zero.
+    """
     T, w = qubo.wp.shape
     x = _zero_one(bits, qubo.num_vars, QuboError).astype(float).reshape(T, w)
     g = _positions(qubo, x)
-    core_g = np.stack([core @ gt for core, gt in zip(qubo.core, g)])
+    core_g = np.zeros_like(g)
+    for t in np.flatnonzero(g.any(axis=1)):
+        core_g[t] = qubo.core[t] @ g[t]
     core_diag = np.diagonal(qubo.core, axis1=1, axis2=2)
     dg = qubo.wp * qubo.wp * qubo.scale * core_diag[:, qubo.slot]
     dx = qubo.wp * qubo.scale * core_g[:, qubo.slot]
@@ -434,54 +471,64 @@ def _export_offset(qubo: BlockQubo) -> float:
     return qubo.offset + qubo.penalty_weight * T * float(qubo.budget_rhs @ qubo.budget_rhs)
 
 
-def _step_tables(qubo: BlockQubo):
-    """Yield (t * w, table) for each step t, the export's one derivation of its terms.
+_BAND_ROWS = 256  # rows of a step's table formed at once by the export
 
-    Step t is one (w, w + 1) table: row i holds the diagonal term at column i,
-    the pair terms 2 * D_ij at columns j > i, and the band term to (t + 1, i)
-    at column w.  Its nonzero entries, row-major, are already in (i, j) order,
-    and every step's indices lie above the previous step's.
+
+def _step_tables(qubo: BlockQubo):
+    """Yield (first, band) for each band of each step's table, the export's one derivation.
+
+    Step t's table has a row for each of its w variables; it is formed in
+    bands of at most _BAND_ROWS rows, so no (w, w) array is.  The band of
+    rows start..stop-1 is a (stop - start, w - start + 1) array and
+    first = t * w + start is the variable of its first row and column.
+    Row i holds the diagonal term at column i, the pair terms 2 * D_ij at
+    the columns j > i, zeros below the diagonal, and the band term to
+    (t + 1, start + i) in its last column (zero at the last step).  Its
+    nonzero entries, row-major, are already in (i, j) order, and every
+    band's indices lie above the previous band's.
     """
     T, w = qubo.wp.shape
     P = qubo.penalty_weight
     linear = qubo.linear.reshape(T, w) + (-2.0 * P) * (qubo.budget_rhs @ qubo.budget_rows)
-    idx = np.arange(w)
-    pair = np.triu(np.full((w, w), 2.0), 1)  # below the diagonal D * 0.0 is +-0.0, never written
     for t in range(T):
-        D = _block_columns(qubo, t, slice(None))
-        table = np.empty((w, w + 1))
-        np.multiply(D, pair, out=table[:, :w])
-        table[idx, idx] = linear[t] + np.diagonal(D)
-        table[:, w] = qubo.cross[t] if t < T - 1 else 0.0
-        yield t * w, table
+        for start in range(0, w, _BAND_ROWS):
+            stop = min(start + _BAND_ROWS, w)
+            D = _block_band(qubo, t, start, stop)
+            band = np.empty((stop - start, w - start + 1))
+            np.multiply(np.triu(D, 1), 2.0, out=band[:, :-1])
+            diag = np.arange(stop - start)
+            band[diag, diag] = linear[t, start:stop] + D[diag, diag]
+            band[:, -1] = qubo.cross[t, start:stop] if t < T - 1 else 0.0
+            yield t * w + start, band
 
 
-def _table_terms(base: int, table: np.ndarray, dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (rows, cols, vals) of one step's nonzero table entries, in (i, j) order.
+def _table_terms(first: int, band: np.ndarray, w: int,
+                 dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (rows, cols, vals) of one band's nonzero entries, in (i, j) order; w is the step width.
 
     The indices are formed in dtype, so no index array of the whole export is int64.
     """
-    w = table.shape[0]
-    r, c = np.nonzero(table)
-    vals = table[r, c]
-    band = c == w
-    c[band] = r[band] + w
+    r, c = np.nonzero(band)
+    vals = band[r, c]
+    link = c == band.shape[1] - 1
+    c[link] = r[link] + w
     rows, cols = r.astype(dtype), c.astype(dtype)
-    rows += base
-    cols += base
+    rows += first
+    cols += first
     return rows, cols, vals
 
 
-def _sparse_steps(qubo: BlockQubo):
-    """Yield each step's (rows, cols, vals) as to_sparse lists them, indices in the index dtype."""
+def _sparse_bands(qubo: BlockQubo):
+    """Yield each band's (rows, cols, vals) as to_sparse lists them, indices in the index dtype."""
     dtype = _index_dtype(qubo.num_vars)
-    for base, table in _step_tables(qubo):
-        yield _table_terms(base, table, dtype)
+    w = qubo.wp.shape[1]
+    for first, band in _step_tables(qubo):
+        yield _table_terms(first, band, w, dtype)
 
 
 def to_sparse(qubo: BlockQubo) -> SparseQubo:
     """Collapse the block form into sorted upper-triangular triplets, the steps in order."""
-    rows, cols, vals = (np.concatenate(part) for part in zip(*_sparse_steps(qubo)))
+    rows, cols, vals = (np.concatenate(part) for part in zip(*_sparse_bands(qubo)))
     return SparseQubo(num_vars=qubo.num_vars, rows=rows, cols=cols, vals=vals,
                       offset=_export_offset(qubo))
 
@@ -681,19 +728,20 @@ def _write_terms(fh, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> No
 def write_qubo_text(qubo, path) -> int:
     """`p qubo <num_vars> <num_terms> <offset>` then `i j value` lines, i <= j; returns num_terms.
 
-    A BlockQubo is written as to_sparse would give it, one step at a time:
-    a first pass counts the terms for the header, so no step is kept.
+    A BlockQubo is written as to_sparse would give it, one band of a step's
+    rows at a time: a first pass counts the terms for the header, so no
+    band is kept.
     """
     if isinstance(qubo, BlockQubo):
-        num_terms = sum(np.count_nonzero(table) for _, table in _step_tables(qubo))
+        num_terms = sum(np.count_nonzero(band) for _, band in _step_tables(qubo))
         offset = _export_offset(qubo)
-        steps = _sparse_steps(qubo)
+        parts = _sparse_bands(qubo)
     else:
         num_terms, offset = qubo.num_terms, qubo.offset
-        steps = [(qubo.rows, qubo.cols, qubo.vals)]
+        parts = [(qubo.rows, qubo.cols, qubo.vals)]
     with open(path, "wb") as fh:
         fh.write(f"p qubo {qubo.num_vars} {num_terms} {float(offset)!r}\n".encode())
-        for rows, cols, vals in steps:
+        for rows, cols, vals in parts:
             _write_terms(fh, rows, cols, vals)
     return num_terms
 
@@ -702,7 +750,8 @@ def write_bqp_json(spec: ProblemSpec, path) -> None:
     """The BQP document, the penalty-free objective and per-step budget rows, and a newline.
 
     The objective's to_sparse terms are [i, j, value] lists, streamed from
-    the penalty-free BlockQubo one step at a time; json.dump writes the rest.
+    the penalty-free BlockQubo one band of a step's rows at a time; json.dump
+    writes the rest.
     """
     free = build_qubo(spec, include_penalty=False)
     constraints = [{"kind": kind, "step": t, "indices": idx.tolist(), "coeffs": coef.tolist(),
@@ -715,8 +764,8 @@ def write_bqp_json(spec: ProblemSpec, path) -> None:
     with open(path, "wb") as fh:
         fh.write((head + mark).encode())
         lead = len(b", ")  # the first term has no separator before it
-        for step in _sparse_steps(free):
-            for i, j, value in _term_chunks(*step):
+        for part in _sparse_bands(free):
+            for i, j, value in _term_chunks(*part):
                 fh.write(_records(b", [", i, b", ", j, b", ", value, b"]")[lead:])
                 lead = 0
         fh.write(tail.encode() + b"\n")

@@ -1,10 +1,12 @@
 """The streamed export of a BlockQubo against the concatenated one.
 
-`write_qubo_text` of a BlockQubo and `build --bqp` write one step at a
-time; their bytes must equal those written from `to_sparse` and from a
-whole `json.dump` document.  Streaming also keeps the writer's memory
-flat in the horizon T, and importing the package or its CLI leaves the
-simulator and scipy unloaded.
+`write_qubo_text` of a BlockQubo and `build --bqp` write one band of a
+step's rows at a time; their bytes must equal those written from
+`to_sparse`, from the reference triplets of whole (w, w) blocks and from
+a whole `json.dump` document, at the default band height and at 7 rows.
+Streaming also keeps the writer's memory flat in the horizon T and
+linear in the step width, and importing the package or its CLI leaves
+the simulator and scipy unloaded.
 """
 import dataclasses
 import json
@@ -19,14 +21,31 @@ import pytest
 import qubofolio
 from qubofolio import qubo as qubo_module
 from qubofolio.cli import main
+from qubofolio.market_data import CovarianceSeries
 from qubofolio.model import spec_to_json
-from qubofolio.qubo import _one_block, build_qubo, to_sparse, write_qubo_text
+from qubofolio.qubo import (
+    SparseQubo,
+    _one_block,
+    build_qubo,
+    to_ising,
+    to_sparse,
+    write_ising_text,
+    write_qubo_text,
+)
 from qubofolio.toy import synthetic_spec, toy_spec
-from test_qubo import build_bqp
+from test_qubo import build_bqp, reference_to_sparse
 
 
 def _with_p(spec, P):
     return dataclasses.replace(spec, params=dataclasses.replace(spec.params, P=P))
+
+
+def _skewed(spec, eps):
+    """spec with each Sigma_t above its diagonal raised by eps, inside the 1e-12 asymmetry
+    the covariance check allows, so an entry read as Sigma[b, a] for Sigma[a, b] shows."""
+    sigma = spec.covariances.sigma
+    skew = eps * np.triu(np.ones(sigma.shape[1:]), 1)
+    return dataclasses.replace(spec, covariances=CovarianceSeries(sigma=sigma + skew))
 
 
 SPECS = {
@@ -36,14 +55,25 @@ SPECS = {
     "toy-unsigned-T2": lambda: toy_spec(n=2, T=2, seed=4, signed_risk=False),
     "toy-q0": lambda: toy_spec(n=3, T=2, q=0.0, seed=5),
     "synthetic-explicit-P": lambda: _with_p(synthetic_spec(n=20, T=6, seed=6), 12345.5),
+    "synthetic-w14": lambda: synthetic_spec(n=2, T=3, k=2, B=4, C=4, seed=8),
+    "toy-skewed-sigma": lambda: _skewed(toy_spec(n=3, T=2, seed=9), 5e-13),
 }
 
 
-@pytest.fixture(params=[False, True], ids=["chunks", "small-chunks"])
-def chunks(request, monkeypatch):
-    """The writer's default chunk size, or 7 lines so chunks also break inside a step."""
-    if request.param:
-        monkeypatch.setattr(qubo_module, "_CHUNK_LINES", 7)
+@pytest.fixture(params=[(None, None), (7, None), (None, 7), (7, 7)],
+                ids=["chunks", "small-chunks", "chunks-small-bands", "small-chunks-small-bands"])
+def sizes(request, monkeypatch):
+    """The writer's default chunk size and band height, or 7 of either or both.
+
+    At 7 lines, chunks also break inside a step.  At 7 rows, bands split the
+    8-, 9- and 130-wide steps, and the 14-wide steps of synthetic-w14 end
+    exactly where their second band does.
+    """
+    lines, rows = request.param
+    if lines:
+        monkeypatch.setattr(qubo_module, "_CHUNK_LINES", lines)
+    if rows:
+        monkeypatch.setattr(qubo_module, "_BAND_ROWS", rows)
 
 
 def _problems():
@@ -58,22 +88,41 @@ def _problems():
 PROBLEMS = dict(_problems())
 
 
+def _reference_sparse(qubo) -> SparseQubo:
+    """The triplets of test_qubo's whole-block reference export as a SparseQubo."""
+    rows, cols, vals, offset = reference_to_sparse(qubo)
+    return SparseQubo(num_vars=qubo.num_vars, rows=rows, cols=cols, vals=vals, offset=offset)
+
+
 @pytest.mark.parametrize("name", PROBLEMS)
-def test_streamed_qubo_text_equals_to_sparse_bytes(tmp_path, chunks, name):
+def test_streamed_qubo_text_equals_to_sparse_bytes(tmp_path, sizes, name):
     qubo = PROBLEMS[name]
     streamed, concatenated = tmp_path / "streamed.qubo", tmp_path / "concatenated.qubo"
+    reference = tmp_path / "reference.qubo"
     num_terms = write_qubo_text(qubo, streamed)
     assert num_terms == write_qubo_text(to_sparse(qubo), concatenated)
-    assert streamed.read_bytes() == concatenated.read_bytes()
+    write_qubo_text(_reference_sparse(qubo), reference)
+    assert streamed.read_bytes() == concatenated.read_bytes() == reference.read_bytes()
     header, *lines = streamed.read_text().splitlines()
     assert int(header.split()[3]) == num_terms == len(lines)
     assert all(float(line.split()[2]) != 0.0 for line in lines)  # q = 0 leaves zero risk entries
 
 
+@pytest.mark.parametrize("name", PROBLEMS)
+def test_ising_text_equals_whole_block_reference_bytes(tmp_path, sizes, name):
+    qubo = PROBLEMS[name]
+    write_ising_text(to_ising(qubo), tmp_path / "banded.ising")
+    write_ising_text(to_ising(_reference_sparse(qubo)), tmp_path / "reference.ising")
+    assert (tmp_path / "banded.ising").read_bytes() == (tmp_path / "reference.ising").read_bytes()
+
+
 def _reference_bqp_json(spec) -> dict:
-    """The BQP document as the CLI built it whole, before the terms were streamed."""
+    """The BQP document as the CLI built it whole, before the terms were streamed.
+
+    Its terms are test_qubo's whole-block reference export of the penalty-free objective.
+    """
     bqp = build_bqp(spec)
-    obj = bqp.objective
+    rows, cols, vals, offset = reference_to_sparse(build_qubo(spec, include_penalty=False))
 
     def row_doc(kind, step, row):
         idx, coef, rhs = row
@@ -89,17 +138,16 @@ def _reference_bqp_json(spec) -> dict:
         constraints.append(row_doc("cash", t, row))
     return {
         "objective": {
-            "num_vars": obj.num_vars,
-            "offset": obj.offset,
-            "terms": [[int(i), int(j), float(v)]
-                      for i, j, v in zip(obj.rows, obj.cols, obj.vals)],
+            "num_vars": bqp.objective.num_vars,
+            "offset": offset,
+            "terms": [[int(i), int(j), float(v)] for i, j, v in zip(rows, cols, vals)],
         },
         "constraints": constraints,
     }
 
 
 @pytest.mark.parametrize("name", SPECS)
-def test_build_bqp_equals_whole_json_dump(tmp_path, chunks, name):
+def test_build_bqp_equals_whole_json_dump(tmp_path, sizes, name):
     spec = SPECS[name]()
     config = tmp_path / "spec.json"
     config.write_text(json.dumps(spec_to_json(spec)))
@@ -126,6 +174,17 @@ def test_streamed_write_memory_does_not_grow_with_T(tmp_path):
     long = build_qubo(synthetic_spec(n=40, T=16, seed=1))
     peaks = [_write_peak(qubo, tmp_path / "q.qubo") for qubo in (short, long)]
     assert max(peaks) <= 1.5 * min(peaks), peaks
+
+
+def test_streamed_write_memory_grows_at_most_linearly_in_the_step_width(tmp_path):
+    """A step is formed in bands of at most _BAND_ROWS rows, so the writer's peak
+    grows with w past _BAND_ROWS; whole (w, w) tables would make it grow as w^2."""
+    narrow = build_qubo(synthetic_spec(n=40, T=2, seed=1))
+    wide = build_qubo(synthetic_spec(n=160, T=2, seed=1))
+    widths = [qubo.wp.shape[1] for qubo in (narrow, wide)]
+    assert widths[0] < qubo_module._BAND_ROWS < widths[1], widths
+    peaks = [_write_peak(qubo, tmp_path / "q.qubo") for qubo in (narrow, wide)]
+    assert peaks[1] / peaks[0] <= widths[1] / widths[0], (peaks, widths)
 
 
 QUANTUM_NAMES = ["AnnealSchedule", "DiagonalCost", "QaoaParams", "QuantumSimError",

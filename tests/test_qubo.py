@@ -323,6 +323,49 @@ def test_delta_energies_match_flip_differences():
                                           rel=1e-9, abs=1e-6)
 
 
+def _full_product_energy_and_deltas(qubo, bits) -> tuple[float, np.ndarray]:
+    """energy and delta_energies with every step's core_t product formed, held or empty."""
+    T, w = qubo.wp.shape
+    x = np.asarray(bits, dtype=float).reshape(T, w)
+    g = qubo_module._positions(qubo, x)
+    risk = [qubo.scale * float(dense_energies(core, 0.0, gt[None])[0])
+            for core, gt in zip(qubo.core, g)]
+    R = qubo.budget_rows
+    res = qubo.budget_rhs - x @ R.T
+    penalty = qubo.penalty_weight * (res * res).sum(axis=1)
+    cross = (qubo.cross * x[:-1] * x[1:]).sum(axis=1)
+    e = math.fsum([qubo.offset, float(qubo.linear @ x.ravel()), *risk, *penalty, *cross])
+    core_g = np.stack([core @ gt for core, gt in zip(qubo.core, g)])
+    core_diag = np.diagonal(qubo.core, axis1=1, axis2=2)
+    dg = qubo.wp * qubo.wp * qubo.scale * core_diag[:, qubo.slot]
+    dx = qubo.wp * qubo.scale * core_g[:, qubo.slot]
+    inner = qubo.linear.reshape(T, w) + dg + 2.0 * dx - 2.0 * dg * x
+    inner[1:] += qubo.cross * x[:-1]
+    inner[:-1] += qubo.cross * x[1:]
+    d = 1.0 - 2.0 * x
+    deltas = d * inner + qubo.penalty_weight * ((R * R).sum(axis=0) - 2.0 * d * (res @ R))
+    return e, deltas.ravel()
+
+
+@pytest.mark.parametrize("include_penalty", [True, False])
+def test_empty_steps_skip_their_products_bit_for_bit(include_penalty):
+    """A step that holds no position gets risk 0.0 and core_t @ g_t = 0 unformed,
+    and energy and delta_energies equal the full per-step products bit for bit."""
+    spec = synthetic_spec(n=20, T=6, seed=6)
+    qubo = build_qubo(spec, include_penalty=include_penalty)
+    T, w = qubo.wp.shape
+    rng = np.random.default_rng(7)
+    held = cash_only_bits(spec).reshape(T, w)
+    held[[1, 4]] = rng.integers(0, 2, (2, w))
+    points = [cash_only_bits(spec), held.ravel(), rng.integers(0, 2, T * w).astype(np.int8)]
+    for bits in points:
+        e, deltas = _full_product_energy_and_deltas(qubo, bits)
+        assert _same_bits(energy(qubo, bits), e)
+        assert _same_bits(delta_energies(qubo, bits), deltas)
+    g = qubo_module._positions(qubo, held.astype(float))
+    assert g[[1, 4]].any(axis=1).all() and not g[[0, 2, 3, 5]].any()
+
+
 def test_apply_flip_maintains_deltas_and_energy():
     spec = toy_spec(n=3, T=2, q=1e-4, seed=9)
     qubo = build_qubo(spec)
@@ -693,12 +736,15 @@ def block_reference(spec: ProblemSpec, t: int, P: float) -> np.ndarray:
 
 
 def assert_block_readers_agree(spec: ProblemSpec, qubo, steps) -> None:
-    """The materialised block, and apply_flip's column of every position, equal the
-    reference block with ==."""
+    """The materialised block, the export's row bands of 5 rows, and apply_flip's
+    column of every position, equal the reference block with ==."""
     w = spec.layout.step_width
     for t in steps:
         D = block_reference(spec, t, qubo.penalty_weight)
         assert np.array_equal(qubo_module._block_columns(qubo, t, slice(None)), D)
+        for start in range(0, w, 5):
+            band = qubo_module._block_band(qubo, t, start, min(start + 5, w))
+            assert np.array_equal(band, D[start:start + 5, start:])
         for j in range(w):
             bits = np.zeros(qubo.num_vars, dtype=np.int8)
             deltas = np.zeros(qubo.num_vars)
@@ -1150,30 +1196,52 @@ def test_code_built_ising_model_rejects_bad_indices(rows, cols, match):
                    j_vals=np.ones(len(rows)), offset=0.0)
 
 
-def test_index_dtype_is_int32_below_two_to_the_31():
-    assert qubo_module._index_dtype(0) is np.int32
+def test_index_dtype_is_the_narrowest_that_holds_every_index():
+    """Indices run to num_vars - 1: int16 below 2^15 variables, int32 below 2^31, else int64."""
+    assert qubo_module._index_dtype(0) is np.int16
+    assert qubo_module._index_dtype(2**15 - 1) is np.int16
+    assert qubo_module._index_dtype(2**15) is np.int32
     assert qubo_module._index_dtype(2**31 - 1) is np.int32
     assert qubo_module._index_dtype(2**31) is np.int64
 
 
-def test_producers_give_int32_indices(tmp_path):
+def test_producers_give_int16_indices(tmp_path):
     spec = toy_spec(n=3, T=2, q=1e-3, seed=2)
     sparse = to_sparse(build_qubo(spec))
     ising = to_ising(build_qubo(spec))
-    assert sparse.rows.dtype == sparse.cols.dtype == np.int32
-    assert ising.j_rows.dtype == ising.j_cols.dtype == np.int32
+    assert sparse.rows.dtype == sparse.cols.dtype == np.int16
+    assert ising.j_rows.dtype == ising.j_cols.dtype == np.int16
     path = tmp_path / "toy.qubo"
     write_qubo_text(sparse, path)
     parsed = read_qubo_text(path)
-    assert parsed.rows.dtype == parsed.cols.dtype == np.int32
+    assert parsed.rows.dtype == parsed.cols.dtype == np.int16
     write_ising_text(ising, tmp_path / "toy.ising")
     parsed_ising = read_qubo_text(tmp_path / "toy.ising")
-    assert parsed_ising.j_rows.dtype == parsed_ising.j_cols.dtype == np.int32
+    assert parsed_ising.j_rows.dtype == parsed_ising.j_cols.dtype == np.int16
 
 
-@pytest.mark.parametrize("index", [np.int64, np.int32, np.uint64, list])
+@pytest.mark.parametrize("num_vars, index", [(2**15 - 1, np.int16), (2**15, np.int32)])
+def test_producers_widen_to_int32_at_two_to_the_15(tmp_path, num_vars, index):
+    """The last variable, num_vars - 1, keeps its value through every producer."""
+    last = num_vars - 1
+    sparse = SparseQubo(num_vars=num_vars, rows=np.array([0, 5]), cols=np.array([last, last]),
+                        vals=np.array([1.5, -2.0]), offset=0.0)
+    ising = to_ising(sparse)
+    assert sparse.rows.dtype == sparse.cols.dtype == index
+    assert ising.j_rows.dtype == ising.j_cols.dtype == index
+    write_qubo_text(sparse, tmp_path / "wide.qubo")
+    parsed = read_qubo_text(tmp_path / "wide.qubo")
+    assert parsed.rows.dtype == parsed.cols.dtype == index
+    assert parsed.cols.tolist() == [last, last]
+    write_ising_text(ising, tmp_path / "wide.ising")
+    parsed_ising = read_qubo_text(tmp_path / "wide.ising")
+    assert parsed_ising.j_rows.dtype == parsed_ising.j_cols.dtype == index
+    assert parsed_ising.j_cols.tolist() == [last, last]
+
+
+@pytest.mark.parametrize("index", [np.int64, np.int32, np.int16, np.uint64, list])
 def test_sparse_qubo_from_any_integer_indices_is_the_same_problem(tmp_path, index):
-    """An int64, int32, uint64 or Python-int build gives the int32 build's matrix, energy and bytes."""
+    """Any integer build gives the int16 build's matrix, energy and bytes."""
     ref = random_sparse_qubo(9, seed=3)
 
     def indices(a):
@@ -1181,7 +1249,7 @@ def test_sparse_qubo_from_any_integer_indices_is_the_same_problem(tmp_path, inde
 
     sq = SparseQubo(num_vars=9, rows=indices(ref.rows), cols=indices(ref.cols), vals=ref.vals,
                     offset=ref.offset)
-    assert sq.rows.dtype == sq.cols.dtype == np.int32
+    assert sq.rows.dtype == sq.cols.dtype == np.int16
     A, off = to_dense(sq)
     A_ref, off_ref = to_dense(ref)
     assert np.array_equal(A, A_ref) and off == off_ref

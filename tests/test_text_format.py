@@ -227,7 +227,26 @@ def test_reader_matches_reference_on_random_files(tmp_path_factory, terms, chunk
 def test_reader_rejects_an_index_that_would_wrap_in_int32(tmp_path, monkeypatch, sep):
     """2^32 + 5 is 5 in int32: the chunk's int64 indices are checked before they are narrowed."""
     path = tmp_path / "wrap.qubo"
-    path.write_text(f"p qubo 10 2 0.0\n0 0 1.0\n4294967301{sep}4294967301{sep}1.0\n")
+    path.write_text(f"p qubo 40000 2 0.0\n0 0 1.0\n4294967301{sep}4294967301{sep}1.0\n")
+    assert qubo_module._index_dtype(40000) is np.int32
+    if sep == " ":
+        def per_line(*args):
+            raise AssertionError("a canonical chunk was parsed line by line")
+
+        monkeypatch.setattr(qubo_module, "_parse_lines", per_line)
+    with pytest.raises(QuboParseError, match="out of range or not upper-triangular"):
+        read_qubo_text(path)
+    out = tmp_path / "r.json"
+    assert main(["solve", "--qubo", str(path), "--solver", "exact", "--out", str(out)]) == 4
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sep", [" ", "\t"], ids=["numpy-chunk", "per-line"])
+def test_reader_rejects_an_index_that_would_wrap_in_int16(tmp_path, monkeypatch, sep):
+    """2^16 + 5 is 5 in int16: the chunk's int64 indices are checked before they are narrowed."""
+    path = tmp_path / "wrap.qubo"
+    path.write_text(f"p qubo 10 2 0.0\n0 0 1.0\n65541{sep}65541{sep}1.0\n")
+    assert qubo_module._index_dtype(10) is np.int16
     if sep == " ":
         def per_line(*args):
             raise AssertionError("a canonical chunk was parsed line by line")
