@@ -2,8 +2,9 @@
 to QUBO/BQP/Ising, with classical solvers, a statevector quantum
 simulator, and an evaluation harness.
 
-The simulator's names are loaded from `quantum`, and with it scipy, on
-first access.
+No module imports scipy: `quantum` optimizes QAOA and VQE angles with a
+port of scipy 1.17.1's Nelder-Mead (BSD licence), pinned to scipy's
+iterates by tests/test_quantum.py.
 """
 
 from .evaluation import (
@@ -37,6 +38,18 @@ from .model import (
     spec_from_json,
     spec_to_json,
 )
+from .quantum import (
+    AnnealSchedule,
+    DiagonalCost,
+    QaoaParams,
+    QuantumSimError,
+    anneal_run,
+    diagonalize_cost,
+    normalize_ising,
+    qaoa_optimize,
+    qaoa_run,
+    vqe_run,
+)
 from .qubo import (
     BlockQubo,
     IsingModel,
@@ -69,23 +82,3 @@ from .solvers import (
 from .toy import cash_only_bits, random_sparse_qubo, synthetic_spec, toy_spec
 
 __version__ = "0.1.0"
-
-_QUANTUM_NAMES = frozenset({
-    "AnnealSchedule",
-    "DiagonalCost",
-    "QaoaParams",
-    "QuantumSimError",
-    "anneal_run",
-    "diagonalize_cost",
-    "normalize_ising",
-    "qaoa_optimize",
-    "qaoa_run",
-    "vqe_run",
-})
-
-
-def __getattr__(name):
-    if name in _QUANTUM_NAMES:
-        from . import quantum
-        return getattr(quantum, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -14,6 +14,8 @@ import sys
 from .evaluation import DEFAULT_Q_GRID, SOLVERS, EvaluationError, economic_metrics, sweep_q
 from .market_data import MarketDataError
 from .model import ModelError, ProblemSpec, spec_from_json
+from .quantum import (AnnealSchedule, QaoaParams, QuantumSimError, _check_cap, anneal_run,
+                      normalize_ising, qaoa_optimize, qaoa_run, vqe_run)
 from .qubo import (
     IsingModel,
     QuboError,
@@ -131,10 +133,6 @@ def cmd_solve(args) -> int:
 
 
 def cmd_quantum(args) -> int:
-    # imported here so that no other command loads scipy
-    from .quantum import (AnnealSchedule, QaoaParams, QuantumSimError, _check_cap, anneal_run,
-                          normalize_ising, qaoa_optimize, qaoa_run, vqe_run)
-
     if args.algo == "anneal" and args.dt >= args.tau:
         raise CliError(EXIT_SPEC, f"--dt {args.dt!r} must be smaller than --tau {args.tau!r}")
     problem = _load_problem(args)

@@ -18,6 +18,10 @@ Conventions, fixed here because results are sensitive to them:
 Statevectors are dense arrays of length 2^m, so m is capped at
 QUBIT_CAP = 20.  Each run owns its statevector; independent runs share
 nothing mutable.
+
+QAOA and VQE angles are optimized by `_nelder_mead`, a port of scipy
+1.17.1's Nelder-Mead (BSD licence) whose iterates tests/test_quantum.py
+pins bit for bit to scipy's, so this module does not import scipy.
 """
 from __future__ import annotations
 
@@ -25,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .qubo import IsingModel, all_energies
 
@@ -45,7 +48,7 @@ QUBIT_CAP = 20
 
 
 class QuantumSimError(ValueError):
-    """Raised on qubit-cap violations or invalid schedules."""
+    """Raised on qubit-cap violations, invalid schedules, or layer or restart counts below 1."""
 
 
 def _check_cap(m: int) -> None:
@@ -247,21 +250,89 @@ def _bits_of(z: int, m: int) -> str:
     return format(z, f"0{m}b")[::-1]
 
 
-def _nelder_mead_restarts(objective, draw, restarts: int, seed: int, options: dict):
-    """Nelder-Mead from `restarts` starting points draw(rng) of one seeded stream.
+def _nelder_mead(func, x0: np.ndarray, maxiter: int, xatol: float,
+                 fatol: float) -> tuple[np.ndarray, float]:
+    """Minimize func from x0 by Nelder-Mead; returns (best point, best value).
 
+    A port of scipy 1.17.1's `_minimize_neldermead` (BSD licence) on the
+    path that `minimize(method="Nelder-Mead", options={"maxiter": ...,
+    "xatol": ..., "fatol": ...})` takes: no bounds, fixed coefficients,
+    no evaluation cap.  The simplex, the sorts and the order of every
+    floating-point operation are scipy's, so each iterate is bit-identical;
+    tests/test_quantum.py checks that against scipy.  func is given rows of
+    the simplex itself, where scipy passes copies, so it must not change
+    its argument.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    n = len(x0)
+    sim = np.tile(x0, (n + 1, 1))
+    for k in range(n):
+        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.array([func(v) for v in sim], dtype=float)
+    # sorted twice, as scipy does: argsort may reorder tied values
+    for _ in range(2):
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+    iterations = 1
+    while iterations < maxiter:
+        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = (1 + rho) * xbar - rho * sim[-1]
+        fxr = func(xr)
+        if fxr < fsim[0]:
+            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+            fxe = func(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:
+                # outside contraction
+                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                fxc = func(xc)
+                contracted = fxc <= fxr
+            else:
+                # inside contraction (scipy's xcc)
+                xc = (1 - psi) * xbar + psi * sim[-1]
+                fxc = func(xc)
+                contracted = fxc < fsim[-1]
+            if contracted:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                # shrink toward the best vertex
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                    fsim[j] = func(sim[j])
+        iterations += 1
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+    return sim[0], np.min(fsim)
+
+
+def _nelder_mead_restarts(objective, draw, restarts: int, seed: int, options: dict):
+    """`_nelder_mead` from `restarts` starting points draw(rng) of one seeded stream.
+
+    `_nelder_mead` is scipy 1.17.1's Nelder-Mead (BSD licence), ported and
+    pinned to scipy's results by tests/test_quantum.py, so each restart
+    ends where `scipy.optimize.minimize(method="Nelder-Mead")` would.
     Returns (best value, best point, the final value of every restart).
     """
+    if restarts < 1:
+        raise QuantumSimError("restarts must be >= 1")
     rng = np.random.default_rng(seed)
     best_val = math.inf
     best_theta = None
     trace = []
     for _ in range(restarts):
-        res = minimize(objective, draw(rng), method="Nelder-Mead", options=options)
-        trace.append(float(res.fun))
-        if res.fun < best_val:
-            best_val = float(res.fun)
-            best_theta = res.x
+        theta, val = _nelder_mead(objective, draw(rng), **options)
+        trace.append(float(val))
+        if val < best_val:
+            best_val = float(val)
+            best_theta = theta
     return best_val, best_theta, trace
 
 

@@ -5,8 +5,8 @@ step's rows at a time; their bytes must equal those written from
 `to_sparse`, from the reference triplets of whole (w, w) blocks and from
 a whole `json.dump` document, at the default band height and at 7 rows.
 Streaming also keeps the writer's memory flat in the horizon T and
-linear in the step width, and importing the package or its CLI leaves
-the simulator and scipy unloaded.
+linear in the step width.  Importing the package, its CLI or its
+simulator leaves scipy unloaded, and so does a QAOA optimization.
 """
 import dataclasses
 import json
@@ -199,12 +199,22 @@ def _fresh_python(code: str) -> str:
                           check=True).stdout
 
 
-@pytest.mark.parametrize("module", ["qubofolio", "qubofolio.cli"])
-def test_import_leaves_scipy_and_simulator_unloaded(module):
+@pytest.mark.parametrize("module", ["qubofolio", "qubofolio.cli", "qubofolio.quantum"])
+def test_import_leaves_scipy_unloaded(module):
     out = _fresh_python(f"import sys, {module}\n"
-                        "loaded = ('scipy', 'qubofolio.quantum')\n"
-                        "print(sorted(m for m in loaded if m in sys.modules))")
+                        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert out.strip() == "[]"
+
+
+def test_qaoa_optimize_leaves_scipy_optimize_unloaded():
+    out = _fresh_python("import sys\n"
+                        "from qubofolio.quantum import qaoa_optimize\n"
+                        "from qubofolio.qubo import to_ising\n"
+                        "from qubofolio.toy import random_sparse_qubo\n"
+                        "qaoa_optimize(to_ising(random_sparse_qubo(3, seed=1)), layers=1,"
+                        " restarts=1, maxiter=20)\n"
+                        "print('scipy.optimize' in sys.modules)")
+    assert out.strip() == "False"
 
 
 def test_simulator_names_resolve_from_the_package():

@@ -4,7 +4,8 @@ method of a package class is referenced as an attribute in the package,
 its tests or its demos, every option of an exported function or
 dataclass is passed by some call, every CLI option appears in a test,
 demo, bench file or the README, no module reads an environment
-variable, and every name a module exports exists."""
+variable or imports scipy at import time, and every name a module
+exports exists."""
 import argparse
 import ast
 import importlib
@@ -313,6 +314,39 @@ def test_environment_read_is_reported():
     source = ("import os\nfrom os import getenv, sep\n\n\n"
               "def cap():\n    return os.environ.get('CAP', getenv('CAP', sep))\n")
     assert _environment_reads(source) == ["os.getenv (line 2)", "os.environ (line 6)"]
+
+
+def _import_time_imports(source: str, package: str) -> list[str]:
+    """Each import of package or a submodule that runs when the module is
+    imported: at module level or in a class body, not inside a function."""
+    found = []
+    nodes = list(ast.parse(source).body)
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append((node.lineno, node.module))
+        nodes.extend(ast.iter_child_nodes(node))
+    return [f"{name} (line {line})" for line, name in sorted(found)
+            if name == package or name.startswith(package + ".")]
+
+
+def test_no_src_module_imports_scipy_at_top_level():
+    imports = [f"{p.name}: {found}" for p in sorted(SRC.glob("*.py"))
+               for found in _import_time_imports(p.read_text(encoding="utf-8"), "scipy")]
+    assert imports == []
+
+
+def test_top_level_scipy_import_is_reported():
+    source = ("import scipy\nimport scipyx\n\ntry:\n    from scipy.optimize import minimize\n"
+              "except ImportError:\n    pass\n\n\nclass Fit:\n    import scipy.linalg as la\n\n"
+              "    def solve(self):\n        from scipy import sparse\n\n\n"
+              "def bound():\n    import scipy.sparse\n")
+    assert _import_time_imports(source, "scipy") == [
+        "scipy (line 1)", "scipy.optimize (line 5)", "scipy.linalg (line 11)"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

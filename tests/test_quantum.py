@@ -1,13 +1,15 @@
 """Statevector simulator: exact diagonalization oracle, closed-form
 single-qubit cases, variational bounds, annealing, and sampling.
 """
+import inspect
 import math
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from qubofolio.qubo import IsingModel, ising_value, to_ising
+from qubofolio.qubo import IsingModel, build_qubo, ising_value, to_ising
 from qubofolio.quantum import (
     QUBIT_CAP,
     AnnealSchedule,
@@ -20,7 +22,7 @@ from qubofolio.quantum import (
     qaoa_run,
     vqe_run,
 )
-from qubofolio.toy import random_sparse_qubo
+from qubofolio.toy import random_sparse_qubo, toy_spec
 
 
 def _single_field(value=1.0):
@@ -492,3 +494,116 @@ def test_qaoa_state_matches_exponential_reference():
     state, drift = _qaoa_state(cost, params)
     assert np.max(np.abs(_frame(m) * state - expected)) <= 1e-12
     assert drift <= 1e-9
+
+
+@pytest.mark.parametrize("restarts", [0, -1])
+def test_optimizers_reject_fewer_than_one_restart(restarts):
+    ising = _random_ising(3, seed=2)
+    with pytest.raises(QuantumSimError, match="restarts must be >= 1"):
+        qaoa_optimize(ising, layers=1, restarts=restarts)
+    with pytest.raises(QuantumSimError, match="restarts must be >= 1"):
+        vqe_run(ising, layers=1, restarts=restarts)
+
+
+# --- Nelder-Mead against scipy ------------------------------------------------
+
+# A marker text of each branch of quantum._nelder_mead and of its tolerance stop.
+_NM_MARKERS = {
+    "reflect": "sim[-1], fsim[-1] = xr, fxr",
+    "expand": "fxe = func(xe)",
+    "outside contraction": "xc = (1 + psi * rho)",
+    "inside contraction": "xc = (1 - psi)",
+    "shrink": "fsim[j] = func(sim[j])",
+    "tolerance": "break",
+}
+
+
+def _counted(func):
+    """func and a one-element list counting its calls."""
+    calls = [0]
+
+    def wrapped(x):
+        calls[0] += 1
+        return func(x)
+
+    return wrapped, calls
+
+
+def _nelder_mead_lines(call):
+    """call()'s result and the set of markers of quantum._nelder_mead it ran."""
+    from qubofolio import quantum
+
+    lines, first = inspect.getsourcelines(quantum._nelder_mead)
+    marker_at = {first + i: name for name, text in _NM_MARKERS.items()
+                 for i, line in enumerate(lines) if text in line}
+    code, hit = quantum._nelder_mead.__code__, set()
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno in marker_at:
+            hit.add(marker_at[frame.f_lineno])
+        return local
+
+    old = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        result = call()
+    finally:
+        sys.settrace(old)
+    return result, hit
+
+
+def _recorded_objectives(monkeypatch):
+    """(objective, start, options) of each Nelder-Mead run of a QAOA and a VQE optimization."""
+    from qubofolio import quantum
+
+    seen = []
+    nelder_mead = quantum._nelder_mead
+
+    def record(func, x0, **options):
+        seen.append((func, x0.copy(), options))
+        return nelder_mead(func, x0, **options)
+
+    monkeypatch.setattr(quantum, "_nelder_mead", record)
+    ising, _ = normalize_ising(to_ising(build_qubo(toy_spec(n=2, T=1))))
+    qaoa_optimize(ising, layers=2, restarts=2, seed=3)
+    vqe_run(ising, layers=1, restarts=2, seed=3)
+    monkeypatch.undo()
+    return seen
+
+
+def _rosenbrock(x):
+    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+
+
+def _staircase(x):
+    """Flat steps: tied values, and contractions that fail until the simplex shrinks."""
+    return float(np.sum(np.floor(4.0 * x) ** 2))
+
+
+def test_nelder_mead_is_bit_identical_to_scipy(monkeypatch):
+    from scipy.optimize import minimize
+
+    from qubofolio.quantum import _nelder_mead
+
+    tolerances = {"xatol": 1e-4, "fatol": 1e-4}
+    cases = [(func, np.array(x0), {"maxiter": 2000, **tolerances})
+             for func in (_rosenbrock, _staircase)
+             for x0 in ([0.0, 0.0], [-1.2, 0.0, 1.0], [1.0, 2.0])]
+    cases += _recorded_objectives(monkeypatch)
+    assert len(cases) == 10
+    taken, stops = set(), set()
+    for func, x0, options in cases:
+        for maxiter in sorted({0, 1, 20, options["maxiter"]}):
+            opts = {**options, "maxiter": maxiter}
+            ours, our_calls = _counted(func)
+            (x, fun), hit = _nelder_mead_lines(lambda: _nelder_mead(ours, x0.copy(), **opts))
+            theirs, their_calls = _counted(func)
+            res = minimize(theirs, x0.copy(), method="Nelder-Mead", options=opts)
+            assert x.tobytes() == res.x.tobytes()
+            assert np.float64(fun).tobytes() == np.float64(res.fun).tobytes()
+            assert our_calls[0] == their_calls[0]
+            taken |= hit - {"tolerance"}
+            if maxiter > 1:  # below 2 the loop never runs
+                stops.add("tolerance" if "tolerance" in hit else "maxiter")
+    assert taken == set(_NM_MARKERS) - {"tolerance"}
+    assert stops == {"maxiter", "tolerance"}
