@@ -265,6 +265,8 @@ def _nelder_mead(func, x0: np.ndarray, maxiter: int, xatol: float,
     """
     rho, chi, psi, sigma = 1, 2, 0.5, 0.5
     n = len(x0)
+    if n == 0:  # no coordinates: x0 is the only point
+        return x0, func(x0)
     sim = np.tile(x0, (n + 1, 1))
     for k in range(n):
         sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025

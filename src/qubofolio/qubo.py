@@ -145,7 +145,7 @@ class SparseQubo:
     def __post_init__(self):
         rows, cols = np.asarray(self.rows), np.asarray(self.cols)
         _check_indices("triplet", self.num_vars, rows, cols)
-        if (rows > cols).any():
+        if not _every_block(lambda r, c: (r <= c).all(), rows, cols):
             raise QuboError("triplets must satisfy i <= j")
         dtype = _index_dtype(self.num_vars)
         rows, cols = rows.astype(dtype, copy=False), cols.astype(dtype, copy=False)
@@ -664,10 +664,19 @@ def objective_breakdown(spec: ProblemSpec, bits) -> dict[str, float]:
 
 _MIN_TERM_BYTES = 6  # the shortest term line, "0 0 0\n"
 _CHUNK_LINES = 1 << 16  # term lines per chunk of the writer
-_CHUNK_CHARS = 1 << 20  # characters per chunk of the reader, cut back to a line end
-_MAX_INDEX_DIGITS = 18  # every 18-digit index fits in int64
-_PAD_BYTES = 32  # zero bytes around a parsed chunk; longer value tokens take the per-line parse
-_PAD = bytes(_PAD_BYTES)
+_CHUNK_CHARS = 1 << 18  # characters per chunk of the reader, cut back to a line end
+_MAX_INDEX_DIGITS = 16  # two words of 8 digits; longer index fields take the per-line parse
+_MAX_TOKEN_BYTES = 24  # three words; longer value tokens take the per-line parse
+_PAD_BYTES = 24  # bytes on either side of a parsed chunk, so every word read lies inside it
+_FRONT = b"0" * (_PAD_BYTES - 1) + b"\n"  # ends as the line before the chunk would
+_BACK = b"0" * _PAD_BYTES
+_ZEROS = 0x3030303030303030  # '0' in every byte of a word
+_HIGH_BYTES = np.array([(1 << 64) - (1 << (64 - 8 * k)) for k in range(9)], dtype=np.uint64)
+_TOKEN_MASKS = np.array([[(1 << 8 * min(max(n - 8 * k, 0), 8)) - 1  # [k, n]: word k of n bytes
+                          for n in range(_MAX_TOKEN_BYTES + 1)]
+                         for k in range(_MAX_TOKEN_BYTES // 8)], dtype=np.uint64)
+_SEPARATORS = np.array([ord(" "), ord(" "), ord("\n")], dtype=np.uint8)  # of a canonical line
+_CHECK_BLOCK = 1 << 16  # terms per block of a check over every term
 
 
 def _text_rows(keys: np.ndarray, texts) -> np.ndarray:
@@ -781,55 +790,125 @@ def write_ising_text(ising: IsingModel, path) -> None:
         _write_terms(fh, ising.j_rows, ising.j_cols, ising.j_vals)
 
 
-def _digit_values(windows: np.ndarray, stop: np.ndarray, length: np.ndarray):
-    """Integers of the fields b[stop - length:stop], or None unless each is all digits."""
-    width = int(length.max())
-    digits = windows[stop - width, :width] - np.uint8(ord("0"))  # right-aligned
-    digits *= np.arange(width) >= (width - length)[:, None]  # leading zeros
-    if not (digits <= 9).all():
+def _eight_digits(w: np.ndarray, length: np.ndarray):
+    """The numbers in the high `length` (1-8) bytes of the words w, or None unless all are digits.
+
+    w is overwritten.  The first digit is the lowest kept byte, so the
+    dropped low bytes act as leading zeros.  Each byte is checked by two
+    nibble tests and the digits are combined in three multiply-shift steps
+    (Lemire, "Number parsing at a gigabyte per second", SPE 51(8), 2021).
+    """
+    keep = _HIGH_BYTES[length]
+    w &= keep
+    keep &= _ZEROS
+    w -= keep  # the digits; a byte below '0' borrows, which its own high nibble shows
+    np.add(w, 0x0606060606060606, out=keep)
+    keep |= w
+    keep &= 0xF0F0F0F0F0F0F0F0
+    if keep.any():  # a high nibble set in d or in d + 6: some byte is not a digit
         return None
-    value = np.zeros(len(digits), dtype=np.int64)
-    for col in digits.T:
-        value *= 10
-        value += col
+    w *= 2561  # 10 * 2**8 + 1: two-digit lanes
+    w >>= 8
+    w &= 0x00FF00FF00FF00FF
+    w *= 6553601  # 100 * 2**16 + 1: four-digit lanes
+    w >>= 16
+    w &= 0x0000FFFF0000FFFF
+    w *= 42949672960001  # 10**4 * 2**32 + 1: the number
+    w >>= 32
+    return w.view(np.int64)
+
+
+def _digit_words(words: np.ndarray, stop: np.ndarray, length: np.ndarray):
+    """Integers of the 1-16 digit fields that end before stop, or None unless each is all digits.
+
+    A field's last 8 digits are the high bytes of the word that ends at
+    stop, and any digits before them the high bytes of the word before it.
+    """
+    value = _eight_digits(words[stop - 8], np.minimum(length, 8))
+    wide = np.flatnonzero(length > 8)
+    if value is None or not len(wide):
+        return value
+    high = _eight_digits(words[stop[wide] - 16], length[wide] - 8)
+    if high is None:
+        return None
+    value[wide] += high * 10**8
     return value
 
 
-def _canonical_terms(b: np.ndarray, ends: np.ndarray):
-    """(rows, cols, vals) of lines `digits SP digits SP token LF`, or None if any line is not.
+def _token_keys(parts: list[np.ndarray]) -> np.ndarray:
+    """A 64-bit key of each value token from its masked words; equal tokens get equal keys."""
+    key = parts[0].copy()
+    for w in parts[1:]:
+        key *= 0x9E3779B97F4A7C15
+        key ^= w
+    return key
 
-    b holds whole lines from b[_PAD_BYTES], ends their LF positions, and
-    _PAD_BYTES zero bytes on either side.  Each distinct value token runs
-    through float once, so vals are float(token) bit for bit; a token float
-    rejects sends the chunk to the per-line parse.
+
+def _token_values(words: np.ndarray, start: np.ndarray, length: np.ndarray):
+    """float of each token of 1-24 bytes at start, or None if float rejects one or keys collide.
+
+    A token is read as up to three words, masked past its end.  Runs of
+    equal keys, then the distinct keys of the runs, are checked word for
+    word against one token of each, and float runs once per distinct token.
     """
-    spaces = np.flatnonzero(b == ord(" "))
-    if len(spaces) != 2 * len(ends):
-        return None
-    starts = np.r_[_PAD_BYTES, ends[:-1] + 1]
-    s1, s2 = spaces[0::2], spaces[1::2]
-    len_i, len_j, len_v = s1 - starts, s2 - s1 - 1, ends - s2 - 1
-    if not ((len_i > 0) & (len_j > 0) & (len_v > 0)).all() or max(
-            len_i.max(), len_j.max()) > _MAX_INDEX_DIGITS or len_v.max() > _PAD_BYTES:
-        return None
-    windows = np.lib.stride_tricks.sliding_window_view(b, _PAD_BYTES)
-    rows = _digit_values(windows, s1, len_i)
-    cols = None if rows is None else _digit_values(windows, s2, len_j)
-    if cols is None:
-        return None
-    width = -(-int(len_v.max()) // 8) * 8
-    tokens = windows[s2 + 1, :width]  # NUL-padded on the right
-    tokens *= np.arange(width) < len_v[:, None]
-    words = tokens.view(np.uint64)
-    new = np.r_[True, (words[1:] != words[:-1]).any(axis=1)]
-    firsts = tokens[new].view(f"S{width}").ravel().tolist()  # one per run of equal tokens
-    distinct = dict.fromkeys(firsts)
+    parts = []
+    for k in range(-(-int(length.max()) // 8)):
+        w = words[start + 8 * k]
+        w &= _TOKEN_MASKS[k][length]
+        parts.append(w)
+    key = _token_keys(parts)
+    new = np.empty(len(key), dtype=bool)
+    new[0] = True
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    inside = ~new[1:]
+    if any(((w[1:] != w[:-1]) & inside).any() for w in parts):
+        return None  # a run of one key holds two tokens
+    first = np.flatnonzero(new)
+    parts = [w[first] for w in parts]  # one token a run from here on
+    order = np.argsort(key[first])  # np.unique's sort, unstable: any run of a key may stand for it
+    key = key[first[order]]
+    head = np.empty(len(order), dtype=bool)
+    head[0] = True
+    np.not_equal(key[1:], key[:-1], out=head[1:])
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(head) - 1
+    rep = order[head]
+    if any((w[rep][inverse] != w).any() for w in parts):
+        return None  # two distinct tokens share a key
+    tokens = np.stack([w[rep] for w in parts], axis=1).view(f"S{8 * len(parts)}").ravel()
     try:
-        value = dict(zip(distinct, map(float, distinct)))
+        value = np.fromiter(map(float, tokens.tolist()), dtype=np.float64, count=len(tokens))
     except ValueError:
         return None
-    vals = np.fromiter(map(value.__getitem__, firsts), dtype=np.float64, count=len(firsts))
-    return rows, cols, vals[np.cumsum(new) - 1]
+    return np.repeat(value[inverse], np.diff(first, append=len(start)))
+
+
+def _canonical_terms(buf: bytes, stop: int, count: int):
+    """(rows, cols, vals) of the `count` lines in buf[_PAD_BYTES:stop]; None unless all canonical.
+
+    A canonical line is `digits SP digits SP token LF`, with at most 16
+    digits and 24 token bytes.  buf has _PAD_BYTES on either side, the
+    first ending in LF.  The separators are found first, and then every
+    field is read through one strided view of buf as the little-endian
+    word at each byte offset (after Langdale and Lemire, "Parsing gigabytes
+    of JSON per second", VLDB J. 28, 2019).  vals are float(token) bit for
+    bit.
+    """
+    b = np.frombuffer(buf, dtype=np.uint8, count=stop)
+    seps = np.flatnonzero(b <= ord(" "))  # the LF before the first line, then three a line
+    if len(seps) != 3 * count + 1 or not (b[seps[1:]].reshape(count, 3) == _SEPARATORS).all():
+        return None
+    lengths = np.diff(seps)
+    lengths -= 1
+    len_i, len_j, len_v = lengths[0::3], lengths[1::3], lengths[2::3]
+    if lengths.min() < 1 or max(len_i.max(), len_j.max()) > _MAX_INDEX_DIGITS or (
+            len_v.max() > _MAX_TOKEN_BYTES):
+        return None
+    words = np.ndarray((len(buf) - 7,), "<u8", buffer=buf, strides=(1,))
+    vals = _token_values(words, seps[2::3] + 1, len_v)
+    rows = None if vals is None else _digit_words(words, seps[1::3], len_i)
+    cols = None if rows is None else _digit_words(words, seps[2::3], len_j)
+    return None if cols is None else (rows, cols, vals)
 
 
 def _parse_lines(text: str, first: int, count: int, path):
@@ -871,24 +950,29 @@ def _read_terms(fh, path, num_vars: int, num_terms: int):
             terms = _parse_lines(rest.decode("utf-8"), done, 1, path)  # a last line, no newline
             rest = b""
         else:
-            buf = rest + text.encode("utf-8")
-            b = np.frombuffer(buf, dtype=np.uint8)
-            ends = np.flatnonzero(b == ord("\n"))[: num_terms - done]
-            if len(ends) == 0:
-                rest = buf
+            buf = b"".join((_FRONT, rest, text.encode("utf-8"), _BACK))
+            del text
+            stop = buf.rfind(b"\n", _PAD_BYTES) + 1
+            if stop == 0:
+                rest = buf[_PAD_BYTES:-_PAD_BYTES]
                 continue
-            cut = int(ends[-1]) + 1
-            chunk, rest = buf[:cut], buf[cut:]
-            terms = None if b"\0" in chunk else _canonical_terms(
-                np.frombuffer(_PAD + chunk + _PAD, dtype=np.uint8), ends + _PAD_BYTES)
+            line_ends = np.frombuffer(buf, dtype=np.uint8, count=stop)[_PAD_BYTES:] == ord("\n")
+            count = np.count_nonzero(line_ends)
+            if count > num_terms - done:
+                count = num_terms - done
+                stop = _PAD_BYTES + int(np.flatnonzero(line_ends)[count - 1]) + 1
+            del line_ends
+            rest = buf[stop:-_PAD_BYTES]
+            terms = _canonical_terms(buf, stop, count)
             if terms is None:
-                terms = _parse_lines(chunk.decode("utf-8"), done, len(ends), path)
+                terms = _parse_lines(buf[_PAD_BYTES:stop].decode("utf-8"), done, count, path)
         r, c, v = terms
         if (r > c).any() or c.max() >= num_vars or r.min() < 0:
             raise QuboParseError(f"{path}: term indices out of range or not upper-triangular")
         stop = done + len(v)
         rows[done:stop], cols[done:stop], vals[done:stop] = terms
         done = stop
+        del terms, r, c, v  # else they live on through the next chunk's parse
     return rows, cols, vals, rest
 
 
@@ -912,7 +996,7 @@ def read_qubo_text(path):
         if rest.decode("utf-8").strip() or any(
                 text.strip() for text in iter(lambda: fh.read(_CHUNK_CHARS), "")):
             raise QuboParseError(f"{path}: more lines than the {num_terms} terms declared")
-    if not np.isfinite(vals).all():
+    if not _every_block(lambda v: np.isfinite(v).all(), vals):
         raise QuboParseError(f"{path}: non-finite term value")
     if header[1] == "ising":
         diag = rows == cols
@@ -926,19 +1010,19 @@ def read_qubo_text(path):
     return SparseQubo(num_vars=num_vars, rows=rows, cols=cols, vals=vals, offset=offset)
 
 
-_ORDER_BLOCK = 1 << 20  # terms per block of the order check
+def _every_block(test, *arrays) -> bool:
+    """Whether test holds on each block of _CHECK_BLOCK entries of the equal-length arrays.
+
+    The block's temporaries are all the memory the check takes.
+    """
+    return all(test(*(a[i:i + _CHECK_BLOCK] for a in arrays))
+               for i in range(0, len(arrays[0]), _CHECK_BLOCK))
 
 
 def _increasing(rows, cols) -> bool:
-    """Whether the (i, j) pairs strictly increase, checked a block at a time.
-
-    The block's masks are all the memory the check takes.
-    """
-    for a in range(0, len(rows), _ORDER_BLOCK):
-        r, c = rows[a:a + _ORDER_BLOCK + 1], cols[a:a + _ORDER_BLOCK + 1]
-        if not ((r[1:] > r[:-1]) | ((r[1:] == r[:-1]) & (c[1:] > c[:-1]))).all():
-            return False
-    return True
+    """Whether the (i, j) pairs strictly increase, checked a block at a time."""
+    return _every_block(lambda r, c, r1, c1: ((r1 > r) | ((r1 == r) & (c1 > c))).all(),
+                        rows[:-1], cols[:-1], rows[1:], cols[1:])
 
 
 def _sum_repeated(rows, cols, vals):

@@ -352,7 +352,7 @@ def _descend(qubo: BlockQubo, x: np.ndarray):
     """
     deltas = delta_energies(qubo, x)
     flips = 0
-    while True:
+    while len(deltas):
         i = int(np.argmin(deltas))
         if deltas[i] >= 0.0:
             break
@@ -390,11 +390,13 @@ def solve_sa(qubo, budget: SolveBudget | None = None) -> SolveReport:
     x = rng.integers(0, 2, size=n).astype(np.int8)
     deltas = delta_energies(qubo, x)
     e = energy(qubo, x)
+    run.offer(e, x)
+    if n == 0:  # the empty assignment is the only one
+        return run.report(0)
     t0 = max(float(np.percentile(np.abs(deltas), 90)), 1e-12)
     tf = t0 * _SA_FINAL_RATIO
     max_it = run.budget.max_iterations or 200 * n
     cooling, span = tf / t0, max(max_it - 1, 1)
-    run.offer(e, x)
     iterations = 0
     while iterations < max_it and not run.spent(iterations):
         m = min(_SA_BLOCK, max_it - iterations)
@@ -514,6 +516,6 @@ def solve_abs(qubo, budget: SolveBudget | None = None) -> SolveReport:
         improvement = (run.best_e - e) if math.isfinite(run.best_e) else 0.0
         scores.update(op, improvement, work)
         admit(e, x)
-        if run.offer(e, x) or run.spent(iterations):
+        if run.offer(e, x) or run.spent(iterations) or n == 0:  # n = 0: one assignment
             break
     return run.report(iterations)

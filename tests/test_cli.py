@@ -150,6 +150,22 @@ def test_solve_unparseable_exits_4(tmp_path):
                "--out", str(tmp_path / "r.json")) == 4
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--solver", "abs"], ["solve", "--solver", "bnb"], ["solve", "--solver", "exact"],
+    ["solve", "--solver", "sa"], ["quantum", "--algo", "anneal"], ["quantum", "--algo", "qaoa"],
+    ["quantum", "--algo", "vqe"]], ids=lambda argv: argv[-1])
+def test_zero_variable_file_gives_the_empty_assignment_at_the_offset(tmp_path, argv):
+    qubo, out = tmp_path / "zero.qubo", tmp_path / "r.json"
+    qubo.write_text("p qubo 0 0 1.5\n")
+    assert run(*argv, "--qubo", str(qubo), "--out", str(out)) == 0
+    doc = json.loads(out.read_text())
+    if argv[0] == "solve":
+        assert doc["best_energy"] == 1.5 and doc["bits"] == ""
+    else:
+        assert doc["qubits"] == 0 and doc["ground_energy"] == 1.5
+        assert doc["expectation"] == pytest.approx(1.5, rel=1e-12)
+
+
 def test_quantum_anneal_two_qubits(tmp_path):
     qubo = tmp_path / "two.qubo"
     write_qubo_text(random_sparse_qubo(2, seed=3), qubo)

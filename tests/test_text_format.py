@@ -3,6 +3,8 @@
 Chunk sizes are patched down to a few lines or characters, so every file
 here spans many chunks and every line layout meets a chunk boundary.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,12 +16,14 @@ from qubofolio.qubo import (
     IsingModel,
     QuboParseError,
     SparseQubo,
+    build_qubo,
     read_qubo_text,
     to_ising,
+    to_sparse,
     write_ising_text,
     write_qubo_text,
 )
-from qubofolio.toy import random_sparse_qubo
+from qubofolio.toy import random_sparse_qubo, synthetic_spec
 
 SPECIAL = [-0.0, 0.0, 5e-324, 0.1, 2.0, 1e16, 1e22, -1.7976931348623157e308]
 
@@ -53,6 +57,10 @@ def assert_bits_equal(got, want):
     """Equal dtypes and equal bytes, so -0.0 and 0.0 differ and int32 and int64 do too."""
     for a, b in zip(got, want):
         assert a.dtype == b.dtype and np.array_equal(a.view(np.uint8), b.view(np.uint8))
+
+
+def no_per_line_parse(*args):
+    raise AssertionError("a canonical chunk was parsed line by line")
 
 
 def sample_terms(num_vars: int, seed: int):
@@ -121,11 +129,7 @@ def test_canonical_file_takes_no_per_line_parse(tmp_path, monkeypatch, chunk):
     sq = random_sparse_qubo(30, seed=4)
     path = tmp_path / "a.qubo"
     write_qubo_text(sq, path)
-
-    def per_line(*args):
-        raise AssertionError("a canonical chunk was parsed line by line")
-
-    monkeypatch.setattr(qubo_module, "_parse_lines", per_line)
+    monkeypatch.setattr(qubo_module, "_parse_lines", no_per_line_parse)
     parsed = read_qubo_text(path)
     assert_bits_equal((parsed.rows, parsed.cols, parsed.vals), (sq.rows, sq.cols, sq.vals))
 
@@ -230,10 +234,7 @@ def test_reader_rejects_an_index_that_would_wrap_in_int32(tmp_path, monkeypatch,
     path.write_text(f"p qubo 40000 2 0.0\n0 0 1.0\n4294967301{sep}4294967301{sep}1.0\n")
     assert qubo_module._index_dtype(40000) is np.int32
     if sep == " ":
-        def per_line(*args):
-            raise AssertionError("a canonical chunk was parsed line by line")
-
-        monkeypatch.setattr(qubo_module, "_parse_lines", per_line)
+        monkeypatch.setattr(qubo_module, "_parse_lines", no_per_line_parse)
     with pytest.raises(QuboParseError, match="out of range or not upper-triangular"):
         read_qubo_text(path)
     out = tmp_path / "r.json"
@@ -248,10 +249,7 @@ def test_reader_rejects_an_index_that_would_wrap_in_int16(tmp_path, monkeypatch,
     path.write_text(f"p qubo 10 2 0.0\n0 0 1.0\n65541{sep}65541{sep}1.0\n")
     assert qubo_module._index_dtype(10) is np.int16
     if sep == " ":
-        def per_line(*args):
-            raise AssertionError("a canonical chunk was parsed line by line")
-
-        monkeypatch.setattr(qubo_module, "_parse_lines", per_line)
+        monkeypatch.setattr(qubo_module, "_parse_lines", no_per_line_parse)
     with pytest.raises(QuboParseError, match="out of range or not upper-triangular"):
         read_qubo_text(path)
     out = tmp_path / "r.json"
@@ -270,3 +268,107 @@ def test_reader_keeps_int64_indices_past_two_to_the_31(tmp_path):
     parsed = read_qubo_text(path)
     assert parsed.rows.dtype == parsed.cols.dtype == np.int32
     assert parsed.cols.tolist() == [2**31 - 2]
+
+
+# --- the word parse of canonical chunks -------------------------------------------
+
+HAND_TOKENS = ["1", "1e5", "+2.5", "1_0", "-0.0", "5e-324", "1e22", "0.25"]
+
+
+@st.composite
+def index_texts(draw):
+    """An index of 1-18 digits, leading zeros included: over 16 takes the per-line parse."""
+    digits = draw(st.integers(1, 18))
+    return str(draw(st.integers(0, 10**digits - 1))).zfill(digits)
+
+
+long_tokens = st.integers(25, 32).flatmap(lambda n: st.sampled_from(
+    ["0" * (n - 3) + "1.5", "1." + "2" * (n - 2), "-" + "3" * (n - 5) + "e-10"]))
+value_tokens = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.tuples(st.integers(10**16, 10**17 - 1), st.integers(-330, 290)).map(
+        lambda m: f"{m[0]}e{m[1]}"),  # 17-digit mantissas
+    st.sampled_from(HAND_TOKENS), long_tokens)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(index_texts(), index_texts(), value_tokens), min_size=1, max_size=40),
+       st.integers(7, 200))
+def test_word_parse_matches_reference_on_canonical_files(tmp_path_factory, terms, chunk):
+    lines = [f"{i} {j} {v}" if int(i) <= int(j) else f"{j} {i} {v}" for i, j, v in terms]
+    num_vars = 1 + max(int(field) for i, j, _ in terms for field in (i, j))
+    path = tmp_path_factory.mktemp("words") / "w.qubo"
+    path.write_text(f"p qubo {num_vars} {len(lines)} 0.0\n" + "\n".join(lines) + "\n")
+    want = reference_terms(path.read_text())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qubo_module, "_CHUNK_CHARS", chunk)
+        parsed = read_qubo_text(path)
+    expected = SparseQubo(num_vars=num_vars, rows=want[0], cols=want[1], vals=want[2], offset=0.0)
+    assert_bits_equal((parsed.rows, parsed.cols, parsed.vals),
+                      (expected.rows, expected.cols, expected.vals))
+
+
+@pytest.mark.parametrize("mixer", [
+    lambda parts: np.zeros(len(parts[0]), dtype=np.uint64),  # every run holds two tokens
+    lambda parts: np.arange(len(parts[0]), dtype=np.uint64) % 2,  # distinct runs share a key
+], ids=["zeros", "alternating"])
+def test_key_collision_takes_the_per_line_parse(tmp_path, monkeypatch, mixer):
+    rows, cols, vals = sample_terms(15, seed=7)
+    path = tmp_path / "a.qubo"
+    write_qubo_text(SparseQubo(num_vars=15, rows=rows, cols=cols, vals=vals, offset=0.0), path)
+    want = reference_terms(path.read_text())
+    per_line = []
+
+    def counted(*args):
+        per_line.append(args[2])
+        return parse_lines(*args)
+
+    parse_lines = qubo_module._parse_lines
+    monkeypatch.setattr(qubo_module, "_CHUNK_CHARS", 200)
+    monkeypatch.setattr(qubo_module, "_parse_lines", counted)
+    monkeypatch.setattr(qubo_module, "_token_keys", mixer)
+    parsed = read_qubo_text(path)
+    assert_bits_equal((parsed.rows, parsed.cols, parsed.vals), want)
+    assert sum(per_line) > len(vals) // 2  # a chunk of one line cannot collide
+
+
+@pytest.mark.parametrize("chunk", [200, 1 << 18])
+def test_spec_export_parses_bit_for_bit_without_the_per_line_parse(tmp_path, monkeypatch, chunk):
+    """A slow fallback would keep the arrays right and lose the speed, so none may run."""
+    qubo = build_qubo(synthetic_spec(n=20, T=3, seed=1))
+    path = tmp_path / "spec.qubo"
+    write_qubo_text(qubo, path)
+    monkeypatch.setattr(qubo_module, "_CHUNK_CHARS", chunk)
+    monkeypatch.setattr(qubo_module, "_parse_lines", no_per_line_parse)
+    parsed, want = read_qubo_text(path), to_sparse(qubo)
+    assert_bits_equal((parsed.rows, parsed.cols, parsed.vals), (want.rows, want.cols, want.vals))
+    assert parsed.offset == want.offset
+
+
+def test_reader_working_set_is_bounded_by_the_chunk(tmp_path, monkeypatch):
+    """Above its result the reader holds less than a byte a term and 16 chunks.
+
+    A whole-file bool mask alone is a byte a term.  Measured: 0.56 bytes a
+    term, 13.6 chunks.  The value tokens here are all distinct, the most
+    a chunk's dedup can hold; exp1's export reads 7.2 chunks.
+    """
+    num_terms, chunk = 200_000, 1 << 13
+    rng = np.random.default_rng(3)
+    iu, ju = np.triu_indices(1000)
+    pick = np.sort(rng.choice(len(iu), num_terms, replace=False))
+    vals = rng.normal(size=num_terms) * 10.0 ** rng.integers(-5, 8, num_terms)
+    path = tmp_path / "big.qubo"
+    write_qubo_text(SparseQubo(num_vars=1000, rows=iu[pick], cols=ju[pick], vals=vals,
+                               offset=0.0), path)
+    monkeypatch.setattr(qubo_module, "_CHUNK_CHARS", chunk)
+    monkeypatch.setattr(qubo_module, "_CHECK_BLOCK", 1 << 11)
+    tracemalloc.start()
+    try:
+        parsed = read_qubo_text(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    above = peak - parsed.rows.nbytes - parsed.cols.nbytes - parsed.vals.nbytes
+    assert np.array_equal(parsed.vals.view(np.int64), vals.view(np.int64))
+    assert above < num_terms
+    assert above < 16 * chunk
