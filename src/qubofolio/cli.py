@@ -50,12 +50,28 @@ def _load_spec(args) -> ProblemSpec:
         return toy_spec(n=args.toy_n, T=args.toy_t, seed=args.seed)
     if not args.config:
         raise CliError(EXIT_SPEC, "either --config or --toy is required")
+    return _read_input(args.config, spec_from_json)
+
+
+def _read_input(path, read):
+    """read(path), every CLI input file's one read: a file that cannot be opened,
+    decoded or parsed as JSON exits 4 as "<path>: <reason>"; read keeps its content checks."""
     try:
-        return spec_from_json(args.config)
-    except FileNotFoundError as exc:
-        raise CliError(EXIT_PARSE, str(exc))
-    except json.JSONDecodeError as exc:
-        raise CliError(EXIT_PARSE, f"{args.config}: invalid JSON: {exc}")
+        return read(path)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CliError(EXIT_PARSE, f"{path}: {exc}")
+
+
+def _read_json(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _write_json(path, doc) -> None:
+    """doc as indented JSON and a newline: every JSON document the CLI writes."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
 
 
 def _checked(kind, ok, what):
@@ -113,10 +129,7 @@ def cmd_build(args) -> int:
 def _load_problem(args):
     """Instance for solve/quantum: a parsed QUBO file or a built spec."""
     if getattr(args, "qubo", None):
-        try:
-            return read_qubo_text(args.qubo)
-        except (OSError, UnicodeDecodeError) as exc:
-            raise CliError(EXIT_PARSE, f"{args.qubo}: {exc}")
+        return _read_input(args.qubo, read_qubo_text)
     spec = _load_spec(args)
     return build_qubo(spec)
 
@@ -126,7 +139,7 @@ def cmd_solve(args) -> int:
     if isinstance(problem, IsingModel):
         raise CliError(EXIT_PARSE, "solve expects a QUBO file, got an Ising export")
     report = SOLVERS[args.solver](problem, _budget(args))
-    report.save(args.out)
+    _write_json(args.out, report.to_json())
     print(f"{args.solver}: best energy {report.best_energy!r} "
           f"(lower bound {report.lower_bound!r}), wrote {args.out}")
     return EXIT_OK
@@ -136,33 +149,28 @@ def cmd_quantum(args) -> int:
     if args.algo == "anneal" and args.dt >= args.tau:
         raise CliError(EXIT_SPEC, f"--dt {args.dt!r} must be smaller than --tau {args.tau!r}")
     problem = _load_problem(args)
-    try:
-        # before any model-sized array: a file header can declare ~1e12 variables
-        is_ising = isinstance(problem, IsingModel)
-        _check_cap(problem.num_spins if is_ising else problem.num_vars)
-        ising = problem if is_ising else to_ising(problem)
-        # currency-scale coefficients would swamp the unit-strength driver
-        ising, scale = normalize_ising(ising)
-        if args.algo == "qaoa":
-            if args.layers == 0:
-                doc = qaoa_run(ising, QaoaParams((), ()), shots=args.shots, seed=args.seed)
-            else:
-                params, _ = qaoa_optimize(ising, layers=args.layers, seed=args.seed)
-                doc = qaoa_run(ising, params, shots=args.shots, seed=args.seed)
-        elif args.algo == "vqe":
-            doc = vqe_run(ising, layers=max(args.layers, 1), seed=args.seed)
+    # before any model-sized array: a file header can declare ~1e12 variables
+    is_ising = isinstance(problem, IsingModel)
+    _check_cap(problem.num_spins if is_ising else problem.num_vars)
+    ising = problem if is_ising else to_ising(problem)
+    # currency-scale coefficients would swamp the unit-strength driver
+    ising, scale = normalize_ising(ising)
+    if args.algo == "qaoa":
+        if args.layers == 0:
+            doc = qaoa_run(ising, QaoaParams((), ()), shots=args.shots, seed=args.seed)
         else:
-            schedule = AnnealSchedule(total_time=args.tau, dt=args.dt)
-            doc = anneal_run(ising, schedule, shots=args.shots, seed=args.seed)
-    except QuantumSimError as exc:
-        raise CliError(EXIT_CAP, str(exc))
+            params, _ = qaoa_optimize(ising, layers=args.layers, seed=args.seed)
+            doc = qaoa_run(ising, params, shots=args.shots, seed=args.seed)
+    elif args.algo == "vqe":
+        doc = vqe_run(ising, layers=max(args.layers, 1), seed=args.seed)
+    else:
+        schedule = AnnealSchedule(total_time=args.tau, dt=args.dt)
+        doc = anneal_run(ising, schedule, shots=args.shots, seed=args.seed)
     doc["ground_energy"] *= scale
     doc["expectation"] *= scale
     if "restart_trace" in doc:
         doc["restart_trace"] = [value * scale for value in doc["restart_trace"]]
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_json(args.out, doc)
     print(f"{args.algo}: expectation {doc['expectation']!r}, "
           f"ground probability {doc['ground_probability']!r}, wrote {args.out}")
     return EXIT_OK
@@ -193,18 +201,15 @@ def cmd_sweep(args) -> int:
 
 def cmd_report(args) -> int:
     spec = _load_spec(args)
+    doc = _read_input(args.solution, _read_json)
     try:
-        with open(args.solution, encoding="utf-8") as fh:
-            doc = json.load(fh)
         # before decoding: the run lengths may add up to far more than memory holds
         size = sum(_rle_runs(doc["bits"])[1])
         if size != spec.layout.total:
             raise CliError(EXIT_MISMATCH, f"solution has {size} bits but the config layout "
                                           f"expects {spec.layout.total}")
         bits = SolveReport.from_json(doc).best
-    except FileNotFoundError as exc:
-        raise CliError(EXIT_PARSE, str(exc))
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise CliError(EXIT_PARSE, f"{args.solution}: {exc}")
     breakdown = objective_breakdown(spec, bits)
     metrics = economic_metrics(spec, bits)
@@ -220,9 +225,7 @@ def cmd_report(args) -> int:
     if args.out:
         doc = metrics.to_json()
         doc["objective_breakdown"] = breakdown
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        _write_json(args.out, doc)
         print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -291,22 +294,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, ModelError, MarketDataError, QuboError, QuantumSimError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (ModelError, MarketDataError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SPEC
-    except QuboParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except QuboError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
+        if isinstance(exc, CliError):
+            return exc.code
+        if isinstance(exc, (ModelError, MarketDataError)):
+            return EXIT_SPEC
+        return EXIT_PARSE if isinstance(exc, QuboParseError) else EXIT_CAP  # else a size cap
 
 
 if __name__ == "__main__":

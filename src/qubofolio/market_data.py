@@ -103,37 +103,41 @@ def _max_asymmetry(sigma: np.ndarray) -> float:
     return float(dev.max(initial=0.0))
 
 
+def _closes_by_ticker(reader, path) -> dict[str, dict[dt.date, tuple[float, int]]]:
+    """The (close, line number) of each ticker and date of the CSV rows `reader` yields."""
+    by_ticker: dict[str, dict[dt.date, tuple[float, int]]] = {}
+    header = next(reader, None)
+    if header is None or [c.strip().lower() for c in header] != ["date", "ticker", "close"]:
+        raise MarketDataError(f"{path}: expected header 'date,ticker,close', got {header}")
+    for lineno, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        try:
+            date = dt.date.fromisoformat(row[0].strip())
+            ticker = row[1].strip()
+            close = float(row[2])
+        except (IndexError, ValueError) as exc:
+            raise MarketDataError(f"{path}:{lineno}: unparseable row {row!r}: {exc}") from exc
+        if not 0 < close < math.inf:
+            raise MarketDataError(f"{path}:{lineno}: non-positive or non-finite close {close}")
+        first = by_ticker.setdefault(ticker, {}).setdefault(date, (close, lineno))[1]
+        if first != lineno:
+            raise MarketDataError(f"{path}:{lineno}: repeats {ticker} on {date}, "
+                                  f"first given on line {first}")
+    return by_ticker
+
+
 def load_prices(path) -> PriceTable:
     """Read every row of a ``date,ticker,close`` CSV into an aligned PriceTable.
 
     Tickers that do not cover every date in the file are dropped with a
     warning rather than imputed.  A repeated (date, ticker) row is an error.
     """
-    by_ticker: dict[str, dict[dt.date, tuple[float, int]]] = {}  # (close, line number)
     try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise MarketDataError(f"cannot open price file {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip().lower() for c in header] != ["date", "ticker", "close"]:
-            raise MarketDataError(f"{path}: expected header 'date,ticker,close', got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            try:
-                date = dt.date.fromisoformat(row[0].strip())
-                ticker = row[1].strip()
-                close = float(row[2])
-            except (IndexError, ValueError) as exc:
-                raise MarketDataError(f"{path}:{lineno}: unparseable row {row!r}: {exc}") from exc
-            if not 0 < close < math.inf:
-                raise MarketDataError(f"{path}:{lineno}: non-positive or non-finite close {close}")
-            first = by_ticker.setdefault(ticker, {}).setdefault(date, (close, lineno))[1]
-            if first != lineno:
-                raise MarketDataError(f"{path}:{lineno}: repeats {ticker} on {date}, "
-                                      f"first given on line {first}")
+        with open(path, newline="", encoding="utf-8") as fh:
+            by_ticker = _closes_by_ticker(csv.reader(fh), path)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MarketDataError(f"cannot read price file {path}: {exc}") from exc
 
     all_dates = sorted({d for series in by_ticker.values() for d in series})
     if not all_dates:

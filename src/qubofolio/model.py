@@ -288,6 +288,8 @@ def spec_from_json(source: str | dict[str, Any]) -> ProblemSpec:
     else:
         with open(source, encoding="utf-8") as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ModelError("spec JSON must be an object")
     missing = [f for f in _SPEC_SCALARS + _PARAM_FIELDS if f not in doc]
     if missing:
         raise ModelError(f"spec JSON missing fields: {missing}")

@@ -85,10 +85,6 @@ class QaoaParams:
         if len(self.gammas) != len(self.betas):
             raise QuantumSimError("gammas and betas must have equal length")
 
-    @property
-    def layers(self) -> int:
-        return len(self.gammas)
-
 
 @dataclass(frozen=True)
 class AnnealSchedule:
@@ -146,6 +142,8 @@ def diagonalize_cost(ising: IsingModel) -> DiagonalCost:
     np.add.at(coupling, (np.minimum(rows, cols)[~same], np.maximum(rows, cols)[~same]),
               vals[~same])
     energies = all_energies(ising.offset + vals[same].sum(), ising.h, coupling, -1.0)
+    if not np.isfinite(energies).all():  # coefficients, or their sums, overflowed
+        raise QuantumSimError("magnitude cap: the cost's energies are not all finite")
     return DiagonalCost(energies=energies)
 
 
@@ -237,17 +235,9 @@ def _phase(energies: np.ndarray, angle: float, out: np.ndarray | None = None) ->
     return out
 
 
-def _sample(probs: np.ndarray, shots: int, rng: np.random.Generator) -> dict[str, int]:
-    """`shots` draws from the basis-state probabilities |amplitude|^2."""
-    probs = probs / probs.sum()
-    counts = rng.multinomial(shots, probs)
-    m = probs.shape[0].bit_length() - 1
-    return {_bits_of(int(z), m): int(counts[z]) for z in np.flatnonzero(counts)}
-
-
 def _bits_of(z: int, m: int) -> str:
-    """Basis index z as an m-character bitstring, qubit 0 first."""
-    return format(z, f"0{m}b")[::-1]
+    """Basis index z as an m-character bitstring, qubit 0 first; "" for 0 qubits."""
+    return format(z, f"0{m}b")[::-1] if m else ""
 
 
 def _nelder_mead(func, x0: np.ndarray, maxiter: int, xatol: float,
@@ -344,18 +334,21 @@ def _run_doc(algo: str, cost: DiagonalCost, state: np.ndarray, drift: float, sho
     probs = np.abs(state) ** 2
     expectation = float(probs @ cost.energies)
     ground = cost.ground_states()
-    hist = _sample(probs, shots, rng) if shots else {}
-    if hist:
-        best_bits = min(hist, key=lambda b: cost.energies[int(b[::-1], 2)])
+    m = cost.num_qubits
+    if shots:  # `shots` draws; the best is the lowest-energy state drawn, the first on ties
+        counts = rng.multinomial(shots, probs / probs.sum())
+        drawn = np.flatnonzero(counts)
+        best = int(drawn[np.argmin(cost.energies[drawn])])
+        hist = {_bits_of(z, m): c for z, c in zip(drawn.tolist(), counts[drawn].tolist())}
     else:
-        best_bits = _bits_of(int(np.argmax(probs)), cost.num_qubits)
+        best, hist = int(np.argmax(probs)), {}
     return {
         "algo": algo,
-        "qubits": cost.num_qubits,
+        "qubits": m,
         "ground_energy": cost.ground_energy,
         "ground_probability": float(probs[ground].sum()),
         "expectation": expectation,
-        "best_bits": best_bits,
+        "best_bits": _bits_of(best, m),
         "params": params,
         "samples_hist": hist,
         **extra,

@@ -537,13 +537,24 @@ _DENSE_LIMIT = 8192
 
 
 def to_dense(qubo) -> tuple[np.ndarray, float]:
-    """Symmetric dense matrix A with linear terms on the diagonal: E = x'Ax + offset."""
+    """Symmetric dense matrix A with linear terms on the diagonal: E = x'Ax + offset.
+
+    Magnitude cap: a QuboError unless 4 * (|offset| + S) is finite, S the sum of |value|.
+    A row of A sums to at most S, so energies lie within |offset| + S and the
+    intermediates of delta_energies within 3S (dg + 2 * dx): no sum of them overflows.
+    """
     if not isinstance(qubo, (BlockQubo, SparseQubo)):
         raise QuboError(f"cannot densify {type(qubo).__name__}")
     if qubo.num_vars > _DENSE_LIMIT:
         raise QuboError(f"{qubo.num_vars} variables exceeds dense limit {_DENSE_LIMIT}")
     if isinstance(qubo, BlockQubo):
         qubo = to_sparse(qubo)
+    with np.errstate(over="ignore"):
+        S = sum(float(np.abs(qubo.vals[i:i + _CHECK_BLOCK]).sum())
+                for i in range(0, qubo.num_terms, _CHECK_BLOCK))
+    if not math.isfinite(4.0 * (abs(qubo.offset) + S)):
+        raise QuboError("magnitude cap: 4 * (|offset| + sum of |value|) is not finite, "
+                        "so energies could overflow")
     A = np.zeros((qubo.num_vars, qubo.num_vars))
     diag = qubo.rows == qubo.cols
     A[qubo.rows[diag], qubo.cols[diag]] = qubo.vals[diag]
@@ -583,19 +594,19 @@ def to_ising(qubo) -> IsingModel:
     """Map x = (s + 1)/2 so that F(s) + offset' equals the QUBO energy exactly."""
     if isinstance(qubo, BlockQubo):
         qubo = to_sparse(qubo)
-    n = qubo.num_vars
-    h = np.zeros(n)
-    offset = qubo.offset
+    h = np.zeros(qubo.num_vars)
     diag = qubo.rows == qubo.cols
-    dr, dv = qubo.rows[diag], qubo.vals[diag]
-    np.add.at(h, dr, dv / 2.0)
-    offset += float((dv / 2.0).sum())
-    off = ~diag
-    orow, ocol, oval = qubo.rows[off], qubo.cols[off], qubo.vals[off]
-    np.add.at(h, orow, oval / 4.0)
-    np.add.at(h, ocol, oval / 4.0)
-    offset += float((oval / 4.0).sum())
-    return IsingModel(h=h, j_rows=orow, j_cols=ocol, j_vals=oval / 4.0, offset=offset)
+    half = qubo.vals[diag]  # a mask index copies, so each coefficient is divided in place, once
+    half /= 2.0
+    np.add.at(h, qubo.rows[diag], half)
+    offset = qubo.offset + float(half.sum())
+    off = np.logical_not(diag, out=diag)  # in place: diag is not read again
+    orow, ocol, j = qubo.rows[off], qubo.cols[off], qubo.vals[off]
+    j /= 4.0
+    np.add.at(h, orow, j)
+    np.add.at(h, ocol, j)
+    offset += float(j.sum())
+    return IsingModel(h=h, j_rows=orow, j_cols=ocol, j_vals=j, offset=offset)
 
 
 def ising_value(ising: IsingModel, spins) -> float:
@@ -664,7 +675,7 @@ def objective_breakdown(spec: ProblemSpec, bits) -> dict[str, float]:
 
 _MIN_TERM_BYTES = 6  # the shortest term line, "0 0 0\n"
 _CHUNK_LINES = 1 << 16  # term lines per chunk of the writer
-_CHUNK_CHARS = 1 << 18  # characters per chunk of the reader, cut back to a line end
+_CHUNK_CHARS = 1 << 18  # characters per chunk of the reader, extended to a line end
 _MAX_INDEX_DIGITS = 16  # two words of 8 digits; longer index fields take the per-line parse
 _MAX_TOKEN_BYTES = 24  # three words; longer value tokens take the per-line parse
 _PAD_BYTES = 24  # bytes on either side of a parsed chunk, so every word read lies inside it
@@ -931,7 +942,8 @@ def _parse_lines(text: str, first: int, count: int, path):
 def _read_terms(fh, path, num_vars: int, num_terms: int):
     """rows, cols, vals of the next num_terms lines of text file fh, and the bytes read past them.
 
-    Text is read a chunk at a time and cut at its last line end.  A chunk of
+    Text is read a chunk at a time, each chunk extended to the end of its
+    last line; a last line without a line end is given one.  A chunk of
     canonical lines is parsed with numpy, any other chunk line by line.  Each
     chunk's int64 indices are checked against num_vars before they are stored
     in _index_dtype(num_vars), so none wraps.
@@ -941,31 +953,25 @@ def _read_terms(fh, path, num_vars: int, num_terms: int):
     cols = np.empty(num_terms, dtype=dtype)
     vals = np.empty(num_terms)
     done = 0
-    rest = b""
+    rest = b""  # of a file of 0 terms
     while done < num_terms:
-        text = fh.read(_CHUNK_CHARS)
+        text = fh.read(_CHUNK_CHARS) + fh.readline()
         if not text:
-            if not rest:
-                raise QuboParseError(f"{path}: expected {num_terms} terms, got {done}")
-            terms = _parse_lines(rest.decode("utf-8"), done, 1, path)  # a last line, no newline
-            rest = b""
-        else:
-            buf = b"".join((_FRONT, rest, text.encode("utf-8"), _BACK))
-            del text
-            stop = buf.rfind(b"\n", _PAD_BYTES) + 1
-            if stop == 0:
-                rest = buf[_PAD_BYTES:-_PAD_BYTES]
-                continue
-            line_ends = np.frombuffer(buf, dtype=np.uint8, count=stop)[_PAD_BYTES:] == ord("\n")
-            count = np.count_nonzero(line_ends)
-            if count > num_terms - done:
-                count = num_terms - done
-                stop = _PAD_BYTES + int(np.flatnonzero(line_ends)[count - 1]) + 1
-            del line_ends
-            rest = buf[stop:-_PAD_BYTES]
-            terms = _canonical_terms(buf, stop, count)
-            if terms is None:
-                terms = _parse_lines(buf[_PAD_BYTES:stop].decode("utf-8"), done, count, path)
+            raise QuboParseError(f"{path}: expected {num_terms} terms, got {done}")
+        buf = b"".join((_FRONT, text.encode("utf-8"), b"" if text.endswith("\n") else b"\n",
+                        _BACK))
+        del text
+        stop = len(buf) - _PAD_BYTES
+        line_ends = np.frombuffer(buf, dtype=np.uint8, count=stop)[_PAD_BYTES:] == ord("\n")
+        count = np.count_nonzero(line_ends)
+        if count > num_terms - done:
+            count = num_terms - done
+            stop = _PAD_BYTES + int(np.flatnonzero(line_ends)[count - 1]) + 1
+        del line_ends
+        rest = buf[stop:-_PAD_BYTES]
+        terms = _canonical_terms(buf, stop, count)
+        if terms is None:
+            terms = _parse_lines(buf[_PAD_BYTES:stop].decode("utf-8"), done, count, path)
         r, c, v = terms
         if (r > c).any() or c.max() >= num_vars or r.min() < 0:
             raise QuboParseError(f"{path}: term indices out of range or not upper-triangular")

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import json
 import math
 import time
 from dataclasses import dataclass
@@ -107,11 +106,6 @@ class SolveReport:
             solver_name=doc["solver"],
             seed=doc["seed"],
         )
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=2)
-            fh.write("\n")
 
 
 def rle_encode(bits) -> str:
@@ -354,7 +348,7 @@ def _descend(qubo: BlockQubo, x: np.ndarray):
     flips = 0
     while len(deltas):
         i = int(np.argmin(deltas))
-        if deltas[i] >= 0.0:
+        if not deltas[i] < 0.0:  # also a NaN delta, so no input can spin the loop
             break
         apply_flip(qubo, x, i, deltas)
         flips += 1
@@ -444,23 +438,21 @@ class _OperatorScores:
 
 
 def _tabu_walk(qubo: BlockQubo, x, tenure, steps):
-    """Tabu-limited flips: always take the best non-tabu move, even uphill."""
+    """Tabu-limited flips: always take the best non-tabu move, even uphill; returns (best, steps).
+
+    At most tenure - 1 bits are tabu at a step, and tenure <= n, so a move always exists.
+    """
     deltas = delta_energies(qubo, x)
     tabu_until = np.zeros(qubo.num_vars, dtype=np.int64)
     e = energy(qubo, x)
     best_x, best_e = x.copy(), e
-    flips = 0
     for step in range(steps):
-        masked = np.where(tabu_until > step, np.inf, deltas)
-        i = int(np.argmin(masked))
-        if not np.isfinite(masked[i]):
-            break
+        i = int(np.argmin(np.where(tabu_until > step, np.inf, deltas)))
         e += apply_flip(qubo, x, i, deltas)
         tabu_until[i] = step + tenure
-        flips += 1
         if e < best_e:
             best_e, best_x = e, x.copy()
-    return best_x, flips
+    return best_x, steps
 
 
 def solve_abs(qubo, budget: SolveBudget | None = None) -> SolveReport:

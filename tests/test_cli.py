@@ -1,6 +1,10 @@
 """End-to-end CLI: subcommands, file formats, determinism, exit codes."""
 import datetime as dt
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -164,6 +168,41 @@ def test_zero_variable_file_gives_the_empty_assignment_at_the_offset(tmp_path, a
     else:
         assert doc["qubits"] == 0 and doc["ground_energy"] == 1.5
         assert doc["expectation"] == pytest.approx(1.5, rel=1e-12)
+        assert doc["best_bits"] == ""  # 0 qubits spell the empty state, as solve does
+        assert doc["samples_hist"] == ({} if argv[-1] == "vqe" else {"": 1024})
+
+
+@pytest.mark.parametrize("solver", ["abs", "bnb", "sa", "exact"])
+def test_a_file_whose_energies_overflow_exits_3(tmp_path, solver):
+    """Finite values whose energies overflow hit the magnitude cap at once, in a fresh process.
+
+    Before the cap, abs and bnb descended on NaN deltas with no end and sa found no energy.
+    """
+    path = tmp_path / "huge.qubo"
+    path.write_text("p qubo 2 3 0.0\n0 0 1e308\n0 1 1e308\n1 1 1e308\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-m", "qubofolio.cli", "solve", "--qubo", str(path),
+                           "--solver", solver, "--time-limit", "5",
+                           "--out", str(tmp_path / "r.json")],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error: magnitude cap") and "Traceback" not in proc.stderr
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself warns
+@pytest.mark.parametrize("algo", ["anneal", "qaoa", "vqe"])
+def test_a_file_whose_repeated_terms_overflow_exits_3_in_quantum(tmp_path, capsys, algo):
+    """Two finite terms that sum to inf reached the simulator as NaN and crashed it."""
+    path = tmp_path / "repeated.qubo"
+    path.write_text("p qubo 2 3 0.0\n0 0 1e308\n0 0 1e308\n1 1 1.0\n")
+    assert run("quantum", "--qubo", str(path), "--algo", algo,
+               "--out", str(tmp_path / "q.json")) == 3
+    assert "error: magnitude cap" in capsys.readouterr().err
+    assert not (tmp_path / "q.json").exists()
 
 
 def test_quantum_anneal_two_qubits(tmp_path):
@@ -374,12 +413,17 @@ def _solution_with_bits(tmp_path, bits):
     return _solution_file(tmp_path, {**doc, "bits": bits})
 
 
+def _config_bytes(tmp_path, data: bytes):
+    """`build` from a config file holding `data`."""
+    path = tmp_path / "spec.json"
+    path.write_bytes(data)
+    return ["build", "--config", str(path), "--out", str(tmp_path / "out.qubo")]
+
+
 def _config_with(tmp_path, **fields):
     """`build` from the toy's spec JSON with `fields` overridden."""
     doc = {**spec_to_json(toy_spec(seed=0)), **fields}
-    path = tmp_path / "spec.json"
-    path.write_text(json.dumps(doc))
-    return ["build", "--config", str(path), "--out", str(tmp_path / "out.qubo")]
+    return _config_bytes(tmp_path, json.dumps(doc).encode())
 
 
 def _csv_config_with(tmp_path, **fields):
@@ -390,9 +434,15 @@ def _csv_config_with(tmp_path, **fields):
     write_price_csv(tmp_path / "prices.csv", ["A", "B", "C"], dates, close)
     doc = dict(n=n, T=T, k=1, B=3, C=2, q=0.01, delta=0.001, rho_c=0.0, rho_s=0.0, u=1000.0,
                cov_window=window, price_csv=str(tmp_path / "prices.csv"), **fields)
-    path = tmp_path / "spec.json"
-    path.write_text(json.dumps(doc))
-    return ["build", "--config", str(path), "--out", str(tmp_path / "out.qubo")]
+    return _config_bytes(tmp_path, json.dumps(doc).encode())
+
+
+def _csv_config_not_utf8(tmp_path):
+    """`build` from the three-asset price CSV config with a Latin-1 ticker row appended."""
+    argv = _csv_config_with(tmp_path)
+    with open(tmp_path / "prices.csv", "ab") as fh:
+        fh.write(b"2024-01-01,\xe9,100.0\n")
+    return argv
 
 
 def _csv_config_with_repeated_row(tmp_path):
@@ -443,13 +493,21 @@ def test_json_flags_accept_true_false_and_absent(tmp_path, flags):
     (2, lambda tmp: _config_with(tmp, P="1e6")),
     (2, _csv_config_with_repeated_row),
     (2, _csv_config_with_inline_arrays),
+    (4, lambda tmp: ["build", "--config", str(tmp), "--out", str(tmp / "out.qubo")]),
+    (4, lambda tmp: _config_bytes(tmp, b'{"n": "\xff"}')),
+    (4, lambda tmp: ["report", "--toy", "--solution", str(tmp)]),
+    (2, lambda tmp: _config_bytes(tmp, b"5")),
+    (2, lambda tmp: _config_bytes(tmp, b"null")),
+    (2, lambda tmp: _config_bytes(tmp, b'"spec"')),
+    (2, _csv_config_not_utf8),
 ], ids=["sweep-repeated-q", "sweep-empty-q", "toy-n-too-large", "toy-t-zero",
         "solution-bits-beyond-memory", "solution-bit-two", "solution-empty-run",
         "solution-negative-run", "solution-bits-not-text", "solution-not-a-report",
         "fractional-k-and-B", "fractional-T", "signed-risk-string", "signed-risk-zero",
         "raw-prices-string", "raw-prices-zero", "q-bool", "delta-string", "rho-c-bool",
         "rho-s-string", "u-null", "P-string", "csv-repeated-row",
-        "csv-and-inline-prices"])
+        "csv-and-inline-prices", "config-directory", "config-not-utf8", "solution-directory",
+        "config-number", "config-null", "config-string", "csv-not-utf8"])
 def test_bad_input_exits_with_its_documented_code(tmp_path, capsys, code, argv):
     assert run(*argv(tmp_path)) == code
     err = capsys.readouterr().err

@@ -2,6 +2,9 @@
 report serialization.
 """
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -221,6 +224,22 @@ def test_local_descent_terminates_at_one_flip_minimum():
         local_descent(qubo, x[:-1])
 
 
+def test_local_descent_stops_on_a_nan_delta():
+    """A NaN delta ends descent, where `delta >= 0` let it flip for ever: run under a timeout."""
+    code = ("import numpy as np\n"
+            "from qubofolio.qubo import _one_block\n"
+            "from qubofolio.solvers import local_descent\n"
+            "print(local_descent(_one_block(np.array([[np.nan]]), 0.0), [0]).tolist())\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0]"
+
+
 def test_local_descent_rejects_entries_other_than_zero_and_one():
     qubo = build_qubo(toy_spec(n=2, T=2, seed=1))
     one_two = np.zeros(qubo.num_vars, dtype=np.int8)
@@ -239,12 +258,10 @@ def test_solvers_accept_block_qubo_directly():
     assert sa.best_energy == pytest.approx(exact.best_energy, rel=1e-12)
 
 
-def test_report_json_roundtrip(tmp_path):
+def test_report_json_roundtrip():
     sq = random_sparse_qubo(10, seed=23)
     report = solve_exact(sq)
-    path = tmp_path / "report.json"
-    report.save(path)
-    doc = json.loads(path.read_text())
+    doc = json.loads(json.dumps(report.to_json()))
     for key in ("solver", "seed", "best_energy", "lower_bound",
                 "tts_seconds", "iterations", "trace", "bits"):
         assert key in doc

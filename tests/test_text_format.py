@@ -308,6 +308,23 @@ def test_word_parse_matches_reference_on_canonical_files(tmp_path_factory, terms
                       (expected.rows, expected.cols, expected.vals))
 
 
+def test_a_ten_digit_index_with_a_non_digit_up_front_takes_the_per_line_parse(tmp_path):
+    """The second word of a 9-16 digit field is checked too: its two high digits here."""
+    line = b"x123456789 5 1.0\n"  # its last 8 bytes are digits, its first two are not
+    buf = qubo_module._FRONT + line + qubo_module._BACK
+    words = np.ndarray((len(buf) - 7,), "<u8", buffer=buf, strides=(1,))
+    stop = np.array([len(qubo_module._FRONT) + 10])
+    assert qubo_module._digit_words(words, stop, np.array([10])) is None
+    good = qubo_module._FRONT + b"0123456789 5 1.0\n" + qubo_module._BACK
+    words = np.ndarray((len(good) - 7,), "<u8", buffer=good, strides=(1,))
+    assert qubo_module._digit_words(words, stop, np.array([10])).tolist() == [123456789]
+    assert qubo_module._canonical_terms(buf, len(buf) - qubo_module._PAD_BYTES, 1) is None
+    path = tmp_path / "bad.qubo"
+    path.write_bytes(b"p qubo 10 2 0.0\n0 0 1.0\n" + line)
+    with pytest.raises(QuboParseError, match=r"bad\.qubo:3: bad term line"):
+        read_qubo_text(path)
+
+
 @pytest.mark.parametrize("mixer", [
     lambda parts: np.zeros(len(parts[0]), dtype=np.uint64),  # every run holds two tokens
     lambda parts: np.arange(len(parts[0]), dtype=np.uint64) % 2,  # distinct runs share a key
