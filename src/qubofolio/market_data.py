@@ -72,13 +72,16 @@ class BlockPrices:
 
 @dataclass(frozen=True)
 class CovarianceSeries:
-    """One return-covariance matrix per investment period."""
+    """One return-covariance matrix per investment period, stored exactly symmetric.
+
+    A stack within 1e-12 of symmetric is stored as its symmetric part
+    0.5 * (Sigma + Sigma'); an exactly symmetric one as given, uncopied.
+    """
 
     sigma: np.ndarray  # shape (T, n, n)
 
     def __post_init__(self):
         sigma = np.asarray(self.sigma, dtype=float)
-        object.__setattr__(self, "sigma", sigma)
         if sigma.ndim != 3 or sigma.shape[1] != sigma.shape[2]:
             raise MarketDataError("sigma must be a stack of square matrices")
         asym = _max_asymmetry(sigma)
@@ -86,6 +89,9 @@ class CovarianceSeries:
             raise MarketDataError("covariance matrices hold non-finite entries")
         if asym > 1e-12:
             raise MarketDataError(f"covariance matrices not symmetric (max dev {asym:.2e})")
+        if asym > 0.0:  # Sigma_ab + Sigma_ba is one sum, so the part is symmetric bit for bit
+            sigma = 0.5 * (sigma + sigma.transpose(0, 2, 1))
+        object.__setattr__(self, "sigma", sigma)
 
 
 def _max_asymmetry(sigma: np.ndarray) -> float:

@@ -94,9 +94,9 @@ class AnnealSchedule:
     dt: float = 0.01
 
     def __post_init__(self):
-        if self.dt <= 0:
+        if not self.dt > 0:  # written so that NaN fails too
             raise QuantumSimError("dt must be positive")
-        if self.dt >= self.total_time:
+        if not self.dt < self.total_time:
             raise QuantumSimError("dt must be smaller than total_time")
 
     @property
@@ -111,12 +111,14 @@ def normalize_ising(ising: IsingModel) -> tuple[IsingModel, float]:
     term becomes commensurate with the unit-strength driver; portfolio
     instances carry currency-scale coefficients that would otherwise
     swamp the mixer.  Returns (scaled model, scale) with
-    original_energy = scale * scaled_energy.
+    original_energy = scale * scaled_energy; a non-finite scale is an error.
     """
     scale = max(
         float(np.abs(ising.h).max(initial=0.0)),
         float(np.abs(ising.j_vals).max(initial=0.0)),
     )
+    if not math.isfinite(scale):
+        raise QuantumSimError("magnitude cap: the largest Ising coefficient is not finite")
     if scale == 0.0 or scale == 1.0:
         return ising, 1.0
     return IsingModel(
@@ -131,17 +133,13 @@ def diagonalize_cost(ising: IsingModel) -> DiagonalCost:
     """Evaluate the Ising objective on every basis state by `qubo.all_energies`.
 
     Bit k = 0 of a state is spin -1, so states with s_k = -1 come first.
-    A J entry (i, j) with i > j counts as (j, i); one with i == j is
-    constant and joins the offset.
+    The model's couplings are canonical: distinct pairs with i < j.
     """
     m = ising.num_spins
     _check_cap(m)
-    rows, cols, vals = ising.j_rows, ising.j_cols, ising.j_vals
-    same = rows == cols
     coupling = np.zeros((m, m))
-    np.add.at(coupling, (np.minimum(rows, cols)[~same], np.maximum(rows, cols)[~same]),
-              vals[~same])
-    energies = all_energies(ising.offset + vals[same].sum(), ising.h, coupling, -1.0)
+    coupling[ising.j_rows, ising.j_cols] = ising.j_vals
+    energies = all_energies(ising.offset, ising.h, coupling, -1.0)
     if not np.isfinite(energies).all():  # coefficients, or their sums, overflowed
         raise QuantumSimError("magnitude cap: the cost's energies are not all finite")
     return DiagonalCost(energies=energies)

@@ -73,7 +73,7 @@ class BlockQubo:
     A QUBO file is one step: identity slots, unit weights, scale 1, no budget rows.
     """
 
-    core: np.ndarray  # (T, n, n): Sigma_t for a spec, the dense matrix of a file
+    core: np.ndarray  # (T, n, n), exactly symmetric: Sigma_t for a spec, a file's dense matrix
     slot: np.ndarray  # (w,): core row of each position; slack bits map to row 0
     wp: np.ndarray  # (T, w): position weights, (tau *) price on trading slots, 0 on slack
     scale: float  # risk scale: q for a spec, 1.0 for a file
@@ -98,7 +98,7 @@ class BlockQubo:
 
 
 class _Kernel(NamedTuple):
-    """Per-problem lookups of apply_flip and _block_columns."""
+    """Per-problem lookups of apply_flip and _block_rows."""
 
     penalty: np.ndarray  # (k, w): P * R[:, j]'R for each of the k distinct columns j of R
     pattern: np.ndarray  # (w,): the row of `penalty` that column j of R selects
@@ -147,9 +147,8 @@ class SparseQubo:
         _check_indices("triplet", self.num_vars, rows, cols)
         if not _every_block(lambda r, c: (r <= c).all(), rows, cols):
             raise QuboError("triplets must satisfy i <= j")
-        dtype = _index_dtype(self.num_vars)
-        rows, cols = rows.astype(dtype, copy=False), cols.astype(dtype, copy=False)
-        for name, value in zip(("rows", "cols", "vals"), _sum_repeated(rows, cols, self.vals)):
+        terms = _sum_repeated(self.num_vars, rows, cols, self.vals)
+        for name, value in zip(("rows", "cols", "vals"), terms):
             object.__setattr__(self, name, value)
 
     @property
@@ -159,7 +158,12 @@ class SparseQubo:
 
 @dataclass(frozen=True)
 class IsingModel:
-    """Spin model F(s) = sum h_i s_i + sum_{i<j} J_ij s_i s_j + offset, s in {-1,+1}."""
+    """Spin model F(s) = sum h_i s_i + sum_{i<j} J_ij s_i s_j + offset, s in {-1,+1}.
+
+    Couplings are range-checked and stored as SparseQubo stores triplets: i < j,
+    sorted, repeats summed, indices in _index_dtype; canonical input is not
+    copied.  A pair (i, i) is the constant s_i^2 = 1, so it joins offset.
+    """
 
     h: np.ndarray
     j_rows: np.ndarray
@@ -168,7 +172,15 @@ class IsingModel:
     offset: float
 
     def __post_init__(self):
-        _check_indices("coupling", self.num_spins, np.asarray(self.j_rows), np.asarray(self.j_cols))
+        rows, cols, vals = (np.asarray(a) for a in (self.j_rows, self.j_cols, self.j_vals))
+        _check_indices("coupling", self.num_spins, rows, cols)
+        if not _every_block(lambda r, c: (r < c).all(), rows, cols):
+            pair = rows != cols
+            object.__setattr__(self, "offset", self.offset + float(vals[~pair].sum()))
+            rows, cols, vals = np.minimum(rows, cols)[pair], np.maximum(rows, cols)[pair], vals[pair]
+        terms = _sum_repeated(self.num_spins, rows, cols, vals)
+        for name, value in zip(("j_rows", "j_cols", "j_vals"), terms):
+            object.__setattr__(self, name, value)
 
     @property
     def num_spins(self) -> int:
@@ -328,38 +340,19 @@ def _as_block(qubo) -> BlockQubo:
     raise QuboError(f"unsupported problem type {type(qubo).__name__}")
 
 
-def _block_columns(qubo: BlockQubo, t: int, cols) -> np.ndarray:
-    """Column `cols` (an index or a slice) of step t's block D_t, t 0-based.
+def _block_rows(qubo: BlockQubo, t: int, rows, start: int = 0) -> np.ndarray:
+    """Rows `rows` (an index or a slice) of step t's block D_t from column start on, t 0-based.
 
-    Every reader of a block entry forms it here or in _block_band, in one
-    operation order and orientation.  The penalty part P * R[:, cols]'R is
-    read from the kernel's table: R is integer-valued, so each of its
-    entries is one exact integer times P.
+    Every block entry is formed here; core_t is exactly symmetric, so row j
+    is column j.  The penalty part P * R[:, rows]'R is read from the kernel's
+    table, each entry one exact integer times P (R is integer-valued).
     """
     kern = qubo._kernel
     wp = qubo.wp[t]
-    D = np.multiply.outer(wp, wp[cols])
-    D *= qubo.scale
-    D *= qubo.core[t][:, qubo.slot[cols]][qubo.slot]
-    D += kern.penalty[kern.pattern[cols]].T
-    return D
-
-
-def _block_band(qubo: BlockQubo, t: int, start: int, stop: int) -> np.ndarray:
-    """Rows start..stop-1 of step t's block D_t, from column start on.
-
-    Entry [i, j] is D_t[start + i, start + j] with _block_columns' factors,
-    operation order and orientation, so it equals that entry bit for bit:
-    the covariance is read as core_t[slot_i, slot_j] with i the row, never
-    transposed.  The penalty rows P * R[:, rows]'R equal the columns of
-    _block_columns because each entry is one exact integer times P.
-    """
-    kern = qubo._kernel
-    wp = qubo.wp[t]
-    rows, cols = slice(start, stop), slice(start, None)
+    cols = slice(start, None)
     D = np.multiply.outer(wp[rows], wp[cols])
     D *= qubo.scale
-    D *= qubo.core[t][qubo.slot[rows]][:, qubo.slot[cols]]
+    D *= qubo.core[t][qubo.slot[rows]].take(qubo.slot[cols], axis=-1)
     D += kern.penalty[kern.pattern[rows], cols]
     return D
 
@@ -450,7 +443,7 @@ def apply_flip(qubo: BlockQubo, bits: np.ndarray, i: int, deltas: np.ndarray) ->
     change = deltas[i]
     sl = slice(t * w, (t + 1) * w)
     update = _SIGN2[xi].take(bits[sl])
-    update *= _block_columns(qubo, t, j)
+    update *= _block_rows(qubo, t, j)
     step = deltas[sl]
     step += update  # deltas[i] gains 2 * D_jj here and is overwritten below
     cross, sign = qubo._kernel.cross, _SIGN[xi]
@@ -493,7 +486,7 @@ def _step_tables(qubo: BlockQubo):
     for t in range(T):
         for start in range(0, w, _BAND_ROWS):
             stop = min(start + _BAND_ROWS, w)
-            D = _block_band(qubo, t, start, stop)
+            D = _block_rows(qubo, t, slice(start, stop), start)
             band = np.empty((stop - start, w - start + 1))
             np.multiply(np.triu(D, 1), 2.0, out=band[:, :-1])
             diag = np.arange(stop - start)
@@ -1010,7 +1003,8 @@ def read_qubo_text(path):
             h = np.zeros(num_vars)
         except (MemoryError, ValueError) as exc:
             raise QuboError(f"{path}: {num_vars} spins cannot be held in memory") from exc
-        np.add.at(h, rows[diag], vals[diag])
+        with np.errstate(over="ignore"):  # an inf field is rejected by the magnitude caps
+            np.add.at(h, rows[diag], vals[diag])
         return IsingModel(h=h, j_rows=rows[~diag], j_cols=cols[~diag],
                           j_vals=vals[~diag], offset=offset)
     return SparseQubo(num_vars=num_vars, rows=rows, cols=cols, vals=vals, offset=offset)
@@ -1021,21 +1015,22 @@ def _every_block(test, *arrays) -> bool:
 
     The block's temporaries are all the memory the check takes.
     """
+    if len(arrays[0]) <= _CHECK_BLOCK:  # one block, tested without slicing
+        return bool(test(*arrays))
     return all(test(*(a[i:i + _CHECK_BLOCK] for a in arrays))
                for i in range(0, len(arrays[0]), _CHECK_BLOCK))
 
 
-def _increasing(rows, cols) -> bool:
-    """Whether the (i, j) pairs strictly increase, checked a block at a time."""
-    return _every_block(lambda r, c, r1, c1: ((r1 > r) | ((r1 == r) & (c1 > c))).all(),
-                        rows[:-1], cols[:-1], rows[1:], cols[1:])
-
-
-def _sum_repeated(rows, cols, vals):
-    """Sort (i, j) terms and sum repeats; strictly increasing input passes as is."""
-    if _increasing(rows, cols):
+def _sum_repeated(size: int, rows, cols, vals):
+    """The terms with indices in _index_dtype(size), sorted by (i, j), repeats summed.
+    Pairs that already strictly increase pass as is, with no copy once in that dtype."""
+    dtype = _index_dtype(size)
+    rows, cols = rows.astype(dtype, copy=False), cols.astype(dtype, copy=False)
+    if _every_block(lambda r, c, r1, c1: ((r1 > r) | ((r1 == r) & (c1 > c))).all(),
+                    rows[:-1], cols[:-1], rows[1:], cols[1:]):
         return rows, cols, vals
     order = np.lexsort((cols, rows))
     rows, cols, vals = rows[order], cols[order], vals[order]
     first = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])])
-    return rows[first], cols[first], np.add.reduceat(vals, first)
+    with np.errstate(over="ignore"):  # an inf sum is rejected by the magnitude caps
+        return rows[first], cols[first], np.add.reduceat(vals, first)

@@ -62,7 +62,7 @@ class SolveBudget:
     target_energy: float | None = None
 
     def __post_init__(self):
-        if self.time_limit <= 0:
+        if not self.time_limit > 0:  # written so that NaN fails too
             raise ValueError("time_limit must be positive")
         if self.max_iterations is not None and self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")

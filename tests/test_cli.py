@@ -193,16 +193,22 @@ def test_a_file_whose_energies_overflow_exits_3(tmp_path, solver):
     assert not (tmp_path / "r.json").exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself warns
-@pytest.mark.parametrize("algo", ["anneal", "qaoa", "vqe"])
-def test_a_file_whose_repeated_terms_overflow_exits_3_in_quantum(tmp_path, capsys, algo):
-    """Two finite terms that sum to inf reached the simulator as NaN and crashed it."""
-    path = tmp_path / "repeated.qubo"
-    path.write_text("p qubo 2 3 0.0\n0 0 1e308\n0 0 1e308\n1 1 1.0\n")
-    assert run("quantum", "--qubo", str(path), "--algo", algo,
-               "--out", str(tmp_path / "q.json")) == 3
-    assert "error: magnitude cap" in capsys.readouterr().err
-    assert not (tmp_path / "q.json").exists()
+@pytest.mark.parametrize("kind,argv", [
+    ("qubo", ["quantum", "--algo", "anneal"]), ("qubo", ["quantum", "--algo", "qaoa"]),
+    ("qubo", ["quantum", "--algo", "vqe"]), ("qubo", ["solve", "--solver", "sa"]),
+    ("ising", ["quantum", "--algo", "anneal"])],
+    ids=["anneal", "qaoa", "vqe", "sa", "ising-anneal"])
+def test_a_file_whose_repeated_terms_overflow_exits_3(tmp_path, capsys, kind, argv):
+    """Two finite terms that sum to inf reached the simulator as NaN and crashed it.
+
+    The sum and the scaling warn nothing, so stderr is the one error line.
+    """
+    path = tmp_path / f"repeated.{kind}"
+    path.write_text(f"p {kind} 2 3 0.0\n0 0 1e308\n0 0 1e308\n1 1 1.0\n")
+    assert run(*argv, "--qubo", str(path), "--out", str(tmp_path / "r.json")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: magnitude cap") and err.count("\n") == 1
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_quantum_anneal_two_qubits(tmp_path):

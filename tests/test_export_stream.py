@@ -42,7 +42,7 @@ def _with_p(spec, P):
 
 def _skewed(spec, eps):
     """spec with each Sigma_t above its diagonal raised by eps, inside the 1e-12 asymmetry
-    the covariance check allows, so an entry read as Sigma[b, a] for Sigma[a, b] shows."""
+    the covariance check allows; the spec stores the symmetric part."""
     sigma = spec.covariances.sigma
     skew = eps * np.triu(np.ones(sigma.shape[1:]), 1)
     return dataclasses.replace(spec, covariances=CovarianceSeries(sigma=sigma + skew))
@@ -86,6 +86,15 @@ def _problems():
 
 
 PROBLEMS = dict(_problems())
+
+
+@pytest.mark.parametrize("name", PROBLEMS)
+def test_materialised_block_equals_its_transpose_bit_for_bit(name):
+    """So one former serves rows and columns alike: the flip kernel reads row j as column j."""
+    qubo = PROBLEMS[name]
+    for t in range(qubo.wp.shape[0]):
+        D = qubo_module._block_rows(qubo, t, slice(None))
+        assert np.array_equal(D.view(np.int64), D.T.view(np.int64))
 
 
 def _reference_sparse(qubo) -> SparseQubo:

@@ -256,7 +256,14 @@ def test_covariance_asymmetry_equals_whole_stack_reference(scale):
         with pytest.raises(MarketDataError, match=f"max dev {reference:.2e}"):
             CovarianceSeries(sigma=sigma)
     else:
-        assert CovarianceSeries(sigma=sigma).sigma is sigma
+        stored = CovarianceSeries(sigma=sigma).sigma
+        assert np.array_equal(stored, stored.transpose(0, 2, 1))
+        assert np.array_equal(stored, 0.5 * (sigma + sigma.transpose(0, 2, 1)))
+
+
+def test_an_exactly_symmetric_covariance_stack_is_stored_as_given():
+    sigma = _exp2_sigma(3)
+    assert CovarianceSeries(sigma=sigma).sigma is sigma
 
 
 def test_covariance_check_allocates_two_matrices_at_most():

@@ -9,7 +9,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qubofolio.qubo import IsingModel, build_qubo, ising_value, to_ising
+from qubofolio.qubo import (IsingModel, build_qubo, ising_value, read_qubo_text, to_ising,
+                            write_ising_text)
 from qubofolio.quantum import (
     QUBIT_CAP,
     AnnealSchedule,
@@ -153,10 +154,10 @@ def test_anneal_ground_probability_monotone_in_time():
 
 
 def test_anneal_schedule_validation():
-    with pytest.raises(QuantumSimError):
-        AnnealSchedule(total_time=1.0, dt=0.0)
-    with pytest.raises(QuantumSimError):
-        AnnealSchedule(total_time=1.0, dt=2.0)
+    nan = math.nan  # passed both comparisons, and .steps then raised a bare ValueError
+    for total_time, dt in ((1.0, 0.0), (1.0, 2.0), (nan, 0.01), (1.0, nan), (nan, nan)):
+        with pytest.raises(QuantumSimError):
+            AnnealSchedule(total_time=total_time, dt=dt)
 
 
 def test_sampling_matches_amplitudes_within_multinomial_bounds():
@@ -334,7 +335,7 @@ def test_cz_ring_sign_matches_sequential_flips():
 
 
 def _repeated_pair_ising():
-    # read_qubo_text keeps repeated J pairs on Ising files; (0, 2) appears twice
+    # (0, 2) appears twice; IsingModel sums the two
     return IsingModel(h=np.array([0.5, -1.0, 0.25, 0.0, 2.0]),
                       j_rows=np.array([0, 1, 0, 3, 0]),
                       j_cols=np.array([2, 4, 2, 4, 1]),
@@ -349,6 +350,49 @@ def _unordered_and_self_pair_ising():
                       j_cols=np.array([1, 2, 2, 3]),
                       j_vals=np.array([1.25, -0.5, 0.75, -2.0]),
                       offset=0.375)
+
+
+def _spin_states(m):
+    for z in range(1 << m):
+        yield [1 if (z >> i) & 1 else -1 for i in range(m)]
+
+
+def test_ising_model_stores_its_couplings_canonical():
+    ising = _unordered_and_self_pair_ising()
+    assert ising.j_rows.dtype == ising.j_cols.dtype == np.int16
+    assert (ising.j_rows.tolist(), ising.j_cols.tolist()) == ([0, 1], [2, 3])
+    assert ising.j_vals.tolist() == [-0.5, 1.25 + -2.0]  # (3, 1) and (1, 3) summed in order
+    assert ising.offset == 0.375 + 0.75  # the self pair (2, 2) is the constant 0.75
+    again = IsingModel(h=ising.h, j_rows=ising.j_rows, j_cols=ising.j_cols,
+                       j_vals=ising.j_vals, offset=ising.offset)
+    assert again.j_rows is ising.j_rows and again.j_cols is ising.j_cols
+    assert again.j_vals is ising.j_vals and again.offset == ising.offset
+
+
+@pytest.mark.parametrize("make", [_repeated_pair_ising, _unordered_and_self_pair_ising],
+                         ids=["repeated-pair", "unordered-and-self-pair"])
+def test_ising_text_round_trip_keeps_the_model(tmp_path, make):
+    """The written file lists each coupling once with i < j, and reads back as the same model."""
+    ising = make()
+    path = tmp_path / "model.ising"
+    write_ising_text(ising, path)
+    back = read_qubo_text(path)
+    assert isinstance(back, IsingModel)
+    pairs = list(zip(back.j_rows.tolist(), back.j_cols.tolist()))
+    assert pairs == sorted(set(pairs)) and all(i < j for i, j in pairs)
+    for spins in _spin_states(ising.num_spins):
+        assert ising_value(back, spins) == ising_value(ising, spins)
+
+
+def test_normalize_ising_scales_a_repeated_pair_as_its_summed_twin():
+    ising = _repeated_pair_ising()
+    twin = IsingModel(h=ising.h, j_rows=np.array([0, 0, 1, 3]), j_cols=np.array([1, 2, 4, 4]),
+                      j_vals=np.array([1.0, 1.5 + -3.0, -0.75, 0.5]), offset=-0.125)
+    (scaled, scale), (twin_scaled, twin_scale) = normalize_ising(ising), normalize_ising(twin)
+    assert scale == twin_scale == 2.0  # |h_4|; the repeats alone would read 3.0
+    for field in ("h", "j_rows", "j_cols", "j_vals"):
+        assert np.array_equal(getattr(scaled, field), getattr(twin_scaled, field))
+    assert scaled.offset == twin_scaled.offset
 
 
 def _no_spin_ising():
@@ -379,10 +423,8 @@ def _diagonalize_reference(ising):
                          + [_repeated_pair_ising(), _unordered_and_self_pair_ising(),
                             _no_spin_ising(), _single_field(-0.75)])
 def test_diagonalize_cost_equals_ising_value_on_every_state(ising):
-    m = ising.num_spins
     energies = diagonalize_cost(ising).energies
-    for z in range(1 << m):
-        spins = [1 if (z >> i) & 1 else -1 for i in range(m)]
+    for z, spins in enumerate(_spin_states(ising.num_spins)):
         value = ising_value(ising, spins)
         assert abs(energies[z] - value) <= 1e-12 * max(1.0, abs(value))
     assert np.array_equal(energies, _diagonalize_reference(ising))

@@ -421,7 +421,7 @@ def reference_to_sparse(qubo):
     iu, ju = np.triu_indices(w, k=1)
     for t in range(T):
         base = t * w
-        D = qubo_module._block_columns(qubo, t, slice(None))
+        D = qubo_module._block_rows(qubo, t, slice(None))
         idx = np.arange(base, base + w)
         rows += [idx, base + iu]
         cols += [idx, base + ju]
@@ -543,7 +543,7 @@ def test_resolve_penalty_dominates_objective_coefficients():
 def block_penalty(spec: ProblemSpec) -> float:
     """10 * max |coefficient| * (B + C), read off the assembled penalty-free blocks."""
     free = build_qubo(spec, include_penalty=False)
-    blocks = [qubo_module._block_columns(free, t, slice(None)) for t in range(spec.T)]
+    blocks = [qubo_module._block_rows(free, t, slice(None)) for t in range(spec.T)]
     maxcoef = max([np.abs(free.linear).max(), np.abs(free.cross).max(initial=0.0)]
                   + [np.abs(D).max() for D in blocks])
     return 10.0 * maxcoef * (spec.B + spec.C) if maxcoef > 0 else 1.0
@@ -609,7 +609,7 @@ def test_evaluation_path_builds_no_block(monkeypatch):
     def no_block(*args, **kwargs):
         raise AssertionError("evaluation assembled a (w, w) block")
 
-    monkeypatch.setattr(qubo_module, "_block_columns", no_block)
+    monkeypatch.setattr(qubo_module, "_block_rows", no_block)
     assert resolve_penalty(spec) == before[0]
     assert objective_breakdown(spec, x) == before[1]
     after = step_components(spec, x)
@@ -741,9 +741,9 @@ def assert_block_readers_agree(spec: ProblemSpec, qubo, steps) -> None:
     w = spec.layout.step_width
     for t in steps:
         D = block_reference(spec, t, qubo.penalty_weight)
-        assert np.array_equal(qubo_module._block_columns(qubo, t, slice(None)), D)
+        assert np.array_equal(qubo_module._block_rows(qubo, t, slice(None)), D)
         for start in range(0, w, 5):
-            band = qubo_module._block_band(qubo, t, start, min(start + 5, w))
+            band = qubo_module._block_rows(qubo, t, slice(start, start + 5), start)
             assert np.array_equal(band, D[start:start + 5, start:])
         for j in range(w):
             bits = np.zeros(qubo.num_vars, dtype=np.int8)
@@ -785,14 +785,14 @@ def test_block_readers_agree_at_exp1_size(monkeypatch):
     qubo = build_qubo(spec)
     assert_block_readers_agree(spec, qubo, [0, spec.T - 1])
 
-    materialise = qubo_module._block_columns
+    materialise = qubo_module._block_rows
 
-    def one_column(qubo, t, cols):
-        if not isinstance(cols, (int, np.integer)):
+    def one_row(qubo, t, rows, start=0):
+        if not isinstance(rows, (int, np.integer)):
             raise AssertionError("a search kernel materialised a (w, w) block")
-        return materialise(qubo, t, cols)
+        return materialise(qubo, t, rows, start)
 
-    monkeypatch.setattr(qubo_module, "_block_columns", one_column)
+    monkeypatch.setattr(qubo_module, "_block_rows", one_row)
     rng = np.random.default_rng(2)
     x = cash_only_bits(spec)
     deltas = delta_energies(qubo, x)

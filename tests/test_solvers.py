@@ -272,8 +272,9 @@ def test_report_json_roundtrip():
 
 
 def test_budget_validation():
-    with pytest.raises(ValueError):
-        SolveBudget(time_limit=0.0)
+    for limit in (0.0, float("nan")):  # a NaN limit is never spent, so abs would not return
+        with pytest.raises(ValueError, match="time_limit"):
+            SolveBudget(time_limit=limit)
     for k in (0, -1):
         with pytest.raises(ValueError, match="max_iterations"):
             SolveBudget(max_iterations=k)
