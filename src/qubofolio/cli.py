@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .evaluation import DEFAULT_Q_GRID, SOLVERS, EvaluationError, economic_metrics, sweep_q
 from .market_data import MarketDataError
 from .model import ModelError, ProblemSpec, spec_from_json
-from .quantum import (AnnealSchedule, QaoaParams, QuantumSimError, _check_cap, anneal_run,
+from .quantum import (AnnealSchedule, QuantumSimError, _check_cap, anneal_run,
                       normalize_ising, qaoa_optimize, qaoa_run, vqe_run)
 from .qubo import (
     IsingModel,
@@ -89,6 +90,9 @@ def _positive(kind):
     return _checked(kind, lambda v: v > 0, "positive")
 
 
+_positive_finite = _checked(float, lambda v: 0 < v < math.inf, "positive and finite")
+
+
 def _non_negative(kind):
     return _checked(kind, lambda v: v >= 0, "non-negative")
 
@@ -156,13 +160,10 @@ def cmd_quantum(args) -> int:
     # currency-scale coefficients would swamp the unit-strength driver
     ising, scale = normalize_ising(ising)
     if args.algo == "qaoa":
-        if args.layers == 0:
-            doc = qaoa_run(ising, QaoaParams((), ()), shots=args.shots, seed=args.seed)
-        else:
-            params, _ = qaoa_optimize(ising, layers=args.layers, seed=args.seed)
-            doc = qaoa_run(ising, params, shots=args.shots, seed=args.seed)
+        params, _ = qaoa_optimize(ising, layers=args.layers, seed=args.seed)
+        doc = qaoa_run(ising, params, shots=args.shots, seed=args.seed)
     elif args.algo == "vqe":
-        doc = vqe_run(ising, layers=max(args.layers, 1), seed=args.seed)
+        doc = vqe_run(ising, layers=args.layers, seed=args.seed)
     else:
         schedule = AnnealSchedule(total_time=args.tau, dt=args.dt)
         doc = anneal_run(ising, schedule, shots=args.shots, seed=args.seed)
@@ -261,10 +262,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_quantum.add_argument("--config", help="ProblemSpec JSON (built on the fly)")
     p_quantum.add_argument("--algo", choices=["qaoa", "vqe", "anneal"], required=True)
     p_quantum.add_argument("--layers", type=_non_negative(int), default=2,
-                           help="qaoa/vqe circuit depth (qaoa 0: the uniform state; vqe 0: one)")
-    p_quantum.add_argument("--tau", type=_positive(float), default=50.0,
+                           help="qaoa/vqe circuit depth; 0 runs the start state "
+                                "(qaoa: the uniform superposition, vqe: |0...0>)")
+    p_quantum.add_argument("--tau", type=_positive_finite, default=50.0,
                            help="anneal total time")
-    p_quantum.add_argument("--dt", type=_positive(float), default=0.01,
+    p_quantum.add_argument("--dt", type=_positive_finite, default=0.01,
                            help="anneal Trotter step")
     p_quantum.add_argument("--shots", type=_non_negative(int), default=1024)
     p_quantum.add_argument("--seed", type=int, default=0)

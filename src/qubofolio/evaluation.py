@@ -165,7 +165,8 @@ def sweep_q(spec: ProblemSpec, q_list, solver: str,
 
     The profit column is the scalarized income q*R - E (so it excludes the
     risk term) and risk_term is the unweighted quadratic risk R; both are
-    non-increasing in q for exact solves.  Solver failures mark the row
+    non-increasing in q for exact solves.  Every q's spec is formed, and
+    so checked, before the first solve.  Solver failures mark the row
     failed and the sweep continues.
     """
     if not q_list:
@@ -176,9 +177,11 @@ def sweep_q(spec: ProblemSpec, q_list, solver: str,
         raise EvaluationError(f"unknown solver {solver!r}; choose from {sorted(SOLVERS)}")
     budget = budget or SolveBudget()
     solve = SOLVERS[solver]
+    specs = {q: dataclasses.replace(spec, params=dataclasses.replace(spec.params, q=q))
+             for q in q_list}
     rows = []
-    for q in sorted(q_list):
-        q_spec = dataclasses.replace(spec, params=dataclasses.replace(spec.params, q=q))
+    for q in sorted(specs):
+        q_spec = specs[q]
         try:
             qubo = build_qubo(q_spec)
             report = solve(qubo, budget)

@@ -48,7 +48,7 @@ QUBIT_CAP = 20
 
 
 class QuantumSimError(ValueError):
-    """Raised on qubit-cap violations, invalid schedules, or layer or restart counts below 1."""
+    """Raised on qubit-cap violations, invalid schedules, negative layers or restarts below 1."""
 
 
 def _check_cap(m: int) -> None:
@@ -98,10 +98,12 @@ class AnnealSchedule:
             raise QuantumSimError("dt must be positive")
         if not self.dt < self.total_time:
             raise QuantumSimError("dt must be smaller than total_time")
+        if not math.isfinite(self.total_time / self.dt):  # inf total_time, or too many steps
+            raise QuantumSimError("total_time and total_time / dt must be finite")
 
     @property
     def steps(self) -> int:
-        return max(int(round(self.total_time / self.dt)), 1)
+        return int(round(self.total_time / self.dt))  # >= 1, as dt < total_time
 
 
 def normalize_ising(ising: IsingModel) -> tuple[IsingModel, float]:
@@ -393,8 +395,8 @@ def qaoa_optimize(ising: IsingModel, layers: int, restarts: int = 8,
     Returns the best parameters by exact expectation together with a
     report containing the per-restart expectation trace.
     """
-    if layers < 1:
-        raise QuantumSimError("layers must be >= 1")
+    if layers < 0:
+        raise QuantumSimError("layers must be >= 0")
     cost = diagonalize_cost(ising)
     start = _frame_start(cost.num_qubits)
 
@@ -453,8 +455,8 @@ def _vqe_state(m: int, layers: int, theta: np.ndarray,
 def vqe_run(ising: IsingModel, layers: int = 2, restarts: int = 8,
             seed: int = 0, maxiter: int = 300) -> dict:
     """Variational minimization of the exact Ising expectation."""
-    if layers < 1:
-        raise QuantumSimError("layers must be >= 1")
+    if layers < 0:
+        raise QuantumSimError("layers must be >= 0")
     cost = diagonalize_cost(ising)
     m = cost.num_qubits
     sign = _cz_ring_sign(m)
@@ -467,11 +469,9 @@ def vqe_run(ising: IsingModel, layers: int = 2, restarts: int = 8,
         objective, lambda rng: rng.uniform(-math.pi, math.pi, size=layers * m),
         restarts, seed, {"maxiter": maxiter, "xatol": 1e-5, "fatol": 1e-9})
     state, drift = _vqe_state(m, layers, best_theta, sign)
-    doc = _run_doc("vqe", cost, state, drift, 0, np.random.default_rng(seed),
-                   {"layers": layers, "theta": [float(v) for v in best_theta]},
-                   restart_trace=trace)
-    doc["expectation"] = best_val
-    return doc
+    return _run_doc("vqe", cost, state, drift, 0, np.random.default_rng(seed),
+                    {"layers": layers, "theta": [float(v) for v in best_theta]},
+                    restart_trace=trace)
 
 
 # --- Trotterized annealing ------------------------------------------------------

@@ -495,28 +495,23 @@ def _step_tables(qubo: BlockQubo):
             yield t * w + start, band
 
 
-def _table_terms(first: int, band: np.ndarray, w: int,
-                 dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (rows, cols, vals) of one band's nonzero entries, in (i, j) order; w is the step width.
-
-    The indices are formed in dtype, so no index array of the whole export is int64.
-    """
-    r, c = np.nonzero(band)
-    vals = band[r, c]
-    link = c == band.shape[1] - 1
-    c[link] = r[link] + w
-    rows, cols = r.astype(dtype), c.astype(dtype)
-    rows += first
-    cols += first
-    return rows, cols, vals
-
-
 def _sparse_bands(qubo: BlockQubo):
-    """Yield each band's (rows, cols, vals) as to_sparse lists them, indices in the index dtype."""
+    """Yield each band's (rows, cols, vals) as to_sparse lists them, in (i, j) order.
+
+    The indices are formed in the index dtype, so no index array of the
+    whole export is int64.
+    """
     dtype = _index_dtype(qubo.num_vars)
     w = qubo.wp.shape[1]
     for first, band in _step_tables(qubo):
-        yield _table_terms(first, band, w, dtype)
+        r, c = np.nonzero(band)
+        vals = band[r, c]
+        link = c == band.shape[1] - 1
+        c[link] = r[link] + w
+        rows, cols = r.astype(dtype), c.astype(dtype)
+        rows += first
+        cols += first
+        yield rows, cols, vals
 
 
 def to_sparse(qubo: BlockQubo) -> SparseQubo:
@@ -669,7 +664,7 @@ def objective_breakdown(spec: ProblemSpec, bits) -> dict[str, float]:
 _MIN_TERM_BYTES = 6  # the shortest term line, "0 0 0\n"
 _CHUNK_LINES = 1 << 16  # term lines per chunk of the writer
 _CHUNK_CHARS = 1 << 18  # characters per chunk of the reader, extended to a line end
-_MAX_INDEX_DIGITS = 16  # two words of 8 digits; longer index fields take the per-line parse
+_MAX_INDEX_DIGITS = 8  # one word; longer index fields take the per-line parse
 _MAX_TOKEN_BYTES = 24  # three words; longer value tokens take the per-line parse
 _PAD_BYTES = 24  # bytes on either side of a parsed chunk, so every word read lies inside it
 _FRONT = b"0" * (_PAD_BYTES - 1) + b"\n"  # ends as the line before the chunk would
@@ -822,23 +817,6 @@ def _eight_digits(w: np.ndarray, length: np.ndarray):
     return w.view(np.int64)
 
 
-def _digit_words(words: np.ndarray, stop: np.ndarray, length: np.ndarray):
-    """Integers of the 1-16 digit fields that end before stop, or None unless each is all digits.
-
-    A field's last 8 digits are the high bytes of the word that ends at
-    stop, and any digits before them the high bytes of the word before it.
-    """
-    value = _eight_digits(words[stop - 8], np.minimum(length, 8))
-    wide = np.flatnonzero(length > 8)
-    if value is None or not len(wide):
-        return value
-    high = _eight_digits(words[stop[wide] - 16], length[wide] - 8)
-    if high is None:
-        return None
-    value[wide] += high * 10**8
-    return value
-
-
 def _token_keys(parts: list[np.ndarray]) -> np.ndarray:
     """A 64-bit key of each value token from its masked words; equal tokens get equal keys."""
     key = parts[0].copy()
@@ -890,7 +868,7 @@ def _token_values(words: np.ndarray, start: np.ndarray, length: np.ndarray):
 def _canonical_terms(buf: bytes, stop: int, count: int):
     """(rows, cols, vals) of the `count` lines in buf[_PAD_BYTES:stop]; None unless all canonical.
 
-    A canonical line is `digits SP digits SP token LF`, with at most 16
+    A canonical line is `digits SP digits SP token LF`, with at most 8
     digits and 24 token bytes.  buf has _PAD_BYTES on either side, the
     first ending in LF.  The separators are found first, and then every
     field is read through one strided view of buf as the little-endian
@@ -910,8 +888,8 @@ def _canonical_terms(buf: bytes, stop: int, count: int):
         return None
     words = np.ndarray((len(buf) - 7,), "<u8", buffer=buf, strides=(1,))
     vals = _token_values(words, seps[2::3] + 1, len_v)
-    rows = None if vals is None else _digit_words(words, seps[1::3], len_i)
-    cols = None if rows is None else _digit_words(words, seps[2::3], len_j)
+    rows = None if vals is None else _eight_digits(words[seps[1::3] - 8], len_i)
+    cols = None if rows is None else _eight_digits(words[seps[2::3] - 8], len_j)
     return None if cols is None else (rows, cols, vals)
 
 

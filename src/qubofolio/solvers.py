@@ -438,9 +438,11 @@ class _OperatorScores:
 
 
 def _tabu_walk(qubo: BlockQubo, x, tenure, steps):
-    """Tabu-limited flips: always take the best non-tabu move, even uphill; returns (best, steps).
+    """`steps` tabu-limited flips from x; returns the best assignment on the walk.
 
-    At most tenure - 1 bits are tabu at a step, and tenure <= n, so a move always exists.
+    Each step takes the best non-tabu move, even uphill.  At most
+    tenure - 1 bits are tabu at a step, and tenure <= n, so a move always
+    exists.
     """
     deltas = delta_energies(qubo, x)
     tabu_until = np.zeros(qubo.num_vars, dtype=np.int64)
@@ -452,7 +454,7 @@ def _tabu_walk(qubo: BlockQubo, x, tenure, steps):
         tabu_until[i] = step + tenure
         if e < best_e:
             best_e, best_x = e, x.copy()
-    return best_x, steps
+    return best_x
 
 
 def solve_abs(qubo, budget: SolveBudget | None = None) -> SolveReport:
@@ -498,8 +500,8 @@ def solve_abs(qubo, budget: SolveBudget | None = None) -> SolveReport:
             x[flip_idx] ^= 1
         elif op == "tabu-flip" and elite:
             x = elite[int(rng.integers(len(elite)))][2].copy()
-            x, tflips = _tabu_walk(qubo, x, tenure, 2 * tenure)
-            work += tflips
+            x = _tabu_walk(qubo, x, tenure, 2 * tenure)
+            work += 2 * tenure
         else:  # descent-restart, or fallback when the pool is still empty
             x = rng.integers(0, 2, size=n).astype(np.int8)
         x, e, flips = _descend(qubo, x)

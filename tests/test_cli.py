@@ -11,7 +11,8 @@ import pytest
 
 from qubofolio.cli import main
 from qubofolio.model import spec_to_json
-from qubofolio.qubo import read_qubo_text, to_sparse, write_qubo_text
+from qubofolio.qubo import (build_qubo, read_qubo_text, to_ising, to_sparse, write_ising_text,
+                            write_qubo_text)
 from qubofolio.solvers import SolveReport
 from qubofolio.toy import random_sparse_qubo, toy_spec, write_price_csv
 
@@ -237,6 +238,23 @@ def test_quantum_qaoa_zero_layers_uniform(tmp_path):
     assert doc["expectation"] == pytest.approx(mean_e, rel=1e-9)
 
 
+def test_quantum_vqe_zero_layers_runs_the_start_state(tmp_path):
+    """VQE's start state is |0...0>: no angles, and the energy of basis state 0."""
+    qubo = tmp_path / "four.qubo"
+    sq = random_sparse_qubo(4, seed=5)
+    write_qubo_text(sq, qubo)
+    out = tmp_path / "vqe.json"
+    assert run("quantum", "--qubo", str(qubo), "--algo", "vqe",
+               "--layers", "0", "--out", str(out)) == 0
+    doc = json.loads(out.read_text())
+    from qubofolio.quantum import diagonalize_cost, normalize_ising
+
+    scaled, scale = normalize_ising(to_ising(sq))
+    assert doc["params"] == {"layers": 0, "theta": []}
+    assert doc["expectation"] == float(diagonalize_cost(scaled).energies[0]) * scale
+    assert doc["best_bits"] == "0000"
+
+
 def test_quantum_toy_anneal_agrees_with_exact(tmp_path, toy_qubo):
     exact = tmp_path / "exact.json"
     run("solve", "--qubo", str(toy_qubo), "--solver", "exact", "--out", str(exact))
@@ -292,10 +310,12 @@ def test_non_positive_budget_exits_2(tmp_path, capsys, argv):
     (["--algo", "anneal", "--shots", "-5"], "non-negative"),
     (["--algo", "qaoa", "--layers", "-1"], "non-negative"),
     (["--algo", "vqe", "--layers", "-3"], "non-negative"),
-    (["--algo", "anneal", "--tau", "-1"], "positive"),
-    (["--algo", "anneal", "--dt", "0"], "positive"),
+    (["--algo", "anneal", "--tau", "-1"], "positive and finite"),
+    (["--algo", "anneal", "--dt", "0"], "positive and finite"),
+    (["--algo", "anneal", "--tau", "inf"], "positive and finite"),
+    (["--algo", "anneal", "--dt", "inf"], "positive and finite"),
 ], ids=["negative-shots", "qaoa-negative-layers", "vqe-negative-layers",
-        "negative-tau", "zero-dt"])
+        "negative-tau", "zero-dt", "infinite-tau", "infinite-dt"])
 def test_quantum_invalid_flag_exits_2(tmp_path, capsys, argv, what):
     with pytest.raises(SystemExit) as exc:
         run("quantum", *argv, "--toy", "--out", str(tmp_path / "r.json"))
@@ -461,6 +481,13 @@ def _csv_config_with_repeated_row(tmp_path):
     return argv
 
 
+def _solve_an_ising_file(tmp_path):
+    """`solve` given the toy's Ising export, which it does not take."""
+    path = tmp_path / "toy.ising"
+    write_ising_text(to_ising(build_qubo(toy_spec())), path)
+    return ["solve", "--qubo", str(path), "--out", str(tmp_path / "out.qubo")]
+
+
 def _csv_config_with_inline_arrays(tmp_path):
     """`build` from the price CSV config that also carries inline arrays of the same shape."""
     doc = spec_to_json(toy_spec(n=3, T=2, seed=0))
@@ -476,6 +503,9 @@ def test_json_flags_accept_true_false_and_absent(tmp_path, flags):
 @pytest.mark.parametrize("code, argv", [
     (4, lambda tmp: ["sweep", "--toy", "--q", "1e-3,1e-3", "--out", str(tmp / "p.csv")]),
     (4, lambda tmp: ["sweep", "--toy", "--q", ",", "--out", str(tmp / "p.csv")]),
+    (4, lambda tmp: ["sweep", "--toy", "--q", "abc", "--out", str(tmp / "p.csv")]),
+    (2, lambda tmp: ["sweep", "--toy", "--q", "1e-3,nan", "--out", str(tmp / "p.csv")]),
+    (4, _solve_an_ising_file),
     (2, lambda tmp: ["build", "--toy", "--toy-n", "4", "--out", str(tmp / "out.qubo")]),
     (2, lambda tmp: ["build", "--toy", "--toy-t", "0", "--out", str(tmp / "out.qubo")]),
     # 10^14 bits: decoding them would need 91 TiB
@@ -506,7 +536,8 @@ def test_json_flags_accept_true_false_and_absent(tmp_path, flags):
     (2, lambda tmp: _config_bytes(tmp, b"null")),
     (2, lambda tmp: _config_bytes(tmp, b'"spec"')),
     (2, _csv_config_not_utf8),
-], ids=["sweep-repeated-q", "sweep-empty-q", "toy-n-too-large", "toy-t-zero",
+], ids=["sweep-repeated-q", "sweep-empty-q", "sweep-q-not-a-number", "sweep-nan-q",
+        "solve-ising-file", "toy-n-too-large", "toy-t-zero",
         "solution-bits-beyond-memory", "solution-bit-two", "solution-empty-run",
         "solution-negative-run", "solution-bits-not-text", "solution-not-a-report",
         "fractional-k-and-B", "fractional-T", "signed-risk-string", "signed-risk-zero",

@@ -3,7 +3,8 @@ import numpy as np
 import pytest
 
 from qubofolio.market_data import BlockPrices, CovarianceSeries
-from qubofolio.model import FrictionParams, ProblemSpec, Trajectory, encode_assignment
+from qubofolio.model import (FrictionParams, ModelError, ProblemSpec, Trajectory,
+                             encode_assignment)
 from qubofolio.evaluation import (
     DEFAULT_Q_GRID,
     SOLVERS,
@@ -191,6 +192,17 @@ def test_sweep_rejects_a_repeated_q_before_any_solve(monkeypatch):
                         lambda qubo, budget: calls.append(qubo))
     with pytest.raises(EvaluationError, match="repeats a value"):
         sweep_q(toy_spec(seed=0), [1e-3, 0.0, 1e-3], "exact")
+    assert calls == []
+
+
+@pytest.mark.parametrize("q_list", [[1e-3, np.nan], [1e-3, np.nan, 1e-4]],
+                         ids=["nan-last", "nan-between"])
+def test_sweep_checks_every_q_before_any_solve(monkeypatch, q_list):
+    calls = []
+    monkeypatch.setitem(evaluation_module.SOLVERS, "exact",
+                        lambda qubo, budget: calls.append(qubo))
+    with pytest.raises(ModelError, match="q must be"):
+        sweep_q(toy_spec(seed=0), q_list, "exact")
     assert calls == []
 
 

@@ -93,6 +93,21 @@ def test_load_prices_drops_incomplete_ticker_with_warning(tmp_path):
     assert table.tickers == ["FULL"]
 
 
+def test_load_prices_rejects_a_file_of_no_rows(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("date,ticker,close\n")
+    with pytest.raises(MarketDataError, match=r"empty\.csv: no price rows$"):
+        load_prices(path)
+
+
+def test_load_prices_rejects_a_file_in_which_no_ticker_covers_every_date(tmp_path):
+    path = tmp_path / "gaps.csv"
+    path.write_text("date,ticker,close\n2020-01-01,A,1.0\n2020-01-02,B,2.0\n")
+    with pytest.warns(UserWarning, match=r"dropped tickers with missing dates: \['A', 'B'\]"):
+        with pytest.raises(MarketDataError, match="^no ticker covers all dates$"):
+            load_prices(path)
+
+
 def test_price_table_validates_dates_and_shape():
     with pytest.raises(MarketDataError):
         PriceTable(tickers=["A"], dates=_dates(2), close=np.ones((1, 3)))
@@ -127,6 +142,16 @@ def test_normalize_blocks_requires_enough_dates(price_csv):
     assert normalize_blocks(table, u=1.0, horizon=7).p.shape == (2, 8)
     with pytest.raises(MarketDataError, match="need 9 trading dates, have 8"):
         normalize_blocks(table, u=1.0, horizon=8)
+
+
+def test_normalize_blocks_rejects_a_zero_horizon(price_csv):
+    with pytest.raises(MarketDataError, match="^horizon must be at least 1$"):
+        normalize_blocks(load_prices(price_csv[0]), u=1.0, horizon=0)
+
+
+def test_estimate_covariance_rejects_a_one_day_window(price_csv):
+    with pytest.raises(MarketDataError, match="^covariance window must be at least 2 days$"):
+        estimate_covariance(load_prices(price_csv[0]), window=1, horizon=2)
 
 
 @pytest.mark.parametrize("u", [0.0, -1.0])
@@ -208,6 +233,12 @@ def test_covariance_series_rejects_asymmetry():
     sigma[0, 0, 1] = 1.0
     with pytest.raises(MarketDataError, match="symmetric"):
         CovarianceSeries(sigma=sigma)
+
+
+@pytest.mark.parametrize("shape", [(1, 2, 3), (2, 2), (2,)], ids=["non-square", "2-d", "1-d"])
+def test_covariance_series_rejects_a_stack_of_non_square_matrices(shape):
+    with pytest.raises(MarketDataError, match="^sigma must be a stack of square matrices$"):
+        CovarianceSeries(sigma=np.zeros(shape))
 
 
 def test_block_prices_validation():

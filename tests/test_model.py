@@ -1,5 +1,6 @@
 """Variable layout, the count view at the bit boundary, and spec (de)serialization."""
 import dataclasses
+import datetime
 import functools
 import json
 
@@ -20,7 +21,7 @@ from qubofolio.model import (
     spec_from_json,
     spec_to_json,
 )
-from qubofolio.toy import cash_only_bits, synthetic_spec, toy_spec
+from qubofolio.toy import cash_only_bits, synthetic_spec, toy_spec, write_price_csv
 
 
 def test_layout_counts_experiment_sizes():
@@ -69,6 +70,14 @@ def test_friction_params_validation():
         FrictionParams(q=0.0, delta=0.0, rho_c=0.0, rho_s=0.0, u=0.0)
     with pytest.raises(ModelError):
         FrictionParams(q=0.0, delta=0.0, rho_c=0.0, rho_s=0.0, u=1.0, P=0.0)
+
+
+@pytest.mark.parametrize("name", ["delta", "rho_c", "rho_s"])
+def test_friction_params_reject_a_negative_cost(name):
+    fields = dict(q=0.0, delta=0.0, rho_c=0.0, rho_s=0.0, u=1.0)
+    fields[name] = -1e-3
+    with pytest.raises(ModelError, match=f"^{name} must be >= 0$"):
+        FrictionParams(**fields)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
@@ -294,6 +303,23 @@ def test_spec_from_json_rejects_missing_fields():
     doc = spec_to_json(toy_spec(seed=0))
     del doc["prices"]
     with pytest.raises(ModelError):
+        spec_from_json(doc)
+
+
+def test_spec_from_json_names_each_missing_field():
+    doc = spec_to_json(toy_spec(seed=0))
+    del doc["rho_c"], doc["T"]
+    with pytest.raises(ModelError, match=r"^spec JSON missing fields: \['T', 'rho_c'\]$"):
+        spec_from_json(doc)
+
+
+def test_spec_from_json_needs_n_complete_tickers_in_its_price_csv(tmp_path):
+    dates = [datetime.date(2024, 1, 1) + datetime.timedelta(days=i) for i in range(8)]
+    close = np.linspace(100.0, 120.0, 16).reshape(2, 8)
+    write_price_csv(tmp_path / "prices.csv", ["A", "B"], dates, close)
+    doc = dict(n=3, T=2, k=1, B=3, C=2, q=0.01, delta=0.001, rho_c=0.0, rho_s=0.0, u=1000.0,
+               cov_window=3, price_csv=str(tmp_path / "prices.csv"))
+    with pytest.raises(ModelError, match="^price_csv holds 2 complete tickers, spec n=3$"):
         spec_from_json(doc)
 
 

@@ -80,6 +80,34 @@ def test_qaoa_zero_layers_gives_uniform_expectation():
     assert doc["expectation"] == pytest.approx(float(cost.energies.mean()), rel=1e-12)
 
 
+def test_zero_layers_run_the_start_state_through_the_optimisers():
+    """p = 0: QAOA's uniform superposition and VQE's |0...0>, with no angles to set."""
+    ising = _random_ising(4, seed=7)
+    cost = diagonalize_cost(ising)
+    params, report = qaoa_optimize(ising, layers=0, restarts=3, seed=0)
+    assert params == QaoaParams((), ())
+    assert report["expectation"] == qaoa_run(ising, params, shots=0)["expectation"]
+    assert report["expectation"] == pytest.approx(float(cost.energies.mean()), rel=1e-12)
+    doc = vqe_run(ising, layers=0, restarts=3, seed=0)
+    assert doc["params"] == {"layers": 0, "theta": []}
+    assert doc["expectation"] == cost.energies[0]
+    assert doc["restart_trace"] == [cost.energies[0]] * 3
+    assert doc["best_bits"] == "0000"
+
+
+def test_optimizers_reject_a_negative_layer_count():
+    ising = _random_ising(3, seed=2)
+    with pytest.raises(QuantumSimError, match="^layers must be >= 0$"):
+        qaoa_optimize(ising, layers=-1)
+    with pytest.raises(QuantumSimError, match="^layers must be >= 0$"):
+        vqe_run(ising, layers=-1)
+
+
+def test_qaoa_params_need_one_beta_per_gamma():
+    with pytest.raises(QuantumSimError, match="^gammas and betas must have equal length$"):
+        QaoaParams((0.1, 0.2), (0.3,))
+
+
 def test_qaoa_single_qubit_reaches_ground():
     params, report = qaoa_optimize(_single_field(1.0), layers=1, seed=0)
     assert report["expectation"] <= -0.99
@@ -158,6 +186,13 @@ def test_anneal_schedule_validation():
     for total_time, dt in ((1.0, 0.0), (1.0, 2.0), (nan, 0.01), (1.0, nan), (nan, nan)):
         with pytest.raises(QuantumSimError):
             AnnealSchedule(total_time=total_time, dt=dt)
+
+
+@pytest.mark.parametrize("total_time, dt", [(math.inf, 0.01), (1e300, 1e-300)],
+                         ids=["infinite-time", "infinitely-many-steps"])
+def test_anneal_schedule_rejects_an_infinite_step_count(total_time, dt):
+    with pytest.raises(QuantumSimError, match="^total_time and total_time / dt must be finite$"):
+        AnnealSchedule(total_time=total_time, dt=dt)
 
 
 def test_sampling_matches_amplitudes_within_multinomial_bounds():

@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 
 from qubofolio import qubo as qubo_module
 from qubofolio.evaluation import economic_metrics
+from qubofolio.market_data import BlockPrices, CovarianceSeries
 from qubofolio.model import (
+    FrictionParams,
     ProblemSpec,
     Trajectory,
     constraint_residuals,
@@ -584,6 +586,14 @@ def test_resolve_penalty_equals_build_qubo_exactly(seed, q, signed_risk):
     P = resolve_penalty(spec)
     assert P == build_qubo(spec).penalty_weight
     assert P == block_penalty(spec)
+
+
+def test_resolve_penalty_is_one_when_every_coefficient_is_zero():
+    """Flat prices, no costs and q = 0: there is no coefficient to dominate, so P = 1."""
+    params = FrictionParams(q=0.0, delta=0.0, rho_c=0.0, rho_s=0.0, u=1.0)
+    spec = ProblemSpec(k=1, B=1, C=1, params=params, prices=BlockPrices(p=np.ones((2, 3))),
+                       covariances=CovarianceSeries(sigma=np.zeros((2, 2, 2))))
+    assert resolve_penalty(spec) == build_qubo(spec).penalty_weight == 1.0
 
 
 def test_resolve_penalty_keeps_explicit_weight():

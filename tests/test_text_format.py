@@ -227,14 +227,16 @@ def test_reader_matches_reference_on_random_files(tmp_path_factory, terms, chunk
                       (expected.rows, expected.cols, expected.vals))
 
 
-@pytest.mark.parametrize("sep", [" ", "\t"], ids=["numpy-chunk", "per-line"])
-def test_reader_rejects_an_index_that_would_wrap_in_int32(tmp_path, monkeypatch, sep):
-    """2^32 + 5 is 5 in int32: the chunk's int64 indices are checked before they are narrowed."""
+@pytest.mark.parametrize("sep", ["\t"], ids=["per-line"])
+def test_reader_rejects_an_index_that_would_wrap_in_int32(tmp_path, sep):
+    """2^32 + 5 is 5 in int32: the chunk's int64 indices are checked before they are narrowed.
+
+    Only the per-line parse reads such an index: the word parse reads at
+    most 8 digits, below 2^31.
+    """
     path = tmp_path / "wrap.qubo"
     path.write_text(f"p qubo 40000 2 0.0\n0 0 1.0\n4294967301{sep}4294967301{sep}1.0\n")
     assert qubo_module._index_dtype(40000) is np.int32
-    if sep == " ":
-        monkeypatch.setattr(qubo_module, "_parse_lines", no_per_line_parse)
     with pytest.raises(QuboParseError, match="out of range or not upper-triangular"):
         read_qubo_text(path)
     out = tmp_path / "r.json"
@@ -257,6 +259,15 @@ def test_reader_rejects_an_index_that_would_wrap_in_int16(tmp_path, monkeypatch,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("header", ["p qubo 2.5 0 0.0", "p ising 2 x 0.0", "p qubo 2 0 zero"],
+                         ids=["fractional-vars", "word-terms", "word-offset"])
+def test_reader_rejects_a_header_field_of_the_wrong_kind(tmp_path, header):
+    path = tmp_path / "bad.qubo"
+    path.write_text(header + "\n")
+    with pytest.raises(QuboParseError, match=r"bad\.qubo: bad header values: "):
+        read_qubo_text(path)
+
+
 def test_reader_keeps_int64_indices_past_two_to_the_31(tmp_path):
     """num_vars = 2^31 needs int64 indices; the reader allocates nothing of size num_vars."""
     path = tmp_path / "wide.qubo"
@@ -277,7 +288,7 @@ HAND_TOKENS = ["1", "1e5", "+2.5", "1_0", "-0.0", "5e-324", "1e22", "0.25"]
 
 @st.composite
 def index_texts(draw):
-    """An index of 1-18 digits, leading zeros included: over 16 takes the per-line parse."""
+    """An index of 1-18 digits, leading zeros included: over 8 takes the per-line parse."""
     digits = draw(st.integers(1, 18))
     return str(draw(st.integers(0, 10**digits - 1))).zfill(digits)
 
@@ -308,16 +319,24 @@ def test_word_parse_matches_reference_on_canonical_files(tmp_path_factory, terms
                       (expected.rows, expected.cols, expected.vals))
 
 
+@pytest.mark.parametrize("digits", [9, 16])
+def test_an_index_of_more_than_eight_digits_takes_the_per_line_parse(tmp_path, monkeypatch,
+                                                                      digits):
+    path = tmp_path / "long.qubo"
+    path.write_text(f"p qubo {10**digits} 2 0.0\n0 0 1.0\n5 {10**digits - 1} 2.5\n")
+    calls = []
+    parse_lines = qubo_module._parse_lines
+    monkeypatch.setattr(qubo_module, "_parse_lines",
+                        lambda *args: calls.append(args) or parse_lines(*args))
+    parsed = read_qubo_text(path)
+    assert len(calls) == 1
+    assert parsed.cols.tolist() == [0, 10**digits - 1] and parsed.vals.tolist() == [1.0, 2.5]
+
+
 def test_a_ten_digit_index_with_a_non_digit_up_front_takes_the_per_line_parse(tmp_path):
-    """The second word of a 9-16 digit field is checked too: its two high digits here."""
+    """An index field of over 8 digits is left to the per-line parse, which names the line."""
     line = b"x123456789 5 1.0\n"  # its last 8 bytes are digits, its first two are not
     buf = qubo_module._FRONT + line + qubo_module._BACK
-    words = np.ndarray((len(buf) - 7,), "<u8", buffer=buf, strides=(1,))
-    stop = np.array([len(qubo_module._FRONT) + 10])
-    assert qubo_module._digit_words(words, stop, np.array([10])) is None
-    good = qubo_module._FRONT + b"0123456789 5 1.0\n" + qubo_module._BACK
-    words = np.ndarray((len(good) - 7,), "<u8", buffer=good, strides=(1,))
-    assert qubo_module._digit_words(words, stop, np.array([10])).tolist() == [123456789]
     assert qubo_module._canonical_terms(buf, len(buf) - qubo_module._PAD_BYTES, 1) is None
     path = tmp_path / "bad.qubo"
     path.write_bytes(b"p qubo 10 2 0.0\n0 0 1.0\n" + line)
