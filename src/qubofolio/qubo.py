@@ -109,7 +109,7 @@ def _index_dtype(num_vars: int) -> type:
     """The narrowest dtype of term indices below num_vars: int16, int32 or int64.
 
     Indices run to num_vars - 1, so int16 serves num_vars < 2**15 (exp1's
-    12,100 variables: 12 bytes a term with a float64 value), int32
+    12,100 variables: 10 bytes a parsed term with a float64 value), int32
     num_vars < 2**31, and int64 any larger problem.
     """
     if num_vars < 2**15:
@@ -126,43 +126,72 @@ def _check_indices(what: str, size: int, *arrays: np.ndarray) -> None:
         raise QuboError(f"{what} indices must lie in 0..{size - 1}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SparseQubo:
-    """Upper-triangular triplet export form, sorted by (i, j), no repeated terms.
+    """Upper-triangular terms sorted by (i, j), no repeats, rows compressed.
 
-    Repeated (i, j) terms are summed on construction.  to_sparse also drops
-    zero terms; read_qubo_text keeps those a file lists.  rows and cols are
-    range-checked, then held in _index_dtype(num_vars): int16 below 2**15
-    variables, int32 below 2**31, else int64.
+    Row row_ids[k] holds terms row_starts[k]:row_starts[k + 1] of cols and
+    vals.  row_ids lists the rows that hold terms, ascending, so nothing is
+    sized by num_vars (Buluc and Gilbert's doubly compressed rows, IPDPS
+    2008).  row_ids and cols are in _index_dtype(num_vars), row_starts
+    int64; rows is formed on each access.  The constructor takes triplets,
+    range-checks them and sums repeats.  to_sparse also drops zero terms;
+    read_qubo_text keeps those a file lists.
     """
 
     num_vars: int
-    rows: np.ndarray
+    row_ids: np.ndarray
+    row_starts: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
     offset: float
 
-    def __post_init__(self):
-        rows, cols = np.asarray(self.rows), np.asarray(self.cols)
-        _check_indices("triplet", self.num_vars, rows, cols)
+    def __init__(self, num_vars: int, rows, cols, vals, offset: float):
+        rows, cols = np.asarray(rows), np.asarray(cols)
+        _check_indices("triplet", num_vars, rows, cols)
         if not _every_block(lambda r, c: (r <= c).all(), rows, cols):
             raise QuboError("triplets must satisfy i <= j")
-        terms = _sum_repeated(self.num_vars, rows, cols, self.vals)
-        for name, value in zip(("rows", "cols", "vals"), terms):
+        rows, cols, vals = _sum_repeated(num_vars, rows, cols, vals)
+        self._hold(num_vars, *_row_runs(rows), cols, vals, offset)
+
+    @classmethod
+    def _of_runs(cls, num_vars, row_ids, row_starts, cols, vals, offset) -> SparseQubo:
+        """The terms as given, which the caller has checked, ordered and compressed."""
+        qubo = object.__new__(cls)
+        qubo._hold(num_vars, row_ids, row_starts, cols, vals, offset)
+        return qubo
+
+    def _hold(self, *values) -> None:
+        for name, value in zip(self.__dataclass_fields__, values):
             object.__setattr__(self, name, value)
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The row index of each term."""
+        return np.repeat(self.row_ids, np.diff(self.row_starts))
 
     @property
     def num_terms(self) -> int:
         return len(self.vals)
 
 
+def _row_runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ids, starts) of the runs of equal rows: rows[starts[k]:starts[k + 1]] are all ids[k]."""
+    edge = np.empty(len(rows) + 1, dtype=bool)
+    edge[0] = edge[-1] = True
+    np.not_equal(rows[1:], rows[:-1], out=edge[1:-1])
+    starts = np.flatnonzero(edge)
+    return rows[starts[:-1]], starts
+
+
 @dataclass(frozen=True)
 class IsingModel:
     """Spin model F(s) = sum h_i s_i + sum_{i<j} J_ij s_i s_j + offset, s in {-1,+1}.
 
-    Couplings are range-checked and stored as SparseQubo stores triplets: i < j,
-    sorted, repeats summed, indices in _index_dtype; canonical input is not
-    copied.  A pair (i, i) is the constant s_i^2 = 1, so it joins offset.
+    Couplings are range-checked triplets, a row index each (the simulators
+    cap spins at quantum.QUBIT_CAP): i < j, sorted, repeats summed, indices
+    in _index_dtype; canonical input is not copied.  A pair (i, i) is the
+    constant s_i^2 = 1, so it joins offset.
     """
 
     h: np.ndarray
@@ -516,9 +545,15 @@ def _sparse_bands(qubo: BlockQubo):
 
 def to_sparse(qubo: BlockQubo) -> SparseQubo:
     """Collapse the block form into sorted upper-triangular triplets, the steps in order."""
+    return SparseQubo(qubo.num_vars, *_triplets(qubo))
+
+
+def _triplets(qubo) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """rows, cols, vals, offset of a BlockQubo's canonical bands or of a SparseQubo."""
+    if isinstance(qubo, SparseQubo):
+        return qubo.rows, qubo.cols, qubo.vals, qubo.offset
     rows, cols, vals = (np.concatenate(part) for part in zip(*_sparse_bands(qubo)))
-    return SparseQubo(num_vars=qubo.num_vars, rows=rows, cols=cols, vals=vals,
-                      offset=_export_offset(qubo))
+    return rows, cols, vals, _export_offset(qubo)
 
 
 _DENSE_LIMIT = 8192
@@ -535,22 +570,21 @@ def to_dense(qubo) -> tuple[np.ndarray, float]:
         raise QuboError(f"cannot densify {type(qubo).__name__}")
     if qubo.num_vars > _DENSE_LIMIT:
         raise QuboError(f"{qubo.num_vars} variables exceeds dense limit {_DENSE_LIMIT}")
-    if isinstance(qubo, BlockQubo):
-        qubo = to_sparse(qubo)
+    rows, cols, vals, offset = _triplets(qubo)
     with np.errstate(over="ignore"):
-        S = sum(float(np.abs(qubo.vals[i:i + _CHECK_BLOCK]).sum())
-                for i in range(0, qubo.num_terms, _CHECK_BLOCK))
-    if not math.isfinite(4.0 * (abs(qubo.offset) + S)):
+        S = sum(float(np.abs(vals[i:i + _CHECK_BLOCK]).sum())
+                for i in range(0, len(vals), _CHECK_BLOCK))
+    if not math.isfinite(4.0 * (abs(offset) + S)):
         raise QuboError("magnitude cap: 4 * (|offset| + sum of |value|) is not finite, "
                         "so energies could overflow")
     A = np.zeros((qubo.num_vars, qubo.num_vars))
-    diag = qubo.rows == qubo.cols
-    A[qubo.rows[diag], qubo.cols[diag]] = qubo.vals[diag]
+    diag = rows == cols
+    A[rows[diag], cols[diag]] = vals[diag]
     off = ~diag
-    half = qubo.vals[off] / 2.0
-    A[qubo.rows[off], qubo.cols[off]] = half
-    A[qubo.cols[off], qubo.rows[off]] = half
-    return A, qubo.offset
+    half = vals[off] / 2.0
+    A[rows[off], cols[off]] = half
+    A[cols[off], rows[off]] = half
+    return A, offset
 
 
 def dense_energies(A: np.ndarray, offset: float, X: np.ndarray) -> np.ndarray:
@@ -580,16 +614,15 @@ def all_energies(offset: float, fields, coupling: np.ndarray, low: float) -> np.
 
 def to_ising(qubo) -> IsingModel:
     """Map x = (s + 1)/2 so that F(s) + offset' equals the QUBO energy exactly."""
-    if isinstance(qubo, BlockQubo):
-        qubo = to_sparse(qubo)
+    rows, cols, vals, offset = _triplets(qubo)
     h = np.zeros(qubo.num_vars)
-    diag = qubo.rows == qubo.cols
-    half = qubo.vals[diag]  # a mask index copies, so each coefficient is divided in place, once
+    diag = rows == cols
+    half = vals[diag]  # a mask index copies, so each coefficient is divided in place, once
     half /= 2.0
-    np.add.at(h, qubo.rows[diag], half)
-    offset = qubo.offset + float(half.sum())
+    np.add.at(h, rows[diag], half)
+    offset += float(half.sum())
     off = np.logical_not(diag, out=diag)  # in place: diag is not read again
-    orow, ocol, j = qubo.rows[off], qubo.cols[off], qubo.vals[off]
+    orow, ocol, j = rows[off], cols[off], vals[off]
     j /= 4.0
     np.add.at(h, orow, j)
     np.add.at(h, ocol, j)
@@ -913,16 +946,22 @@ def _parse_lines(text: str, first: int, count: int, path):
 def _read_terms(fh, path, num_vars: int, num_terms: int):
     """rows, cols, vals of the next num_terms lines of text file fh, and the bytes read past them.
 
-    Text is read a chunk at a time, each chunk extended to the end of its
-    last line; a last line without a line end is given one.  A chunk of
-    canonical lines is parsed with numpy, any other chunk line by line.  Each
-    chunk's int64 indices are checked against num_vars before they are stored
-    in _index_dtype(num_vars), so none wraps.
+    While the terms strictly increase in (i, j), rows is SparseQubo's
+    (row_ids, row_starts): each chunk's runs of equal rows, a run that
+    continues the last chunk's joined to it, so no array holds a row a term.
+    From the first term out of order on, rows holds every term's row.  Text
+    is read a chunk at a time, each chunk extended to the end of its last
+    line; a last line without a line end is given one.  A chunk of canonical
+    lines is parsed with numpy, any other chunk line by line.  Each chunk's
+    int64 indices are checked against num_vars before they are stored in
+    _index_dtype(num_vars), so none wraps.
     """
     dtype = _index_dtype(num_vars)
-    rows = np.empty(num_terms, dtype=dtype)
     cols = np.empty(num_terms, dtype=dtype)
     vals = np.empty(num_terms)
+    ids, starts, runs = np.empty(0, dtype), np.empty(0, np.int64), 0
+    rows = None  # every term's row, once the terms stop increasing
+    last = (-1, -1)  # the last term read, below every term
     done = 0
     rest = b""  # of a file of 0 terms
     while done < num_terms:
@@ -947,10 +986,45 @@ def _read_terms(fh, path, num_vars: int, num_terms: int):
         if (r > c).any() or c.max() >= num_vars or r.min() < 0:
             raise QuboParseError(f"{path}: term indices out of range or not upper-triangular")
         stop = done + len(v)
-        rows[done:stop], cols[done:stop], vals[done:stop] = terms
+        cols[done:stop], vals[done:stop] = c, v
+        r, c = r.astype(dtype), cols[done:stop]  # narrow, so the checks below read less
+        first = (int(r[0]), int(c[0]))
+        if rows is None:
+            run_ids, run_starts, increasing = _chunk_runs(r, c)
+            if not (increasing and first > last):
+                rows = np.empty(num_terms, dtype=dtype)
+                rows[:done] = np.repeat(ids[:runs], np.diff(starts[:runs], append=done))
+        if rows is None:
+            join = int(first[0] == last[0])  # the chunk's first run continues the last chunk's
+            ids = _put(ids, runs, run_ids[join:])
+            starts = _put(starts, runs, run_starts[join:-1] + done)
+            runs += len(run_ids) - join
+        else:
+            rows[done:stop] = r
+        last = (int(r[-1]), int(c[-1]))
         done = stop
         del terms, r, c, v  # else they live on through the next chunk's parse
+    if rows is None:
+        rows = ids[:runs].copy(), np.append(starts[:runs], num_terms)
     return rows, cols, vals, rest
+
+
+def _chunk_runs(rows: np.ndarray, cols: np.ndarray):
+    """_row_runs(rows), and whether the pairs (rows, cols) strictly increase: the run ids do,
+    and so do the columns within each run."""
+    ids, starts = _row_runs(rows)
+    within = cols[1:] > cols[:-1]
+    within[starts[1:-1] - 1] = True  # a row's first column may lie below the last row's last
+    return ids, starts, bool((ids[1:] > ids[:-1]).all() and within.all())
+
+
+def _put(buf: np.ndarray, at: int, values: np.ndarray) -> np.ndarray:
+    """buf with values written from index at on, first grown to twice the need if short."""
+    end = at + len(values)
+    if end > len(buf):
+        buf = np.concatenate((buf[:at], np.empty(2 * end - at, buf.dtype)))
+    buf[at:end] = values
+    return buf
 
 
 def read_qubo_text(path):
@@ -975,6 +1049,10 @@ def read_qubo_text(path):
             raise QuboParseError(f"{path}: more lines than the {num_terms} terms declared")
     if not _every_block(lambda v: np.isfinite(v).all(), vals):
         raise QuboParseError(f"{path}: non-finite term value")
+    if isinstance(rows, tuple):  # compressed: the terms strictly increase
+        if header[1] == "qubo":
+            return SparseQubo._of_runs(num_vars, *rows, cols, vals, offset)
+        rows = np.repeat(rows[0], np.diff(rows[1]))
     if header[1] == "ising":
         diag = rows == cols
         try:

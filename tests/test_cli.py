@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -286,6 +287,28 @@ def test_quantum_huge_header_exits_3(tmp_path, capsys, kind):
     assert run("quantum", "--qubo", str(path), "--algo", "anneal",
                "--out", str(tmp_path / "r.json")) == 3
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_a_header_sizes_no_array(tmp_path, capsys):
+    """A header that declares 5e8 variables and lists 2 terms parses in under 1 MB.
+
+    An array of num_vars + 1 row pointers would take 4 GB; the commands
+    then stop at their size caps.
+    """
+    path = tmp_path / "wide.qubo"
+    path.write_text("p qubo 500000000 2 0.0\n0 0 1.0\n7 499999999 -2.5\n")
+    tracemalloc.start()
+    try:
+        parsed = read_qubo_text(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert parsed.rows.tolist() == [0, 7] and parsed.cols.tolist() == [0, 499_999_999]
+    for argv in (["solve", "--solver", "abs"], ["quantum", "--algo", "anneal"]):
+        out = tmp_path / "r.json"
+        assert run(*argv, "--qubo", str(path), "--out", str(out)) == 3
+        assert capsys.readouterr().err.startswith("error: ") and not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -4,13 +4,17 @@ method of a package class is referenced as an attribute in the package,
 its tests or its demos, every option of an exported function or
 dataclass is passed by some call, every CLI option appears in a test,
 demo, bench file or the README, no module reads an environment
-variable or imports scipy at import time, and every name a module
-exports exists."""
+variable or imports scipy, every command runs with scipy blocked, and
+every name a module exports exists."""
 import argparse
 import ast
 import importlib
+import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -316,37 +320,65 @@ def test_environment_read_is_reported():
     assert _environment_reads(source) == ["os.getenv (line 2)", "os.environ (line 6)"]
 
 
-def _import_time_imports(source: str, package: str) -> list[str]:
-    """Each import of package or a submodule that runs when the module is
-    imported: at module level or in a class body, not inside a function."""
+def _imports(source: str, package: str) -> list[str]:
+    """Each import of package or a submodule, wherever it stands: at module
+    level, in a class body or inside a function."""
     found = []
-    nodes = list(ast.parse(source).body)
-    while nodes:
-        node = nodes.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             found += [(node.lineno, alias.name) for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             found.append((node.lineno, node.module))
-        nodes.extend(ast.iter_child_nodes(node))
     return [f"{name} (line {line})" for line, name in sorted(found)
             if name == package or name.startswith(package + ".")]
 
 
-def test_no_src_module_imports_scipy_at_top_level():
+def test_no_src_module_imports_scipy():
     imports = [f"{p.name}: {found}" for p in sorted(SRC.glob("*.py"))
-               for found in _import_time_imports(p.read_text(encoding="utf-8"), "scipy")]
+               for found in _imports(p.read_text(encoding="utf-8"), "scipy")]
     assert imports == []
 
 
-def test_top_level_scipy_import_is_reported():
+def test_scipy_import_is_reported_wherever_it_stands():
     source = ("import scipy\nimport scipyx\n\ntry:\n    from scipy.optimize import minimize\n"
               "except ImportError:\n    pass\n\n\nclass Fit:\n    import scipy.linalg as la\n\n"
               "    def solve(self):\n        from scipy import sparse\n\n\n"
               "def bound():\n    import scipy.sparse\n")
-    assert _import_time_imports(source, "scipy") == [
-        "scipy (line 1)", "scipy.optimize (line 5)", "scipy.linalg (line 11)"]
+    assert _imports(source, "scipy") == [
+        "scipy (line 1)", "scipy.optimize (line 5)", "scipy.linalg (line 11)",
+        "scipy (line 14)", "scipy.sparse (line 18)"]
+
+
+_WITHOUT_SCIPY = """
+import json, sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+try:
+    import scipy
+except ImportError:
+    pass
+else:
+    raise SystemExit("scipy was not blocked")
+from qubofolio.cli import main
+print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))
+"""
+
+
+def test_every_command_runs_without_scipy(tmp_path):
+    """numpy is the one runtime dependency: each command exits 0 on the toy with scipy blocked."""
+    argvs = [["build", "--toy", "--ising", "--bqp", "--out", "toy.qubo"],
+             *(["solve", "--toy", "--solver", solver, "--max-iterations", "2000",
+                "--out", f"{solver}.json"] for solver in ("exact", "bnb", "sa", "abs")),
+             *(["quantum", "--toy", "--algo", algo, "--out", f"{algo}.json"]
+               for algo in ("anneal", "qaoa", "vqe")),
+             ["sweep", "--toy", "--out", "pareto.csv"],
+             ["report", "--toy", "--solution", "exact.json"]]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, json.dumps(argvs)], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0] * len(argvs)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

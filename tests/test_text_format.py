@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qubofolio import qubo as qubo_module
@@ -404,7 +404,85 @@ def test_reader_working_set_is_bounded_by_the_chunk(tmp_path, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    above = peak - parsed.rows.nbytes - parsed.cols.nbytes - parsed.vals.nbytes
+    above = peak - sum(a.nbytes for a in (parsed.row_ids, parsed.row_starts, parsed.cols,
+                                           parsed.vals))
     assert np.array_equal(parsed.vals.view(np.int64), vals.view(np.int64))
     assert above < num_terms
     assert above < 16 * chunk
+
+
+@pytest.mark.parametrize("num_vars, index_bytes", [(2**15 - 1, 2), (2**31 - 1, 4)],
+                         ids=["int16", "int32"])
+def test_a_parse_holds_no_row_index_a_term(tmp_path, monkeypatch, num_vars, index_bytes):
+    """A term takes its column and value, 10 or 12 bytes; a row that holds terms, its id and start.
+
+    The rows straddle the small chunks, so each must be joined to one run.
+    """
+    rng = np.random.default_rng(5)
+    row_ids = np.sort(rng.choice(num_vars - 100, 40, replace=False))
+    rows = np.repeat(row_ids, 50)
+    cols = rows + np.tile(np.arange(50), 40)
+    path = tmp_path / "rows.qubo"
+    write_qubo_text(SparseQubo(num_vars=num_vars, rows=rows, cols=cols,
+                               vals=rng.normal(size=len(rows)), offset=0.0), path)
+    monkeypatch.setattr(qubo_module, "_CHUNK_CHARS", 300)
+    parsed = read_qubo_text(path)
+    held = sum(a.nbytes for a in vars(parsed).values() if isinstance(a, np.ndarray))
+    assert held == (index_bytes + 8) * (len(rows) + len(row_ids)) + 8
+    assert parsed.row_ids.tolist() == row_ids.tolist()
+    assert parsed.rows.tolist() == rows.tolist() and parsed.cols.tolist() == cols.tolist()
+
+
+@st.composite
+def term_lists(draw):
+    """Terms of up to 30 variables in file order, and the chunk size to read them in.
+
+    The pairs leave rows with no term and repeat some, which a small chunk
+    puts either side of a boundary.  The lines are sorted, shuffled, or
+    sorted with one adjacent pair swapped, an order break wherever a
+    chunk boundary falls; an index may be written in 9 digits, which only
+    the per-line parse reads.
+    """
+    num_vars = draw(st.integers(1, 30))
+    index = st.integers(0, num_vars - 1)
+    pairs = sorted((min(i, j), max(i, j))
+                   for i, j in draw(st.lists(st.tuples(index, index), min_size=1, max_size=40)))
+    order = draw(st.sampled_from(["sorted", "shuffled", "swapped"]))
+    if order == "shuffled":
+        pairs = draw(st.permutations(pairs))
+    elif order == "swapped" and len(pairs) > 1:
+        k = draw(st.integers(0, len(pairs) - 2))
+        pairs[k], pairs[k + 1] = pairs[k + 1], pairs[k]
+    vals = draw(st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=len(pairs),
+                         max_size=len(pairs)))
+    wide = draw(st.integers(-1, len(pairs) - 1))  # the line whose row is written in 9 digits
+    lines = [f"{str(i).zfill(9) if k == wide else i} {j} {v!r}"
+             for k, ((i, j), v) in enumerate(zip(pairs, vals))]
+    text = f"p qubo {num_vars} {len(lines)} 0.0\n" + "\n".join(lines) + "\n"
+    return text, num_vars, pairs, vals, draw(st.sampled_from([1, 7, 40, 1 << 18]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(term_lists())
+@example(("p qubo 5 4 0.0\n0 1 1.5\n2 2 -1.0\n2 2 0.25\n000000004 4 3.0\n", 5,
+          [(0, 1), (2, 2), (2, 2), (4, 4)], [1.5, -1.0, 0.25, 3.0], 1))  # a repeat across chunks
+@example(("p qubo 4 3 0.0\n0 0 1.0\n3 3 2.0\n1 2 -0.5\n", 4, [(0, 0), (3, 3), (1, 2)],
+          [1.0, 2.0, -0.5], 1))  # the order breaks between two chunks
+def test_compressed_parse_equals_the_triplet_constructor(tmp_path_factory, case):
+    text, num_vars, pairs, vals, chunk = case
+    path = tmp_path_factory.mktemp("terms") / "t.qubo"
+    path.write_text(text)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qubo_module, "_CHUNK_CHARS", chunk)
+        parsed = read_qubo_text(path)
+    rows, cols = (np.array(k, dtype=np.int64) for k in zip(*pairs))
+    want = SparseQubo(num_vars=num_vars, rows=rows, cols=cols, vals=np.array(vals), offset=0.0)
+    assert_bits_equal((parsed.rows, parsed.cols, parsed.vals), (want.rows, want.cols, want.vals))
+    assert_bits_equal((parsed.row_ids, parsed.row_starts), (want.row_ids, want.row_starts))
+    (A, offset), (want_A, want_offset) = qubo_module.to_dense(parsed), qubo_module.to_dense(want)
+    assert_bits_equal((A,), (want_A,))
+    assert offset == want_offset
+    got, ref = to_ising(parsed), to_ising(want)
+    assert_bits_equal((got.h, got.j_rows, got.j_cols, got.j_vals),
+                      (ref.h, ref.j_rows, ref.j_cols, ref.j_vals))
+    assert got.offset == ref.offset
