@@ -21,6 +21,7 @@ from .qubo import (
     IsingModel,
     QuboError,
     QuboParseError,
+    _read_header,
     build_qubo,
     objective_breakdown,
     read_qubo_text,
@@ -138,6 +139,12 @@ def _load_problem(args):
     return build_qubo(spec)
 
 
+def _header_vars(path) -> int:
+    """The variable or spin count a QUBO or Ising file's header declares; no term is read."""
+    with open(path, encoding="utf-8") as fh:
+        return _read_header(fh, path)[1]
+
+
 def cmd_solve(args) -> int:
     problem = _load_problem(args)
     if isinstance(problem, IsingModel):
@@ -152,8 +159,9 @@ def cmd_solve(args) -> int:
 def cmd_quantum(args) -> int:
     if args.algo == "anneal" and args.dt >= args.tau:
         raise CliError(EXIT_SPEC, f"--dt {args.dt!r} must be smaller than --tau {args.tau!r}")
+    if args.qubo:  # from the header, before any term is read
+        _check_cap(_read_input(args.qubo, _header_vars))
     problem = _load_problem(args)
-    # before any model-sized array: a file header can declare ~1e12 variables
     is_ising = isinstance(problem, IsingModel)
     _check_cap(problem.num_spins if is_ising else problem.num_vars)
     ising = problem if is_ising else to_ising(problem)

@@ -109,7 +109,7 @@ def _index_dtype(num_vars: int) -> type:
     """The narrowest dtype of term indices below num_vars: int16, int32 or int64.
 
     Indices run to num_vars - 1, so int16 serves num_vars < 2**15 (exp1's
-    12,100 variables: 10 bytes a parsed term with a float64 value), int32
+    12,100 variables: a parsed term's column takes 2 bytes), int32
     num_vars < 2**31, and int64 any larger problem.
     """
     if num_vars < 2**15:
@@ -128,13 +128,20 @@ def _check_indices(what: str, size: int, *arrays: np.ndarray) -> None:
 
 @dataclass(frozen=True, init=False)
 class SparseQubo:
-    """Upper-triangular terms sorted by (i, j), no repeats, rows compressed.
+    """Upper-triangular terms sorted by (i, j), no repeats, rows and values compressed.
 
-    Row row_ids[k] holds terms row_starts[k]:row_starts[k + 1] of cols and
-    vals.  row_ids lists the rows that hold terms, ascending, so nothing is
-    sized by num_vars (Buluc and Gilbert's doubly compressed rows, IPDPS
-    2008).  row_ids and cols are in _index_dtype(num_vars), row_starts
-    int64; rows is formed on each access.  The constructor takes triplets,
+    Row row_ids[k] holds terms row_starts[k]:row_starts[k + 1] of cols.
+    row_ids lists the rows that hold terms, ascending, so nothing is sized
+    by num_vars (Buluc and Gilbert's doubly compressed rows, IPDPS 2008).
+    The values are runs: run_vals[k] (float64) is the value of the next
+    run_lengths[k] (uint8, 1-255) terms, equal bit patterns sharing a run
+    (run-length encoding as column stores keep it: Abadi, Madden and
+    Ferreira, SIGMOD 2006).  Runs need not be maximal.  row_ids and cols
+    are in _index_dtype(num_vars), row_starts int64; rows and vals are
+    formed on each access.  A term of exp1's export, whose values come
+    in runs of about 2.9, holds its 2-byte column and about 3.1 bytes of
+    runs; with no two equal neighbours a term holds 9 bytes of runs, 1
+    more than a float64 value.  The constructor takes triplets,
     range-checks them and sums repeats.  to_sparse also drops zero terms;
     read_qubo_text keeps those a file lists.
     """
@@ -143,7 +150,8 @@ class SparseQubo:
     row_ids: np.ndarray
     row_starts: np.ndarray
     cols: np.ndarray
-    vals: np.ndarray
+    run_vals: np.ndarray
+    run_lengths: np.ndarray
     offset: float
 
     def __init__(self, num_vars: int, rows, cols, vals, offset: float):
@@ -152,13 +160,14 @@ class SparseQubo:
         if not _every_block(lambda r, c: (r <= c).all(), rows, cols):
             raise QuboError("triplets must satisfy i <= j")
         rows, cols, vals = _sum_repeated(num_vars, rows, cols, vals)
-        self._hold(num_vars, *_row_runs(rows), cols, vals, offset)
+        self._hold(num_vars, *_runs(rows), cols, *_value_runs(vals), offset)
 
     @classmethod
-    def _of_runs(cls, num_vars, row_ids, row_starts, cols, vals, offset) -> SparseQubo:
+    def _of_runs(cls, num_vars, row_ids, row_starts, cols, run_vals, run_lengths,
+                 offset) -> SparseQubo:
         """The terms as given, which the caller has checked, ordered and compressed."""
         qubo = object.__new__(cls)
-        qubo._hold(num_vars, row_ids, row_starts, cols, vals, offset)
+        qubo._hold(num_vars, row_ids, row_starts, cols, run_vals, run_lengths, offset)
         return qubo
 
     def _hold(self, *values) -> None:
@@ -171,17 +180,42 @@ class SparseQubo:
         return np.repeat(self.row_ids, np.diff(self.row_starts))
 
     @property
+    def vals(self) -> np.ndarray:
+        """The value of each term."""
+        return np.repeat(self.run_vals, self.run_lengths)
+
+    @property
     def num_terms(self) -> int:
-        return len(self.vals)
+        return len(self.cols)
 
 
-def _row_runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(ids, starts) of the runs of equal rows: rows[starts[k]:starts[k + 1]] are all ids[k]."""
-    edge = np.empty(len(rows) + 1, dtype=bool)
+def _runs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ids, starts) of the runs of equal entries: a[starts[k]:starts[k + 1]] are all ids[k]."""
+    edge = np.empty(len(a) + 1, dtype=bool)
     edge[0] = edge[-1] = True
-    np.not_equal(rows[1:], rows[:-1], out=edge[1:-1])
+    np.not_equal(a[1:], a[:-1], out=edge[1:-1])
     starts = np.flatnonzero(edge)
-    return rows[starts[:-1]], starts
+    return a[starts[:-1]], starts
+
+
+_MAX_RUN = 255  # terms a value run at most, so its length is a uint8
+
+
+def _value_runs(vals) -> tuple[np.ndarray, np.ndarray]:
+    """(run_vals, run_lengths) of vals: runs of equal bit patterns, at most _MAX_RUN terms each.
+
+    Bits are compared, so -0.0 and 0.0 never share a run.  A longer run
+    is broken every _MAX_RUN terms.
+    """
+    vals = np.asarray(vals, dtype=np.float64)
+    starts = _runs(vals.view(np.uint64))[1][:-1]
+    lengths = np.diff(starts, append=len(vals))
+    if lengths.max(initial=0) > _MAX_RUN:
+        pieces = -(-lengths // _MAX_RUN)
+        piece = np.arange(int(pieces.sum())) - np.repeat(np.cumsum(pieces) - pieces, pieces)
+        starts = np.repeat(starts, pieces) + _MAX_RUN * piece  # piece-th break of its run
+        lengths = np.diff(starts, append=len(vals))
+    return vals[starts], lengths.astype(np.uint8)
 
 
 @dataclass(frozen=True)
@@ -778,8 +812,9 @@ def write_qubo_text(qubo, path) -> int:
         offset = _export_offset(qubo)
         parts = _sparse_bands(qubo)
     else:
-        num_terms, offset = qubo.num_terms, qubo.offset
-        parts = [(qubo.rows, qubo.cols, qubo.vals)]
+        rows, cols, vals, offset = _triplets(qubo)
+        num_terms = len(vals)
+        parts = [(rows, cols, vals)]
     with open(path, "wb") as fh:
         fh.write(f"p qubo {qubo.num_vars} {num_terms} {float(offset)!r}\n".encode())
         for rows, cols, vals in parts:
@@ -944,22 +979,29 @@ def _parse_lines(text: str, first: int, count: int, path):
 
 
 def _read_terms(fh, path, num_vars: int, num_terms: int):
-    """rows, cols, vals of the next num_terms lines of text file fh, and the bytes read past them.
+    """rows, cols, run_vals, run_lengths of the next num_terms lines of text file fh, and the
+    bytes read past them.
 
     While the terms strictly increase in (i, j), rows is SparseQubo's
     (row_ids, row_starts): each chunk's runs of equal rows, a run that
     continues the last chunk's joined to it, so no array holds a row a term.
-    From the first term out of order on, rows holds every term's row.  Text
-    is read a chunk at a time, each chunk extended to the end of its last
-    line; a last line without a line end is given one.  A chunk of canonical
-    lines is parsed with numpy, any other chunk line by line.  Each chunk's
-    int64 indices are checked against num_vars before they are stored in
+    From the first term out of order on, rows holds every term's row.  The
+    values are SparseQubo's runs, _value_runs of each chunk's values, so a
+    run may break at a chunk boundary.  run_vals and run_lengths are
+    allocated at num_terms entries, of which only the pages written become
+    resident, and are shrunk in place at the end.  Text is read a chunk at
+    a time, each chunk extended to the end of its last line; a last line
+    without a line end is given one.  A chunk of canonical lines is parsed
+    with numpy, any other chunk line by line.  Each chunk's int64 indices
+    are checked against num_vars before they are stored in
     _index_dtype(num_vars), so none wraps.
     """
     dtype = _index_dtype(num_vars)
     cols = np.empty(num_terms, dtype=dtype)
-    vals = np.empty(num_terms)
+    run_vals = np.empty(num_terms)
+    run_lengths = np.empty(num_terms, dtype=np.uint8)
     ids, starts, runs = np.empty(0, dtype), np.empty(0, np.int64), 0
+    filled = 0  # value runs written
     rows = None  # every term's row, once the terms stop increasing
     last = (-1, -1)  # the last term read, below every term
     done = 0
@@ -986,7 +1028,11 @@ def _read_terms(fh, path, num_vars: int, num_terms: int):
         if (r > c).any() or c.max() >= num_vars or r.min() < 0:
             raise QuboParseError(f"{path}: term indices out of range or not upper-triangular")
         stop = done + len(v)
-        cols[done:stop], vals[done:stop] = c, v
+        cols[done:stop] = c
+        v, lengths = _value_runs(v)  # the chunk's value runs
+        end = filled + len(v)
+        run_vals[filled:end], run_lengths[filled:end] = v, lengths
+        filled = end
         r, c = r.astype(dtype), cols[done:stop]  # narrow, so the checks below read less
         first = (int(r[0]), int(c[0]))
         if rows is None:
@@ -1003,16 +1049,18 @@ def _read_terms(fh, path, num_vars: int, num_terms: int):
             rows[done:stop] = r
         last = (int(r[-1]), int(c[-1]))
         done = stop
-        del terms, r, c, v  # else they live on through the next chunk's parse
+        del terms, r, c, v, lengths  # else they live on through the next chunk's parse
     if rows is None:
         rows = ids[:runs].copy(), np.append(starts[:runs], num_terms)
-    return rows, cols, vals, rest
+    run_vals.resize((filled,), refcheck=False)  # a realloc: no second copy is formed
+    run_lengths.resize((filled,), refcheck=False)
+    return rows, cols, run_vals, run_lengths, rest
 
 
 def _chunk_runs(rows: np.ndarray, cols: np.ndarray):
-    """_row_runs(rows), and whether the pairs (rows, cols) strictly increase: the run ids do,
+    """_runs(rows), and whether the pairs (rows, cols) strictly increase: the run ids do,
     and so do the columns within each run."""
-    ids, starts = _row_runs(rows)
+    ids, starts = _runs(rows)
     within = cols[1:] > cols[:-1]
     within[starts[1:-1] - 1] = True  # a row's first column may lie below the last row's last
     return ids, starts, bool((ids[1:] > ids[:-1]).all() and within.all())
@@ -1027,33 +1075,49 @@ def _put(buf: np.ndarray, at: int, values: np.ndarray) -> np.ndarray:
     return buf
 
 
+def _read_header(fh, path) -> tuple[str, int, int, float]:
+    """kind ("qubo" or "ising"), num_vars, num_terms and offset of text file fh's header line.
+
+    The header is checked by itself and against the file's size, before
+    any term is read.
+    """
+    header = fh.readline().split()
+    if len(header) != 5 or header[0] != "p" or header[1] not in ("qubo", "ising"):
+        raise QuboParseError(f"{path}: bad header {' '.join(header)!r}")
+    try:
+        num_vars = int(header[2])
+        num_terms = int(header[3])
+        offset = float(header[4])
+    except ValueError as exc:
+        raise QuboParseError(f"{path}: bad header values: {exc}") from exc
+    if num_vars < 0 or num_terms < 0 or not math.isfinite(offset):
+        raise QuboParseError(f"{path}: bad header values {' '.join(header[2:])!r}")
+    if num_terms * _MIN_TERM_BYTES > os.fstat(fh.fileno()).st_size:
+        raise QuboParseError(f"{path}: {num_terms} terms cannot fit in the file")
+    return header[1], num_vars, num_terms, offset
+
+
 def read_qubo_text(path):
-    """Parse the text export; returns SparseQubo or IsingModel per the header."""
+    """Parse the text export; returns SparseQubo or IsingModel per the header.
+
+    Terms out of (i, j) order, and an Ising file's terms, are decoded to
+    triplets once read, the value runs released first.
+    """
     with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 5 or header[0] != "p" or header[1] not in ("qubo", "ising"):
-            raise QuboParseError(f"{path}: bad header {' '.join(header)!r}")
-        try:
-            num_vars = int(header[2])
-            num_terms = int(header[3])
-            offset = float(header[4])
-        except ValueError as exc:
-            raise QuboParseError(f"{path}: bad header values: {exc}") from exc
-        if num_vars < 0 or num_terms < 0 or not math.isfinite(offset):
-            raise QuboParseError(f"{path}: bad header values {' '.join(header[2:])!r}")
-        if num_terms * _MIN_TERM_BYTES > os.fstat(fh.fileno()).st_size:
-            raise QuboParseError(f"{path}: {num_terms} terms cannot fit in the file")
-        rows, cols, vals, rest = _read_terms(fh, path, num_vars, num_terms)
+        kind, num_vars, num_terms, offset = _read_header(fh, path)
+        rows, cols, run_vals, run_lengths, rest = _read_terms(fh, path, num_vars, num_terms)
         if rest.decode("utf-8").strip() or any(
                 text.strip() for text in iter(lambda: fh.read(_CHUNK_CHARS), "")):
             raise QuboParseError(f"{path}: more lines than the {num_terms} terms declared")
-    if not _every_block(lambda v: np.isfinite(v).all(), vals):
+    if not _every_block(lambda v: np.isfinite(v).all(), run_vals):
         raise QuboParseError(f"{path}: non-finite term value")
     if isinstance(rows, tuple):  # compressed: the terms strictly increase
-        if header[1] == "qubo":
-            return SparseQubo._of_runs(num_vars, *rows, cols, vals, offset)
+        if kind == "qubo":
+            return SparseQubo._of_runs(num_vars, *rows, cols, run_vals, run_lengths, offset)
         rows = np.repeat(rows[0], np.diff(rows[1]))
-    if header[1] == "ising":
+    vals = np.repeat(run_vals, run_lengths)
+    del run_vals, run_lengths
+    if kind == "ising":
         diag = rows == cols
         try:
             h = np.zeros(num_vars)
@@ -1087,6 +1151,7 @@ def _sum_repeated(size: int, rows, cols, vals):
         return rows, cols, vals
     order = np.lexsort((cols, rows))
     rows, cols, vals = rows[order], cols[order], vals[order]
+    del order
     first = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])])
     with np.errstate(over="ignore"):  # an inf sum is rejected by the magnitude caps
         return rows[first], cols[first], np.add.reduceat(vals, first)

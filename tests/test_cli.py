@@ -289,6 +289,17 @@ def test_quantum_huge_header_exits_3(tmp_path, capsys, kind):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("kind", ["qubo", "ising"])
+def test_quantum_checks_the_qubit_cap_before_it_reads_a_term(tmp_path, capsys, kind):
+    """The header's 21 variables exit 3 although the term line after it is malformed."""
+    path = tmp_path / f"wide.{kind}"
+    path.write_text(f"p {kind} 21 1 0.0\n0 1 not-a-number\n")
+    out = tmp_path / "r.json"
+    assert run("quantum", "--qubo", str(path), "--algo", "anneal", "--out", str(out)) == 3
+    assert capsys.readouterr().err == "error: 21 qubits exceeds the simulator cap of 20\n"
+    assert not out.exists()
+
+
 def test_a_header_sizes_no_array(tmp_path, capsys):
     """A header that declares 5e8 variables and lists 2 terms parses in under 1 MB.
 
