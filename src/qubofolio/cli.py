@@ -139,16 +139,16 @@ def _load_problem(args):
     return build_qubo(spec)
 
 
-def _header_vars(path) -> int:
-    """The variable or spin count a QUBO or Ising file's header declares; no term is read."""
+def _header(path) -> tuple[str, int]:
+    """The kind and the variable or spin count a text file's header declares; no term is read."""
     with open(path, encoding="utf-8") as fh:
-        return _read_header(fh, path)[1]
+        return _read_header(fh, path)[:2]
 
 
 def cmd_solve(args) -> int:
-    problem = _load_problem(args)
-    if isinstance(problem, IsingModel):
+    if args.qubo and _read_input(args.qubo, _header)[0] != "qubo":  # before any term is read
         raise CliError(EXIT_PARSE, "solve expects a QUBO file, got an Ising export")
+    problem = _load_problem(args)
     report = SOLVERS[args.solver](problem, _budget(args))
     _write_json(args.out, report.to_json())
     print(f"{args.solver}: best energy {report.best_energy!r} "
@@ -160,7 +160,7 @@ def cmd_quantum(args) -> int:
     if args.algo == "anneal" and args.dt >= args.tau:
         raise CliError(EXIT_SPEC, f"--dt {args.dt!r} must be smaller than --tau {args.tau!r}")
     if args.qubo:  # from the header, before any term is read
-        _check_cap(_read_input(args.qubo, _header_vars))
+        _check_cap(_read_input(args.qubo, _header)[1])
     problem = _load_problem(args)
     is_ising = isinstance(problem, IsingModel)
     _check_cap(problem.num_spins if is_ising else problem.num_vars)

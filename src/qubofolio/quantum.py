@@ -45,6 +45,8 @@ __all__ = [
 ]
 
 QUBIT_CAP = 20
+_VQE_RESTARTS = 8  # seeded random starting points of vqe_run
+_VQE_MAXITER = 300  # Nelder-Mead iterations of each
 
 
 class QuantumSimError(ValueError):
@@ -452,8 +454,7 @@ def _vqe_state(m: int, layers: int, theta: np.ndarray,
     return state, abs(_check_norm(state) - 1.0)
 
 
-def vqe_run(ising: IsingModel, layers: int = 2, restarts: int = 8,
-            seed: int = 0, maxiter: int = 300) -> dict:
+def vqe_run(ising: IsingModel, layers: int = 2, seed: int = 0) -> dict:
     """Variational minimization of the exact Ising expectation."""
     if layers < 0:
         raise QuantumSimError("layers must be >= 0")
@@ -467,7 +468,7 @@ def vqe_run(ising: IsingModel, layers: int = 2, restarts: int = 8,
 
     best_val, best_theta, trace = _nelder_mead_restarts(
         objective, lambda rng: rng.uniform(-math.pi, math.pi, size=layers * m),
-        restarts, seed, {"maxiter": maxiter, "xatol": 1e-5, "fatol": 1e-9})
+        _VQE_RESTARTS, seed, {"maxiter": _VQE_MAXITER, "xatol": 1e-5, "fatol": 1e-9})
     state, drift = _vqe_state(m, layers, best_theta, sign)
     return _run_doc("vqe", cost, state, drift, 0, np.random.default_rng(seed),
                     {"layers": layers, "theta": [float(v) for v in best_theta]},

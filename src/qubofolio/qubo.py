@@ -142,8 +142,10 @@ class SparseQubo:
     in runs of about 2.9, holds its 2-byte column and about 3.1 bytes of
     runs; with no two equal neighbours a term holds 9 bytes of runs, 1
     more than a float64 value.  The constructor takes triplets,
-    range-checks them and sums repeats.  to_sparse also drops zero terms;
-    read_qubo_text keeps those a file lists.
+    range-checks them and sums repeats; to_sparse also drops zero terms.
+    read_qubo_text keeps a file in strict (i, j) order as read, with its
+    zero terms and no row index a term, and gives any other file to the
+    constructor.
     """
 
     num_vars: int
@@ -979,30 +981,32 @@ def _parse_lines(text: str, first: int, count: int, path):
 
 
 def _read_terms(fh, path, num_vars: int, num_terms: int):
-    """rows, cols, run_vals, run_lengths of the next num_terms lines of text file fh, and the
-    bytes read past them.
+    """(ordered, row_ids, row_starts, cols, run_vals, run_lengths, rest) of the next num_terms
+    lines of text file fh: whether every pair strictly increases by _above, SparseQubo's
+    arrays of the terms in file order, and the bytes read past them.
 
-    While the terms strictly increase in (i, j), rows is SparseQubo's
-    (row_ids, row_starts): each chunk's runs of equal rows, a run that
-    continues the last chunk's joined to it, so no array holds a row a term.
-    From the first term out of order on, rows holds every term's row.  The
-    values are SparseQubo's runs, _value_runs of each chunk's values, so a
-    run may break at a chunk boundary.  run_vals and run_lengths are
-    allocated at num_terms entries, of which only the pages written become
-    resident, and are shrunk in place at the end.  Text is read a chunk at
-    a time, each chunk extended to the end of its last line; a last line
-    without a line end is given one.  A chunk of canonical lines is parsed
-    with numpy, any other chunk line by line.  Each chunk's int64 indices
-    are checked against num_vars before they are stored in
+    The rows take one form from the first chunk to the last: each chunk's
+    runs of equal rows, a run that continues the last chunk's joined to it
+    as it is stored.  A file in order holds a run a row and no row index a
+    term; a file out of order may hold about a run a term, an index and an
+    int64 start, until read_qubo_text decodes them.  The values are
+    SparseQubo's runs, _value_runs of each chunk's values, so a run may
+    break at a chunk boundary.  run_vals and run_lengths are allocated at
+    num_terms entries, of which only the pages written become resident,
+    and are shrunk in place at the end.  Text is read a chunk at a time,
+    each chunk extended to the end of its last line; a last line without a
+    line end is given one.  A chunk of canonical lines is parsed with
+    numpy, any other chunk line by line.  Each chunk's int64 indices are
+    checked against num_vars before they are stored in
     _index_dtype(num_vars), so none wraps.
     """
     dtype = _index_dtype(num_vars)
     cols = np.empty(num_terms, dtype=dtype)
     run_vals = np.empty(num_terms)
     run_lengths = np.empty(num_terms, dtype=np.uint8)
-    ids, starts, runs = np.empty(0, dtype), np.empty(0, np.int64), 0
+    ids, starts, runs = np.empty(0, dtype), np.empty(0, np.int64), 0  # row runs written
     filled = 0  # value runs written
-    rows = None  # every term's row, once the terms stop increasing
+    ordered = True  # every pair read so far strictly increases
     last = (-1, -1)  # the last term read, below every term
     done = 0
     rest = b""  # of a file of 0 terms
@@ -1034,36 +1038,20 @@ def _read_terms(fh, path, num_vars: int, num_terms: int):
         run_vals[filled:end], run_lengths[filled:end] = v, lengths
         filled = end
         r, c = r.astype(dtype), cols[done:stop]  # narrow, so the checks below read less
-        first = (int(r[0]), int(c[0]))
-        if rows is None:
-            run_ids, run_starts, increasing = _chunk_runs(r, c)
-            if not (increasing and first > last):
-                rows = np.empty(num_terms, dtype=dtype)
-                rows[:done] = np.repeat(ids[:runs], np.diff(starts[:runs], append=done))
-        if rows is None:
-            join = int(first[0] == last[0])  # the chunk's first run continues the last chunk's
-            ids = _put(ids, runs, run_ids[join:])
-            starts = _put(starts, runs, run_starts[join:-1] + done)
-            runs += len(run_ids) - join
-        else:
-            rows[done:stop] = r
-        last = (int(r[-1]), int(c[-1]))
+        ordered = ordered and bool(_above(*last, r[0], c[0])
+                                   and _above(r[:-1], c[:-1], r[1:], c[1:]).all())
+        run_ids, run_starts = _runs(r)
+        join = int(r[0] == last[0])  # the chunk's first run continues the last chunk's
+        ids = _put(ids, runs, run_ids[join:])
+        starts = _put(starts, runs, run_starts[join:-1] + done)
+        runs += len(run_ids) - join
+        last = (r[-1], c[-1])
         done = stop
-        del terms, r, c, v, lengths  # else they live on through the next chunk's parse
-    if rows is None:
-        rows = ids[:runs].copy(), np.append(starts[:runs], num_terms)
+        del terms, r, c, v, lengths, run_ids, run_starts  # else they live through the next parse
     run_vals.resize((filled,), refcheck=False)  # a realloc: no second copy is formed
     run_lengths.resize((filled,), refcheck=False)
-    return rows, cols, run_vals, run_lengths, rest
-
-
-def _chunk_runs(rows: np.ndarray, cols: np.ndarray):
-    """_runs(rows), and whether the pairs (rows, cols) strictly increase: the run ids do,
-    and so do the columns within each run."""
-    ids, starts = _runs(rows)
-    within = cols[1:] > cols[:-1]
-    within[starts[1:-1] - 1] = True  # a row's first column may lie below the last row's last
-    return ids, starts, bool((ids[1:] > ids[:-1]).all() and within.all())
+    return (ordered, ids[:runs].copy(), np.append(starts[:runs], num_terms), cols, run_vals,
+            run_lengths, rest)
 
 
 def _put(buf: np.ndarray, at: int, values: np.ndarray) -> np.ndarray:
@@ -1100,23 +1088,26 @@ def _read_header(fh, path) -> tuple[str, int, int, float]:
 def read_qubo_text(path):
     """Parse the text export; returns SparseQubo or IsingModel per the header.
 
-    Terms out of (i, j) order, and an Ising file's terms, are decoded to
-    triplets once read, the value runs released first.
+    A QUBO file whose terms strictly increase in (i, j) keeps the reader's
+    arrays as they are.  Any other file is decoded to triplets once read,
+    its row and value runs released first, and passed on to be sorted and
+    summed or to IsingModel.
     """
     with open(path, encoding="utf-8") as fh:
         kind, num_vars, num_terms, offset = _read_header(fh, path)
-        rows, cols, run_vals, run_lengths, rest = _read_terms(fh, path, num_vars, num_terms)
+        ordered, row_ids, row_starts, cols, run_vals, run_lengths, rest = _read_terms(
+            fh, path, num_vars, num_terms)
         if rest.decode("utf-8").strip() or any(
                 text.strip() for text in iter(lambda: fh.read(_CHUNK_CHARS), "")):
             raise QuboParseError(f"{path}: more lines than the {num_terms} terms declared")
     if not _every_block(lambda v: np.isfinite(v).all(), run_vals):
         raise QuboParseError(f"{path}: non-finite term value")
-    if isinstance(rows, tuple):  # compressed: the terms strictly increase
-        if kind == "qubo":
-            return SparseQubo._of_runs(num_vars, *rows, cols, run_vals, run_lengths, offset)
-        rows = np.repeat(rows[0], np.diff(rows[1]))
+    if ordered and kind == "qubo":
+        return SparseQubo._of_runs(num_vars, row_ids, row_starts, cols, run_vals, run_lengths,
+                                   offset)
+    rows = np.repeat(row_ids, np.diff(row_starts))
     vals = np.repeat(run_vals, run_lengths)
-    del run_vals, run_lengths
+    del row_ids, row_starts, run_vals, run_lengths
     if kind == "ising":
         diag = rows == cols
         try:
@@ -1141,12 +1132,18 @@ def _every_block(test, *arrays) -> bool:
                for i in range(0, len(arrays[0]), _CHECK_BLOCK))
 
 
+def _above(r, c, r1, c1):
+    """Whether (r1, c1) follows (r, c) in strict (i, j) order: the reader's and _sum_repeated's."""
+    return (r1 > r) | ((r1 == r) & (c1 > c))
+
+
 def _sum_repeated(size: int, rows, cols, vals):
     """The terms with indices in _index_dtype(size), sorted by (i, j), repeats summed.
-    Pairs that already strictly increase pass as is, with no copy once in that dtype."""
+    Pairs that already strictly increase by _above pass as is, with no copy once in that
+    dtype; else the sort is the peak of reading a file out of order, after its runs."""
     dtype = _index_dtype(size)
     rows, cols = rows.astype(dtype, copy=False), cols.astype(dtype, copy=False)
-    if _every_block(lambda r, c, r1, c1: ((r1 > r) | ((r1 == r) & (c1 > c))).all(),
+    if _every_block(lambda *pairs: _above(*pairs).all(),
                     rows[:-1], cols[:-1], rows[1:], cols[1:]):
         return rows, cols, vals
     order = np.lexsort((cols, rows))

@@ -300,6 +300,17 @@ def test_quantum_checks_the_qubit_cap_before_it_reads_a_term(tmp_path, capsys, k
     assert not out.exists()
 
 
+def test_solve_rejects_an_ising_header_before_it_reads_a_term(tmp_path, capsys):
+    """The header's kind exits 4 although the term line after it is malformed."""
+    path = tmp_path / "pair.ising"
+    path.write_text("p ising 2 1 0.0\n0 1 not-a-number\n")
+    out = tmp_path / "r.json"
+    assert run("solve", "--qubo", str(path), "--out", str(out)) == 4
+    assert capsys.readouterr().err == (
+        "error: solve expects a QUBO file, got an Ising export\n")
+    assert not out.exists()
+
+
 def test_a_header_sizes_no_array(tmp_path, capsys):
     """A header that declares 5e8 variables and lists 2 terms parses in under 1 MB.
 

@@ -88,10 +88,10 @@ def test_zero_layers_run_the_start_state_through_the_optimisers():
     assert params == QaoaParams((), ())
     assert report["expectation"] == qaoa_run(ising, params, shots=0)["expectation"]
     assert report["expectation"] == pytest.approx(float(cost.energies.mean()), rel=1e-12)
-    doc = vqe_run(ising, layers=0, restarts=3, seed=0)
+    doc = vqe_run(ising, layers=0, seed=0)
     assert doc["params"] == {"layers": 0, "theta": []}
     assert doc["expectation"] == cost.energies[0]
-    assert doc["restart_trace"] == [cost.energies[0]] * 3
+    assert doc["restart_trace"] == [cost.energies[0]] * 8
     assert doc["best_bits"] == "0000"
 
 
@@ -138,7 +138,7 @@ def test_vqe_zero_hamiltonian_constant():
     empty = np.array([], dtype=int)
     ising = IsingModel(h=np.zeros(2), j_rows=empty, j_cols=empty,
                        j_vals=np.array([]), offset=1.25)
-    doc = vqe_run(ising, layers=1, restarts=2, seed=0, maxiter=30)
+    doc = vqe_run(ising, layers=1, seed=0)
     assert doc["expectation"] == pytest.approx(1.25, abs=1e-9)
 
 
@@ -151,7 +151,7 @@ def test_vqe_variational_bound_on_random_instances():
     for seed in range(4):
         ising = _random_ising(6, seed=100 + seed)
         cost = diagonalize_cost(ising)
-        doc = vqe_run(ising, layers=2, restarts=3, seed=seed, maxiter=150)
+        doc = vqe_run(ising, layers=2, seed=seed)
         assert doc["expectation"] >= cost.ground_energy - 1e-9
 
 
@@ -225,7 +225,7 @@ def test_run_doc_shape():
     assert sum(doc["samples_hist"].values()) == 64
     assert len(doc["best_bits"]) == 3
     qaoa = qaoa_run(ising, QaoaParams((0.4, 1.3), (0.7, 0.2)), shots=64, seed=1)
-    vqe = vqe_run(ising, layers=1, restarts=1, seed=1, maxiter=20)
+    vqe = vqe_run(ising, layers=1, seed=1)
     for other, algo in ((qaoa, "qaoa"), (vqe, "vqe")):
         assert other["algo"] == algo
         assert set(doc) - {"params"} <= set(other)
@@ -493,7 +493,7 @@ def test_norm_drift_is_the_largest_deviation_the_check_saw(monkeypatch):
     ising = _random_ising(3, seed=2)
     qaoa = qaoa_run(ising, QaoaParams((0.4, 1.3), (0.7, 0.2)), shots=0)
     anneal = anneal_run(ising, AnnealSchedule(total_time=5, dt=0.05), shots=0)
-    vqe = vqe_run(ising, layers=2, restarts=1, seed=0, maxiter=10)
+    vqe = vqe_run(ising, layers=2, seed=0)
     # QAOA and VQE never renormalise, so the last layer drifts most; the
     # anneal renormalises after each step
     assert qaoa["norm_drift"] == pytest.approx(f ** 12 - 1.0, rel=1e-3)
@@ -578,8 +578,6 @@ def test_optimizers_reject_fewer_than_one_restart(restarts):
     ising = _random_ising(3, seed=2)
     with pytest.raises(QuantumSimError, match="restarts must be >= 1"):
         qaoa_optimize(ising, layers=1, restarts=restarts)
-    with pytest.raises(QuantumSimError, match="restarts must be >= 1"):
-        vqe_run(ising, layers=1, restarts=restarts)
 
 
 # --- Nelder-Mead against scipy ------------------------------------------------
@@ -643,7 +641,7 @@ def _recorded_objectives(monkeypatch):
     monkeypatch.setattr(quantum, "_nelder_mead", record)
     ising, _ = normalize_ising(to_ising(build_qubo(toy_spec(n=2, T=1))))
     qaoa_optimize(ising, layers=2, restarts=2, seed=3)
-    vqe_run(ising, layers=1, restarts=2, seed=3)
+    vqe_run(ising, layers=1, seed=3)
     monkeypatch.undo()
     return seen
 
@@ -667,7 +665,7 @@ def test_nelder_mead_is_bit_identical_to_scipy(monkeypatch):
              for func in (_rosenbrock, _staircase)
              for x0 in ([0.0, 0.0], [-1.2, 0.0, 1.0], [1.0, 2.0])]
     cases += _recorded_objectives(monkeypatch)
-    assert len(cases) == 10
+    assert len(cases) == 16
     taken, stops = set(), set()
     for func, x0, options in cases:
         for maxiter in sorted({0, 1, 20, options["maxiter"]}):

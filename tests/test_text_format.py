@@ -384,8 +384,8 @@ def test_spec_export_parses_bit_for_bit_without_the_per_line_parse(tmp_path, mon
 def test_reader_working_set_is_bounded_by_the_chunk(tmp_path, monkeypatch):
     """Above its result the reader holds less than a byte a term and 16 chunks.
 
-    A whole-file bool mask alone is a byte a term.  Measured: 0.53 bytes a
-    term, 13.0 chunks, with the value runs held at their final size.  The
+    A whole-file bool mask alone is a byte a term.  Measured: 0.52 bytes a
+    term, 12.7 chunks, with the value runs held at their final size.  The
     value tokens here are all distinct, the most a chunk's dedup can hold
     and a run a term.
     """
@@ -472,12 +472,13 @@ def test_values_repeated_three_at_a_time_take_three_bytes_a_term(tmp_path, monke
 def term_lists(draw):
     """Terms of up to 30 variables in file order, and the chunk size to read them in.
 
-    The pairs leave rows with no term and repeat some, which a small chunk
-    puts either side of a boundary.  The lines are sorted, shuffled, or
-    sorted with one adjacent pair swapped, an order break wherever a
-    chunk boundary falls; an index may be written in 9 digits, which only
-    the per-line parse reads.
+    The header is a QUBO's or an Ising model's.  The pairs leave rows with
+    no term and repeat some, which a small chunk puts either side of a
+    boundary.  The lines are sorted, shuffled, or sorted with one adjacent
+    pair swapped, an order break wherever a chunk boundary falls; an index
+    may be written in 9 digits, which only the per-line parse reads.
     """
+    kind = draw(st.sampled_from(["qubo", "ising"]))
     num_vars = draw(st.integers(1, 30))
     index = st.integers(0, num_vars - 1)
     pairs = sorted((min(i, j), max(i, j))
@@ -493,7 +494,7 @@ def term_lists(draw):
     wide = draw(st.integers(-1, len(pairs) - 1))  # the line whose row is written in 9 digits
     lines = [f"{str(i).zfill(9) if k == wide else i} {j} {v!r}"
              for k, ((i, j), v) in enumerate(zip(pairs, vals))]
-    text = f"p qubo {num_vars} {len(lines)} 0.0\n" + "\n".join(lines) + "\n"
+    text = f"p {kind} {num_vars} {len(lines)} 0.0\n" + "\n".join(lines) + "\n"
     return text, num_vars, pairs, vals, draw(st.sampled_from([1, 7, 40, 1 << 18]))
 
 
@@ -503,6 +504,8 @@ def term_lists(draw):
           [(0, 1), (2, 2), (2, 2), (4, 4)], [1.5, -1.0, 0.25, 3.0], 1))  # a repeat across chunks
 @example(("p qubo 4 3 0.0\n0 0 1.0\n3 3 2.0\n1 2 -0.5\n", 4, [(0, 0), (3, 3), (1, 2)],
           [1.0, 2.0, -0.5], 1))  # the order breaks between two chunks
+@example(("p ising 3 4 0.0\n0 0 1.5\n1 2 2.0\n0 0 -0.25\n0 1 1.0\n", 3,
+          [(0, 0), (1, 2), (0, 0), (0, 1)], [1.5, 2.0, -0.25, 1.0], 1))  # a field given twice
 def test_compressed_parse_equals_the_triplet_constructor(tmp_path_factory, case):
     text, num_vars, pairs, vals, chunk = case
     path = tmp_path_factory.mktemp("terms") / "t.qubo"
@@ -510,7 +513,27 @@ def test_compressed_parse_equals_the_triplet_constructor(tmp_path_factory, case)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(qubo_module, "_CHUNK_CHARS", chunk)
         parsed = read_qubo_text(path)
-    assert_parse_equals_the_triplet_constructor(parsed, num_vars, pairs, vals)
+    if text.startswith("p ising"):
+        assert_parse_equals_the_ising_triplets(parsed, num_vars, pairs, vals)
+    else:
+        assert_parse_equals_the_triplet_constructor(parsed, num_vars, pairs, vals)
+
+
+def assert_parse_equals_the_ising_triplets(parsed, num_vars, pairs, vals):
+    """parsed is the IsingModel of the file's terms, bit for bit: h summed from the diagonal
+    terms in file order, the other terms its couplings."""
+    rows, cols = (np.array(k, dtype=np.int64) for k in zip(*pairs))
+    h = np.zeros(num_vars)
+    for (i, j), v in zip(pairs, vals):
+        if i == j:
+            h[i] += v
+    coupling = rows != cols
+    want = IsingModel(h=h, j_rows=rows[coupling], j_cols=cols[coupling],
+                      j_vals=np.array(vals)[coupling], offset=0.0)
+    assert isinstance(parsed, IsingModel)
+    assert_bits_equal((parsed.h, parsed.j_rows, parsed.j_cols, parsed.j_vals),
+                      (want.h, want.j_rows, want.j_cols, want.j_vals))
+    assert parsed.offset == want.offset
 
 
 def assert_parse_equals_the_triplet_constructor(parsed, num_vars, pairs, vals):
@@ -613,7 +636,7 @@ def test_a_shuffled_parse_peaks_no_higher_than_before_value_runs(tmp_path):
 
     The bound is the traced peak a term of the same parse took when the
     reader held a float64 value a term (52.05 bytes).  Measured with value
-    runs: 44.05 bytes a term.
+    runs and row runs: 44.19 bytes a term.
     """
     num_terms = 200_000
     rng = np.random.default_rng(11)
