@@ -48,7 +48,7 @@ class CliError(Exception):
 
 
 def _load_spec(args) -> ProblemSpec:
-    if getattr(args, "toy", False):
+    if args.toy:
         return toy_spec(n=args.toy_n, T=args.toy_t, seed=args.seed)
     if not args.config:
         raise CliError(EXIT_SPEC, "either --config or --toy is required")
@@ -98,18 +98,6 @@ def _non_negative(kind):
     return _checked(kind, lambda v: v >= 0, "non-negative")
 
 
-def _add_toy_flags(parser):
-    parser.add_argument("--toy", action="store_true",
-                        help="generate a small built-in portfolio instead of reading --config")
-    parser.add_argument("--toy-n", type=int, default=2, help="toy asset count (<= 3)")
-    parser.add_argument("--toy-t", type=int, default=2, help="toy horizon (<= 2)")
-
-
-def _add_budget_flags(parser):
-    parser.add_argument("--time-limit", type=_positive(float), default=60.0)
-    parser.add_argument("--max-iterations", type=_positive(int), default=None)
-
-
 def _budget(args) -> SolveBudget:
     return SolveBudget(time_limit=args.time_limit, seed=args.seed,
                        max_iterations=args.max_iterations)
@@ -133,7 +121,7 @@ def cmd_build(args) -> int:
 
 def _load_problem(args):
     """Instance for solve/quantum: a parsed QUBO file or a built spec."""
-    if getattr(args, "qubo", None):
+    if args.qubo:
         return _read_input(args.qubo, read_qubo_text)
     spec = _load_spec(args)
     return build_qubo(spec)
@@ -187,7 +175,7 @@ def cmd_quantum(args) -> int:
 
 def cmd_sweep(args) -> int:
     spec = _load_spec(args)
-    if args.q:
+    if args.q is not None:
         try:
             q_list = [float(tok) for tok in args.q.split(",") if tok.strip()]
         except ValueError as exc:
@@ -246,28 +234,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_build = sub.add_parser("build", help="compile a problem spec to QUBO text")
-    p_build.add_argument("--config", help="ProblemSpec JSON path")
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("--config", help="ProblemSpec JSON path")
+    source.add_argument("--toy", action="store_true",
+                        help="generate a small built-in portfolio instead of reading --config")
+    source.add_argument("--toy-n", type=int, default=2, help="toy asset count (<= 3)")
+    source.add_argument("--toy-t", type=int, default=2, help="toy horizon (<= 2)")
+    source.add_argument("--seed", type=int, default=0)
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--time-limit", type=_positive(float), default=60.0)
+    budget.add_argument("--max-iterations", type=_positive(int), default=None)
+
+    p_build = sub.add_parser("build", parents=[source],
+                             help="compile a problem spec to QUBO text")
     p_build.add_argument("--out", required=True, help="output QUBO text path")
     p_build.add_argument("--ising", action="store_true", help="also write the Ising export")
     p_build.add_argument("--bqp", action="store_true", help="also write the BQP JSON export")
-    p_build.add_argument("--seed", type=int, default=0)
-    _add_toy_flags(p_build)
     p_build.set_defaults(func=cmd_build)
 
-    p_solve = sub.add_parser("solve", help="run a classical solver")
+    p_solve = sub.add_parser("solve", parents=[source, budget], help="run a classical solver")
     p_solve.add_argument("--qubo", help="QUBO text file")
-    p_solve.add_argument("--config", help="ProblemSpec JSON (built on the fly)")
     p_solve.add_argument("--solver", choices=sorted(SOLVERS), default="abs")
-    _add_budget_flags(p_solve)
-    p_solve.add_argument("--seed", type=int, default=0)
     p_solve.add_argument("--out", required=True, help="SolveReport JSON path")
-    _add_toy_flags(p_solve)
     p_solve.set_defaults(func=cmd_solve)
 
-    p_quantum = sub.add_parser("quantum", help="run the statevector simulator")
+    p_quantum = sub.add_parser("quantum", parents=[source],
+                               help="run the statevector simulator")
     p_quantum.add_argument("--qubo", help="QUBO or Ising text file")
-    p_quantum.add_argument("--config", help="ProblemSpec JSON (built on the fly)")
     p_quantum.add_argument("--algo", choices=["qaoa", "vqe", "anneal"], required=True)
     p_quantum.add_argument("--layers", type=_non_negative(int), default=2,
                            help="qaoa/vqe circuit depth; 0 runs the start state "
@@ -275,29 +268,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_quantum.add_argument("--tau", type=_positive_finite, default=50.0,
                            help="anneal total time")
     p_quantum.add_argument("--dt", type=_positive_finite, default=0.01,
-                           help="anneal Trotter step")
-    p_quantum.add_argument("--shots", type=_non_negative(int), default=1024)
-    p_quantum.add_argument("--seed", type=int, default=0)
+                           help="anneal Trotter step: the run takes round(tau / dt) "
+                                "equal steps of tau / steps")
+    p_quantum.add_argument("--shots", type=_non_negative(int), default=1024,
+                           help="qaoa/anneal samples of the final state (0: report the "
+                                "most probable state); vqe ignores it, reports its most "
+                                "probable state and an empty samples_hist")
     p_quantum.add_argument("--out", required=True, help="run output JSON path")
-    _add_toy_flags(p_quantum)
     p_quantum.set_defaults(func=cmd_quantum)
 
-    p_sweep = sub.add_parser("sweep", help="Pareto sweep over risk-aversion values")
-    p_sweep.add_argument("--config", help="ProblemSpec JSON path")
+    p_sweep = sub.add_parser("sweep", parents=[source, budget],
+                             help="Pareto sweep over risk-aversion values")
     p_sweep.add_argument("--q", help="comma-separated q values (default: the standard grid)")
     p_sweep.add_argument("--solver", choices=sorted(SOLVERS), default="exact")
-    _add_budget_flags(p_sweep)
-    p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--out", required=True, help="Pareto CSV path")
-    _add_toy_flags(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_report = sub.add_parser("report", help="economic metrics for a solved run")
+    p_report = sub.add_parser("report", parents=[source],
+                              help="economic metrics for a solved run")
     p_report.add_argument("--solution", required=True, help="SolveReport JSON path")
-    p_report.add_argument("--config", help="ProblemSpec JSON path")
-    p_report.add_argument("--seed", type=int, default=0)
     p_report.add_argument("--out", help="metrics JSON path")
-    _add_toy_flags(p_report)
     p_report.set_defaults(func=cmd_report)
 
     return parser

@@ -513,6 +513,10 @@ def anneal_run(ising: IsingModel, schedule: AnnealSchedule, shots: int = 1024,
     drift cannot accumulate; the largest per-step |norm^2 - 1| is reported
     as "norm_drift".
 
+    The run takes schedule.steps = round(total_time / dt) steps of
+    total_time / steps each, which need not equal dt ("params" repeats the
+    requested dt): total_time 1 with dt 0.3 runs 3 steps of 1/3.
+
     The cost phase at step k is exp(-i (k + 1/2) dt^2/T E), kept as a
     running product: the previous step's phase times the constant
     exp(-i dt^2/T E), with no transcendental in the loop.  Each complex

@@ -26,6 +26,7 @@ from .qubo import (
     QuboError,
     _as_block,
     _one_block,
+    _runs,
     all_energies,
     apply_flip,
     delta_energies,
@@ -110,13 +111,8 @@ class SolveReport:
 
 def rle_encode(bits) -> str:
     """Run-length encode a 0/1 vector as e.g. ``0x5 1x3 0x2``."""
-    x = np.asarray(bits, dtype=np.int8).ravel()
-    if x.size == 0:
-        return ""
-    edges = np.flatnonzero(np.diff(x)) + 1
-    starts = np.concatenate([[0], edges])
-    ends = np.concatenate([edges, [x.size]])
-    return " ".join(f"{x[s]}x{e - s}" for s, e in zip(starts, ends))
+    ids, starts = _runs(np.asarray(bits, dtype=np.int8).ravel())
+    return " ".join(f"{bit}x{count}" for bit, count in zip(ids, np.diff(starts)))
 
 
 def _rle_runs(text: str) -> tuple[list[int], list[int]]:

@@ -413,6 +413,35 @@ def test_sweep_passes_its_budget_to_sweep_q(tmp_path, monkeypatch):
     assert len(out.read_text().splitlines()) == 3
 
 
+def test_sweep_empty_q_list_exits_4(tmp_path, capsys):
+    out = tmp_path / "p.csv"
+    assert run("sweep", "--toy", "--q", "", "--out", str(out)) == 4
+    assert "bad --q list: q_list must be non-empty" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "--out", "o.qubo"],
+    ["solve", "--out", "o.json", "--time-limit", "2.5", "--max-iterations", "7"],
+    ["quantum", "--algo", "anneal", "--out", "o.json"],
+    ["sweep", "--out", "o.csv", "--time-limit", "2.5", "--max-iterations", "7"],
+    ["report", "--solution", "s.json"],
+], ids=lambda argv: argv[0])
+def test_every_command_takes_the_shared_options(argv):
+    from qubofolio import cli
+
+    args = cli.build_parser().parse_args(
+        [*argv, "--toy", "--toy-n", "3", "--toy-t", "1", "--seed", "5"])
+    spec, want = cli._load_spec(args), toy_spec(n=3, T=1, seed=5)
+    assert spec.prices.p.shape == (3, 2)
+    assert spec.prices.p.tobytes() == want.prices.p.tobytes()
+    assert spec.covariances.sigma.tobytes() == want.covariances.sigma.tobytes()
+    assert (spec.k, spec.B, spec.C, spec.params) == (want.k, want.B, want.C, want.params)
+    if "--time-limit" in argv:
+        budget = cli._budget(args)
+        assert (budget.time_limit, budget.max_iterations, budget.seed) == (2.5, 7, 5)
+
+
 def test_sweep_all_failed_exits_5(tmp_path):
     # 46-variable instance: every exact row hits the enumeration cap
     spec = toy_spec(n=3, T=2, seed=0)

@@ -4,8 +4,9 @@ method of a package class is referenced as an attribute in the package,
 its tests or its demos, every option of an exported function or
 dataclass is passed by some call, every CLI option appears in a test,
 demo, bench file or the README, no module reads an environment
-variable or imports scipy, every command runs with scipy blocked, and
-every name a module exports exists."""
+variable or imports scipy, every command runs with scipy blocked, a
+failing property test does not end the test run, and every name a module
+exports exists."""
 import argparse
 import ast
 import importlib
@@ -379,6 +380,33 @@ def test_every_command_runs_without_scipy(tmp_path):
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == [0] * len(argvs)
+
+
+_FAILING_PROPERTY = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_a_failing_property(x):
+    assert x < 0
+
+
+def test_after_it():
+    pass
+"""
+
+
+def test_a_failing_property_test_fails_without_ending_the_run(tmp_path):
+    """Under the project's warning filters, a failing Hypothesis test is reported as one
+    failure and the tests after it still run: no INTERNALERROR ends the session."""
+    for name in ("pyproject.toml", "tests/conftest.py"):
+        (tmp_path / Path(name).name).write_bytes((ROOT / name).read_bytes())
+    (tmp_path / "test_property.py").write_text(_FAILING_PROPERTY)
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    out = proc.stdout + proc.stderr
+    assert proc.returncode == 1, out
+    assert "1 failed, 1 passed" in out and "INTERNALERROR" not in out
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
