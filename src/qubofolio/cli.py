@@ -240,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="generate a small built-in portfolio instead of reading --config")
     source.add_argument("--toy-n", type=int, default=2, help="toy asset count (<= 3)")
     source.add_argument("--toy-t", type=int, default=2, help="toy horizon (<= 2)")
-    source.add_argument("--seed", type=int, default=0)
+    source.add_argument("--seed", type=_non_negative(int), default=0)
     budget = argparse.ArgumentParser(add_help=False)
     budget.add_argument("--time-limit", type=_positive(float), default=60.0)
     budget.add_argument("--max-iterations", type=_positive(int), default=None)
@@ -293,9 +293,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _one_source(args) -> None:
+    """More than one of --qubo, --config and --toy exits 2, naming the flags given."""
+    given = [flag for flag, value in (("--qubo", getattr(args, "qubo", None)),
+                                      ("--config", args.config), ("--toy", args.toy)) if value]
+    if len(given) > 1:
+        raise CliError(EXIT_SPEC, f"give one problem source, not {' and '.join(given)}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _one_source(args)
         return args.func(args)
     except (CliError, ModelError, MarketDataError, QuboError, QuantumSimError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -304,6 +313,9 @@ def main(argv=None) -> int:
         if isinstance(exc, (ModelError, MarketDataError)):
             return EXIT_SPEC
         return EXIT_PARSE if isinstance(exc, QuboParseError) else EXIT_CAP  # else a size cap
+    except OSError as exc:  # an output path that cannot be written; inputs exit 4 as they are read
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

@@ -26,9 +26,10 @@ import io
 import json
 import math
 import os
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -94,14 +95,15 @@ class BlockQubo:
         R = self.budget_rows
         cols, pattern = np.unique(R, axis=1, return_inverse=True)
         penalty = self.penalty_weight * (cols.T @ R)
-        return _Kernel(penalty=penalty, pattern=pattern, cross=self.cross.tolist())
+        return _Kernel(penalty=penalty, pattern=pattern, cols=cols, cross=self.cross.tolist())
 
 
 class _Kernel(NamedTuple):
-    """Per-problem lookups of apply_flip and _block_rows."""
+    """Per-problem lookups of apply_flip, _block_rows and _flip_state."""
 
     penalty: np.ndarray  # (k, w): P * R[:, j]'R for each of the k distinct columns j of R
     pattern: np.ndarray  # (w,): the row of `penalty` that column j of R selects
+    cols: np.ndarray  # (m, k): the k distinct columns of R, in pattern order
     cross: list[list[float]]  # BlockQubo.cross, for scalar reads
 
 
@@ -460,21 +462,31 @@ def energy(qubo: BlockQubo, bits) -> float:
     return math.fsum([qubo.offset, float(qubo.linear @ x.ravel()), *risk, *penalty, *cross])
 
 
-def delta_energies(qubo: BlockQubo, bits) -> np.ndarray:
-    """Vector of exact energy changes for flipping each bit; O(n^2 + w) per held step.
-
-    core_t @ g_t is formed only at the steps that hold a position; an empty
-    step's product is zero.
-    """
-    T, w = qubo.wp.shape
-    x = _zero_one(bits, qubo.num_vars, QuboError).astype(float).reshape(T, w)
+def _core_products(qubo: BlockQubo, x: np.ndarray) -> np.ndarray:
+    """core_t @ g_t of x (T, w), a (T, n) array; an empty step's product is zero, not formed."""
     g = _positions(qubo, x)
     core_g = np.zeros_like(g)
     for t in np.flatnonzero(g.any(axis=1)):
         core_g[t] = qubo.core[t] @ g[t]
+    return core_g
+
+
+def _self_terms(qubo: BlockQubo) -> np.ndarray:
+    """scale * wp^2 * core_t[slot, slot]: each position's risk entry of D_jj, a (T, w) array."""
     core_diag = np.diagonal(qubo.core, axis1=1, axis2=2)
-    dg = qubo.wp * qubo.wp * qubo.scale * core_diag[:, qubo.slot]
-    dx = qubo.wp * qubo.scale * core_g[:, qubo.slot]
+    return qubo.wp * qubo.wp * qubo.scale * core_diag[:, qubo.slot]
+
+
+def delta_energies(qubo: BlockQubo, bits) -> np.ndarray:
+    """Vector of exact energy changes for flipping each bit; O(n^2 + w) per held step.
+
+    core_t @ g_t is formed only at the steps that hold a position; an empty
+    step's product is zero.  _flip_state reads one entry by this formula.
+    """
+    T, w = qubo.wp.shape
+    x = _zero_one(bits, qubo.num_vars, QuboError).astype(float).reshape(T, w)
+    dg = _self_terms(qubo)
+    dx = qubo.wp * qubo.scale * _core_products(qubo, x)[:, qubo.slot]
     inner = qubo.linear.reshape(T, w) + dg + 2.0 * dx - 2.0 * dg * x
     inner[1:] += qubo.cross * x[:-1]
     inner[:-1] += qubo.cross * x[1:]
@@ -483,6 +495,84 @@ def delta_energies(qubo: BlockQubo, bits) -> np.ndarray:
     res = qubo.budget_rhs - x @ R.T
     deltas = d * inner + qubo.penalty_weight * ((R * R).sum(axis=0) - 2.0 * d * (res @ R))
     return deltas.ravel()
+
+
+class _FlipState(NamedTuple):
+    """The single-flip state _flip_state keeps; single-owner and mutable."""
+
+    bits: np.ndarray  # (T * w,) int8, a view of the state's bits that every flip changes
+    delta: Callable[[int], float]  # delta(i): the energy change of flipping bit i
+    flip: Callable[[int], None]  # flip(i): flip bit i and update the state
+
+
+def _scalars(a: np.ndarray, code: str = "d") -> array:
+    """a, flattened, as an array.array: a read of one entry is a Python number."""
+    return array(code, np.ascontiguousarray(a, dtype=np.dtype(code)).tobytes())
+
+
+def _flip_state(qubo: BlockQubo, bits: np.ndarray) -> _FlipState:
+    """Simulated annealing's state at 0/1 bits: what delta_energies reads, kept factored.
+
+    It holds each step's core_t @ g_t (T, n), the budget residual's dot
+    product with each of the kernel's k distinct budget columns (T, k,
+    exact integers) and the bits.  delta(i) forms delta_energies' entry i in
+    its order of operations, so at a fresh state the two agree bit for bit.
+    flip(i) updates the n + k numbers of i's step: core_t @ g_t by
+    +-wp_i * core_t[slot_i] (skipped when wp_i = 0) and the residual's dot
+    products by the integers -+R[:, i]'R[:, c].  Unlike apply_flip it keeps
+    no other delta, so a flip costs O(n + k) where apply_flip's costs O(w).
+    """
+    T, w = qubo.wp.shape
+    n = qubo.core.shape[1]
+    kern = qubo._kernel
+    k = kern.cols.shape[1]
+    x = np.asarray(bits, dtype=float).reshape(T, w)
+    dg = _self_terms(qubo)
+    step_rows = np.arange(T)[:, None]
+    held = _scalars(_core_products(qubo, x))  # core_t @ g_t
+    dots = _scalars((qubo.budget_rhs - x @ qubo.budget_rows.T) @ kern.cols)  # res_t'R[:, c]
+    gram = kern.cols.T @ kern.cols
+    xs = bytearray(np.asarray(bits, dtype=np.int8).tobytes())
+    base = _scalars(qubo.linear.reshape(T, w) + dg)
+    two_dg = _scalars(2.0 * dg)
+    wp = _scalars(qubo.wp)
+    wp_scale = _scalars(qubo.wp * qubo.scale)
+    cross = _scalars(qubo.cross)  # cross[t, j] at t * w + j
+    at = _scalars(qubo.slot + n * step_rows, "q")  # the core_t @ g_t entry of each position
+    col = _scalars(kern.pattern + k * step_rows, "q")  # its residual dot product
+    rr = _scalars(np.tile(np.diagonal(gram)[kern.pattern], T))  # R[:, j]'R[:, j]
+    held_rows = list(np.frombuffer(held).reshape(T, n))
+    dot_rows = list(np.frombuffer(dots).reshape(T, k))
+    core_rows = list(qubo.core.reshape(T * n, n))
+    gram_rows = list(gram)
+    pattern = kern.pattern.tolist()
+    penalty, last = qubo.penalty_weight, T - 1
+
+    def delta(i: int) -> float:
+        xi = xs[i]
+        t = i // w
+        inner = base[i] + 2.0 * (wp_scale[i] * held[at[i]])
+        inner -= two_dg[i] * xi
+        if t:
+            inner += cross[i - w] * xs[i - w]
+        if t < last:
+            inner += cross[i] * xs[i + w]
+        d = 1.0 - 2.0 * xi
+        return d * inner + penalty * (rr[i] - 2.0 * d * dots[col[i]])
+
+    def flip(i: int) -> None:
+        t = i // w
+        weight = wp[i]
+        if xs[i]:
+            weight = -weight
+            np.add(dot_rows[t], gram_rows[pattern[i - t * w]], out=dot_rows[t])
+        else:
+            np.subtract(dot_rows[t], gram_rows[pattern[i - t * w]], out=dot_rows[t])
+        if weight:
+            held_rows[t] += weight * core_rows[at[i]]
+        xs[i] ^= 1
+
+    return _FlipState(np.frombuffer(xs, dtype=np.int8), delta, flip)
 
 
 # _SIGN[x_i][x_k] = d_i * d_k, where d = 1 - 2x is the change a flip makes to x

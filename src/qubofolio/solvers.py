@@ -3,8 +3,14 @@ simulated annealing, and adaptive pooled search.
 
 All solvers consume either a BlockQubo or a SparseQubo and return a
 SolveReport; a SparseQubo is searched as a one-block BlockQubo, so every
-solver runs on the energy, delta_energies and apply_flip kernel of
-qubo.py.  Randomized solvers draw from one ``default_rng(seed)`` stream.
+solver runs on the flip kernels of qubo.py.  Descent and the tabu walk
+take an argmin over every delta, so they keep them all with apply_flip
+(17-27 us a flip on exp1, whose steps are 1,210 wide).  Annealing
+reads only the delta it proposes, so it keeps qubo._flip_state instead:
+each step's core_t @ g_t and the budget residual's dot products with the
+distinct budget columns (200 + 12 numbers a step on exp1).  There a
+proposal costs 0.8-1.5 us and an accepted flip 2.2-4.5 us.
+Randomized solvers draw from one ``default_rng(seed)`` stream.
 Operator adaptation follows bit flips and the annealing schedule follows
 proposals: deterministic work counts rather than wall-clock time, so a
 run with a fixed ``max_iterations`` is bit-for-bit repeatable; purely
@@ -25,6 +31,7 @@ from .qubo import (
     BlockQubo,
     QuboError,
     _as_block,
+    _flip_state,
     _one_block,
     _runs,
     all_energies,
@@ -372,21 +379,28 @@ def solve_sa(qubo, budget: SolveBudget | None = None) -> SolveReport:
     its delta is at most its threshold, which is the Metropolis rule
     u < exp(-delta / T) in distribution.  The time limit is tested before
     each block.
+
+    After the one delta_energies call that sets T0, the search keeps
+    _flip_state and no delta table: a proposal forms its one delta from
+    the step's core_t @ g_t, and an accepted flip updates that step's n + k
+    numbers, not its w deltas: on exp1 (n = 200, k = 12, w = 1,210), 212
+    numbers instead of 1,210.  There, on a 2-core Xeon VM, a proposal
+    costs 0.8-1.5 us and an accepted flip 2.2-4.5 us.
     """
     qubo = _as_block(qubo)
     n = qubo.num_vars
     run = _Run("sa", qubo, budget)
     rng = np.random.default_rng(run.budget.seed)
     x = rng.integers(0, 2, size=n).astype(np.int8)
-    deltas = delta_energies(qubo, x)
     e = energy(qubo, x)
     run.offer(e, x)
     if n == 0:  # the empty assignment is the only one
         return run.report(0)
-    t0 = max(float(np.percentile(np.abs(deltas), 90)), 1e-12)
+    t0 = max(float(np.percentile(np.abs(delta_energies(qubo, x)), 90)), 1e-12)
     tf = t0 * _SA_FINAL_RATIO
     max_it = run.budget.max_iterations or 200 * n
     cooling, span = tf / t0, max(max_it - 1, 1)
+    x, delta, flip = _flip_state(qubo, x)
     iterations = 0
     while iterations < max_it and not run.spent(iterations):
         m = min(_SA_BLOCK, max_it - iterations)
@@ -395,8 +409,10 @@ def solve_sa(qubo, budget: SolveBudget | None = None) -> SolveReport:
         temps = t0 * cooling ** (np.arange(iterations, iterations + m) / span)
         thresholds = (-temps * np.log1p(-u)).tolist()
         for k, (i, thr) in enumerate(zip(picks, thresholds)):
-            if deltas[i] <= thr:
-                e += apply_flip(qubo, x, i, deltas)
+            change = delta(i)
+            if change <= thr:
+                flip(i)
+                e += change
                 if e < run.best_e and run.offer(e, x):
                     return run.report(iterations + k + 1)
         iterations += m

@@ -359,8 +359,9 @@ def test_non_positive_budget_exits_2(tmp_path, capsys, argv):
     (["--algo", "anneal", "--dt", "0"], "positive and finite"),
     (["--algo", "anneal", "--tau", "inf"], "positive and finite"),
     (["--algo", "anneal", "--dt", "inf"], "positive and finite"),
+    (["--algo", "anneal", "--seed", "-1"], "non-negative"),
 ], ids=["negative-shots", "qaoa-negative-layers", "vqe-negative-layers",
-        "negative-tau", "zero-dt", "infinite-tau", "infinite-dt"])
+        "negative-tau", "zero-dt", "infinite-tau", "infinite-dt", "negative-seed"])
 def test_quantum_invalid_flag_exits_2(tmp_path, capsys, argv, what):
     with pytest.raises(SystemExit) as exc:
         run("quantum", *argv, "--toy", "--out", str(tmp_path / "r.json"))
@@ -440,6 +441,44 @@ def test_every_command_takes_the_shared_options(argv):
     if "--time-limit" in argv:
         budget = cli._budget(args)
         assert (budget.time_limit, budget.max_iterations, budget.seed) == (2.5, 7, 5)
+
+
+@pytest.mark.parametrize("argv", [
+    ["build"], ["solve", "--solver", "exact"], ["quantum", "--algo", "anneal", "--tau", "1"],
+    ["sweep", "--q", "0"], ["report", "--solution"]], ids=lambda argv: argv[0])
+def test_an_output_path_that_cannot_be_written_exits_4(tmp_path, capsys, argv):
+    """A missing output directory is one error line, not a FileNotFoundError traceback."""
+    if argv[0] == "report":
+        solution = tmp_path / "exact.json"
+        assert run("solve", "--toy", "--solver", "exact", "--out", str(solution)) == 0
+        argv = [*argv, str(solution)]
+    out = tmp_path / "missing" / "out"
+    assert run(*argv, "--toy", "--out", str(out)) == 4
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+
+
+@pytest.mark.parametrize("argv, sources", [
+    (["solve", "--solver", "exact"], ["--qubo", "--config"]),
+    (["solve", "--solver", "exact"], ["--qubo", "--toy"]),
+    (["solve", "--solver", "exact"], ["--config", "--toy"]),
+    (["quantum", "--algo", "anneal"], ["--qubo", "--config"]),
+    (["quantum", "--algo", "anneal"], ["--qubo", "--toy"]),
+    (["quantum", "--algo", "anneal"], ["--config", "--toy"]),
+    (["build"], ["--config", "--toy"]),
+    (["sweep"], ["--config", "--toy"]),
+], ids=["solve-qubo-config", "solve-qubo-toy", "solve-config-toy", "quantum-qubo-config",
+        "quantum-qubo-toy", "quantum-config-toy", "build-config-toy", "sweep-config-toy"])
+def test_more_than_one_problem_source_exits_2(tmp_path, capsys, toy_qubo, argv, sources):
+    """Each source is a readable input, so only the pair itself is at fault."""
+    config = tmp_path / "spec.json"
+    config.write_text(json.dumps(spec_to_json(toy_spec(n=2, T=2, seed=0))))
+    value = {"--qubo": [str(toy_qubo)], "--config": [str(config)], "--toy": []}
+    out = tmp_path / "r.out"
+    assert run(*argv, *(v for flag in sources for v in (flag, *value[flag])),
+               "--out", str(out)) == 2
+    want = f"error: give one problem source, not {' and '.join(sources)}\n"
+    assert capsys.readouterr().err == want
+    assert not out.exists()
 
 
 def test_sweep_all_failed_exits_5(tmp_path):

@@ -887,6 +887,44 @@ def test_apply_flip_equals_reference_bit_for_bit(qubo, steps):
         assert _same_bits(deltas, ref_deltas)
 
 
+def _flip_state_cases():
+    spec = synthetic_spec(n=15, T=4, k=2, B=8, C=3, seed=3)  # P derived
+    assert spec.k >= 2 and spec.T >= 3 and spec.params.P is None
+    for signed in (True, False):
+        signed_spec = dataclasses.replace(spec, signed_risk=signed)
+        qubo = build_qubo(signed_spec)
+        name = "signed" if signed else "unsigned"
+        yield pytest.param(qubo, None, id=f"synthetic-15x4-{name}-random")
+        yield pytest.param(qubo, cash_only_bits(signed_spec), id=f"synthetic-15x4-{name}-cash")
+    yield pytest.param(build_qubo(toy_spec(n=3, T=2, q=1e-3, seed=4)), None, id="toy")
+    yield pytest.param(_random_one_block(1), None, id="one-block")
+    yield pytest.param(qubo_module._as_block(SparseQubo(0, [], [], [], 1.5)), None,
+                       id="zero-variables")
+
+
+@pytest.mark.parametrize("qubo,start", _flip_state_cases())
+def test_flip_state_reads_the_deltas_of_delta_energies(qubo, start):
+    """A fresh state reads delta_energies bit for bit; 1,500 seeded flips later it keeps
+    the same bits and reads the fresh deltas within the flip probe's drift bound."""
+    n = qubo.num_vars
+    rng = np.random.default_rng(n)
+    x = rng.integers(0, 2, n).astype(np.int8) if start is None else start.copy()
+    state = qubo_module._flip_state(qubo, x)
+    assert np.array_equal(state.bits, x)
+    assert _same_bits([state.delta(i) for i in range(n)], delta_energies(qubo, x))
+    if n == 0:
+        return
+    for i in rng.integers(0, n, size=1500).tolist():
+        state.flip(i)
+        x[i] ^= 1
+    assert np.array_equal(state.bits, x)
+    fresh = delta_energies(qubo, x)
+    read = np.array([state.delta(i) for i in range(n)])
+    assert np.abs(read - fresh).max() <= 1e-9 * np.abs(fresh).max()
+    fresh_state = qubo_module._flip_state(qubo, x)
+    assert _same_bits([fresh_state.delta(i) for i in range(n)], fresh)
+
+
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("size", [EXP1, EXP2], ids=["exp1", "exp2"])
 def test_cash_only_energy_is_exact_at_paper_size(size, seed):
