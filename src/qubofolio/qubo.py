@@ -108,12 +108,7 @@ class _Kernel(NamedTuple):
 
 
 def _index_dtype(num_vars: int) -> type:
-    """The narrowest dtype of term indices below num_vars: int16, int32 or int64.
-
-    Indices run to num_vars - 1, so int16 serves num_vars < 2**15 (exp1's
-    12,100 variables: a parsed term's column takes 2 bytes), int32
-    num_vars < 2**31, and int64 any larger problem.
-    """
+    """The narrowest dtype of term indices below num_vars: int16, int32 or int64."""
     if num_vars < 2**15:
         return np.int16
     return np.int32 if num_vars < 2**31 else np.int64
@@ -140,11 +135,8 @@ class SparseQubo:
     (run-length encoding as column stores keep it: Abadi, Madden and
     Ferreira, SIGMOD 2006).  Runs need not be maximal.  row_ids and cols
     are in _index_dtype(num_vars), row_starts int64; rows and vals are
-    formed on each access.  A term of exp1's export, whose values come
-    in runs of about 2.9, holds its 2-byte column and about 3.1 bytes of
-    runs; with no two equal neighbours a term holds 9 bytes of runs, 1
-    more than a float64 value.  The constructor takes triplets,
-    range-checks them and sums repeats; to_sparse also drops zero terms.
+    formed on each access.  The constructor takes triplets, range-checks
+    them and sums repeats; to_sparse also drops zero terms.
     read_qubo_text keeps a file in strict (i, j) order as read, with its
     zero terms and no row index a term, and gives any other file to the
     constructor.
@@ -336,8 +328,7 @@ def _penalty_scan(spec: ProblemSpec) -> float:
     A risk entry is q * (w_i p_a)(w_j p_b) * Sigma_ab for the assets a, b of
     slots i, j with weights w = +-1, and every asset owns a slot, so the
     (n, n) products q * p_a p_b * Sigma_ab hold exactly the risk magnitudes.
-    They are formed one step at a time in one (n, n) buffer.  The turnover
-    band is build_qubo's cross.
+    The turnover band is build_qubo's cross.
     """
     prm = spec.params
     p = spec.prices.p
@@ -651,7 +642,7 @@ def _step_tables(qubo: BlockQubo):
 
 
 def _sparse_bands(qubo: BlockQubo):
-    """Yield each band's (rows, cols, vals) as to_sparse lists them, in (i, j) order.
+    """Yield each band's (rows, cols, vals, step) as to_sparse lists them, in (i, j) order.
 
     The indices are formed in the index dtype, so no index array of the
     whole export is int64.
@@ -659,14 +650,15 @@ def _sparse_bands(qubo: BlockQubo):
     dtype = _index_dtype(qubo.num_vars)
     w = qubo.wp.shape[1]
     for first, band in _step_tables(qubo):
-        r, c = np.nonzero(band)
-        vals = band[r, c]
+        nonzero = band != 0
+        r, c = np.nonzero(nonzero)
+        vals = band[nonzero]
         link = c == band.shape[1] - 1
         c[link] = r[link] + w
         rows, cols = r.astype(dtype), c.astype(dtype)
         rows += first
         cols += first
-        yield rows, cols, vals
+        yield rows, cols, vals, first // w
 
 
 def to_sparse(qubo: BlockQubo) -> SparseQubo:
@@ -678,7 +670,7 @@ def _triplets(qubo) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """rows, cols, vals, offset of a BlockQubo's canonical bands or of a SparseQubo."""
     if isinstance(qubo, SparseQubo):
         return qubo.rows, qubo.cols, qubo.vals, qubo.offset
-    rows, cols, vals = (np.concatenate(part) for part in zip(*_sparse_bands(qubo)))
+    rows, cols, vals = map(np.concatenate, list(zip(*_sparse_bands(qubo)))[:3])
     return rows, cols, vals, _export_offset(qubo)
 
 
@@ -837,116 +829,115 @@ _SEPARATORS = np.array([ord(" "), ord(" "), ord("\n")], dtype=np.uint8)  # of a 
 _CHECK_BLOCK = 1 << 16  # terms per block of a check over every term
 
 
-def _text_rows(keys: np.ndarray, texts) -> np.ndarray:
-    """The strings texts(distinct keys) as NUL-padded uint8 rows, one row per key."""
-    distinct, inverse = np.unique(keys, return_inverse=True)
-    text = np.array(list(texts(distinct)), dtype="S")
-    return text.view(np.uint8).reshape(len(distinct), text.itemsize)[inverse]
+def _write_records(fh, parts, num_vars: int, terms: int, seps=(b"", b" ", b" ", b"\n"),
+                   lead: int = 0) -> None:
+    """Write a record per term of parts, (rows, cols, vals, step) in file order, to fh.
 
-
-def _decimal(k: np.ndarray):
-    return map(str, k.tolist())
-
-
-def _float_repr(bits: np.ndarray):
-    return map(repr, bits.view(np.float64).tolist())
-
-
-def _term_chunks(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray):
-    """Yield the i, j and value texts of each chunk of terms as NUL-padded uint8 rows.
-
-    Values are told apart by bit pattern, so -0.0 keeps its own repr, and
-    repr runs once per distinct pattern in a chunk.  Index text comes from
-    one table over the index range, or per chunk when that range is wider
-    than the term count.
+    seps are the bytes before, between and after a record's i, j and value.
+    A piece of at most _CHUNK_LINES terms fills one record buffer with
+    NUL-padded text, and the padding is dropped as it is written.  Index
+    text is one table (per piece if num_vars > terms); value text a table
+    of the step's bit patterns (step None: the piece's), repr once a new
+    one.  The first `lead` bytes are not written.
     """
-    if len(vals) == 0:
-        return
-    lo = int(min(rows.min(), cols.min()))
-    hi = int(max(rows.max(), cols.max()))
-    table = _text_rows(np.arange(lo, hi + 1), _decimal) if hi - lo < len(vals) else None
+    index = f"S{len(str(num_vars - 1))}"
+    width = dict(zip("abcd", (f"S{len(sep)}" for sep in seps)), i=index, j=index, v="S24")
+    rec = np.empty(min(_CHUNK_LINES, terms), [(f, width[f]) for f in "aibjcvd"])
+    for f, sep in zip("abcd", seps):
+        rec[f] = sep
+    table = np.arange(num_vars).astype(index) if num_vars <= terms else None
+    last = None
+    for *part, step in parts:
+        for a in range(0, len(part[2]), _CHUNK_LINES):
+            if step is None or step != last:  # a NaN's bits: above any finite's
+                keys, texts, last = np.array([2**64 - 1], np.uint64), np.zeros(1, "S24"), step
+            rows, cols, vals = (x[a:a + _CHUNK_LINES] for x in part)
+            piece = rec[:len(vals)]
+            for f, k in (("i", rows), ("j", cols)):
+                tab = table
+                if tab is None:
+                    tab, k = np.unique(k, return_inverse=True)
+                    tab = tab.astype(index)
+                piece[f] = tab.take(k)
+            heads, starts = _runs(np.asarray(vals, dtype=np.float64).view(np.uint64))
+            distinct, inverse = np.unique(heads, return_inverse=True)
+            at = np.searchsorted(keys, distinct)
+            miss = keys[at] != distinct
+            new = distinct[miss]
+            keys = np.insert(keys, at[miss], new)
+            texts = np.insert(texts, at[miss], list(map(repr, new.view(np.float64).tolist())))
+            at += np.cumsum(miss) - miss
+            piece["v"] = texts.take(np.repeat(at[inverse], np.diff(starts)))
+            fh.write(piece.tobytes().translate(None, b"\0")[lead:])
+            lead = 0
 
-    def index_text(k):
-        return _text_rows(k, _decimal) if table is None else table[k - lo]
 
-    for a in range(0, len(vals), _CHUNK_LINES):
-        sl = slice(a, a + _CHUNK_LINES)
-        value = _text_rows(np.asarray(vals[sl], dtype=np.float64).view(np.uint64), _float_repr)
-        yield index_text(rows[sl]), index_text(cols[sl]), value
-
-
-def _records(*fields) -> np.ndarray:
-    """The bytes of one record per row: each field a uint8 row array or a bytes constant.
-
-    Records are laid side by side as zero-padded rows; one mask drops the padding.
-    """
-    count = len(next(f for f in fields if isinstance(f, np.ndarray)))
-    rec = np.hstack([f if isinstance(f, np.ndarray)
-                     else np.tile(np.frombuffer(f, dtype=np.uint8), (count, 1)) for f in fields])
-    return rec[rec != 0]
+def _capped(value):
+    """value, or a QuboError (the export's magnitude cap) if an entry is not finite."""
+    if not _every_block(lambda v: np.isfinite(v).all(), np.atleast_1d(value)):
+        raise QuboError("magnitude cap: an exported term or offset is not finite")
+    return value
 
 
-def _write_terms(fh, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> None:
-    """Write `i j value` lines to the binary file fh, one chunk of records at a time."""
-    for i, j, value in _term_chunks(rows, cols, vals):
-        fh.write(_records(i, b" ", j, b" ", value, b"\n"))
+def _checked_count(qubo: BlockQubo) -> tuple[int, float]:
+    """The export's term count and offset, every band and the offset capped."""
+    return (sum(np.count_nonzero(_capped(band)) for _, band in _step_tables(qubo)),
+            _capped(_export_offset(qubo)))
 
 
 def write_qubo_text(qubo, path) -> int:
     """`p qubo <num_vars> <num_terms> <offset>` then `i j value` lines, i <= j; returns num_terms.
 
     A BlockQubo is written as to_sparse would give it, one band of a step's
-    rows at a time: a first pass counts the terms for the header, so no
-    band is kept.
+    rows at a time: a first pass counts and caps the terms for the header,
+    so no band is kept.
     """
     if isinstance(qubo, BlockQubo):
-        num_terms = sum(np.count_nonzero(band) for _, band in _step_tables(qubo))
-        offset = _export_offset(qubo)
+        num_terms, offset = _checked_count(qubo)
         parts = _sparse_bands(qubo)
     else:
         rows, cols, vals, offset = _triplets(qubo)
-        num_terms = len(vals)
-        parts = [(rows, cols, vals)]
+        num_terms, parts = len(_capped(vals)), [(rows, cols, vals, None)]
+    header = f"p qubo {qubo.num_vars} {num_terms} {float(_capped(offset))!r}\n"
     with open(path, "wb") as fh:
-        fh.write(f"p qubo {qubo.num_vars} {num_terms} {float(offset)!r}\n".encode())
-        for rows, cols, vals in parts:
-            _write_terms(fh, rows, cols, vals)
+        fh.write(header.encode())
+        _write_records(fh, parts, qubo.num_vars, num_terms)
     return num_terms
 
 
 def write_bqp_json(spec: ProblemSpec, path) -> None:
     """The BQP document, the penalty-free objective and per-step budget rows, and a newline.
 
-    The objective's to_sparse terms are [i, j, value] lists, streamed from
-    the penalty-free BlockQubo one band of a step's rows at a time; json.dump
-    writes the rest.
+    The objective's to_sparse terms are [i, j, value] lists, counted and
+    capped, then streamed from the penalty-free BlockQubo one band of a
+    step's rows at a time; json.dump writes the rest.
     """
     free = build_qubo(spec, include_penalty=False)
+    num_terms, offset = _checked_count(free)
     constraints = [{"kind": kind, "step": t, "indices": idx.tolist(), "coeffs": coef.tolist(),
                     "rhs": rhs}
                    for kind, per_step in zip(("asset", "cash"), _bqp_rows(free))
                    for t, (idx, coef, rhs) in enumerate(per_step, start=1)]
-    doc = {"objective": {"num_vars": free.num_vars, "offset": _export_offset(free), "terms": []},
+    doc = {"objective": {"num_vars": free.num_vars, "offset": offset, "terms": []},
            "constraints": constraints}
     head, mark, tail = json.dumps(doc).partition('"terms": [')
     with open(path, "wb") as fh:
         fh.write((head + mark).encode())
-        lead = len(b", ")  # the first term has no separator before it
-        for part in _sparse_bands(free):
-            for i, j, value in _term_chunks(*part):
-                fh.write(_records(b", [", i, b", ", j, b", ", value, b"]")[lead:])
-                lead = 0
+        _write_records(fh, _sparse_bands(free), free.num_vars, num_terms,
+                       (b", [", b", ", b", ", b"]"), lead=2)  # no ", " before the first term
         fh.write(tail.encode() + b"\n")
 
 
 def write_ising_text(ising: IsingModel, path) -> None:
     """Same line format as the QUBO export; h terms appear as `i i value`."""
-    h_idx = np.flatnonzero(ising.h)
-    num_terms = len(h_idx) + len(ising.j_vals)
+    h_idx = np.flatnonzero(_capped(ising.h))
+    num_terms = len(h_idx) + len(_capped(ising.j_vals))
+    header = f"p ising {ising.num_spins} {num_terms} {float(_capped(ising.offset))!r}\n"
     with open(path, "wb") as fh:
-        fh.write(f"p ising {ising.num_spins} {num_terms} {float(ising.offset)!r}\n".encode())
-        _write_terms(fh, h_idx, h_idx, ising.h[h_idx])
-        _write_terms(fh, ising.j_rows, ising.j_cols, ising.j_vals)
+        fh.write(header.encode())
+        _write_records(fh, [(h_idx, h_idx, ising.h[h_idx], None),
+                            (ising.j_rows, ising.j_cols, ising.j_vals, None)],
+                       ising.num_spins, num_terms)
 
 
 def _eight_digits(w: np.ndarray, length: np.ndarray):
@@ -1083,10 +1074,7 @@ def _read_terms(fh, path, num_vars: int, num_terms: int):
     SparseQubo's runs, _value_runs of each chunk's values, so a run may
     break at a chunk boundary.  run_vals and run_lengths are allocated at
     num_terms entries, of which only the pages written become resident,
-    and are shrunk in place at the end.  Text is read a chunk at a time,
-    each chunk extended to the end of its last line; a last line without a
-    line end is given one.  A chunk of canonical lines is parsed with
-    numpy, any other chunk line by line.  Each chunk's int64 indices are
+    and are shrunk in place at the end.  Each chunk's int64 indices are
     checked against num_vars before they are stored in
     _index_dtype(num_vars), so none wraps.
     """

@@ -195,6 +195,29 @@ def test_a_file_whose_energies_overflow_exits_3(tmp_path, solver):
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("field,value", [("q", 1e300), ("delta", 1e305)])
+def test_build_of_a_config_past_the_magnitude_cap_exits_3_and_writes_nothing(tmp_path, field,
+                                                                            value):
+    """Before the cap, build exited 0 with a `p qubo 12 46 inf` header no reader takes back.
+
+    The overflow warns as numpy computes it, so the command runs in a fresh process.
+    """
+    doc = spec_to_json(toy_spec(n=2, T=2, B=1, seed=1))
+    doc[field] = value
+    config = tmp_path / "spec.json"
+    config.write_text(json.dumps(doc))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-m", "qubofolio.cli", "build", "--config", str(config),
+                           "--out", str(tmp_path / "x.qubo"), "--ising", "--bqp"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3
+    assert "error: magnitude cap" in proc.stderr and "Traceback" not in proc.stderr
+    assert not list(tmp_path.glob("x.qubo*"))
+
+
 @pytest.mark.parametrize("kind,argv", [
     ("qubo", ["quantum", "--algo", "anneal"]), ("qubo", ["quantum", "--algo", "qaoa"]),
     ("qubo", ["quantum", "--algo", "vqe"]), ("qubo", ["solve", "--solver", "sa"]),

@@ -4,8 +4,8 @@
 step's rows at a time; their bytes must equal those written from
 `to_sparse`, from the reference triplets of whole (w, w) blocks and from
 a whole `json.dump` document, at the default band height and at 7 rows.
-Streaming also keeps the writer's memory flat in the horizon T and
-linear in the step width.  Importing the package, its CLI or its
+Streaming also keeps the writer's memory flat in the horizon T, linear
+in the step width and bounded by the chunk.  Importing the package, its CLI or its
 simulator leaves scipy unloaded, and so does a QAOA optimization.
 """
 import dataclasses
@@ -194,6 +194,27 @@ def test_streamed_write_memory_grows_at_most_linearly_in_the_step_width(tmp_path
     assert widths[0] < qubo_module._BAND_ROWS < widths[1], widths
     peaks = [_write_peak(qubo, tmp_path / "q.qubo") for qubo in (narrow, wide)]
     assert peaks[1] / peaks[0] <= widths[1] / widths[0], (peaks, widths)
+
+
+def test_writer_working_set_is_bounded_by_the_chunk(tmp_path, monkeypatch):
+    """Above its BlockQubo and the peak of forming the same bands, writing an export of
+    12 chunks holds less than 128 bytes a chunk line: one record buffer and a piece's
+    temporaries.  Measured: 114 bytes a line (16,384-line chunks, 189,306 terms)."""
+    monkeypatch.setattr(qubo_module, "_CHUNK_LINES", 1 << 14)
+    qubo = build_qubo(synthetic_spec(n=40, T=6, seed=1))
+    tracemalloc.start()
+    try:
+        terms = qubo_module._checked_count(qubo)[0]  # forms the kernel and every band
+        tracemalloc.reset_peak()
+        qubo_module._checked_count(qubo)
+        band_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        write_qubo_text(qubo, tmp_path / "q.qubo")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert terms > 11 * qubo_module._CHUNK_LINES
+    assert peak - band_peak < 128 * qubo_module._CHUNK_LINES, (peak, band_peak)
 
 
 QUANTUM_NAMES = ["AnnealSchedule", "DiagonalCost", "QaoaParams", "QuantumSimError",

@@ -2,7 +2,11 @@
 
 Chunk sizes are patched down to a few lines or characters, so every file
 here spans many chunks and every line layout meets a chunk boundary.
+Every text export goes through the one record writer, and nothing past
+the magnitude cap is written.
 """
+import dataclasses
+import json
 import tracemalloc
 
 import numpy as np
@@ -14,16 +18,18 @@ from qubofolio import qubo as qubo_module
 from qubofolio.cli import main
 from qubofolio.qubo import (
     IsingModel,
+    QuboError,
     QuboParseError,
     SparseQubo,
     build_qubo,
     read_qubo_text,
     to_ising,
     to_sparse,
+    write_bqp_json,
     write_ising_text,
     write_qubo_text,
 )
-from qubofolio.toy import random_sparse_qubo, synthetic_spec
+from qubofolio.toy import random_sparse_qubo, synthetic_spec, toy_spec
 
 SPECIAL = [-0.0, 0.0, 5e-324, 0.1, 2.0, 1e16, 1e22, -1.7976931348623157e308]
 
@@ -109,6 +115,129 @@ def test_writer_handles_an_empty_model_and_wide_indices(tmp_path, small_chunks):
     write_qubo_text(sq, path)
     assert path.read_text() == ("p qubo 1000000000 3 0.0\n7 7 1.5\n9 9 -2.0\n"
                                 "123456789 123456789 3.0\n")
+
+
+# A value of every repr length a float64 has, 3 to 24 characters, then -0.0 and 5e-324.
+REPRS = ([float("1" + "234567890123456"[:k] + ".5") for k in range(16)]
+         + [float(f"{m}e-100") for m in ("1.234567890123", "1.2345678901235", "1.23456789012346",
+                                          "1.234567890123457", "1.2345678901234567",
+                                          "-1.2345678901234567")]
+         + [-0.0, 5e-324])
+
+
+def reference_bqp_terms(rows, cols, vals) -> str:
+    return ", ".join(f"[{int(i)}, {int(j)}, {float(v)!r}]" for i, j, v in zip(rows, cols, vals))
+
+
+@pytest.mark.parametrize("num_vars", [10_001, 10**6], ids=["index-table", "index-per-chunk"])
+def test_writer_bytes_match_reference_at_every_index_width_and_repr_length(
+        tmp_path, small_chunks, num_vars):
+    """Index text widens 9 -> 10, 99 -> 100 and 9999 -> 10000 inside a chunk of 7 lines.
+
+    At 10,001 variables and 10,004 terms the index text is one table; at
+    10**6 variables each chunk forms its own.
+    """
+    assert sorted({len(repr(v)) for v in REPRS}) == list(range(3, 25))
+    rows = np.r_[np.arange(10_001), 9, 99, 9999]
+    cols = np.r_[np.arange(10_001), 10, 100, 10_000]
+    order = np.lexsort((cols, rows))
+    rows, cols = rows[order], cols[order]
+    vals = np.resize(REPRS, len(rows))
+    path = tmp_path / "a.qubo"
+    write_qubo_text(SparseQubo(num_vars=num_vars, rows=rows, cols=cols, vals=vals, offset=0.0),
+                    path)
+    lines = reference_lines(rows, cols, vals)
+    assert "\n9 10 " in lines and "\n99 100 " in lines and "\n9999 10000 " in lines
+    assert path.read_text() == f"p qubo {num_vars} {len(vals)} 0.0\n" + lines
+    h = np.zeros(num_vars)
+    h[:len(REPRS)] = REPRS
+    pair = rows != cols
+    ising = IsingModel(h=h, j_rows=rows[pair], j_cols=cols[pair], j_vals=vals[pair],
+                       offset=5e-324)
+    write_ising_text(ising, path)
+    h_idx = np.flatnonzero(h)  # -0.0 is no field
+    assert path.read_text() == (f"p ising {num_vars} {len(h_idx) + 3} 5e-324\n"
+                                + reference_lines(h_idx, h_idx, h[h_idx])
+                                + reference_lines(rows[pair], cols[pair], vals[pair]))
+
+
+@pytest.mark.parametrize("lines", [1, 5, 7, 64])
+def test_spec_exports_match_reference_across_step_boundaries(tmp_path, monkeypatch, lines):
+    """The writer keeps a value table a step: a file chunk of `lines` lines that straddles
+    a step boundary, and a value in two steps, are written as the per-line reference."""
+    monkeypatch.setattr(qubo_module, "_CHUNK_LINES", lines)
+    spec = synthetic_spec(n=2, T=3, k=2, B=4, C=4, seed=8)
+    for qubo in (build_qubo(spec), build_qubo(spec, include_penalty=False)):
+        sq = to_sparse(qubo)
+        step = sq.rows // qubo.wp.shape[1]
+        bounds = np.cumsum(np.bincount(step))[:-1]
+        assert lines == 1 or (bounds % lines).all()  # every step boundary inside a chunk
+        assert set(sq.vals[step == 0].tolist()) & set(sq.vals[step == 1].tolist())
+        path = tmp_path / "a.qubo"
+        write_qubo_text(qubo, path)
+        assert path.read_text() == (f"p qubo {sq.num_vars} {sq.num_terms} {sq.offset!r}\n"
+                                    + reference_lines(sq.rows, sq.cols, sq.vals))
+    write_bqp_json(spec, path)
+    assert f'"terms": [{reference_bqp_terms(sq.rows, sq.cols, sq.vals)}]}}' in path.read_text()
+
+
+def test_every_text_export_goes_through_the_one_record_writer(tmp_path, monkeypatch):
+    """A counter on qubo._write_records: each of the four exports calls it once, with every
+    term it writes, so no second formatting path can come back."""
+    terms_seen = []
+    writer = qubo_module._write_records
+
+    def counted(fh, parts, *args, **kwargs):
+        parts = list(parts)
+        terms_seen.append(sum(len(part[2]) for part in parts))
+        writer(fh, parts, *args, **kwargs)
+
+    monkeypatch.setattr(qubo_module, "_write_records", counted)
+    spec = synthetic_spec(n=2, T=3, k=2, B=4, C=4, seed=8)
+    qubo = build_qubo(spec)
+    exports = {"block-qubo": lambda path: write_qubo_text(qubo, path),
+               "triplet-qubo": lambda path: write_qubo_text(to_sparse(qubo), path),
+               "ising": lambda path: write_ising_text(to_ising(qubo), path),
+               "bqp-terms": lambda path: write_bqp_json(spec, path)}
+    for name, export in exports.items():
+        terms_seen.clear()
+        path = tmp_path / name
+        export(path)
+        if name == "bqp-terms":
+            written = len(json.loads(path.read_text())["objective"]["terms"])
+        else:
+            written = int(path.read_text().split(maxsplit=4)[3])
+        assert terms_seen == [written] and written > 0, name
+
+
+def _overflowing(**params):
+    spec = toy_spec(n=2, T=2, B=1, seed=1)
+    return dataclasses.replace(spec, params=dataclasses.replace(spec.params, **params))
+
+
+@pytest.mark.parametrize("export", [
+    lambda path: write_qubo_text(SparseQubo(num_vars=2, rows=[0, 1], cols=[1, 1],
+                                            vals=[1.0, np.inf], offset=0.0), path),
+    lambda path: write_qubo_text(SparseQubo(num_vars=2, rows=[0], cols=[1], vals=[1.0],
+                                            offset=np.nan), path),
+    lambda path: write_ising_text(IsingModel(h=np.array([np.nan, 1.0]), j_rows=[0], j_cols=[1],
+                                             j_vals=[1.0], offset=0.0), path),
+    lambda path: write_ising_text(IsingModel(h=np.ones(2), j_rows=[0], j_cols=[1],
+                                             j_vals=[-np.inf], offset=0.0), path),
+    lambda path: write_ising_text(IsingModel(h=np.ones(2), j_rows=[0], j_cols=[1],
+                                             j_vals=[1.0], offset=np.inf), path),
+    lambda path: write_qubo_text(build_qubo(_overflowing(q=1e300)), path),
+    lambda path: write_qubo_text(build_qubo(_overflowing(delta=1e305)), path),
+    lambda path: write_bqp_json(_overflowing(q=1e300), path),
+    lambda path: write_bqp_json(_overflowing(delta=1e305), path),
+], ids=["triplet-term", "triplet-offset", "ising-field", "ising-coupling", "ising-offset",
+        "block-q", "block-delta", "bqp-q", "bqp-delta"])
+def test_an_export_past_the_magnitude_cap_raises_and_opens_no_file(tmp_path, export):
+    """A term or offset that is not finite would write a file no reader takes back."""
+    path = tmp_path / "out"
+    with np.errstate(all="ignore"), pytest.raises(QuboError, match="^magnitude cap"):
+        export(path)
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("seed", range(4))
