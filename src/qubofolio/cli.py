@@ -21,6 +21,7 @@ from .qubo import (
     IsingModel,
     QuboError,
     QuboParseError,
+    _check_dense,
     _read_header,
     build_qubo,
     objective_breakdown,
@@ -30,7 +31,7 @@ from .qubo import (
     write_ising_text,
     write_qubo_text,
 )
-from .solvers import SolveBudget, SolveReport, _rle_runs
+from .solvers import SolveBudget, SolveReport, _check_exact, _rle_runs
 from .toy import toy_spec
 
 EXIT_OK = 0
@@ -127,15 +128,27 @@ def _load_problem(args):
     return build_qubo(spec)
 
 
-def _header(path) -> tuple[str, int]:
-    """The kind and the variable or spin count a text file's header declares; no term is read."""
-    with open(path, encoding="utf-8") as fh:
-        return _read_header(fh, path)[:2]
+def _check_header(path, caps, qubo_only=False) -> None:
+    """Text file path's header, checked before any term is read: an Ising header exits 4 if
+    qubo_only, then each of caps raises on the variable or spin count what it raises on the
+    parsed problem."""
+    def read(path):
+        with open(path, encoding="utf-8") as fh:
+            return _read_header(fh, path)[:2]
+    kind, count = _read_input(path, read)
+    if qubo_only and kind != "qubo":
+        raise CliError(EXIT_PARSE, "solve expects a QUBO file, got an Ising export")
+    for cap in caps:
+        cap(count)
 
 
 def cmd_solve(args) -> int:
-    if args.qubo and _read_input(args.qubo, _header)[0] != "qubo":  # before any term is read
-        raise CliError(EXIT_PARSE, "solve expects a QUBO file, got an Ising export")
+    if args.qubo:
+        # Every solver densifies a file, exact after its own cap.  Once banded files are read
+        # back as a BlockQubo, sa and abs densify none, and their header check gives way to
+        # that reader's byte limit; exact and bnb keep theirs.
+        caps = (_check_exact, _check_dense) if args.solver == "exact" else (_check_dense,)
+        _check_header(args.qubo, caps, qubo_only=True)
     problem = _load_problem(args)
     report = SOLVERS[args.solver](problem, _budget(args))
     _write_json(args.out, report.to_json())
@@ -147,8 +160,8 @@ def cmd_solve(args) -> int:
 def cmd_quantum(args) -> int:
     if args.algo == "anneal" and args.dt >= args.tau:
         raise CliError(EXIT_SPEC, f"--dt {args.dt!r} must be smaller than --tau {args.tau!r}")
-    if args.qubo:  # from the header, before any term is read
-        _check_cap(_read_input(args.qubo, _header)[1])
+    if args.qubo:
+        _check_header(args.qubo, (_check_cap,))
     problem = _load_problem(args)
     is_ising = isinstance(problem, IsingModel)
     _check_cap(problem.num_spins if is_ising else problem.num_vars)

@@ -677,6 +677,12 @@ def _triplets(qubo) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
 _DENSE_LIMIT = 8192
 
 
+def _check_dense(num_vars: int) -> None:
+    """The dense limit, raised by to_dense and by `solve --qubo` on a file's header."""
+    if num_vars > _DENSE_LIMIT:
+        raise QuboError(f"{num_vars} variables exceeds dense limit {_DENSE_LIMIT}")
+
+
 def to_dense(qubo) -> tuple[np.ndarray, float]:
     """Symmetric dense matrix A with linear terms on the diagonal: E = x'Ax + offset.
 
@@ -686,8 +692,7 @@ def to_dense(qubo) -> tuple[np.ndarray, float]:
     """
     if not isinstance(qubo, (BlockQubo, SparseQubo)):
         raise QuboError(f"cannot densify {type(qubo).__name__}")
-    if qubo.num_vars > _DENSE_LIMIT:
-        raise QuboError(f"{qubo.num_vars} variables exceeds dense limit {_DENSE_LIMIT}")
+    _check_dense(qubo.num_vars)
     rows, cols, vals, offset = _triplets(qubo)
     with np.errstate(over="ignore"):
         S = sum(float(np.abs(vals[i:i + _CHECK_BLOCK]).sum())
@@ -813,6 +818,8 @@ def objective_breakdown(spec: ProblemSpec, bits) -> dict[str, float]:
 # `int, int, float` parse give.
 
 _MIN_TERM_BYTES = 6  # the shortest term line, "0 0 0\n"
+_MAX_HEADER_CHARS = 255  # a header line's characters before its newline, at most
+_QUOTE_CHARS = 80  # characters of an input line a parse error quotes, at most
 _CHUNK_LINES = 1 << 16  # term lines per chunk of the writer
 _CHUNK_CHARS = 1 << 18  # characters per chunk of the reader, extended to a line end
 _MAX_INDEX_DIGITS = 8  # one word; longer index fields take the per-line parse
@@ -1057,7 +1064,7 @@ def _parse_lines(text: str, first: int, count: int, path):
             i, j, v = line.split()
             rows[k], cols[k], vals[k] = int(i), int(j), float(v)
         except (ValueError, OverflowError) as exc:
-            raise QuboParseError(f"{path}:{first + k + 2}: bad term line {line!r}") from exc
+            raise QuboParseError(f"{path}:{first + k + 2}: bad term line {_quoted(line)}") from exc
     return rows, cols, vals
 
 
@@ -1147,9 +1154,12 @@ def _read_header(fh, path) -> tuple[str, int, int, float]:
     The header is checked by itself and against the file's size, before
     any term is read.
     """
-    header = fh.readline().split()
+    line = fh.readline(_MAX_HEADER_CHARS + 1)  # a file with no newline is not read whole
+    if len(line.rstrip("\n")) > _MAX_HEADER_CHARS:
+        raise QuboParseError(f"{path}: header line longer than {_MAX_HEADER_CHARS} characters")
+    header = line.split()
     if len(header) != 5 or header[0] != "p" or header[1] not in ("qubo", "ising"):
-        raise QuboParseError(f"{path}: bad header {' '.join(header)!r}")
+        raise QuboParseError(f"{path}: bad header {_quoted(' '.join(header))}")
     try:
         num_vars = int(header[2])
         num_terms = int(header[3])
@@ -1161,6 +1171,13 @@ def _read_header(fh, path) -> tuple[str, int, int, float]:
     if num_terms * _MIN_TERM_BYTES > os.fstat(fh.fileno()).st_size:
         raise QuboParseError(f"{path}: {num_terms} terms cannot fit in the file")
     return header[1], num_vars, num_terms, offset
+
+
+def _quoted(text: str) -> str:
+    """repr(text) if it has at most _QUOTE_CHARS characters, else of its head and the length."""
+    if len(text) <= _QUOTE_CHARS:
+        return repr(text)
+    return f"{text[:_QUOTE_CHARS]!r}... ({len(text)} characters)"
 
 
 def read_qubo_text(path):

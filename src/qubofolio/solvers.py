@@ -250,6 +250,12 @@ def _enumerate(run: _Run, A: np.ndarray, offset: float, fixed: np.ndarray) -> in
     return done
 
 
+def _check_exact(n: int) -> None:
+    """The exact solver's cap, raised by solve_exact and by `solve --qubo` on a file's header."""
+    if n > EXACT_CAP:
+        raise QuboError(f"solve_exact supports at most {EXACT_CAP} variables, got {n}")
+
+
 def solve_exact(qubo, budget: SolveBudget | None = None) -> SolveReport:
     """Global minimum by chunked enumeration of all 2^n assignments.
 
@@ -257,8 +263,7 @@ def solve_exact(qubo, budget: SolveBudget | None = None) -> SolveReport:
     a stopped enumeration certifies nothing and reports no lower bound.
     """
     n = qubo.num_vars
-    if n > EXACT_CAP:
-        raise QuboError(f"solve_exact supports at most {EXACT_CAP} variables, got {n}")
+    _check_exact(n)
     A, offset, block = _dense(qubo)
     run = _Run("exact", block, budget)
     done = _enumerate(run, A, offset, np.full(n, -1, dtype=np.int8))

@@ -5,8 +5,8 @@ its tests or its demos, every option of an exported function or
 dataclass is passed by some call, every CLI option appears in a test,
 demo, bench file or the README, no module reads an environment
 variable or imports scipy, every command runs with scipy blocked, a
-failing property test does not end the test run, and every name a module
-exports exists."""
+failing property test does not end the test run, every name a module
+exports exists, and each size-cap message is formed in one place."""
 import argparse
 import ast
 import importlib
@@ -319,6 +319,31 @@ def test_environment_read_is_reported():
     source = ("import os\nfrom os import getenv, sep\n\n\n"
               "def cap():\n    return os.environ.get('CAP', getenv('CAP', sep))\n")
     assert _environment_reads(source) == ["os.getenv (line 2)", "os.environ (line 6)"]
+
+
+CAP_MESSAGES = ("exceeds dense limit", "supports at most", "exceeds the simulator cap")
+
+
+def _message_sites(sources: dict[str, str], text: str) -> list[str]:
+    """module:line of each string literal, f-string parts included, that holds text."""
+    return [f"{module}:{node.lineno}" for module, source in sorted(sources.items())
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and text in node.value]
+
+
+@pytest.mark.parametrize("text", CAP_MESSAGES)
+def test_each_size_cap_message_is_formed_in_one_place(text):
+    """A header check and the solver it stands for raise one message from one function."""
+    sites = _message_sites({p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")},
+                           text)
+    assert len(sites) == 1, sites
+
+
+def test_a_second_site_of_a_message_is_reported():
+    sources = {"a.py": 'def check(n):\n    raise ValueError(f"{n} exceeds dense limit")\n',
+               "b.py": 'MESSAGE = "exceeds dense limit"\nOTHER = 3\n'}
+    assert _message_sites(sources, "exceeds dense limit") == ["a.py:2", "b.py:1"]
 
 
 def _imports(source: str, package: str) -> list[str]:

@@ -311,6 +311,31 @@ def test_reader_rejects_bad_term_lines(tmp_path, small_chunks, line):
         read_qubo_text(path)
 
 
+def test_a_parse_error_quotes_at_most_80_characters_of_a_line(tmp_path):
+    line = "0 1 " + "9" * 3_000_000 + "x"
+    path = tmp_path / "bad.qubo"
+    path.write_text("p qubo 2 1 0.0\n" + line + "\n")
+    with pytest.raises(QuboParseError) as raised:
+        read_qubo_text(path)
+    assert str(raised.value) == (
+        f"{path}:2: bad term line {line[:80]!r}... ({len(line) + 1} characters)")
+    path.write_text("q" * 255 + "\n")
+    with pytest.raises(QuboParseError) as raised:
+        read_qubo_text(path)
+    assert str(raised.value) == f"{path}: bad header {'q' * 80!r}... (255 characters)"
+
+
+@pytest.mark.parametrize("end", ["\n", ""], ids=["newline", "end-of-file"])
+def test_a_header_of_256_characters_is_past_the_bound(tmp_path, end):
+    header = "p qubo 1 0 " + "0" * 245
+    path = tmp_path / "long.qubo"
+    path.write_text(header[:-1] + end)
+    assert read_qubo_text(path).num_vars == 1
+    path.write_text(header + end)
+    with pytest.raises(QuboParseError, match="header line longer than 255 characters$"):
+        read_qubo_text(path)
+
+
 def test_reader_keeps_its_file_checks(tmp_path, small_chunks):
     path = tmp_path / "a.qubo"
     path.write_text("p qubo 2 3 0.0\n0 0 1.0\n0 1 2.0\n")
@@ -368,8 +393,8 @@ def test_reader_rejects_an_index_that_would_wrap_in_int32(tmp_path, sep):
     assert qubo_module._index_dtype(40000) is np.int32
     with pytest.raises(QuboParseError, match="out of range or not upper-triangular"):
         read_qubo_text(path)
-    out = tmp_path / "r.json"
-    assert main(["solve", "--qubo", str(path), "--solver", "exact", "--out", str(out)]) == 4
+    out = tmp_path / "r.json"  # 40,000 variables: solve stops at the header, past its caps
+    assert main(["solve", "--qubo", str(path), "--solver", "exact", "--out", str(out)]) == 3
     assert not out.exists()
 
 
