@@ -114,71 +114,45 @@ def _index_dtype(num_vars: int) -> type:
     return np.int32 if num_vars < 2**31 else np.int64
 
 
-def _check_indices(what: str, size: int, *arrays: np.ndarray) -> None:
-    """Each non-empty index array holds integers in 0..size-1, else a QuboError."""
-    arrays = [a for a in arrays if len(a)]
-    if any(a.dtype.kind not in "iu" for a in arrays):
+def _checked_triplets(what: str, size: int, rows, cols, vals):
+    """rows, cols and vals as arrays, vals float64, else a QuboError: the three must be of
+    one length, and the indices integers in 0..size-1."""
+    rows, cols, vals = np.asarray(rows), np.asarray(cols), np.asarray(vals, dtype=np.float64)
+    if not len(rows) == len(cols) == len(vals):
+        raise QuboError(f"{what} rows, cols and values must be of one length, "
+                        f"not {len(rows)}, {len(cols)} and {len(vals)}")
+    indices = [a for a in (rows, cols) if len(a)]
+    if any(a.dtype.kind not in "iu" for a in indices):
         raise QuboError(f"{what} indices must be integers")
-    if any(a.min() < 0 or a.max() >= size for a in arrays):
+    if any(a.min() < 0 or a.max() >= size for a in indices):
         raise QuboError(f"{what} indices must lie in 0..{size - 1}")
+    return rows, cols, vals
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class SparseQubo:
-    """Upper-triangular terms sorted by (i, j), no repeats, rows and values compressed.
+    """Upper-triangular triplets sorted by (i, j), no repeats.
 
-    Row row_ids[k] holds terms row_starts[k]:row_starts[k + 1] of cols.
-    row_ids lists the rows that hold terms, ascending, so nothing is sized
-    by num_vars (Buluc and Gilbert's doubly compressed rows, IPDPS 2008).
-    The values are runs: run_vals[k] (float64) is the value of the next
-    run_lengths[k] (uint8, 1-255) terms, equal bit patterns sharing a run
-    (run-length encoding as column stores keep it: Abadi, Madden and
-    Ferreira, SIGMOD 2006).  Runs need not be maximal.  row_ids and cols
-    are in _index_dtype(num_vars), row_starts int64; rows and vals are
-    formed on each access.  The constructor takes triplets, range-checks
-    them and sums repeats; to_sparse also drops zero terms.
-    read_qubo_text keeps a file in strict (i, j) order as read, with its
-    zero terms and no row index a term, and gives any other file to the
-    constructor.
+    rows and cols are in _index_dtype(num_vars) and vals float64, so a
+    term takes 2 * index bytes + 8.  The constructor range-checks the
+    triplets and sums repeats; canonical input is not copied.  to_sparse
+    also drops zero terms.
     """
 
     num_vars: int
-    row_ids: np.ndarray
-    row_starts: np.ndarray
+    rows: np.ndarray
     cols: np.ndarray
-    run_vals: np.ndarray
-    run_lengths: np.ndarray
+    vals: np.ndarray
     offset: float
 
-    def __init__(self, num_vars: int, rows, cols, vals, offset: float):
-        rows, cols = np.asarray(rows), np.asarray(cols)
-        _check_indices("triplet", num_vars, rows, cols)
+    def __post_init__(self):
+        rows, cols, vals = _checked_triplets("triplet", self.num_vars, self.rows, self.cols,
+                                             self.vals)
         if not _every_block(lambda r, c: (r <= c).all(), rows, cols):
             raise QuboError("triplets must satisfy i <= j")
-        rows, cols, vals = _sum_repeated(num_vars, rows, cols, vals)
-        self._hold(num_vars, *_runs(rows), cols, *_value_runs(vals), offset)
-
-    @classmethod
-    def _of_runs(cls, num_vars, row_ids, row_starts, cols, run_vals, run_lengths,
-                 offset) -> SparseQubo:
-        """The terms as given, which the caller has checked, ordered and compressed."""
-        qubo = object.__new__(cls)
-        qubo._hold(num_vars, row_ids, row_starts, cols, run_vals, run_lengths, offset)
-        return qubo
-
-    def _hold(self, *values) -> None:
-        for name, value in zip(self.__dataclass_fields__, values):
+        terms = _sum_repeated(self.num_vars, rows, cols, vals)
+        for name, value in zip(("rows", "cols", "vals"), terms):
             object.__setattr__(self, name, value)
-
-    @property
-    def rows(self) -> np.ndarray:
-        """The row index of each term."""
-        return np.repeat(self.row_ids, np.diff(self.row_starts))
-
-    @property
-    def vals(self) -> np.ndarray:
-        """The value of each term."""
-        return np.repeat(self.run_vals, self.run_lengths)
 
     @property
     def num_terms(self) -> int:
@@ -192,26 +166,6 @@ def _runs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     np.not_equal(a[1:], a[:-1], out=edge[1:-1])
     starts = np.flatnonzero(edge)
     return a[starts[:-1]], starts
-
-
-_MAX_RUN = 255  # terms a value run at most, so its length is a uint8
-
-
-def _value_runs(vals) -> tuple[np.ndarray, np.ndarray]:
-    """(run_vals, run_lengths) of vals: runs of equal bit patterns, at most _MAX_RUN terms each.
-
-    Bits are compared, so -0.0 and 0.0 never share a run.  A longer run
-    is broken every _MAX_RUN terms.
-    """
-    vals = np.asarray(vals, dtype=np.float64)
-    starts = _runs(vals.view(np.uint64))[1][:-1]
-    lengths = np.diff(starts, append=len(vals))
-    if lengths.max(initial=0) > _MAX_RUN:
-        pieces = -(-lengths // _MAX_RUN)
-        piece = np.arange(int(pieces.sum())) - np.repeat(np.cumsum(pieces) - pieces, pieces)
-        starts = np.repeat(starts, pieces) + _MAX_RUN * piece  # piece-th break of its run
-        lengths = np.diff(starts, append=len(vals))
-    return vals[starts], lengths.astype(np.uint8)
 
 
 @dataclass(frozen=True)
@@ -231,8 +185,8 @@ class IsingModel:
     offset: float
 
     def __post_init__(self):
-        rows, cols, vals = (np.asarray(a) for a in (self.j_rows, self.j_cols, self.j_vals))
-        _check_indices("coupling", self.num_spins, rows, cols)
+        rows, cols, vals = _checked_triplets("coupling", self.num_spins, self.j_rows,
+                                             self.j_cols, self.j_vals)
         if not _every_block(lambda r, c: (r < c).all(), rows, cols):
             pair = rows != cols
             object.__setattr__(self, "offset", self.offset + float(vals[~pair].sum()))
@@ -1069,30 +1023,15 @@ def _parse_lines(text: str, first: int, count: int, path):
 
 
 def _read_terms(fh, path, num_vars: int, num_terms: int):
-    """(ordered, row_ids, row_starts, cols, run_vals, run_lengths, rest) of the next num_terms
-    lines of text file fh: whether every pair strictly increases by _above, SparseQubo's
-    arrays of the terms in file order, and the bytes read past them.
+    """(rows, cols, vals, rest) of the next num_terms lines of text file fh: the terms in file
+    order, and the bytes read past them.
 
-    The rows take one form from the first chunk to the last: each chunk's
-    runs of equal rows, a run that continues the last chunk's joined to it
-    as it is stored.  A file in order holds a run a row and no row index a
-    term; a file out of order may hold about a run a term, an index and an
-    int64 start, until read_qubo_text decodes them.  The values are
-    SparseQubo's runs, _value_runs of each chunk's values, so a run may
-    break at a chunk boundary.  run_vals and run_lengths are allocated at
-    num_terms entries, of which only the pages written become resident,
-    and are shrunk in place at the end.  Each chunk's int64 indices are
-    checked against num_vars before they are stored in
-    _index_dtype(num_vars), so none wraps.
+    Each chunk's int64 indices are checked against num_vars before they are
+    stored in _index_dtype(num_vars), so none wraps.
     """
     dtype = _index_dtype(num_vars)
-    cols = np.empty(num_terms, dtype=dtype)
-    run_vals = np.empty(num_terms)
-    run_lengths = np.empty(num_terms, dtype=np.uint8)
-    ids, starts, runs = np.empty(0, dtype), np.empty(0, np.int64), 0  # row runs written
-    filled = 0  # value runs written
-    ordered = True  # every pair read so far strictly increases
-    last = (-1, -1)  # the last term read, below every term
+    rows, cols, vals = (np.empty(num_terms, dtype=dtype), np.empty(num_terms, dtype=dtype),
+                        np.empty(num_terms))
     done = 0
     rest = b""  # of a file of 0 terms
     while done < num_terms:
@@ -1117,35 +1056,10 @@ def _read_terms(fh, path, num_vars: int, num_terms: int):
         if (r > c).any() or c.max() >= num_vars or r.min() < 0:
             raise QuboParseError(f"{path}: term indices out of range or not upper-triangular")
         stop = done + len(v)
-        cols[done:stop] = c
-        v, lengths = _value_runs(v)  # the chunk's value runs
-        end = filled + len(v)
-        run_vals[filled:end], run_lengths[filled:end] = v, lengths
-        filled = end
-        r, c = r.astype(dtype), cols[done:stop]  # narrow, so the checks below read less
-        ordered = ordered and bool(_above(*last, r[0], c[0])
-                                   and _above(r[:-1], c[:-1], r[1:], c[1:]).all())
-        run_ids, run_starts = _runs(r)
-        join = int(r[0] == last[0])  # the chunk's first run continues the last chunk's
-        ids = _put(ids, runs, run_ids[join:])
-        starts = _put(starts, runs, run_starts[join:-1] + done)
-        runs += len(run_ids) - join
-        last = (r[-1], c[-1])
+        rows[done:stop], cols[done:stop], vals[done:stop] = r, c, v
         done = stop
-        del terms, r, c, v, lengths, run_ids, run_starts  # else they live through the next parse
-    run_vals.resize((filled,), refcheck=False)  # a realloc: no second copy is formed
-    run_lengths.resize((filled,), refcheck=False)
-    return (ordered, ids[:runs].copy(), np.append(starts[:runs], num_terms), cols, run_vals,
-            run_lengths, rest)
-
-
-def _put(buf: np.ndarray, at: int, values: np.ndarray) -> np.ndarray:
-    """buf with values written from index at on, first grown to twice the need if short."""
-    end = at + len(values)
-    if end > len(buf):
-        buf = np.concatenate((buf[:at], np.empty(2 * end - at, buf.dtype)))
-    buf[at:end] = values
-    return buf
+        del terms, r, c, v  # else they live through the next parse
+    return rows, cols, vals, rest
 
 
 def _read_header(fh, path) -> tuple[str, int, int, float]:
@@ -1183,26 +1097,17 @@ def _quoted(text: str) -> str:
 def read_qubo_text(path):
     """Parse the text export; returns SparseQubo or IsingModel per the header.
 
-    A QUBO file whose terms strictly increase in (i, j) keeps the reader's
-    arrays as they are.  Any other file is decoded to triplets once read,
-    its row and value runs released first, and passed on to be sorted and
-    summed or to IsingModel.
+    The terms are read into triplets in file order and passed on to be
+    sorted and summed, or to IsingModel.
     """
     with open(path, encoding="utf-8") as fh:
         kind, num_vars, num_terms, offset = _read_header(fh, path)
-        ordered, row_ids, row_starts, cols, run_vals, run_lengths, rest = _read_terms(
-            fh, path, num_vars, num_terms)
+        rows, cols, vals, rest = _read_terms(fh, path, num_vars, num_terms)
         if rest.decode("utf-8").strip() or any(
                 text.strip() for text in iter(lambda: fh.read(_CHUNK_CHARS), "")):
             raise QuboParseError(f"{path}: more lines than the {num_terms} terms declared")
-    if not _every_block(lambda v: np.isfinite(v).all(), run_vals):
+    if not _every_block(lambda v: np.isfinite(v).all(), vals):
         raise QuboParseError(f"{path}: non-finite term value")
-    if ordered and kind == "qubo":
-        return SparseQubo._of_runs(num_vars, row_ids, row_starts, cols, run_vals, run_lengths,
-                                   offset)
-    rows = np.repeat(row_ids, np.diff(row_starts))
-    vals = np.repeat(run_vals, run_lengths)
-    del row_ids, row_starts, run_vals, run_lengths
     if kind == "ising":
         diag = rows == cols
         try:
@@ -1227,18 +1132,13 @@ def _every_block(test, *arrays) -> bool:
                for i in range(0, len(arrays[0]), _CHECK_BLOCK))
 
 
-def _above(r, c, r1, c1):
-    """Whether (r1, c1) follows (r, c) in strict (i, j) order: the reader's and _sum_repeated's."""
-    return (r1 > r) | ((r1 == r) & (c1 > c))
-
-
 def _sum_repeated(size: int, rows, cols, vals):
     """The terms with indices in _index_dtype(size), sorted by (i, j), repeats summed.
-    Pairs that already strictly increase by _above pass as is, with no copy once in that
-    dtype; else the sort is the peak of reading a file out of order, after its runs."""
+    Pairs that already strictly increase in (i, j) pass as is, with no copy once in that
+    dtype; else the sort is the peak of reading a file out of order."""
     dtype = _index_dtype(size)
     rows, cols = rows.astype(dtype, copy=False), cols.astype(dtype, copy=False)
-    if _every_block(lambda *pairs: _above(*pairs).all(),
+    if _every_block(lambda r, c, r1, c1: ((r1 > r) | ((r1 == r) & (c1 > c))).all(),
                     rows[:-1], cols[:-1], rows[1:], cols[1:]):
         return rows, cols, vals
     order = np.lexsort((cols, rows))

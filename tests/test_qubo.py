@@ -1244,6 +1244,23 @@ def test_code_built_ising_model_rejects_bad_indices(rows, cols, match):
                    j_vals=np.ones(len(rows)), offset=0.0)
 
 
+@pytest.mark.parametrize("build", [
+    lambda rows, cols, vals: SparseQubo(num_vars=3, rows=rows, cols=cols, vals=vals, offset=0.0),
+    lambda rows, cols, vals: IsingModel(h=np.zeros(3), j_rows=rows, j_cols=cols, j_vals=vals,
+                                        offset=0.0),
+], ids=["sparse-qubo", "ising-model"])
+@pytest.mark.parametrize("rows, cols, vals", [
+    ([0, 1], [1, 2], [1.0]),
+    ([0, 1], [1], [1.0, 2.0]),
+    ([0], [1, 2], [1.0, 2.0]),
+    ([], [], [1.0]),
+], ids=["short-vals", "short-cols", "short-rows", "vals-only"])
+def test_code_built_triplets_of_unequal_lengths_are_rejected(build, rows, cols, vals):
+    """One value for two pairs would be broadcast to both: a silent wrong answer."""
+    with pytest.raises(QuboError, match="must be of one length"):
+        build(np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64), np.array(vals))
+
+
 def test_index_dtype_is_the_narrowest_that_holds_every_index():
     """Indices run to num_vars - 1: int16 below 2^15 variables, int32 below 2^31, else int64."""
     assert qubo_module._index_dtype(0) is np.int16

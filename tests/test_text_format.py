@@ -538,10 +538,9 @@ def test_spec_export_parses_bit_for_bit_without_the_per_line_parse(tmp_path, mon
 def test_reader_working_set_is_bounded_by_the_chunk(tmp_path, monkeypatch):
     """Above its result the reader holds less than a byte a term and 16 chunks.
 
-    A whole-file bool mask alone is a byte a term.  Measured: 0.52 bytes a
-    term, 12.7 chunks, with the value runs held at their final size.  The
-    value tokens here are all distinct, the most a chunk's dedup can hold
-    and a run a term.
+    A whole-file bool mask alone is a byte a term.  Measured: 0.54 bytes a
+    term, 13.1 chunks.  The value tokens here are all distinct, the most a
+    chunk's dedup can hold.
     """
     num_terms, chunk = 200_000, 1 << 13
     rng = np.random.default_rng(3)
@@ -559,8 +558,7 @@ def test_reader_working_set_is_bounded_by_the_chunk(tmp_path, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    above = peak - sum(a.nbytes for a in (parsed.row_ids, parsed.row_starts, parsed.cols,
-                                           parsed.run_vals, parsed.run_lengths))
+    above = peak - held_bytes(parsed)
     assert np.array_equal(parsed.vals.view(np.int64), vals.view(np.int64))
     assert above < num_terms
     assert above < 16 * chunk
@@ -570,56 +568,38 @@ def held_bytes(parsed) -> int:
     return sum(a.nbytes for a in vars(parsed).values() if isinstance(a, np.ndarray))
 
 
-def rows_file(tmp_path, num_vars: int, vals_of) -> tuple:
+def rows_file(tmp_path, num_vars: int) -> tuple:
     """40 rows of 50 terms each, which straddle chunks of 300 characters, and their file."""
     rng = np.random.default_rng(5)
-    row_ids = np.sort(rng.choice(num_vars - 100, 40, replace=False))
-    rows = np.repeat(row_ids, 50)
+    rows = np.repeat(np.sort(rng.choice(num_vars - 100, 40, replace=False)), 50)
     cols = rows + np.tile(np.arange(50), 40)
     path = tmp_path / "rows.qubo"
     write_qubo_text(SparseQubo(num_vars=num_vars, rows=rows, cols=cols,
-                               vals=vals_of(rng, len(rows)), offset=0.0), path)
-    return row_ids, rows, cols, path
+                               vals=rng.normal(size=len(rows)), offset=0.0), path)
+    return rows, cols, path
 
 
 @pytest.mark.parametrize("num_vars, index_bytes", [(2**15 - 1, 2), (2**31 - 1, 4)],
                          ids=["int16", "int32"])
-def test_a_parse_holds_no_row_index_a_term(tmp_path, monkeypatch, num_vars, index_bytes):
-    """A term takes its column and a run; a row that holds terms, its id and start.
-
-    The values are all distinct, the worst case of the runs: a run a term,
-    9 bytes, so a term takes 11 or 13 bytes.  The rows straddle the small
-    chunks, so each must be joined to one run.
-    """
-    row_ids, rows, cols, path = rows_file(tmp_path, num_vars,
-                                          lambda rng, n: rng.normal(size=n))
+def test_a_parse_holds_its_triplets_and_nothing_else(tmp_path, monkeypatch, num_vars,
+                                                     index_bytes):
+    """A term takes a row and a column index and a float64 value, whatever the chunking."""
+    rows, cols, path = rows_file(tmp_path, num_vars)
     monkeypatch.setattr(qubo_module, "_CHUNK_CHARS", 300)
     parsed = read_qubo_text(path)
-    assert held_bytes(parsed) == (index_bytes + 9) * len(rows) + (index_bytes + 8) * len(
-        row_ids) + 8
-    assert parsed.row_ids.tolist() == row_ids.tolist()
+    assert held_bytes(parsed) == (2 * index_bytes + 8) * len(rows)
     assert parsed.rows.tolist() == rows.tolist() and parsed.cols.tolist() == cols.tolist()
 
 
-@pytest.mark.parametrize("num_vars, index_bytes", [(2**15 - 1, 2), (2**31 - 1, 4)],
-                         ids=["int16", "int32"])
-def test_values_repeated_three_at_a_time_take_three_bytes_a_term(tmp_path, monkeypatch,
-                                                                 num_vars, index_bytes):
-    """Values in threes, as an asset's k = 3 blocks share them, take 9 bytes a run of 3.
-
-    A term then takes its column and 3 bytes; a row that holds terms, its
-    id and start; and a chunk boundary may split one run in two.
-    """
-    row_ids, rows, cols, path = rows_file(
-        tmp_path, num_vars, lambda rng, n: np.repeat(rng.normal(size=-(-n // 3)), 3)[:n])
-    chunk = 300
-    monkeypatch.setattr(qubo_module, "_CHUNK_CHARS", chunk)
+def test_consumers_read_the_parsed_arrays_themselves(tmp_path):
+    """to_dense, to_ising and write_qubo_text take a parse's terms through _triplets, which
+    forms no second copy of them."""
+    path = tmp_path / "a.qubo"
+    write_qubo_text(random_sparse_qubo(12, seed=4), path)
     parsed = read_qubo_text(path)
-    chunks = -(-path.stat().st_size // chunk)
-    assert held_bytes(parsed) <= (index_bytes + 3) * len(rows) + (index_bytes + 8) * len(
-        row_ids) + 8 + 9 * chunks
-    assert parsed.row_ids.tolist() == row_ids.tolist()
-    assert parsed.rows.tolist() == rows.tolist() and parsed.cols.tolist() == cols.tolist()
+    rows, cols, vals, offset = qubo_module._triplets(parsed)
+    assert rows is parsed.rows and cols is parsed.cols and vals is parsed.vals
+    assert offset == parsed.offset
 
 
 @st.composite
@@ -696,11 +676,8 @@ def assert_parse_equals_the_triplet_constructor(parsed, num_vars, pairs, vals):
     rows, cols = (np.array(k, dtype=np.int64) for k in zip(*pairs))
     want = SparseQubo(num_vars=num_vars, rows=rows, cols=cols, vals=np.array(vals), offset=0.0)
     assert_bits_equal((parsed.rows, parsed.cols, parsed.vals), (want.rows, want.cols, want.vals))
-    summed = qubo_module._sum_repeated(num_vars, rows, cols, np.array(vals))[2]  # no value runs
+    summed = qubo_module._sum_repeated(num_vars, rows, cols, np.array(vals))[2]
     assert_bits_equal((parsed.vals,), (summed,))
-    assert parsed.run_lengths.dtype == np.uint8 and parsed.run_lengths.min(initial=1) > 0
-    assert int(parsed.run_lengths.sum()) == parsed.num_terms
-    assert_bits_equal((parsed.row_ids, parsed.row_starts), (want.row_ids, want.row_starts))
     (A, offset), (want_A, want_offset) = qubo_module.to_dense(parsed), qubo_module.to_dense(want)
     assert_bits_equal((A,), (want_A,))
     assert offset == want_offset
@@ -773,24 +750,13 @@ def test_value_runs_parse_equals_the_triplet_constructor(tmp_path_factory, case)
     assert_parse_equals_the_triplet_constructor(parsed, num_vars, pairs, vals)
 
 
-def test_value_runs_break_at_255_terms_and_at_a_sign_of_zero():
-    vals = np.array([0.0] * 600 + [-0.0, 0.0, -0.0] + [1.5] * 255 + [2.0])
-    run_vals, run_lengths = qubo_module._value_runs(vals)
-    assert run_lengths.dtype == np.uint8
-    assert run_lengths.tolist() == [255, 255, 90, 1, 1, 1, 255, 1]
-    assert run_vals.view(np.uint64).tolist() == np.array(
-        [0.0, 0.0, 0.0, -0.0, 0.0, -0.0, 1.5, 2.0]).view(np.uint64).tolist()
-    empty_vals, empty_lengths = qubo_module._value_runs(np.zeros(0))
-    assert len(empty_vals) == len(empty_lengths) == 0
-
-
 def test_a_shuffled_parse_peaks_no_higher_than_before_value_runs(tmp_path):
-    """A file out of (i, j) order is decoded, then sorted and summed; the runs and the sort
-    order are released first.
+    """A file out of (i, j) order is read, then sorted and summed; the sort order is released
+    first.
 
-    The bound is the traced peak a term of the same parse took when the
-    reader held a float64 value a term (52.05 bytes).  Measured with value
-    runs and row runs: 44.19 bytes a term.
+    The bound is the traced peak a term of the same parse before the
+    reader held its values as runs (52.05 bytes).  Measured with the
+    triplets the reader holds now: 44.02 bytes a term.
     """
     num_terms = 200_000
     rng = np.random.default_rng(11)
