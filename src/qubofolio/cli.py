@@ -52,7 +52,8 @@ def _load_spec(args) -> ProblemSpec:
     if args.toy:
         return toy_spec(n=args.toy_n, T=args.toy_t, seed=args.seed)
     if not args.config:
-        raise CliError(EXIT_SPEC, "either --config or --toy is required")
+        sources = "--qubo, --config" if "qubo" in args else "--config"
+        raise CliError(EXIT_SPEC, f"either {sources} or --toy is required")
     return _read_input(args.config, spec_from_json)
 
 

@@ -48,11 +48,11 @@ class FrictionParams:
     """Market friction and scalarization parameters.
 
     ``P=None`` means the penalty weight is derived from the instance
-    coefficients by qubo.resolve_penalty, the single derivation that
+    coefficients by ProblemSpec._penalty_scan, the single derivation that
     build_qubo and the evaluation path (step_components and everything
-    built on it) share; it reads prices and covariances, never a block.
-    The derived P is resolved once per ProblemSpec instance and kept on it;
-    a spec made by dataclasses.replace resolves its own.
+    built on it) share through qubo.resolve_penalty; it reads prices and
+    covariances, never a block.  The spec forms the derived P once and
+    keeps it; a spec made by dataclasses.replace forms its own.
     """
 
     q: float
@@ -171,6 +171,75 @@ class ProblemSpec:
     @cached_property
     def layout(self) -> VariableLayout:
         return VariableLayout(n=self.n, T=self.T, k=self.k, B=self.B, C=self.C)
+
+    @cached_property
+    def _term_rows(self) -> dict[str, np.ndarray]:
+        """Non-penalty linear coefficients of each objective term, one length-w row per step.
+
+        The exit row at step t prices the turnover leg paid when a position
+        opened at t is closed at t + 1; at t = T it is the terminal liquidation.
+        Their sum, in this order, is build_qubo's `linear`.
+        """
+        lay = self.layout
+        T = lay.T
+        kn2 = 2 * lay.kn
+        tau = lay.tau_of[:kn2].astype(float)
+        prm = self.params
+        p_slot = self.prices.p[lay.asset_of[:kn2]]
+        pt = p_slot[:, :T].T  # (T, kn2): price of each slot at its step
+        pt1 = p_slot[:, 1:].T
+        p_leg = pt1.copy()
+        p_leg[-1] = pt[-1]
+
+        def trade_row(values):
+            row = np.zeros((T, lay.step_width))
+            row[:, :kn2] = values
+            return row
+
+        cash = np.zeros((T, lay.step_width))
+        y_slice = slice(kn2 + lay.nb, lay.step_width)
+        cash[:, y_slice] = -(prm.rho_c * prm.u * lay.slack_weight[y_slice])
+        rows = {
+            "profit": trade_row(-(tau * (pt1 - pt))),  # profit enters with a minus sign
+            "entry": trade_row(prm.delta * pt),
+            "exit": trade_row(prm.delta * p_leg),
+            "short": trade_row(prm.rho_s * pt * (tau < 0)),
+            "cash": cash,
+        }
+        for row in rows.values():
+            row.setflags(write=False)
+        return rows
+
+    @cached_property
+    def _penalty_scan(self) -> float:
+        """10 * max |coefficient| * (B + C) over the term rows, the band and the risk entries.
+
+        A risk entry is q * (w_i p_a)(w_j p_b) * Sigma_ab for the assets a, b of
+        slots i, j with weights w = +-1, and every asset owns a slot, so the
+        (n, n) products q * p_a p_b * Sigma_ab hold exactly the risk magnitudes.
+        The turnover band is build_qubo's cross.
+        """
+        prm = self.params
+        p = self.prices.p
+        terms = self._term_rows
+        band = np.abs(_turnover_band(terms)).max(initial=0.0)
+        maxcoef = max(np.abs(sum(terms.values())).max(), band)
+        if prm.q > 0:
+            buf = np.empty((self.n, self.n))
+            for t, sigma_t in enumerate(self.covariances.sigma):
+                np.multiply.outer(p[:, t], p[:, t], out=buf)
+                buf *= prm.q
+                buf *= sigma_t
+                np.abs(buf, out=buf)
+                maxcoef = max(maxcoef, buf.max())
+        if maxcoef == 0.0:
+            return 1.0
+        return float(10.0 * maxcoef * (self.B + self.C))
+
+
+def _turnover_band(terms: dict[str, np.ndarray]) -> np.ndarray:
+    """cross, the (T-1, w) band -2 * exit leg at steps 1..T-1, +0.0 off the trading slots."""
+    return 0.0 - 2.0 * terms["exit"][:-1]
 
 
 def _zero_one(bits, size: int, error: type[ValueError] = ModelError) -> np.ndarray:

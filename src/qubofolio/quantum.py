@@ -143,7 +143,8 @@ def diagonalize_cost(ising: IsingModel) -> DiagonalCost:
     _check_cap(m)
     coupling = np.zeros((m, m))
     coupling[ising.j_rows, ising.j_cols] = ising.j_vals
-    energies = all_energies(ising.offset, ising.h, coupling, -1.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the cap's to report
+        energies = all_energies(ising.offset, ising.h, coupling, -1.0)
     if not np.isfinite(energies).all():  # coefficients, or their sums, overflowed
         raise QuantumSimError("magnitude cap: the cost's energies are not all finite")
     return DiagonalCost(energies=energies)

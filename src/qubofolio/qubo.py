@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .model import ProblemSpec, _check_assignment, _zero_one
+from .model import ProblemSpec, _check_assignment, _turnover_band, _zero_one
 
 __all__ = [
     "QuboError",
@@ -200,113 +200,22 @@ class IsingModel:
         return len(self.h)
 
 
-def _per_spec(spec: ProblemSpec, derive):
-    """derive(spec), formed on the first call for this spec instance and kept on it.
-
-    The value sits in the instance's __dict__ under derive's name, where
-    cached_property keeps spec.layout.  dataclasses.replace makes a new
-    instance, which forms its own.
-    """
-    memo = vars(spec)
-    name = derive.__name__
-    if name not in memo:
-        memo[name] = derive(spec)
-    return memo[name]
-
-
-def _linear_terms(spec: ProblemSpec) -> dict[str, np.ndarray]:
-    """The spec's term rows, formed once per spec instance and read-only.
-
-    build_qubo, resolve_penalty and _cash_flows share them.
-    """
-    return _per_spec(spec, _term_rows)
-
-
-def _term_rows(spec: ProblemSpec) -> dict[str, np.ndarray]:
-    """Non-penalty linear coefficients of each objective term, one length-w row per step.
-
-    The exit row at step t prices the turnover leg paid when a position
-    opened at t is closed at t + 1; at t = T it is the terminal liquidation.
-    Their sum, in this order, is build_qubo's `linear`.
-    """
-    lay = spec.layout
-    T = lay.T
-    kn2 = 2 * lay.kn
-    tau = lay.tau_of[:kn2].astype(float)
-    prm = spec.params
-    p_slot = spec.prices.p[lay.asset_of[:kn2]]
-    pt = p_slot[:, :T].T  # (T, kn2): price of each slot at its step
-    pt1 = p_slot[:, 1:].T
-    p_leg = pt1.copy()
-    p_leg[-1] = pt[-1]
-
-    def trade_row(values):
-        row = np.zeros((T, lay.step_width))
-        row[:, :kn2] = values
-        return row
-
-    cash = np.zeros((T, lay.step_width))
-    y_slice = slice(kn2 + lay.nb, lay.step_width)
-    cash[:, y_slice] = -(prm.rho_c * prm.u * lay.slack_weight[y_slice])
-    rows = {
-        "profit": trade_row(-(tau * (pt1 - pt))),  # profit enters with a minus sign
-        "entry": trade_row(prm.delta * pt),
-        "exit": trade_row(prm.delta * p_leg),
-        "short": trade_row(prm.rho_s * pt * (tau < 0)),
-        "cash": cash,
-    }
-    for row in rows.values():
-        row.setflags(write=False)
-    return rows
-
-
-def _turnover_band(terms: dict[str, np.ndarray]) -> np.ndarray:
-    """cross, the (T-1, w) band -2 * exit leg at steps 1..T-1, +0.0 off the trading slots."""
-    return 0.0 - 2.0 * terms["exit"][:-1]
-
-
 def resolve_penalty(spec: ProblemSpec) -> float:
     """Penalty weight of build_qubo: explicit P if given, else 10 * max |coefficient| * (B + C).
 
-    The derived weight is scanned once per spec instance and kept on it;
-    a spec made by dataclasses.replace (a new q, say) scans its own.
+    The derived weight is the spec's _penalty_scan, formed once per spec
+    instance; a spec made by dataclasses.replace (a new q, say) scans its own.
     """
     if spec.params.P is not None:
         return spec.params.P
-    return _per_spec(spec, _penalty_scan)
-
-
-def _penalty_scan(spec: ProblemSpec) -> float:
-    """10 * max |coefficient| * (B + C) over the term rows, the band and the risk entries.
-
-    A risk entry is q * (w_i p_a)(w_j p_b) * Sigma_ab for the assets a, b of
-    slots i, j with weights w = +-1, and every asset owns a slot, so the
-    (n, n) products q * p_a p_b * Sigma_ab hold exactly the risk magnitudes.
-    The turnover band is build_qubo's cross.
-    """
-    prm = spec.params
-    p = spec.prices.p
-    terms = _linear_terms(spec)
-    band = np.abs(_turnover_band(terms)).max(initial=0.0)
-    maxcoef = max(np.abs(sum(terms.values())).max(), band)
-    if prm.q > 0:
-        buf = np.empty((spec.n, spec.n))
-        for t, sigma_t in enumerate(spec.covariances.sigma):
-            np.multiply.outer(p[:, t], p[:, t], out=buf)
-            buf *= prm.q
-            buf *= sigma_t
-            np.abs(buf, out=buf)
-            maxcoef = max(maxcoef, buf.max())
-    if maxcoef == 0.0:
-        return 1.0
-    return float(10.0 * maxcoef * (spec.B + spec.C))
+    return spec._penalty_scan
 
 
 def build_qubo(spec: ProblemSpec, include_penalty: bool = True) -> BlockQubo:
     """Assemble the full minimization objective in block-banded form; without penalty P = 0."""
     lay = spec.layout
     kn2 = 2 * lay.kn
-    terms = _linear_terms(spec)
+    terms = spec._term_rows
     wvec = lay.tau_of[:kn2].astype(float) if spec.signed_risk else np.ones(kn2)
     wp = np.zeros((lay.T, lay.step_width))
     wp[:, :kn2] = wvec * spec.prices.p[lay.asset_of[:kn2], : lay.T].T
@@ -344,12 +253,8 @@ def _one_block(A: np.ndarray, offset: float) -> BlockQubo:
 
 
 def _as_block(qubo) -> BlockQubo:
-    """A BlockQubo as is; a SparseQubo densified into one block."""
-    if isinstance(qubo, BlockQubo):
-        return qubo
-    if isinstance(qubo, SparseQubo):
-        return _one_block(*to_dense(qubo))
-    raise QuboError(f"unsupported problem type {type(qubo).__name__}")
+    """A BlockQubo as is; anything else densified into one block, so to_dense checks its type."""
+    return qubo if isinstance(qubo, BlockQubo) else _one_block(*to_dense(qubo))
 
 
 def _block_rows(qubo: BlockQubo, t: int, rows, start: int = 0) -> np.ndarray:
@@ -637,6 +542,13 @@ def _check_dense(num_vars: int) -> None:
         raise QuboError(f"{num_vars} variables exceeds dense limit {_DENSE_LIMIT}")
 
 
+def _dense_vars(qubo) -> int:
+    """The variable count of a BlockQubo or SparseQubo; any other problem is a QuboError."""
+    if not isinstance(qubo, (BlockQubo, SparseQubo)):
+        raise QuboError(f"cannot densify {type(qubo).__name__}")
+    return qubo.num_vars
+
+
 def to_dense(qubo) -> tuple[np.ndarray, float]:
     """Symmetric dense matrix A with linear terms on the diagonal: E = x'Ax + offset.
 
@@ -644,9 +556,7 @@ def to_dense(qubo) -> tuple[np.ndarray, float]:
     A row of A sums to at most S, so energies lie within |offset| + S and the
     intermediates of delta_energies within 3S (dg + 2 * dx): no sum of them overflows.
     """
-    if not isinstance(qubo, (BlockQubo, SparseQubo)):
-        raise QuboError(f"cannot densify {type(qubo).__name__}")
-    _check_dense(qubo.num_vars)
+    _check_dense(_dense_vars(qubo))
     rows, cols, vals, offset = _triplets(qubo)
     with np.errstate(over="ignore"):
         S = sum(float(np.abs(vals[i:i + _CHECK_BLOCK]).sum())
@@ -722,7 +632,7 @@ def _bits_by_step(spec: ProblemSpec, bits) -> np.ndarray:
 
 def _cash_flows(spec: ProblemSpec, x: np.ndarray) -> dict[str, np.ndarray]:
     """Every step_components entry but risk and penalty, at x (T, w); no penalty is resolved."""
-    terms = _linear_terms(spec)
+    terms = spec._term_rows
     term = {name: (row * x).sum(axis=1) for name, row in terms.items()}
     transaction = term["entry"]
     transaction[1:] += term["exit"][:-1] + (_turnover_band(terms) * x[:-1] * x[1:]).sum(axis=1)
@@ -740,7 +650,7 @@ def _cash_flows(spec: ProblemSpec, x: np.ndarray) -> dict[str, np.ndarray]:
 def step_components(spec: ProblemSpec, bits) -> dict[str, np.ndarray]:
     """Per-step objective ingredients, all as length-T arrays in currency.
 
-    Each is a term row of _linear_terms, or a term of energy, read at x.
+    Each is one of the spec's _term_rows, or a term of energy, read at x.
     Sign conventions are "natural": gross_profit and cash_interest are
     income (positive good), the cost entries are outlays (positive bad).
     """
@@ -773,6 +683,7 @@ def objective_breakdown(spec: ProblemSpec, bits) -> dict[str, float]:
 
 _MIN_TERM_BYTES = 6  # the shortest term line, "0 0 0\n"
 _MAX_HEADER_CHARS = 255  # a header line's characters before its newline, at most
+_MAX_LINE_CHARS = 1 << 18  # a term line's characters before its newline, at most
 _QUOTE_CHARS = 80  # characters of an input line a parse error quotes, at most
 _CHUNK_LINES = 1 << 16  # term lines per chunk of the writer
 _CHUNK_CHARS = 1 << 18  # characters per chunk of the reader, extended to a line end
@@ -1035,7 +946,14 @@ def _read_terms(fh, path, num_vars: int, num_terms: int):
     done = 0
     rest = b""  # of a file of 0 terms
     while done < num_terms:
-        text = fh.read(_CHUNK_CHARS) + fh.readline()
+        text = fh.read(_CHUNK_CHARS)
+        tail = fh.readline(_MAX_LINE_CHARS + 1)  # a longer line is not read whole
+        if len(text) - text.rfind("\n") - 1 + len(tail.rstrip("\n")) > _MAX_LINE_CHARS:
+            line = done + text.count("\n")  # the terms before the line that crosses the end
+            if line < num_terms:
+                raise QuboParseError(f"{path}:{line + 2}: term line longer than "
+                                     f"{_MAX_LINE_CHARS} characters")
+        text += tail
         if not text:
             raise QuboParseError(f"{path}: expected {num_terms} terms, got {done}")
         buf = b"".join((_FRONT, text.encode("utf-8"), b"" if text.endswith("\n") else b"\n",

@@ -31,6 +31,7 @@ from .qubo import (
     BlockQubo,
     QuboError,
     _as_block,
+    _dense_vars,
     _flip_state,
     _one_block,
     _runs,
@@ -262,7 +263,7 @@ def solve_exact(qubo, budget: SolveBudget | None = None) -> SolveReport:
     The budget is tested between chunks, an iteration being one assignment;
     a stopped enumeration certifies nothing and reports no lower bound.
     """
-    n = qubo.num_vars
+    n = _dense_vars(qubo)
     _check_exact(n)
     A, offset, block = _dense(qubo)
     run = _Run("exact", block, budget)

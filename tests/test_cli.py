@@ -735,3 +735,12 @@ def test_bad_input_exits_with_its_documented_code(tmp_path, capsys, code, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not any(tmp_path.glob("out.qubo")) and not any(tmp_path.glob("p.csv"))
+
+
+@pytest.mark.parametrize("command, extra, sources",
+                         [("build", [], "--config"), ("solve", [], "--qubo, --config"),
+                          ("quantum", ["--algo", "qaoa"], "--qubo, --config")])
+def test_no_problem_source_exits_2_naming_the_sources(tmp_path, capsys, command, extra,
+                                                      sources):
+    assert run(command, "--out", str(tmp_path / "r.json"), *extra) == 2
+    assert capsys.readouterr().err == f"error: either {sources} or --toy is required\n"

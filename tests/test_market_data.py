@@ -306,3 +306,13 @@ def test_covariance_check_allocates_two_matrices_at_most():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * EXP2_N**2 * 8
+
+
+def test_load_prices_skips_blank_and_whitespace_rows(price_csv, tmp_path):
+    path, _, _ = price_csv
+    header, *rows = path.read_text().splitlines()
+    padded = tmp_path / "padded.csv"
+    padded.write_text(header + "\n\n" + "".join(row + "\n   \n\t\n" for row in rows) + "\n")
+    table, expected = load_prices(padded), load_prices(path)
+    assert table.tickers == expected.tickers and table.dates == expected.dates
+    assert np.array_equal(table.close, expected.close)

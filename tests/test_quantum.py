@@ -682,3 +682,12 @@ def test_nelder_mead_is_bit_identical_to_scipy(monkeypatch):
                 stops.add("tolerance" if "tolerance" in hit else "maxiter")
     assert taken == set(_NM_MARKERS) - {"tolerance"}
     assert stops == {"maxiter", "tolerance"}
+
+
+def test_diagonalize_reports_an_overflowing_sum_as_the_magnitude_cap():
+    """Each field is finite but their sum is not: the cap, not a RuntimeWarning, reports it."""
+    empty = np.array([], dtype=int)
+    ising = IsingModel(h=np.array([1e308, 1e308]), j_rows=empty, j_cols=empty,
+                       j_vals=np.array([]), offset=0.0)
+    with pytest.raises(QuantumSimError, match="magnitude cap"):
+        diagonalize_cost(ising)

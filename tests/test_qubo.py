@@ -136,7 +136,7 @@ def count_step_energy(spec: ProblemSpec, t: int, L, S) -> np.ndarray:
     """
     lay = spec.layout
     k, kn, nb = lay.k, lay.kn, lay.nb
-    row = sum(qubo_module._linear_terms(spec).values())[t]
+    row = sum(spec._term_rows.values())[t]
     asset_slack, cash_units = spec.B - (L + S).sum(axis=-1), spec.C - (L - S).sum(axis=-1)
     g = spec.prices.p[:, t] * (L - S if spec.signed_risk else L + S)
     risk = spec.params.q * np.einsum("...i,ij,...j->...", g, spec.covariances.sigma[t], g)
@@ -147,7 +147,7 @@ def count_step_energy(spec: ProblemSpec, t: int, L, S) -> np.ndarray:
 def count_band_credit(spec: ProblemSpec, t: int, L0, S0, L1, S1) -> np.ndarray:
     """The band's credit from step t to t + 1: canonical blocks overlap min(L_t, L_t+1) times."""
     k, kn = spec.k, spec.layout.kn
-    band = qubo_module._turnover_band(qubo_module._linear_terms(spec))[t]
+    band = qubo_module._turnover_band(spec._term_rows)[t]
     return np.minimum(L0, L1) @ band[:kn:k] + np.minimum(S0, S1) @ band[kn:2 * kn:k]
 
 
@@ -637,14 +637,15 @@ EXP2 = dict(n=499, T=15, k=3, B=60, C=10, q=0.01)
 def count_scans(monkeypatch) -> list:
     """Record each penalty scan of the covariances, whoever asks for it."""
     scans = []
-    scan = qubo_module._penalty_scan
+    cached = ProblemSpec.__dict__["_penalty_scan"]
+    scan = cached.func
 
     @functools.wraps(scan)
     def counting_scan(spec):
         scans.append(spec)
         return scan(spec)
 
-    monkeypatch.setattr(qubo_module, "_penalty_scan", counting_scan)
+    monkeypatch.setattr(cached, "func", counting_scan)
     return scans
 
 
@@ -676,14 +677,14 @@ def test_replaced_q_scans_its_own_penalty():
 
 def test_term_rows_are_formed_once_and_read_only():
     spec = toy_spec(n=3, T=2, seed=6)
-    terms = qubo_module._linear_terms(spec)
-    assert qubo_module._linear_terms(spec) is terms
+    terms = spec._term_rows
+    assert spec._term_rows is terms
     assert list(terms) == ["profit", "entry", "exit", "short", "cash"]
     for row in terms.values():
         assert row.shape == (spec.T, spec.layout.step_width)
         with pytest.raises(ValueError):
             row[0, 0] = 1.0
-    assert qubo_module._linear_terms(dataclasses.replace(spec)) is not terms
+    assert dataclasses.replace(spec)._term_rows is not terms
 
 
 def whole_matrix_penalty(spec: ProblemSpec) -> float:
@@ -691,7 +692,7 @@ def whole_matrix_penalty(spec: ProblemSpec) -> float:
     np.outer, times q, times Sigma_t, each a new array."""
     prm = spec.params
     p = spec.prices.p
-    terms = qubo_module._linear_terms(spec)
+    terms = spec._term_rows
     band = np.abs(qubo_module._turnover_band(terms)).max(initial=0.0)
     maxcoef = max(np.abs(sum(terms.values())).max(), band)
     if prm.q > 0:
@@ -713,7 +714,7 @@ def test_resolve_penalty_equals_whole_matrix_reference_at_exp2_size(q, signed_ri
 
 def test_exp2_penalty_scan_allocates_one_matrix():
     spec = synthetic_spec(seed=1, **EXP2)
-    terms = qubo_module._linear_terms(spec)  # the layout and the term rows exist from here
+    terms = spec._term_rows  # the layout and the term rows exist from here
     tracemalloc.start()
     try:
         resolve_penalty(spec)
@@ -1324,3 +1325,14 @@ def test_sparse_qubo_from_any_integer_indices_is_the_same_problem(tmp_path, inde
     write_qubo_text(sq, tmp_path / "a.qubo")
     write_qubo_text(ref, tmp_path / "b.qubo")
     assert (tmp_path / "a.qubo").read_bytes() == (tmp_path / "b.qubo").read_bytes()
+
+
+@pytest.mark.parametrize("index", [lambda total: -1, lambda total: total], ids=["-1", "T*w"])
+def test_apply_flip_rejects_an_index_out_of_range(index):
+    qubo = build_qubo(toy_spec(n=2, T=2, seed=8))
+    bits = np.zeros(qubo.num_vars, dtype=np.int8)
+    deltas = delta_energies(qubo, bits)
+    before = deltas.copy()
+    with pytest.raises(QuboError, match=f"flip index {index(qubo.num_vars)} out of range"):
+        apply_flip(qubo, bits, index(qubo.num_vars), deltas)
+    assert not bits.any() and np.array_equal(deltas, before)

@@ -521,3 +521,13 @@ def test_block_solver_results_match_the_pinned_file():
     assert sorted(runs) == sorted(pinned)
     for name, got in runs.items():
         assert got == pinned[name], name
+
+
+@pytest.mark.parametrize("entry", [solve_exact, solve_bnb, solve_sa, solve_abs,
+                                   lambda problem: local_descent(problem, [0, 0])],
+                         ids=["exact", "bnb", "sa", "abs", "descent"])
+def test_every_solver_entry_rejects_an_ising_model_alike(entry):
+    ising = IsingModel(h=np.zeros(2), j_rows=[0], j_cols=[1], j_vals=[1.0], offset=0.0)
+    with pytest.raises(QuboError) as raised:
+        entry(ising)
+    assert str(raised.value) == "cannot densify IsingModel"

@@ -312,7 +312,7 @@ def test_reader_rejects_bad_term_lines(tmp_path, small_chunks, line):
 
 
 def test_a_parse_error_quotes_at_most_80_characters_of_a_line(tmp_path):
-    line = "0 1 " + "9" * 3_000_000 + "x"
+    line = "0 1 " + "9" * 200_000 + "x"
     path = tmp_path / "bad.qubo"
     path.write_text("p qubo 2 1 0.0\n" + line + "\n")
     with pytest.raises(QuboParseError) as raised:
@@ -777,3 +777,46 @@ def test_a_shuffled_parse_peaks_no_higher_than_before_value_runs(tmp_path):
         tracemalloc.stop()
     assert np.array_equal(parsed.vals.view(np.int64), vals.view(np.int64))
     assert peak < 52.05 * num_terms
+
+
+def test_the_term_line_bound_is_262144_characters(tmp_path):
+    line = "0 0 1." + "0" * (qubo_module._MAX_LINE_CHARS - 6)
+    assert len(line) == 262_144
+    path = tmp_path / "long.qubo"
+    path.write_text("p qubo 1 1 0.0\n" + line + "\n")
+    assert read_qubo_text(path).vals.tolist() == [1.0]
+    path.write_text("p qubo 1 1 0.0\n" + line + "0\n")
+    with pytest.raises(QuboParseError, match=":2: term line longer than 262144 characters$"):
+        read_qubo_text(path)
+
+
+@pytest.mark.parametrize("chunk", [7, 1 << 18])
+def test_a_term_line_past_the_bound_names_its_line(tmp_path, monkeypatch, chunk):
+    line = "0 1 " + "9" * 299_996
+    path = tmp_path / "long.qubo"
+    path.write_text("p qubo 2 2 0.0\n0 0 1.0\n" + line + "\n")
+    monkeypatch.setattr(qubo_module, "_CHUNK_CHARS", chunk)
+    with pytest.raises(QuboParseError) as raised:
+        read_qubo_text(path)
+    assert str(raised.value) == f"{path}:3: term line longer than 262144 characters"
+    assert main(["solve", "--qubo", str(path), "--out", str(tmp_path / "r.json")]) == 4
+
+
+def test_a_10_mb_term_line_is_not_read_whole(tmp_path):
+    path = tmp_path / "long.qubo"
+    path.write_text("p qubo 2 1 0.0\n0 1 " + "9" * 10_000_000 + "\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(QuboParseError, match=":2: term line longer than"):
+            read_qubo_text(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_an_ising_header_past_memory_is_a_qubo_error(tmp_path):
+    path = tmp_path / "huge.ising"
+    path.write_text("p ising 1000000000000000 0 0.0\n")
+    with pytest.raises(QuboError, match="1000000000000000 spins cannot be held in memory$"):
+        read_qubo_text(path)
