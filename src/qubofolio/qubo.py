@@ -257,20 +257,26 @@ def _as_block(qubo) -> BlockQubo:
     return qubo if isinstance(qubo, BlockQubo) else _one_block(*to_dense(qubo))
 
 
-def _block_rows(qubo: BlockQubo, t: int, rows, start: int = 0) -> np.ndarray:
+def _block_rows(qubo: BlockQubo, t: int, rows, start: int = 0, out=None,
+                scratch=None) -> np.ndarray:
     """Rows `rows` (an index or a slice) of step t's block D_t from column start on, t 0-based.
 
     Every block entry is formed here; core_t is exactly symmetric, so row j
     is column j.  The penalty part P * R[:, rows]'R is read from the kernel's
-    table, each entry one exact integer times P (R is integer-valued).
+    table, each entry one exact integer times P (R is integer-valued).  The
+    block is formed in `out` if given, its gathers in `scratch` (both of its
+    shape), so a caller that passes both allocates nothing of that size.
+    Without scratch the penalty rows are indexed, a view for one row, which
+    is what a flip reads.
     """
     kern = qubo._kernel
     wp = qubo.wp[t]
     cols = slice(start, None)
-    D = np.multiply.outer(wp[rows], wp[cols])
+    D = np.multiply.outer(wp[rows], wp[cols], out=out)
     D *= qubo.scale
-    D *= qubo.core[t][qubo.slot[rows]].take(qubo.slot[cols], axis=-1)
-    D += kern.penalty[kern.pattern[rows], cols]
+    D *= qubo.core[t][qubo.slot[rows]].take(qubo.slot[cols], axis=-1, out=scratch, mode="clip")
+    D += (kern.penalty[kern.pattern[rows], cols] if scratch is None
+          else kern.penalty[:, cols].take(kern.pattern[rows], axis=0, out=scratch, mode="clip"))
     return D
 
 
@@ -469,33 +475,50 @@ def _export_offset(qubo: BlockQubo) -> float:
     return qubo.offset + qubo.penalty_weight * T * float(qubo.budget_rhs @ qubo.budget_rhs)
 
 
-_BAND_ROWS = 256  # rows of a step's table formed at once by the export
+_BAND_BYTES = 1 << 19  # bytes of a band of a step's table, the export's unit of work
 
 
-def _step_tables(qubo: BlockQubo):
+def _band_rows(w: int) -> int:
+    """Rows of a step's table the export forms at once, 1 to w: w + 1 floats a row, and
+    _BAND_BYTES a band."""
+    return max(1, min(w, _BAND_BYTES // (8 * (w + 1))))
+
+
+def _step_tables(qubo: BlockQubo, scratch=None):
     """Yield (first, band) for each band of each step's table, the export's one derivation.
 
     Step t's table has a row for each of its w variables; it is formed in
-    bands of at most _BAND_ROWS rows, so no (w, w) array is.  The band of
-    rows start..stop-1 is a (stop - start, w - start + 1) array and
-    first = t * w + start is the variable of its first row and column.
-    Row i holds the diagonal term at column i, the pair terms 2 * D_ij at
-    the columns j > i, zeros below the diagonal, and the band term to
-    (t + 1, start + i) in its last column (zero at the last step).  Its
-    nonzero entries, row-major, are already in (i, j) order, and every
-    band's indices lie above the previous band's.
+    bands of _band_rows(w) rows, so its working set is the same few hundred
+    kB at any w.  The band of rows start..stop-1 is a (stop - start,
+    w - start + 1) array and first = t * w + start is the variable of its
+    first row and column.  Row i holds the diagonal term at column i, the
+    pair terms 2 * D_ij at the columns j > i, zeros below the diagonal, and
+    the band term to (t + 1, start + i) in its last column (zero at the last
+    step).  Its nonzero entries, row-major, are already in (i, j) order, and
+    every band's indices lie above the previous band's.  Every band is
+    formed in scratch allocated once, so a band is valid only until the
+    next one is yielded.  The band's gathers use `scratch`, _band_rows(w) *
+    (w + 1) floats, if given; it is free again once the band is yielded.
     """
     T, w = qubo.wp.shape
     P = qubo.penalty_weight
     linear = qubo.linear.reshape(T, w) + (-2.0 * P) * (qubo.budget_rhs @ qubo.budget_rows)
+    height = _band_rows(w)
+    cells = np.empty(height * (w + 1))
+    gather = np.empty(height * (w + 1)) if scratch is None else scratch
+    below = np.tri(height, height, -1, dtype=bool)
     for t in range(T):
-        for start in range(0, w, _BAND_ROWS):
-            stop = min(start + _BAND_ROWS, w)
-            D = _block_rows(qubo, t, slice(start, stop), start)
-            band = np.empty((stop - start, w - start + 1))
-            np.multiply(np.triu(D, 1), 2.0, out=band[:, :-1])
-            diag = np.arange(stop - start)
-            band[diag, diag] = linear[t, start:stop] + D[diag, diag]
+        for start in range(0, w, height):
+            stop = min(start + height, w)
+            rows, width = stop - start, w - start
+            band = cells[:rows * (width + 1)].reshape(rows, width + 1)
+            D = _block_rows(qubo, t, slice(start, stop), start, out=band[:, :-1],
+                            scratch=gather[:rows * width].reshape(rows, width))
+            diagonal = band.reshape(-1)[::width + 2]  # each row's entry (i, i), a view
+            terms = linear[t, start:stop] + diagonal
+            D *= 2.0
+            np.copyto(D[:, :rows], 0.0, where=below[:rows, :rows])
+            diagonal[:] = terms
             band[:, -1] = qubo.cross[t, start:stop] if t < T - 1 else 0.0
             yield t * w + start, band
 
@@ -503,21 +526,28 @@ def _step_tables(qubo: BlockQubo):
 def _sparse_bands(qubo: BlockQubo):
     """Yield each band's (rows, cols, vals, step) as to_sparse lists them, in (i, j) order.
 
-    The indices are formed in the index dtype, so no index array of the
-    whole export is int64.
+    The indices are in the index dtype, so no index array of the whole
+    export is int64.  The three arrays are views of scratch allocated once,
+    the values in _step_tables' gather scratch: a band's triplets are valid
+    only until the next band's are yielded.
     """
     dtype = _index_dtype(qubo.num_vars)
     w = qubo.wp.shape[1]
-    for first, band in _step_tables(qubo):
-        nonzero = band != 0
-        r, c = np.nonzero(nonzero)
-        vals = band[nonzero]
-        link = c == band.shape[1] - 1
-        c[link] = r[link] + w
-        rows, cols = r.astype(dtype), c.astype(dtype)
-        rows += first
-        cols += first
-        yield rows, cols, vals, first // w
+    size = _band_rows(w) * (w + 1)
+    nonzero, vals = np.empty(size, dtype=bool), np.empty(size)
+    rows, cols = np.empty(size, dtype=dtype), np.empty(size, dtype=dtype)
+    for first, band in _step_tables(qubo, vals):
+        width = band.shape[1]
+        cells = band.reshape(-1)
+        at = np.flatnonzero(np.not_equal(cells, 0.0, out=nonzero[:len(cells)]))
+        n = len(at)
+        r, c = np.divmod(at, width, out=(rows[:n], cols[:n]))
+        v = cells.take(at, out=vals[:n], mode="clip")
+        del at  # not held while the band is consumed
+        np.add(r, w, out=c, where=c == width - 1)  # the band term of row r: (r + w)
+        r += first
+        c += first
+        yield r, c, v, first // w
 
 
 def to_sparse(qubo: BlockQubo) -> SparseQubo:
@@ -526,11 +556,22 @@ def to_sparse(qubo: BlockQubo) -> SparseQubo:
 
 
 def _triplets(qubo) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """rows, cols, vals, offset of a BlockQubo's canonical bands or of a SparseQubo."""
+    """rows, cols, vals, offset of a BlockQubo's canonical bands or of a SparseQubo.
+
+    A BlockQubo's terms are counted first, so each array is allocated once,
+    at its size, and filled band by band.
+    """
     if isinstance(qubo, SparseQubo):
         return qubo.rows, qubo.cols, qubo.vals, qubo.offset
-    rows, cols, vals = map(np.concatenate, list(zip(*_sparse_bands(qubo)))[:3])
-    return rows, cols, vals, _export_offset(qubo)
+    terms = sum(np.count_nonzero(band) for _, band in _step_tables(qubo))
+    dtype = _index_dtype(qubo.num_vars)
+    whole = np.empty(terms, dtype=dtype), np.empty(terms, dtype=dtype), np.empty(terms)
+    at = 0
+    for *band, _ in _sparse_bands(qubo):
+        for into, part in zip(whole, band):
+            into[at:at + len(part)] = part
+        at += len(band[2])
+    return (*whole, _export_offset(qubo))
 
 
 _DENSE_LIMIT = 8192
@@ -685,7 +726,7 @@ _MIN_TERM_BYTES = 6  # the shortest term line, "0 0 0\n"
 _MAX_HEADER_CHARS = 255  # a header line's characters before its newline, at most
 _MAX_LINE_CHARS = 1 << 18  # a term line's characters before its newline, at most
 _QUOTE_CHARS = 80  # characters of an input line a parse error quotes, at most
-_CHUNK_LINES = 1 << 16  # term lines per chunk of the writer
+_CHUNK_LINES = 1 << 14  # term lines per chunk of the writer
 _CHUNK_CHARS = 1 << 18  # characters per chunk of the reader, extended to a line end
 _MAX_INDEX_DIGITS = 8  # one word; longer index fields take the per-line parse
 _MAX_TOKEN_BYTES = 24  # three words; longer value tokens take the per-line parse
@@ -701,6 +742,35 @@ _SEPARATORS = np.array([ord(" "), ord(" "), ord("\n")], dtype=np.uint8)  # of a 
 _CHECK_BLOCK = 1 << 16  # terms per block of a check over every term
 
 
+def _value_texts(runs: list, vals: np.ndarray) -> np.ndarray:
+    """The repr text of each of vals, from a table of the float64 bit patterns.
+
+    The table is `runs`, sorted (keys, texts) pairs with no key in two.
+    Patterns in no run are repr'd and added as a new run, which is merged
+    into the one before it while that one is at most twice its size: runs
+    stay O(log size), and the whole table is copied O(log size) times a
+    step, not once a piece.
+    """
+    heads, starts = _runs(np.asarray(vals, dtype=np.float64).view(np.uint64))
+    bits, inverse = np.unique(heads, return_inverse=True)
+    texts = np.empty(len(bits), "S24")
+    miss, new = np.arange(len(bits)), bits  # the entries not found yet, and their bits
+    for keys, known in runs:
+        at = keys.searchsorted(new)
+        hit = keys.take(at, mode="clip") == new
+        texts[miss[hit]] = known.take(at[hit])
+        left = ~hit
+        miss, new = miss[left], new[left]
+    if len(new):
+        texts[miss] = list(map(repr, new.view(np.float64).tolist()))
+        runs.append((new, texts[miss]))
+    while len(runs) > 1 and len(runs[-2][0]) <= 2 * len(runs[-1][0]):
+        (keys, known), (later, more) = runs[-2:]
+        at = keys.searchsorted(later)
+        runs[-2:] = [(np.insert(keys, at, later), np.insert(known, at, more))]
+    return texts.take(np.repeat(inverse, np.diff(starts)))
+
+
 def _write_records(fh, parts, num_vars: int, terms: int, seps=(b"", b" ", b" ", b"\n"),
                    lead: int = 0) -> None:
     """Write a record per term of parts, (rows, cols, vals, step) in file order, to fh.
@@ -708,9 +778,9 @@ def _write_records(fh, parts, num_vars: int, terms: int, seps=(b"", b" ", b" ", 
     seps are the bytes before, between and after a record's i, j and value.
     A piece of at most _CHUNK_LINES terms fills one record buffer with
     NUL-padded text, and the padding is dropped as it is written.  Index
-    text is one table (per piece if num_vars > terms); value text a table
-    of the step's bit patterns (step None: the piece's), repr once a new
-    one.  The first `lead` bytes are not written.
+    text is one table (per piece if num_vars > terms); value text a
+    _value_texts table of the step's bit patterns (step None: the piece's),
+    repr once a new one.  The first `lead` bytes are not written.
     """
     index = f"S{len(str(num_vars - 1))}"
     width = dict(zip("abcd", (f"S{len(sep)}" for sep in seps)), i=index, j=index, v="S24")
@@ -721,8 +791,8 @@ def _write_records(fh, parts, num_vars: int, terms: int, seps=(b"", b" ", b" ", 
     last = None
     for *part, step in parts:
         for a in range(0, len(part[2]), _CHUNK_LINES):
-            if step is None or step != last:  # a NaN's bits: above any finite's
-                keys, texts, last = np.array([2**64 - 1], np.uint64), np.zeros(1, "S24"), step
+            if step is None or step != last:
+                runs, last = [], step
             rows, cols, vals = (x[a:a + _CHUNK_LINES] for x in part)
             piece = rec[:len(vals)]
             for f, k in (("i", rows), ("j", cols)):
@@ -731,15 +801,7 @@ def _write_records(fh, parts, num_vars: int, terms: int, seps=(b"", b" ", b" ", 
                     tab, k = np.unique(k, return_inverse=True)
                     tab = tab.astype(index)
                 piece[f] = tab.take(k)
-            heads, starts = _runs(np.asarray(vals, dtype=np.float64).view(np.uint64))
-            distinct, inverse = np.unique(heads, return_inverse=True)
-            at = np.searchsorted(keys, distinct)
-            miss = keys[at] != distinct
-            new = distinct[miss]
-            keys = np.insert(keys, at[miss], new)
-            texts = np.insert(texts, at[miss], list(map(repr, new.view(np.float64).tolist())))
-            at += np.cumsum(miss) - miss
-            piece["v"] = texts.take(np.repeat(at[inverse], np.diff(starts)))
+            piece["v"] = _value_texts(runs, vals)
             fh.write(piece.tobytes().translate(None, b"\0")[lead:])
             lead = 0
 
