@@ -292,9 +292,18 @@ def _node_bound(A, offset, fixed):
     L = 2.0 * (float(eigs[-1]) + shift) + 1e-12
     lin_c = lin - shift
     y = np.full(len(lin), 0.5)
+    # y = clip(y - (2 (M y + shift y) + lin_c) / L, 0, 1), in that order, in place
+    grad, sy = np.empty_like(y), np.empty_like(y)
     for _ in range(_PG_ITERS):
-        grad = 2.0 * (M @ y + shift * y) + lin_c
-        y = np.clip(y - grad / L, 0.0, 1.0)
+        np.matmul(M, y, out=grad)
+        np.multiply(shift, y, out=sy)
+        grad += sy
+        grad *= 2.0
+        grad += lin_c
+        grad /= L
+        np.subtract(y, grad, out=y)
+        np.maximum(y, 0.0, out=y)
+        np.minimum(y, 1.0, out=y)
     val = float(y @ (M @ y) + shift * (y @ y) + lin_c @ y) + const
     grad = 2.0 * (M @ y + shift * y) + lin_c
     support = np.minimum((0.0 - y) * grad, (1.0 - y) * grad).sum()

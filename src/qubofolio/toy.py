@@ -91,14 +91,15 @@ def synthetic_spec(
 
     sigma = np.empty((T, n, n))
     base = rng.normal(scale=1.0, size=(n, n))
-    corr_seed = base @ base.T
-    d = np.sqrt(np.diagonal(corr_seed))
-    corr = corr_seed / np.outer(d, d)
+    cov0 = base @ base.T  # the Wishart seed, made the base covariance in place
+    del base
+    d = np.sqrt(np.diagonal(cov0))
+    cov0 /= np.outer(d, d)
     vols = rng.uniform(0.005, 0.02, size=n)
-    cov0 = corr * np.outer(vols, vols)
+    cov0 *= np.outer(vols, vols)
     for t in range(T):
         jitter = 1.0 + 0.05 * rng.standard_normal()
-        sigma[t] = cov0 * max(jitter, 0.5)
+        np.multiply(cov0, max(jitter, 0.5), out=sigma[t])
     covs = CovarianceSeries(sigma=sigma)
 
     params = FrictionParams(q=q, delta=0.001, rho_c=0.0001, rho_s=0.000025, u=_U)

@@ -299,7 +299,7 @@ def _random_state(rng, m, dtype):
 # every remainder of the group size 4, and states of one to four groups
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 8, 9, 10, 11, 13])
 def test_apply_gates_matches_per_qubit_reference(m):
-    from qubofolio.quantum import _apply_gates, _rotation
+    from qubofolio.quantum import _apply_gates, _rotation, _scratch
 
     rng = np.random.default_rng(m)
     gates = [_random_orthogonal(rng, reflection=q % 3 == 0) if q % 3 != 1
@@ -307,25 +307,24 @@ def test_apply_gates_matches_per_qubit_reference(m):
     for dtype in (float, complex):
         state = _random_state(rng, m, dtype)
         expected = _layer_reference(state, gates)
-        given, spare = state.copy(), np.empty_like(state)
-        got, other = _apply_gates(given, spare, gates)
+        got = state.copy()
+        # in place, with one tile-sized scratch array and nothing returned
+        assert _apply_gates(got, _scratch(got), gates) is None
         assert got.dtype == state.dtype and got.shape == expected.shape
         assert np.max(np.abs(got - expected)) <= 1e-12
-        # the result is one of the two arrays passed in, and the other is the spare
-        assert {id(got), id(other)} == {id(given), id(spare)}
-        assert np.shares_memory(got, given) or np.shares_memory(got, spare)
 
 
 @pytest.mark.parametrize("m", [1, 3, 4, 7, 10])
 def test_frame_rotation_layer_equals_rx_layer(m):
-    from qubofolio.quantum import _apply_gates, _rotation
+    from qubofolio.quantum import _apply_gates, _rotation, _scratch
 
     rng = np.random.default_rng(40 + m)
     thetas = rng.uniform(-math.pi, math.pi, size=m)
     psi = _random_state(rng, m, complex)
     expected = _layer_reference(psi, [_rx_reference(t) for t in thetas])
     d = _frame(m)
-    phi, _ = _apply_gates(psi / d, np.empty_like(psi), [_rotation(t) for t in thetas])
+    phi = psi / d
+    _apply_gates(phi, _scratch(phi), [_rotation(t) for t in thetas])
     assert np.max(np.abs(d * phi - expected)) <= 1e-12
 
 
@@ -499,6 +498,9 @@ def test_norm_drift_is_the_largest_deviation_the_check_saw(monkeypatch):
     assert qaoa["norm_drift"] == pytest.approx(f ** 12 - 1.0, rel=1e-3)
     assert vqe["norm_drift"] == pytest.approx(f ** 12 - 1.0, rel=1e-3)
     assert anneal["norm_drift"] == pytest.approx(f ** 6 - 1.0, rel=1e-3)
+    # the last step's renormalisation reaches the returned state too
+    state, _ = quantum._anneal_state(diagonalize_cost(ising), AnnealSchedule(total_time=5, dt=0.05))
+    assert abs(np.vdot(state, state).real - 1.0) <= 1e-14
 
 
 def test_anneal_reports_norm_drift():
@@ -538,7 +540,7 @@ def _anneal_reference(cost, schedule):
         a, b = 1.0 - s, s
         state = _layer_reference(state, [_rx_reference(-2.0 * a * dt)] * m)
         state *= np.exp(-1j * b * dt * cost.energies)
-        norm2 = _check_norm(state)
+        norm2 = _check_norm(float(np.vdot(state, state).real))
         drift = max(drift, abs(norm2 - 1.0))
         state /= math.sqrt(norm2)
     return state, drift
@@ -559,7 +561,7 @@ def test_anneal_state_matches_exponential_reference(m, total_time, dt):
 
 
 def test_qaoa_state_matches_exponential_reference():
-    from qubofolio.quantum import _qaoa_state
+    from qubofolio.quantum import _qaoa_state, _qaoa_work
 
     cost = diagonalize_cost(_random_ising(7, seed=11))
     m = cost.num_qubits
@@ -571,6 +573,126 @@ def test_qaoa_state_matches_exponential_reference():
     state, drift = _qaoa_state(cost, params)
     assert np.max(np.abs(_frame(m) * state - expected)) <= 1e-12
     assert drift <= 1e-9
+    # with reused arrays: the same state each time, in the work's state array
+    work = _qaoa_work(m)
+    start = work[0].copy()
+    for _ in range(2):
+        again, _ = _qaoa_state(cost, params, work)
+        assert again is work[1] and np.array_equal(again, state)
+    assert np.array_equal(work[0], start)
+
+
+def _toy_model(size):
+    """toy-quantum's normalised 16- or 18-qubit model at seed 1, and its scale."""
+    spec = toy_spec(n=3, T=2, B={16: 1, 18: 2}[size], seed=1)
+    return normalize_ising(to_ising(build_qubo(spec)))
+
+
+@pytest.mark.parametrize("ising", [
+    *(normalize_ising(_random_ising(m, seed=60 + m))[0] for m in (0, 1, 2, 7, 12, 16)),
+    _toy_model(16)[0], _toy_model(18)[0]],
+    ids=["m0", "m1", "m2", "m7", "m12", "m16", "toy16", "toy18"])
+def test_cost_phase_matches_the_exponential(ising):
+    """The phase by doubling against np.exp, within 1e-12, and of modulus 1 within 1e-14."""
+    from qubofolio.quantum import _cost_phase
+
+    cost = diagonalize_cost(ising)
+    out = np.empty(len(cost.energies), dtype=complex)
+    angles = [*np.random.default_rng(ising.num_spins).uniform(-math.pi, math.pi, size=4),
+              -math.pi, math.pi, 30.0]
+    for angle in angles:
+        assert _cost_phase(cost, angle, out) is out
+        assert np.max(np.abs(out - np.exp(-1j * angle * cost.energies))) <= 1e-12
+        assert np.max(np.abs(np.abs(out) - 1.0)) <= 1e-14
+
+
+def test_anneal_holds_the_state_its_phases_and_one_tile():
+    """No state-sized spare: the 16-qubit anneal's traced peak is the state, the phase,
+    rho and one 512 KB tile, and under 256 KB more (numpy's 128 KB ufunc buffer, and
+    the phase's small tables); a 1 MB spare would not fit."""
+    from qubofolio import quantum
+
+    cost = diagonalize_cost(_toy_model(16)[0])
+    state_bytes = 16 << 16
+    tracemalloc.start()
+    try:
+        quantum._anneal_state(cost, AnnealSchedule(total_time=0.2, dt=0.05))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = 3 * state_bytes + quantum._TILE_BYTES
+    assert held <= peak <= held + (256 << 10)
+
+
+def test_toy_quantum_quality_lines_are_pinned():
+    """The bench's toy-quantum quality lines at seed 1, to 1e-9 relative: the
+    Nelder-Mead path of qaoa_optimize does not amplify the kernels' rounding."""
+    _, report = qaoa_optimize(_toy_model(16)[0], layers=2, restarts=2, maxiter=20, seed=1)
+    assert report["expectation"] == pytest.approx(4.12648201172005, rel=1e-9)
+    doc = anneal_run(_toy_model(18)[0], AnnealSchedule(total_time=5.0, dt=0.05), seed=1)
+    assert doc["ground_probability"] == pytest.approx(1.87079855364e-4, rel=1e-9)
+
+
+def test_zero_qubits_return_the_offset():
+    empty = np.array([], dtype=int)
+    ising = IsingModel(h=np.zeros(0), j_rows=empty, j_cols=empty, j_vals=np.array([]),
+                       offset=-1.75)
+    docs = [anneal_run(ising, AnnealSchedule(total_time=1.0, dt=0.3)),
+            qaoa_run(ising, QaoaParams((0.4, 1.1), (0.7, 0.2))),
+            vqe_run(ising, layers=2)]
+    for doc in docs:
+        assert doc["expectation"] == pytest.approx(-1.75, rel=1e-15)
+        assert doc["best_bits"] == "" and doc["ground_probability"] == pytest.approx(1.0)
+    _, report = qaoa_optimize(ising, layers=1, restarts=1)
+    assert report["expectation"] == pytest.approx(-1.75, rel=1e-15)
+
+
+@pytest.mark.parametrize("entry", ["qaoa", "anneal"])
+def test_a_negative_shot_count_fails_before_any_state_is_formed(monkeypatch, entry):
+    from qubofolio import quantum
+
+    def unexpected(*args):
+        raise AssertionError("a statevector was formed")
+
+    monkeypatch.setattr(quantum, "diagonalize_cost", unexpected)
+    monkeypatch.setattr(quantum, "_frame_start", unexpected)
+    ising = _random_ising(3, seed=2)
+    with pytest.raises(QuantumSimError, match="^shots must be >= 0$"):
+        if entry == "qaoa":
+            qaoa_run(ising, QaoaParams((0.4,), (0.7,)), shots=-1)
+        else:
+            anneal_run(ising, AnnealSchedule(total_time=5, dt=0.05), shots=-1)
+
+
+# the tests of the tiled kernels, again with a tile of 2 or 3 complex qubits (3 or 4
+# real ones), so that small states cross several tiles and the slab pass
+@pytest.mark.parametrize("tile_bytes", [64, 128])
+class TestInSmallTiles:
+    @pytest.fixture(autouse=True)
+    def _small_tile(self, monkeypatch, tile_bytes):
+        from qubofolio import quantum
+
+        monkeypatch.setattr(quantum, "_TILE_BYTES", tile_bytes)
+
+    test_apply_gates_matches_per_qubit_reference = staticmethod(
+        test_apply_gates_matches_per_qubit_reference)
+    test_frame_rotation_layer_equals_rx_layer = staticmethod(
+        test_frame_rotation_layer_equals_rx_layer)
+    test_qaoa_state_matches_exponential_reference = staticmethod(
+        test_qaoa_state_matches_exponential_reference)
+    test_anneal_norm_check_fires_on_a_non_unitary_mixer = staticmethod(
+        test_anneal_norm_check_fires_on_a_non_unitary_mixer)
+    test_qaoa_norm_check_fires_on_a_non_unitary_mixer = staticmethod(
+        test_qaoa_norm_check_fires_on_a_non_unitary_mixer)
+    test_norm_drift_is_the_largest_deviation_the_check_saw = staticmethod(
+        test_norm_drift_is_the_largest_deviation_the_check_saw)
+    test_zero_qubits_return_the_offset = staticmethod(test_zero_qubits_return_the_offset)
+
+    # 10 qubits at 5,000 steps is 256 tiles a step here, so that case runs at 500
+    @pytest.mark.parametrize("m, total_time, dt", [
+        (3, 5.0, 0.05), (6, 5.0, 0.05), (10, 5.0, 0.05), (3, 50.0, 0.01), (6, 50.0, 0.01)])
+    def test_anneal_state_matches_exponential_reference(self, m, total_time, dt):
+        test_anneal_state_matches_exponential_reference(m, total_time, dt)
 
 
 @pytest.mark.parametrize("restarts", [0, -1])
