@@ -2,7 +2,7 @@
 to QUBO/BQP/Ising, with classical solvers, a statevector quantum
 simulator, and an evaluation harness.
 
-No module imports scipy: `quantum` optimizes QAOA and VQE angles with a
+No module imports scipy: `quantum` optimizes QAOA angles with a
 port of scipy 1.17.1's Nelder-Mead (BSD licence), pinned to scipy's
 iterates by tests/test_quantum.py.
 """
@@ -48,7 +48,6 @@ from .quantum import (
     normalize_ising,
     qaoa_optimize,
     qaoa_run,
-    vqe_run,
 )
 from .qubo import (
     BlockQubo,

@@ -15,8 +15,8 @@ import sys
 from .evaluation import DEFAULT_Q_GRID, SOLVERS, EvaluationError, economic_metrics, sweep_q
 from .market_data import MarketDataError
 from .model import ModelError, ProblemSpec, spec_from_json
-from .quantum import (AnnealSchedule, QuantumSimError, _check_cap, anneal_run,
-                      normalize_ising, qaoa_optimize, qaoa_run, vqe_run)
+from .quantum import (LAYER_CAP, AnnealSchedule, QuantumSimError, _check_cap, _check_shots,
+                      anneal_run, normalize_ising, qaoa_optimize, qaoa_run)
 from .qubo import (
     IsingModel,
     QuboError,
@@ -161,6 +161,7 @@ def cmd_solve(args) -> int:
 def cmd_quantum(args) -> int:
     if args.algo == "anneal" and args.dt >= args.tau:
         raise CliError(EXIT_SPEC, f"--dt {args.dt!r} must be smaller than --tau {args.tau!r}")
+    _check_shots(args.shots)  # qaoa_run checks it too, but only after qaoa_optimize's work
     if args.qubo:
         _check_header(args.qubo, (_check_cap,))
     problem = _load_problem(args)
@@ -172,15 +173,11 @@ def cmd_quantum(args) -> int:
     if args.algo == "qaoa":
         params, _ = qaoa_optimize(ising, layers=args.layers, seed=args.seed)
         doc = qaoa_run(ising, params, shots=args.shots, seed=args.seed)
-    elif args.algo == "vqe":
-        doc = vqe_run(ising, layers=args.layers, seed=args.seed)
     else:
         schedule = AnnealSchedule(total_time=args.tau, dt=args.dt)
         doc = anneal_run(ising, schedule, shots=args.shots, seed=args.seed)
     doc["ground_energy"] *= scale
     doc["expectation"] *= scale
-    if "restart_trace" in doc:
-        doc["restart_trace"] = [value * scale for value in doc["restart_trace"]]
     _write_json(args.out, doc)
     print(f"{args.algo}: expectation {doc['expectation']!r}, "
           f"ground probability {doc['ground_probability']!r}, wrote {args.out}")
@@ -275,19 +272,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_quantum = sub.add_parser("quantum", parents=[source],
                                help="run the statevector simulator")
     p_quantum.add_argument("--qubo", help="QUBO or Ising text file")
-    p_quantum.add_argument("--algo", choices=["qaoa", "vqe", "anneal"], required=True)
+    p_quantum.add_argument("--algo", choices=["qaoa", "anneal"], required=True)
     p_quantum.add_argument("--layers", type=_non_negative(int), default=2,
-                           help="qaoa/vqe circuit depth; 0 runs the start state "
-                                "(qaoa: the uniform superposition, vqe: |0...0>)")
+                           help=f"qaoa circuit depth, at most {LAYER_CAP} (more exits 3); "
+                                "0 runs the uniform superposition")
     p_quantum.add_argument("--tau", type=_positive_finite, default=50.0,
                            help="anneal total time")
     p_quantum.add_argument("--dt", type=_positive_finite, default=0.01,
                            help="anneal Trotter step: the run takes round(tau / dt) "
                                 "equal steps of tau / steps")
     p_quantum.add_argument("--shots", type=_non_negative(int), default=1024,
-                           help="qaoa/anneal samples of the final state (0: report the "
-                                "most probable state); vqe ignores it, reports its most "
-                                "probable state and an empty samples_hist")
+                           help="samples of the final state, below 2^63 (more exits 3); "
+                                "0 reports the most probable state")
     p_quantum.add_argument("--out", required=True, help="run output JSON path")
     p_quantum.set_defaults(func=cmd_quantum)
 

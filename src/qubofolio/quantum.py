@@ -1,5 +1,5 @@
-"""Desk-scale statevector simulation of QAOA, VQE, and Trotterized
-adiabatic annealing over Ising models.
+"""Desk-scale statevector simulation of QAOA and Trotterized adiabatic
+annealing over Ising models.
 
 Conventions, fixed here because results are sensitive to them:
 
@@ -12,18 +12,18 @@ Conventions, fixed here because results are sensitive to them:
   RX(theta)^(x)m = D R(theta)^(x)m D^-1 with R real (`_rotation`), D
   commutes with the diagonal cost phase, and |phi|^2 = |psi|^2, so
   every probability, expectation and sample is that of psi; a
-  returned state is phi.  VQE's gates and start are real, so its state
-  is a real array.
+  returned state is phi.
 
-Statevectors are dense arrays of length 2^m, so m is capped at
-QUBIT_CAP = 20.  Each run owns its statevector; independent runs share
-nothing mutable.
+Statevectors are dense complex arrays of length 2^m, so m is capped at
+QUBIT_CAP = 20; `qaoa_optimize` takes at most LAYER_CAP = 64 layers, so
+its Nelder-Mead simplex of (2p + 1) x 2p angles stays near 130 KB.
+Each run owns its statevector; independent runs share nothing mutable.
 
-Gate layers, QAOA layers and Trotter steps work on the state in place,
-a cache-sized tile (_TILE_BYTES) at a time; cost phases are built by
-doubling (`_cost_phase`), with no exponential per basis state.
+QAOA layers and Trotter steps work on the state in place, a cache-sized
+tile (_TILE_BYTES) at a time; cost phases are built by doubling
+(`_cost_phase`), with no exponential per basis state.
 
-QAOA and VQE angles are optimized by `_nelder_mead`, a port of scipy
+QAOA angles are optimized by `_nelder_mead`, a port of scipy
 1.17.1's Nelder-Mead (BSD licence) whose iterates tests/test_quantum.py
 pins bit for bit to scipy's, so this module does not import scipy.
 """
@@ -44,22 +44,29 @@ __all__ = [
     "diagonalize_cost",
     "qaoa_run",
     "qaoa_optimize",
-    "vqe_run",
     "anneal_run",
 ]
 
 QUBIT_CAP = 20
-_VQE_RESTARTS = 8  # seeded random starting points of vqe_run
-_VQE_MAXITER = 300  # Nelder-Mead iterations of each
+LAYER_CAP = 64
 
 
 class QuantumSimError(ValueError):
-    """Raised on qubit-cap violations, invalid schedules, negative layers or shots, or restarts below 1."""
+    """Raised on qubit- or layer-cap violations, invalid schedules, negative layers, shots
+    outside [0, 2^63), or restarts below 1."""
 
 
 def _check_cap(m: int) -> None:
     if m > QUBIT_CAP:
         raise QuantumSimError(f"{m} qubits exceeds the simulator cap of {QUBIT_CAP}")
+
+
+def _check_shots(shots: int) -> None:
+    """Before any state is formed: a sample count the multinomial draw can take."""
+    if shots < 0:
+        raise QuantumSimError("shots must be >= 0")
+    if shots >= 1 << 63:
+        raise QuantumSimError(f"{shots} shots exceeds the sampling cap of 2^63 - 1")
 
 
 @dataclass(frozen=True)
@@ -187,7 +194,7 @@ _TILE_BYTES = 1 << 19
 
 
 def _tile(x: np.ndarray) -> int:
-    """The tile length in floats for the float64 view x of a state."""
+    """The tile length in floats for the float64 view x of a complex state."""
     return min(len(x), _TILE_BYTES // 8)
 
 
@@ -196,21 +203,21 @@ def _scratch(state: np.ndarray) -> np.ndarray:
     return np.empty(max(_tile(state.view(np.float64)), 1 << _GROUP))
 
 
-def _blocks(gates: list[np.ndarray], r: int, tile: int, scale: float = 1.0):
+def _blocks(gates: list[np.ndarray], tile: int, scale: float = 1.0):
     """The real 2x2 gates[q] of every qubit q as Kronecker blocks, _GROUP qubits at a time.
 
     Returns (low, high), lists of (lowest qubit, block) with the highest
     qubit outermost.  A low group lies within a tile of `tile` floats and
     the rest are high.  The lowest group (the identity at 0 qubits) is
-    multiplied by `scale`; when low, its block also spans the r floats of
-    one amplitude, 2 for a complex state and 1 for a real one.
+    multiplied by `scale`; when low, its block also spans the real and
+    imaginary float of one amplitude.
     """
     m = len(gates)
-    t = min(m, (tile // r).bit_length() - 1)  # qubits within a tile
+    t = min(m, (tile // 2).bit_length() - 1)  # qubits within a tile
     starts = [*range(0, t, _GROUP), *range(t, m, _GROUP)] or [0]
     low, high = [], []
     for lo, end in zip(starts, [*starts[1:], m]):
-        block = np.eye(r if lo == 0 and end <= t else 1)
+        block = np.eye(2 if lo == 0 and end <= t else 1)
         if lo == 0:
             block *= scale
         for g in gates[lo:end]:
@@ -220,7 +227,7 @@ def _blocks(gates: list[np.ndarray], r: int, tile: int, scale: float = 1.0):
     return low, high
 
 
-def _low_pass(src: np.ndarray, dst: np.ndarray, low, r: int) -> np.ndarray:
+def _low_pass(src: np.ndarray, dst: np.ndarray, low) -> np.ndarray:
     """The low groups on one tile, as matrix products from src to dst and back.
 
     src and dst are float64 arrays of the tile's length; returns the one
@@ -232,13 +239,13 @@ def _low_pass(src: np.ndarray, dst: np.ndarray, low, r: int) -> np.ndarray:
         if lo == 0:
             np.matmul(src.reshape(-1, size), block.T, out=dst.reshape(-1, size))
         else:
-            shape = (-1, size, r << lo)
+            shape = (-1, size, 2 << lo)
             np.matmul(block, src.reshape(shape), out=dst.reshape(shape))
         src, dst = dst, src
     return src
 
 
-def _high_pass(x: np.ndarray, scratch: np.ndarray, high, r: int, tile: int) -> None:
+def _high_pass(x: np.ndarray, scratch: np.ndarray, high, tile: int) -> None:
     """The high groups on the float64 view x, in place, a slab of columns at a time.
 
     Each slab is the block's rows over `tile` floats in all (at least one
@@ -246,7 +253,7 @@ def _high_pass(x: np.ndarray, scratch: np.ndarray, high, r: int, tile: int) -> N
     """
     for lo, block in high:
         size = block.shape[0]
-        x3 = x.reshape(-1, size, r << lo)
+        x3 = x.reshape(-1, size, 2 << lo)
         width = max(tile // size, 1)
         out = scratch[: size * width].reshape(size, width)
         for outer in x3:
@@ -256,30 +263,11 @@ def _high_pass(x: np.ndarray, scratch: np.ndarray, high, r: int, tile: int) -> N
                 slab[...] = out
 
 
-def _apply_gates(state: np.ndarray, scratch: np.ndarray, gates: list[np.ndarray]) -> None:
-    """Apply the real 2x2 gates[q] to every qubit q of a dense statevector, in place.
-
-    `state` is float64 or complex128; a complex state is multiplied as
-    its float64 view, where the real and imaginary part of each
-    amplitude sit side by side.  Gates on different qubits commute: the
-    high groups go first, then the low ones a tile at a time while it
-    is in cache.  `scratch` is _scratch(state).
-    """
-    x = state.view(np.float64)
-    r, tile = state.itemsize // 8, _tile(x)
-    low, high = _blocks(gates, r, tile)
-    _high_pass(x, scratch, high, r, tile)
-    for y in x.reshape(-1, tile):
-        out = _low_pass(y, scratch[:tile], low, r)
-        if out is not y:
-            y[...] = out
-
-
 def _rotation(theta: float) -> np.ndarray:
     """[[c, s], [-s, c]], c = cos(theta/2) and s = sin(theta/2).
 
     RX(theta) = diag(1, i) . _rotation(theta) . diag(1, i)^-1, the mixer
-    in the rotating frame; RY(theta) = _rotation(-theta).
+    in the rotating frame.
     """
     c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
     return np.array([[c, s], [-s, c]])
@@ -422,8 +410,8 @@ def _nelder_mead_restarts(objective, draw, restarts: int, seed: int, options: di
 
 
 def _run_doc(algo: str, cost: DiagonalCost, state: np.ndarray, drift: float, shots: int,
-             rng: np.random.Generator, params, **extra) -> dict:
-    """The run report of a final state; `extra` entries go before "norm_drift"."""
+             rng: np.random.Generator, params) -> dict:
+    """The run report of a final state."""
     probs = np.abs(state) ** 2
     expectation = float(probs @ cost.energies)
     ground = cost.ground_states()
@@ -444,7 +432,6 @@ def _run_doc(algo: str, cost: DiagonalCost, state: np.ndarray, drift: float, sho
         "best_bits": _bits_of(best, m),
         "params": params,
         "samples_hist": hist,
-        **extra,
         "norm_drift": drift,
     }
 
@@ -477,14 +464,14 @@ def _qaoa_state(cost: DiagonalCost, params: QaoaParams,
     drift = 0.0
     for gamma, beta in zip(params.gammas, params.betas):
         _cost_phase(cost, gamma, phase)
-        low, high = _blocks([_rotation(2.0 * beta)] * m, 2, tile)
+        low, high = _blocks([_rotation(2.0 * beta)] * m, tile)
         for s, p in tiles:
             # start where an even or odd number of products ends in the state
             y = s.view(np.float64)
             src, dst = (scratch[:tile], y) if len(low) % 2 else (y, scratch[:tile])
             np.multiply(s, p, out=src.view(complex))
-            _low_pass(src, dst, low, 2)
-        _high_pass(x, scratch, high, 2, tile)
+            _low_pass(src, dst, low)
+        _high_pass(x, scratch, high, tile)
         drift = max(drift, abs(_check_norm(_norm2(state)) - 1.0))
     return state, drift
 
@@ -492,8 +479,7 @@ def _qaoa_state(cost: DiagonalCost, params: QaoaParams,
 def qaoa_run(ising: IsingModel, params: QaoaParams, shots: int = 1024,
              seed: int = 0) -> dict:
     """Alternating phase/mixer circuit from the uniform superposition."""
-    if shots < 0:
-        raise QuantumSimError("shots must be >= 0")
+    _check_shots(shots)
     cost = diagonalize_cost(ising)
     state, drift = _qaoa_state(cost, params)
     rng = np.random.default_rng(seed)
@@ -506,10 +492,13 @@ def qaoa_optimize(ising: IsingModel, layers: int, restarts: int = 8,
     """Nelder-Mead over 2p angles with seeded random restarts.
 
     Returns the best parameters by exact expectation together with a
-    report containing the per-restart expectation trace.
+    report containing the per-restart expectation trace.  More than
+    LAYER_CAP layers is a QuantumSimError, raised before any array is formed.
     """
     if layers < 0:
         raise QuantumSimError("layers must be >= 0")
+    if layers > LAYER_CAP:
+        raise QuantumSimError(f"{layers} layers exceeds the QAOA cap of {LAYER_CAP}")
     cost = diagonalize_cost(ising)
     work = _qaoa_work(cost.num_qubits)
 
@@ -530,59 +519,6 @@ def qaoa_optimize(ising: IsingModel, layers: int, restarts: int = 8,
     report = {"expectation": best_val, "restart_trace": trace,
               "ground_energy": cost.ground_energy}
     return params, report
-
-
-# --- VQE ----------------------------------------------------------------------
-
-
-def _cz_ring_sign(m: int) -> np.ndarray:
-    """Diagonal (+-1) of one CZ on each distinct ring pair (q, q+1 mod m)."""
-    idx = np.arange(1 << m)
-    pairs = {tuple(sorted((q, (q + 1) % m))) for q in range(m)}
-    both = np.zeros(1 << m, dtype=idx.dtype)
-    for i, j in pairs:
-        if i != j:
-            both += (idx >> i) & (idx >> j) & 1
-    return 1.0 - 2.0 * (both & 1)
-
-
-def _vqe_state(m: int, layers: int, theta: np.ndarray,
-               sign: np.ndarray) -> tuple[np.ndarray, float]:
-    """L repetitions of [RY on every qubit; ring of CZ entanglers] on |0...0>.
-
-    `sign` is the entangler ring's diagonal, _cz_ring_sign(m).  The
-    gates, the signs and the start are all real, so the state is a
-    float64 array.  Returns it and its |norm^2 - 1|.
-    """
-    state = np.zeros(1 << m)
-    state[0] = 1.0
-    scratch = _scratch(state)
-    for layer in range(layers):
-        # RY(t) = _rotation(-t)
-        _apply_gates(state, scratch, [_rotation(-t) for t in theta[layer * m : (layer + 1) * m]])
-        state *= sign
-    return state, abs(_check_norm(_norm2(state)) - 1.0)
-
-
-def vqe_run(ising: IsingModel, layers: int = 2, seed: int = 0) -> dict:
-    """Variational minimization of the exact Ising expectation."""
-    if layers < 0:
-        raise QuantumSimError("layers must be >= 0")
-    cost = diagonalize_cost(ising)
-    m = cost.num_qubits
-    sign = _cz_ring_sign(m)
-
-    def objective(theta):
-        state, _ = _vqe_state(m, layers, theta, sign)
-        return float((np.abs(state) ** 2) @ cost.energies)
-
-    best_val, best_theta, trace = _nelder_mead_restarts(
-        objective, lambda rng: rng.uniform(-math.pi, math.pi, size=layers * m),
-        _VQE_RESTARTS, seed, {"maxiter": _VQE_MAXITER, "xatol": 1e-5, "fatol": 1e-9})
-    state, drift = _vqe_state(m, layers, best_theta, sign)
-    return _run_doc("vqe", cost, state, drift, 0, np.random.default_rng(seed),
-                    {"layers": layers, "theta": [float(v) for v in best_theta]},
-                    restart_trace=trace)
 
 
 # --- Trotterized annealing ------------------------------------------------------
@@ -612,11 +548,11 @@ def _anneal_state(cost: DiagonalCost, schedule: AnnealSchedule) -> tuple[np.ndar
     for step in range(steps):
         a = 1.0 - (step + 0.5) * dt / schedule.total_time
         # exp(-i * A * (-sum sigma_x) * dt) factors into per-qubit RX(-2*A*dt)
-        low, high = _blocks([_rotation(-2.0 * a * dt)] * m, 2, tile, scale)
-        _high_pass(x, scratch, high, 2, tile)
+        low, high = _blocks([_rotation(-2.0 * a * dt)] * m, tile, scale)
+        _high_pass(x, scratch, high, tile)
         norm2 = 0.0
         for s, y, p, q in tiles:
-            out = _low_pass(y, scratch[:tile], low, 2)
+            out = _low_pass(y, scratch[:tile], low)
             if step:
                 p *= q
             np.multiply(out.view(complex), p, out=s)
@@ -651,8 +587,7 @@ def anneal_run(ising: IsingModel, schedule: AnnealSchedule, shots: int = 1024,
     2.7e-12 measured on the 16-qubit toy and 3.6e-13 on a 3-spin model,
     mostly in the modulus, far below the 1e-9 norm tolerance.
     """
-    if shots < 0:
-        raise QuantumSimError("shots must be >= 0")
+    _check_shots(shots)
     cost = diagonalize_cost(ising)
     state, drift = _anneal_state(cost, schedule)
     rng = np.random.default_rng(seed)

@@ -161,8 +161,8 @@ def test_solve_unparseable_exits_4(tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ["solve", "--solver", "abs"], ["solve", "--solver", "bnb"], ["solve", "--solver", "exact"],
-    ["solve", "--solver", "sa"], ["quantum", "--algo", "anneal"], ["quantum", "--algo", "qaoa"],
-    ["quantum", "--algo", "vqe"]], ids=lambda argv: argv[-1])
+    ["solve", "--solver", "sa"], ["quantum", "--algo", "anneal"], ["quantum", "--algo", "qaoa"]],
+    ids=lambda argv: argv[-1])
 def test_zero_variable_file_gives_the_empty_assignment_at_the_offset(tmp_path, argv):
     qubo, out = tmp_path / "zero.qubo", tmp_path / "r.json"
     qubo.write_text("p qubo 0 0 1.5\n")
@@ -174,7 +174,7 @@ def test_zero_variable_file_gives_the_empty_assignment_at_the_offset(tmp_path, a
         assert doc["qubits"] == 0 and doc["ground_energy"] == 1.5
         assert doc["expectation"] == pytest.approx(1.5, rel=1e-12)
         assert doc["best_bits"] == ""  # 0 qubits spell the empty state, as solve does
-        assert doc["samples_hist"] == ({} if argv[-1] == "vqe" else {"": 1024})
+        assert doc["samples_hist"] == {"": 1024}
 
 
 @pytest.mark.parametrize("solver", ["abs", "bnb", "sa", "exact"])
@@ -223,9 +223,8 @@ def test_build_of_a_config_past_the_magnitude_cap_exits_3_and_writes_nothing(tmp
 
 @pytest.mark.parametrize("kind,argv", [
     ("qubo", ["quantum", "--algo", "anneal"]), ("qubo", ["quantum", "--algo", "qaoa"]),
-    ("qubo", ["quantum", "--algo", "vqe"]), ("qubo", ["solve", "--solver", "sa"]),
-    ("ising", ["quantum", "--algo", "anneal"])],
-    ids=["anneal", "qaoa", "vqe", "sa", "ising-anneal"])
+    ("qubo", ["solve", "--solver", "sa"]), ("ising", ["quantum", "--algo", "anneal"])],
+    ids=["anneal", "qaoa", "sa", "ising-anneal"])
 def test_a_file_whose_repeated_terms_overflow_exits_3(tmp_path, capsys, kind, argv):
     """Two finite terms that sum to inf reached the simulator as NaN and crashed it.
 
@@ -263,23 +262,6 @@ def test_quantum_qaoa_zero_layers_uniform(tmp_path):
     scaled, scale = normalize_ising(to_ising(sq))
     mean_e = float(diagonalize_cost(scaled).energies.mean()) * scale
     assert doc["expectation"] == pytest.approx(mean_e, rel=1e-9)
-
-
-def test_quantum_vqe_zero_layers_runs_the_start_state(tmp_path):
-    """VQE's start state is |0...0>: no angles, and the energy of basis state 0."""
-    qubo = tmp_path / "four.qubo"
-    sq = random_sparse_qubo(4, seed=5)
-    write_qubo_text(sq, qubo)
-    out = tmp_path / "vqe.json"
-    assert run("quantum", "--qubo", str(qubo), "--algo", "vqe",
-               "--layers", "0", "--out", str(out)) == 0
-    doc = json.loads(out.read_text())
-    from qubofolio.quantum import diagonalize_cost, normalize_ising
-
-    scaled, scale = normalize_ising(to_ising(sq))
-    assert doc["params"] == {"layers": 0, "theta": []}
-    assert doc["expectation"] == float(diagonalize_cost(scaled).energies[0]) * scale
-    assert doc["best_bits"] == "0000"
 
 
 def test_quantum_toy_anneal_agrees_with_exact(tmp_path, toy_qubo):
@@ -426,14 +408,12 @@ def test_non_positive_budget_exits_2(tmp_path, capsys, argv):
 @pytest.mark.parametrize("argv, what", [
     (["--algo", "anneal", "--shots", "-5"], "non-negative"),
     (["--algo", "qaoa", "--layers", "-1"], "non-negative"),
-    (["--algo", "vqe", "--layers", "-3"], "non-negative"),
     (["--algo", "anneal", "--tau", "-1"], "positive and finite"),
     (["--algo", "anneal", "--dt", "0"], "positive and finite"),
     (["--algo", "anneal", "--tau", "inf"], "positive and finite"),
     (["--algo", "anneal", "--dt", "inf"], "positive and finite"),
     (["--algo", "anneal", "--seed", "-1"], "non-negative"),
-], ids=["negative-shots", "qaoa-negative-layers", "vqe-negative-layers",
-        "negative-tau", "zero-dt", "infinite-tau", "infinite-dt", "negative-seed"])
+], ids=["negative-shots", "qaoa-negative-layers", "negative-tau", "zero-dt", "infinite-tau", "infinite-dt", "negative-seed"])
 def test_quantum_invalid_flag_exits_2(tmp_path, capsys, argv, what):
     with pytest.raises(SystemExit) as exc:
         run("quantum", *argv, "--toy", "--out", str(tmp_path / "r.json"))
@@ -451,12 +431,57 @@ def test_quantum_anneal_step_not_below_tau_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_quantum_vqe_writes_its_restart_trace_in_model_units(tmp_path):
-    out = tmp_path / "vqe.json"
-    assert run("quantum", "--toy", "--algo", "vqe", "--layers", "1", "--out", str(out)) == 0
-    doc = json.loads(out.read_text())
-    assert min(doc["restart_trace"]) == doc["expectation"]
-    assert abs(doc["expectation"]) > 1.0  # the normalized model is O(1); the toy's is currency
+def test_quantum_no_longer_offers_vqe(tmp_path):
+    out = tmp_path / "r.json"
+    with pytest.raises(SystemExit) as exc:
+        run("quantum", "--toy", "--algo", "vqe", "--out", str(out))
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+def _no_state(monkeypatch):
+    """Make forming a cost or a statevector fail the test."""
+    from qubofolio import quantum
+
+    def unexpected(*args):
+        raise AssertionError("a statevector was formed")
+
+    monkeypatch.setattr(quantum, "diagonalize_cost", unexpected)
+    monkeypatch.setattr(quantum, "_frame_start", unexpected)
+
+
+def test_quantum_layers_past_the_cap_exit_3_before_any_state(tmp_path, capsys, monkeypatch):
+    """A million layers ended in a 29 TiB simplex allocation and a traceback."""
+    from qubofolio.quantum import LAYER_CAP
+
+    _no_state(monkeypatch)
+    out = tmp_path / "r.json"
+    assert run("quantum", "--toy", "--algo", "qaoa", "--layers", str(LAYER_CAP + 1),
+               "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: {LAYER_CAP + 1} layers exceeds the QAOA cap of {LAYER_CAP}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("algo", ["anneal", "qaoa"])
+@pytest.mark.parametrize("shots", [2**63, 10**20], ids=["2^63", "1e20"])
+def test_quantum_shots_past_the_sampling_cap_exit_3_before_any_state(tmp_path, capsys,
+                                                                     monkeypatch, algo, shots):
+    """The multinomial draw raised OverflowError with a traceback once the state was formed."""
+    _no_state(monkeypatch)
+    out = tmp_path / "r.json"
+    assert run("quantum", "--toy", "--algo", algo, "--tau", "1", "--dt", "0.5",
+               "--shots", str(shots), "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: {shots} shots exceeds the sampling cap of 2^63 - 1\n"
+    assert not out.exists()
+
+
+def test_quantum_takes_the_largest_shot_count(tmp_path):
+    out = tmp_path / "r.json"
+    assert run("quantum", "--toy", "--toy-n", "1", "--toy-t", "1", "--algo", "anneal",
+               "--tau", "1", "--dt", "0.5", "--shots", str(2**63 - 1), "--out", str(out)) == 0
+    assert sum(json.loads(out.read_text())["samples_hist"].values()) == 2**63 - 1
 
 
 def test_sweep_toy_default_grid(tmp_path):

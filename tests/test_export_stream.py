@@ -251,7 +251,7 @@ def test_writer_working_set_is_bounded_by_the_chunk(tmp_path, monkeypatch):
 
 QUANTUM_NAMES = ["AnnealSchedule", "DiagonalCost", "QaoaParams", "QuantumSimError",
                  "anneal_run", "diagonalize_cost", "normalize_ising", "qaoa_optimize",
-                 "qaoa_run", "vqe_run"]
+                 "qaoa_run"]
 
 
 def _fresh_python(code: str) -> str:

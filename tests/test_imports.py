@@ -395,7 +395,7 @@ def test_every_command_runs_without_scipy(tmp_path):
              *(["solve", "--toy", "--solver", solver, "--max-iterations", "2000",
                 "--out", f"{solver}.json"] for solver in ("exact", "bnb", "sa", "abs")),
              *(["quantum", "--toy", "--algo", algo, "--out", f"{algo}.json"]
-               for algo in ("anneal", "qaoa", "vqe")),
+               for algo in ("anneal", "qaoa")),
              ["sweep", "--toy", "--out", "pareto.csv"],
              ["report", "--toy", "--solution", "exact.json"]]
     env = dict(os.environ)

@@ -21,7 +21,6 @@ from qubofolio.quantum import (
     normalize_ising,
     qaoa_optimize,
     qaoa_run,
-    vqe_run,
 )
 from qubofolio.toy import random_sparse_qubo, toy_spec
 
@@ -81,26 +80,19 @@ def test_qaoa_zero_layers_gives_uniform_expectation():
 
 
 def test_zero_layers_run_the_start_state_through_the_optimisers():
-    """p = 0: QAOA's uniform superposition and VQE's |0...0>, with no angles to set."""
+    """p = 0: QAOA's uniform superposition, with no angles to set."""
     ising = _random_ising(4, seed=7)
     cost = diagonalize_cost(ising)
     params, report = qaoa_optimize(ising, layers=0, restarts=3, seed=0)
     assert params == QaoaParams((), ())
     assert report["expectation"] == qaoa_run(ising, params, shots=0)["expectation"]
     assert report["expectation"] == pytest.approx(float(cost.energies.mean()), rel=1e-12)
-    doc = vqe_run(ising, layers=0, seed=0)
-    assert doc["params"] == {"layers": 0, "theta": []}
-    assert doc["expectation"] == cost.energies[0]
-    assert doc["restart_trace"] == [cost.energies[0]] * 8
-    assert doc["best_bits"] == "0000"
 
 
 def test_optimizers_reject_a_negative_layer_count():
     ising = _random_ising(3, seed=2)
     with pytest.raises(QuantumSimError, match="^layers must be >= 0$"):
         qaoa_optimize(ising, layers=-1)
-    with pytest.raises(QuantumSimError, match="^layers must be >= 0$"):
-        vqe_run(ising, layers=-1)
 
 
 def test_qaoa_params_need_one_beta_per_gamma():
@@ -134,25 +126,16 @@ def test_qaoa_expectation_respects_variational_bound():
         assert report["expectation"] >= cost.ground_energy - 1e-9
 
 
-def test_vqe_zero_hamiltonian_constant():
+def test_qaoa_zero_hamiltonian_constant():
+    """With no field or coupling every angle gives the offset, optimised or not."""
     empty = np.array([], dtype=int)
     ising = IsingModel(h=np.zeros(2), j_rows=empty, j_cols=empty,
                        j_vals=np.array([]), offset=1.25)
-    doc = vqe_run(ising, layers=1, seed=0)
+    params, report = qaoa_optimize(ising, layers=1, restarts=2, seed=0)
+    assert report["expectation"] == pytest.approx(1.25, abs=1e-9)
+    doc = qaoa_run(ising, QaoaParams((0.4, 1.3), (0.7, 0.2)), shots=0)
     assert doc["expectation"] == pytest.approx(1.25, abs=1e-9)
-
-
-def test_vqe_single_qubit_exact_ground():
-    doc = vqe_run(_single_field(1.0), layers=1, seed=0)
-    assert doc["expectation"] == pytest.approx(-1.0, abs=1e-6)
-
-
-def test_vqe_variational_bound_on_random_instances():
-    for seed in range(4):
-        ising = _random_ising(6, seed=100 + seed)
-        cost = diagonalize_cost(ising)
-        doc = vqe_run(ising, layers=2, seed=seed)
-        assert doc["expectation"] >= cost.ground_energy - 1e-9
+    assert doc["ground_probability"] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_anneal_zero_cost_stays_uniform():
@@ -225,11 +208,9 @@ def test_run_doc_shape():
     assert sum(doc["samples_hist"].values()) == 64
     assert len(doc["best_bits"]) == 3
     qaoa = qaoa_run(ising, QaoaParams((0.4, 1.3), (0.7, 0.2)), shots=64, seed=1)
-    vqe = vqe_run(ising, layers=1, seed=1)
-    for other, algo in ((qaoa, "qaoa"), (vqe, "vqe")):
-        assert other["algo"] == algo
-        assert set(doc) - {"params"} <= set(other)
-        assert 0.0 <= other["norm_drift"] <= 1e-9
+    assert qaoa["algo"] == "qaoa"
+    assert set(doc) - {"params"} <= set(qaoa)
+    assert 0.0 <= qaoa["norm_drift"] <= 1e-9
 
 
 def test_normalize_ising_preserves_minimizers():
@@ -269,11 +250,6 @@ def _rx_reference(theta):
     return np.array([[c, -1j * s], [-1j * s, c]])
 
 
-def _ry_reference(theta):
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    return np.array([[c, -s], [s, c]], dtype=complex)
-
-
 def _frame(m):
     """The diagonal of D = diag(i^popcount(z)), which maps a frame state to psi."""
     idx = np.arange(1 << m)
@@ -289,42 +265,52 @@ def _random_orthogonal(rng, reflection):
     return q
 
 
-def _random_state(rng, m, dtype):
-    state = rng.normal(size=1 << m).astype(dtype)
-    if dtype is complex:
-        state += 1j * rng.normal(size=1 << m)
+def _random_state(rng, m):
+    state = rng.normal(size=1 << m) + 1j * rng.normal(size=1 << m)
     return state / np.linalg.norm(state)
+
+
+def _tiled_layer(state, gates):
+    """gates[q] on every qubit q of a complex state, in place, by the kernels of a QAOA
+    layer or a Trotter step: the high groups in slabs, then the low ones a tile at a time."""
+    from qubofolio.quantum import _blocks, _high_pass, _low_pass, _scratch, _tile
+
+    x = state.view(np.float64)
+    tile, scratch = _tile(x), _scratch(state)
+    low, high = _blocks(gates, tile)
+    _high_pass(x, scratch, high, tile)
+    for y in x.reshape(-1, tile):
+        out = _low_pass(y, scratch[:tile], low)
+        if out is not y:
+            y[...] = out
 
 
 # every remainder of the group size 4, and states of one to four groups
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 8, 9, 10, 11, 13])
 def test_apply_gates_matches_per_qubit_reference(m):
-    from qubofolio.quantum import _apply_gates, _rotation, _scratch
+    from qubofolio.quantum import _rotation
 
     rng = np.random.default_rng(m)
     gates = [_random_orthogonal(rng, reflection=q % 3 == 0) if q % 3 != 1
              else _rotation(rng.uniform(-math.pi, math.pi)) for q in range(m)]
-    for dtype in (float, complex):
-        state = _random_state(rng, m, dtype)
-        expected = _layer_reference(state, gates)
-        got = state.copy()
-        # in place, with one tile-sized scratch array and nothing returned
-        assert _apply_gates(got, _scratch(got), gates) is None
-        assert got.dtype == state.dtype and got.shape == expected.shape
-        assert np.max(np.abs(got - expected)) <= 1e-12
+    state = _random_state(rng, m)
+    expected = _layer_reference(state, gates)
+    got = state.copy()
+    _tiled_layer(got, gates)
+    assert np.max(np.abs(got - expected)) <= 1e-12
 
 
 @pytest.mark.parametrize("m", [1, 3, 4, 7, 10])
 def test_frame_rotation_layer_equals_rx_layer(m):
-    from qubofolio.quantum import _apply_gates, _rotation, _scratch
+    from qubofolio.quantum import _rotation
 
     rng = np.random.default_rng(40 + m)
     thetas = rng.uniform(-math.pi, math.pi, size=m)
-    psi = _random_state(rng, m, complex)
+    psi = _random_state(rng, m)
     expected = _layer_reference(psi, [_rx_reference(t) for t in thetas])
     d = _frame(m)
     phi = psi / d
-    _apply_gates(phi, _scratch(phi), [_rotation(t) for t in thetas])
+    _tiled_layer(phi, [_rotation(t) for t in thetas])
     assert np.max(np.abs(d * phi - expected)) <= 1e-12
 
 
@@ -334,38 +320,6 @@ def test_frame_start_is_the_uniform_state_mapped_back_exactly(m):
 
     uniform = np.full(1 << m, 1.0 / math.sqrt(1 << m), dtype=complex)
     assert np.array_equal(_frame_start(m), uniform * np.conj(_frame(m)))
-
-
-@pytest.mark.parametrize("m, layers", [(1, 1), (3, 2), (6, 3), (9, 2)])
-def test_vqe_state_matches_complex_reference(m, layers):
-    from qubofolio.quantum import _cz_ring_sign, _vqe_state
-
-    rng = np.random.default_rng(m)
-    theta = rng.uniform(-math.pi, math.pi, size=layers * m)
-    sign = _cz_ring_sign(m)
-    expected = np.zeros(1 << m, dtype=complex)
-    expected[0] = 1.0
-    for layer in range(layers):
-        expected = _layer_reference(
-            expected, [_ry_reference(t) for t in theta[layer * m : (layer + 1) * m]])
-        expected *= sign
-    state, drift = _vqe_state(m, layers, theta, sign)
-    assert state.dtype == np.float64
-    assert np.max(np.abs(state - expected)) <= 1e-12
-    assert drift <= 1e-9
-
-
-def test_cz_ring_sign_matches_sequential_flips():
-    from qubofolio.quantum import _cz_ring_sign
-
-    for m in range(1, 7):
-        idx = np.arange(1 << m)
-        expected = np.ones(1 << m)
-        if m >= 2:
-            for q in range(m if m > 2 else 1):  # m = 2 has one distinct pair
-                both = ((idx >> q) & 1) & ((idx >> ((q + 1) % m)) & 1)
-                expected[both.astype(bool)] *= -1.0
-        assert np.array_equal(_cz_ring_sign(m), expected)
 
 
 def _repeated_pair_ising():
@@ -492,11 +446,9 @@ def test_norm_drift_is_the_largest_deviation_the_check_saw(monkeypatch):
     ising = _random_ising(3, seed=2)
     qaoa = qaoa_run(ising, QaoaParams((0.4, 1.3), (0.7, 0.2)), shots=0)
     anneal = anneal_run(ising, AnnealSchedule(total_time=5, dt=0.05), shots=0)
-    vqe = vqe_run(ising, layers=2, seed=0)
-    # QAOA and VQE never renormalise, so the last layer drifts most; the
+    # QAOA never renormalises, so the last layer drifts most; the
     # anneal renormalises after each step
     assert qaoa["norm_drift"] == pytest.approx(f ** 12 - 1.0, rel=1e-3)
-    assert vqe["norm_drift"] == pytest.approx(f ** 12 - 1.0, rel=1e-3)
     assert anneal["norm_drift"] == pytest.approx(f ** 6 - 1.0, rel=1e-3)
     # the last step's renormalisation reaches the returned state too
     state, _ = quantum._anneal_state(diagonalize_cost(ising), AnnealSchedule(total_time=5, dt=0.05))
@@ -638,8 +590,7 @@ def test_zero_qubits_return_the_offset():
     ising = IsingModel(h=np.zeros(0), j_rows=empty, j_cols=empty, j_vals=np.array([]),
                        offset=-1.75)
     docs = [anneal_run(ising, AnnealSchedule(total_time=1.0, dt=0.3)),
-            qaoa_run(ising, QaoaParams((0.4, 1.1), (0.7, 0.2))),
-            vqe_run(ising, layers=2)]
+            qaoa_run(ising, QaoaParams((0.4, 1.1), (0.7, 0.2)))]
     for doc in docs:
         assert doc["expectation"] == pytest.approx(-1.75, rel=1e-15)
         assert doc["best_bits"] == "" and doc["ground_probability"] == pytest.approx(1.0)
@@ -647,8 +598,8 @@ def test_zero_qubits_return_the_offset():
     assert report["expectation"] == pytest.approx(-1.75, rel=1e-15)
 
 
-@pytest.mark.parametrize("entry", ["qaoa", "anneal"])
-def test_a_negative_shot_count_fails_before_any_state_is_formed(monkeypatch, entry):
+def _forbid_states(monkeypatch):
+    """Make forming a cost or a statevector fail the test."""
     from qubofolio import quantum
 
     def unexpected(*args):
@@ -656,12 +607,55 @@ def test_a_negative_shot_count_fails_before_any_state_is_formed(monkeypatch, ent
 
     monkeypatch.setattr(quantum, "diagonalize_cost", unexpected)
     monkeypatch.setattr(quantum, "_frame_start", unexpected)
+
+
+@pytest.mark.parametrize("entry", ["qaoa", "anneal"])
+def test_a_negative_shot_count_fails_before_any_state_is_formed(monkeypatch, entry):
+    _forbid_states(monkeypatch)
     ising = _random_ising(3, seed=2)
     with pytest.raises(QuantumSimError, match="^shots must be >= 0$"):
         if entry == "qaoa":
             qaoa_run(ising, QaoaParams((0.4,), (0.7,)), shots=-1)
         else:
             anneal_run(ising, AnnealSchedule(total_time=5, dt=0.05), shots=-1)
+
+
+@pytest.mark.parametrize("entry", ["qaoa", "anneal"])
+def test_shots_past_the_sampling_cap_fail_before_any_state_is_formed(monkeypatch, entry):
+    _forbid_states(monkeypatch)
+    ising = _random_ising(3, seed=2)
+    with pytest.raises(QuantumSimError, match=r"^9223372036854775808 shots exceeds the sampling "
+                                              r"cap of 2\^63 - 1$"):
+        if entry == "qaoa":
+            qaoa_run(ising, QaoaParams((0.4,), (0.7,)), shots=2**63)
+        else:
+            anneal_run(ising, AnnealSchedule(total_time=5, dt=0.05), shots=2**63)
+
+
+@pytest.mark.parametrize("entry", ["qaoa", "anneal"])
+def test_the_largest_shot_count_is_sampled(entry):
+    ising = _random_ising(3, seed=2)
+    if entry == "qaoa":
+        doc = qaoa_run(ising, QaoaParams((0.4,), (0.7,)), shots=2**63 - 1)
+    else:
+        doc = anneal_run(ising, AnnealSchedule(total_time=5, dt=0.05), shots=2**63 - 1)
+    assert sum(doc["samples_hist"].values()) == 2**63 - 1
+
+
+def test_layers_past_the_cap_fail_before_any_array_is_formed(monkeypatch):
+    from qubofolio.quantum import LAYER_CAP
+
+    _forbid_states(monkeypatch)
+    with pytest.raises(QuantumSimError, match="^65 layers exceeds the QAOA cap of 64$"):
+        qaoa_optimize(_random_ising(3, seed=2), layers=LAYER_CAP + 1)
+
+
+def test_qaoa_optimize_takes_the_layer_cap():
+    from qubofolio.quantum import LAYER_CAP
+
+    params, report = qaoa_optimize(_single_field(1.0), layers=LAYER_CAP, restarts=1, maxiter=2)
+    assert len(params.gammas) == len(params.betas) == LAYER_CAP
+    assert report["expectation"] >= -1.0 - 1e-12
 
 
 # the tests of the tiled kernels, again with a tile of 2 or 3 complex qubits (3 or 4
@@ -750,7 +744,7 @@ def _nelder_mead_lines(call):
 
 
 def _recorded_objectives(monkeypatch):
-    """(objective, start, options) of each Nelder-Mead run of a QAOA and a VQE optimization."""
+    """(objective, start, options) of each Nelder-Mead run of a QAOA optimization."""
     from qubofolio import quantum
 
     seen = []
@@ -763,7 +757,6 @@ def _recorded_objectives(monkeypatch):
     monkeypatch.setattr(quantum, "_nelder_mead", record)
     ising, _ = normalize_ising(to_ising(build_qubo(toy_spec(n=2, T=1))))
     qaoa_optimize(ising, layers=2, restarts=2, seed=3)
-    vqe_run(ising, layers=1, seed=3)
     monkeypatch.undo()
     return seen
 
@@ -787,7 +780,7 @@ def test_nelder_mead_is_bit_identical_to_scipy(monkeypatch):
              for func in (_rosenbrock, _staircase)
              for x0 in ([0.0, 0.0], [-1.2, 0.0, 1.0], [1.0, 2.0])]
     cases += _recorded_objectives(monkeypatch)
-    assert len(cases) == 16
+    assert len(cases) == 8
     taken, stops = set(), set()
     for func, x0, options in cases:
         for maxiter in sorted({0, 1, 20, options["maxiter"]}):
