@@ -20,12 +20,12 @@ its Nelder-Mead simplex of (2p + 1) x 2p angles stays near 130 KB.
 Each run owns its statevector; independent runs share nothing mutable.
 
 QAOA layers and Trotter steps work on the state in place, a cache-sized
-tile (_TILE_BYTES) at a time; cost phases are built by doubling
-(`_cost_phase`), with no exponential per basis state.
+tile (_TILE_BYTES) at a time; each tile's cost phase is built by doubling
+(`_tile_phase`) in a tile-sized scratch.  No other array is state-sized
+but the energies and a report's probabilities and counts.
 
-QAOA angles are optimized by `_nelder_mead`, a port of scipy
-1.17.1's Nelder-Mead (BSD licence) whose iterates tests/test_quantum.py
-pins bit for bit to scipy's, so this module does not import scipy.
+QAOA angles are optimized by `_nelder_mead`, a port of scipy's, so this
+module does not import scipy.
 """
 from __future__ import annotations
 
@@ -179,10 +179,8 @@ def diagonalize_cost(ising: IsingModel) -> DiagonalCost:
 
 # --- single-qubit gate layers -------------------------------------------------
 
-# Qubits per block product.  Measured on a complex 18-qubit state (2-core
-# Xeon VM, one BLAS thread) with whole-state passes: groups of 3 or 4 took
-# 5.0 ms per layer, 5, 6 and 7 took 6.1, 9.2 and 13.8 ms.  Larger groups
-# mean fewer passes but 4x the block work per added qubit.  In tiles the
+# Qubits per block product.  Larger groups mean fewer passes but 4x the
+# block work per added qubit: on a 2-core Xeon VM with one BLAS thread the
 # 18-qubit anneal step took 2.9-3.2 ms with groups of 3 or of 4, and
 # 3.7-4.6 ms with groups of 5.
 _GROUP = 4
@@ -298,21 +296,29 @@ def _norm2(state: np.ndarray) -> float:
     return float(np.vdot(state, state).real)
 
 
-def _cost_phase(cost: DiagonalCost, angle: float, out: np.ndarray) -> np.ndarray:
-    """exp(-i * angle * energies) into `out`, by doubling over the high qubits; returns out.
+def _split_phase(cost: DiagonalCost, angle: float) -> tuple[np.ndarray, np.ndarray]:
+    """exp(-i angle cost.low) and exp(-i angle cost.high): a phase's O(m 2^(m/2)) factors."""
+    return np.exp(-1j * angle * cost.low), np.exp(-1j * angle * cost.high)
 
-    With f = exp(-i angle cost.low), row z_high of out as a (2^(m-l), 2^l)
-    matrix is f[0] times f[1+k] for each high bit k set, times exp(-i
-    angle cost.high[z_high]): bit k maps the rows p below 2^k to p f[1+k].
-    Only the split's O(m 2^(m/2)) values are exponentiated.
+
+def _tile_phase(f: np.ndarray, g: np.ndarray, start: int, out: np.ndarray) -> np.ndarray:
+    """exp(-i angle energies) of the amplitudes from `start` on into `out`; returns out.
+
+    (f, g) = _split_phase(cost, angle).  Row r of the phase as a (2^(m-l),
+    2^l) matrix is f[0] g[r] times f[1+k] for each bit k of r.  A tile is
+    whole rows or part of one; bit k within it maps rows p < 2^k to p f[1+k].
     """
-    f = np.exp(-1j * angle * cost.low)
-    rows = out.reshape(len(cost.high), -1)
-    rows[0] = f[0]
-    for k in range(1, len(f)):
-        n = 1 << (k - 1)
-        np.multiply(rows[:n], f[k], out=rows[n : 2 * n])
-    rows *= np.exp(-1j * angle * cost.high)[:, None]
+    r, c = divmod(start, f.shape[1])
+    rows = out.reshape(-1, min(len(out), f.shape[1]))
+    inner = len(rows).bit_length() - 1  # row bits within the tile
+    cols = slice(c, c + rows.shape[1])
+    rows[0] = f[0, cols]
+    for k in range(inner, len(f) - 1):
+        if r >> k & 1:
+            rows[0] *= f[1 + k, cols]
+    for k in range(inner):
+        np.multiply(rows[: 1 << k], f[1 + k], out=rows[1 << k : 2 << k])
+    rows *= g[r : r + len(rows), None]
     return out
 
 
@@ -389,9 +395,6 @@ def _nelder_mead(func, x0: np.ndarray, maxiter: int, xatol: float,
 def _nelder_mead_restarts(objective, draw, restarts: int, seed: int, options: dict):
     """`_nelder_mead` from `restarts` starting points draw(rng) of one seeded stream.
 
-    `_nelder_mead` is scipy 1.17.1's Nelder-Mead (BSD licence), ported and
-    pinned to scipy's results by tests/test_quantum.py, so each restart
-    ends where `scipy.optimize.minimize(method="Nelder-Mead")` would.
     Returns (best value, best point, the final value of every restart).
     """
     if restarts < 1:
@@ -409,15 +412,26 @@ def _nelder_mead_restarts(objective, draw, restarts: int, seed: int, options: di
     return best_val, best_theta, trace
 
 
-def _run_doc(algo: str, cost: DiagonalCost, state: np.ndarray, drift: float, shots: int,
-             rng: np.random.Generator, params) -> dict:
-    """The run report of a final state."""
-    probs = np.abs(state) ** 2
+def _probabilities(state: np.ndarray) -> np.ndarray:
+    """|state|^2 as one new array: np.abs, squared in place."""
+    probs = np.abs(state)
+    probs *= probs
+    return probs
+
+
+def _run(algo: str, ising: IsingModel, evolve, shots: int, seed: int, params) -> dict:
+    """The report of evolve(cost) = (final state, drift), drawn once the state is freed."""
+    _check_shots(shots)
+    cost = diagonalize_cost(ising)
+    state, drift = evolve(cost)
+    probs = _probabilities(state)
+    del state
     expectation = float(probs @ cost.energies)
-    ground = cost.ground_states()
+    ground = float(probs[cost.ground_states()].sum())
     m = cost.num_qubits
     if shots:  # `shots` draws; the best is the lowest-energy state drawn, the first on ties
-        counts = rng.multinomial(shots, probs / probs.sum())
+        probs /= probs.sum()
+        counts = np.random.default_rng(seed).multinomial(shots, probs)
         drawn = np.flatnonzero(counts)
         best = int(drawn[np.argmin(cost.energies[drawn])])
         hist = {_bits_of(z, m): c for z, c in zip(drawn.tolist(), counts[drawn].tolist())}
@@ -427,7 +441,7 @@ def _run_doc(algo: str, cost: DiagonalCost, state: np.ndarray, drift: float, sho
         "algo": algo,
         "qubits": m,
         "ground_energy": cost.ground_energy,
-        "ground_probability": float(probs[ground].sum()),
+        "ground_probability": ground,
         "expectation": expectation,
         "best_bits": _bits_of(best, m),
         "params": params,
@@ -439,37 +453,38 @@ def _run_doc(algo: str, cost: DiagonalCost, state: np.ndarray, drift: float, sho
 # --- QAOA ---------------------------------------------------------------------
 
 
-def _qaoa_work(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """_qaoa_state's arrays: the frame start, the state, its phase and the scratch."""
+def _qaoa_work(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_qaoa_state's arrays: the frame start, the state and the scratch."""
     start = _frame_start(m)
-    return start, np.empty_like(start), np.empty_like(start), _scratch(start)
+    return start, np.empty_like(start), _scratch(start)
 
 
 def _qaoa_state(cost: DiagonalCost, params: QaoaParams,
                 work: tuple | None = None) -> tuple[np.ndarray, float]:
     """The circuit's final frame state and the largest |norm^2 - 1| after a layer.
 
-    Each layer is one sweep: per tile the product with the cost phase
-    and the mixer's low groups, then the high groups in slabs.  `work` is _qaoa_work(m), for
-    callers that evolve many circuits without allocating (and faulting
-    in) state-sized arrays each time: the returned state is its state
-    array, and its start is not changed.
+    Each layer is one sweep: per tile the product with its cost phase
+    and the mixer's low groups, then the high groups in slabs.  `work` is
+    _qaoa_work(m), for callers that evolve many circuits without
+    allocating (and faulting in) state-sized arrays each time: the
+    returned state is its state array, and its start is not changed.
     """
     m = cost.num_qubits
-    start, state, phase, scratch = _qaoa_work(m) if work is None else work
+    start, state, scratch = _qaoa_work(m) if work is None else work
     state[...] = start
     x = state.view(np.float64)
     tile = _tile(x)
-    tiles = list(zip(state.reshape(-1, tile // 2), phase.reshape(-1, tile // 2)))
+    phase = scratch[:tile].view(complex)
+    tiles = list(enumerate(state.reshape(-1, tile // 2)))
     drift = 0.0
     for gamma, beta in zip(params.gammas, params.betas):
-        _cost_phase(cost, gamma, phase)
+        f, g = _split_phase(cost, gamma)
         low, high = _blocks([_rotation(2.0 * beta)] * m, tile)
-        for s, p in tiles:
+        for i, s in tiles:
             # start where an even or odd number of products ends in the state
             y = s.view(np.float64)
             src, dst = (scratch[:tile], y) if len(low) % 2 else (y, scratch[:tile])
-            np.multiply(s, p, out=src.view(complex))
+            np.multiply(s, _tile_phase(f, g, i * len(s), phase), out=src.view(complex))
             _low_pass(src, dst, low)
         _high_pass(x, scratch, high, tile)
         drift = max(drift, abs(_check_norm(_norm2(state)) - 1.0))
@@ -479,12 +494,8 @@ def _qaoa_state(cost: DiagonalCost, params: QaoaParams,
 def qaoa_run(ising: IsingModel, params: QaoaParams, shots: int = 1024,
              seed: int = 0) -> dict:
     """Alternating phase/mixer circuit from the uniform superposition."""
-    _check_shots(shots)
-    cost = diagonalize_cost(ising)
-    state, drift = _qaoa_state(cost, params)
-    rng = np.random.default_rng(seed)
-    return _run_doc("qaoa", cost, state, drift, shots, rng,
-                    {"gammas": list(params.gammas), "betas": list(params.betas)})
+    return _run("qaoa", ising, lambda cost: _qaoa_state(cost, params), shots, seed,
+                {"gammas": list(params.gammas), "betas": list(params.betas)})
 
 
 def qaoa_optimize(ising: IsingModel, layers: int, restarts: int = 8,
@@ -505,7 +516,7 @@ def qaoa_optimize(ising: IsingModel, layers: int, restarts: int = 8,
     def objective(theta):
         params = QaoaParams(tuple(theta[:layers]), tuple(theta[layers:]))
         state, _ = _qaoa_state(cost, params, work)
-        return float((np.abs(state) ** 2) @ cost.energies)
+        return float(_probabilities(state) @ cost.energies)
 
     def draw(rng):
         return np.concatenate([
@@ -528,34 +539,38 @@ def _anneal_state(cost: DiagonalCost, schedule: AnnealSchedule) -> tuple[np.ndar
     """anneal_run's Trotter evolution: the final frame state and the largest |norm^2 - 1|.
 
     Each step is two sweeps: the mixer's high groups in slabs, then per
-    tile its low groups, the running phase product, the cost phase and
-    the tile's share of the norm.  A step's renormalisation scales the
-    next step's lowest block, and the last one the state.
+    tile its low groups, its cost phase (in the tile or scratch they did
+    not end in) and the tile's share of the norm.  A step's
+    renormalisation scales the next step's lowest block, and the last one
+    the state.
     """
     m = cost.num_qubits
     state = _frame_start(m)
     scratch = _scratch(state)
     steps = schedule.steps
     dt = schedule.total_time / steps
-    # B(s_k) * dt = (k + 1/2) * dt^2 / T, so each phase is the last one times rho
-    rho = _cost_phase(cost, dt * dt / schedule.total_time, np.empty_like(state))
-    phase = _cost_phase(cost, 0.5 * dt * dt / schedule.total_time, np.empty_like(state))
+    # B(s_k) * dt = (k + 1/2) * dt^2 / T, so each step's factors are the last ones times rho
+    rho = _split_phase(cost, dt * dt / schedule.total_time)
+    f, g = _split_phase(cost, 0.5 * dt * dt / schedule.total_time)
     x = state.view(np.float64)
     tile = _tile(x)
-    tiles = [(s, s.view(np.float64), p, q) for s, p, q in zip(
-        state.reshape(-1, tile // 2), phase.reshape(-1, tile // 2), rho.reshape(-1, tile // 2))]
+    buf = scratch[:tile]
+    tiles = [(i * len(s), s, s.view(np.float64))
+             for i, s in enumerate(state.reshape(-1, tile // 2))]
     drift, scale = 0.0, 1.0
     for step in range(steps):
         a = 1.0 - (step + 0.5) * dt / schedule.total_time
         # exp(-i * A * (-sum sigma_x) * dt) factors into per-qubit RX(-2*A*dt)
         low, high = _blocks([_rotation(-2.0 * a * dt)] * m, tile, scale)
         _high_pass(x, scratch, high, tile)
+        if step:
+            f *= rho[0]
+            g *= rho[1]
         norm2 = 0.0
-        for s, y, p, q in tiles:
-            out = _low_pass(y, scratch[:tile], low)
-            if step:
-                p *= q
-            np.multiply(out.view(complex), p, out=s)
+        for start, s, y in tiles:
+            out = _low_pass(y, buf, low)
+            phase = _tile_phase(f, g, start, (buf if out is y else y).view(complex))
+            np.multiply(out.view(complex), phase, out=s)
             norm2 += _norm2(s)
         drift = max(drift, abs(_check_norm(norm2) - 1.0))
         scale = 1.0 / math.sqrt(norm2)
@@ -578,18 +593,11 @@ def anneal_run(ising: IsingModel, schedule: AnnealSchedule, shots: int = 1024,
     total_time / steps each, which need not equal dt ("params" repeats the
     requested dt): total_time 1 with dt 0.3 runs 3 steps of 1/3.
 
-    The cost phase at step k is exp(-i (k + 1/2) dt^2/T E), kept as a
-    running product: the previous step's phase times the constant
-    exp(-i dt^2/T E), with no transcendental in the loop.  That constant
-    is itself a few complex products (`_cost_phase`), so its modulus is
-    off 1 by up to about 6e-16 and step k's phase is within about
-    k * 6e-16 of a direct exponential: after the CLI default 5,000 steps
-    2.7e-12 measured on the 16-qubit toy and 3.6e-13 on a 3-spin model,
-    mostly in the modulus, far below the 1e-9 norm tolerance.
+    Step k's cost phase, exp(-i (k + 1/2) dt^2/T E), is formed per tile
+    from split factors kept as running products, with no exponential in
+    the loop.  After the CLI default 5,000 steps it is within 1.8e-12 of
+    a direct exponential on the 16-qubit toy, far below the 1e-9 norm
+    tolerance.
     """
-    _check_shots(shots)
-    cost = diagonalize_cost(ising)
-    state, drift = _anneal_state(cost, schedule)
-    rng = np.random.default_rng(seed)
-    return _run_doc("anneal", cost, state, drift, shots, rng,
-                    {"total_time": schedule.total_time, "dt": schedule.dt})
+    return _run("anneal", ising, lambda cost: _anneal_state(cost, schedule), shots, seed,
+                {"total_time": schedule.total_time, "dt": schedule.dt})

@@ -625,19 +625,27 @@ def all_energies(offset: float, fields, coupling: np.ndarray, low: float) -> np.
     """offset + f.v + sum_{k<q} coupling[k, q] v_k v_q for every v, in O(2^m) by doubling.
 
     v_k is `low` (-1 for spins, 0 for bits) or 1 as bit k of the index is
-    0 or 1.  After variables 0..k-1, `energies` holds the terms among them
-    over the 2^k prefixes and row q of `fields` the field of each q >= k.
-    Adding k maps e to (e + low*f_k, e + f_k) and each later field likewise
-    with coupling[k, q].  No state matrix is formed.
+    0 or 1.  After variables 0..k-1, out[:2^k] holds the terms among them
+    over the 2^k prefixes; adding k maps e to (e + low*f_k, e + f_k), where
+    f_k, the field of k over those prefixes, is doubled the same way from
+    fields[k] with coupling[j, k] for j < k.  Both double in place: the
+    output and one buffer of 2^(m-1) are all that is formed.
     """
-    energies = np.array([offset])
-    fields = np.reshape(fields, (-1, 1))
+    fields = np.ravel(fields)
+    out = np.empty(1 << len(fields))
+    out[0] = offset
+    f = np.empty(len(out) // 2 or 1)
     for k in range(len(fields)):
-        f, later = fields[0], fields[1:]
-        energies = np.concatenate((energies + low * f, energies + f))
-        c_k = coupling[k, k + 1 :, None]
-        fields = np.concatenate((later + low * c_k, later + c_k), axis=1)
-    return energies
+        f[0] = fields[k]
+        for j in range(k):
+            h = 1 << j
+            np.add(f[:h], coupling[j, k], out=f[h : 2 * h])
+            f[:h] += low * coupling[j, k]
+        n = 1 << k
+        np.add(out[:n], f[:n], out=out[n : 2 * n])
+        f[:n] *= low
+        out[:n] += f[:n]
+    return out
 
 
 def to_ising(qubo) -> IsingModel:

@@ -276,39 +276,34 @@ def solve_exact(qubo, budget: SolveBudget | None = None) -> SolveReport:
 _LEAF_SIZE = 12  # subtrees at most this wide are enumerated outright
 
 
-def _node_bound(A, offset, fixed):
-    """Valid lower bound for the subproblem with partially fixed variables.
+def _bounds(const, lin, M):
+    """(bounds, relaxation points) of const + lin.y + y'My over the box, per column of lin.
 
     The binary identity x^2 = x lets a uniform diagonal shift convexify the
-    quadratic; projected gradient then descends the convex surrogate and the
-    supporting hyperplane at the final iterate gives a certified bound over
-    the box.  Returns (bound, relaxation point over free variables).
+    quadratic; projected gradient, Y <- clip(G Y + r, 0, 1), descends every
+    column's surrogate at once, and the supporting hyperplane at each final
+    iterate certifies its bound.
     """
-    const, lin, M = _restrict(A, offset, fixed)
     if len(lin) == 0:
         return const, lin
     eigs = np.linalg.eigvalsh(M)
     shift = max(0.0, -float(eigs[0])) * 1.1 + 1e-12
     L = 2.0 * (float(eigs[-1]) + shift) + 1e-12
     lin_c = lin - shift
-    y = np.full(len(lin), 0.5)
-    # y = clip(y - (2 (M y + shift y) + lin_c) / L, 0, 1), in that order, in place
-    grad, sy = np.empty_like(y), np.empty_like(y)
+    G = np.eye(len(lin)) * (1.0 - 2.0 * shift / L) - (2.0 / L) * M
+    r = lin_c / -L
+    Y = np.full(lin.shape, 0.5)
+    GY = np.empty_like(Y)
     for _ in range(_PG_ITERS):
-        np.matmul(M, y, out=grad)
-        np.multiply(shift, y, out=sy)
-        grad += sy
-        grad *= 2.0
-        grad += lin_c
-        grad /= L
-        np.subtract(y, grad, out=y)
-        np.maximum(y, 0.0, out=y)
-        np.minimum(y, 1.0, out=y)
-    val = float(y @ (M @ y) + shift * (y @ y) + lin_c @ y) + const
-    grad = 2.0 * (M @ y + shift * y) + lin_c
-    support = np.minimum((0.0 - y) * grad, (1.0 - y) * grad).sum()
-    bound = val + float(support)
-    return bound - 1e-9 * (1.0 + abs(bound)), y
+        np.matmul(G, Y, out=GY)
+        GY += r
+        np.maximum(GY, 0.0, out=GY)
+        np.minimum(GY, 1.0, out=Y)
+    MY = M @ Y + shift * Y
+    grad = 2.0 * MY + lin_c
+    support = np.minimum(-Y * grad, (1.0 - Y) * grad).sum(0)
+    bound = (Y * MY).sum(0) + (lin_c * Y).sum(0) + const + support
+    return bound - 1e-9 * (1.0 + np.abs(bound)), Y
 
 
 def solve_bnb(qubo, budget: SolveBudget | None = None) -> SolveReport:
@@ -329,9 +324,9 @@ def solve_bnb(qubo, budget: SolveBudget | None = None) -> SolveReport:
     run.offer(e, x)
 
     root_fixed = np.full(n, -1, dtype=np.int8)
-    root_bound, root_y = _node_bound(A, offset, root_fixed)
+    root_bound, root_y = _bounds(*_restrict(A, offset, root_fixed))
     counter = 0
-    heap = [(root_bound, counter, root_fixed, root_y)]
+    heap = [(float(root_bound), counter, root_fixed, root_y)]
     nodes = 0
     while heap and not run.spent(nodes):
         bound, _, fixed, y = heapq.heappop(heap)
@@ -342,15 +337,19 @@ def solve_bnb(qubo, budget: SolveBudget | None = None) -> SolveReport:
         if len(free) <= _LEAF_SIZE:
             _enumerate(run, A, offset, fixed)
             continue
-        frac = np.abs(y - 0.5)
-        branch_var = int(free[np.argmin(frac)])
+        k = int(np.argmin(np.abs(y - 0.5)))
+        # both children at once: bit k at 1 adds lin[k] and 2 M[k] to the others' terms
+        const, lin, M = _restrict(A, offset, fixed)
+        rest = np.delete(np.arange(len(free)), k)
+        bounds, Y = _bounds(np.array([const, const + lin[k]]),
+                            np.stack([lin[rest], lin[rest] + 2.0 * M[k, rest]], axis=1),
+                            M[np.ix_(rest, rest)])
         for value in (0, 1):
-            child = fixed.copy()
-            child[branch_var] = value
-            child_bound, child_y = _node_bound(A, offset, child)
-            if child_bound < run.best_e:
+            if bounds[value] < run.best_e:
+                child = fixed.copy()
+                child[free[k]] = value
                 counter += 1
-                heapq.heappush(heap, (child_bound, counter, child, child_y))
+                heapq.heappush(heap, (float(bounds[value]), counter, child, Y[:, value]))
     return run.report(nodes, bound=min((item[0] for item in heap), default=math.inf))
 
 

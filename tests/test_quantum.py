@@ -461,7 +461,8 @@ def test_anneal_reports_norm_drift():
 
 
 def test_diagonalize_cost_at_the_qubit_cap_stays_small():
-    # a spin matrix and a bit matrix at 2^20 states took ~170 MB each
+    """A spin matrix and a bit matrix at 2^20 states took ~170 MB each; now the traced
+    peak is the energies and the half-sized buffer of a field, and under 256 KB more."""
     ising = _random_ising(QUBIT_CAP, seed=20)
     tracemalloc.start()
     try:
@@ -470,7 +471,8 @@ def test_diagonalize_cost_at_the_qubit_cap_stays_small():
     finally:
         tracemalloc.stop()
     assert cost.energies.shape == (1 << QUBIT_CAP,)
-    assert peak < 64 * 2**20
+    held = 8 * (1 << QUBIT_CAP) + 8 * (1 << QUBIT_CAP - 1)
+    assert held <= peak <= held + (256 << 10)
 
 
 # --- cost phases: direct exponential and running product ------------------------
@@ -534,9 +536,9 @@ def test_qaoa_state_matches_exponential_reference():
     assert np.array_equal(work[0], start)
 
 
-def _toy_model(size):
-    """toy-quantum's normalised 16- or 18-qubit model at seed 1, and its scale."""
-    spec = toy_spec(n=3, T=2, B={16: 1, 18: 2}[size], seed=1)
+def _toy_model(size, seed=1):
+    """toy-quantum's normalised 16- or 18-qubit model at `seed`, and its scale."""
+    spec = toy_spec(n=3, T=2, B={16: 1, 18: 2}[size], seed=seed)
     return normalize_ising(to_ising(build_qubo(spec)))
 
 
@@ -545,44 +547,103 @@ def _toy_model(size):
     _toy_model(16)[0], _toy_model(18)[0]],
     ids=["m0", "m1", "m2", "m7", "m12", "m16", "toy16", "toy18"])
 def test_cost_phase_matches_the_exponential(ising):
-    """The phase by doubling against np.exp, within 1e-12, and of modulus 1 within 1e-14."""
-    from qubofolio.quantum import _cost_phase
+    """The phase by doubling against np.exp, within 1e-12, and of modulus 1 within 1e-14,
+    formed in tiles of part of a row of the split, one row, 4 rows and the whole state."""
+    from qubofolio.quantum import _split_phase, _tile_phase
 
     cost = diagonalize_cost(ising)
-    out = np.empty(len(cost.energies), dtype=complex)
+    width, size = cost.low.shape[1], len(cost.energies)
     angles = [*np.random.default_rng(ising.num_spins).uniform(-math.pi, math.pi, size=4),
               -math.pi, math.pi, 30.0]
     for angle in angles:
-        assert _cost_phase(cost, angle, out) is out
-        assert np.max(np.abs(out - np.exp(-1j * angle * cost.energies))) <= 1e-12
-        assert np.max(np.abs(np.abs(out) - 1.0)) <= 1e-14
+        f, g = _split_phase(cost, angle)
+        expected = np.exp(-1j * angle * cost.energies)
+        for tile in sorted({max(width // 4, 1), width, min(4 * width, size), size}):
+            out = np.empty(tile, dtype=complex)
+            for start in range(0, size, tile):
+                assert _tile_phase(f, g, start, out) is out
+                assert np.max(np.abs(out - expected[start : start + tile])) <= 1e-12
+                assert np.max(np.abs(np.abs(out) - 1.0)) <= 1e-14
 
 
-def test_anneal_holds_the_state_its_phases_and_one_tile():
-    """No state-sized spare: the 16-qubit anneal's traced peak is the state, the phase,
-    rho and one 512 KB tile, and under 256 KB more (numpy's 128 KB ufunc buffer, and
-    the phase's small tables); a 1 MB spare would not fit."""
+def _traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_anneal_holds_the_state_and_one_tile():
+    """No state-sized spare: the 16-qubit anneal's traced peak is the state and one 512 KB
+    tile, and under 256 KB more (numpy's 128 KB ufunc buffer, and the phase's split
+    factors); a second tile would not fit."""
     from qubofolio import quantum
 
     cost = diagonalize_cost(_toy_model(16)[0])
-    state_bytes = 16 << 16
-    tracemalloc.start()
-    try:
-        quantum._anneal_state(cost, AnnealSchedule(total_time=0.2, dt=0.05))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    held = 3 * state_bytes + quantum._TILE_BYTES
+    peak = _traced_peak(lambda: quantum._anneal_state(cost, AnnealSchedule(total_time=0.2,
+                                                                            dt=0.05)))
+    held = (16 << 16) + quantum._TILE_BYTES
     assert held <= peak <= held + (256 << 10)
 
 
+def test_anneal_run_holds_the_energies_the_state_and_the_report():
+    """The 18-qubit anneal_run's traced peak, from its arrays: the energies, plus the
+    state and one tile while it evolves, the state and the probabilities while they are
+    formed, then the probabilities and the counts; and under 256 KB more."""
+    from qubofolio import quantum
+
+    ising = _toy_model(18)[0]
+    peak = _traced_peak(lambda: anneal_run(ising, AnnealSchedule(total_time=0.2, dt=0.05)))
+    n = 1 << 18
+    held = 8 * n + max(16 * n + quantum._TILE_BYTES, 16 * n + 8 * n, 8 * n + 8 * n)
+    assert held <= peak <= held + (256 << 10)
+
+
+@pytest.mark.parametrize("shots", [1024, 0])
+@pytest.mark.parametrize("seed", [1, 7919])
+@pytest.mark.parametrize("size", [16, 18])
+def test_samples_are_the_draw_from_the_normalised_probabilities(size, seed, shots):
+    """samples_hist and best_bits of both runs are those of
+    rng.multinomial(shots, probs / probs.sum()) over the final state, drawn here with new
+    arrays as the report drew them before it normalised in place."""
+    from qubofolio.quantum import _anneal_state, _qaoa_state
+
+    ising = _toy_model(size, seed)[0]
+    cost = diagonalize_cost(ising)
+    params, schedule = QaoaParams((0.4, 1.3), (0.7, 0.2)), AnnealSchedule(total_time=0.5,
+                                                                            dt=0.05)
+
+    def bits(z):
+        return format(int(z), f"0{size}b")[::-1]
+
+    for doc, (state, _) in [
+            (qaoa_run(ising, params, shots, seed), _qaoa_state(cost, params)),
+            (anneal_run(ising, schedule, shots, seed), _anneal_state(cost, schedule))]:
+        probs = np.abs(state) ** 2
+        if shots:
+            counts = np.random.default_rng(seed).multinomial(shots, probs / probs.sum())
+            drawn = np.flatnonzero(counts)
+            hist = {bits(z): int(counts[z]) for z in drawn}
+            best = drawn[np.argmin(cost.energies[drawn])]
+        else:
+            hist, best = {}, np.argmax(probs)
+        assert doc["samples_hist"] == hist and sum(hist.values()) == shots
+        assert doc["best_bits"] == bits(best)
+
+
 def test_toy_quantum_quality_lines_are_pinned():
-    """The bench's toy-quantum quality lines at seed 1, to 1e-9 relative: the
+    """The bench's toy-quantum quality lines at seeds 1 and 7919, to 1e-9 relative: the
     Nelder-Mead path of qaoa_optimize does not amplify the kernels' rounding."""
-    _, report = qaoa_optimize(_toy_model(16)[0], layers=2, restarts=2, maxiter=20, seed=1)
-    assert report["expectation"] == pytest.approx(4.12648201172005, rel=1e-9)
-    doc = anneal_run(_toy_model(18)[0], AnnealSchedule(total_time=5.0, dt=0.05), seed=1)
-    assert doc["ground_probability"] == pytest.approx(1.87079855364e-4, rel=1e-9)
+    for seed, expectation, ground in [(1, 4.12648201172005, 1.87079855364e-4),
+                                      (7919, 4.63481604153059, 1.86749785855e-4)]:
+        _, report = qaoa_optimize(_toy_model(16, seed)[0], layers=2, restarts=2, maxiter=20,
+                                  seed=seed)
+        assert report["expectation"] == pytest.approx(expectation, rel=1e-9)
+        doc = anneal_run(_toy_model(18, seed)[0], AnnealSchedule(total_time=5.0, dt=0.05),
+                         seed=seed)
+        assert doc["ground_probability"] == pytest.approx(ground, rel=1e-9)
 
 
 def test_zero_qubits_return_the_offset():

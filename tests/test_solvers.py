@@ -381,6 +381,27 @@ def test_assignments_match_the_exact_enumeration(n, chunk):
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * (1.0 + np.abs(A).sum()))
 
 
+def _all_energies_reference(offset, fields, coupling, low):
+    """all_energies as it concatenated new energies and later fields at each variable."""
+    energies = np.array([offset])
+    fields = np.reshape(fields, (-1, 1))
+    for k in range(len(fields)):
+        f, later = fields[0], fields[1:]
+        energies = np.concatenate((energies + low * f, energies + f))
+        c_k = coupling[k, k + 1 :, None]
+        fields = np.concatenate((later + low * c_k, later + c_k), axis=1)
+    return energies
+
+
+@pytest.mark.parametrize("low", [0.0, -1.0])
+@pytest.mark.parametrize("m", [0, 1, 2, 7, 13])
+def test_all_energies_are_bit_identical_to_the_concatenating_loop(m, low):
+    """Doubling in place does the reference's arithmetic in its order, so every bit agrees."""
+    rng = np.random.default_rng(200 + m)
+    args = (float(rng.normal()), rng.normal(size=m), rng.normal(size=(m, m)), low)
+    assert np.array_equal(all_energies(*args), _all_energies_reference(*args))
+
+
 @pytest.mark.parametrize("m", [0, 1, 2, 7, 13])
 def test_all_energies_of_spins_equal_ising_value_on_every_state(m):
     rng = np.random.default_rng(100 + m)
