@@ -20,9 +20,10 @@ its Nelder-Mead simplex of (2p + 1) x 2p angles stays near 130 KB.
 Each run owns its statevector; independent runs share nothing mutable.
 
 QAOA layers and Trotter steps work on the state in place, a cache-sized
-tile (_TILE_BYTES) at a time; each tile's cost phase is built by doubling
-(`_tile_phase`) in a tile-sized scratch.  No other array is state-sized
-but the energies and a report's probabilities and counts.
+tile (_TILE_BYTES) at a time; each tile's cost phase, and each tile's
+energies wherever the cost is read, are built by doubling (`_tile_phase`)
+in a tile-sized scratch.  No other array has 2^m entries but a report's
+probabilities and counts.
 
 QAOA angles are optimized by `_nelder_mead`, a port of scipy's, so this
 module does not import scipy.
@@ -71,27 +72,36 @@ def _check_shots(shots: int) -> None:
 
 @dataclass(frozen=True)
 class DiagonalCost:
-    """Ising energies of every computational basis state, and their split
+    """The Ising energy E of every computational basis state as its split
     E = low[0][z_low] + sum_k x_k low[1+k][z_low] + high[z_high] over the
     l = ceil(m/2) low qubits and the high ones, with bits x_k.
+
+    The table of all 2^m energies is formed only on request (`energies`).
     """
 
-    energies: np.ndarray  # shape (2^m,), energies[z] = F(spins of z) + offset
     low: np.ndarray  # (1 + m - l, 2^l): E at z_high = 0, then what each high bit adds
     high: np.ndarray  # (2^(m - l),): the couplings among high qubits
+    ground_energy: float  # the least E of the split
+    ising: IsingModel  # the model itself, not a copy
 
     @property
     def num_qubits(self) -> int:
-        return len(self.energies).bit_length() - 1
+        return self.ising.num_spins
 
     @property
-    def ground_energy(self) -> float:
-        return float(self.energies.min())
+    def energies(self) -> np.ndarray:
+        """energies[z] = F(spins of z) + offset by `qubo.all_energies`, a new 2^m array."""
+        ising = self.ising
+        return all_energies(ising.offset, ising.h, _coupling(ising), -1.0)
+
+    @property
+    def ground_cut(self) -> float:
+        """The largest energy counted as ground: 1e-12 relative above the minimum."""
+        return self.ground_energy + 1e-12 * max(1.0, abs(self.ground_energy))
 
     def ground_states(self) -> np.ndarray:
         """Indices of every basis state attaining the minimum energy."""
-        e = self.energies
-        return np.flatnonzero(e <= e.min() + 1e-12 * max(1.0, abs(e.min())))
+        return np.flatnonzero(self.energies <= self.ground_cut)
 
 
 @dataclass(frozen=True)
@@ -149,32 +159,42 @@ def normalize_ising(ising: IsingModel) -> tuple[IsingModel, float]:
     ), scale
 
 
+def _coupling(ising: IsingModel) -> np.ndarray:
+    """The couplings as an upper-triangular m x m matrix (they are distinct pairs i < j)."""
+    coupling = np.zeros((ising.num_spins,) * 2)
+    coupling[ising.j_rows, ising.j_cols] = ising.j_vals
+    return coupling
+
+
 def diagonalize_cost(ising: IsingModel) -> DiagonalCost:
-    """Evaluate the Ising objective on every basis state by `qubo.all_energies`.
+    """Split the Ising objective over the low and high qubits, and find its minimum.
 
     Bit k = 0 of a state is spin -1, so states with s_k = -1 come first.
-    The model's couplings are canonical: distinct pairs with i < j.
+    Every energy is formed once, a tile at a time from the split, to take
+    the minimum and to check that none overflowed.
     """
     m = ising.num_spins
     _check_cap(m)
-    coupling = np.zeros((m, m))
-    coupling[ising.j_rows, ising.j_cols] = ising.j_vals
+    coupling = _coupling(ising)
     l = (m + 1) // 2
     low = np.empty((1 + m - l, 1 << l))
+    inner = coupling[l:, l:]
+    ground = math.inf
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the cap's to report
-        energies = all_energies(ising.offset, ising.h, coupling, -1.0)
-        low[0] = energies[: 1 << l]
+        # the low qubits' energies with every high spin at -1
+        low[0] = all_energies(ising.offset - ising.h[l:].sum() + inner.sum(),
+                              ising.h[:l] - coupling[:l, l:].sum(1), coupling[:l, :l], -1.0)
         # high qubit k flipped alone from -1 adds 2 (h_k + sum_j J_jk s_j) over
         # the low spins s_j, less twice its couplings to the other high qubits
         spins = ((np.arange(1 << l)[:, None] >> np.arange(l)) & 1) * 2.0 - 1.0
-        inner = coupling[l:, l:]
         low[1:] = 2.0 * ((spins @ coupling[:l, l:]).T
                          + (ising.h[l:] - inner.sum(0) - inner.sum(1))[:, None])
         high = all_energies(0.0, np.zeros(m - l), 4.0 * inner, 0.0)
-    # coefficients, or their sums, overflowed
-    if not all(np.isfinite(a).all() for a in (energies, low, high)):
-        raise QuantumSimError("magnitude cap: the cost's energies are not all finite")
-    return DiagonalCost(energies=energies, low=low, high=high)
+        for _, e in _energy_tiles(low, high, np.empty(min(1 << m, _TILE_BYTES // 16))):
+            if not np.isfinite(e).all():  # coefficients, or their sums, overflowed
+                raise QuantumSimError("magnitude cap: the cost's energies are not all finite")
+            ground = min(ground, float(e.min()))
+    return DiagonalCost(low=low, high=high, ground_energy=ground, ising=ising)
 
 
 # --- single-qubit gate layers -------------------------------------------------
@@ -271,13 +291,13 @@ def _rotation(theta: float) -> np.ndarray:
     return np.array([[c, s], [-s, c]])
 
 
-def _frame_start(m: int) -> np.ndarray:
+def _frame_start(m: int, state: np.ndarray | None = None) -> np.ndarray:
     """The uniform superposition in the rotating frame: (-i)^popcount(z) / sqrt(2^m).
 
-    Built in place by doubling: the states with qubit k set are the ones
-    without it times -i, which is exact in floating point.
+    Built in `state`, or a new array, by doubling: the states with qubit k
+    set are the ones without it times -i, which is exact in floating point.
     """
-    state = np.empty(1 << m, dtype=complex)
+    state = np.empty(1 << m, dtype=complex) if state is None else state
     state[0] = 1.0 / math.sqrt(1 << m)
     for k in range(m):
         np.multiply(state[: 1 << k], -1j, out=state[1 << k : 2 << k])
@@ -301,12 +321,15 @@ def _split_phase(cost: DiagonalCost, angle: float) -> tuple[np.ndarray, np.ndarr
     return np.exp(-1j * angle * cost.low), np.exp(-1j * angle * cost.high)
 
 
-def _tile_phase(f: np.ndarray, g: np.ndarray, start: int, out: np.ndarray) -> np.ndarray:
+def _tile_phase(f: np.ndarray, g: np.ndarray, start: int, out: np.ndarray,
+                op=np.multiply) -> np.ndarray:
     """exp(-i angle energies) of the amplitudes from `start` on into `out`; returns out.
 
-    (f, g) = _split_phase(cost, angle).  Row r of the phase as a (2^(m-l),
-    2^l) matrix is f[0] g[r] times f[1+k] for each bit k of r.  A tile is
-    whole rows or part of one; bit k within it maps rows p < 2^k to p f[1+k].
+    (f, g) = _split_phase(cost, angle), or (cost.low, cost.high) with
+    op = np.add for the energies themselves.  Row r of the phase as a
+    (2^(m-l), 2^l) matrix is f[0] g[r] times f[1+k] for each bit k of r.  A
+    tile is whole rows or part of one; bit k within it maps rows p < 2^k to
+    p f[1+k].
     """
     r, c = divmod(start, f.shape[1])
     rows = out.reshape(-1, min(len(out), f.shape[1]))
@@ -315,11 +338,24 @@ def _tile_phase(f: np.ndarray, g: np.ndarray, start: int, out: np.ndarray) -> np
     rows[0] = f[0, cols]
     for k in range(inner, len(f) - 1):
         if r >> k & 1:
-            rows[0] *= f[1 + k, cols]
+            op(rows[0], f[1 + k, cols], out=rows[0])
     for k in range(inner):
-        np.multiply(rows[: 1 << k], f[1 + k], out=rows[1 << k : 2 << k])
-    rows *= g[r : r + len(rows), None]
+        op(rows[: 1 << k], f[1 + k], out=rows[1 << k : 2 << k])
+    op(rows, g[r : r + len(rows), None], out=rows)
     return out
+
+
+def _energy_tiles(low: np.ndarray, high: np.ndarray, buf: np.ndarray):
+    """(start, energies) of each len(buf) basis states in turn, formed in buf from the split."""
+    for start in range(0, low.shape[1] * len(high), len(buf)):
+        yield start, _tile_phase(low, high, start, buf, np.add)
+
+
+def _energies_at(cost: DiagonalCost, z: np.ndarray) -> np.ndarray:
+    """The energies of the basis states z alone, from the split."""
+    z_high, z_low = np.divmod(z, cost.low.shape[1])
+    bits = z_high >> np.arange(len(cost.low) - 1)[:, None] & 1
+    return cost.low[0, z_low] + (cost.low[1:, z_low] * bits).sum(0) + cost.high[z_high]
 
 
 def _bits_of(z: int, m: int) -> str:
@@ -392,48 +428,36 @@ def _nelder_mead(func, x0: np.ndarray, maxiter: int, xatol: float,
     return sim[0], np.min(fsim)
 
 
-def _nelder_mead_restarts(objective, draw, restarts: int, seed: int, options: dict):
-    """`_nelder_mead` from `restarts` starting points draw(rng) of one seeded stream.
-
-    Returns (best value, best point, the final value of every restart).
-    """
-    if restarts < 1:
-        raise QuantumSimError("restarts must be >= 1")
-    rng = np.random.default_rng(seed)
-    best_val = math.inf
-    best_theta = None
-    trace = []
-    for _ in range(restarts):
-        theta, val = _nelder_mead(objective, draw(rng), **options)
-        trace.append(float(val))
-        if val < best_val:
-            best_val = float(val)
-            best_theta = theta
-    return best_val, best_theta, trace
-
-
-def _probabilities(state: np.ndarray) -> np.ndarray:
-    """|state|^2 as one new array: np.abs, squared in place."""
-    probs = np.abs(state)
+def _probabilities(state: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """|state|^2 into out, or one new array: np.abs, squared in place."""
+    probs = np.abs(state, out=out)
     probs *= probs
     return probs
 
 
 def _run(algo: str, ising: IsingModel, evolve, shots: int, seed: int, params) -> dict:
-    """The report of evolve(cost) = (final state, drift), drawn once the state is freed."""
+    """The report of evolve(cost) = (final state, drift), drawn once the state is freed.
+
+    The expectation and the ground mass are summed a tile at a time.
+    """
     _check_shots(shots)
     cost = diagonalize_cost(ising)
     state, drift = evolve(cost)
     probs = _probabilities(state)
+    n = _tile(state.view(np.float64)) // 2
     del state
-    expectation = float(probs @ cost.energies)
-    ground = float(probs[cost.ground_states()].sum())
+    expectation = ground = 0.0
+    cut = cost.ground_cut
+    for start, e in _energy_tiles(cost.low, cost.high, np.empty(n)):
+        p = probs[start : start + n]
+        expectation += p @ e
+        ground += p[e <= cut].sum()
     m = cost.num_qubits
     if shots:  # `shots` draws; the best is the lowest-energy state drawn, the first on ties
         probs /= probs.sum()
         counts = np.random.default_rng(seed).multinomial(shots, probs)
         drawn = np.flatnonzero(counts)
-        best = int(drawn[np.argmin(cost.energies[drawn])])
+        best = int(drawn[np.argmin(_energies_at(cost, drawn))])
         hist = {_bits_of(z, m): c for z, c in zip(drawn.tolist(), counts[drawn].tolist())}
     else:
         best, hist = int(np.argmax(probs)), {}
@@ -441,8 +465,8 @@ def _run(algo: str, ising: IsingModel, evolve, shots: int, seed: int, params) ->
         "algo": algo,
         "qubits": m,
         "ground_energy": cost.ground_energy,
-        "ground_probability": ground,
-        "expectation": expectation,
+        "ground_probability": float(ground),
+        "expectation": float(expectation),
         "best_bits": _bits_of(best, m),
         "params": params,
         "samples_hist": hist,
@@ -453,10 +477,10 @@ def _run(algo: str, ising: IsingModel, evolve, shots: int, seed: int, params) ->
 # --- QAOA ---------------------------------------------------------------------
 
 
-def _qaoa_work(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_qaoa_state's arrays: the frame start, the state and the scratch."""
-    start = _frame_start(m)
-    return start, np.empty_like(start), _scratch(start)
+def _qaoa_work(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """_qaoa_state's arrays: the state and the scratch."""
+    state = np.empty(1 << m, dtype=complex)
+    return state, _scratch(state)
 
 
 def _qaoa_state(cost: DiagonalCost, params: QaoaParams,
@@ -467,11 +491,11 @@ def _qaoa_state(cost: DiagonalCost, params: QaoaParams,
     and the mixer's low groups, then the high groups in slabs.  `work` is
     _qaoa_work(m), for callers that evolve many circuits without
     allocating (and faulting in) state-sized arrays each time: the
-    returned state is its state array, and its start is not changed.
+    returned state is its state array, where the start is built afresh.
     """
     m = cost.num_qubits
-    start, state, scratch = _qaoa_work(m) if work is None else work
-    state[...] = start
+    state, scratch = _qaoa_work(m) if work is None else work
+    _frame_start(m, state)
     x = state.view(np.float64)
     tile = _tile(x)
     phase = scratch[:tile].view(complex)
@@ -504,28 +528,35 @@ def qaoa_optimize(ising: IsingModel, layers: int, restarts: int = 8,
 
     Returns the best parameters by exact expectation together with a
     report containing the per-restart expectation trace.  More than
-    LAYER_CAP layers is a QuantumSimError, raised before any array is formed.
+    LAYER_CAP layers, or fewer than one restart, is a QuantumSimError,
+    raised before any array is formed.
     """
     if layers < 0:
         raise QuantumSimError("layers must be >= 0")
     if layers > LAYER_CAP:
         raise QuantumSimError(f"{layers} layers exceeds the QAOA cap of {LAYER_CAP}")
+    if restarts < 1:
+        raise QuantumSimError("restarts must be >= 1")
     cost = diagonalize_cost(ising)
     work = _qaoa_work(cost.num_qubits)
+    n = _tile(work[0].view(np.float64)) // 2
+    energies, probs = work[1][:n], work[1][n : 2 * n]  # the scratch, once a circuit is done
 
-    def objective(theta):
-        params = QaoaParams(tuple(theta[:layers]), tuple(theta[layers:]))
-        state, _ = _qaoa_state(cost, params, work)
-        return float(_probabilities(state) @ cost.energies)
+    def objective(theta):  # the expectation, summed as _run sums it
+        state, _ = _qaoa_state(cost, QaoaParams(tuple(theta[:layers]), tuple(theta[layers:])),
+                               work)
+        return float(sum(_probabilities(state[start : start + n], probs) @ e
+                         for start, e in _energy_tiles(cost.low, cost.high, energies)))
 
-    def draw(rng):
-        return np.concatenate([
-            rng.uniform(0.0, math.pi, size=layers),      # gammas
-            rng.uniform(0.0, math.pi / 2.0, size=layers),  # betas
-        ])
-
-    best_val, best_theta, trace = _nelder_mead_restarts(
-        objective, draw, restarts, seed, {"maxiter": maxiter, "xatol": 1e-4, "fatol": 1e-7})
+    rng = np.random.default_rng(seed)
+    best_val, best_theta, trace = math.inf, None, []
+    for _ in range(restarts):  # gammas in [0, pi), betas in [0, pi/2)
+        x0 = np.concatenate([rng.uniform(0.0, math.pi, size=layers),
+                             rng.uniform(0.0, math.pi / 2.0, size=layers)])
+        theta, val = _nelder_mead(objective, x0, maxiter=maxiter, xatol=1e-4, fatol=1e-7)
+        trace.append(float(val))
+        if val < best_val:
+            best_val, best_theta = float(val), theta
     params = QaoaParams(tuple(best_theta[:layers]), tuple(best_theta[layers:]))
     report = {"expectation": best_val, "restart_trace": trace,
               "ground_energy": cost.ground_energy}

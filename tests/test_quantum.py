@@ -461,8 +461,10 @@ def test_anneal_reports_norm_drift():
 
 
 def test_diagonalize_cost_at_the_qubit_cap_stays_small():
-    """A spin matrix and a bit matrix at 2^20 states took ~170 MB each; now the traced
-    peak is the energies and the half-sized buffer of a field, and under 256 KB more."""
+    """A spin matrix and a bit matrix at 2^20 states took ~170 MB each, and the table of
+    energies 8 MB; now the traced peak is the split and one tile of energies, under 1 MiB."""
+    from qubofolio import quantum
+
     ising = _random_ising(QUBIT_CAP, seed=20)
     tracemalloc.start()
     try:
@@ -471,8 +473,8 @@ def test_diagonalize_cost_at_the_qubit_cap_stays_small():
     finally:
         tracemalloc.stop()
     assert cost.energies.shape == (1 << QUBIT_CAP,)
-    held = 8 * (1 << QUBIT_CAP) + 8 * (1 << QUBIT_CAP - 1)
-    assert held <= peak <= held + (256 << 10)
+    held = cost.low.nbytes + cost.high.nbytes + quantum._TILE_BYTES // 2
+    assert held <= peak < 1 << 20
 
 
 # --- cost phases: direct exponential and running product ------------------------
@@ -527,13 +529,11 @@ def test_qaoa_state_matches_exponential_reference():
     state, drift = _qaoa_state(cost, params)
     assert np.max(np.abs(_frame(m) * state - expected)) <= 1e-12
     assert drift <= 1e-9
-    # with reused arrays: the same state each time, in the work's state array
+    # with reused arrays: the same state each time, built afresh in the work's state array
     work = _qaoa_work(m)
-    start = work[0].copy()
     for _ in range(2):
         again, _ = _qaoa_state(cost, params, work)
-        assert again is work[1] and np.array_equal(again, state)
-    assert np.array_equal(work[0], start)
+        assert again is work[0] and np.array_equal(again, state)
 
 
 def _toy_model(size, seed=1):
@@ -589,16 +589,29 @@ def test_anneal_holds_the_state_and_one_tile():
 
 
 def test_anneal_run_holds_the_energies_the_state_and_the_report():
-    """The 18-qubit anneal_run's traced peak, from its arrays: the energies, plus the
-    state and one tile while it evolves, the state and the probabilities while they are
-    formed, then the probabilities and the counts; and under 256 KB more."""
+    """The 18-qubit anneal_run's traced peak, from its arrays: the state and one tile
+    while it evolves, the state and the probabilities while they are formed, then the
+    probabilities and the counts; and under 256 KB more.  No table of energies."""
     from qubofolio import quantum
 
     ising = _toy_model(18)[0]
     peak = _traced_peak(lambda: anneal_run(ising, AnnealSchedule(total_time=0.2, dt=0.05)))
     n = 1 << 18
-    held = 8 * n + max(16 * n + quantum._TILE_BYTES, 16 * n + 8 * n, 8 * n + 8 * n)
+    held = max(16 * n + quantum._TILE_BYTES, 16 * n + 8 * n, 8 * n + 8 * n)
     assert held <= peak <= held + (256 << 10)
+
+
+def test_qaoa_optimize_holds_the_state_and_one_tile():
+    """The 18-qubit qaoa_optimize's traced peak is the state and its one tile-sized
+    scratch, and under 384 KB more (numpy's 128 KB ufunc buffer, the split and its
+    phase factors): no frame start, energies or probabilities of 2^18 entries, which
+    would each add at least 2 MB."""
+    from qubofolio import quantum
+
+    ising = _toy_model(18)[0]
+    peak = _traced_peak(lambda: qaoa_optimize(ising, layers=1, restarts=1, maxiter=3))
+    held = 16 * (1 << 18) + quantum._TILE_BYTES
+    assert held <= peak <= held + (384 << 10)
 
 
 @pytest.mark.parametrize("shots", [1024, 0])
@@ -644,6 +657,62 @@ def test_toy_quantum_quality_lines_are_pinned():
         doc = anneal_run(_toy_model(18, seed)[0], AnnealSchedule(total_time=5.0, dt=0.05),
                          seed=seed)
         assert doc["ground_probability"] == pytest.approx(ground, rel=1e-9)
+
+
+# --- the cost read a tile at a time, against the table of energies -------------------
+
+_RANDOM_COSTS = {f"m{m}": _random_ising(m, seed=m) for m in (0, 1, 2, 4, 7, 10, 13)}
+_TOY_COSTS = {f"toy{size}-{seed}": _toy_model(size, seed)[0]
+              for size in (16, 18) for seed in (1, 7919)}
+
+
+def _close_to_table(got, table):
+    return np.all(np.abs(got - table) <= 1e-12 * np.maximum(1.0, np.abs(table)))
+
+
+@pytest.mark.parametrize("ising", [*_RANDOM_COSTS.values(), *_TOY_COSTS.values()],
+                         ids=[*_RANDOM_COSTS, *_TOY_COSTS])
+def test_tile_energies_match_the_table(ising):
+    """Energies from the split, in tiles of part of a row, one row, 4 rows and the whole
+    state, and at single indices, agree with all_energies' table, as does the minimum."""
+    from qubofolio.quantum import _energies_at, _energy_tiles
+
+    cost = diagonalize_cost(ising)
+    table = cost.energies
+    width, size = cost.low.shape[1], len(table)
+    assert _close_to_table(cost.ground_energy, table.min())
+    for tile in sorted({max(width // 4, 1), width, min(4 * width, size), size}):
+        got = np.concatenate([e.copy() for _, e in _energy_tiles(cost.low, cost.high,
+                                                                 np.empty(tile))])
+        assert got.shape == table.shape and _close_to_table(got, table)
+    z = np.random.default_rng(size).integers(0, size, size=64)
+    assert _close_to_table(_energies_at(cost, z), table[z])
+
+
+@pytest.mark.parametrize("ising", [*_RANDOM_COSTS.values(), *_TOY_COSTS.values()],
+                         ids=[*_RANDOM_COSTS, *_TOY_COSTS])
+def test_runs_read_the_cost_as_the_table_does(ising):
+    """Both runs' expectation, ground mass, best and samples, read from tiles of the split,
+    against the same read from the table; qaoa_run repeats qaoa_optimize's value."""
+    from qubofolio.quantum import _anneal_state, _bits_of, _qaoa_state
+
+    cost = diagonalize_cost(ising)
+    table, m = cost.energies, ising.num_spins
+    seed = m + 1
+    params, report = qaoa_optimize(ising, layers=1, restarts=1, maxiter=3, seed=seed)
+    schedule = AnnealSchedule(total_time=0.5, dt=0.05)
+    qaoa = qaoa_run(ising, params, seed=seed)
+    assert qaoa["expectation"] == report["expectation"]
+    for doc, (state, _) in [(qaoa, _qaoa_state(cost, params)),
+                            (anneal_run(ising, schedule, seed=seed),
+                             _anneal_state(cost, schedule))]:
+        probs = np.abs(state) ** 2
+        assert abs(doc["expectation"] - probs @ table) <= 1e-12 * (probs @ np.abs(table))
+        assert abs(doc["ground_probability"] - probs[cost.ground_states()].sum()) <= 1e-15
+        counts = np.random.default_rng(seed).multinomial(1024, probs / probs.sum())
+        drawn = np.flatnonzero(counts)
+        assert doc["best_bits"] == _bits_of(int(drawn[np.argmin(table[drawn])]), m)
+        assert doc["samples_hist"] == {_bits_of(z, m): int(counts[z]) for z in drawn}
 
 
 def test_zero_qubits_return_the_offset():
@@ -748,6 +817,15 @@ class TestInSmallTiles:
         (3, 5.0, 0.05), (6, 5.0, 0.05), (10, 5.0, 0.05), (3, 50.0, 0.01), (6, 50.0, 0.01)])
     def test_anneal_state_matches_exponential_reference(self, m, total_time, dt):
         test_anneal_state_matches_exponential_reference(m, total_time, dt)
+
+    # the toy models would cross 2^14 to 2^16 tiles a sweep here, minutes of runs
+    @pytest.mark.parametrize("ising", _RANDOM_COSTS.values(), ids=list(_RANDOM_COSTS))
+    def test_tile_energies_match_the_table(self, ising):
+        test_tile_energies_match_the_table(ising)
+
+    @pytest.mark.parametrize("ising", _RANDOM_COSTS.values(), ids=list(_RANDOM_COSTS))
+    def test_runs_read_the_cost_as_the_table_does(self, ising):
+        test_runs_read_the_cost_as_the_table_does(ising)
 
 
 @pytest.mark.parametrize("restarts", [0, -1])
@@ -865,5 +943,19 @@ def test_diagonalize_reports_an_overflowing_sum_as_the_magnitude_cap():
     empty = np.array([], dtype=int)
     ising = IsingModel(h=np.array([1e308, 1e308]), j_rows=empty, j_cols=empty,
                        j_vals=np.array([]), offset=0.0)
+    with pytest.raises(QuantumSimError, match="magnitude cap"):
+        diagonalize_cost(ising)
+
+
+def test_the_magnitude_cap_reads_every_tile():
+    """Only the split term of the top qubit overflows, so only the states with it set, the
+    second of the 16-qubit state's two tiles, are not finite."""
+    from qubofolio import quantum
+
+    empty = np.array([], dtype=int)
+    h = np.zeros(16)
+    h[15] = 1e308
+    ising = IsingModel(h=h, j_rows=empty, j_cols=empty, j_vals=np.array([]), offset=0.0)
+    assert quantum._TILE_BYTES // 16 == 1 << 15
     with pytest.raises(QuantumSimError, match="magnitude cap"):
         diagonalize_cost(ising)
