@@ -19,11 +19,13 @@ QUBIT_CAP = 20; `qaoa_optimize` takes at most LAYER_CAP = 64 layers, so
 its Nelder-Mead simplex of (2p + 1) x 2p angles stays near 130 KB.
 Each run owns its statevector; independent runs share nothing mutable.
 
-QAOA layers and Trotter steps work on the state in place, a cache-sized
-tile (_TILE_BYTES) at a time; each tile's cost phase, and each tile's
-energies wherever the cost is read, are built by doubling (`_tile_phase`)
-in a tile-sized scratch.  No other array has 2^m entries but a report's
-probabilities and counts.
+Both algorithms run one layer loop, `_qaoa_state`: an anneal of K
+Trotter steps is the QAOA circuit of K - 1 layers at its schedule's
+angles (`_anneal_layers`), with the same probabilities.  Layers work on
+the state in place, a cache-sized tile (_TILE_BYTES) at a time; each
+tile's cost phase, and each tile's energies wherever the cost is read,
+are built by doubling (`_tile_phase`) in a tile-sized scratch.  No other
+array has 2^m entries but a report's probabilities and counts.
 
 QAOA angles are optimized by `_nelder_mead`, a port of scipy's, so this
 module does not import scipy.
@@ -221,14 +223,13 @@ def _scratch(state: np.ndarray) -> np.ndarray:
     return np.empty(max(_tile(state.view(np.float64)), 1 << _GROUP))
 
 
-def _blocks(gates: list[np.ndarray], tile: int, scale: float = 1.0):
+def _blocks(gates: list[np.ndarray], tile: int):
     """The real 2x2 gates[q] of every qubit q as Kronecker blocks, _GROUP qubits at a time.
 
     Returns (low, high), lists of (lowest qubit, block) with the highest
     qubit outermost.  A low group lies within a tile of `tile` floats and
-    the rest are high.  The lowest group (the identity at 0 qubits) is
-    multiplied by `scale`; when low, its block also spans the real and
-    imaginary float of one amplitude.
+    the rest are high.  The lowest group's block, when low, also spans the
+    real and imaginary float of one amplitude (the identity at 0 qubits).
     """
     m = len(gates)
     t = min(m, (tile // 2).bit_length() - 1)  # qubits within a tile
@@ -236,8 +237,6 @@ def _blocks(gates: list[np.ndarray], tile: int, scale: float = 1.0):
     low, high = [], []
     for lo, end in zip(starts, [*starts[1:], m]):
         block = np.eye(2 if lo == 0 and end <= t else 1)
-        if lo == 0:
-            block *= scale
         for g in gates[lo:end]:
             n = block.shape[0]
             block = (g[:, None, :, None] * block[None, :, None, :]).reshape(2 * n, 2 * n)
@@ -291,13 +290,12 @@ def _rotation(theta: float) -> np.ndarray:
     return np.array([[c, s], [-s, c]])
 
 
-def _frame_start(m: int, state: np.ndarray | None = None) -> np.ndarray:
+def _frame_start(m: int, state: np.ndarray) -> np.ndarray:
     """The uniform superposition in the rotating frame: (-i)^popcount(z) / sqrt(2^m).
 
-    Built in `state`, or a new array, by doubling: the states with qubit k
-    set are the ones without it times -i, which is exact in floating point.
+    Built in `state` by doubling: the states with qubit k set are the ones
+    without it times -i, which is exact in floating point.
     """
-    state = np.empty(1 << m, dtype=complex) if state is None else state
     state[0] = 1.0 / math.sqrt(1 << m)
     for k in range(m):
         np.multiply(state[: 1 << k], -1j, out=state[1 << k : 2 << k])
@@ -309,11 +307,6 @@ def _check_norm(norm2: float) -> float:
     if abs(norm2 - 1.0) > 1e-9:
         raise QuantumSimError(f"statevector norm drifted to {norm2}")
     return norm2
-
-
-def _norm2(state: np.ndarray) -> float:
-    """The squared norm of a state or of a tile of one."""
-    return float(np.vdot(state, state).real)
 
 
 def _split_phase(cost: DiagonalCost, angle: float) -> tuple[np.ndarray, np.ndarray]:
@@ -483,12 +476,13 @@ def _qaoa_work(m: int) -> tuple[np.ndarray, np.ndarray]:
     return state, _scratch(state)
 
 
-def _qaoa_state(cost: DiagonalCost, params: QaoaParams,
-                work: tuple | None = None) -> tuple[np.ndarray, float]:
-    """The circuit's final frame state and the largest |norm^2 - 1| after a layer.
+def _qaoa_state(cost: DiagonalCost, layers, work: tuple | None = None) -> tuple[np.ndarray, float]:
+    """The circuit of the (gamma, beta) pairs in `layers`: the final frame state and the
+    largest |norm^2 - 1| after a layer.
 
     Each layer is one sweep: per tile the product with its cost phase
-    and the mixer's low groups, then the high groups in slabs.  `work` is
+    and the mixer's low groups, then the high groups in slabs; then the
+    norm is read.  `layers` may be any iterable, read once.  `work` is
     _qaoa_work(m), for callers that evolve many circuits without
     allocating (and faulting in) state-sized arrays each time: the
     returned state is its state array, where the start is built afresh.
@@ -501,7 +495,7 @@ def _qaoa_state(cost: DiagonalCost, params: QaoaParams,
     phase = scratch[:tile].view(complex)
     tiles = list(enumerate(state.reshape(-1, tile // 2)))
     drift = 0.0
-    for gamma, beta in zip(params.gammas, params.betas):
+    for gamma, beta in layers:
         f, g = _split_phase(cost, gamma)
         low, high = _blocks([_rotation(2.0 * beta)] * m, tile)
         for i, s in tiles:
@@ -511,15 +505,15 @@ def _qaoa_state(cost: DiagonalCost, params: QaoaParams,
             np.multiply(s, _tile_phase(f, g, i * len(s), phase), out=src.view(complex))
             _low_pass(src, dst, low)
         _high_pass(x, scratch, high, tile)
-        drift = max(drift, abs(_check_norm(_norm2(state)) - 1.0))
+        drift = max(drift, abs(_check_norm(float(np.vdot(state, state).real)) - 1.0))
     return state, drift
 
 
 def qaoa_run(ising: IsingModel, params: QaoaParams, shots: int = 1024,
              seed: int = 0) -> dict:
     """Alternating phase/mixer circuit from the uniform superposition."""
-    return _run("qaoa", ising, lambda cost: _qaoa_state(cost, params), shots, seed,
-                {"gammas": list(params.gammas), "betas": list(params.betas)})
+    return _run("qaoa", ising, lambda cost: _qaoa_state(cost, zip(params.gammas, params.betas)),
+                shots, seed, {"gammas": list(params.gammas), "betas": list(params.betas)})
 
 
 def qaoa_optimize(ising: IsingModel, layers: int, restarts: int = 8,
@@ -543,8 +537,7 @@ def qaoa_optimize(ising: IsingModel, layers: int, restarts: int = 8,
     energies, probs = work[1][:n], work[1][n : 2 * n]  # the scratch, once a circuit is done
 
     def objective(theta):  # the expectation, summed as _run sums it
-        state, _ = _qaoa_state(cost, QaoaParams(tuple(theta[:layers]), tuple(theta[layers:])),
-                               work)
+        state, _ = _qaoa_state(cost, zip(theta[:layers], theta[layers:]), work)
         return float(sum(_probabilities(state[start : start + n], probs) @ e
                          for start, e in _energy_tiles(cost.low, cost.high, energies)))
 
@@ -566,47 +559,20 @@ def qaoa_optimize(ising: IsingModel, layers: int, restarts: int = 8,
 # --- Trotterized annealing ------------------------------------------------------
 
 
-def _anneal_state(cost: DiagonalCost, schedule: AnnealSchedule) -> tuple[np.ndarray, float]:
-    """anneal_run's Trotter evolution: the final frame state and the largest |norm^2 - 1|.
+def _anneal_layers(schedule: AnnealSchedule):
+    """The schedule's Trotter steps as QAOA layers (gamma, beta), formed one at a time.
 
-    Each step is two sweeps: the mixer's high groups in slabs, then per
-    tile its low groups, its cost phase (in the tile or scratch they did
-    not end in) and the tile's share of the norm.  A step's
-    renormalisation scales the next step's lowest block, and the last one
-    the state.
+    With K steps of dt, step k is the driver's exp(i a_k dt sum sigma_x),
+    RX(-2 a_k dt) on each qubit with a_k = 1 - (k + 1/2) dt/T, then the
+    cost phase at gamma_k = (k + 1/2) dt^2/T.
+    The first mixer only multiplies the uniform start by a global phase
+    and the last phase changes no probability, so the K steps are the
+    K - 1 layers (gamma_(k-1), -a_k dt) for k = 1 .. K - 1.
     """
-    m = cost.num_qubits
-    state = _frame_start(m)
-    scratch = _scratch(state)
-    steps = schedule.steps
-    dt = schedule.total_time / steps
-    # B(s_k) * dt = (k + 1/2) * dt^2 / T, so each step's factors are the last ones times rho
-    rho = _split_phase(cost, dt * dt / schedule.total_time)
-    f, g = _split_phase(cost, 0.5 * dt * dt / schedule.total_time)
-    x = state.view(np.float64)
-    tile = _tile(x)
-    buf = scratch[:tile]
-    tiles = [(i * len(s), s, s.view(np.float64))
-             for i, s in enumerate(state.reshape(-1, tile // 2))]
-    drift, scale = 0.0, 1.0
-    for step in range(steps):
-        a = 1.0 - (step + 0.5) * dt / schedule.total_time
-        # exp(-i * A * (-sum sigma_x) * dt) factors into per-qubit RX(-2*A*dt)
-        low, high = _blocks([_rotation(-2.0 * a * dt)] * m, tile, scale)
-        _high_pass(x, scratch, high, tile)
-        if step:
-            f *= rho[0]
-            g *= rho[1]
-        norm2 = 0.0
-        for start, s, y in tiles:
-            out = _low_pass(y, buf, low)
-            phase = _tile_phase(f, g, start, (buf if out is y else y).view(complex))
-            np.multiply(out.view(complex), phase, out=s)
-            norm2 += _norm2(s)
-        drift = max(drift, abs(_check_norm(norm2) - 1.0))
-        scale = 1.0 / math.sqrt(norm2)
-    state *= scale
-    return state, drift
+    total, steps = schedule.total_time, schedule.steps
+    dt = total / steps
+    for k in range(1, steps):
+        yield (k - 0.5) * dt * dt / total, -(1.0 - (k + 0.5) * dt / total) * dt
 
 
 def anneal_run(ising: IsingModel, schedule: AnnealSchedule, shots: int = 1024,
@@ -615,20 +581,16 @@ def anneal_run(ising: IsingModel, schedule: AnnealSchedule, shots: int = 1024,
 
     Starts in the uniform superposition (the driver's ground state) and
     alternates per-qubit X rotations with diagonal cost phases, using the
-    midpoint s of each step for both weights.  Each step checks the norm
-    (QuantumSimError beyond 1e-9) and then renormalizes, so floating-point
-    drift cannot accumulate; the largest per-step |norm^2 - 1| is reported
-    as "norm_drift".
+    midpoint s of each step for both weights.  The steps run as the QAOA
+    circuit of `_anneal_layers`: K steps are K - 1 layers with the same
+    probabilities.  Each layer checks the norm (QuantumSimError beyond
+    1e-9) and the largest |norm^2 - 1| is reported as "norm_drift"; the
+    state is not renormalised, so that is the drift accumulated over the
+    run (5.7e-14 on the 16-qubit toy after the CLI default 5,000 steps).
 
     The run takes schedule.steps = round(total_time / dt) steps of
     total_time / steps each, which need not equal dt ("params" repeats the
     requested dt): total_time 1 with dt 0.3 runs 3 steps of 1/3.
-
-    Step k's cost phase, exp(-i (k + 1/2) dt^2/T E), is formed per tile
-    from split factors kept as running products, with no exponential in
-    the loop.  After the CLI default 5,000 steps it is within 1.8e-12 of
-    a direct exponential on the 16-qubit toy, far below the 1e-9 norm
-    tolerance.
     """
-    return _run("anneal", ising, lambda cost: _anneal_state(cost, schedule), shots, seed,
-                {"total_time": schedule.total_time, "dt": schedule.dt})
+    return _run("anneal", ising, lambda cost: _qaoa_state(cost, _anneal_layers(schedule)),
+                shots, seed, {"total_time": schedule.total_time, "dt": schedule.dt})

@@ -189,7 +189,7 @@ def test_criterion_09_quantum_simulator():
         # every probability mass must still sum to one
         from qubofolio.quantum import _qaoa_state
 
-        state, _ = _qaoa_state(cost8, params)
+        state, _ = _qaoa_state(cost8, zip(params.gammas, params.betas))
         probs = np.abs(state) ** 2
         norm_ok = norm_ok and abs(float(probs.sum()) - 1.0) <= 1e-9
     ok = gp2 >= 0.99 and gp8 >= 0.5 and hits >= 20 and norm_ok

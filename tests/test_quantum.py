@@ -187,7 +187,7 @@ def test_sampling_matches_amplitudes_within_multinomial_bounds():
     from qubofolio.quantum import _qaoa_state
 
     cost = diagonalize_cost(ising)
-    state, _ = _qaoa_state(cost, params)
+    state, _ = _qaoa_state(cost, zip(params.gammas, params.betas))
     state_probs = np.abs(state) ** 2
     for z in range(16):
         bits = format(z, "04b")[::-1]
@@ -319,7 +319,9 @@ def test_frame_start_is_the_uniform_state_mapped_back_exactly(m):
     from qubofolio.quantum import _frame_start
 
     uniform = np.full(1 << m, 1.0 / math.sqrt(1 << m), dtype=complex)
-    assert np.array_equal(_frame_start(m), uniform * np.conj(_frame(m)))
+    state = np.empty(1 << m, dtype=complex)
+    assert _frame_start(m, state) is state
+    assert np.array_equal(state, uniform * np.conj(_frame(m)))
 
 
 def _repeated_pair_ising():
@@ -446,13 +448,10 @@ def test_norm_drift_is_the_largest_deviation_the_check_saw(monkeypatch):
     ising = _random_ising(3, seed=2)
     qaoa = qaoa_run(ising, QaoaParams((0.4, 1.3), (0.7, 0.2)), shots=0)
     anneal = anneal_run(ising, AnnealSchedule(total_time=5, dt=0.05), shots=0)
-    # QAOA never renormalises, so the last layer drifts most; the
-    # anneal renormalises after each step
+    # neither renormalises, so the last layer drifts most: the anneal's
+    # 100 steps are 99 layers
     assert qaoa["norm_drift"] == pytest.approx(f ** 12 - 1.0, rel=1e-3)
-    assert anneal["norm_drift"] == pytest.approx(f ** 6 - 1.0, rel=1e-3)
-    # the last step's renormalisation reaches the returned state too
-    state, _ = quantum._anneal_state(diagonalize_cost(ising), AnnealSchedule(total_time=5, dt=0.05))
-    assert abs(np.vdot(state, state).real - 1.0) <= 1e-14
+    assert anneal["norm_drift"] == pytest.approx(f ** (6 * 99) - 1.0, rel=1e-3)
 
 
 def test_anneal_reports_norm_drift():
@@ -477,12 +476,12 @@ def test_diagonalize_cost_at_the_qubit_cap_stays_small():
     assert held <= peak < 1 << 20
 
 
-# --- cost phases: direct exponential and running product ------------------------
+# --- the anneal as a QAOA circuit, against its Trotter loop ---------------------
 
 
 def _anneal_reference(cost, schedule):
     """Trotter loop on psi with complex RX gates, an np.exp phase per step and
-    a complex divide, the one _anneal_state replaced.  Returns (state,
+    a complex divide after each step's norm check.  Returns (state,
     largest |norm^2 - 1|)."""
     from qubofolio.quantum import _check_norm
 
@@ -505,15 +504,40 @@ def _anneal_reference(cost, schedule):
 @pytest.mark.parametrize("total_time, dt", [(5.0, 0.05), (50.0, 0.01)])
 @pytest.mark.parametrize("m", [3, 6, 10])
 def test_anneal_state_matches_exponential_reference(m, total_time, dt):
-    from qubofolio.quantum import _anneal_state
+    """The K - 1 layers of _anneal_layers against the K Trotter steps: the same
+    probabilities, and the same state once the last step's cost phase is applied and the
+    first mixer's global phase, exp(i m a_0 dt) on the uniform start, is divided out."""
+    from qubofolio.quantum import _anneal_layers, _qaoa_state
 
     cost = diagonalize_cost(normalize_ising(_random_ising(m, seed=30 + m))[0])
     schedule = AnnealSchedule(total_time=total_time, dt=dt)
-    state, drift = _anneal_state(cost, schedule)
+    state, drift = _qaoa_state(cost, _anneal_layers(schedule))
     expected, expected_drift = _anneal_reference(cost, schedule)
     assert np.max(np.abs(np.abs(state) ** 2 - np.abs(expected) ** 2)) <= 1e-9
-    assert np.max(np.abs(_frame(m) * state - expected)) <= 1e-9
+    steps = schedule.steps
+    step = total_time / steps
+    last_phase = np.exp(-1j * (steps - 0.5) * step * step / total_time * cost.energies)
+    first_mixer = np.exp(1j * m * (1.0 - 0.5 * step / total_time) * step)
+    assert np.max(np.abs(_frame(m) * state * last_phase - expected / first_mixer)) <= 1e-9
     assert drift <= 1e-9 and expected_drift <= 1e-9
+
+
+def test_a_one_step_anneal_runs_no_layer():
+    """One Trotter step is zero layers: the uniform state, whose ground mass is the ground
+    set's share of the states, with no drift; the Trotter loop agrees."""
+    from qubofolio.quantum import _anneal_layers
+
+    ising = _random_ising(4, seed=5)
+    cost = diagonalize_cost(ising)
+    schedule = AnnealSchedule(total_time=1, dt=0.9)
+    assert schedule.steps == 1 and list(_anneal_layers(schedule)) == []
+    doc = anneal_run(ising, schedule, shots=0)
+    assert doc["norm_drift"] == 0.0
+    assert doc["ground_probability"] == pytest.approx(len(cost.ground_states()) / 16,
+                                                      rel=1e-14)
+    assert doc["expectation"] == pytest.approx(cost.energies.mean(), rel=1e-12)
+    expected, expected_drift = _anneal_reference(cost, schedule)
+    assert np.max(np.abs(np.abs(expected) ** 2 - 1.0 / 16)) <= 1e-9 and expected_drift <= 1e-9
 
 
 def test_qaoa_state_matches_exponential_reference():
@@ -526,13 +550,13 @@ def test_qaoa_state_matches_exponential_reference():
     for gamma, beta in zip(params.gammas, params.betas):
         expected *= np.exp(-1j * gamma * cost.energies)
         expected = _layer_reference(expected, [_rx_reference(2.0 * beta)] * m)
-    state, drift = _qaoa_state(cost, params)
+    state, drift = _qaoa_state(cost, zip(params.gammas, params.betas))
     assert np.max(np.abs(_frame(m) * state - expected)) <= 1e-12
     assert drift <= 1e-9
     # with reused arrays: the same state each time, built afresh in the work's state array
     work = _qaoa_work(m)
     for _ in range(2):
-        again, _ = _qaoa_state(cost, params, work)
+        again, _ = _qaoa_state(cost, zip(params.gammas, params.betas), work)
         assert again is work[0] and np.array_equal(again, state)
 
 
@@ -582,10 +606,20 @@ def test_anneal_holds_the_state_and_one_tile():
     from qubofolio import quantum
 
     cost = diagonalize_cost(_toy_model(16)[0])
-    peak = _traced_peak(lambda: quantum._anneal_state(cost, AnnealSchedule(total_time=0.2,
-                                                                            dt=0.05)))
+    layers = quantum._anneal_layers(AnnealSchedule(total_time=0.2, dt=0.05))
+    peak = _traced_peak(lambda: quantum._qaoa_state(cost, layers))
     held = (16 << 16) + quantum._TILE_BYTES
     assert held <= peak <= held + (256 << 10)
+
+
+def test_a_long_anneal_holds_no_angles():
+    """The angles are formed a layer at a time: a 3-qubit anneal's traced peak at 10,000
+    steps is within 4 KB of that at 100, where a tuple of the angle pairs would add 1 MB."""
+    ising = _random_ising(3, seed=2)
+    peaks = [_traced_peak(lambda: anneal_run(ising, AnnealSchedule(total_time=steps * 0.01,
+                                                                   dt=0.01), shots=0))
+             for steps in (100, 10_000)]
+    assert abs(peaks[1] - peaks[0]) <= 4 << 10
 
 
 def test_anneal_run_holds_the_energies_the_state_and_the_report():
@@ -621,7 +655,7 @@ def test_samples_are_the_draw_from_the_normalised_probabilities(size, seed, shot
     """samples_hist and best_bits of both runs are those of
     rng.multinomial(shots, probs / probs.sum()) over the final state, drawn here with new
     arrays as the report drew them before it normalised in place."""
-    from qubofolio.quantum import _anneal_state, _qaoa_state
+    from qubofolio.quantum import _anneal_layers, _qaoa_state
 
     ising = _toy_model(size, seed)[0]
     cost = diagonalize_cost(ising)
@@ -632,8 +666,10 @@ def test_samples_are_the_draw_from_the_normalised_probabilities(size, seed, shot
         return format(int(z), f"0{size}b")[::-1]
 
     for doc, (state, _) in [
-            (qaoa_run(ising, params, shots, seed), _qaoa_state(cost, params)),
-            (anneal_run(ising, schedule, shots, seed), _anneal_state(cost, schedule))]:
+            (qaoa_run(ising, params, shots, seed),
+             _qaoa_state(cost, zip(params.gammas, params.betas))),
+            (anneal_run(ising, schedule, shots, seed),
+             _qaoa_state(cost, _anneal_layers(schedule)))]:
         probs = np.abs(state) ** 2
         if shots:
             counts = np.random.default_rng(seed).multinomial(shots, probs / probs.sum())
@@ -694,7 +730,7 @@ def test_tile_energies_match_the_table(ising):
 def test_runs_read_the_cost_as_the_table_does(ising):
     """Both runs' expectation, ground mass, best and samples, read from tiles of the split,
     against the same read from the table; qaoa_run repeats qaoa_optimize's value."""
-    from qubofolio.quantum import _anneal_state, _bits_of, _qaoa_state
+    from qubofolio.quantum import _anneal_layers, _bits_of, _qaoa_state
 
     cost = diagonalize_cost(ising)
     table, m = cost.energies, ising.num_spins
@@ -703,9 +739,9 @@ def test_runs_read_the_cost_as_the_table_does(ising):
     schedule = AnnealSchedule(total_time=0.5, dt=0.05)
     qaoa = qaoa_run(ising, params, seed=seed)
     assert qaoa["expectation"] == report["expectation"]
-    for doc, (state, _) in [(qaoa, _qaoa_state(cost, params)),
+    for doc, (state, _) in [(qaoa, _qaoa_state(cost, zip(params.gammas, params.betas))),
                             (anneal_run(ising, schedule, seed=seed),
-                             _anneal_state(cost, schedule))]:
+                             _qaoa_state(cost, _anneal_layers(schedule)))]:
         probs = np.abs(state) ** 2
         assert abs(doc["expectation"] - probs @ table) <= 1e-12 * (probs @ np.abs(table))
         assert abs(doc["ground_probability"] - probs[cost.ground_states()].sum()) <= 1e-15
