@@ -9,8 +9,8 @@ from pathlib import Path
 
 import numpy as np
 
-from qubofolio import build_qubo, estimate_covariance, load_prices, normalize_blocks, spec_from_json
-from qubofolio.toy import write_price_csv
+from qubofolio import (build_qubo, estimate_covariance, load_prices, normalize_blocks,
+                       spec_from_json, write_price_csv)
 
 rng = np.random.default_rng(0)
 tickers = ["ALPHA", "BETA", "GAMMA"]

@@ -391,19 +391,9 @@ def spec_from_json(source: str | dict[str, Any]) -> ProblemSpec:
 
 
 def spec_to_json(spec: ProblemSpec) -> dict[str, Any]:
-    return {
-        "n": spec.n,
-        "T": spec.T,
-        "k": spec.k,
-        "B": spec.B,
-        "C": spec.C,
-        "q": spec.params.q,
-        "delta": spec.params.delta,
-        "rho_c": spec.params.rho_c,
-        "rho_s": spec.params.rho_s,
-        "u": spec.params.u,
-        "P": spec.params.P,
-        "signed_risk": spec.signed_risk,
-        "prices": spec.prices.p.tolist(),
-        "covariances": spec.covariances.sigma.tolist(),
-    }
+    """The inline-price document spec_from_json reads back: its scalars, then P and the arrays."""
+    return {**{name: getattr(spec, name) for name in _SPEC_SCALARS},
+            **{name: getattr(spec.params, name) for name in _PARAM_FIELDS + ("P",)},
+            "signed_risk": spec.signed_risk,
+            "prices": spec.prices.p.tolist(),
+            "covariances": spec.covariances.sigma.tolist()}

@@ -44,6 +44,7 @@ __all__ = [
     "DiagonalCost",
     "QaoaParams",
     "AnnealSchedule",
+    "normalize_ising",
     "diagonalize_cost",
     "qaoa_run",
     "qaoa_optimize",
@@ -481,11 +482,13 @@ def _qaoa_state(cost: DiagonalCost, layers, work: tuple | None = None) -> tuple[
     largest |norm^2 - 1| after a layer.
 
     Each layer is one sweep: per tile the product with its cost phase
-    and the mixer's low groups, then the high groups in slabs; then the
-    norm is read.  `layers` may be any iterable, read once.  `work` is
-    _qaoa_work(m), for callers that evolve many circuits without
-    allocating (and faulting in) state-sized arrays each time: the
-    returned state is its state array, where the start is built afresh.
+    and the mixer's low groups, then the high groups in slabs.  A layer's
+    norm is read tile by tile as the next sweep loads each tile, and the
+    last layer's in one pass at the end.  `layers` may be any iterable,
+    read once.  `work` is _qaoa_work(m), for callers that evolve many
+    circuits without allocating (and faulting in) state-sized arrays each
+    time: the returned state is its state array, where the start is built
+    afresh.
     """
     m = cost.num_qubits
     state, scratch = _qaoa_work(m) if work is None else work
@@ -494,17 +497,24 @@ def _qaoa_state(cost: DiagonalCost, layers, work: tuple | None = None) -> tuple[
     tile = _tile(x)
     phase = scratch[:tile].view(complex)
     tiles = list(enumerate(state.reshape(-1, tile // 2)))
-    drift = 0.0
+    drift, ran = 0.0, False
     for gamma, beta in layers:
         f, g = _split_phase(cost, gamma)
         low, high = _blocks([_rotation(2.0 * beta)] * m, tile)
+        norm2 = 0.0
         for i, s in tiles:
+            if ran:
+                norm2 += float(np.vdot(s, s).real)
             # start where an even or odd number of products ends in the state
             y = s.view(np.float64)
             src, dst = (scratch[:tile], y) if len(low) % 2 else (y, scratch[:tile])
             np.multiply(s, _tile_phase(f, g, i * len(s), phase), out=src.view(complex))
             _low_pass(src, dst, low)
+        if ran:
+            drift = max(drift, abs(_check_norm(norm2) - 1.0))
         _high_pass(x, scratch, high, tile)
+        ran = True
+    if ran:
         drift = max(drift, abs(_check_norm(float(np.vdot(state, state).real)) - 1.0))
     return state, drift
 

@@ -95,7 +95,7 @@ class BlockQubo:
         R = self.budget_rows
         cols, pattern = np.unique(R, axis=1, return_inverse=True)
         penalty = self.penalty_weight * (cols.T @ R)
-        return _Kernel(penalty=penalty, pattern=pattern, cols=cols, cross=self.cross.tolist())
+        return _Kernel(penalty=penalty, pattern=pattern, cols=cols, cross=_scalars(self.cross))
 
 
 class _Kernel(NamedTuple):
@@ -104,7 +104,7 @@ class _Kernel(NamedTuple):
     penalty: np.ndarray  # (k, w): P * R[:, j]'R for each of the k distinct columns j of R
     pattern: np.ndarray  # (w,): the row of `penalty` that column j of R selects
     cols: np.ndarray  # (m, k): the k distinct columns of R, in pattern order
-    cross: list[list[float]]  # BlockQubo.cross, for scalar reads
+    cross: array  # BlockQubo.cross[t, j] at t * w + j, for scalar reads
 
 
 def _index_dtype(num_vars: int) -> type:
@@ -393,7 +393,6 @@ def _flip_state(qubo: BlockQubo, bits: np.ndarray) -> _FlipState:
     two_dg = _scalars(2.0 * dg)
     wp = _scalars(qubo.wp)
     wp_scale = _scalars(qubo.wp * qubo.scale)
-    cross = _scalars(qubo.cross)  # cross[t, j] at t * w + j
     at = _scalars(qubo.slot + n * step_rows, "q")  # the core_t @ g_t entry of each position
     col = _scalars(kern.pattern + k * step_rows, "q")  # its residual dot product
     rr = _scalars(np.tile(np.diagonal(gram)[kern.pattern], T))  # R[:, j]'R[:, j]
@@ -402,7 +401,7 @@ def _flip_state(qubo: BlockQubo, bits: np.ndarray) -> _FlipState:
     core_rows = list(qubo.core.reshape(T * n, n))
     gram_rows = list(gram)
     pattern = kern.pattern.tolist()
-    penalty, last = qubo.penalty_weight, T - 1
+    cross, penalty, last = kern.cross, qubo.penalty_weight, T - 1
 
     def delta(i: int) -> float:
         xi = xs[i]
@@ -460,10 +459,10 @@ def apply_flip(qubo: BlockQubo, bits: np.ndarray, i: int, deltas: np.ndarray) ->
     cross, sign = qubo._kernel.cross, _SIGN[xi]
     if t > 0:
         m = i - w
-        deltas[m] += sign[int(bits[m])] * cross[t - 1][j]
+        deltas[m] += sign[int(bits[m])] * cross[m]
     if t < T - 1:
         m = i + w
-        deltas[m] += sign[int(bits[m])] * cross[t][j]
+        deltas[m] += sign[int(bits[m])] * cross[i]
     bits[i] = 1 - xi
     deltas[i] = -change
     return float(change)

@@ -6,7 +6,8 @@ dataclass is passed by some call, every CLI option appears in a test,
 demo, bench file or the README, no module reads an environment
 variable or imports scipy, every command runs with scipy blocked, a
 failing property test does not end the test run, every name a module
-exports exists, and each size-cap message is formed in one place."""
+exports exists, the package publishes exactly the names its modules
+export, and each size-cap message is formed in one place."""
 import argparse
 import ast
 import importlib
@@ -16,6 +17,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -438,3 +440,32 @@ def test_a_failing_property_test_fails_without_ending_the_run(tmp_path):
 def test_every_exported_name_resolves(path):
     module = importlib.import_module(f"qubofolio.{path.stem}")
     assert [name for name in getattr(module, "__all__", []) if not hasattr(module, name)] == []
+
+
+def _api_mismatches(package: types.ModuleType, modules: list[types.ModuleType]) -> list[str]:
+    """The package's public non-module names against the union of the modules' __all__:
+    each name on one side only, and each name that two modules export."""
+    owners: dict[str, list[str]] = {}
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            owners.setdefault(name, []).append(module.__name__)
+    published = {name for name, value in vars(package).items()
+                 if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    return sorted([f"{name}: not exported by a module" for name in published - owners.keys()]
+                  + [f"{name}: not in the package" for name in owners.keys() - published]
+                  + [f"{name}: exported by {' and '.join(found)}"
+                     for name, found in owners.items() if len(found) > 1])
+
+
+def test_the_package_publishes_each_exported_name_once():
+    modules = [importlib.import_module(f"qubofolio.{path.stem}") for path in MODULES]
+    assert _api_mismatches(importlib.import_module("qubofolio"), modules) == []
+
+
+def test_an_api_mismatch_is_reported():
+    a, b, package = (types.ModuleType(name) for name in ("a", "b", "pkg"))
+    a.__all__, b.__all__ = ["grow", "Box"], ["grow", "spare"]
+    package.a, package._hidden, package.grow, package.Box, package.extra = a, 1, 2, 3, 4
+    assert _api_mismatches(package, [a, b]) == [
+        "extra: not exported by a module", "grow: exported by a and b",
+        "spare: not in the package"]

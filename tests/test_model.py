@@ -291,6 +291,12 @@ def test_spec_json_roundtrip():
     assert again.signed_risk == spec.signed_risk
 
 
+def test_spec_to_json_keys_are_the_readers_in_a_fixed_order():
+    assert list(spec_to_json(toy_spec(n=2, T=2, seed=4))) == [
+        "n", "T", "k", "B", "C", "q", "delta", "rho_c", "rho_s", "u", "P", "signed_risk",
+        "prices", "covariances"]
+
+
 def test_spec_from_json_file(tmp_path):
     spec = toy_spec(seed=2)
     path = tmp_path / "spec.json"

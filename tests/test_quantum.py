@@ -438,6 +438,18 @@ def test_qaoa_norm_check_fires_on_a_non_unitary_mixer(monkeypatch):
         qaoa_run(_random_ising(3, seed=2), QaoaParams((0.4,), (0.7,)), shots=0)
 
 
+def test_every_layer_is_checked_not_only_the_last(monkeypatch):
+    """The first layer's mixer scales the norm^2 by 1.001^6 and the second's undoes it:
+    the check after the first layer raises, though the final state's norm is 1."""
+    from qubofolio import quantum
+
+    rotation = quantum._rotation
+    scale = {1.4: 1.001, 0.4: 1.0 / 1.001}  # by theta = 2 beta
+    monkeypatch.setattr(quantum, "_rotation", lambda theta: scale[theta] * rotation(theta))
+    with pytest.raises(QuantumSimError, match="norm"):
+        qaoa_run(_random_ising(3, seed=2), QaoaParams((0.4, 1.3), (0.7, 0.2)), shots=0)
+
+
 def test_norm_drift_is_the_largest_deviation_the_check_saw(monkeypatch):
     from qubofolio import quantum
 
@@ -844,6 +856,8 @@ class TestInSmallTiles:
         test_anneal_norm_check_fires_on_a_non_unitary_mixer)
     test_qaoa_norm_check_fires_on_a_non_unitary_mixer = staticmethod(
         test_qaoa_norm_check_fires_on_a_non_unitary_mixer)
+    test_every_layer_is_checked_not_only_the_last = staticmethod(
+        test_every_layer_is_checked_not_only_the_last)
     test_norm_drift_is_the_largest_deviation_the_check_saw = staticmethod(
         test_norm_drift_is_the_largest_deviation_the_check_saw)
     test_zero_qubits_return_the_offset = staticmethod(test_zero_qubits_return_the_offset)

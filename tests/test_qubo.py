@@ -898,6 +898,7 @@ def _flip_state_cases():
         yield pytest.param(qubo, None, id=f"synthetic-15x4-{name}-random")
         yield pytest.param(qubo, cash_only_bits(signed_spec), id=f"synthetic-15x4-{name}-cash")
     yield pytest.param(build_qubo(toy_spec(n=3, T=2, q=1e-3, seed=4)), None, id="toy")
+    yield pytest.param(build_qubo(synthetic_spec(seed=1, **EXP1)), None, id="exp1")
     yield pytest.param(_random_one_block(1), None, id="one-block")
     yield pytest.param(qubo_module._as_block(SparseQubo(0, [], [], [], 1.5)), None,
                        id="zero-variables")
@@ -906,7 +907,8 @@ def _flip_state_cases():
 @pytest.mark.parametrize("qubo,start", _flip_state_cases())
 def test_flip_state_reads_the_deltas_of_delta_energies(qubo, start):
     """A fresh state reads delta_energies bit for bit; 1,500 seeded flips later it keeps
-    the same bits and reads the fresh deltas within the flip probe's drift bound."""
+    the same bits and reads the fresh deltas within the flip probe's drift bound, and so
+    does apply_flip's table after the same flips from the same start."""
     n = qubo.num_vars
     rng = np.random.default_rng(n)
     x = rng.integers(0, 2, n).astype(np.int8) if start is None else start.copy()
@@ -915,13 +917,16 @@ def test_flip_state_reads_the_deltas_of_delta_energies(qubo, start):
     assert _same_bits([state.delta(i) for i in range(n)], delta_energies(qubo, x))
     if n == 0:
         return
+    flipped, table = x.copy(), delta_energies(qubo, x)
     for i in rng.integers(0, n, size=1500).tolist():
         state.flip(i)
+        apply_flip(qubo, flipped, i, table)
         x[i] ^= 1
-    assert np.array_equal(state.bits, x)
+    assert np.array_equal(state.bits, x) and np.array_equal(flipped, x)
     fresh = delta_energies(qubo, x)
     read = np.array([state.delta(i) for i in range(n)])
-    assert np.abs(read - fresh).max() <= 1e-9 * np.abs(fresh).max()
+    for got in (read, table):
+        assert np.abs(got - fresh).max() <= 1e-9 * np.abs(fresh).max()
     fresh_state = qubo_module._flip_state(qubo, x)
     assert _same_bits([fresh_state.delta(i) for i in range(n)], fresh)
 
