@@ -75,7 +75,9 @@ class CovarianceSeries:
     """One return-covariance matrix per investment period, stored exactly symmetric.
 
     A stack within 1e-12 of symmetric is stored as its symmetric part
-    0.5 * (Sigma + Sigma'); an exactly symmetric one as given, uncopied.
+    0.5 * (Sigma + Sigma'), formed in one new stack; an exactly symmetric one
+    as given, uncopied.  Readers may rely on the exact symmetry: the penalty
+    scan reads each Sigma_t over its upper triangle only.
     """
 
     sigma: np.ndarray  # shape (T, n, n)
@@ -90,23 +92,56 @@ class CovarianceSeries:
         if asym > 1e-12:
             raise MarketDataError(f"covariance matrices not symmetric (max dev {asym:.2e})")
         if asym > 0.0:  # Sigma_ab + Sigma_ba is one sum, so the part is symmetric bit for bit
-            sigma = 0.5 * (sigma + sigma.transpose(0, 2, 1))
+            sigma = sigma + sigma.transpose(0, 2, 1)
+            sigma *= 0.5
         object.__setattr__(self, "sigma", sigma)
 
 
-def _max_asymmetry(sigma: np.ndarray) -> float:
-    """max |Sigma_t - Sigma_t'| over the stack, one step at a time in one (n, n) buffer.
+_STRIP_BYTES = 256 * 1024  # one strip of a covariance pass stays in L2 beside the rows it reads
 
-    np.max keeps a NaN deviation, which Python's max would drop.
+
+def _upper_strips(n: int) -> list[tuple[int, int, np.ndarray]]:
+    """The row strips a..b-1 over columns a..n-1 that cover an (n, n) matrix's upper triangle.
+
+    Each comes with a (b - a, n - a) view into one new buffer; a strip takes as
+    many rows as fit in _STRIP_BYTES, and at least one.  Entry (i, j) with
+    j < i outside a strip is (j, i) of an earlier one, so a pass whose value
+    for (i, j) equals that for (j, i) reads each matrix about once.
     """
-    buf = np.empty(sigma.shape[1:])
-    dev = np.zeros(len(sigma))
+    if 8 * n * n <= _STRIP_BYTES:  # one strip, the whole matrix (the toys' n <= 3)
+        return [(0, n, np.empty((n, n)))]
+    bounds = []
+    a = 0
+    while a < n:
+        b = min(n, a + max(1, _STRIP_BYTES // (8 * (n - a))))
+        bounds.append((a, b))
+        a = b
+    buf = np.empty(max(_STRIP_BYTES // 8, n))
+    return [(a, b, buf[: (b - a) * (n - a)].reshape(b - a, n - a)) for a, b in bounds]
+
+
+def _max_asymmetry(sigma: np.ndarray) -> float:
+    """max |Sigma_t - Sigma_t'| over the stack, read in the row strips of _upper_strips.
+
+    A strip holds S_ab - S_ba for its rows a and the columns b from its first
+    row on; |S_ab - S_ba| is |S_ba - S_ab| exactly, so the strips see every
+    deviation.  abs and max run only on a strip with a nonzero entry, and a
+    NaN (from inf - inf) counts as one: it is returned at once, where Python's
+    max would drop it.
+    """
+    dev = 0.0
+    strips = _upper_strips(sigma.shape[1])
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, which the caller reports
-        for t, s in enumerate(sigma):
-            np.subtract(s, s.T, out=buf)
-            np.abs(buf, out=buf)
-            dev[t] = buf.max(initial=0.0)
-    return float(dev.max(initial=0.0))
+        for s in sigma:
+            for a, b, strip in strips:
+                np.subtract(s[a:b, a:], s[a:, a:b].T, out=strip)
+                if strip.any():
+                    np.abs(strip, out=strip)
+                    top = float(strip.max())
+                    if top != top:
+                        return top
+                    dev = max(dev, top)
+    return dev
 
 
 def _closes_by_ticker(reader, path) -> dict[str, dict[dt.date, tuple[float, int]]]:

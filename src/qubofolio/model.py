@@ -23,7 +23,7 @@ from typing import Any
 
 import numpy as np
 
-from .market_data import BlockPrices, CovarianceSeries
+from .market_data import BlockPrices, CovarianceSeries, _upper_strips
 
 __all__ = [
     "ModelError",
@@ -217,6 +217,9 @@ class ProblemSpec:
         A risk entry is q * (w_i p_a)(w_j p_b) * Sigma_ab for the assets a, b of
         slots i, j with weights w = +-1, and every asset owns a slot, so the
         (n, n) products q * p_a p_b * Sigma_ab hold exactly the risk magnitudes.
+        They are read in the upper-triangle strips of market_data._upper_strips:
+        p_a p_b is p_b p_a, and CovarianceSeries stores each Sigma_t exactly
+        symmetric, so the product at (a, b) is the one at (b, a) bit for bit.
         The turnover band is build_qubo's cross.
         """
         prm = self.params
@@ -225,13 +228,15 @@ class ProblemSpec:
         band = np.abs(_turnover_band(terms)).max(initial=0.0)
         maxcoef = max(np.abs(sum(terms.values())).max(), band)
         if prm.q > 0:
-            buf = np.empty((self.n, self.n))
+            strips = _upper_strips(self.n)
             for t, sigma_t in enumerate(self.covariances.sigma):
-                np.multiply.outer(p[:, t], p[:, t], out=buf)
-                buf *= prm.q
-                buf *= sigma_t
-                np.abs(buf, out=buf)
-                maxcoef = max(maxcoef, buf.max())
+                pt = p[:, t]
+                for a, b, strip in strips:
+                    np.multiply.outer(pt[a:b], pt[a:], out=strip)
+                    strip *= prm.q
+                    strip *= sigma_t[a:b, a:]
+                    np.abs(strip, out=strip)
+                    maxcoef = max(maxcoef, strip.max())
         if maxcoef == 0.0:
             return 1.0
         return float(10.0 * maxcoef * (self.B + self.C))

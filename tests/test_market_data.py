@@ -297,15 +297,97 @@ def test_an_exactly_symmetric_covariance_stack_is_stored_as_given():
     assert CovarianceSeries(sigma=sigma).sigma is sigma
 
 
-def test_covariance_check_allocates_two_matrices_at_most():
-    sigma = _exp2_sigma(2)
+def _traced_peak(fn) -> int:
     tracemalloc.start()
     try:
-        CovarianceSeries(sigma=sigma)
-        peak = tracemalloc.get_traced_memory()[1]
+        fn()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * EXP2_N**2 * 8
+
+
+def test_covariance_check_allocates_two_matrices_at_most():
+    sigma = _exp2_sigma(2)
+    peak = _traced_peak(lambda: CovarianceSeries(sigma=sigma))
+    # one strip, and numpy's iteration buffers for the transposed read (64 KB each)
+    assert peak <= 2 * market_data._STRIP_BYTES
+
+
+def test_an_accepted_covariance_stack_is_symmetrised_in_one_new_stack():
+    sigma = _exp2_sigma(4)
+    sigma[-1] += 1e-13 * np.random.default_rng(5).standard_normal((EXP2_N, EXP2_N))
+    stored = []
+    peak = _traced_peak(lambda: stored.append(CovarianceSeries(sigma=sigma).sigma))
+    assert stored[0] is not sigma
+    assert peak <= sigma.nbytes + market_data._STRIP_BYTES
+
+
+def _largest_n_in(strips: int) -> int:
+    counts = {n: len(market_data._upper_strips(n)) for n in range(1, 1000)}
+    last = max(n for n, count in counts.items() if count == strips)
+    assert counts[last + 1] == strips + 1
+    return last
+
+
+# n = 1, 2, and either side of the largest n that one strip and that two strips hold:
+# the last strip is full at those n and partial one above them
+STRIP_SIZES = sorted({1, 2} | {m + d for m in map(_largest_n_in, (1, 2)) for d in (-1, 0, 1)})
+PARTIAL_N = _largest_n_in(1) + 1  # two strips, the last of a few rows
+
+
+def _asymmetry_reference(sigma: np.ndarray) -> float:
+    return np.abs(sigma - sigma.transpose(0, 2, 1)).max()
+
+
+@pytest.mark.parametrize("n", STRIP_SIZES)
+def test_covariance_asymmetry_equals_whole_stack_reference_at_strip_boundaries(n):
+    rng = np.random.default_rng(n)
+    sigma = rng.standard_normal((2, n, n))
+    assert market_data._max_asymmetry(sigma) == _asymmetry_reference(sigma)
+    symmetric = sigma + sigma.transpose(0, 2, 1)
+    for a, b, _ in market_data._upper_strips(n):  # one deviating entry at a time, either side
+        for i, j in [(a, n - 1), (n - 1, a), (b - 1, a), (a, b - 1), (b - 1, b - 1)]:
+            one = symmetric.copy()
+            one[1, i, j] += rng.uniform(0.5, 1.0)
+            assert market_data._max_asymmetry(one) == _asymmetry_reference(one)
+
+
+def test_the_strips_cover_each_pair_once_over_the_upper_triangle():
+    for n in STRIP_SIZES:
+        seen = np.zeros((n, n), dtype=int)
+        for a, b, strip in market_data._upper_strips(n):
+            assert strip.shape == (b - a, n - a) and strip.flags.c_contiguous
+            assert strip.nbytes <= market_data._STRIP_BYTES
+            seen[a:b, a:] += 1
+        # each (i, j) with i <= j once, so each (i, j) with i > j as (j, i)
+        assert np.array_equal(np.triu(seen), np.triu(np.ones_like(seen)))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["diagonal", "pair", "below"])
+def test_covariance_series_rejects_non_finite_in_the_last_partial_strip(where, value):
+    n = PARTIAL_N
+    a, b, _ = market_data._upper_strips(n)[-1]
+    assert b - a < market_data._STRIP_BYTES // (8 * (n - a))  # room for more rows
+    sigma = np.tile(np.eye(n), (2, 1, 1))
+    if where == "diagonal":
+        sigma[1, n - 1, n - 1] = value
+    elif where == "pair":
+        sigma[1, n - 1, a] = sigma[1, a, n - 1] = value
+    else:
+        sigma[1, n - 1, a] = value
+    with pytest.raises(MarketDataError, match="^covariance matrices hold non-finite entries$"):
+        CovarianceSeries(sigma=sigma)
+
+
+def test_a_signed_zero_pair_is_symmetric_and_stored_as_given():
+    n = PARTIAL_N
+    a = market_data._upper_strips(n)[-1][0]
+    sigma = np.tile(np.eye(n), (2, 1, 1))
+    for i, j in [(n - 1, 0), (n - 1, a)]:
+        sigma[1, i, j], sigma[1, j, i] = 0.0, -0.0
+    assert market_data._max_asymmetry(sigma) == 0.0
+    assert CovarianceSeries(sigma=sigma).sigma is sigma
 
 
 def test_load_prices_skips_blank_and_whitespace_rows(price_csv, tmp_path):

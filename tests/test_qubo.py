@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qubofolio import market_data
 from qubofolio import qubo as qubo_module
 from qubofolio.evaluation import economic_metrics
 from qubofolio.market_data import BlockPrices, CovarianceSeries
@@ -47,6 +48,7 @@ from qubofolio.qubo import (
 )
 from qubofolio.solvers import SolveBudget, local_descent, solve_abs, solve_exact, solve_sa
 from qubofolio.toy import cash_only_bits, random_sparse_qubo, synthetic_spec, toy_spec
+from test_market_data import STRIP_SIZES
 
 
 def naive_objective(spec: ProblemSpec, bits) -> float:
@@ -721,7 +723,26 @@ def test_exp2_penalty_scan_allocates_one_matrix():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * spec.n**2 * 8 + sum(row.nbytes for row in terms.values())
+    # summing the term rows holds two (T, w) rows at once, and the risk scan one strip
+    assert peak <= 2 * terms["profit"].nbytes + market_data._STRIP_BYTES
+
+
+@pytest.mark.parametrize("signed_risk", [True, False])
+@pytest.mark.parametrize("q", [0.0, 1e-2])
+@pytest.mark.parametrize("n", STRIP_SIZES)
+def test_resolve_penalty_equals_whole_matrix_reference_at_strip_boundaries(n, q, signed_risk):
+    spec = synthetic_spec(n=n, T=3, q=q, seed=n)
+    spec = dataclasses.replace(spec, signed_risk=signed_risk)
+    P = resolve_penalty(spec)
+    assert P == whole_matrix_penalty(spec)
+    # the largest risk entry in the last strip: on the diagonal, then a negative pair
+    a = market_data._upper_strips(n)[-1][0]
+    for i, j in [(n - 1, n - 1), (n - 1, a)]:
+        sigma = spec.covariances.sigma.copy()
+        sigma[1, i, j] = sigma[1, j, i] = (1 if i == j else -1) * 10 * np.abs(sigma).max()
+        spiked = dataclasses.replace(spec, covariances=CovarianceSeries(sigma=sigma))
+        assert resolve_penalty(spiked) == whole_matrix_penalty(spiked)
+        assert (resolve_penalty(spiked) > P) == (q > 0)
 
 
 def block_reference(spec: ProblemSpec, t: int, P: float) -> np.ndarray:
