@@ -29,7 +29,7 @@ import os
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -99,7 +99,7 @@ class BlockQubo:
 
 
 class _Kernel(NamedTuple):
-    """Per-problem lookups of apply_flip, _block_rows and _flip_state."""
+    """Per-problem lookups of _flip, _block_rows and _flip_state."""
 
     penalty: np.ndarray  # (k, w): P * R[:, j]'R for each of the k distinct columns j of R
     pattern: np.ndarray  # (w,): the row of `penalty` that column j of R selects
@@ -266,17 +266,18 @@ def _block_rows(qubo: BlockQubo, t: int, rows, start: int = 0, out=None,
     table, each entry one exact integer times P (R is integer-valued).  The
     block is formed in `out` if given, its gathers in `scratch` (both of its
     shape), so a caller that passes both allocates nothing of that size.
-    Without scratch the penalty rows are indexed, a view for one row, which
-    is what a flip reads.
+    The penalty part of one row, which is what a flip reads, is a view of
+    the table, and so are several rows' without scratch.
     """
     kern = qubo._kernel
     wp = qubo.wp[t]
     cols = slice(start, None)
-    D = np.multiply.outer(wp[rows], wp[cols], out=out)
+    D = np.multiply(wp[rows, None], wp[cols], out=out)
     D *= qubo.scale
-    D *= qubo.core[t][qubo.slot[rows]].take(qubo.slot[cols], axis=-1, out=scratch, mode="clip")
-    D += (kern.penalty[kern.pattern[rows], cols] if scratch is None
-          else kern.penalty[:, cols].take(kern.pattern[rows], axis=0, out=scratch, mode="clip"))
+    D *= qubo.core[t, qubo.slot[rows]].take(qubo.slot[cols], axis=-1, out=scratch, mode="clip")
+    pattern = kern.pattern[rows]
+    D += (kern.penalty[pattern, cols] if scratch is None or pattern.ndim == 0
+          else kern.penalty[:, cols].take(pattern, axis=0, out=scratch, mode="clip"))
     return D
 
 
@@ -321,44 +322,94 @@ def energy(qubo: BlockQubo, bits) -> float:
 def _core_products(qubo: BlockQubo, x: np.ndarray) -> np.ndarray:
     """core_t @ g_t of x (T, w), a (T, n) array; an empty step's product is zero, not formed."""
     g = _positions(qubo, x)
-    core_g = np.zeros_like(g)
+    core_g = np.zeros(g.shape)
     for t in np.flatnonzero(g.any(axis=1)):
         core_g[t] = qubo.core[t] @ g[t]
     return core_g
 
 
-def _self_terms(qubo: BlockQubo) -> np.ndarray:
-    """scale * wp^2 * core_t[slot, slot]: each position's risk entry of D_jj, a (T, w) array."""
+def _self_terms(qubo: BlockQubo, scratch=None) -> np.ndarray:
+    """scale * wp^2 * core_t[slot, slot]: each position's risk entry of D_jj, a (T, w) array.
+
+    Its gather is formed in `scratch`, a (T, w) array, if given.
+    """
     core_diag = np.diagonal(qubo.core, axis1=1, axis2=2)
-    return qubo.wp * qubo.wp * qubo.scale * core_diag[:, qubo.slot]
+    dg = qubo.wp * qubo.wp
+    dg *= qubo.scale
+    dg *= np.take(core_diag, qubo.slot, axis=1, out=scratch, mode="clip")
+    return dg
 
 
 def delta_energies(qubo: BlockQubo, bits) -> np.ndarray:
     """Vector of exact energy changes for flipping each bit; O(n^2 + w) per held step.
 
     core_t @ g_t is formed only at the steps that hold a position; an empty
-    step's product is zero.  _flip_state reads one entry by this formula.
+    step's product is zero.  Each entry is
+
+        d * (linear + dg + 2 * dx - 2 * dg * x + band) + P * (rr - 2 * d * (res'R))
+
+    with d = 1 - 2x, dg the _self_terms, dx = wp * scale * (core_t @ g_t)[slot]
+    and band the cross terms to the adjacent steps, evaluated in that order.
+    Besides x and the result it holds two (T, w) temporaries.  solve_sa
+    reads one entry by the same formula.
     """
     T, w = qubo.wp.shape
     x = _zero_one(bits, qubo.num_vars, QuboError).astype(float).reshape(T, w)
-    dg = _self_terms(qubo)
-    dx = qubo.wp * qubo.scale * _core_products(qubo, x)[:, qubo.slot]
-    inner = qubo.linear.reshape(T, w) + dg + 2.0 * dx - 2.0 * dg * x
-    inner[1:] += qubo.cross * x[:-1]
-    inner[:-1] += qubo.cross * x[1:]
-    d = 1.0 - 2.0 * x
+    core_g = _core_products(qubo, x)
     R = qubo.budget_rows
+    rr = (R * R).sum(axis=0)
+    deltas = np.empty((T, w))
+    dg = _self_terms(qubo, scratch=deltas)
+    tmp = qubo.wp * qubo.scale
+    tmp *= np.take(core_g, qubo.slot, axis=1, out=deltas, mode="clip")  # dx
+    tmp *= 2.0
+    np.add(qubo.linear.reshape(T, w), dg, out=deltas)
+    deltas += tmp
+    np.multiply(dg, 2.0, out=tmp)
+    tmp *= x
+    deltas -= tmp
+    band = dg[:-1]
+    np.multiply(qubo.cross, x[:-1], out=band)
+    deltas[1:] += band
+    np.multiply(qubo.cross, x[1:], out=band)
+    deltas[:-1] += band
+    d = np.multiply(x, 2.0, out=tmp)
+    np.subtract(1.0, d, out=d)
+    deltas *= d
     res = qubo.budget_rhs - x @ R.T
-    deltas = d * inner + qubo.penalty_weight * ((R * R).sum(axis=0) - 2.0 * d * (res @ R))
+    pen = np.matmul(res, R, out=dg)
+    d *= 2.0
+    pen *= d
+    np.subtract(rr, pen, out=pen)
+    pen *= qubo.penalty_weight
+    deltas += pen
     return deltas.ravel()
 
 
 class _FlipState(NamedTuple):
-    """The single-flip state _flip_state keeps; single-owner and mutable."""
+    """Simulated annealing's single-flip state (see _flip_state); single-owner and mutable.
 
-    bits: np.ndarray  # (T * w,) int8, a view of the state's bits that every flip changes
-    delta: Callable[[int], float]  # delta(i): the energy change of flipping bit i
-    flip: Callable[[int], None]  # flip(i): flip bit i and update the state
+    The scalar fields are array.arrays, so a read is a Python number; the
+    row fields are numpy views of held and dots, or of the problem.
+    """
+
+    bits: np.ndarray  # (T * w,) int8, a view of xs
+    xs: bytearray  # the bits, flipped as ints
+    xf: array  # the bits as floats 0.0 and 1.0, which a proposal reads
+    base: array  # linear + dg of each position
+    two_dg: array  # 2 * dg
+    wp: array  # the position weights
+    wp_scale: array  # wp * scale
+    held: array  # core_t @ g_t, (T, n) flattened
+    at: array  # the held entry of each position: slot + n * t
+    dots: array  # res_t'R[:, c] for the k distinct budget columns c, (T, k) flattened
+    col: array  # the dots entry of each position: pattern + k * t
+    rr: array  # R[:, j]'R[:, j] of each position
+    held_rows: list  # held's T rows, numpy views
+    dot_rows: list  # dots' T rows, numpy views
+    core_rows: list  # core.reshape(T * n, n)'s rows: core_t's row s at s + n * t
+    gram_rows: list  # the rows of cols'cols, the budget columns' integer products
+    pattern: list  # the gram row of each position in a step
 
 
 def _scalars(a: np.ndarray, code: str = "d") -> array:
@@ -371,12 +422,13 @@ def _flip_state(qubo: BlockQubo, bits: np.ndarray) -> _FlipState:
 
     It holds each step's core_t @ g_t (T, n), the budget residual's dot
     product with each of the kernel's k distinct budget columns (T, k,
-    exact integers) and the bits.  delta(i) forms delta_energies' entry i in
-    its order of operations, so at a fresh state the two agree bit for bit.
-    flip(i) updates the n + k numbers of i's step: core_t @ g_t by
-    +-wp_i * core_t[slot_i] (skipped when wp_i = 0) and the residual's dot
-    products by the integers -+R[:, i]'R[:, c].  Unlike apply_flip it keeps
-    no other delta, so a flip costs O(n + k) where apply_flip's costs O(w).
+    exact integers) and the bits.  solve_sa reads a proposal's delta from
+    it by delta_energies' formula, in its order of operations, so at a
+    fresh state the two agree bit for bit.  A flip of bit i updates the
+    n + k numbers of i's step: core_t @ g_t by +-wp_i * core_t[slot_i]
+    (skipped when wp_i = 0) and the residual's dot products by the integers
+    -+R[:, i]'R[:, c].  Unlike _flip it keeps no other delta, so a flip
+    costs O(n + k) where _flip's costs O(w).
     """
     T, w = qubo.wp.shape
     n = qubo.core.shape[1]
@@ -385,87 +437,77 @@ def _flip_state(qubo: BlockQubo, bits: np.ndarray) -> _FlipState:
     x = np.asarray(bits, dtype=float).reshape(T, w)
     dg = _self_terms(qubo)
     step_rows = np.arange(T)[:, None]
-    held = _scalars(_core_products(qubo, x))  # core_t @ g_t
-    dots = _scalars((qubo.budget_rhs - x @ qubo.budget_rows.T) @ kern.cols)  # res_t'R[:, c]
+    held = _scalars(_core_products(qubo, x))
+    dots = _scalars((qubo.budget_rhs - x @ qubo.budget_rows.T) @ kern.cols)
     gram = kern.cols.T @ kern.cols
     xs = bytearray(np.asarray(bits, dtype=np.int8).tobytes())
-    base = _scalars(qubo.linear.reshape(T, w) + dg)
-    two_dg = _scalars(2.0 * dg)
-    wp = _scalars(qubo.wp)
-    wp_scale = _scalars(qubo.wp * qubo.scale)
-    at = _scalars(qubo.slot + n * step_rows, "q")  # the core_t @ g_t entry of each position
-    col = _scalars(kern.pattern + k * step_rows, "q")  # its residual dot product
-    rr = _scalars(np.tile(np.diagonal(gram)[kern.pattern], T))  # R[:, j]'R[:, j]
-    held_rows = list(np.frombuffer(held).reshape(T, n))
-    dot_rows = list(np.frombuffer(dots).reshape(T, k))
-    core_rows = list(qubo.core.reshape(T * n, n))
-    gram_rows = list(gram)
-    pattern = kern.pattern.tolist()
-    cross, penalty, last = kern.cross, qubo.penalty_weight, T - 1
-
-    def delta(i: int) -> float:
-        xi = xs[i]
-        t = i // w
-        inner = base[i] + 2.0 * (wp_scale[i] * held[at[i]])
-        inner -= two_dg[i] * xi
-        if t:
-            inner += cross[i - w] * xs[i - w]
-        if t < last:
-            inner += cross[i] * xs[i + w]
-        d = 1.0 - 2.0 * xi
-        return d * inner + penalty * (rr[i] - 2.0 * d * dots[col[i]])
-
-    def flip(i: int) -> None:
-        t = i // w
-        weight = wp[i]
-        if xs[i]:
-            weight = -weight
-            np.add(dot_rows[t], gram_rows[pattern[i - t * w]], out=dot_rows[t])
-        else:
-            np.subtract(dot_rows[t], gram_rows[pattern[i - t * w]], out=dot_rows[t])
-        if weight:
-            held_rows[t] += weight * core_rows[at[i]]
-        xs[i] ^= 1
-
-    return _FlipState(np.frombuffer(xs, dtype=np.int8), delta, flip)
+    return _FlipState(
+        bits=np.frombuffer(xs, dtype=np.int8),
+        xs=xs,
+        xf=_scalars(x),
+        base=_scalars(qubo.linear.reshape(T, w) + dg),
+        two_dg=_scalars(2.0 * dg),
+        wp=_scalars(qubo.wp),
+        wp_scale=_scalars(qubo.wp * qubo.scale),
+        held=held,
+        at=_scalars(qubo.slot + n * step_rows, "q"),
+        dots=dots,
+        col=_scalars(kern.pattern + k * step_rows, "q"),
+        rr=_scalars(np.tile(np.diagonal(gram)[kern.pattern], T)),
+        held_rows=list(np.frombuffer(held).reshape(T, n)),
+        dot_rows=list(np.frombuffer(dots).reshape(T, k)),
+        core_rows=list(qubo.core.reshape(T * n, n)),
+        gram_rows=list(gram),
+        pattern=kern.pattern.tolist(),
+    )
 
 
-# _SIGN[x_i][x_k] = d_i * d_k, where d = 1 - 2x is the change a flip makes to x
-_SIGN = ((1.0, -1.0), (-1.0, 1.0))
-_SIGN2 = 2.0 * np.array(_SIGN)
+def _flip(qubo: BlockQubo, bits: np.ndarray, i: int, deltas: np.ndarray, signs: np.ndarray,
+          out=None, scratch=None) -> float:
+    """Flip bit i in place; update the deltas of its neighbours; return the energy change.
+
+    The delta-table kernel of apply_flip and descent.  signs holds
+    2 * d_k = 2 - 4 x_k for the w positions of i's step; the flip negates
+    i's entry.  Step t's deltas gain 2 * d_i * d_k * D_jk: block row j of
+    D_t (formed in `out` and `scratch` if given) times signs, added or
+    subtracted as d_i is +1 or -1; the two band neighbours gain +-cross
+    (zero off the trading slots).  Every factor is +-1 or +-2, which
+    rounds nothing, so the order of those products does not matter.  The
+    cost is O(w), never the total variable count.
+    """
+    T, w = qubo.wp.shape
+    t, j = divmod(i, w)
+    xi = int(bits[i])
+    change = deltas[i]
+    update = _block_rows(qubo, t, j, out=out, scratch=scratch)
+    update *= signs
+    step = deltas[t * w:(t + 1) * w]
+    (np.subtract if xi else np.add)(step, update, out=step)  # deltas[i] is overwritten below
+    cross = qubo._kernel.cross
+    if t > 0:
+        m = i - w
+        deltas[m] += (1.0 if bits[m] == xi else -1.0) * cross[m]
+    if t < T - 1:
+        m = i + w
+        deltas[m] += (1.0 if bits[m] == xi else -1.0) * cross[i]
+    bits[i] = 1 - xi
+    signs[j] = -signs[j]
+    deltas[i] = -change
+    return float(change)
 
 
 def apply_flip(qubo: BlockQubo, bits: np.ndarray, i: int, deltas: np.ndarray) -> float:
     """Flip bit i in place; update deltas of its neighbors; return the energy change.
 
-    Cost is proportional to the step width plus the two adjacent-step
-    couplings, never the total variable count.  cross is zero off the
-    trading slots, so the adjacent-step updates need no slot test.  Each
-    update is a block or band entry times +-2 or +-1, which rounds nothing,
-    so the deltas do not depend on the order of those products.  bits must
-    hold only 0 and 1.
+    _flip with the signs of i's step formed from bits, which must hold
+    only 0 and 1.  Cost is proportional to the step width plus the two
+    adjacent-step couplings, never the total variable count.
     """
     T, w = qubo.wp.shape
     if not 0 <= i < T * w:
         raise QuboError(f"flip index {i} out of range 0..{T * w - 1}")
-    t, j = divmod(i, w)
-    xi = int(bits[i])
-    change = deltas[i]
-    sl = slice(t * w, (t + 1) * w)
-    update = _SIGN2[xi].take(bits[sl])
-    update *= _block_rows(qubo, t, j)
-    step = deltas[sl]
-    step += update  # deltas[i] gains 2 * D_jj here and is overwritten below
-    cross, sign = qubo._kernel.cross, _SIGN[xi]
-    if t > 0:
-        m = i - w
-        deltas[m] += sign[int(bits[m])] * cross[m]
-    if t < T - 1:
-        m = i + w
-        deltas[m] += sign[int(bits[m])] * cross[i]
-    bits[i] = 1 - xi
-    deltas[i] = -change
-    return float(change)
+    t = i // w
+    return _flip(qubo, bits, i, deltas, np.where(bits[t * w:(t + 1) * w], -2.0, 2.0))
 
 
 def _export_offset(qubo: BlockQubo) -> float:

@@ -4,12 +4,12 @@ simulated annealing, and adaptive pooled search.
 All solvers consume either a BlockQubo or a SparseQubo and return a
 SolveReport; a SparseQubo is searched as a one-block BlockQubo, so every
 solver runs on the flip kernels of qubo.py.  Descent and the tabu walk
-take an argmin over every delta, so they keep them all with apply_flip
-(17-27 us a flip on exp1, whose steps are 1,210 wide).  Annealing
-reads only the delta it proposes, so it keeps qubo._flip_state instead:
-each step's core_t @ g_t and the budget residual's dot products with the
-distinct budget columns (200 + 12 numbers a step on exp1).  There a
-proposal costs 0.8-1.5 us and an accepted flip 2.2-4.5 us.
+take an argmin over every delta, so they keep them all with qubo._flip
+(11.4-13 us a descent flip on exp1, whose steps are 1,210 wide).
+Annealing reads only the delta it proposes, so it keeps qubo._flip_state
+instead: each step's core_t @ g_t and the budget residual's dot products
+with the distinct budget columns (200 + 12 numbers a step on exp1).
+There a proposal costs 0.54-0.62 us and an accepted flip 1.8-2.0 us.
 Randomized solvers draw from one ``default_rng(seed)`` stream.
 Operator adaptation follows bit flips and the annealing schedule follows
 proposals: deterministic work counts rather than wall-clock time, so a
@@ -32,6 +32,7 @@ from .qubo import (
     QuboError,
     _as_block,
     _dense_vars,
+    _flip,
     _flip_state,
     _one_block,
     _runs,
@@ -359,16 +360,47 @@ def solve_bnb(qubo, budget: SolveBudget | None = None) -> SolveReport:
 def _descend(qubo: BlockQubo, x: np.ndarray):
     """Steepest single-flip descent to a 1-flip local minimum.
 
+    Each flip takes the lowest delta, the first of equal ones, as a global
+    argmin would; a delta that is not negative (also a NaN, so no input can
+    spin the loop) stops it.  Each step's argmin and minimum are kept: a
+    flip rescans its own step's w deltas and checks the one changed delta
+    of each adjacent step as a scalar, rescanning only a raised minimum.
+    That state, _flip's signs and its row buffers are formed at the first
+    flip, so a start at a local minimum costs one delta_energies.
+
     Returns (assignment, exact energy, flips performed); mutates x in place.
     """
     deltas = delta_energies(qubo, x)
     flips = 0
-    while len(deltas):
-        i = int(np.argmin(deltas))
-        if not deltas[i] < 0.0:  # also a NaN delta, so no input can spin the loop
-            break
-        apply_flip(qubo, x, i, deltas)
-        flips += 1
+    if len(deltas) and deltas[int(np.argmin(deltas))] < 0.0:
+        T, w = qubo.wp.shape
+        table = deltas.reshape(T, w)
+        first = table.argmin(axis=1)
+        low = table[np.arange(T), first]
+        at = (first + w * np.arange(T)).tolist()
+        signs = np.where(x, -2.0, 2.0)
+        row, gather = np.empty(w), np.empty(w)
+
+        def scan(u: int) -> None:
+            step = table[u]
+            a = int(step.argmin())
+            at[u], low[u] = u * w + a, step[a]
+
+        while True:
+            t = int(low.argmin())
+            i = at[t]
+            if not deltas[i] < 0.0:
+                break
+            _flip(qubo, x, i, deltas, signs[t * w:(t + 1) * w], row, gather)
+            flips += 1
+            scan(t)
+            for u, m in ((t - 1, i - w), (t + 1, i + w)):
+                if 0 <= u < T:
+                    v = deltas[m]
+                    if v < low[u] or v != v or (v == low[u] and m < at[u]):
+                        at[u], low[u] = m, v
+                    elif m == at[u] and v > low[u]:
+                        scan(u)
     return x, energy(qubo, x), flips
 
 
@@ -395,11 +427,14 @@ def solve_sa(qubo, budget: SolveBudget | None = None) -> SolveReport:
     each block.
 
     After the one delta_energies call that sets T0, the search keeps
-    _flip_state and no delta table: a proposal forms its one delta from
-    the step's core_t @ g_t, and an accepted flip updates that step's n + k
-    numbers, not its w deltas: on exp1 (n = 200, k = 12, w = 1,210), 212
-    numbers instead of 1,210.  There, on a 2-core Xeon VM, a proposal
-    costs 0.8-1.5 us and an accepted flip 2.2-4.5 us.
+    _flip_state and no delta table.  Each block runs its proposals inline:
+    a proposal forms its one delta from the step's core_t @ g_t by
+    delta_energies' formula, written here once, and an accepted flip
+    updates that step's n + k numbers, not its w deltas, the core_t @ g_t
+    row through one preallocated temporary: on exp1 (n = 200, k = 12,
+    w = 1,210), 212 numbers instead of 1,210.  A proposal reads the bits
+    as floats, so its products are float by float.  There, on a 2-core
+    Xeon VM, a proposal costs 0.54-0.62 us and an accepted flip 1.8-2.0 us.
     """
     qubo = _as_block(qubo)
     n = qubo.num_vars
@@ -414,7 +449,12 @@ def solve_sa(qubo, budget: SolveBudget | None = None) -> SolveReport:
     tf = t0 * _SA_FINAL_RATIO
     max_it = run.budget.max_iterations or 200 * n
     cooling, span = tf / t0, max(max_it - 1, 1)
-    x, delta, flip = _flip_state(qubo, x)
+    (x, xs, xf, base, two_dg, wp, wp_scale, held, at, dots, col, rr,
+     held_rows, dot_rows, core_rows, gram_rows, pattern) = _flip_state(qubo, x)
+    w = qubo.wp.shape[1]
+    cross, penalty = qubo._kernel.cross, qubo.penalty_weight
+    banded = len(cross)  # the bits with a band to the next step
+    row = np.empty(qubo.core.shape[1])
     iterations = 0
     while iterations < max_it and not run.spent(iterations):
         m = min(_SA_BLOCK, max_it - iterations)
@@ -423,9 +463,29 @@ def solve_sa(qubo, budget: SolveBudget | None = None) -> SolveReport:
         temps = t0 * cooling ** (np.arange(iterations, iterations + m) / span)
         thresholds = (-temps * np.log1p(-u)).tolist()
         for k, (i, thr) in enumerate(zip(picks, thresholds)):
-            change = delta(i)
+            # delta_energies' entry i, in its order of operations
+            xi = xf[i]
+            inner = base[i] + 2.0 * (wp_scale[i] * held[at[i]])
+            inner -= two_dg[i] * xi
+            if i >= w:
+                inner += cross[i - w] * xf[i - w]
+            if i < banded:
+                inner += cross[i] * xf[i + w]
+            d = 1.0 - 2.0 * xi
+            change = d * inner + penalty * (rr[i] - 2.0 * d * dots[col[i]])
             if change <= thr:
-                flip(i)
+                t = i // w
+                weight = wp[i]
+                if xi:
+                    weight = -weight
+                    np.add(dot_rows[t], gram_rows[pattern[i - t * w]], out=dot_rows[t])
+                else:
+                    np.subtract(dot_rows[t], gram_rows[pattern[i - t * w]], out=dot_rows[t])
+                if weight:
+                    np.multiply(weight, core_rows[at[i]], out=row)
+                    held_rows[t] += row
+                xs[i] ^= 1
+                xf[i] = 1.0 - xi
                 e += change
                 if e < run.best_e and run.offer(e, x):
                     return run.report(iterations + k + 1)
@@ -468,14 +528,19 @@ def _tabu_walk(qubo: BlockQubo, x, tenure, steps):
 
     Each step takes the best non-tabu move, even uphill.  At most
     tenure - 1 bits are tabu at a step, and tenure <= n, so a move always
-    exists.
+    exists.  The tabu moves are masked to +inf in one buffer kept for the walk.
     """
     deltas = delta_energies(qubo, x)
     tabu_until = np.zeros(qubo.num_vars, dtype=np.int64)
+    tabu = np.empty(qubo.num_vars, dtype=bool)
+    masked = np.empty(qubo.num_vars)
     e = energy(qubo, x)
     best_x, best_e = x.copy(), e
     for step in range(steps):
-        i = int(np.argmin(np.where(tabu_until > step, np.inf, deltas)))
+        np.greater(tabu_until, step, out=tabu)
+        np.copyto(masked, deltas)
+        np.copyto(masked, np.inf, where=tabu)
+        i = int(np.argmin(masked))
         e += apply_flip(qubo, x, i, deltas)
         tabu_until[i] = step + tenure
         if e < best_e:

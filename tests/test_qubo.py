@@ -819,10 +819,10 @@ def test_block_readers_agree_at_exp1_size(monkeypatch):
 
     materialise = qubo_module._block_rows
 
-    def one_row(qubo, t, rows, start=0):
+    def one_row(qubo, t, rows, start=0, **buffers):
         if not isinstance(rows, (int, np.integer)):
             raise AssertionError("a search kernel materialised a (w, w) block")
-        return materialise(qubo, t, rows, start)
+        return materialise(qubo, t, rows, start, **buffers)
 
     monkeypatch.setattr(qubo_module, "_block_rows", one_row)
     rng = np.random.default_rng(2)
@@ -925,6 +925,39 @@ def _flip_state_cases():
                        id="zero-variables")
 
 
+def _state_delta(qubo, state, i):
+    """solve_sa's proposal delta: delta_energies' entry i read from a _flip_state, in its
+    order of operations."""
+    T, w = qubo.wp.shape
+    cross, xs = qubo._kernel.cross, state.xs
+    xi = xs[i]
+    t = i // w
+    inner = state.base[i] + 2.0 * (state.wp_scale[i] * state.held[state.at[i]])
+    inner -= state.two_dg[i] * xi
+    if t:
+        inner += cross[i - w] * xs[i - w]
+    if t < T - 1:
+        inner += cross[i] * xs[i + w]
+    d = 1.0 - 2.0 * xi
+    return d * inner + qubo.penalty_weight * (state.rr[i] - 2.0 * d * state.dots[state.col[i]])
+
+
+def _state_flip(qubo, state, i):
+    """solve_sa's accepted flip of bit i: its step's core_t @ g_t and residual dot products."""
+    w = qubo.wp.shape[1]
+    t = i // w
+    weight = state.wp[i]
+    gram = state.gram_rows[state.pattern[i - t * w]]
+    if state.xs[i]:
+        weight = -weight
+        state.dot_rows[t] += gram
+    else:
+        state.dot_rows[t] -= gram
+    if weight:
+        state.held_rows[t] += weight * state.core_rows[state.at[i]]
+    state.xs[i] ^= 1
+
+
 @pytest.mark.parametrize("qubo,start", _flip_state_cases())
 def test_flip_state_reads_the_deltas_of_delta_energies(qubo, start):
     """A fresh state reads delta_energies bit for bit; 1,500 seeded flips later it keeps
@@ -935,21 +968,22 @@ def test_flip_state_reads_the_deltas_of_delta_energies(qubo, start):
     x = rng.integers(0, 2, n).astype(np.int8) if start is None else start.copy()
     state = qubo_module._flip_state(qubo, x)
     assert np.array_equal(state.bits, x)
-    assert _same_bits([state.delta(i) for i in range(n)], delta_energies(qubo, x))
+    assert _same_bits([_state_delta(qubo, state, i) for i in range(n)],
+                      delta_energies(qubo, x))
     if n == 0:
         return
     flipped, table = x.copy(), delta_energies(qubo, x)
     for i in rng.integers(0, n, size=1500).tolist():
-        state.flip(i)
+        _state_flip(qubo, state, i)
         apply_flip(qubo, flipped, i, table)
         x[i] ^= 1
     assert np.array_equal(state.bits, x) and np.array_equal(flipped, x)
     fresh = delta_energies(qubo, x)
-    read = np.array([state.delta(i) for i in range(n)])
+    read = np.array([_state_delta(qubo, state, i) for i in range(n)])
     for got in (read, table):
         assert np.abs(got - fresh).max() <= 1e-9 * np.abs(fresh).max()
     fresh_state = qubo_module._flip_state(qubo, x)
-    assert _same_bits([fresh_state.delta(i) for i in range(n)], fresh)
+    assert _same_bits([_state_delta(qubo, fresh_state, i) for i in range(n)], fresh)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -976,6 +1010,24 @@ def test_exp2_qubo_stores_only_its_factors():
         if isinstance(value, np.ndarray):
             assert value.size <= limit, field.name
     assert peak < 32 * 2**20
+
+
+@pytest.mark.parametrize("size", [EXP1, EXP2], ids=["exp1", "exp2"])
+def test_delta_energies_holds_two_temporaries(size):
+    """Besides x and the result, delta_energies holds two (T, w) arrays at once, plus the
+    (T, n) core products, the budget rows' squares and numpy's 64 KB iteration buffer."""
+    spec = synthetic_spec(seed=1, **size)
+    qubo = build_qubo(spec)
+    (T, w), n, m = qubo.wp.shape, qubo.core.shape[1], len(qubo.budget_rows)
+    x = np.random.default_rng(1).integers(0, 2, qubo.num_vars).astype(np.int8)
+    delta_energies(qubo, x)
+    tracemalloc.start()
+    try:
+        delta_energies(qubo, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (4 * T * w + T * n + (m + 1) * w) + 2**16
 
 
 def test_to_dense_refuses_before_exporting(monkeypatch):

@@ -12,9 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qubofolio import qubo as qubo_module
 from qubofolio import solvers as solvers_module
 from qubofolio.evaluation import SOLVERS
 from qubofolio.qubo import (
+    BlockQubo,
     IsingModel,
     QuboError,
     SparseQubo,
@@ -44,6 +46,14 @@ from qubofolio.solvers import (
     solve_sa,
 )
 from qubofolio.toy import cash_only_bits, random_sparse_qubo, synthetic_spec, toy_spec
+from test_qubo import (
+    EXP1,
+    _apply_flip_reference,
+    _kernel_cases,
+    _same_bits,
+    _state_delta,
+    _state_flip,
+)
 
 
 def brute_force_minimum(sq):
@@ -149,6 +159,59 @@ def test_sa_trace_is_strictly_improving(n, seed):
     assert energies[-1] == energy(_as_block(sq), report.best) == report.best_energy
 
 
+def _reference_sa_offers(qubo, seed, max_it):
+    """The running energies solve_sa offers as improvements, from its random stream, with
+    each proposal read through _state_delta and each flip made by _state_flip."""
+    n = qubo.num_vars
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, 2, size=n).astype(np.int8)
+    e = energy(qubo, x)
+    best_e, best_x, offers = e, x.copy(), [e]
+    t0 = max(float(np.percentile(np.abs(delta_energies(qubo, x)), 90)), 1e-12)
+    cooling, span = t0 * solvers_module._SA_FINAL_RATIO / t0, max(max_it - 1, 1)
+    state = qubo_module._flip_state(qubo, x)
+    for start in range(0, max_it, solvers_module._SA_BLOCK):
+        m = min(solvers_module._SA_BLOCK, max_it - start)
+        u = rng.random(m)
+        picks = rng.integers(n, size=m).tolist()
+        temps = t0 * cooling ** (np.arange(start, start + m) / span)
+        for i, thr in zip(picks, (-temps * np.log1p(-u)).tolist()):
+            change = _state_delta(qubo, state, i)
+            if change <= thr:
+                _state_flip(qubo, state, i)
+                e += change
+                if e < best_e:
+                    if not np.array_equal(state.bits, best_x):
+                        best_x = state.bits.copy()
+                        offers.append(e)
+                    best_e = e
+    return offers
+
+
+def _sa_cases():
+    yield pytest.param(_as_block(random_sparse_qubo(12, seed=3)), 3_000, id="file-12")
+    for name, spec, iterations in [
+            ("toy", toy_spec(n=3, T=2, q=1e-3, seed=4), 3_000),
+            ("synthetic-15x4", synthetic_spec(n=15, T=4, k=2, B=8, C=3, seed=3), 20_000),
+            ("exp1", synthetic_spec(seed=1, **EXP1), 20_000)]:
+        # from a random start the penalty's energies are so large that a change's last
+        # bits are rounded away; without it they carry into the running energy
+        for penalty in (True, False):
+            yield pytest.param(build_qubo(spec, include_penalty=penalty), iterations,
+                               id=f"{name}-{'penalty' if penalty else 'free'}")
+
+
+@pytest.mark.parametrize("qubo,iterations", _sa_cases())
+def test_sa_offers_the_running_energies_of_the_reference_formula(qubo, iterations):
+    """solve_sa's inline proposals and flips take the steps, and sum the changes, of
+    delta_energies' formula read from the flip state: its trace, up to the last entry
+    (the incumbent's `energy`), is the reference's offers bit for bit."""
+    report = solve_sa(qubo, SolveBudget(seed=7, max_iterations=iterations))
+    want = _reference_sa_offers(qubo, 7, iterations)
+    assert len(report.trace) == len(want) > 2
+    assert _same_bits([e for _, e in report.trace[:-1]], want[:-1])
+
+
 def test_sa_reaches_optimum_with_target_stop():
     sq = random_sparse_qubo(12, seed=13)
     exact_e = solve_exact(sq).best_energy
@@ -238,6 +301,114 @@ def test_local_descent_stops_on_a_nan_delta():
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[0]"
+
+
+def _reference_pick(deltas):
+    """The flip the plain descent takes next: the global argmin, if its delta is negative."""
+    if len(deltas):
+        i = int(np.argmin(deltas))
+        if deltas[i] < 0.0:
+            return i
+    return None
+
+
+def _assert_descent_follows_reference(monkeypatch, qubo, x, start=None):
+    """_descend from x takes exactly the flips of a global argmin over every delta and
+    _apply_flip_reference, with the same bits and delta bits after every flip; returns them.
+
+    start, if given, replaces delta_energies' table at x on both sides.
+    """
+    ref_x = x.copy()
+    ref_deltas = delta_energies(qubo, x) if start is None else np.array(start, dtype=float)
+    if start is not None:
+        monkeypatch.setattr(solvers_module, "delta_energies", lambda *args: ref_deltas.copy())
+    kernel, flips = solvers_module._flip, []
+
+    def checked(block, bits, i, deltas, *args):
+        assert i == _reference_pick(ref_deltas), flips
+        change = kernel(block, bits, i, deltas, *args)
+        assert _same_bits(change, _apply_flip_reference(qubo, ref_x, i, ref_deltas))
+        assert np.array_equal(bits, ref_x) and _same_bits(deltas, ref_deltas)
+        flips.append(i)
+        return change
+
+    monkeypatch.setattr(solvers_module, "_flip", checked)
+    out, e, count = solvers_module._descend(qubo, x.copy())
+    assert _reference_pick(ref_deltas) is None
+    assert count == len(flips) and np.array_equal(out, ref_x)
+    assert _same_bits(e, energy(qubo, ref_x))
+    return flips
+
+
+def _descent_cases():
+    for case in _kernel_cases():
+        qubo = case.values[0]
+        yield pytest.param(qubo, np.random.default_rng(qubo.num_vars).integers(
+            0, 2, qubo.num_vars).astype(np.int8), id=case.id)
+    exp1 = build_qubo(synthetic_spec(seed=1, **EXP1))
+    for seed in range(3):
+        x = np.random.default_rng(seed).integers(0, 2, exp1.num_vars).astype(np.int8)
+        yield pytest.param(exp1, x, id=f"exp1-random-{seed}")
+    yield pytest.param(_as_block(SparseQubo(0, [], [], [], 1.5)), np.zeros(0, dtype=np.int8),
+                       id="zero-variables")
+
+
+@pytest.mark.parametrize("qubo,x", _descent_cases())
+def test_descent_takes_the_flips_of_a_global_argmin(monkeypatch, qubo, x):
+    flips = _assert_descent_follows_reference(monkeypatch, qubo, x)
+    assert len(flips) > 0 or qubo.num_vars == 0
+
+
+def _band_only(T, w, cross):
+    """Blocks of zeros: a flip negates its own delta and moves its band neighbours' by
+    +-cross, so a table chosen by hand plays out as written."""
+    return BlockQubo(core=np.zeros((T, 1, 1)), slot=np.zeros(w, dtype=np.int64),
+                     wp=np.zeros((T, w)), scale=1.0, budget_rows=np.zeros((0, w)),
+                     budget_rhs=np.zeros(0), cross=np.array(cross, dtype=float).reshape(T - 1, w),
+                     linear=np.zeros(T * w), offset=0.0, penalty_weight=0.0)
+
+
+inf, nan = np.inf, np.nan
+
+
+# (steps, cross between steps, starting deltas, flips): every start is all zeros
+@pytest.mark.parametrize("T,cross,start,flips", [
+    # equal minima in two steps: the lower flat index wins; then within one step
+    (2, [0, 0, 0], [0, -3, 0, -3, 0, 0], [1, 3]),
+    (2, [0, 0, 0], [0, -3, -3, 0, 0, 0], [1, 2]),
+    # the band lowers step 0's minimum away from its argmin and raises step 2's at its
+    # argmin, which is scanned again
+    (3, [-10, 0, 0, 10, 0, 0], [0, -1, 0, -5, 0, 0, -4, -3, 0], [3, 0, 7, 1]),
+    # the band lowers a minimum at its own argmin
+    (2, [-3, 0, 0], [-5, 0, 0, -1, 0, 0], [0, 3]),
+    # the band ties a neighbour's minimum below its argmin, then above it
+    (2, [-2, 0, 0], [-5, 0, 0, 0, -2, 0], [0, 3, 4]),
+    (2, [0, 0, -2], [0, 0, -5, 0, -2, 0], [2, 4, 5]),
+    # the same ties in the step before the flip's
+    (2, [-2, 0, 0], [0, -2, 0, -5, 0, 0], [3, 0, 1]),
+    (2, [0, -2, 0], [-2, 0, 0, 0, -5, 0], [4, 0, 1]),
+    # the band makes a NaN in the step after the flip's, then before: descent stops
+    # though -4 is left
+    (2, [nan, 0, 0], [-5, -4, 0, 0, 0, 0], [0]),
+    (3, [0, 0, 0, nan, 0, 0], [0, 0, 0, -5, -4, 0, 0, 0, 0], [3]),
+    (2, [nan, 0, 0], [0, 0, 0, -5, -4, 0], [3]),
+    # inf - inf is a NaN at the neighbour's argmin
+    (2, [inf, 0, 0], [-5, 0, 0, -inf, 0, 0], [3]),
+    # -inf from the band is taken next; a NaN or inf delta at the start
+    (2, [-inf, 0, 0], [-5, 0, 0, 0, -1, 0], [0, 3, 4]),
+    (2, [0, 0, 0], [-5, 0, nan, 0, 0, 0], []),
+    (2, [0, 0, 0], [-5, 0, inf, -inf, 0, 0], [3, 0]),
+    # one step, no band
+    (1, [], [0, -1, -1], [1, 2]),
+], ids=["tie-across-steps", "tie-in-step", "band-lowers-and-raises", "band-lowers-at-argmin",
+        "band-ties-below", "band-ties-above", "band-ties-below-before", "band-ties-above-before",
+        "band-nan", "band-nan-after", "band-nan-before", "band-inf-minus-inf", "band-minus-inf",
+        "nan-at-start", "inf-at-start", "one-step"])
+def test_descent_keeps_each_steps_minimum(monkeypatch, T, cross, start, flips):
+    qubo = _band_only(T, 3, cross)
+    x = np.zeros(qubo.num_vars, dtype=np.int8)
+    with np.errstate(invalid="ignore"):  # energy's band term reads inf * 0
+        assert _assert_descent_follows_reference(monkeypatch, qubo, x, start) == flips
 
 
 def test_local_descent_rejects_entries_other_than_zero_and_one():
@@ -542,6 +713,30 @@ def test_block_solver_results_match_the_pinned_file():
     assert sorted(runs) == sorted(pinned)
     for name, got in runs.items():
         assert got == pinned[name], name
+
+
+EXP1_PINNED = Path(__file__).parent / "data" / "exp1_solver_results.json"
+
+
+def test_exp1_solver_results_match_the_pinned_file():
+    """The paper-size solves of the bench's exp1-search round at seed 1 do not drift.
+
+    data/exp1_solver_results.json was written before descent kept each step's
+    minimum and simulated annealing ran its proposals inline, by dumping
+    {name: pinned_record(report)} for these runs with json.dump(indent=1).
+    Every field must match exactly, the energy as its repr.
+    """
+    spec = synthetic_spec(seed=1, **EXP1)
+    qubo = build_qubo(spec)
+    runs = {
+        "sa": solve_sa(qubo, SolveBudget(time_limit=600.0, max_iterations=200_000, seed=1)),
+        "abs": solve_abs(qubo, SolveBudget(time_limit=600.0, max_iterations=5, seed=1)),
+        "descent-cash": _descent_report(qubo, cash_only_bits(spec), 1),
+    }
+    pinned = json.loads(EXP1_PINNED.read_text())
+    assert sorted(runs) == sorted(pinned)
+    for name, report in runs.items():
+        assert pinned_record(report) == pinned[name], name
 
 
 @pytest.mark.parametrize("entry", [solve_exact, solve_bnb, solve_sa, solve_abs,
